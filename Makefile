@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke
+.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e
 
 # Tier-1: everything compiles and the test suite passes.
 verify:
@@ -13,8 +13,26 @@ verify:
 # run of the trace-overhead benchmark (compare the disabled sub-benchmark
 # against no-tracer: they must match in ns/op and allocs/op), the
 # allocation-regression gate on the untraced decide path, and a short
-# fuzz pass over the fuzz targets, and the scenario-matrix smoke run.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short
+# fuzz pass over the fuzz targets, the scenario-matrix smoke run, and vet +
+# tests of the nested benchmark module.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module
+
+# bench/ is a Go module of its own (megh/bench), so ./... above never
+# reaches it: vet and test it by name, then run the program itself at a
+# tenth of its work budget (every run checks its responses and exits
+# non-zero on a failed one). TestSmoke drives 8×12 worlds, which travel in
+# full; the program run drives the 100×150 and 10 000×1 000 worlds, which
+# travel elided — between them both snapshot forms go end to end.
+bench-module:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+	$(GO) run -C bench megh/bench -seconds 1 >/dev/null
+
+# The repository benchmark, exactly as BENCHMARK.json's "command" runs it:
+# five workloads, end-to-end metrics, a decision digest per workload. See
+# bench/README.md for the flags (-workload, -seed, -trace 1, -compare).
+bench-e2e:
+	$(GO) run -C bench megh/bench
 
 # Scenario-matrix smoke: every registered scenario, under the race detector
 # and the invariant checker, end to end through the real CLI. Catches wiring

@@ -60,15 +60,22 @@
 // caller set one, generated otherwise. Decide/feedback traffic beyond the
 // configured in-flight bound is refused with 429 plus Retry-After rather
 // than queueing without limit.
+//
+// A decide snapshot travels in one of two forms (see StateRequest). The
+// full form is self-contained and establishes the session's snapshot base
+// — host capacities, power models and VM requested resources, kept under
+// a content digest. The elided form names that digest and carries only
+// what changes per interval; a digest the session does not hold answers
+// 409 before the learner is touched, and the caller resends in full.
+// SessionClient elides transparently. Request bodies on decide,
+// decide/batch, feedback and session PUT are bounded by the session's
+// size; a larger one answers 413.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
-
-	"megh/internal/power"
-	"megh/internal/sim"
 )
 
 // HostState describes one physical machine in a snapshot.
@@ -91,17 +98,36 @@ type VMState struct {
 	Host int `json:"host"`
 	// Utilization is the demanded fraction of the VM's requested MIPS.
 	Utilization float64 `json:"utilization"`
-	// MIPS, RAMMB, BandwidthMbps are the requested resources.
-	MIPS          float64 `json:"mips"`
-	RAMMB         float64 `json:"ram_mb"`
-	BandwidthMbps float64 `json:"bandwidth_mbps"`
+	// MIPS, RAMMB, BandwidthMbps are the requested resources. An elided
+	// snapshot (StateRequest.Base set) leaves all three out.
+	MIPS          float64 `json:"mips,omitempty"`
+	RAMMB         float64 `json:"ram_mb,omitempty"`
+	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
 }
 
-// StateRequest is one monitoring interval's snapshot.
+// StateRequest is one monitoring interval's snapshot, in one of two forms.
+//
+// The full form carries everything: Hosts with capacities and Failed
+// flags, VMs with requested resources. It is self-contained, accepted on
+// every decide route, and establishes the session's snapshot base — the
+// static half of the world (host capacities and power models, VM requested
+// resources), kept on the session under a content digest (see base.go).
+//
+// The elided form names that base by digest and leaves the static half
+// out: no Hosts (failed hosts travel as FailedHosts indices) and no VM
+// MIPS/RAMMB/BandwidthMbps. The service fills the gaps from the base; a
+// digest the session does not hold answers 409 and the caller resends the
+// full form. SessionClient does both transparently.
 type StateRequest struct {
-	Step  int         `json:"step"`
-	Hosts []HostState `json:"hosts"`
-	VMs   []VMState   `json:"vms"`
+	Step int `json:"step"`
+	// Base is the digest of the snapshot base an elided request relies on;
+	// empty in the full form.
+	Base  string      `json:"base,omitempty"`
+	Hosts []HostState `json:"hosts,omitempty"`
+	// FailedHosts lists the indices of failed hosts in the elided form (the
+	// full form carries HostState.Failed instead).
+	FailedHosts []int     `json:"failed_hosts,omitempty"`
+	VMs         []VMState `json:"vms"`
 }
 
 // MigrationDecision is one ordered live migration.
@@ -154,9 +180,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Validate checks a snapshot for structural problems before it reaches
-// the learner.
+// Validate checks a full-form snapshot for structural problems before it
+// reaches the learner. An elided snapshot is not self-contained — it is
+// checked against its base by resolveBase instead.
 func (r *StateRequest) Validate() error {
+	if r.Base != "" || len(r.FailedHosts) != 0 {
+		return fmt.Errorf("server: failed_hosts needs base, and a snapshot naming a base is checked against it, not alone")
+	}
 	if len(r.Hosts) == 0 {
 		return fmt.Errorf("server: snapshot has no hosts")
 	}
@@ -175,8 +205,8 @@ func (r *StateRequest) Validate() error {
 		}
 	}
 	for j, v := range r.VMs {
-		if v.Host < 0 || v.Host >= len(r.Hosts) {
-			return fmt.Errorf("server: VM %d placed on unknown host %d", j, v.Host)
+		if err := v.validateDynamic(j, len(r.Hosts)); err != nil {
+			return err
 		}
 		if !finitePositive(v.MIPS) || !finitePositive(v.RAMMB) {
 			return fmt.Errorf("server: VM %d has invalid resources", j)
@@ -184,11 +214,20 @@ func (r *StateRequest) Validate() error {
 		if math.IsNaN(v.BandwidthMbps) || math.IsInf(v.BandwidthMbps, 0) || v.BandwidthMbps < 0 {
 			return fmt.Errorf("server: VM %d has invalid bandwidth %g", j, v.BandwidthMbps)
 		}
-		// NaN fails ordered comparisons in both directions, so the range
-		// check alone would wave it through — reject non-finite explicitly.
-		if math.IsNaN(v.Utilization) || v.Utilization < 0 || v.Utilization > 1 {
-			return fmt.Errorf("server: VM %d utilization %g out of [0,1]", j, v.Utilization)
-		}
+	}
+	return nil
+}
+
+// validateDynamic checks the per-interval half of VM j — placement and
+// utilization — which both snapshot forms carry.
+func (v *VMState) validateDynamic(j, numHosts int) error {
+	if v.Host < 0 || v.Host >= numHosts {
+		return fmt.Errorf("server: VM %d placed on unknown host %d", j, v.Host)
+	}
+	// NaN fails ordered comparisons in both directions, so the range
+	// check alone would wave it through — reject non-finite explicitly.
+	if math.IsNaN(v.Utilization) || v.Utilization < 0 || v.Utilization > 1 {
+		return fmt.Errorf("server: VM %d utilization %g out of [0,1]", j, v.Utilization)
 	}
 	return nil
 }
@@ -196,61 +235,4 @@ func (r *StateRequest) Validate() error {
 // finitePositive reports whether v is a finite value > 0.
 func finitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 1)
-}
-
-// snapshot converts the request into the read-only view the policies
-// consume. The β threshold and τ come from the server configuration.
-func (r *StateRequest) snapshot(overload float64, stepSeconds float64) *sim.Snapshot {
-	nH, nV := len(r.Hosts), len(r.VMs)
-	s := &sim.Snapshot{
-		Step:              r.Step,
-		StepSeconds:       stepSeconds,
-		OverloadThreshold: overload,
-		VMHost:            make([]int, nV),
-		VMUtil:            make([]float64, nV),
-		VMMIPS:            make([]float64, nV),
-		VMSpecs:           make([]sim.VMSpec, nV),
-		HostUtil:          make([]float64, nH),
-		HostVMs:           make([][]int, nH),
-		HostSpecs:         make([]sim.HostSpec, nH),
-		HostHistory:       make([][]float64, nH),
-		VMHistory:         make([][]float64, nV),
-		HostFailed:        make([]bool, nH),
-	}
-	for i, h := range r.Hosts {
-		s.HostSpecs[i] = sim.HostSpec{
-			MIPS:          h.MIPS,
-			RAMMB:         h.RAMMB,
-			BandwidthMbps: h.BandwidthMbps,
-			Power:         parsePowerModel(h.PowerModel),
-		}
-		s.HostFailed[i] = h.Failed
-	}
-	for j, v := range r.VMs {
-		s.VMHost[j] = v.Host
-		s.VMUtil[j] = v.Utilization
-		s.VMMIPS[j] = v.Utilization * v.MIPS
-		s.VMSpecs[j] = sim.VMSpec{MIPS: v.MIPS, RAMMB: v.RAMMB, BandwidthMbps: v.BandwidthMbps}
-		s.HostVMs[v.Host] = append(s.HostVMs[v.Host], j)
-	}
-	for i := range s.HostUtil {
-		var mips float64
-		for _, j := range s.HostVMs[i] {
-			mips += s.VMMIPS[j]
-		}
-		s.HostUtil[i] = mips / s.HostSpecs[i].MIPS
-	}
-	return s
-}
-
-// parsePowerModel resolves the optional power-model name; unknown or empty
-// names fall back to the G4 table (decisions never read it, it only keeps
-// the HostSpec valid).
-func parsePowerModel(name string) power.Model {
-	switch name {
-	case "g5":
-		return power.HPProLiantG5()
-	default:
-		return power.HPProLiantG4()
-	}
 }

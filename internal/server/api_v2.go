@@ -39,6 +39,26 @@ func (sp SessionSpec) validate() error {
 	return nil
 }
 
+// maxSnapshotBytes bounds one snapshot's JSON body for a session of this
+// size: 512 bytes per host and per VM — several times what encoding/json
+// emits for a full-form entry, so indented or long-float bodies still fit —
+// plus 4 KiB for the envelope.
+func (sp SessionSpec) maxSnapshotBytes() int64 {
+	return 4<<10 + 512*(int64(sp.NumHosts)+int64(sp.NumVMs))
+}
+
+// maxBatchBodyBytes is the ceiling on a decide/batch body, whatever the
+// session's size: at 10 000 × 1 000 the per-item bound times MaxBatchItems
+// would be 5.8 GB, which bounds nothing. 64 MiB holds a hundred full
+// snapshots of that size, or a full MaxBatchItems batch once its items elide.
+const maxBatchBodyBytes = 64 << 20
+
+// maxBatchBytes bounds a decide/batch body for a session of this size:
+// MaxBatchItems snapshots with feedback, capped at maxBatchBodyBytes.
+func (sp SessionSpec) maxBatchBytes() int64 {
+	return min(MaxBatchItems*(sp.maxSnapshotBytes()+maxSmallBodyBytes), maxBatchBodyBytes)
+}
+
 // SessionInfo describes one session in PUT/GET/list responses. Live is
 // false while the session is evicted (its learner state lives in the
 // per-session checkpoint file and is restored on the next decide,
@@ -52,6 +72,10 @@ type SessionInfo struct {
 	LastStep  int         `json:"last_step"`
 	Evictions int         `json:"evictions"`
 	Restores  int         `json:"restores"`
+	// SnapshotBase is the digest of the snapshot base the session holds —
+	// what an elided StateRequest must name — empty before the first full
+	// snapshot.
+	SnapshotBase string `json:"snapshot_base,omitempty"`
 }
 
 // SessionListResponse is the GET /v2/sessions body.

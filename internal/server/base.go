@@ -1,0 +1,207 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+
+	"megh/internal/power"
+	"megh/internal/sim"
+)
+
+// This file holds the server half of base-elided decide snapshots. The
+// learner consumes, per interval, only placements and utilizations; host
+// capacities, power models and VM requested resources are constants of the
+// MDP, yet they make up about nine tenths of a full snapshot's bytes. A
+// full snapshot therefore establishes the session's snapshot base — that
+// static half, converted once into the []sim.HostSpec / []sim.VMSpec the
+// learner reads — and later requests may name it by digest and leave it
+// out (see StateRequest). Every snapshot built from one base shares the
+// base's spec slices, so core's capacity refresh (sameHostSpecs) sees the
+// same backing array step after step.
+//
+// The base lives on the session descriptor, not the learner, so it
+// survives LRU eviction; it is not checkpointed, so a restarted or
+// failed-over session answers 409 until a full snapshot re-establishes it.
+
+// errBaseConflict marks an elided snapshot whose digest the session does
+// not hold; the HTTP layer maps it to 409.
+var errBaseConflict = errors.New("snapshot base conflict")
+
+// snapshotBase is the static half of a session's world. Immutable once
+// built: requests read it concurrently and snapshots alias its slices.
+type snapshotBase struct {
+	digest    string
+	hostSpecs []sim.HostSpec
+	vmSpecs   []sim.VMSpec
+	// hostHistory and vmHistory are the all-nil history tables every
+	// snapshot carries: the wire has no history, so one pair serves all.
+	hostHistory, vmHistory [][]float64
+}
+
+// staticDigest is the 64-bit content digest of a full snapshot's static
+// fields, as the hex string the wire carries. Client and server both call
+// it, so a digest names the same content on either side. It identifies
+// content among the few bases one session sees; it is not a defence against
+// a caller forging collisions, who could only confuse its own session.
+func staticDigest(hosts []HostState, vms []VMState) string {
+	h := uint64(len(hosts))<<32 ^ uint64(len(vms))
+	mix := func(w uint64) {
+		h ^= w
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 29
+	}
+	for i := range hosts {
+		hs := &hosts[i]
+		mix(math.Float64bits(hs.MIPS))
+		mix(math.Float64bits(hs.RAMMB))
+		mix(math.Float64bits(hs.BandwidthMbps))
+		mix(uint64(len(hs.PowerModel)))
+		for k := 0; k < len(hs.PowerModel); k++ {
+			mix(uint64(hs.PowerModel[k]))
+		}
+	}
+	for j := range vms {
+		v := &vms[j]
+		mix(math.Float64bits(v.MIPS))
+		mix(math.Float64bits(v.RAMMB))
+		mix(math.Float64bits(v.BandwidthMbps))
+	}
+	// splitmix64 finalizer: avalanche the last word's low bits.
+	h ^= h >> 30
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return strconv.FormatUint(h, 16)
+}
+
+// newSnapshotBase converts a validated full snapshot's static fields.
+// Hosts naming the same power model share one table.
+func newSnapshotBase(r *StateRequest, digest string) *snapshotBase {
+	b := &snapshotBase{
+		digest:    digest,
+		hostSpecs: make([]sim.HostSpec, len(r.Hosts)),
+		vmSpecs:   make([]sim.VMSpec, len(r.VMs)),
+
+		hostHistory: make([][]float64, len(r.Hosts)),
+		vmHistory:   make([][]float64, len(r.VMs)),
+	}
+	g4, g5 := power.HPProLiantG4(), power.HPProLiantG5()
+	for i, h := range r.Hosts {
+		// Unknown or empty names fall back to the G4 table (decisions never
+		// read it, it only keeps the HostSpec valid).
+		var model power.Model = g4
+		if h.PowerModel == "g5" {
+			model = g5
+		}
+		b.hostSpecs[i] = sim.HostSpec{
+			MIPS: h.MIPS, RAMMB: h.RAMMB, BandwidthMbps: h.BandwidthMbps, Power: model,
+		}
+	}
+	for j, v := range r.VMs {
+		b.vmSpecs[j] = sim.VMSpec{MIPS: v.MIPS, RAMMB: v.RAMMB, BandwidthMbps: v.BandwidthMbps}
+	}
+	return b
+}
+
+// resolveBase validates one decoded snapshot for a session sized by spec and
+// returns the base its static half comes from. cur is the base in force
+// (nil for none). A full snapshot is validated whole and returns cur when
+// its static fields digest to cur's, a freshly built base otherwise; an
+// elided one must name cur (errBaseConflict if not) and is checked against
+// it. The caller publishes the returned base (adoptBase) once the whole request
+// stands and is admitted.
+func resolveBase(cur *snapshotBase, r *StateRequest, id string, spec SessionSpec) (*snapshotBase, error) {
+	if r.Base == "" {
+		if err := r.Validate(); err != nil {
+			return nil, err
+		}
+		if len(r.VMs) != spec.NumVMs || len(r.Hosts) != spec.NumHosts {
+			return nil, fmt.Errorf("snapshot is %d×%d, session %q configured for %d×%d",
+				len(r.VMs), len(r.Hosts), id, spec.NumVMs, spec.NumHosts)
+		}
+		digest := staticDigest(r.Hosts, r.VMs)
+		if cur != nil && cur.digest == digest {
+			return cur, nil
+		}
+		return newSnapshotBase(r, digest), nil
+	}
+
+	if cur == nil || r.Base != cur.digest {
+		return nil, fmt.Errorf("%w: session %q does not hold base %q; resend the full snapshot",
+			errBaseConflict, id, r.Base)
+	}
+	if len(r.Hosts) != 0 {
+		return nil, fmt.Errorf("server: elided snapshot carries hosts; send failed_hosts, or drop base")
+	}
+	nH := len(cur.hostSpecs)
+	if len(r.VMs) != len(cur.vmSpecs) {
+		return nil, fmt.Errorf("elided snapshot has %d VMs, session %q configured for %d×%d",
+			len(r.VMs), id, len(cur.vmSpecs), nH)
+	}
+	if r.Step < 0 {
+		return nil, fmt.Errorf("server: negative step %d", r.Step)
+	}
+	for j := range r.VMs {
+		v := &r.VMs[j]
+		if v.MIPS != 0 || v.RAMMB != 0 || v.BandwidthMbps != 0 {
+			return nil, fmt.Errorf("server: elided snapshot carries resources for VM %d; drop them, or drop base", j)
+		}
+		if err := v.validateDynamic(j, nH); err != nil {
+			return nil, err
+		}
+	}
+	for k, i := range r.FailedHosts {
+		if i < 0 || i >= nH {
+			return nil, fmt.Errorf("server: failed_hosts names unknown host %d", i)
+		}
+		if k > 0 && i <= r.FailedHosts[k-1] {
+			return nil, fmt.Errorf("server: failed_hosts must be strictly ascending (host %d after %d)",
+				i, r.FailedHosts[k-1])
+		}
+	}
+	return cur, nil
+}
+
+// snapshot converts a request resolveBase accepted into the read-only view
+// the policies consume, taking the static half from b — the value
+// resolveBase returned for it. The β threshold and τ come from the session.
+func (r *StateRequest) snapshot(b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
+	nH, nV := len(b.hostSpecs), len(b.vmSpecs)
+	s := &sim.Snapshot{
+		Step:              r.Step,
+		StepSeconds:       stepSeconds,
+		OverloadThreshold: overload,
+		VMHost:            make([]int, nV),
+		VMUtil:            make([]float64, nV),
+		VMMIPS:            make([]float64, nV),
+		VMSpecs:           b.vmSpecs,
+		HostUtil:          make([]float64, nH),
+		HostVMs:           make([][]int, nH),
+		HostSpecs:         b.hostSpecs,
+		HostHistory:       b.hostHistory,
+		VMHistory:         b.vmHistory,
+		HostFailed:        make([]bool, nH),
+	}
+	for i := range r.Hosts {
+		s.HostFailed[i] = r.Hosts[i].Failed
+	}
+	for _, i := range r.FailedHosts {
+		s.HostFailed[i] = true
+	}
+	for j := range r.VMs {
+		v := &r.VMs[j]
+		s.VMHost[j] = v.Host
+		s.VMUtil[j] = v.Utilization
+		s.VMMIPS[j] = v.Utilization * b.vmSpecs[j].MIPS
+		s.HostVMs[v.Host] = append(s.HostVMs[v.Host], j)
+	}
+	for i, vms := range s.HostVMs {
+		var mips float64
+		for _, j := range vms {
+			mips += s.VMMIPS[j]
+		}
+		s.HostUtil[i] = mips / b.hostSpecs[i].MIPS
+	}
+	return s
+}

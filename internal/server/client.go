@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"megh/internal/obs"
@@ -156,10 +158,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			continue
 		}
 		if retryableStatus(resp.StatusCode) {
-			lastErr = fmt.Errorf("server: %s: HTTP %d", path, resp.StatusCode)
-			if e := decodeErrorBody(resp); e != "" {
-				lastErr = fmt.Errorf("server: %s: %s (HTTP %d)", path, e, resp.StatusCode)
-			}
+			lastErr = newStatusError(path, resp)
 			resp.Body.Close()
 			continue
 		}
@@ -182,21 +181,33 @@ func (c *Client) send(ctx context.Context, method, path string, body, out any) e
 	return c.do(ctx, method, path, raw, out)
 }
 
-// decodeErrorBody extracts the JSON error message, if any.
-func decodeErrorBody(resp *http.Response) string {
-	var e errorResponse
-	if json.NewDecoder(resp.Body).Decode(&e) == nil {
-		return e.Error
+// statusError is an error answer from the service: the status code and
+// the JSON envelope's message, if it carried one.
+type statusError struct {
+	path string
+	code int
+	msg  string
+}
+
+func newStatusError(path string, resp *http.Response) *statusError {
+	e := &statusError{path: path, code: resp.StatusCode}
+	var body errorResponse
+	if json.NewDecoder(resp.Body).Decode(&body) == nil {
+		e.msg = body.Error
 	}
-	return ""
+	return e
+}
+
+func (e *statusError) Error() string {
+	if e.msg == "" {
+		return fmt.Sprintf("server: %s: HTTP %d", e.path, e.code)
+	}
+	return fmt.Sprintf("server: %s: %s (HTTP %d)", e.path, e.msg, e.code)
 }
 
 func (c *Client) finish(path string, resp *http.Response, out any) error {
 	if resp.StatusCode >= 400 {
-		if e := decodeErrorBody(resp); e != "" {
-			return fmt.Errorf("server: %s: %s (HTTP %d)", path, e, resp.StatusCode)
-		}
-		return fmt.Errorf("server: %s: HTTP %d", path, resp.StatusCode)
+		return newStatusError(path, resp)
 	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -288,15 +299,61 @@ func (c *Client) ListSessions(ctx context.Context) (SessionListResponse, error) 
 
 // Session returns a view of one named session on the /v2 API. The view
 // shares the parent client's transport, retry policy, and instrumentation.
+// Hold on to it: the view remembers the snapshot base the service accepted,
+// and a fresh view starts without one and sends one full snapshot first.
 func (c *Client) Session(id string) *SessionClient {
 	return &SessionClient{c: c, id: id, prefix: "/v2/sessions/" + url.PathEscape(id)}
 }
 
-// SessionClient scopes requests to one /v2 session.
+// SessionClient scopes requests to one /v2 session. Decide and
+// DecideBatchCtx elide transparently: a snapshot whose static fields digest
+// to the base the service last accepted from this view goes out in the
+// elided form (see StateRequest), anything else in full. Safe for
+// concurrent use.
 type SessionClient struct {
 	c      *Client
 	id     string
 	prefix string
+
+	// base is the digest of the last full snapshot the service accepted
+	// from this view (nil before the first). The service treats digest
+	// equality as content equality, so the digest is all the view keeps.
+	base atomic.Pointer[string]
+}
+
+// minElideEntries is the smallest snapshot, in hosts plus VMs, the client
+// elides. Below it the full form is under 2 KB — one segment on the wire,
+// a few µs to decode — so eliding wins nothing measurable, while a
+// self-contained request can never 409 after a restart or failover. The
+// service accepts the elided form at any size.
+const minElideEntries = 32
+
+// elidable reports whether full snapshot r is big enough to elide.
+func elidable(r *StateRequest) bool {
+	return len(r.Hosts)+len(r.VMs) >= minElideEntries
+}
+
+// elideSnapshot returns full snapshot r in the elided form; digest is
+// staticDigest of r's static fields.
+func elideSnapshot(r *StateRequest, digest string) StateRequest {
+	out := StateRequest{Step: r.Step, Base: digest, VMs: make([]VMState, len(r.VMs))}
+	for i := range r.Hosts {
+		if r.Hosts[i].Failed {
+			out.FailedHosts = append(out.FailedHosts, i)
+		}
+	}
+	for j := range r.VMs {
+		out.VMs[j] = VMState{Host: r.VMs[j].Host, Utilization: r.VMs[j].Utilization}
+	}
+	return out
+}
+
+// isBaseConflict reports whether err is the service's 409 to an elided
+// snapshot — the session does not hold the base the request named (it
+// restarted, failed over, or another client replaced the base).
+func isBaseConflict(err error) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.code == http.StatusConflict
 }
 
 // ID returns the session name this view is scoped to.
@@ -321,10 +378,29 @@ func (s *SessionClient) Delete(ctx context.Context) error {
 	return s.c.send(ctx, http.MethodDelete, s.prefix, nil, nil)
 }
 
-// Decide posts a snapshot to the session and returns its decisions.
+// Decide posts a snapshot to the session and returns its decisions. A
+// snapshot of at least minElideEntries hosts plus VMs travels elided when
+// its static fields digest to the base the service accepted earlier; if the
+// service no longer holds that base (409) the full form is sent once more —
+// a protocol step, not a retry, so it happens whatever SetRetryPolicy says.
 func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideResponse, error) {
 	var out DecideResponse
-	err := s.c.send(ctx, http.MethodPost, s.prefix+"/decide", req, &out)
+	path := s.prefix + "/decide"
+	// A snapshot the caller elided by hand is theirs to manage.
+	if req.Base != "" || !elidable(&req) {
+		return out, s.c.send(ctx, http.MethodPost, path, req, &out)
+	}
+	digest := staticDigest(req.Hosts, req.VMs)
+	if held := s.base.Load(); held != nil && *held == digest {
+		err := s.c.send(ctx, http.MethodPost, path, elideSnapshot(&req, digest), &out)
+		if !isBaseConflict(err) {
+			return out, err
+		}
+	}
+	err := s.c.send(ctx, http.MethodPost, path, req, &out)
+	if err == nil {
+		s.base.Store(&digest)
+	}
 	return out, err
 }
 
@@ -335,9 +411,42 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 // — what the batch saves is per-step HTTP round-trips, request decodes and
 // lock traffic. Batches beyond MaxBatchItems are refused with 400; a batch
 // rejected by validation leaves the learner untouched.
+//
+// Items elide the way Decide's snapshots do, each against the base in force
+// at its position: an item whose static fields differ goes in full and
+// becomes the base for the items after it. A 409 resends the whole batch in
+// full, once.
 func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideRequest) (BatchDecideResponse, error) {
 	var out BatchDecideResponse
-	err := s.c.send(ctx, http.MethodPost, s.prefix+"/decide/batch", req, &out)
+	path := s.prefix + "/decide/batch"
+	var held string
+	if p := s.base.Load(); p != nil {
+		held = *p
+	}
+	base, elided := held, false
+	wire := BatchDecideRequest{Items: make([]BatchDecideItem, len(req.Items))}
+	for i := range req.Items {
+		it := &req.Items[i]
+		if it.State.Base != "" {
+			// Elided by the caller's own hand: theirs to manage.
+			return out, s.c.send(ctx, http.MethodPost, path, req, &out)
+		}
+		wire.Items[i] = *it
+		if digest := staticDigest(it.State.Hosts, it.State.VMs); digest != base {
+			base = digest
+		} else if elidable(&it.State) {
+			wire.Items[i].State = elideSnapshot(&it.State, digest)
+			elided = true
+		}
+	}
+	err := s.c.send(ctx, http.MethodPost, path, wire, &out)
+	if elided && isBaseConflict(err) {
+		err = s.c.send(ctx, http.MethodPost, path, req, &out)
+	}
+	// Either way the service now holds the last item's static fields.
+	if err == nil && base != held {
+		s.base.Store(&base)
+	}
 	return out, err
 }
 

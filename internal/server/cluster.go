@@ -248,6 +248,9 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("building proxy request: %w", err))
 		return
 	}
+	// A bare io.Reader body has no length NewRequest can infer; without the
+	// inbound one every proxied request would go out chunked.
+	req.ContentLength = r.ContentLength
 	for _, hdr := range []string{"Content-Type", "X-Request-ID"} {
 		if v := r.Header.Get(hdr); v != "" {
 			req.Header.Set(hdr, v)

@@ -425,7 +425,8 @@ func BenchmarkCoalescedDecide(b *testing.B) {
 			b.Fatal(err)
 		}
 		req := sessionWorld(4, 3, 0)
-		snap := req.snapshot(svc.def.spec.OverloadThreshold, svc.def.spec.StepSeconds)
+		base := newSnapshotBase(&req, staticDigest(req.Hosts, req.VMs))
+		snap := req.snapshot(base, svc.def.spec.OverloadThreshold, svc.def.spec.StepSeconds)
 		return svc, []core.BatchItem{{Snap: snap}}
 	}
 	b.Run("direct", func(b *testing.B) {

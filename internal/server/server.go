@@ -136,6 +136,12 @@ type Service struct {
 	coalMerged     *obs.Counter
 	coalItems      *obs.Counter
 
+	// elided counts decide requests that relied on a snapshot base;
+	// baseConflicts counts those refused with 409 because the session did
+	// not hold the base they named.
+	elided        *obs.Counter
+	baseConflicts *obs.Counter
+
 	// cluster is the cluster-mode runtime (nil = single-node): ring
 	// ownership, request proxying, checkpoint replication, rebalancing.
 	cluster *clusterRuntime
@@ -258,6 +264,10 @@ func New(cfg Config) (*Service, error) {
 		"Decide requests that shared a coalesced round with at least one other request.", nil)
 	s.coalItems = reg.Counter("megh_coalesce_items_total",
 		"Decision items carried by coalesced rounds.", nil)
+	s.elided = reg.Counter("megh_snapshot_elided_requests_total",
+		"Decide and decide/batch requests that left static fields to the session's snapshot base.", nil)
+	s.baseConflicts = reg.Counter("megh_snapshot_base_conflicts_total",
+		"Elided decide requests refused with 409 because the session did not hold the base they named.", nil)
 	if cfg.SLODecideP99 >= 0 {
 		objective := cfg.SLODecideP99
 		if objective == 0 {
@@ -594,24 +604,65 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// maxSmallBodyBytes bounds the fixed-shape request bodies (feedback,
+// session spec): a handful of numbers, so 4 KiB is generous.
+const maxSmallBodyBytes = 4 << 10
+
+// decodeBody reads one JSON request body of at most limit bytes into v.
+// On failure it has answered — 413 for an oversized body, 400 for anything
+// else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding %s: %w", what, err))
+	return false
+}
+
+// rejectSnapshot answers a snapshot resolveBase refused: 409 when the
+// session does not hold the base an elided request named (the caller's cue
+// to resend the full form), 400 for everything else.
+func (s *Service) rejectSnapshot(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errBaseConflict) {
+		status = http.StatusConflict
+		s.baseConflicts.Inc()
+	}
+	writeError(w, status, err)
+}
+
+// adoptBase publishes the base an admitted request resolved to — held is
+// what the session had when the request arrived — and counts the request if
+// it was elided. Refused requests (400, 409, 429) never get here, so they
+// can neither replace another client's base nor move the counter.
+func (s *Service) adoptBase(sess *session, held, base *snapshotBase, elided bool) {
+	if base != held {
+		sess.base.Store(base)
+	}
+	if elided {
+		s.elided.Inc()
+	}
+}
+
 // --- session handlers (shared by /v1 and /v2) ---------------------------
 
 func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	// Decode and validate before admission: the gate weighs requests by item
 	// count, which is only known after the decode.
 	var req StateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding snapshot: %w", err))
+	if !decodeBody(w, r, sess.spec.maxSnapshotBytes(), &req, "snapshot") {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.VMs) != sess.spec.NumVMs || len(req.Hosts) != sess.spec.NumHosts {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("snapshot is %d×%d, session %q configured for %d×%d",
-				len(req.VMs), len(req.Hosts), sess.id, sess.spec.NumVMs, sess.spec.NumHosts))
+	held := sess.base.Load()
+	base, err := resolveBase(held, &req, sess.id, sess.spec)
+	if err != nil {
+		s.rejectSnapshot(w, err)
 		return
 	}
 	release := s.admitN(w, 1)
@@ -619,7 +670,8 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 		return
 	}
 	defer release()
-	snap := req.snapshot(sess.spec.OverloadThreshold, sess.spec.StepSeconds)
+	s.adoptBase(sess, held, base, req.Base != "")
+	snap := req.snapshot(base, sess.spec.OverloadThreshold, sess.spec.StepSeconds)
 
 	// A single decide is a one-item batch through the coalescer
 	// (DecideBatch over one item is decision-identical to Decide), so
@@ -650,8 +702,7 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 // admission, so the gate can weigh the request by its item count.
 func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req BatchDecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch: %w", err))
+	if !decodeBody(w, r, sess.spec.maxBatchBytes(), &req, "batch") {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -665,19 +716,20 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 	}
 	items := make([]core.BatchItem, len(req.Items))
 	feedbacks := make([]sim.Feedback, len(req.Items))
+	// Items resolve in order against the base in force, which a full item
+	// replaces for the items after it; the session adopts the last one only
+	// once the whole batch stands and is admitted, so a refused batch
+	// changes nothing.
+	held := sess.base.Load()
+	base, elided := held, false
 	for i := range req.Items {
 		it := &req.Items[i]
-		if err := it.State.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("batch item %d: %w", i, err))
+		var err error
+		if base, err = resolveBase(base, &it.State, sess.id, sess.spec); err != nil {
+			s.rejectSnapshot(w, fmt.Errorf("batch item %d: %w", i, err))
 			return
 		}
-		if len(it.State.VMs) != sess.spec.NumVMs || len(it.State.Hosts) != sess.spec.NumHosts {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("batch item %d snapshot is %d×%d, session %q configured for %d×%d",
-					i, len(it.State.VMs), len(it.State.Hosts), sess.id,
-					sess.spec.NumVMs, sess.spec.NumHosts))
-			return
-		}
+		elided = elided || it.State.Base != ""
 		if fb := it.Feedback; fb != nil {
 			if fb.StepCost < 0 {
 				writeError(w, http.StatusBadRequest,
@@ -693,14 +745,16 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 			}
 			items[i].Feedback = &feedbacks[i]
 		}
-		// snapshot() allocates fresh storage per item, so no Clone is needed.
-		items[i].Snap = it.State.snapshot(sess.spec.OverloadThreshold, sess.spec.StepSeconds)
+		// snapshot() allocates fresh per-interval storage per item, so no
+		// Clone is needed.
+		items[i].Snap = it.State.snapshot(base, sess.spec.OverloadThreshold, sess.spec.StepSeconds)
 	}
 	release := s.admitN(w, len(items))
 	if release == nil {
 		return
 	}
 	defer release()
+	s.adoptBase(sess, held, base, elided)
 
 	start := time.Now()
 	outs, err := s.coalesceDecide(sess, items)
@@ -737,8 +791,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 
 func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req FeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding feedback: %w", err))
+	if !decodeBody(w, r, maxSmallBodyBytes, &req, "feedback") {
 		return
 	}
 	if req.StepCost < 0 {
@@ -864,8 +917,7 @@ func (s *Service) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding session spec: %w", err))
+	if !decodeBody(w, r, maxSmallBodyBytes, &spec, "session spec") {
 		return
 	}
 	sess, created, err := s.mgr.put(id, spec, false)

@@ -50,6 +50,11 @@ type session struct {
 	// access; the LRU eviction scan reads it without taking mu.
 	lastTouch atomic.Int64
 
+	// base is the snapshot base the last accepted full snapshot established
+	// (nil before the first one); see base.go. Requests load it before
+	// taking mu and replace it whole, never mutate it.
+	base atomic.Pointer[snapshotBase]
+
 	mu sync.Mutex
 	// learner is nil while the session is evicted (its state lives in
 	// ckptPath); the next touch restores it lazily.
@@ -85,7 +90,7 @@ type session struct {
 func (s *session) info() SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SessionInfo{
+	info := SessionInfo{
 		ID:        s.id,
 		Spec:      s.spec,
 		Live:      s.learner != nil,
@@ -95,6 +100,10 @@ func (s *session) info() SessionInfo {
 		Evictions: s.evictions,
 		Restores:  s.restores,
 	}
+	if b := s.base.Load(); b != nil {
+		info.SnapshotBase = b.digest
+	}
+	return info
 }
 
 type shard struct {
