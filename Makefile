@@ -79,34 +79,38 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide/serial' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkCoalescedDecide/serial=16
 
-# Regenerate the tracked benchmark baseline. Decide benchmarks run a fixed
-# iteration count: the learner's Q-table densifies as updates accumulate, so
-# ns/op is only comparable across revisions at an identical iteration count.
-# Every benchmark runs -count=$(BENCH_REPS) times and benchjson keeps the
-# fastest rep per name, filtering scheduler noise out of the baseline.
+# The tracked benchmarks: the one pipeline bench-json records and
+# bench-check compares against. Decide benchmarks run a fixed iteration
+# count: the learner's Q-table densifies as updates accumulate, so ns/op is
+# only comparable across revisions at an identical iteration count.
+# BenchmarkCheckpoint (save / verify / load of one learner image) warms its
+# learner by a fixed update count for the same reason. Every benchmark runs
+# -count=$(BENCH_REPS) times and benchjson keeps the fastest rep per name,
+# filtering scheduler noise out of both sides.
 BENCH_REPS ?= 3
+TRACKED_BENCHMARKS = { \
+	$(GO) test -run=- -bench='BenchmarkDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
+	$(GO) test -run=- -bench='BenchmarkCheckpoint' -benchtime=1000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
+	$(GO) test -run=- -bench='BenchmarkShermanMorrison' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
+	$(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
+	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; }
+
+# Regenerate the tracked benchmark baseline.
 bench-json:
-	@{ $(GO) test -run=- -bench='BenchmarkDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
-	   $(GO) test -run=- -bench='BenchmarkShermanMorrison' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
-	   $(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
-	   $(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; } \
+	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
-			-note "Decide benchmarks use -benchtime=10000x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark" \
 			-o BENCH_megh.json
 
-# Performance regression gate: rerun the tracked benchmarks (same fixed
-# iteration counts and -count=$(BENCH_REPS) fastest-rep selection as
-# bench-json) and fail when any shared benchmark's ns/op regressed more
-# than 20% against the committed BENCH_megh.json. Benchmarks new in this
-# revision are skipped, so adding one does not need a baseline regen in the
-# same change. Noisy machines can widen the budget:
+# Performance regression gate: rerun the tracked benchmarks and fail when
+# any shared benchmark's ns/op regressed more than 20% against the committed
+# BENCH_megh.json. Benchmarks new in this revision are skipped, so adding
+# one does not need a baseline regen in the same change. Noisy machines can
+# widen the budget:
 #   make bench-check BENCH_TOLERANCE=0.35
 BENCH_TOLERANCE ?= 0.20
 bench-check:
-	@{ $(GO) test -run=- -bench='BenchmarkDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
-	   $(GO) test -run=- -bench='BenchmarkShermanMorrison' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
-	   $(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
-	   $(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; } \
+	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -check BENCH_megh.json -check-tolerance $(BENCH_TOLERANCE)
 
 # Short fuzz pass: each target gets FUZZTIME of coverage-guided input

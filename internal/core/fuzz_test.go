@@ -3,15 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"testing"
 
 	"megh/internal/sim"
 )
 
-// FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint loader. It
-// must never panic, and anything it accepts must behave like a real
-// checkpoint: re-saving is possible and the save → load → save cycle is
-// byte-stable.
+// FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint verifier and
+// loader. Neither may panic; VerifyState must accept exactly what LoadState
+// accepts and refuse the rest with the same error; and anything accepted
+// must behave like a real checkpoint: re-saving is possible and the save →
+// load → save cycle is byte-stable.
 func FuzzCheckpointLoad(f *testing.F) {
 	// Seed with a genuine checkpoint from a learner holding non-trivial
 	// state, plus a truncation of it and a couple of obvious non-gobs.
@@ -33,6 +35,26 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add(seed.Bytes()[:seed.Len()/2])
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
+	// Both committed formats, and a packed image gone wrong in the packed
+	// lists themselves (a repeated column, a stored zero).
+	for _, path := range []string{"testdata/checkpoint_v1_mapbacked.gob", "testdata/checkpoint_v2_packed.gob"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, corrupt := range []func(*persistedState){
+		func(st *persistedState) { st.B.PackedCols[1] = 0 },
+		func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) },
+	} {
+		var st persistedState
+		newTestDecoder(f, seed.Bytes(), &st)
+		corrupt(&st)
+		var bad bytes.Buffer
+		encodeTestState(f, &bad, st)
+		f.Add(bad.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Resource guard, not an oracle: a syntactically valid gob can
@@ -45,7 +67,11 @@ func FuzzCheckpointLoad(f *testing.F) {
 				return
 			}
 		}
+		verr := VerifyState(bytes.NewReader(data))
 		back, err := LoadState(bytes.NewReader(data))
+		if (verr == nil) != (err == nil) || (err != nil && verr.Error() != err.Error()) {
+			t.Fatalf("VerifyState says %v, LoadState says %v", verr, err)
+		}
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}

@@ -132,6 +132,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NumVMs %d must be positive", c.NumVMs)
 	case c.NumHosts <= 0:
 		return fmt.Errorf("core: NumHosts %d must be positive", c.NumHosts)
+	case c.NumVMs > math.MaxInt/c.NumHosts:
+		return fmt.Errorf("core: %d×%d actions overflow the action index", c.NumVMs, c.NumHosts)
 	case c.Gamma < 0 || c.Gamma >= 1:
 		return fmt.Errorf("core: Gamma %g out of [0,1)", c.Gamma)
 	case c.Temp0 <= 0:
@@ -289,12 +291,19 @@ func New(cfg Config) (*Megh, error) {
 	// Q comparison; dropping them keeps the Q-table growth linear in the
 	// migration count (§5.2, Figure 7).
 	b.SetDropTolerance(1e-9 / float64(d))
+	return assemble(cfg, b, sparse.NewVector(d), make([]float64, d)), nil
+}
+
+// assemble builds a learner around the given LSPI state (B, z and the dense
+// θ mirror, all of dimension N·M) — a fresh one from New, a persisted one
+// from LoadState. cfg must already be validated.
+func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta []float64) *Megh {
 	return &Megh{
 		cfg:         cfg,
-		d:           d,
+		d:           len(theta),
 		b:           b,
-		z:           sparse.NewVector(d),
-		theta:       make([]float64, d),
+		z:           z,
+		theta:       theta,
 		temp:        cfg.Temp0,
 		rng:         newXrand(cfg.Seed),
 		hostRAM:     make([]float64, cfg.NumHosts),
@@ -312,7 +321,7 @@ func New(cfg Config) (*Megh, error) {
 		prevVMRAM:   make([]float64, cfg.NumVMs),
 		prevVMMIPS:  make([]float64, cfg.NumVMs),
 		aggReuse:    true,
-	}, nil
+	}
 }
 
 // Name implements sim.Policy.
@@ -950,19 +959,8 @@ func (m *Megh) DebugTriplets() []sparse.Triplet { return m.b.Triplets() }
 func (m *Megh) DebugB() [][]float64 { return m.b.Dense() }
 
 // DebugTheta exposes a sparse copy of θ for diagnostics.
-func (m *Megh) DebugTheta() *sparse.Vector { return thetaVector(m.theta) }
+func (m *Megh) DebugTheta() *sparse.Vector { return sparse.VectorFromDense(m.theta) }
 
 // DebugZ exposes a copy of the accumulated cost vector z for diagnostics
 // and the invariant probes (θ must equal B·z at all times).
 func (m *Megh) DebugZ() *sparse.Vector { return m.z.Clone() }
-
-// thetaVector converts the dense θ mirror into its sparse export form.
-func thetaVector(theta []float64) *sparse.Vector {
-	v := sparse.NewVector(len(theta))
-	for i, x := range theta {
-		if x != 0 {
-			v.Set(i, x)
-		}
-	}
-	return v
-}

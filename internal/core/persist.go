@@ -8,11 +8,20 @@ import (
 	"os"
 	"path/filepath"
 
+	"megh/internal/mdp"
 	"megh/internal/sparse"
 )
 
-// stateVersion guards the persisted format; bump on incompatible change.
-const stateVersion = 1
+// stateVersion is the format SaveState writes. Version 2 carries B, z and θ
+// in sparse's packed form; version 1 carried them element by element. The
+// number had to move with the layout: gob drops fields the reader's struct
+// lacks, so a version-1 build handed a packed image under the old number
+// would restore an empty Q-table without complaint. This build reads both
+// (oldestStateVersion is the support horizon; see DESIGN.md §7.6).
+const (
+	stateVersion       = 2
+	oldestStateVersion = 1
+)
 
 // persistedState is the gob image of a learner. Everything the LSPI
 // machinery needs survives a round-trip: B (the Q-table), z, θ, the
@@ -25,8 +34,7 @@ const stateVersion = 1
 // value there, which LoadState still honours when RngState is absent.
 // PendingTotal, Deferred and DeferAge were added after version 1 shipped;
 // gob tolerates their absence (they decode as zero values, which LoadState
-// maps to the historical behaviour), so the version number is unchanged
-// and old checkpoints keep loading.
+// maps to the historical behaviour), so old checkpoints keep loading.
 type persistedState struct {
 	Version      int
 	Config       Config
@@ -59,7 +67,7 @@ func (m *Megh) SaveState(w io.Writer) error {
 		Temp:         m.temp,
 		B:            m.b.State(),
 		Z:            m.z.State(),
-		Theta:        thetaVector(m.theta).State(),
+		Theta:        sparse.VectorFromDense(m.theta).State(),
 		Pending:      append([]int(nil), m.pending...),
 		PendingTotal: m.pendingTotal,
 		StepCost:     m.stepCost,
@@ -124,18 +132,37 @@ func LoadStateFile(path string) (*Megh, error) {
 	return m, err
 }
 
+// VerifyState reports whether LoadState would accept the image, without
+// building the learner: it decodes the image and makes every check
+// LoadState makes — it is the function LoadState calls first — at a cost
+// proportional to the image, however large a world the image declares.
+func VerifyState(r io.Reader) error {
+	_, err := readState(r)
+	return err
+}
+
 // LoadState reconstructs a learner saved with SaveState.
 func LoadState(r io.Reader) (*Megh, error) {
+	st, err := readState(r)
+	if err != nil {
+		return nil, err
+	}
+	return st.build()
+}
+
+// readState decodes a persisted image and validates it. Everything that
+// can make an image unrestorable is rejected here, so build cannot fail on
+// what this returns.
+func readState(r io.Reader) (*persistedState, error) {
 	var st persistedState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decoding learner state: %w", err)
 	}
-	if st.Version != stateVersion {
-		return nil, fmt.Errorf("core: learner state version %d, this build reads %d",
-			st.Version, stateVersion)
+	if st.Version < oldestStateVersion || st.Version > stateVersion {
+		return nil, fmt.Errorf("core: learner state version %d, this build reads %d to %d",
+			st.Version, oldestStateVersion, stateVersion)
 	}
-	m, err := New(st.Config)
-	if err != nil {
+	if err := st.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("core: restoring learner: %w", err)
 	}
 	if st.Temp <= 0 || math.IsNaN(st.Temp) || math.IsInf(st.Temp, 0) {
@@ -144,6 +171,41 @@ func LoadState(r io.Reader) (*Megh, error) {
 	if len(st.RngState) != 0 && len(st.RngState) != 2 {
 		return nil, fmt.Errorf("core: persisted RNG state has %d words, want 2", len(st.RngState))
 	}
+	if err := st.B.Validate(); err != nil {
+		return nil, fmt.Errorf("core: restoring B: %w", err)
+	}
+	if err := st.Z.Validate(); err != nil {
+		return nil, fmt.Errorf("core: restoring z: %w", err)
+	}
+	if err := st.Theta.Validate(); err != nil {
+		return nil, fmt.Errorf("core: restoring θ: %w", err)
+	}
+	d := mdp.SpaceSize(st.Config.NumVMs, st.Config.NumHosts)
+	if st.B.Dim != d || st.Z.Dim != d || st.Theta.Dim != d {
+		return nil, fmt.Errorf("core: persisted dimensions (%d,%d,%d) do not match config d=%d",
+			st.B.Dim, st.Z.Dim, st.Theta.Dim, d)
+	}
+	for _, a := range st.Pending {
+		if a < 0 || a >= d {
+			return nil, fmt.Errorf("core: pending action %d out of range [0,%d)", a, d)
+		}
+	}
+	for i := range st.Deferred {
+		du := &st.Deferred[i]
+		switch {
+		case du.A < 0 || du.A >= d || du.B < 0 || du.B >= d:
+			return nil, fmt.Errorf("core: deferred update (%d,%d) out of range [0,%d)", du.A, du.B, d)
+		case du.N < 1:
+			return nil, fmt.Errorf("core: deferred update multiplicity %d must be positive", du.N)
+		case math.IsNaN(du.C) || math.IsInf(du.C, 0):
+			return nil, fmt.Errorf("core: deferred update cost %g is not finite", du.C)
+		}
+	}
+	return &st, nil
+}
+
+// build assembles the learner a validated image describes.
+func (st *persistedState) build() (*Megh, error) {
 	b, err := sparse.MatrixFromState(st.B)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring B: %w", err)
@@ -156,30 +218,8 @@ func LoadState(r io.Reader) (*Megh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring θ: %w", err)
 	}
-	if b.Dim() != m.d || z.Dim() != m.d || theta.Dim() != m.d {
-		return nil, fmt.Errorf("core: persisted dimensions (%d,%d,%d) do not match config d=%d",
-			b.Dim(), z.Dim(), theta.Dim(), m.d)
-	}
-	for _, a := range st.Pending {
-		if a < 0 || a >= m.d {
-			return nil, fmt.Errorf("core: pending action %d out of range [0,%d)", a, m.d)
-		}
-	}
-	for i := range st.Deferred {
-		du := &st.Deferred[i]
-		switch {
-		case du.A < 0 || du.A >= m.d || du.B < 0 || du.B >= m.d:
-			return nil, fmt.Errorf("core: deferred update (%d,%d) out of range [0,%d)", du.A, du.B, m.d)
-		case du.N < 1:
-			return nil, fmt.Errorf("core: deferred update multiplicity %d must be positive", du.N)
-		case math.IsNaN(du.C) || math.IsInf(du.C, 0):
-			return nil, fmt.Errorf("core: deferred update cost %g is not finite", du.C)
-		}
-	}
+	m := assemble(st.Config, b, z, theta.Dense())
 	m.temp = st.Temp
-	m.b = b
-	m.z = z
-	m.theta = theta.Dense()
 	m.pending = st.Pending
 	m.pendingTotal = st.PendingTotal
 	if m.pendingTotal < len(m.pending) {

@@ -8,7 +8,7 @@ import (
 )
 
 // newTestDecoder decodes a persisted state blob for white-box tests.
-func newTestDecoder(t *testing.T, data []byte, st *persistedState) io.Reader {
+func newTestDecoder(t testing.TB, data []byte, st *persistedState) io.Reader {
 	t.Helper()
 	r := bytes.NewReader(data)
 	if err := gob.NewDecoder(r).Decode(st); err != nil {
@@ -18,7 +18,7 @@ func newTestDecoder(t *testing.T, data []byte, st *persistedState) io.Reader {
 }
 
 // encodeTestState re-encodes a (possibly mutated) state blob.
-func encodeTestState(t *testing.T, w io.Writer, st persistedState) {
+func encodeTestState(t testing.TB, w io.Writer, st persistedState) {
 	t.Helper()
 	if err := gob.NewEncoder(w).Encode(st); err != nil {
 		t.Fatalf("encoding test state: %v", err)

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"megh/internal/sim"
+	"megh/internal/sparse"
 	"megh/internal/workload"
 )
 
@@ -192,5 +195,102 @@ func TestLoadStateRejectsInvalidFields(t *testing.T) {
 		if _, err := LoadState(&buf2); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// VerifyState is the first half of LoadState, so the two cannot disagree:
+// every image one refuses the other refuses with the same words, and a
+// refusal says which part of the image is at fault.
+func TestVerifyStateAgreesWithLoadState(t *testing.T) {
+	m, _ := trainLearner(t)
+	m.deferPush(1, 2, 0.5)
+	var good bytes.Buffer
+	if err := m.SaveState(&good); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyState(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("VerifyState refuses a fresh image: %v", err)
+	}
+	d := m.d
+	for name, tc := range map[string]struct {
+		mutate func(*persistedState)
+		want   string
+	}{
+		"version too new":    {func(st *persistedState) { st.Version = 3 }, "version 3"},
+		"version too old":    {func(st *persistedState) { st.Version = 0 }, "version 0"},
+		"bad config":         {func(st *persistedState) { st.Config.Gamma = 1 }, "restoring learner: core: Gamma"},
+		"overflowing config": {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 1<<40, 1<<40 }, "overflow"},
+		"bad temperature":    {func(st *persistedState) { st.Temp = 0 }, "temperature"},
+		"bad rng":            {func(st *persistedState) { st.RngState = st.RngState[:1] }, "RNG state has 1 words"},
+		"B repeated column":  {func(st *persistedState) { st.B.PackedCols[1] = 0 }, "restoring B: sparse: matrix PackedCols repeats"},
+		"B stored zero":      {func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) }, "restoring B: sparse: matrix PackedVals stores a zero"},
+		"B both forms":       {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 0, Val: 1}} }, "restoring B: sparse: matrix state carries both"},
+		"z truncated":        {func(st *persistedState) { st.Z.PackedIndex = st.Z.PackedIndex[:0] }, "restoring z: sparse: vector PackedIndex is truncated"},
+		"θ values not whole": {func(st *persistedState) { st.Theta.PackedValue = st.Theta.PackedValue[:9] }, "restoring θ: sparse: vector PackedValue is 9 bytes"},
+		"dimension mismatch": {func(st *persistedState) { st.Z.Dim = d + 1 }, "do not match config"},
+		"pending range":      {func(st *persistedState) { st.Pending = []int{d} }, "pending action"},
+		"deferred range":     {func(st *persistedState) { st.Deferred[0].B = d }, "deferred update"},
+		"deferred count":     {func(st *persistedState) { st.Deferred[0].N = 0 }, "multiplicity"},
+		"deferred cost":      {func(st *persistedState) { st.Deferred[0].C = math.Inf(1) }, "not finite"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var st persistedState
+			newTestDecoder(t, good.Bytes(), &st)
+			tc.mutate(&st)
+			var bad bytes.Buffer
+			encodeTestState(t, &bad, st)
+			verr := VerifyState(bytes.NewReader(bad.Bytes()))
+			_, lerr := LoadState(bytes.NewReader(bad.Bytes()))
+			if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
+				t.Fatalf("VerifyState says %v, LoadState says %v", verr, lerr)
+			}
+			if !strings.Contains(verr.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", verr, tc.want)
+			}
+		})
+	}
+	for name, raw := range map[string][]byte{
+		"garbage":   []byte("not gob"),
+		"truncated": good.Bytes()[:good.Len()/2],
+		"empty":     nil,
+	} {
+		verr := VerifyState(bytes.NewReader(raw))
+		_, lerr := LoadState(bytes.NewReader(raw))
+		if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
+			t.Fatalf("%s: VerifyState says %v, LoadState says %v", name, verr, lerr)
+		}
+	}
+}
+
+// VerifyState's cost follows the image, not the world the image declares:
+// the checkpoint of a fresh 10 000 × 1 000 learner is under 2 KB, and
+// verifying it must not allocate the d = 10⁷ tables a restore would.
+func TestVerifyStateCostFollowsTheImage(t *testing.T) {
+	m, err := New(DefaultConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var small bytes.Buffer
+	if err := m.SaveState(&small); err != nil {
+		t.Fatal(err)
+	}
+	var st persistedState
+	newTestDecoder(t, small.Bytes(), &st)
+	const d = 10000 * 1000
+	st.Config.NumVMs, st.Config.NumHosts = 10000, 1000
+	st.B.Dim, st.Z.Dim, st.Theta.Dim = d, d, d
+	var img bytes.Buffer
+	encodeTestState(t, &img, st)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := VerifyState(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatalf("image of a fresh 10 000 × 1 000 learner refused: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	// gob's own decoder set-up is some tens of KB; one d-sized table of
+	// anything would be 10 MB or more.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("verifying a %d-byte image allocated %d bytes", img.Len(), got)
 	}
 }

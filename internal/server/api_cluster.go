@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -124,9 +125,10 @@ func (s *Service) handleClusterRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplicaPut serves PUT /v2/cluster/replicas/{id}: a peer pushing a
-// session's checkpoint image here for safekeeping. The image must decode
-// as a learner checkpoint before it lands — a corrupted push can never
-// shadow a good replica — and lands atomically.
+// session's checkpoint image here for safekeeping. The image must pass
+// core.VerifyState — every check a restore would make, without building the
+// learner the image describes — before it lands, so an image that would not
+// restore can never shadow a good replica; it lands atomically.
 func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
@@ -138,17 +140,16 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
 		return
 	}
-	img, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBytes+1))
-	if err != nil {
+	img, err := readImage(r.Body, r.ContentLength)
+	switch {
+	case errors.Is(err, errImageTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica image: %w", err))
 		return
 	}
-	if len(img) > maxReplicaBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes))
-		return
-	}
-	if _, err := core.LoadState(bytes.NewReader(img)); err != nil {
+	if err := core.VerifyState(bytes.NewReader(img)); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replica image is not a valid checkpoint: %w", err))
 		return
 	}
@@ -157,6 +158,45 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ClusterReplicaResponse{ID: id, Bytes: len(img)})
+}
+
+// replicaReadStep is the most readImage reserves on the word of a
+// Content-Length header alone.
+const replicaReadStep = 1 << 20
+
+var errImageTooLarge = fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes)
+
+// readImage reads a replica body of up to maxReplicaBytes. A declared length
+// sizes the buffer, so an honest image of up to replicaReadStep is read in
+// place with no regrowth; past that the buffer at most doubles, and only
+// once the bytes before have arrived, so a header that lies cannot reserve
+// more than replicaReadStep plus twice what its sender really sent.
+func readImage(body io.Reader, declared int64) ([]byte, error) {
+	if declared > maxReplicaBytes {
+		return nil, errImageTooLarge
+	}
+	want := int(declared) // -1 when the sender declared nothing
+	buf := make([]byte, 0, min(max(want, 512), replicaReadStep)+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case len(buf) > maxReplicaBytes:
+			return nil, errImageTooLarge
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		case len(buf) == cap(buf):
+			// Double, or stop one byte past the declared length if that is
+			// nearer: the read that finds EOF then needs no further growth.
+			size := 2 * cap(buf)
+			if want >= len(buf) && want < size {
+				size = want + 1
+			}
+			buf = append(make([]byte, 0, size), buf...)
+		}
+	}
 }
 
 // handleReplicaGet serves GET /v2/cluster/replicas/{id}: the stored

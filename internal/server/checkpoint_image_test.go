@@ -1,0 +1,434 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"megh/internal/core"
+	"megh/internal/sparse"
+)
+
+// TestCheckpointImageIdentity: one checkpoint is one image. Under
+// concurrent POST …/checkpoint calls racing decides (so successive images
+// differ) and asynchronous replication, the bytes a checkpoint lands on
+// disk are the bytes its response counts and the bytes its replica push
+// ships — the successor receives every checkpoint's own image exactly
+// once, never a later one re-read from the path.
+func TestCheckpointImageIdentity(t *testing.T) {
+	tc := newTestClusterTuned(t, 2, func(cc *ClusterConfig) { cc.SyncReplicate = false }, "a", "b")
+	id := tc.idOwnedBy(t, "a", "a")
+	owner := tc.svcs["a"]
+	if resp := doJSON(t, http.MethodPut, tc.urls["a"]+"/v2/sessions/"+id, clusterSpec, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+
+	// The hook runs under the session lock, right after the rename: what is
+	// at the path now is what this checkpoint wrote.
+	var mu sync.Mutex
+	var wrote, pushed [][sha256.Size]byte
+	var wroteLens []int
+	replicate := owner.mgr.onCheckpoint
+	owner.mgr.onCheckpoint = func(sid string, img []byte) {
+		onDisk, err := os.ReadFile(owner.mgr.checkpointPath(sid))
+		if err != nil || !bytes.Equal(onDisk, img) {
+			t.Errorf("image handed to replication differs from the file its checkpoint wrote (err=%v)", err)
+		}
+		mu.Lock()
+		wrote = append(wrote, sha256.Sum256(img))
+		wroteLens = append(wroteLens, len(img))
+		mu.Unlock()
+		replicate(sid, img)
+	}
+	// Record what the successor is sent.
+	inner := tc.svcs["b"].Handler()
+	tc.servers["b"].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v2/cluster/replicas/") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading pushed replica: %v", err)
+			}
+			mu.Lock()
+			pushed = append(pushed, sha256.Sum256(body))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	})
+
+	const workers, rounds = 4, 12
+	var respLens []int
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sc := NewClient(tc.urls["a"], nil).Session(id)
+			for i := 0; i < rounds; i++ {
+				step := g*rounds + i
+				if _, err := sc.Decide(context.Background(), sessionWorld(4, 3, step)); err != nil {
+					t.Errorf("decide: %v", err)
+					return
+				}
+				if err := sc.Feedback(context.Background(), FeedbackRequest{Step: step, StepCost: 0.3}); err != nil {
+					t.Errorf("feedback: %v", err)
+					return
+				}
+				resp, err := sc.Checkpoint(context.Background())
+				if err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+				mu.Lock()
+				respLens = append(respLens, resp.Bytes)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	owner.WaitReplication()
+
+	if len(wrote) != workers*rounds || len(pushed) != len(wrote) {
+		t.Fatalf("%d checkpoints answered, %d written, %d pushed", workers*rounds, len(wrote), len(pushed))
+	}
+	sort.Ints(respLens)
+	sort.Ints(wroteLens)
+	if fmt.Sprint(respLens) != fmt.Sprint(wroteLens) {
+		t.Fatalf("response sizes %v are not the written image sizes %v", respLens, wroteLens)
+	}
+	count := map[[sha256.Size]byte]int{}
+	for _, h := range wrote {
+		count[h]++
+	}
+	if len(count) < 2 {
+		t.Fatal("every checkpoint wrote the same image; the test distinguishes nothing")
+	}
+	for _, h := range pushed {
+		count[h]--
+	}
+	for h, n := range count {
+		if n != 0 {
+			t.Fatalf("image %x was written %d more times than it was pushed", h[:6], n)
+		}
+	}
+	final, err := os.ReadFile(owner.mgr.checkpointPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := owner.Metrics().Gauge("megh_checkpoint_bytes", "", nil).Value(); int(got) != len(final) {
+		t.Fatalf("megh_checkpoint_bytes = %v, the last image is %d bytes", got, len(final))
+	}
+}
+
+// imageMirror has the persisted learner image's field names, so gob decodes
+// a real image into it and encodes a doctored one back.
+type imageMirror struct {
+	Version      int
+	Config       core.Config
+	Temp         float64
+	B            sparse.MatrixState
+	Z, Theta     sparse.VectorState
+	Pending      []int
+	PendingTotal int
+	StepCost     float64
+	HaveCost     bool
+	NNZHistory   []int
+	RngState     []uint64
+}
+
+// doctoredImage saves a learner that has taken a few updates and returns
+// its image after edit has been at it (edit may be nil).
+func doctoredImage(t *testing.T, edit func(*imageMirror)) []byte {
+	t.Helper()
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	post := func(path string, body any) {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for step := 0; step < 6; step++ {
+		post("/v1/decide", sessionWorld(4, 3, step))
+		post("/v1/feedback", FeedbackRequest{Step: step, StepCost: 0.5})
+	}
+	var raw bytes.Buffer
+	if err := svc.def.learner.SaveState(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if edit == nil {
+		return raw.Bytes()
+	}
+	var img imageMirror
+	if err := gob.NewDecoder(&raw).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if len(img.B.PackedCols) < 2 || len(img.B.PackedVals) < 16 {
+		t.Fatalf("warm-up left too small a Q-table to doctor (%d column bytes)", len(img.B.PackedCols))
+	}
+	edit(&img)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+func putReplicaRaw(t *testing.T, base, id string, img []byte) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, base+"/v2/cluster/replicas/"+id, bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
+
+// allocatedBy reports the bytes the whole process allocated while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReplicaPutMalformedImagesLeaveGoodReplicaIntact: every malformed
+// packed form is answered 400 with an error naming the list at fault, and
+// the good replica already stored under that id is byte-identical after.
+func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
+	tc := newTestCluster(t, 2, "a", "b")
+	good := doctoredImage(t, nil)
+	if status, body := putReplicaRaw(t, tc.urls["a"], "victim", good); status != http.StatusOK {
+		t.Fatalf("good replica PUT: HTTP %d: %s", status, body)
+	}
+	path := tc.svcs["a"].cluster.replicaPath("victim")
+
+	for name, tc2 := range map[string]struct {
+		edit func(*imageMirror)
+		want string
+	}{
+		"duplicate column":    {func(im *imageMirror) { im.B.PackedCols[1] = 0 }, "PackedCols repeats"},
+		"column out of range": {func(im *imageMirror) { im.B.PackedCols[0] = 0x7f }, "PackedCols"},
+		"row out of range":    {func(im *imageMirror) { im.B.PackedRows[0] = 0x7f }, "PackedRows"},
+		"length mismatch":     {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[8:] }, "PackedRows gives row"},
+		"stored zero":         {func(im *imageMirror) { copy(im.B.PackedVals, make([]byte, 8)) }, "PackedVals stores a zero"},
+		"both forms":          {func(im *imageMirror) { im.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "both Triplets"},
+		"truncated values":    {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[:len(im.B.PackedVals)-3] }, "PackedVals is"},
+		"truncated columns":   {func(im *imageMirror) { im.B.PackedCols = im.B.PackedCols[:1] }, "PackedCols is truncated"},
+		"theta duplicate":     {func(im *imageMirror) { im.Theta.PackedIndex[1] = 0 }, "restoring θ: sparse: vector PackedIndex repeats"},
+		"version 1 number":    {func(im *imageMirror) { im.Version = 3 }, "version 3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			status, body := putReplicaRaw(t, tc.urls["a"], "victim", doctoredImage(t, tc2.edit))
+			if status != http.StatusBadRequest || !strings.Contains(body, tc2.want) {
+				t.Fatalf("HTTP %d %s; want 400 naming %q", status, body, tc2.want)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+				t.Fatalf("the good replica was disturbed (err=%v)", err)
+			}
+		})
+	}
+	if leftovers, _ := filepath.Glob(path + ".tmp-*"); len(leftovers) != 0 {
+		t.Fatalf("stray temp files: %v", leftovers)
+	}
+}
+
+// TestReplicaPutHostileSizes: what a PUT makes the successor allocate
+// follows the bytes the sender really sent — not the world the image
+// declares, and not the length the header declares.
+func TestReplicaPutHostileSizes(t *testing.T) {
+	tc := newTestCluster(t, 2, "a", "b")
+	// Warm the listener, the handler's lazily built state and gob's type
+	// tables, so the measurements below see the requests alone.
+	if status, body := putReplicaRaw(t, tc.urls["a"], "warm", doctoredImage(t, nil)); status != http.StatusOK {
+		t.Fatalf("warm-up PUT: HTTP %d: %s", status, body)
+	}
+
+	// A valid image of a fresh learner for a 10⁵ × 10⁵ world: restoring it
+	// would take tables of d = 10¹⁰ entries; storing it must not.
+	huge := doctoredImage(t, func(im *imageMirror) {
+		const n = 100000
+		im.Config.NumVMs, im.Config.NumHosts = n, n
+		im.B = sparse.MatrixState{Dim: n * n, Diag: im.B.Diag, DropTol: im.B.DropTol}
+		im.Z = sparse.VectorState{Dim: n * n}
+		im.Theta = sparse.VectorState{Dim: n * n}
+		im.Pending, im.PendingTotal, im.NNZHistory = nil, 0, nil
+	})
+	var status int
+	var body string
+	got := allocatedBy(func() { status, body = putReplicaRaw(t, tc.urls["a"], "huge", huge) })
+	if status != http.StatusOK {
+		t.Fatalf("image of a fresh huge learner: HTTP %d: %s", status, body)
+	}
+	// Client, transport, handler, gob set-up and the file write together
+	// stay within a few hundred KB; one d-sized table would be 80 GB.
+	if limit := uint64(1<<20 + 8*len(huge)); got > limit {
+		t.Fatalf("a %d-byte image made the process allocate %d bytes (limit %d)", len(huge), got, limit)
+	}
+
+	// A header declaring maxReplicaBytes in front of 1 KB of body.
+	u, err := url.Parse(tc.urls["a"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 1024
+	var reply []byte
+	got = allocatedBy(func() { reply = rawReplicaPut(t, u.Host, "liar", maxReplicaBytes, sent) })
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
+		t.Fatalf("short body under a 1 GiB header answered %q, want 400", firstLine(reply))
+	}
+	if limit := uint64(replicaReadStep + 2*sent + 1<<20); got > limit {
+		t.Fatalf("%d bytes under a %d-byte header made the process allocate %d bytes (limit %d)",
+			sent, maxReplicaBytes, got, limit)
+	}
+	if _, err := os.Stat(tc.svcs["a"].cluster.replicaPath("liar")); !os.IsNotExist(err) {
+		t.Fatal("a truncated body landed in the replica store")
+	}
+
+	// A header declaring more than the cap is refused outright.
+	if reply := rawReplicaPut(t, u.Host, "big", maxReplicaBytes+1, 16); !bytes.HasPrefix(reply, []byte("HTTP/1.1 413")) {
+		t.Fatalf("oversize declaration answered %q, want 413", firstLine(reply))
+	}
+}
+
+// rawReplicaPut sends a replica PUT whose Content-Length says declared but
+// whose body is sent bytes long, and returns the raw reply. net/http's
+// client refuses to send such a request, hence the bare connection.
+func rawReplicaPut(t *testing.T, host, id string, declared int64, sent int) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "PUT /v2/cluster/replicas/%s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
+		id, host, declared)
+	// A server that refuses on the header alone may hang up before the body
+	// is out; the reply is what the callers judge.
+	_, _ = conn.Write(bytes.Repeat([]byte{'x'}, sent))
+	_ = conn.(*net.TCPConn).CloseWrite()
+	reply, _ := io.ReadAll(conn)
+	return reply
+}
+
+func firstLine(b []byte) string {
+	if i := bytes.IndexByte(b, '\r'); i >= 0 {
+		return string(b[:i])
+	}
+	return string(b)
+}
+
+// TestReadImage pins the body reader's growth policy on its own.
+func TestReadImage(t *testing.T) {
+	payload := bytes.Repeat([]byte("megh"), 3<<18) // 3 MiB
+	for name, declared := range map[string]int64{
+		"honest": int64(len(payload)), "undeclared": -1, "understated": 10, "overstated": 1 << 29,
+	} {
+		got, err := readImage(bytes.NewReader(payload), declared)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: read %d bytes, err %v", name, len(got), err)
+		}
+	}
+	// An honest length up to the step is read in place: one buffer.
+	small := payload[:replicaReadStep/2]
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := readImage(bytes.NewReader(small), int64(len(small))); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 { // the buffer and the bytes.Reader
+		t.Fatalf("an honestly declared image took %.0f allocations to read", n)
+	}
+	if _, err := readImage(bytes.NewReader(payload), maxReplicaBytes+1); err != errImageTooLarge {
+		t.Fatalf("oversize declaration: err %v", err)
+	}
+}
+
+// TestCheckpointFailuresAreCounted: a checkpoint that cannot land leaves the
+// previous image alone and shows in megh_checkpoint_errors_total on every
+// path that writes one — the explicit call, CheckpointAll and eviction,
+// which used to swallow it.
+func TestCheckpointFailuresAreCounted(t *testing.T) {
+	svc, ts := newSessionService(t, 0)
+	c := NewClient(ts.URL, nil)
+	c.SetRetryPolicy(1, 0) // a retried failure would count twice
+	sc := c.Session("tenant")
+	ctx := context.Background()
+	if _, err := sc.Create(ctx, SessionSpec{NumVMs: 4, NumHosts: 3, Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Decide(ctx, testWorld(4, 3, true)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := sc.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(resp.Path)
+	if err != nil || len(good) != resp.Bytes {
+		t.Fatalf("checkpoint reports %d bytes, file has %d (err=%v)", resp.Bytes, len(good), err)
+	}
+	reg := svc.Metrics()
+	errs := reg.Counter("megh_checkpoint_errors_total", "", nil)
+	took := reg.Histogram("megh_checkpoint_seconds", "", nil)
+	if errs.Value() != 0 || took.Count() != 1 || reg.Gauge("megh_checkpoint_bytes", "", nil).Value() != float64(len(good)) {
+		t.Fatalf("after one good checkpoint: errors %d, timed %d, bytes gauge %v",
+			errs.Value(), took.Count(), reg.Gauge("megh_checkpoint_bytes", "", nil).Value())
+	}
+
+	// Point the session at a directory that does not exist.
+	sess, err := svc.mgr.get("tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.Lock()
+	sess.ckptPath = filepath.Join(filepath.Dir(resp.Path), "missing", "tenant.ckpt")
+	sess.mu.Unlock()
+
+	if _, err := sc.Checkpoint(ctx); err == nil {
+		t.Fatal("checkpoint into a missing directory reported success")
+	}
+	if _, err := svc.CheckpointAll(); err == nil || !strings.Contains(err.Error(), `"tenant"`) {
+		t.Fatalf("CheckpointAll error %v does not name the failing session", err)
+	}
+	if svc.mgr.evict(sess) {
+		t.Fatal("eviction went ahead without a checkpoint")
+	}
+	if errs.Value() != 3 {
+		t.Fatalf("megh_checkpoint_errors_total = %d after three failed writes", errs.Value())
+	}
+	if info := sess.info(); !info.Live {
+		t.Fatal("a failed eviction dropped the learner")
+	}
+	if after, err := os.ReadFile(resp.Path); err != nil || !bytes.Equal(after, good) {
+		t.Fatalf("failed checkpoints disturbed the previous image (err=%v)", err)
+	}
+}

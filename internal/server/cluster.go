@@ -280,11 +280,12 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 
 // --- checkpoint replication ---------------------------------------------
 
-// replicate pushes the checkpoint image at path to every node of the
-// session's replica set except this one. Asynchronous unless
-// SyncReplicate; failures count but never fail the checkpoint itself (a
-// missed push is repaired by the next checkpoint or a rebalance sweep).
-func (c *clusterRuntime) replicate(id, path string) {
+// replicate pushes a checkpoint image to every node of the session's
+// replica set except this one. Asynchronous unless SyncReplicate; failures
+// count but never fail the checkpoint itself (a missed push is repaired by
+// the next checkpoint or a rebalance sweep). img is the image the
+// checkpoint wrote and is not modified.
+func (c *clusterRuntime) replicate(id string, img []byte) {
 	if id == DefaultSessionID {
 		return
 	}
@@ -293,13 +294,13 @@ func (c *clusterRuntime) replicate(id, path string) {
 		return
 	}
 	if c.syncReplicate {
-		c.pushReplicas(id, path, targets)
+		c.pushReplicas(id, img, targets)
 		return
 	}
 	c.pushWG.Add(1)
 	go func() {
 		defer c.pushWG.Done()
-		c.pushReplicas(id, path, targets)
+		c.pushReplicas(id, img, targets)
 	}()
 }
 
@@ -316,20 +317,18 @@ func (c *clusterRuntime) replicaTargets(id string) []cluster.Peer {
 	return out
 }
 
-// pushReplicas reads the image once and PUTs it to each target.
-func (c *clusterRuntime) pushReplicas(id, path string, targets []cluster.Peer) {
-	img, err := os.ReadFile(path)
-	if err != nil {
-		c.cReplErrs.Inc()
-		return
-	}
+// pushReplicas PUTs the image to each target and returns how many took it.
+func (c *clusterRuntime) pushReplicas(id string, img []byte, targets []cluster.Peer) int {
+	pushed := 0
 	for _, p := range targets {
 		if err := c.putReplica(p, id, img); err != nil {
 			c.cReplErrs.Inc()
 		} else {
 			c.cReplPush.Inc()
+			pushed++
 		}
 	}
+	return pushed
 }
 
 // putReplica ships one checkpoint image to one peer.
@@ -450,7 +449,6 @@ func (s *Service) Rebalance() (ClusterRebalanceResponse, error) {
 
 func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 	var resp ClusterRebalanceResponse
-	self := c.node.Self().Name
 	c.svc.mgr.forEachSession(func(sess *session) {
 		if sess.pinned || c.node.OwnsLocally(sess.id) {
 			return
@@ -463,18 +461,13 @@ func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 		}
 		// Fresh image: checkpoint a resident learner; an evicted session's
 		// image is already on disk.
+		var img []byte
+		var err error
 		if sess.learner != nil {
-			if err := sess.learner.SaveStateFile(sess.ckptPath); err != nil {
-				sess.mu.Unlock()
-				resp.Errors++
-				return
-			}
-		} else if _, err := os.Stat(sess.ckptPath); err != nil {
-			sess.mu.Unlock()
-			resp.Errors++
-			return
+			img, err = c.svc.mgr.writeImage(sess)
+		} else {
+			img, err = os.ReadFile(sess.ckptPath)
 		}
-		img, err := os.ReadFile(sess.ckptPath)
 		if err != nil {
 			sess.mu.Unlock()
 			resp.Errors++
@@ -482,22 +475,8 @@ func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 		}
 		// Push to the whole replica set, owner first, synchronously — the
 		// handoff must land before this node forgets the learner.
-		pushed := 0
-		var owners []cluster.Peer
-		for _, p := range c.node.Owners(sess.id) {
-			if p.Name != self && p.URL != "" {
-				owners = append(owners, p)
-			}
-		}
-		for _, p := range owners {
-			if err := c.putReplica(p, sess.id, img); err != nil {
-				c.cReplErrs.Inc()
-			} else {
-				c.cReplPush.Inc()
-				pushed++
-			}
-		}
-		if pushed == 0 && len(owners) > 0 {
+		owners := c.replicaTargets(sess.id)
+		if c.pushReplicas(sess.id, img, owners) == 0 && len(owners) > 0 {
 			// No copy landed anywhere: keep the learner, try next sweep.
 			sess.mu.Unlock()
 			resp.Errors++

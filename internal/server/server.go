@@ -971,17 +971,10 @@ func (s *Service) checkpointSession(sess *session) (CheckpointResponse, error) {
 		return CheckpointResponse{}, errNoCheckpointPath
 	}
 	var resp CheckpointResponse
-	err := s.mgr.withLearner(sess, func(l *core.Megh) error {
-		if err := l.SaveStateFile(sess.ckptPath); err != nil {
-			return err
-		}
-		info, err := os.Stat(sess.ckptPath)
-		if err != nil {
-			return err
-		}
-		resp = CheckpointResponse{Path: sess.ckptPath, Bytes: int(info.Size())}
-		s.mgr.noteCheckpoint(sess.id, sess.ckptPath)
-		return nil
+	err := s.mgr.withLearner(sess, func(*core.Megh) error {
+		img, err := s.mgr.checkpoint(sess)
+		resp = CheckpointResponse{Path: sess.ckptPath, Bytes: len(img)}
+		return err
 	})
 	if err != nil {
 		return CheckpointResponse{}, err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"megh/internal/core"
 	"megh/internal/health"
@@ -135,19 +137,23 @@ type sessionManager struct {
 	healthProbeEvery int
 
 	// Cluster-mode hooks (all nil when single-node). onCheckpoint runs
-	// after every successful checkpoint write so the image replicates to
-	// ring peers; onDelete purges a deleted session's replicas;
+	// after every successful checkpoint write, with the image that write
+	// landed, so exactly those bytes replicate to ring peers; onDelete
+	// purges a deleted session's replicas;
 	// promoteReplica is the restore fallback — it lands a replicated
 	// image at the primary checkpoint path and reports whether it did,
 	// which is how a session fails over to a new owner.
-	onCheckpoint   func(id, path string)
+	onCheckpoint   func(id string, img []byte)
 	onDelete       func(id string)
 	promoteReplica func(id, primaryPath string) bool
 
-	gLive    *obs.Gauge
-	gDefined *obs.Gauge
-	cEvict   *obs.Counter
-	cRestore *obs.Counter
+	gLive      *obs.Gauge
+	gDefined   *obs.Gauge
+	cEvict     *obs.Counter
+	cRestore   *obs.Counter
+	hCkpt      *obs.Histogram
+	gCkptBytes *obs.Gauge
+	cCkptErrs  *obs.Counter
 }
 
 func newSessionManager(cfg Config, reg *obs.Registry) *sessionManager {
@@ -169,6 +175,12 @@ func newSessionManager(cfg Config, reg *obs.Registry) *sessionManager {
 			"Learners checkpointed to disk and dropped from memory under the max-sessions cap.", nil),
 		cRestore: reg.Counter("megh_session_restores_total",
 			"Evicted learners restored lazily from their checkpoint file.", nil),
+		hCkpt: reg.Histogram("megh_checkpoint_seconds",
+			"Time to encode one session checkpoint and land it on disk (replication excluded).", nil),
+		gCkptBytes: reg.Gauge("megh_checkpoint_bytes",
+			"Size of the most recent session checkpoint image.", nil),
+		cCkptErrs: reg.Counter("megh_checkpoint_errors_total",
+			"Session checkpoints that failed to encode or to land on disk.", nil),
 	}
 	for i := range m.shards {
 		m.shards[i].m = make(map[string]*session)
@@ -211,12 +223,36 @@ func (m *sessionManager) checkpointPath(id string) string {
 	return filepath.Join(m.ckptDir, id+".ckpt")
 }
 
-// noteCheckpoint fires the cluster replication hook after a successful
-// checkpoint write.
-func (m *sessionManager) noteCheckpoint(id, path string) {
-	if m.onCheckpoint != nil {
-		m.onCheckpoint(id, path)
+// writeImage is the one writer of session checkpoints: it encodes the
+// resident learner once, lands the image atomically at the session's
+// checkpoint path and returns the bytes it wrote. The caller holds s.mu and
+// has checked that the session is resident and has a checkpoint path. A
+// failure leaves the previous image in place and is counted.
+func (m *sessionManager) writeImage(s *session) ([]byte, error) {
+	start := time.Now()
+	var buf bytes.Buffer
+	err := s.learner.SaveState(&buf)
+	if err == nil {
+		err = writeFileAtomic(s.ckptPath, buf.Bytes())
 	}
+	if err != nil {
+		m.cCkptErrs.Inc()
+		return nil, fmt.Errorf("checkpointing session %q: %w", s.id, err)
+	}
+	m.hCkpt.Observe(time.Since(start).Seconds())
+	m.gCkptBytes.Set(float64(buf.Len()))
+	return buf.Bytes(), nil
+}
+
+// checkpoint is writeImage followed by the cluster replication hook, which
+// receives the bytes this checkpoint wrote — never a later image re-read
+// from the path.
+func (m *sessionManager) checkpoint(s *session) ([]byte, error) {
+	img, err := m.writeImage(s)
+	if err == nil && m.onCheckpoint != nil {
+		m.onCheckpoint(s.id, img)
+	}
+	return img, err
 }
 
 // loadCheckpoint restores a learner from path; when the primary image is
@@ -599,14 +635,15 @@ func (m *sessionManager) lruVictim(keep *session) *session {
 // evict checkpoints the victim and drops its learner. The checkpoint
 // write happens under the session lock, so an in-flight decide finishes
 // first and the image is consistent; a failed write aborts the eviction
-// (state loss is worse than an over-cap learner).
+// (state loss is worse than an over-cap learner) and shows in
+// megh_checkpoint_errors_total.
 func (m *sessionManager) evict(s *session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.learner == nil || s.deleted || s.pinned || s.ckptPath == "" {
 		return false
 	}
-	if err := s.learner.SaveStateFile(s.ckptPath); err != nil {
+	if _, err := m.checkpoint(s); err != nil {
 		return false
 	}
 	s.learner = nil
@@ -616,14 +653,13 @@ func (m *sessionManager) evict(s *session) bool {
 	s.evictions++
 	m.cEvict.Inc()
 	m.noteResident(-1)
-	m.noteCheckpoint(s.id, s.ckptPath)
 	return true
 }
 
 // checkpointAll persists every resident session that has a checkpoint
 // path (evicted sessions are already on disk). Used by meghd's periodic
 // and shutdown checkpoints. Returns how many files were written and the
-// first error.
+// first error; megh_checkpoint_errors_total counts every one.
 func (m *sessionManager) checkpointAll() (int, error) {
 	var n int
 	var firstErr error
@@ -638,13 +674,12 @@ func (m *sessionManager) checkpointAll() (int, error) {
 		for _, s := range sessions {
 			s.mu.Lock()
 			if s.learner != nil && !s.deleted && s.ckptPath != "" {
-				if err := s.learner.SaveStateFile(s.ckptPath); err != nil {
+				if _, err := m.checkpoint(s); err != nil {
 					if firstErr == nil {
-						firstErr = fmt.Errorf("session %q: %w", s.id, err)
+						firstErr = err
 					}
 				} else {
 					n++
-					m.noteCheckpoint(s.id, s.ckptPath)
 				}
 			}
 			s.mu.Unlock()

@@ -1,97 +1,374 @@
 package sparse
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
-// VectorState is the serializable image of a Vector (index/value pairs).
+// The packed forms below carry each array as one byte string, so the
+// enclosing encoder (encoding/gob in internal/core) moves a whole array
+// with one copy instead of one reflective call per element.
+//
+// An index list is ascending and coded as uvarint gaps: the first entry is
+// the index itself, every later one the distance to its predecessor (≥ 1),
+// so a list can be neither unsorted nor wider than any Dim the platform
+// can address. A value list is one little-endian IEEE-754 word per entry —
+// the stored bits, exactly.
+
+// VectorState is the serializable image of a Vector.
 type VectorState struct {
-	Dim   int
+	Dim int
+	// PackedIndex and PackedValue are the packed form State writes: the
+	// stored indices as uvarint gaps and the stored values as 8-byte words.
+	PackedIndex []byte
+	PackedValue []byte
+	// Index and Value are the version-1 form (one element per entry).
+	// VectorFromState still reads it; nothing writes it.
 	Index []int
 	Value []float64
 }
 
-// State exports the vector for persistence, indices sorted (the storage
-// order, so the export is a pair of copies).
+// State exports the vector for persistence in packed form.
 func (v *Vector) State() VectorState {
 	return VectorState{
-		Dim:   v.dim,
-		Index: append([]int(nil), v.idx...),
-		Value: append([]float64(nil), v.val...),
+		Dim:         v.dim,
+		PackedIndex: appendGaps(nil, v.idx),
+		PackedValue: appendWords(make([]byte, 0, 8*len(v.val)), v.val),
 	}
+}
+
+// Validate reports the first malformed field of st. It costs O(len of the
+// image) and allocates nothing, whatever Dim claims.
+func (st VectorState) Validate() error {
+	_, err := st.unpack(false)
+	return err
 }
 
 // VectorFromState reconstructs a Vector. It rejects malformed states.
 func VectorFromState(st VectorState) (*Vector, error) {
+	return st.unpack(true)
+}
+
+// unpack makes every check a VectorState must pass, building the vector
+// alongside when build is set.
+func (st VectorState) unpack(build bool) (*Vector, error) {
 	if st.Dim < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
 	}
-	if len(st.Index) != len(st.Value) {
-		return nil, fmt.Errorf("sparse: vector state has %d indices but %d values",
-			len(st.Index), len(st.Value))
+	packed := len(st.PackedIndex) > 0 || len(st.PackedValue) > 0
+	if packed && (len(st.Index) > 0 || len(st.Value) > 0) {
+		return nil, fmt.Errorf("sparse: vector state carries both Index/Value and PackedIndex/PackedValue")
 	}
-	v := NewVector(st.Dim)
-	for i, j := range st.Index {
-		if j < 0 || j >= st.Dim {
-			return nil, fmt.Errorf("sparse: vector state index %d out of range [0,%d)", j, st.Dim)
+	if !packed {
+		if len(st.Index) != len(st.Value) {
+			return nil, fmt.Errorf("sparse: vector state has %d indices but %d values",
+				len(st.Index), len(st.Value))
 		}
-		v.Set(j, st.Value[i])
+		for _, j := range st.Index {
+			if j < 0 || j >= st.Dim {
+				return nil, fmt.Errorf("sparse: vector state index %d out of range [0,%d)", j, st.Dim)
+			}
+		}
+		if !build {
+			return nil, nil
+		}
+		// Version-1 lists may be unsorted or repeat an index; Set keeps
+		// the last write, as it always has.
+		v := NewVector(st.Dim)
+		for i, j := range st.Index {
+			v.Set(j, st.Value[i])
+		}
+		return v, nil
+	}
+
+	n, err := wordCount(st.PackedValue, "vector PackedValue")
+	if err != nil {
+		return nil, err
+	}
+	var v *Vector
+	if build {
+		v = &Vector{dim: st.Dim, idx: make([]int, n), val: make([]float64, n)}
+	}
+	gaps, prev := st.PackedIndex, -1
+	for k := 0; k < n; k++ {
+		if prev, gaps, err = nextIndex(gaps, prev, st.Dim, "vector PackedIndex"); err != nil {
+			return nil, err
+		}
+		x := word(st.PackedValue, k)
+		if x == 0 {
+			return nil, fmt.Errorf("sparse: vector PackedValue stores a zero at index %d", prev)
+		}
+		if build {
+			v.idx[k], v.val[k] = prev, x
+		}
+	}
+	if len(gaps) != 0 {
+		return nil, fmt.Errorf("sparse: vector PackedIndex holds more indices than the %d values of PackedValue", n)
 	}
 	return v, nil
 }
 
 // MatrixState is the serializable image of a Matrix: the materialised
-// triplets plus the bookkeeping needed to reconstruct the implicit
+// entries plus the bookkeeping needed to reconstruct the implicit
 // scaled-identity exactly (which rows' implicit diagonal has been
 // overridden, even when overridden to zero).
 type MatrixState struct {
-	Dim            int
-	Diag           float64
-	DropTol        float64
+	Dim     int
+	Diag    float64
+	DropTol float64
+	// The packed form State writes, in row-major (CSR) order. PackedRows
+	// lists the non-empty rows as (row gap, entry count) uvarint pairs;
+	// PackedCols holds each of those rows' column indices in turn, the gap
+	// coding restarting with every row; PackedVals holds the values in the
+	// same order as 8-byte words; PackedDiag lists the rows whose implicit
+	// diagonal is overridden, as uvarint gaps.
+	PackedRows []byte
+	PackedCols []byte
+	PackedVals []byte
+	PackedDiag []byte
+	// Triplets and OverriddenDiag are the version-1 form (one element per
+	// entry). MatrixFromState still reads it; nothing writes it.
 	Triplets       []Triplet
 	OverriddenDiag []int
 }
 
-// State exports the matrix for persistence. OverriddenDiag is emitted in
-// ascending order, so two identical matrices serialise byte-identically.
+// State exports the matrix for persistence in packed form. Every list is
+// emitted in ascending order, so two identical matrices serialise
+// byte-identically.
 func (m *Matrix) State() MatrixState {
-	var over []int
-	for i, set := range m.diagSet {
-		if set {
-			over = append(over, i)
+	st := MatrixState{
+		Dim:     m.dim,
+		Diag:    m.diag,
+		DropTol: m.dropTol,
+		// Two bytes a column covers every gap below 16 384; wider matrices
+		// grow the list as they go.
+		PackedCols: make([]byte, 0, 2*m.nnz),
+		PackedVals: make([]byte, 0, 8*m.nnz),
+	}
+	prevRow, prevDiag := -1, -1
+	for i := range m.rows {
+		if m.diagSet[i] {
+			st.PackedDiag = appendGap(st.PackedDiag, prevDiag, i)
+			prevDiag = i
 		}
+		r := &m.rows[i]
+		if len(r.idx) == 0 {
+			continue
+		}
+		st.PackedRows = appendGap(st.PackedRows, prevRow, i)
+		st.PackedRows = binary.AppendUvarint(st.PackedRows, uint64(len(r.idx)))
+		prevRow = i
+		st.PackedCols = appendGaps(st.PackedCols, r.idx)
+		st.PackedVals = appendWords(st.PackedVals, r.val)
 	}
-	return MatrixState{
-		Dim:            m.dim,
-		Diag:           m.diag,
-		DropTol:        m.dropTol,
-		Triplets:       m.Triplets(),
-		OverriddenDiag: over,
-	}
+	return st
+}
+
+// Validate reports the first malformed field of st. It costs O(len of the
+// image) and allocates nothing, whatever Dim claims.
+func (st MatrixState) Validate() error {
+	_, err := st.unpack(false)
+	return err
 }
 
 // MatrixFromState reconstructs a Matrix. It rejects malformed states.
 func MatrixFromState(st MatrixState) (*Matrix, error) {
+	return st.unpack(true)
+}
+
+// unpack makes every check a MatrixState must pass, building the matrix
+// alongside when build is set. The packed form is checked in one pass over
+// its entries: rows strictly ascending, columns strictly ascending within a
+// row, both inside [0,Dim), counts consistent across the four lists, no
+// stored zero. Its rows are then slices of two shared arrays and the column
+// index is filled by counting — no per-entry search or shift.
+func (st MatrixState) unpack(build bool) (*Matrix, error) {
 	if st.Dim < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d in matrix state", st.Dim)
 	}
 	if st.DropTol < 0 {
 		return nil, fmt.Errorf("sparse: negative drop tolerance %g in matrix state", st.DropTol)
 	}
-	m := NewMatrix(st.Dim, st.Diag)
+	if (len(st.Triplets) > 0 || len(st.OverriddenDiag) > 0) &&
+		(len(st.PackedRows) > 0 || len(st.PackedCols) > 0 || len(st.PackedVals) > 0 || len(st.PackedDiag) > 0) {
+		return nil, fmt.Errorf("sparse: matrix state carries both Triplets/OverriddenDiag and the Packed lists")
+	}
+	nnz, err := wordCount(st.PackedVals, "matrix PackedVals")
+	if err != nil {
+		return nil, err
+	}
+	var (
+		m      *Matrix
+		idx    []int
+		val    []float64
+		counts []int
+	)
+	if build {
+		m = NewMatrix(st.Dim, st.Diag)
+		if nnz > 0 {
+			idx, val, counts = make([]int, nnz), make([]float64, nnz), make([]int, st.Dim)
+		}
+	}
+
 	for _, i := range st.OverriddenDiag {
 		if i < 0 || i >= st.Dim {
 			return nil, fmt.Errorf("sparse: overridden diagonal %d out of range [0,%d)", i, st.Dim)
 		}
-		m.diagSet[i] = true
+		if build {
+			m.diagSet[i] = true
+		}
 	}
+	for gaps, i := st.PackedDiag, -1; len(gaps) > 0; {
+		if i, gaps, err = nextIndex(gaps, i, st.Dim, "matrix PackedDiag"); err != nil {
+			return nil, err
+		}
+		if build {
+			m.diagSet[i] = true
+		}
+	}
+
 	for _, t := range st.Triplets {
 		if t.Row < 0 || t.Row >= st.Dim || t.Col < 0 || t.Col >= st.Dim {
 			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of range for dim %d",
 				t.Row, t.Col, st.Dim)
 		}
-		m.Set(t.Row, t.Col, t.Val)
+		if build {
+			// Version-1 lists may be unsorted, repeat a cell or store a
+			// zero; Set resolves all three, as it always has.
+			m.Set(t.Row, t.Col, t.Val)
+		}
+	}
+
+	rows, cols, row, k := st.PackedRows, st.PackedCols, -1, 0
+	for len(rows) > 0 {
+		if row, rows, err = nextIndex(rows, row, st.Dim, "matrix PackedRows"); err != nil {
+			return nil, err
+		}
+		n, w := binary.Uvarint(rows)
+		if w <= 0 {
+			return nil, fmt.Errorf("sparse: matrix PackedRows is truncated after row %d", row)
+		}
+		rows = rows[w:]
+		if n == 0 || n > uint64(nnz-k) {
+			return nil, fmt.Errorf("sparse: matrix PackedRows gives row %d %d entries, PackedVals has %d left",
+				row, n, nnz-k)
+		}
+		start, col := k, -1
+		for end := k + int(n); k < end; k++ {
+			if col, cols, err = nextIndex(cols, col, st.Dim, "matrix PackedCols"); err != nil {
+				return nil, fmt.Errorf("%w (row %d)", err, row)
+			}
+			x := word(st.PackedVals, k)
+			if x == 0 {
+				return nil, fmt.Errorf("sparse: matrix PackedVals stores a zero at (%d,%d)", row, col)
+			}
+			if build {
+				idx[k], val[k] = col, x
+				counts[col]++
+			}
+		}
+		if build {
+			// Full slice expressions: a row that grows reallocates instead
+			// of writing into its neighbour.
+			m.rows[row] = span{idx: idx[start:k:k], val: val[start:k:k]}
+		}
+	}
+	if k != nnz {
+		return nil, fmt.Errorf("sparse: matrix PackedRows accounts for %d entries, PackedVals has %d", k, nnz)
+	}
+	if len(cols) != 0 {
+		return nil, fmt.Errorf("sparse: matrix PackedCols holds more indices than the %d values of PackedVals", nnz)
+	}
+	if !build {
+		return nil, nil
+	}
+	if nnz > 0 {
+		m.nnz = nnz
+		// Column index by counting: carve each column's member list out of
+		// one array, then append row numbers in row order, which leaves
+		// every list ascending.
+		members := make([]int, nnz)
+		off := 0
+		for j, c := range counts {
+			if c > 0 {
+				m.cols[j] = members[off : off : off+c]
+				off += c
+			}
+		}
+		for i := range m.rows {
+			for _, j := range m.rows[i].idx {
+				m.cols[j] = append(m.cols[j], i)
+			}
+		}
 	}
 	// Apply the tolerance only after restoring, so stored entries that
 	// are individually below a later-raised tolerance still round-trip.
 	m.dropTol = st.DropTol
 	return m, nil
+}
+
+// appendGap appends index i of an ascending list whose previous entry was
+// prev (-1 at the start of the list).
+func appendGap(dst []byte, prev, i int) []byte {
+	if prev >= 0 {
+		i -= prev
+	}
+	return binary.AppendUvarint(dst, uint64(i))
+}
+
+// appendGaps appends a whole ascending index list.
+func appendGaps(dst []byte, idx []int) []byte {
+	prev := -1
+	for _, i := range idx {
+		dst = appendGap(dst, prev, i)
+		prev = i
+	}
+	return dst
+}
+
+// nextIndex decodes the entry after prev (-1 at the start of a list) from
+// an ascending index list and checks it against [0,dim). field names the
+// list in errors.
+func nextIndex(gaps []byte, prev, dim int, field string) (int, []byte, error) {
+	// Most entries are a one-byte gap; skip the general decoder for those.
+	if len(gaps) > 0 && prev >= 0 && gaps[0]-1 < 0x7f && int(gaps[0]) < dim-prev {
+		return prev + int(gaps[0]), gaps[1:], nil
+	}
+	g, w := binary.Uvarint(gaps)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("sparse: %s is truncated or overlong after %d", field, prev)
+	}
+	base := 0
+	if prev >= 0 {
+		if g == 0 {
+			return 0, nil, fmt.Errorf("sparse: %s repeats index %d", field, prev)
+		}
+		base = prev
+	}
+	if g >= uint64(dim-base) {
+		return 0, nil, fmt.Errorf("sparse: %s steps %d past %d, out of range [0,%d)", field, g, prev, dim)
+	}
+	return base + int(g), gaps[w:], nil
+}
+
+// appendWords appends each value's IEEE-754 bits, little-endian.
+func appendWords(dst []byte, val []float64) []byte {
+	for _, x := range val {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// wordCount is the number of 8-byte words in a packed value list.
+func wordCount(words []byte, field string) (int, error) {
+	if len(words)%8 != 0 {
+		return 0, fmt.Errorf("sparse: %s is %d bytes, not a whole number of 8-byte words", field, len(words))
+	}
+	return len(words) / 8, nil
+}
+
+// word returns the k-th value of a packed value list.
+func word(words []byte, k int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(words[8*k:]))
 }

@@ -1,7 +1,11 @@
 package sparse
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -107,5 +111,193 @@ func TestQuickMatrixStateRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// State writes the packed form only; the version-1 lists stay empty.
+func TestStateWritesPackedFormOnly(t *testing.T) {
+	m := NewMatrix(4, 0.25)
+	m.Set(1, 2, 3)
+	m.Set(3, 3, 0)
+	st := m.State()
+	if len(st.Triplets) != 0 || len(st.OverriddenDiag) != 0 {
+		t.Fatalf("matrix state still carries version-1 lists: %+v", st)
+	}
+	if len(st.PackedRows) == 0 || len(st.PackedCols) == 0 || len(st.PackedVals) != 8 || len(st.PackedDiag) == 0 {
+		t.Fatalf("matrix state is not packed: %+v", st)
+	}
+	v := NewVector(5)
+	v.Set(4, 2)
+	vs := v.State()
+	if len(vs.Index) != 0 || len(vs.Value) != 0 || len(vs.PackedIndex) != 1 || len(vs.PackedValue) != 8 {
+		t.Fatalf("vector state is not packed: %+v", vs)
+	}
+}
+
+// The version-1 form still loads, with Set's tolerance for unsorted lists,
+// repeated cells and stored zeros.
+func TestVersion1StateStillLoads(t *testing.T) {
+	m, err := MatrixFromState(MatrixState{
+		Dim: 3, Diag: 0.5,
+		Triplets:       []Triplet{{2, 1, 7}, {0, 2, 1}, {0, 2, 4}, {1, 0, 0}},
+		OverriddenDiag: []int{2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Get(0, 2) != 4 || m.Get(2, 1) != 7 || m.Get(2, 2) != 0 || m.Get(1, 1) != 0.5 || m.NNZ() != 2 {
+		t.Fatalf("version-1 matrix state restored wrongly: nnz %d, %v", m.NNZ(), m.Dense())
+	}
+	v, err := VectorFromState(VectorState{Dim: 4, Index: []int{3, 1, 3}, Value: []float64{1, 2, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Get(3) != 5 || v.Get(1) != 2 || v.NNZ() != 2 {
+		t.Fatalf("version-1 vector state restored wrongly: %v", v)
+	}
+}
+
+// A restored matrix is the matrix: same column index, and the same bits
+// after the same further updates — rows carved out of one array must
+// reallocate when they grow, never write into their neighbour.
+func TestQuickRestoredMatrixContinuesIdentically(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		const dim = 16
+		m := NewMatrix(dim, 1.0/dim)
+		m.SetDropTolerance(1e-12)
+		step := func(x *Matrix, a, b int) { _, _ = x.ShermanMorrisonBasis(a, b, 0.5) }
+		for i := 0; i < 25; i++ {
+			step(m, r.Intn(dim), r.Intn(dim))
+		}
+		back, err := MatrixFromState(m.State())
+		if err != nil {
+			return false
+		}
+		for j := 0; j < dim; j++ {
+			if !reflect.DeepEqual(m.Col(j), back.Col(j)) {
+				return false
+			}
+		}
+		for i := 0; i < 25; i++ {
+			a, b := r.Intn(dim), r.Intn(dim)
+			step(m, a, b)
+			step(back, a, b)
+		}
+		return reflect.DeepEqual(m.State(), back.State()) && reflect.DeepEqual(m.Dense(), back.Dense())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every malformed packed form is refused — by Validate and by the builder
+// alike, with the same error — and the error names the list at fault.
+func TestPackedStateRejectsMalformed(t *testing.T) {
+	gaps := func(idx ...int) []byte { return appendGaps(nil, idx) }
+	words := func(val ...float64) []byte { return appendWords(nil, val) }
+	// (row gap, count) pairs.
+	rows := func(pairs ...int) []byte {
+		var b []byte
+		for _, p := range pairs {
+			b = binary.AppendUvarint(b, uint64(p))
+		}
+		return b
+	}
+	good := MatrixState{Dim: 4, Diag: 0.25,
+		PackedRows: rows(1, 2, 2, 1), PackedCols: append(gaps(0, 3), gaps(2)...),
+		PackedVals: words(1, 2, 3), PackedDiag: gaps(1, 3)}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("well-formed state refused: %v", err)
+	}
+	with := func(edit func(*MatrixState)) MatrixState {
+		st := good
+		edit(&st)
+		return st
+	}
+	for name, tc := range map[string]struct {
+		st    MatrixState
+		field string
+	}{
+		"duplicate column":      {with(func(st *MatrixState) { st.PackedCols = []byte{0, 0, 2} }), "PackedCols repeats"},
+		"column out of range":   {with(func(st *MatrixState) { st.PackedCols = append(gaps(0, 3), 4) }), "PackedCols"},
+		"column overlong":       {with(func(st *MatrixState) { st.PackedCols = bytes.Repeat([]byte{0xff}, 11) }), "PackedCols is truncated or overlong"},
+		"columns truncated":     {with(func(st *MatrixState) { st.PackedCols = gaps(0, 3) }), "PackedCols is truncated"},
+		"columns left over":     {with(func(st *MatrixState) { st.PackedCols = append(st.PackedCols, 1) }), "PackedCols holds more"},
+		"row out of range":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 3, 1) }), "PackedRows"},
+		"duplicate row":         {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 0, 1) }), "PackedRows repeats"},
+		"row count truncated":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2) }), "PackedRows is truncated"},
+		"empty row listed":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 0, 2, 3) }), "PackedRows gives row 1 0 entries"},
+		"rows claim too many":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2, 2) }), "PackedRows gives row 3 2 entries"},
+		"rows claim too few":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 2) }), "PackedRows accounts for 2 entries"},
+		"values not whole":      {with(func(st *MatrixState) { st.PackedVals = st.PackedVals[:23] }), "PackedVals is 23 bytes"},
+		"stored zero":           {with(func(st *MatrixState) { st.PackedVals = words(1, 0, 3) }), "PackedVals stores a zero at (1,3)"},
+		"diag out of range":     {with(func(st *MatrixState) { st.PackedDiag = gaps(1, 4) }), "PackedDiag"},
+		"diag repeats":          {with(func(st *MatrixState) { st.PackedDiag = []byte{1, 0} }), "PackedDiag repeats"},
+		"both forms":            {with(func(st *MatrixState) { st.Triplets = []Triplet{{0, 0, 1}} }), "both Triplets/OverriddenDiag and the Packed"},
+		"both diag forms":       {with(func(st *MatrixState) { st.OverriddenDiag = []int{0} }), "both Triplets/OverriddenDiag and the Packed"},
+		"negative dim":          {with(func(st *MatrixState) { st.Dim = -1 }), "negative dimension"},
+		"dim smaller than data": {with(func(st *MatrixState) { st.Dim = 3 }), "out of range [0,3)"},
+	} {
+		t.Run("matrix/"+name, func(t *testing.T) {
+			verr := tc.st.Validate()
+			_, berr := MatrixFromState(tc.st)
+			if verr == nil || berr == nil || verr.Error() != berr.Error() {
+				t.Fatalf("Validate says %v, MatrixFromState says %v", verr, berr)
+			}
+			if !strings.Contains(verr.Error(), tc.field) {
+				t.Fatalf("error %q does not name %q", verr, tc.field)
+			}
+		})
+	}
+
+	goodVec := VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, -1)}
+	if err := goodVec.Validate(); err != nil {
+		t.Fatalf("well-formed vector state refused: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		st    VectorState
+		field string
+	}{
+		"duplicate index":  {VectorState{Dim: 5, PackedIndex: []byte{1, 0}, PackedValue: words(2, -1)}, "PackedIndex repeats"},
+		"out of range":     {VectorState{Dim: 4, PackedIndex: gaps(1, 4), PackedValue: words(2, -1)}, "PackedIndex"},
+		"index truncated":  {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2, -1)}, "PackedIndex is truncated"},
+		"indices left":     {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2)}, "PackedIndex holds more"},
+		"values not whole": {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2)[:7]}, "PackedValue is 7 bytes"},
+		"stored zero":      {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, 0)}, "PackedValue stores a zero at index 4"},
+		"both forms":       {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2), Index: []int{0}, Value: []float64{1}}, "both Index/Value and PackedIndex"},
+	} {
+		t.Run("vector/"+name, func(t *testing.T) {
+			verr := tc.st.Validate()
+			_, berr := VectorFromState(tc.st)
+			if verr == nil || berr == nil || verr.Error() != berr.Error() {
+				t.Fatalf("Validate says %v, VectorFromState says %v", verr, berr)
+			}
+			if !strings.Contains(verr.Error(), tc.field) {
+				t.Fatalf("error %q does not name %q", verr, tc.field)
+			}
+		})
+	}
+}
+
+// Validate's cost follows the image, not the dimension it declares: an
+// empty state of an absurd Dim is checked without a single allocation.
+func TestValidateAllocatesNothingForHugeDim(t *testing.T) {
+	ms := MatrixState{Dim: 1 << 40, Diag: 1}
+	vs := VectorState{Dim: 1 << 40}
+	if n := testing.AllocsPerRun(10, func() {
+		if ms.Validate() != nil || vs.Validate() != nil {
+			t.Fatal("empty huge state refused")
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocated %.0f times for an empty state", n)
+	}
+}
+
+func TestVectorFromDenseIsInverseOfDense(t *testing.T) {
+	x := []float64{0, 1.5, 0, 0, -2, 0}
+	v := VectorFromDense(x)
+	if v.NNZ() != 2 || v.Get(1) != 1.5 || v.Get(4) != -2 || !reflect.DeepEqual(v.Dense(), x) {
+		t.Fatalf("VectorFromDense(%v) = %v", x, v)
 	}
 }
