@@ -84,13 +84,16 @@ bench-alloc-gate:
 # count: the learner's Q-table densifies as updates accumulate, so ns/op is
 # only comparable across revisions at an identical iteration count.
 # BenchmarkCheckpoint (save / verify / load of one learner image) warms its
-# learner by a fixed update count for the same reason. Every benchmark runs
+# learner by a fixed update count for the same reason. BenchmarkNewLearner
+# builds an empty learner on each side of the eager page budget (ns/op and
+# B/op are what a session create costs). Every benchmark runs
 # -count=$(BENCH_REPS) times and benchjson keeps the fastest rep per name,
 # filtering scheduler noise out of both sides.
 BENCH_REPS ?= 3
 TRACKED_BENCHMARKS = { \
 	$(GO) test -run=- -bench='BenchmarkDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
 	$(GO) test -run=- -bench='BenchmarkCheckpoint' -benchtime=1000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
+	$(GO) test -run=- -bench='BenchmarkNewLearner' -benchtime=100x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
 	$(GO) test -run=- -bench='BenchmarkShermanMorrison' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; }
@@ -99,7 +102,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

@@ -234,7 +234,7 @@ func TestScaledUpdateMatchesRepeatedUpdates(t *testing.T) {
 		repeated.applyUpdate(a, b, 1, c/n)
 	}
 	for i := 0; i < merged.Dim(); i++ {
-		got, want := merged.theta[i], repeated.theta[i]
+		got, want := merged.theta.At(i), repeated.theta.At(i)
 		if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 			t.Fatalf("θ[%d]: merged %g vs repeated %g", i, got, want)
 		}

@@ -35,6 +35,20 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add(seed.Bytes()[:seed.Len()/2])
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
+	// A world past the eager budget, so the loader's page-on-touch side is
+	// in the corpus too: 1 100 VMs × 1 000 hosts, a few transitions old.
+	lazy, err := New(DefaultConfig(1100, 1000, 5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, a := range []int{1023, 70001, 555555, 1099999, 70001} {
+		lazy.applyUpdate(a, (a*7+i)%lazy.d, 1, 0.5+float64(i))
+	}
+	var lazySeed bytes.Buffer
+	if err := lazy.SaveState(&lazySeed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lazySeed.Bytes())
 	// Both committed formats, and a packed image gone wrong in the packed
 	// lists themselves (a repeated column, a stored zero).
 	for _, path := range []string{"testdata/checkpoint_v1_mapbacked.gob", "testdata/checkpoint_v2_packed.gob"} {
@@ -57,13 +71,15 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Resource guard, not an oracle: a syntactically valid gob can
-		// declare an absurd learner dimension, and LoadState would then
-		// legitimately allocate d = NumVMs·NumHosts floats. Keep the
-		// harness on small configurations; rejection paths don't care.
+		// Resource guard, not an oracle: a restored learner costs what its
+		// image holds plus a page table and per-VM and per-host scratch
+		// sized by the declared world — up to 90 MiB at Validate's
+		// ceilings. Keep each exec to about a megabyte: worlds up to twice
+		// the eager budget, so both page policies run; rejection paths
+		// don't care.
 		var st persistedState
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&st) == nil {
-			if st.Config.NumVMs > 64 || st.Config.NumHosts > 64 {
+			if n, h := st.Config.NumVMs, st.Config.NumHosts; n > 4096 || h > 4096 || (n > 0 && h > 2<<20/n) {
 				return
 			}
 		}

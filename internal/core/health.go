@@ -38,10 +38,24 @@ type LearnStats struct {
 	NonFinite int64
 }
 
+// addDrift folds one θ scatter's squared-delta sum into the accumulators;
+// a no-op on the nil stats of a learner that never enabled them.
+func (ls *LearnStats) addDrift(dsq float64) {
+	if ls == nil {
+		return
+	}
+	if isBad(dsq) {
+		ls.NonFinite++
+	} else {
+		ls.DriftSqSum += dsq
+	}
+}
+
 // EnableLearnStats turns on the in-line learning-health accumulation.
-// Idempotent; enabling costs one extra multiply-add per θ write and two
-// scalar ops per rank-1 update. When never enabled the update path pays a
-// single nil pointer test and the untraced Decide stays 0 allocs/op.
+// Idempotent; enabling costs a few scalar ops per rank-1 update (the θ
+// scatter computes its squared-delta sum either way). When never enabled
+// the update path pays nil pointer tests and the untraced Decide stays
+// 0 allocs/op.
 func (m *Megh) EnableLearnStats() {
 	if m.learnStats == nil {
 		m.learnStats = &LearnStats{}
@@ -81,7 +95,7 @@ func (m *Megh) DebugBZRow(i int) float64 {
 }
 
 // Theta returns θ[i] from the dense mirror.
-func (m *Megh) Theta(i int) float64 { return m.theta[i] }
+func (m *Megh) Theta(i int) float64 { return m.theta.At(i) }
 
 func isBad(v float64) bool {
 	// NaN or ±Inf without calling math (keeps this inlineable): NaN is the

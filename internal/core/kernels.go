@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"megh/internal/sim"
-	"megh/internal/sparse"
 )
 
 // This file holds the candidate-scoring sweep (scanRow) and its kernels.
@@ -23,7 +22,7 @@ import (
 //   - The MIPS test keeps its division form, (hostMIPS[k]+mipsJ)/mipsCap[k],
 //     never the multiplied-out one: a/b > c and a > c*b round differently.
 //   - The row minimum uses the same strict-less, sequential comparison
-//     order, via sparse.GatherMin.
+//     order, via sparse.PagedVector.GatherMin.
 
 // ScanKernel selects the scanRow implementation.
 type ScanKernel int
@@ -49,8 +48,8 @@ const unrolledMinHosts = 16
 // never change a decision, only its cost.
 func (m *Megh) SetScanKernel(k ScanKernel) { m.scanKernel = k }
 
-// scanRow is the candidate-scoring sweep: one pass over VM j's contiguous
-// θ row θ[base:base+M], gathering the feasible destinations, their Q
+// scanRow is the candidate-scoring sweep: one pass over VM j's θ row, cells
+// [base, base+M), gathering the feasible destinations, their Q
 // values and the row minimum. Feasibility reads only the flat per-host
 // aggregate arrays refreshHostAggregates filled (committed RAM/MIPS,
 // capacities, active/blocked flags and their penalty mirrors), with
@@ -77,7 +76,6 @@ func (m *Megh) scanRow(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feas
 // unrolled kernels are differential-tested against.
 func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feasible []int, qs []float64, minQ float64) {
 	n := m.cfg.NumHosts
-	row := m.theta[base : base+n : base+n]
 	ramJ := s.VMSpecs[j].RAMMB
 	mipsJ := s.VMMIPS[j]
 	beta := s.OverloadThreshold
@@ -98,7 +96,7 @@ func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool)
 				continue
 			}
 		}
-		q := row[k]
+		q := m.theta.At(base + k)
 		feasible = append(feasible, k)
 		qs = append(qs, q)
 		if q < minQ {
@@ -232,6 +230,6 @@ func (m *Megh) gatherRow(base int, feasible []int) ([]float64, float64) {
 	}
 	qs := m.qScratch[:len(feasible)]
 	m.qScratch = qs
-	minQ := sparse.GatherMin(qs, m.theta[base:base+m.cfg.NumHosts], feasible)
+	minQ := m.theta.GatherMin(qs, base, feasible)
 	return qs, minQ
 }

@@ -21,15 +21,18 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 		t.Fatal(err)
 	}
 	x := uint64(0x9e3779b97f4a7c15)
-	for i := range m.theta {
+	for i := 0; i < m.d; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
+		if (i/nHosts)%3 == 2 {
+			continue // every third VM's row stays unwritten
+		}
 		// Mostly zeros (the untrained-row shape) with irregular values and
 		// deliberate ties sprinkled in.
 		switch x % 5 {
 		case 0:
-			m.theta[i] = math.Ldexp(float64(int64(x>>12)%1000)-500, -20)
+			m.theta.Set(i, math.Ldexp(float64(int64(x>>12)%1000)-500, -20))
 		case 1:
-			m.theta[i] = -0.25
+			m.theta.Set(i, -0.25)
 		}
 	}
 	return m, snaps[len(snaps)-1]
@@ -39,7 +42,16 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 // same feasible set, bit-identical Q gather, bit-identical row minimum —
 // including with failed (blocked) hosts in play.
 func TestScanKernelsBitwiseIdentical(t *testing.T) {
-	const nVMs, nHosts = 24, 23 // odd host count exercises the unroll tail
+	// Odd host counts exercise the unroll tail.
+	scanKernelsBitwiseIdentical(t, 24, 23)
+	// Past the eager budget θ's pages are allocated on write, and the
+	// unwritten third of its rows is swept through pages that do not exist.
+	t.Run("past-eager-budget", func(t *testing.T) { scanKernelsBitwiseIdentical(t, 33, 32003) })
+}
+
+// scanKernelsBitwiseIdentical runs the comparison on one world, as the
+// subtests healthy and failed-hosts of t.
+func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int) {
 	m, snap := kernelWorld(t, nVMs, nHosts)
 
 	check := func(t *testing.T, s *sim.Snapshot) {

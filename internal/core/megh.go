@@ -92,6 +92,19 @@ const DefaultNNZHistoryCap = 65536
 // this many Decide calls.
 const DefaultDeferMaxAge = 8
 
+// The world-size ceilings Validate enforces. A learner's tables are paged and
+// cost what they hold, but their slot tables and the per-VM and per-host
+// scratch are sized by the declared world, and the declaration arrives from
+// outside (a session PUT, a checkpoint header): unbounded, sixty bytes of
+// JSON could ask for a 480 GB block. At the ceilings an empty learner
+// allocates 65–130 MiB, whatever its shape — the order of a full
+// eager-budget one (DESIGN.md §5). maxActions is 13 × the largest grid
+// anything here runs (10 000 × 1 000).
+const (
+	maxActions = 1 << 27 // N·M
+	maxAxis    = 1 << 20 // N, and M
+)
+
 // DefaultConfig returns the paper's §6.1 parameters for an N-VM, M-host
 // data center.
 func DefaultConfig(numVMs, numHosts int, seed int64) Config {
@@ -132,8 +145,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NumVMs %d must be positive", c.NumVMs)
 	case c.NumHosts <= 0:
 		return fmt.Errorf("core: NumHosts %d must be positive", c.NumHosts)
-	case c.NumVMs > math.MaxInt/c.NumHosts:
-		return fmt.Errorf("core: %d×%d actions overflow the action index", c.NumVMs, c.NumHosts)
+	case c.NumVMs > maxAxis || c.NumHosts > maxAxis:
+		return fmt.Errorf("core: world of %d VMs × %d hosts exceeds %d on one axis", c.NumVMs, c.NumHosts, maxAxis)
+	case c.NumVMs > maxActions/c.NumHosts:
+		return fmt.Errorf("core: %d×%d actions exceed the ceiling of %d", c.NumVMs, c.NumHosts, maxActions)
 	case c.Gamma < 0 || c.Gamma >= 1:
 		return fmt.Errorf("core: Gamma %g out of [0,1)", c.Gamma)
 	case c.Temp0 <= 0:
@@ -168,8 +183,9 @@ type Megh struct {
 	// a dense mirror: the Boltzmann inner loop in sampleDestination reads
 	// one Q value per (candidate, host) pair, so θ lookups are the single
 	// hottest read in the system — an array index instead of a sparse
-	// search. Size is d = N·M floats (a few MB at paper scale).
-	theta []float64
+	// search. VM j's Q row is cells [j·M, (j+1)·M); pages no update has
+	// reached are not allocated and read as zero.
+	theta *sparse.PagedVector
 
 	temp float64
 	rng  *xrand
@@ -291,16 +307,16 @@ func New(cfg Config) (*Megh, error) {
 	// Q comparison; dropping them keeps the Q-table growth linear in the
 	// migration count (§5.2, Figure 7).
 	b.SetDropTolerance(1e-9 / float64(d))
-	return assemble(cfg, b, sparse.NewVector(d), make([]float64, d)), nil
+	return assemble(cfg, b, sparse.NewVector(d), sparse.NewPagedVector(d)), nil
 }
 
 // assemble builds a learner around the given LSPI state (B, z and the dense
 // θ mirror, all of dimension N·M) — a fresh one from New, a persisted one
 // from LoadState. cfg must already be validated.
-func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta []float64) *Megh {
+func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta *sparse.PagedVector) *Megh {
 	return &Megh{
 		cfg:         cfg,
-		d:           len(theta),
+		d:           mdp.SpaceSize(cfg.NumVMs, cfg.NumHosts),
 		b:           b,
 		z:           z,
 		theta:       theta,
@@ -335,13 +351,15 @@ func (m *Megh) Config() Config { return m.cfg }
 type meghMetrics struct {
 	decideSeconds *obs.Histogram
 	qtableNNZ     *obs.Gauge
+	qtableBytes   *obs.Gauge
 	temperature   *obs.Gauge
 	rejected      *obs.Counter
 }
 
 // Instrument mirrors the learner's internals into reg after every Decide:
-// per-Decide wall time, Q-table NNZ (Figure 7's metric), the Boltzmann
-// temperature, and the count of proposed actions the environment rejected.
+// per-Decide wall time, Q-table NNZ (Figure 7's metric) and resident bytes,
+// the Boltzmann temperature, and the count of proposed actions the
+// environment rejected.
 // A nil registry disables instrumentation.
 func (m *Megh) Instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -353,11 +371,22 @@ func (m *Megh) Instrument(reg *obs.Registry) {
 			"Wall-clock time of one Megh.Decide call.", nil),
 		qtableNNZ: reg.Gauge("megh_qtable_nnz",
 			"Materialised entries in the Q-table operator B (Figure 7).", nil),
+		qtableBytes: reg.Gauge("megh_qtable_resident_bytes",
+			"Bytes the Q-table holds in memory: the page tables, allocated pages and stored entries of B and theta.", nil),
 		temperature: reg.Gauge("megh_temperature",
 			"Current Boltzmann exploration temperature.", nil),
 		rejected: reg.Counter("megh_actions_rejected_total",
 			"Proposed migrations rejected by the environment and dropped from the LSPI update.", nil),
 	}
+	// A restored or just-built learner has a size before its first Decide.
+	m.metrics.publish(m)
+}
+
+// publish refreshes the gauges from the learner.
+func (mm *meghMetrics) publish(m *Megh) {
+	mm.qtableNNZ.Set(float64(m.b.NNZ()))
+	mm.qtableBytes.Set(float64(m.QTableResidentBytes()))
+	mm.temperature.Set(m.temp)
 }
 
 // Trace attaches a decision tracer: every Decide then emits one
@@ -403,6 +432,13 @@ func (m *Megh) Temperature() float64 { return m.temp }
 // "non-zero elements in the Q-table" metric (Figure 7).
 func (m *Megh) QTableNNZ() int { return m.b.NNZ() }
 
+// QTableResidentBytes returns what the Q-table holds in memory: the page
+// tables and allocated pages of B and θ and B's stored entries. Past the
+// eager budget it follows what migrations have touched, not N·M.
+func (m *Megh) QTableResidentBytes() int {
+	return m.b.ResidentBytes() + m.theta.ResidentBytes()
+}
+
 // NNZHistory returns the per-step Q-table sizes recorded so far, oldest
 // first. Until the Config.NNZHistoryCap ring wraps this is the learner's
 // live slice (callers must copy anything they keep, as the experiments
@@ -447,7 +483,7 @@ func (m *Megh) recordNNZ(v int) {
 
 // Q returns the learned cost-to-go estimate θᵀφ_a for an action.
 func (m *Megh) Q(a mdp.Action) float64 {
-	return m.theta[a.Index(m.cfg.NumHosts)]
+	return m.theta.At(a.Index(m.cfg.NumHosts))
 }
 
 // Observe implements sim.FeedbackReceiver: it records the realised
@@ -517,8 +553,7 @@ func (m *Megh) Decide(s *sim.Snapshot) []sim.Migration {
 		start := time.Now()
 		defer func() {
 			m.metrics.decideSeconds.Observe(time.Since(start).Seconds())
-			m.metrics.qtableNNZ.Set(float64(m.b.NNZ()))
-			m.metrics.temperature.Set(m.temp)
+			m.metrics.publish(m)
 		}()
 	}
 	m.spans = nil
@@ -622,7 +657,7 @@ func (m *Megh) DecideAppend(dst []sim.Migration, s *sim.Snapshot) []sim.Migratio
 // queue on the DeferMaxAge cadence).
 func (m *Megh) update(a, b int, c float64) {
 	if m.cfg.DeferThreshold > 0 {
-		if math.Abs(m.theta[a]-m.cfg.Gamma*m.theta[b])+math.Abs(c) < m.cfg.DeferThreshold {
+		if math.Abs(m.theta.At(a)-m.cfg.Gamma*m.theta.At(b))+math.Abs(c) < m.cfg.DeferThreshold {
 			m.deferPush(a, b, c)
 			return
 		}
@@ -652,7 +687,7 @@ func (m *Megh) update(a, b int, c float64) {
 // stays in lockstep.
 func (m *Megh) applyUpdate(a, b, n int, c float64) {
 	scale := float64(n)
-	vTheta := scale * (m.theta[a] - m.cfg.Gamma*m.theta[b])
+	vTheta := scale * (m.theta.At(a) - m.cfg.Gamma*m.theta.At(b))
 	if _, err := m.b.ShermanMorrisonBasisScaled(a, b, m.cfg.Gamma, scale); err != nil {
 		if m.learnStats != nil {
 			m.learnStats.Skipped += int64(n)
@@ -682,34 +717,16 @@ func (m *Megh) applyUpdate(a, b, n int, c float64) {
 	if vTheta != 0 {
 		// θ needs (B·u)/den with B from *before* the rank-1 update; the
 		// kernel snapshotted exactly that column, already scaled. The
-		// subtraction routes through the scatter kernel with a negated
-		// scale: x += (−a)·v is bitwise x −= a·v, and (−d)² == d², pinned by
-		// sparse's TestScatterNegatedScaleMatchesSubtraction.
+		// subtraction is a scatter-add with a negated scale: x += (−a)·v is
+		// bitwise x −= a·v, and (−d)² == d², pinned by sparse's
+		// TestScatterNegatedScaleMatchesSubtraction.
 		idx, val := m.b.LastUpdateScaledCol()
-		if ls != nil {
-			dsq := sparse.ScatterAddScaledSq(m.theta, idx, val, -vTheta)
-			if isBad(dsq) {
-				ls.NonFinite++
-			} else {
-				ls.DriftSqSum += dsq
-			}
-		} else {
-			sparse.ScatterAddScaled(m.theta, idx, val, -vTheta)
-		}
+		ls.addDrift(m.theta.AddScaled(idx, val, -vTheta))
 	}
 	m.z.Add(a, c)
 	if c != 0 {
 		idx, val := m.b.LastUpdateNewCol()
-		if ls != nil {
-			dsq := sparse.ScatterAddScaledSq(m.theta, idx, val, c)
-			if isBad(dsq) {
-				ls.NonFinite++
-			} else {
-				ls.DriftSqSum += dsq
-			}
-		} else {
-			sparse.ScatterAddScaled(m.theta, idx, val, c)
-		}
+		ls.addDrift(m.theta.AddScaled(idx, val, c))
 	}
 	if m.updateHook != nil {
 		m.updateHook(a, b, n, m.cfg.Gamma, c, true)
@@ -906,7 +923,7 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 		}
 	}
 	if m.tracer != nil {
-		stayQ := m.theta[base+cur]
+		stayQ := m.theta.At(base + cur)
 		bestQ := minQ
 		if len(feasible) == 0 {
 			bestQ = stayQ
@@ -917,7 +934,7 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 			From:     cur,
 			Dest:     chosen,
 			Feasible: len(feasible),
-			QChosen:  m.theta[base+chosen],
+			QChosen:  m.theta.At(base + chosen),
 			QBest:    bestQ,
 			QStay:    stayQ,
 		})
@@ -959,7 +976,7 @@ func (m *Megh) DebugTriplets() []sparse.Triplet { return m.b.Triplets() }
 func (m *Megh) DebugB() [][]float64 { return m.b.Dense() }
 
 // DebugTheta exposes a sparse copy of θ for diagnostics.
-func (m *Megh) DebugTheta() *sparse.Vector { return sparse.VectorFromDense(m.theta) }
+func (m *Megh) DebugTheta() *sparse.Vector { return m.theta.Vector() }
 
 // DebugZ exposes a copy of the accumulated cost vector z for diagnostics
 // and the invariant probes (θ must equal B·z at all times).

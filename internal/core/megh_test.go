@@ -72,9 +72,9 @@ func TestUpdateMaintainsThetaInvariant(t *testing.T) {
 		m.update(a, b, c)
 		want := m.b.MulVec(m.z)
 		for i := 0; i < m.d; i++ {
-			if diff := math.Abs(m.theta[i] - want.Get(i)); diff > 1e-6 {
+			if diff := math.Abs(m.theta.At(i) - want.Get(i)); diff > 1e-6 {
 				t.Fatalf("step %d: θ[%d] = %g, B·z = %g (|Δ| = %g)",
-					step, i, m.theta[i], want.Get(i), diff)
+					step, i, m.theta.At(i), want.Get(i), diff)
 			}
 		}
 	}
@@ -110,8 +110,8 @@ func TestUpdateMatchesDenseLSTD(t *testing.T) {
 	}
 	wantTheta := inv.MulVec(zd)
 	for i := 0; i < d; i++ {
-		if diff := math.Abs(m.theta[i] - wantTheta[i]); diff > 1e-6 {
-			t.Fatalf("θ[%d] = %g, dense LSTD = %g", i, m.theta[i], wantTheta[i])
+		if diff := math.Abs(m.theta.At(i) - wantTheta[i]); diff > 1e-6 {
+			t.Fatalf("θ[%d] = %g, dense LSTD = %g", i, m.theta.At(i), wantTheta[i])
 		}
 		for j := 0; j < d; j++ {
 			if diff := math.Abs(m.b.Get(i, j) - inv.Get(i, j)); diff > 1e-6 {
@@ -134,7 +134,7 @@ func TestQuickThetaInvariant(t *testing.T) {
 		}
 		want := m.b.MulVec(m.z)
 		for i := 0; i < m.d; i++ {
-			if math.Abs(m.theta[i]-want.Get(i)) > 1e-6 {
+			if math.Abs(m.theta.At(i)-want.Get(i)) > 1e-6 {
 				return false
 			}
 		}
@@ -384,9 +384,9 @@ func TestSampleDestinationGreedyAtLowTemperature(t *testing.T) {
 	}
 	m.temp = 1e-9
 	// VM 0's row: host 0 cost 5, host 1 cost 1 (min), host 2 cost 9.
-	m.theta[mdp.Action{VM: 0, Host: 0}.Index(3)] = 5
-	m.theta[mdp.Action{VM: 0, Host: 1}.Index(3)] = 1
-	m.theta[mdp.Action{VM: 0, Host: 2}.Index(3)] = 9
+	m.theta.Set(mdp.Action{VM: 0, Host: 0}.Index(3), 5)
+	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), 1)
+	m.theta.Set(mdp.Action{VM: 0, Host: 2}.Index(3), 9)
 	snap := tinySnapshot(t, 2, 3)
 	m.refreshHostAggregates(snap)
 	for trial := 0; trial < 20; trial++ {
@@ -403,7 +403,7 @@ func TestSampleDestinationExploresAtHighTemperature(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.temp = 1e6
-	m.theta[mdp.Action{VM: 0, Host: 1}.Index(3)] = 50
+	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), 50)
 	snap := tinySnapshot(t, 2, 3)
 	seen := make(map[int]bool)
 	m.refreshHostAggregates(snap)
@@ -518,9 +518,9 @@ func TestSampleDestinationAvoidsFailedHost(t *testing.T) {
 	}
 	m.temp = 1e-9 // exploitation limit: always take the min-Q destination
 	// VM 0 lives on host 0; host 1 (failed) gets the lowest cost.
-	m.theta[mdp.Action{VM: 0, Host: 0}.Index(3)] = 5
-	m.theta[mdp.Action{VM: 0, Host: 1}.Index(3)] = -10
-	m.theta[mdp.Action{VM: 0, Host: 2}.Index(3)] = 1
+	m.theta.Set(mdp.Action{VM: 0, Host: 0}.Index(3), 5)
+	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), -10)
+	m.theta.Set(mdp.Action{VM: 0, Host: 2}.Index(3), 1)
 	snap := tinySnapshot(t, 2, 3)
 	snap.HostFailed = []bool{false, true, false}
 	m.refreshHostAggregates(snap)
@@ -623,8 +623,9 @@ func TestCostShareLegacyPendingFallsBack(t *testing.T) {
 }
 
 // TestInstrumentMirrorsLearnerInternals checks the obs wiring: after a
-// Decide, the gauges track NNZ and temperature and the decide histogram has
-// one observation; after a rejection-bearing Observe the counter moves.
+// Decide, the gauges track NNZ, resident bytes and temperature and the decide
+// histogram has one observation; after a rejection-bearing Observe the
+// counter moves.
 func TestInstrumentMirrorsLearnerInternals(t *testing.T) {
 	m, err := New(DefaultConfig(2, 2, 1))
 	if err != nil {
@@ -642,6 +643,9 @@ func TestInstrumentMirrorsLearnerInternals(t *testing.T) {
 	}
 	if got := reg.Gauge("megh_qtable_nnz", "", nil).Value(); got != float64(m.QTableNNZ()) {
 		t.Fatalf("nnz gauge = %g, want %d", got, m.QTableNNZ())
+	}
+	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= 0 || got != float64(m.QTableResidentBytes()) {
+		t.Fatalf("resident-bytes gauge = %g, want %d", got, m.QTableResidentBytes())
 	}
 	m.pending = []int{mdp.Action{VM: 1, Host: 0}.Index(2)}
 	m.Observe(&sim.Feedback{StepCost: 1, Rejected: []sim.Migration{{VM: 1, Dest: 0}}})

@@ -67,7 +67,7 @@ func (m *Megh) SaveState(w io.Writer) error {
 		Temp:         m.temp,
 		B:            m.b.State(),
 		Z:            m.z.State(),
-		Theta:        sparse.VectorFromDense(m.theta).State(),
+		Theta:        m.theta.Vector().State(),
 		Pending:      append([]int(nil), m.pending...),
 		PendingTotal: m.pendingTotal,
 		StepCost:     m.stepCost,
@@ -218,7 +218,7 @@ func (st *persistedState) build() (*Megh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring θ: %w", err)
 	}
-	m := assemble(st.Config, b, z, theta.Dense())
+	m := assemble(st.Config, b, z, theta.Paged())
 	m.temp = st.Temp
 	m.pending = st.Pending
 	m.pendingTotal = st.PendingTotal

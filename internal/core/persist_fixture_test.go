@@ -113,9 +113,9 @@ func assertSavesStablyAsPacked(t *testing.T, m *Megh) {
 	if !reflect.DeepEqual(m.b.Dense(), m2.b.Dense()) {
 		t.Fatal("B changed across round-trip")
 	}
-	for i := range m.theta {
-		if m.theta[i] != m2.theta[i] {
-			t.Fatalf("θ[%d] changed across round-trip: %v vs %v", i, m.theta[i], m2.theta[i])
+	for i := 0; i < m.d; i++ {
+		if m.theta.At(i) != m2.theta.At(i) {
+			t.Fatalf("θ[%d] changed across round-trip: %v vs %v", i, m.theta.At(i), m2.theta.At(i))
 		}
 	}
 }

@@ -62,7 +62,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// θ must be identical entry-wise.
 	for i := 0; i < m.d; i++ {
-		if back.theta[i] != m.theta[i] {
+		if back.theta.At(i) != m.theta.At(i) {
 			t.Fatalf("θ[%d] differs after round-trip", i)
 		}
 	}
@@ -219,7 +219,8 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 		"version too new":    {func(st *persistedState) { st.Version = 3 }, "version 3"},
 		"version too old":    {func(st *persistedState) { st.Version = 0 }, "version 0"},
 		"bad config":         {func(st *persistedState) { st.Config.Gamma = 1 }, "restoring learner: core: Gamma"},
-		"overflowing config": {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 1<<40, 1<<40 }, "overflow"},
+		"overflowing config": {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 1<<40, 1<<40 }, "on one axis"},
+		"oversize config":    {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 100000, 100000 }, "exceed the ceiling"},
 		"bad temperature":    {func(st *persistedState) { st.Temp = 0 }, "temperature"},
 		"bad rng":            {func(st *persistedState) { st.RngState = st.RngState[:1] }, "RNG state has 1 words"},
 		"B repeated column":  {func(st *persistedState) { st.B.PackedCols[1] = 0 }, "restoring B: sparse: matrix PackedCols repeats"},
@@ -262,9 +263,12 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 	}
 }
 
-// VerifyState's cost follows the image, not the world the image declares:
-// the checkpoint of a fresh 10 000 × 1 000 learner is under 2 KB, and
-// verifying it must not allocate the d = 10⁷ tables a restore would.
+// Cost follows contents, not the declared world. Verifying the checkpoint of
+// a fresh 10 000 × 1 000 learner (under 2 KB) must not allocate anything
+// sized by d = 10⁷; building that learner, and restoring it a simulated day
+// old (398 transitions, ≈20 KB on disk), must each stay under one bound of
+// tens of MiB — its dense tables were 810 MB — and the bound must still hold
+// when the declared world is ten times larger.
 func TestVerifyStateCostFollowsTheImage(t *testing.T) {
 	m, err := New(DefaultConfig(2, 2, 1))
 	if err != nil {
@@ -282,15 +286,56 @@ func TestVerifyStateCostFollowsTheImage(t *testing.T) {
 	var img bytes.Buffer
 	encodeTestState(t, &img, st)
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := VerifyState(bytes.NewReader(img.Bytes())); err != nil {
-		t.Fatalf("image of a fresh 10 000 × 1 000 learner refused: %v", err)
-	}
-	runtime.ReadMemStats(&after)
+	got := allocatedBy(func() {
+		if err := VerifyState(bytes.NewReader(img.Bytes())); err != nil {
+			t.Fatalf("image of a fresh 10 000 × 1 000 learner refused: %v", err)
+		}
+	})
 	// gob's own decoder set-up is some tens of KB; one d-sized table of
 	// anything would be 10 MB or more.
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+	if got > 1<<20 {
 		t.Fatalf("verifying a %d-byte image allocated %d bytes", img.Len(), got)
 	}
+
+	// The build half. A day at 10 000 hosts leaves ≈400 touched rows and as
+	// many touched columns of B (a 2.3 KB page each) and a 256-byte θ page
+	// or two per touched action: a few MB, on top of two page tables of d/4
+	// bytes each.
+	const bound = 64 << 20
+	for _, w := range []struct{ nVMs, nHosts int }{{1000, 10000}, {10000, 10000}} {
+		cfg := DefaultConfig(w.nVMs, w.nHosts, 3)
+		var big *Megh
+		if got := allocatedBy(func() { big, err = New(cfg) }); err != nil || got > bound {
+			t.Fatalf("New at %d × %d: %d bytes allocated, err %v", w.nHosts, w.nVMs, got, err)
+		}
+		ageOneDay(big)
+		var day bytes.Buffer
+		if err := big.SaveState(&day); err != nil {
+			t.Fatal(err)
+		}
+		if day.Len() > 64<<10 {
+			t.Fatalf("day-old image of %d × %d is %d bytes", w.nHosts, w.nVMs, day.Len())
+		}
+		var back *Megh
+		got := allocatedBy(func() { back, err = LoadState(bytes.NewReader(day.Bytes())) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > bound || back.QTableResidentBytes() > bound {
+			t.Fatalf("restoring a %d-byte image of %d × %d allocated %d bytes (%d resident), bound %d",
+				day.Len(), w.nHosts, w.nVMs, got, back.QTableResidentBytes(), bound)
+		}
+		if back.QTableNNZ() != big.QTableNNZ() {
+			t.Fatalf("restored learner holds %d entries, the saved one %d", back.QTableNNZ(), big.QTableNNZ())
+		}
+	}
+}
+
+// allocatedBy reports the bytes the whole process allocated while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

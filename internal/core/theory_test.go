@@ -23,12 +23,12 @@ func TestLSPIFixedPointRecurringAction(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		m.update(a, a, c)
 	}
-	if got := m.theta[a]; math.Abs(got-want) > 0.01*want {
+	if got := m.theta.At(a); math.Abs(got-want) > 0.01*want {
 		t.Fatalf("θ_a = %g after 20k recurrences, want → %g = c/(1−γ)", got, want)
 	}
 	// Untouched actions stay at zero.
 	for _, other := range []int{0, 2, 3} {
-		if got := m.theta[other]; got != 0 {
+		if got := m.theta.At(other); got != 0 {
 			t.Fatalf("θ[%d] = %g, want 0 (never visited)", other, got)
 		}
 	}
@@ -56,10 +56,10 @@ func TestLSPIFixedPointTwoActionCycle(t *testing.T) {
 		m.update(a, b, ca)
 		m.update(b, a, cb)
 	}
-	if got := m.theta[a]; math.Abs(got-wantA) > 0.01*wantA {
+	if got := m.theta.At(a); math.Abs(got-wantA) > 0.01*wantA {
 		t.Fatalf("θ_a = %g, want → %g", got, wantA)
 	}
-	if got := m.theta[b]; math.Abs(got-wantB) > 0.01*wantB {
+	if got := m.theta.At(b); math.Abs(got-wantB) > 0.01*wantB {
 		t.Fatalf("θ_b = %g, want → %g", got, wantB)
 	}
 }
@@ -78,7 +78,7 @@ func TestLSPIDiscountZeroIsMyopic(t *testing.T) {
 		m.update(2, 2, 0.4)
 		m.update(2, 2, 0.8)
 	}
-	if got := m.theta[2]; math.Abs(got-0.6) > 0.01 {
+	if got := m.theta.At(2); math.Abs(got-0.6) > 0.01 {
 		t.Fatalf("θ = %g with γ = 0, want the average cost 0.6", got)
 	}
 }
@@ -96,8 +96,8 @@ func TestLSPIValuesOrderActions(t *testing.T) {
 		m.update(cheap, cheap, 0.1)
 		m.update(dear, dear, 0.9)
 	}
-	if !(m.theta[cheap] < m.theta[dear]) {
+	if !(m.theta.At(cheap) < m.theta.At(dear)) {
 		t.Fatalf("θ_cheap = %g not below θ_dear = %g",
-			m.theta[cheap], m.theta[dear])
+			m.theta.At(cheap), m.theta.At(dear))
 	}
 }

@@ -212,8 +212,10 @@ type Tracker struct {
 	// the shadow age together).
 	shadowArmed bool
 	shadow      map[int]map[int]float64
-	scratch     []float64
-	touched     []int
+	// slot and acc are the inverse probe's scratch: one accumulator per
+	// column the sampled row's terms reach, found through slot.
+	slot map[int]int
+	acc  []float64
 
 	last      core.LearnStats
 	decides   int64

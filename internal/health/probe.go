@@ -38,8 +38,8 @@ func (t *Tracker) runProbe() {
 		InverseAvailable: t.shadowArmed,
 	}
 	delta := float64(t.dim) // B₀ = (1/δ)·I with δ = d, so T₀ = δ·I
-	if t.shadowArmed && t.scratch == nil {
-		t.scratch = make([]float64, t.dim)
+	if t.shadowArmed && t.slot == nil {
+		t.slot = make(map[int]int)
 	}
 	for r := 0; r < rows; r++ {
 		i := t.nextRow()
@@ -49,35 +49,39 @@ func (t *Tracker) runProbe() {
 		if !t.shadowArmed {
 			continue
 		}
+		// Row i of B·T − I, accumulated per column in the order the terms
+		// arrive; only the columns some term reaches are held.
 		row := t.m.DebugBRow(i)
-		t.touched = t.touched[:0]
+		clear(t.slot)
+		t.acc = t.acc[:0]
 		row.Range(func(k int, bik float64) bool {
 			// δ·B[i,k] term of B·T.
-			if t.scratch[k] == 0 {
-				t.touched = append(t.touched, k)
-			}
-			t.scratch[k] += delta * bik
+			*t.cell(k) += delta * bik
 			// B[i,k] · D[k,·] terms.
 			for j, dkj := range t.shadow[k] {
-				if t.scratch[j] == 0 {
-					t.touched = append(t.touched, j)
-				}
-				t.scratch[j] += bik * dkj
+				*t.cell(j) += bik * dkj
 			}
 			return true
 		})
-		if t.scratch[i] == 0 {
-			t.touched = append(t.touched, i)
-		}
-		t.scratch[i] -= 1
-		for _, j := range t.touched {
-			if v := math.Abs(t.scratch[j]); v > p.InverseResidualMax || isNaN(v) {
+		*t.cell(i) -= 1
+		for _, x := range t.acc {
+			if v := math.Abs(x); v > p.InverseResidualMax || isNaN(v) {
 				p.InverseResidualMax = maxNaN(p.InverseResidualMax, v)
 			}
-			t.scratch[j] = 0
 		}
 	}
 	t.probe = p
+}
+
+// cell returns the probe accumulator of column j, starting it at zero.
+func (t *Tracker) cell(j int) *float64 {
+	p, ok := t.slot[j]
+	if !ok {
+		p = len(t.acc)
+		t.slot[j] = p
+		t.acc = append(t.acc, 0)
+	}
+	return &t.acc[p]
 }
 
 func isNaN(v float64) bool { return v != v }

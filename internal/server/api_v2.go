@@ -1,6 +1,10 @@
 package server
 
-import "fmt"
+import (
+	"fmt"
+
+	"megh/internal/core"
+)
 
 // SessionSpec sizes one tenant's data center — one independent MDP
 // instance. Zero OverloadThreshold/StepSeconds inherit the service
@@ -36,7 +40,9 @@ func (sp SessionSpec) validate() error {
 	if sp.StepSeconds < 0 {
 		return fmt.Errorf("session step seconds %g negative", sp.StepSeconds)
 	}
-	return nil
+	// The learner's own limits — the world-size ceilings above all — refuse
+	// the spec here, before anything is sized by it.
+	return core.DefaultConfig(sp.NumVMs, sp.NumHosts, sp.Seed).Validate()
 }
 
 // maxSnapshotBytes bounds one snapshot's JSON body for a session of this

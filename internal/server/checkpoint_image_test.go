@@ -273,16 +273,19 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 		t.Fatalf("warm-up PUT: HTTP %d: %s", status, body)
 	}
 
-	// A valid image of a fresh learner for a 10⁵ × 10⁵ world: restoring it
-	// would take tables of d = 10¹⁰ entries; storing it must not.
-	huge := doctoredImage(t, func(im *imageMirror) {
-		const n = 100000
-		im.Config.NumVMs, im.Config.NumHosts = n, n
-		im.B = sparse.MatrixState{Dim: n * n, Diag: im.B.Diag, DropTol: im.B.DropTol}
-		im.Z = sparse.VectorState{Dim: n * n}
-		im.Theta = sparse.VectorState{Dim: n * n}
-		im.Pending, im.PendingTotal, im.NNZHistory = nil, 0, nil
-	})
+	// A valid image of a fresh learner for the largest world the learner
+	// accepts (2²⁰ VMs × 128 hosts, d = 2²⁷): restoring it would take
+	// 64 MiB of page tables; storing it must not.
+	fresh := func(nVMs, nHosts int) []byte {
+		return doctoredImage(t, func(im *imageMirror) {
+			im.Config.NumVMs, im.Config.NumHosts = nVMs, nHosts
+			im.B = sparse.MatrixState{Dim: nVMs * nHosts, Diag: im.B.Diag, DropTol: im.B.DropTol}
+			im.Z = sparse.VectorState{Dim: nVMs * nHosts}
+			im.Theta = sparse.VectorState{Dim: nVMs * nHosts}
+			im.Pending, im.PendingTotal, im.NNZHistory = nil, 0, nil
+		})
+	}
+	huge := fresh(1<<20, 128)
 	var status int
 	var body string
 	got := allocatedBy(func() { status, body = putReplicaRaw(t, tc.urls["a"], "huge", huge) })
@@ -290,9 +293,24 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 		t.Fatalf("image of a fresh huge learner: HTTP %d: %s", status, body)
 	}
 	// Client, transport, handler, gob set-up and the file write together
-	// stay within a few hundred KB; one d-sized table would be 80 GB.
+	// stay within a few hundred KB; one page table alone would be 32 MiB.
 	if limit := uint64(1<<20 + 8*len(huge)); got > limit {
 		t.Fatalf("a %d-byte image made the process allocate %d bytes (limit %d)", len(huge), got, limit)
+	}
+
+	// The same image declaring a 10⁵ × 10⁵ world — d = 10¹⁰, past the
+	// learner's ceiling — is refused as cheaply, and nothing lands: promoting
+	// it would have asked for an 80 GB θ.
+	hostile := fresh(100000, 100000)
+	got = allocatedBy(func() { status, body = putReplicaRaw(t, tc.urls["a"], "hostile", hostile) })
+	if status != http.StatusBadRequest || !strings.Contains(body, "exceed the ceiling") {
+		t.Fatalf("image of a 10⁵ × 10⁵ learner: HTTP %d: %s", status, body)
+	}
+	if limit := uint64(1<<20 + 8*len(hostile)); got > limit {
+		t.Fatalf("refusing a %d-byte image made the process allocate %d bytes (limit %d)", len(hostile), got, limit)
+	}
+	if _, err := os.Stat(tc.svcs["a"].cluster.replicaPath("hostile")); !os.IsNotExist(err) {
+		t.Fatal("an image past the world-size ceiling landed in the replica store")
 	}
 
 	// A header declaring maxReplicaBytes in front of 1 KB of body.
@@ -317,6 +335,62 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	// A header declaring more than the cap is refused outright.
 	if reply := rawReplicaPut(t, u.Host, "big", maxReplicaBytes+1, 16); !bytes.HasPrefix(reply, []byte("HTTP/1.1 413")) {
 		t.Fatalf("oversize declaration answered %q, want 413", firstLine(reply))
+	}
+}
+
+// TestSessionPutHostileSizes: a session PUT is sixty bytes that size every
+// table of a learner. A world past the learner's ceilings is answered 400
+// before anything is sized by it; the largest grid in use costs what an
+// empty learner holds, not N·M.
+func TestSessionPutHostileSizes(t *testing.T) {
+	svc, ts := newSessionService(t, 0)
+	put := func(id, spec string) (int, string) {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v2/sessions/"+id, strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if status, body := put("warm", `{"num_vms":4,"num_hosts":3}`); status != http.StatusCreated {
+		t.Fatalf("warm-up PUT: HTTP %d: %s", status, body)
+	}
+
+	for name, spec := range map[string]string{
+		"product": `{"num_vms":100000,"num_hosts":100000}`, // 480 GB of tables at the parent commit
+		"vms":     `{"num_vms":134217728,"num_hosts":1}`,   // under the product ceiling, 6 GB of per-VM scratch
+		"hosts":   `{"num_vms":1,"num_hosts":134217728}`,
+		"int":     `{"num_vms":4611686018427387904,"num_hosts":4}`,
+	} {
+		var status int
+		var body string
+		got := allocatedBy(func() { status, body = put("hostile-"+name, spec) })
+		if status != http.StatusBadRequest || !strings.Contains(body, "exceed") {
+			t.Fatalf("%s: HTTP %d: %s", name, status, body)
+		}
+		if got > 1<<20 {
+			t.Fatalf("%s: refusing %s made the process allocate %d bytes", name, spec, got)
+		}
+		if _, err := svc.mgr.get("hostile-" + name); err == nil {
+			t.Fatalf("%s: the refused session is defined", name)
+		}
+	}
+
+	var status int
+	var body string
+	got := allocatedBy(func() { status, body = put("grid", `{"num_vms":1000,"num_hosts":10000}`) })
+	if status != http.StatusCreated {
+		t.Fatalf("10 000 × 1 000 session: HTTP %d: %s", status, body)
+	}
+	// Two page tables of 2.4 MiB, per-host scratch 0.7 MiB, the session's
+	// trace ring and registry; the dense tables were 810 MB.
+	if got > 8<<20 {
+		t.Fatalf("creating a 10 000 × 1 000 session allocated %d bytes", got)
 	}
 }
 

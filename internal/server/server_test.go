@@ -405,6 +405,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE megh_decide_seconds histogram",
 		"megh_decide_seconds_count 1",
 		"# TYPE megh_qtable_nnz gauge",
+		"# TYPE megh_qtable_resident_bytes gauge",
 		"# TYPE megh_temperature gauge",
 		"megh_http_in_flight",
 	} {

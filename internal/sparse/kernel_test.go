@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,52 +15,58 @@ import (
 // and the incremental NNZ counter matches a full count.
 func checkMatrixInvariants(t *testing.T, m *Matrix) {
 	t.Helper()
-	counted := 0
-	for i := range m.rows {
-		r := &m.rows[i]
-		if len(r.idx) != len(r.val) {
-			t.Fatalf("row %d: %d indices vs %d values", i, len(r.idx), len(r.val))
+	counted, colCount, resident := 0, 0, 0
+	m.pages.each(func(p int, pg *page) {
+		resident++
+		for k := range pg.recs {
+			i := p<<pageShift + k
+			r := &pg.recs[k].row
+			if len(r.idx) != len(r.val) {
+				t.Fatalf("row %d: %d indices vs %d values", i, len(r.idx), len(r.val))
+			}
+			for q, j := range r.idx {
+				if q > 0 && r.idx[q-1] >= j {
+					t.Fatalf("row %d not strictly sorted at %d", i, q)
+				}
+				if r.val[q] == 0 {
+					t.Fatalf("row %d stores exact zero at col %d", i, j)
+				}
+				if !slices.Contains(m.peek(j).col, i) {
+					t.Fatalf("entry (%d,%d) missing from column index", i, j)
+				}
+				counted++
+			}
+			// Here i is a column: its member rows must hold the entry.
+			for q, row := range pg.recs[k].col {
+				if q > 0 && pg.recs[k].col[q-1] >= row {
+					t.Fatalf("col %d not strictly sorted at %d", i, q)
+				}
+				if _, ok := m.peek(row).row.find(i); !ok {
+					t.Fatalf("column index lists (%d,%d) but the row has no entry", row, i)
+				}
+				colCount++
+			}
+			if i >= m.dim && (len(r.idx) > 0 || len(pg.recs[k].col) > 0 || pg.overridden(k)) {
+				t.Fatalf("record %d past the dimension %d holds data", i, m.dim)
+			}
 		}
-		for p, j := range r.idx {
-			if p > 0 && r.idx[p-1] >= j {
-				t.Fatalf("row %d not strictly sorted at %d", i, p)
-			}
-			if r.val[p] == 0 {
-				t.Fatalf("row %d stores exact zero at col %d", i, j)
-			}
-			c := m.cols[j]
-			pos := 0
-			for pos < len(c) && c[pos] != i {
-				pos++
-			}
-			if pos == len(c) {
-				t.Fatalf("entry (%d,%d) missing from column index", i, j)
-			}
-			counted++
-		}
-	}
-	colCount := 0
-	for j := range m.cols {
-		for p, i := range m.cols[j] {
-			if p > 0 && m.cols[j][p-1] >= i {
-				t.Fatalf("col %d not strictly sorted at %d", j, p)
-			}
-			if _, ok := m.rows[i].find(j); !ok {
-				t.Fatalf("column index lists (%d,%d) but the row has no entry", i, j)
-			}
-			colCount++
-		}
-	}
+	})
 	if counted != m.nnz || colCount != m.nnz {
 		t.Fatalf("NNZ counter %d, rows hold %d, columns hold %d", m.nnz, counted, colCount)
+	}
+	if resident != m.pages.used {
+		t.Fatalf("page table handed out %d pages, %d are reachable", m.pages.used, resident)
+	}
+	if emptyRecord.row.idx != nil || emptyRecord.row.val != nil || emptyRecord.col != nil {
+		t.Fatal("the shared empty record was written")
 	}
 }
 
 // randomSeedMatrix materialises a handful of random entries — including
 // diagonals overridden to zero and to fresh values — so update sequences
 // start from every storage state the learner can produce.
-func randomSeedMatrix(r *rand.Rand, dim int, diag, tol float64) *Matrix {
-	m := NewMatrix(dim, diag)
+func randomSeedMatrix(r *rand.Rand, dim int, diag, tol float64, eager bool) *Matrix {
+	m := newMatrix(dim, diag, eager)
 	m.SetDropTolerance(tol)
 	for k := 0; k < dim; k++ {
 		switch r.Intn(5) {
@@ -86,8 +93,8 @@ func TestShermanMorrisonBasisMatchesGenericBitwise(t *testing.T) {
 	const gamma = 0.9
 	for _, tol := range []float64{0, 1e-7} {
 		r := rand.New(rand.NewSource(7))
-		mk := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol)
-		mg := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol)
+		mk := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol, false)
+		mg := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol, true)
 		for it := 0; it < 300; it++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			if it%17 == 0 {
@@ -169,8 +176,8 @@ func TestQuickShermanMorrisonBasisMatchesGeneric(t *testing.T) {
 		if r.Intn(2) == 0 {
 			tol = math.Pow(10, -3-float64(r.Intn(6)))
 		}
-		mk := randomSeedMatrix(rand.New(rand.NewSource(seed+1)), dim, 1.0/float64(dim), tol)
-		mg := randomSeedMatrix(rand.New(rand.NewSource(seed+1)), dim, 1.0/float64(dim), tol)
+		mk := randomSeedMatrix(rand.New(rand.NewSource(seed+1)), dim, 1.0/float64(dim), tol, false)
+		mg := randomSeedMatrix(rand.New(rand.NewSource(seed+1)), dim, 1.0/float64(dim), tol, true)
 		for it := 0; it < 40; it++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			u := Basis(dim, a)
@@ -201,7 +208,7 @@ func TestQuickShermanMorrisonBasisMatchesGeneric(t *testing.T) {
 // the learner continues scheduling with the untouched operator.
 func TestShermanMorrisonBasisSingularRollback(t *testing.T) {
 	const dim = 6
-	m := randomSeedMatrix(rand.New(rand.NewSource(9)), dim, 1, 0)
+	m := randomSeedMatrix(rand.New(rand.NewSource(9)), dim, 1, 0, false)
 	// Engineer den = 1 + vm[a] = 0 for a ≠ b: with row a = −e_a and
 	// row b zeroed at column a, vm[a] = B[a,a] = −1.
 	a, b := 2, 4
@@ -238,7 +245,7 @@ func TestShermanMorrisonBasisColumnSnapshots(t *testing.T) {
 	const gamma = 0.5
 	for _, tol := range []float64{0, 1e-6} {
 		r := rand.New(rand.NewSource(31))
-		m := randomSeedMatrix(rand.New(rand.NewSource(17)), dim, 1.0/dim, tol)
+		m := randomSeedMatrix(rand.New(rand.NewSource(17)), dim, 1.0/dim, tol, false)
 		for it := 0; it < 120; it++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			var beforeIdx []int

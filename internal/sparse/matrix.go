@@ -48,10 +48,13 @@ func (l *span) push(i int, x float64) {
 // fresh Matrix of dimension d with initial diagonal value c behaves exactly
 // like c·I, but stores nothing until entries are written.
 //
-// Values live in the rows only; cols[j] lists (sorted) which rows have a
-// materialised entry in column j. A rank-1 update therefore rewrites each
-// touched row in place and adjusts the column index only for the few entries
-// that materialise or vanish, instead of mirroring every value write.
+// Values live in the rows only; column j's member list names (sorted) the
+// rows that have a materialised entry in column j. A rank-1 update therefore
+// rewrites each touched row in place and adjusts the column index only for
+// the few entries that materialise or vanish, instead of mirroring every
+// value write. Rows, member lists and diagonal flags sit in a page table
+// whose pages appear on first write, so the matrix costs what it stores, not
+// what it spans.
 //
 // This mirrors the B = (1/δ)·I initialisation of Megh (Algorithm 1, line 2):
 // the matrix starts as a huge scaled identity of which only the entries
@@ -73,13 +76,10 @@ type Matrix struct {
 	// paper reports in Figure 7.
 	dropTol float64
 
-	rows []span
-	cols [][]int
-	// diagSet[i] marks rows whose implicit diagonal has been materialised
-	// (even if it was materialised to the same value, or to zero — which
-	// stores nothing but still overrides the implicit entry). A row i with
-	// diagSet[i] == false still has the implicit entry (i,i) = diag.
-	diagSet []bool
+	// pages holds one record per index — row i's entries, column i's
+	// member rows, row i's diagonal flag — in fixed-size pages; an unwritten
+	// page reads as "empty row, empty column, implicit diagonal". See page.
+	pages pageTable[page]
 	// nnz counts materialised entries incrementally so NNZ() is O(1); it
 	// is read on every Megh.Decide (nnzHistory, metrics, trace).
 	nnz int
@@ -101,18 +101,75 @@ type Matrix struct {
 // ij addresses one matrix cell.
 type ij struct{ i, j int }
 
+// record is what the matrix stores about one index i: row i's entries, and
+// the sorted rows that have a materialised entry in column i.
+type record struct {
+	row span
+	col []int
+}
+
+// page is pageSize consecutive records. Bit k of diag marks row base+k as
+// having its implicit diagonal materialised (even if to the same value, or
+// to zero — which stores nothing but still overrides the implicit entry);
+// a row whose bit is clear still has the implicit entry (i,i) = diag.
+type page struct {
+	recs [pageSize]record
+	diag uint64
+}
+
+const _ = uint(64 - pageSize) // diag has a bit per record
+
+// overridden reports whether the page's k-th row has its diagonal bit set.
+func (pg *page) overridden(k int) bool { return pg.diag>>uint(k)&1 != 0 }
+
+// emptyRecord is what every index of an unwritten page reads as. It is
+// never written: writers go through touch.
+var emptyRecord record
+
 // NewMatrix returns a d × d matrix equal to diag·I, storing nothing yet.
 func NewMatrix(dim int, diag float64) *Matrix {
+	return newMatrix(dim, diag, dim <= eagerIndices)
+}
+
+// newMatrix is NewMatrix with the page policy explicit: eager carves every
+// page from one allocation now, otherwise pages appear on first write.
+func newMatrix(dim int, diag float64, eager bool) *Matrix {
 	if dim < 0 {
 		panic(fmt.Sprintf("sparse: negative matrix dimension %d", dim))
 	}
-	return &Matrix{
-		dim:     dim,
-		diag:    diag,
-		rows:    make([]span, dim),
-		cols:    make([][]int, dim),
-		diagSet: make([]bool, dim),
+	return &Matrix{dim: dim, diag: diag, pages: newPageTable[page]((dim+pageMask)>>pageShift, eager)}
+}
+
+// peek returns index i's record for reading.
+func (m *Matrix) peek(i int) *record {
+	if pg := m.pages.peek(i >> pageShift); pg != nil {
+		return &pg.recs[i&pageMask]
 	}
+	return &emptyRecord
+}
+
+// touch returns index i's record for writing, allocating its page on first
+// use.
+func (m *Matrix) touch(i int) *record {
+	return &m.pages.touch(i >> pageShift).recs[i&pageMask]
+}
+
+// diagSet reports whether row i's implicit diagonal has been overridden.
+func (m *Matrix) diagSet(i int) bool {
+	pg := m.pages.peek(i >> pageShift)
+	return pg != nil && pg.overridden(i&pageMask)
+}
+
+// setDiag marks row i's implicit diagonal as overridden.
+func (m *Matrix) setDiag(i int) {
+	m.pages.touch(i >> pageShift).diag |= 1 << (uint(i) & pageMask)
+}
+
+// ResidentBytes is what the matrix holds in memory: the page table, the
+// pages allocated so far and three words per stored entry (its column
+// index, its value, its slot in the column's member list).
+func (m *Matrix) ResidentBytes() int {
+	return m.pages.residentBytes() + 24*m.nnz
 }
 
 // Dim returns the matrix dimension.
@@ -127,10 +184,11 @@ func (m *Matrix) NNZ() int { return m.nnz }
 // Get returns entry (i,j), including the implicit diagonal.
 func (m *Matrix) Get(i, j int) float64 {
 	m.check(i, j)
-	if p, ok := m.rows[i].find(j); ok {
-		return m.rows[i].val[p]
+	r := &m.peek(i).row
+	if p, ok := r.find(j); ok {
+		return r.val[p]
 	}
-	if i == j && !m.diagSet[i] {
+	if i == j && !m.diagSet(i) {
 		return m.diag
 	}
 	return 0
@@ -147,19 +205,20 @@ func (m *Matrix) SetDropTolerance(tol float64) {
 
 // colInsert records row i as a member of column j.
 func (m *Matrix) colInsert(j, i int) {
-	c := m.cols[j]
+	r := m.touch(j)
+	c := r.col
 	p := sort.SearchInts(c, i)
 	c = append(c, 0)
 	copy(c[p+1:], c[p:])
 	c[p] = i
-	m.cols[j] = c
+	r.col = c
 }
 
 // colRemove drops row i from column j's membership.
 func (m *Matrix) colRemove(j, i int) {
-	c := m.cols[j]
-	p := sort.SearchInts(c, i)
-	m.cols[j] = append(c[:p], c[p+1:]...)
+	r := m.touch(j)
+	p := sort.SearchInts(r.col, i)
+	r.col = append(r.col[:p], r.col[p+1:]...)
 }
 
 // Set assigns entry (i,j). Setting an off-diagonal entry to zero (or below
@@ -168,12 +227,13 @@ func (m *Matrix) colRemove(j, i int) {
 func (m *Matrix) Set(i, j int, x float64) {
 	m.check(i, j)
 	if i == j {
-		m.diagSet[i] = true
+		m.setDiag(i)
 	}
 	if x < m.dropTol && x > -m.dropTol {
 		x = 0
 	}
-	r := &m.rows[i]
+	// A found entry means the page exists, so the peeked row is the row.
+	r := &m.peek(i).row
 	p, ok := r.find(j)
 	if x == 0 {
 		if ok {
@@ -187,7 +247,7 @@ func (m *Matrix) Set(i, j int, x float64) {
 		r.val[p] = x
 		return
 	}
-	r.insertAt(p, j, x)
+	m.touch(i).row.insertAt(p, j, x)
 	m.colInsert(j, i)
 	m.nnz++
 }
@@ -218,8 +278,8 @@ func (m *Matrix) Col(j int) *Vector {
 // appendRow appends row i's entries — ascending column order, implicit
 // diagonal spliced in when still in effect — onto idx/val.
 func (m *Matrix) appendRow(i int, idx []int, val []float64) ([]int, []float64) {
-	r := &m.rows[i]
-	if m.diagSet[i] {
+	r := &m.peek(i).row
+	if m.diagSet(i) {
 		return append(idx, r.idx...), append(val, r.val...)
 	}
 	p := sort.SearchInts(r.idx, i)
@@ -240,14 +300,20 @@ func (m *Matrix) appendRow(i int, idx []int, val []float64) ([]int, []float64) {
 // a Vector (the Megh θ-update path does this twice per transition).
 func (m *Matrix) AppendCol(j int, idx []int, val []float64) ([]int, []float64) {
 	m.check(0, j)
-	implicit := !m.diagSet[j]
-	for _, i := range m.cols[j] {
+	implicit := !m.diagSet(j)
+	// The member rows ascend, so each page is looked up once per run of
+	// rows on it; a member row holds an entry, so its page exists.
+	cur, pg := -1, (*page)(nil)
+	for _, i := range m.peek(j).col {
 		if implicit && i > j {
 			idx = append(idx, j)
 			val = append(val, m.diag)
 			implicit = false
 		}
-		r := &m.rows[i]
+		if p := i >> pageShift; p != cur {
+			cur, pg = p, m.pages.peek(p)
+		}
+		r := &pg.recs[i&pageMask].row
 		p, _ := r.find(j)
 		idx = append(idx, i)
 		val = append(val, r.val[p])
@@ -268,12 +334,12 @@ func (m *Matrix) MulVec(x *Vector) *Vector {
 	}
 	out := NewVector(m.dim)
 	x.Range(func(j int, xj float64) bool {
-		for _, i := range m.cols[j] {
-			r := &m.rows[i]
+		for _, i := range m.peek(j).col {
+			r := &m.peek(i).row
 			p, _ := r.find(j)
 			out.Add(i, r.val[p]*xj)
 		}
-		if !m.diagSet[j] {
+		if !m.diagSet(j) {
 			out.Add(j, m.diag*xj)
 		}
 		return true
@@ -288,11 +354,11 @@ func (m *Matrix) VecMul(x *Vector) *Vector {
 	}
 	out := NewVector(m.dim)
 	x.Range(func(i int, xi float64) bool {
-		r := &m.rows[i]
+		r := &m.peek(i).row
 		for p, j := range r.idx {
 			out.Add(j, xi*r.val[p])
 		}
-		if !m.diagSet[i] {
+		if !m.diagSet(i) {
 			out.Add(i, xi*m.diag)
 		}
 		return true
@@ -428,7 +494,7 @@ func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (flo
 	// Diagonal overrides flip only after the pass has read the original
 	// state for every row.
 	for _, i := range m.diagFlips {
-		m.diagSet[i] = true
+		m.setDiag(i)
 	}
 
 	// Reproduce column a's post-update values analytically: the row pass
@@ -542,11 +608,12 @@ func (m *Matrix) buildVMRow(a, b int, gamma, scale float64) {
 // (or the still-implicit diagonal) materialise new entries. Structural
 // changes are queued on m.colIns/m.colDel/m.diagFlips for the caller.
 func (m *Matrix) updateRowInPlace(i int, ai float64, delta *span) {
-	r := &m.rows[i]
+	pg := m.pages.touch(i >> pageShift)
+	r := &pg.recs[i&pageMask].row
 	tol := m.dropTol
 	ridx, rval := r.idx, r.val
 	didx, dval := delta.idx, delta.val
-	implicitDiag := !m.diagSet[i]
+	implicitDiag := !pg.overridden(i & pageMask)
 	p := 0
 	for q := 0; q < len(didx); q++ {
 		d := ai * dval[q]
@@ -600,12 +667,14 @@ type Triplet struct {
 // natural storage order, so no sorting pass is needed.
 func (m *Matrix) Triplets() []Triplet {
 	ts := make([]Triplet, 0, m.nnz)
-	for i := range m.rows {
-		r := &m.rows[i]
-		for p, j := range r.idx {
-			ts = append(ts, Triplet{Row: i, Col: j, Val: r.val[p]})
+	m.pages.each(func(p int, pg *page) {
+		for k := range pg.recs {
+			r := &pg.recs[k].row
+			for q, j := range r.idx {
+				ts = append(ts, Triplet{Row: p<<pageShift + k, Col: j, Val: r.val[q]})
+			}
 		}
-	}
+	})
 	return ts
 }
 
@@ -615,10 +684,10 @@ func (m *Matrix) Dense() [][]float64 {
 	d := make([][]float64, m.dim)
 	for i := range d {
 		d[i] = make([]float64, m.dim)
-		if !m.diagSet[i] {
+		if !m.diagSet(i) {
 			d[i][i] = m.diag
 		}
-		r := &m.rows[i]
+		r := &m.peek(i).row
 		for p, j := range r.idx {
 			d[i][j] = r.val[p]
 		}

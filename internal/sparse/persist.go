@@ -147,34 +147,37 @@ func (m *Matrix) State() MatrixState {
 		PackedVals: make([]byte, 0, 8*m.nnz),
 	}
 	prevRow, prevDiag := -1, -1
-	for i := range m.rows {
-		if m.diagSet[i] {
-			st.PackedDiag = appendGap(st.PackedDiag, prevDiag, i)
-			prevDiag = i
+	m.pages.each(func(p int, pg *page) {
+		for k := range pg.recs {
+			i := p<<pageShift + k
+			if pg.overridden(k) {
+				st.PackedDiag = appendGap(st.PackedDiag, prevDiag, i)
+				prevDiag = i
+			}
+			r := &pg.recs[k].row
+			if len(r.idx) == 0 {
+				continue
+			}
+			st.PackedRows = appendGap(st.PackedRows, prevRow, i)
+			st.PackedRows = binary.AppendUvarint(st.PackedRows, uint64(len(r.idx)))
+			prevRow = i
+			st.PackedCols = appendGaps(st.PackedCols, r.idx)
+			st.PackedVals = appendWords(st.PackedVals, r.val)
 		}
-		r := &m.rows[i]
-		if len(r.idx) == 0 {
-			continue
-		}
-		st.PackedRows = appendGap(st.PackedRows, prevRow, i)
-		st.PackedRows = binary.AppendUvarint(st.PackedRows, uint64(len(r.idx)))
-		prevRow = i
-		st.PackedCols = appendGaps(st.PackedCols, r.idx)
-		st.PackedVals = appendWords(st.PackedVals, r.val)
-	}
+	})
 	return st
 }
 
 // Validate reports the first malformed field of st. It costs O(len of the
 // image) and allocates nothing, whatever Dim claims.
 func (st MatrixState) Validate() error {
-	_, err := st.unpack(false)
+	_, err := st.unpack(false, false)
 	return err
 }
 
 // MatrixFromState reconstructs a Matrix. It rejects malformed states.
 func MatrixFromState(st MatrixState) (*Matrix, error) {
-	return st.unpack(true)
+	return st.unpack(true, st.Dim <= eagerIndices)
 }
 
 // unpack makes every check a MatrixState must pass, building the matrix
@@ -182,8 +185,9 @@ func MatrixFromState(st MatrixState) (*Matrix, error) {
 // its entries: rows strictly ascending, columns strictly ascending within a
 // row, both inside [0,Dim), counts consistent across the four lists, no
 // stored zero. Its rows are then slices of two shared arrays and the column
-// index is filled by counting — no per-entry search or shift.
-func (st MatrixState) unpack(build bool) (*Matrix, error) {
+// index is filled by counting — no per-entry search or shift, and nothing
+// but the page table sized by Dim.
+func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 	if st.Dim < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d in matrix state", st.Dim)
 	}
@@ -199,16 +203,14 @@ func (st MatrixState) unpack(build bool) (*Matrix, error) {
 		return nil, err
 	}
 	var (
-		m      *Matrix
-		idx    []int
-		val    []float64
-		counts []int
+		m       *Matrix
+		idx     []int
+		val     []float64
+		members []int
 	)
 	if build {
-		m = NewMatrix(st.Dim, st.Diag)
-		if nnz > 0 {
-			idx, val, counts = make([]int, nnz), make([]float64, nnz), make([]int, st.Dim)
-		}
+		m = newMatrix(st.Dim, st.Diag, eager)
+		idx, val, members = make([]int, nnz), make([]float64, nnz), make([]int, nnz)
 	}
 
 	for _, i := range st.OverriddenDiag {
@@ -216,7 +218,7 @@ func (st MatrixState) unpack(build bool) (*Matrix, error) {
 			return nil, fmt.Errorf("sparse: overridden diagonal %d out of range [0,%d)", i, st.Dim)
 		}
 		if build {
-			m.diagSet[i] = true
+			m.setDiag(i)
 		}
 	}
 	for gaps, i := st.PackedDiag, -1; len(gaps) > 0; {
@@ -224,7 +226,7 @@ func (st MatrixState) unpack(build bool) (*Matrix, error) {
 			return nil, err
 		}
 		if build {
-			m.diagSet[i] = true
+			m.setDiag(i)
 		}
 	}
 
@@ -265,13 +267,17 @@ func (st MatrixState) unpack(build bool) (*Matrix, error) {
 			}
 			if build {
 				idx[k], val[k] = col, x
-				counts[col]++
+				// Count the column's members in the length of its list: until
+				// the lists are carved below, each is a prefix of members
+				// that nothing reads.
+				c := &m.touch(col).col
+				*c = members[:len(*c)+1]
 			}
 		}
 		if build {
 			// Full slice expressions: a row that grows reallocates instead
 			// of writing into its neighbour.
-			m.rows[row] = span{idx: idx[start:k:k], val: val[start:k:k]}
+			m.touch(row).row = span{idx: idx[start:k:k], val: val[start:k:k]}
 		}
 	}
 	if k != nnz {
@@ -286,21 +292,25 @@ func (st MatrixState) unpack(build bool) (*Matrix, error) {
 	if nnz > 0 {
 		m.nnz = nnz
 		// Column index by counting: carve each column's member list out of
-		// one array, then append row numbers in row order, which leaves
-		// every list ascending.
-		members := make([]int, nnz)
+		// members at its counted length, then append row numbers in row
+		// order, which leaves every list ascending.
 		off := 0
-		for j, c := range counts {
-			if c > 0 {
-				m.cols[j] = members[off : off : off+c]
-				off += c
+		m.pages.each(func(_ int, pg *page) {
+			for k := range pg.recs {
+				if c := len(pg.recs[k].col); c > 0 {
+					pg.recs[k].col = members[off : off : off+c]
+					off += c
+				}
 			}
-		}
-		for i := range m.rows {
-			for _, j := range m.rows[i].idx {
-				m.cols[j] = append(m.cols[j], i)
+		})
+		m.pages.each(func(p int, pg *page) {
+			for k := range pg.recs {
+				for _, j := range pg.recs[k].row.idx {
+					c := &m.peek(j).col
+					*c = append(*c, p<<pageShift+k)
+				}
 			}
-		}
+		})
 	}
 	// Apply the tolerance only after restoring, so stored entries that
 	// are individually below a later-raised tolerance still round-trip.

@@ -294,10 +294,28 @@ func TestValidateAllocatesNothingForHugeDim(t *testing.T) {
 	}
 }
 
-func TestVectorFromDenseIsInverseOfDense(t *testing.T) {
-	x := []float64{0, 1.5, 0, 0, -2, 0}
-	v := VectorFromDense(x)
-	if v.NNZ() != 2 || v.Get(1) != 1.5 || v.Get(4) != -2 || !reflect.DeepEqual(v.Dense(), x) {
-		t.Fatalf("VectorFromDense(%v) = %v", x, v)
+// PagedVector.Vector and Vector.Paged are inverses, whichever way the pages
+// were allocated, and Vector walks allocated pages only.
+func TestPagedVectorRoundTrip(t *testing.T) {
+	const dim = 3*pageSize + 2
+	for _, eager := range []bool{true, false} {
+		pv := newPagedVector(dim, eager)
+		pv.Set(1, 1.5)
+		pv.Set(dim-1, -2)
+		pv.Set(5, 3)
+		pv.Set(5, 0) // written back to zero: the page stays, the cell is not stored
+		v := pv.Vector()
+		if v.Dim() != dim || v.NNZ() != 2 || v.Get(1) != 1.5 || v.Get(dim-1) != -2 {
+			t.Fatalf("eager=%v: Vector() = %v (dim %d)", eager, v, v.Dim())
+		}
+		back := v.Paged()
+		for k := 0; k < dim; k++ {
+			if back.At(k) != pv.At(k) {
+				t.Fatalf("eager=%v: cell %d = %g after the round trip, want %g", eager, k, back.At(k), pv.At(k))
+			}
+		}
+		if !eager && pv.pages.used != 2 {
+			t.Fatalf("writes to the first and the last of four pages handed out %d", pv.pages.used)
+		}
 	}
 }

@@ -15,8 +15,8 @@ func TestShermanMorrisonBasisScaledOneIsBitwiseUnscaled(t *testing.T) {
 	const gamma = 0.9
 	for _, tol := range []float64{0, 1e-7} {
 		r := rand.New(rand.NewSource(7))
-		ms := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol)
-		mu := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol)
+		ms := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol, false)
+		mu := randomSeedMatrix(rand.New(rand.NewSource(3)), dim, 1.0/dim, tol, true)
 		for it := 0; it < 300; it++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			if it%17 == 0 {
@@ -57,8 +57,8 @@ func TestShermanMorrisonBasisScaledMatchesGeneric(t *testing.T) {
 	const gamma = 0.9
 	for _, tol := range []float64{0, 1e-7} {
 		r := rand.New(rand.NewSource(11))
-		mk := randomSeedMatrix(rand.New(rand.NewSource(5)), dim, 1.0/dim, tol)
-		mg := randomSeedMatrix(rand.New(rand.NewSource(5)), dim, 1.0/dim, tol)
+		mk := randomSeedMatrix(rand.New(rand.NewSource(5)), dim, 1.0/dim, tol, false)
+		mg := randomSeedMatrix(rand.New(rand.NewSource(5)), dim, 1.0/dim, tol, true)
 		for it := 0; it < 300; it++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			if it%17 == 0 {

@@ -46,19 +46,6 @@ func Basis(dim, i int) *Vector {
 	return v
 }
 
-// VectorFromDense returns the sparse form of x, the inverse of Dense: the
-// non-zero entries of x, appended in index order.
-func VectorFromDense(x []float64) *Vector {
-	v := NewVector(len(x))
-	for i, xi := range x {
-		if xi != 0 {
-			v.idx = append(v.idx, i)
-			v.val = append(v.val, xi)
-		}
-	}
-	return v
-}
-
 // Dim returns the dimension of the vector.
 func (v *Vector) Dim() int { return v.dim }
 
