@@ -102,7 +102,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, as the server builds them, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

@@ -22,7 +22,9 @@
 // `make bench-check` uses this as the performance regression gate against
 // BENCH_megh.json. Benchmarks new in this run (absent from the baseline)
 // are skipped, so adding a benchmark never requires regenerating the
-// baseline in the same change.
+// baseline in the same change; baseline entries this run did not produce
+// are printed as "not re-run: …", so a deleted or renamed tracked benchmark
+// shows in the gate's output.
 //
 // Usage:
 //
@@ -199,9 +201,10 @@ func assertMaxAllocs(results []Result, specs []string) error {
 // each benchmark present in both must keep ns/op within (1+tolerance)× its
 // baseline value. Every offender is reported, not just the first, so one
 // run shows the full damage. Benchmarks missing from the baseline pass
-// (they are new); benchmarks missing from the fresh run are ignored (the
-// caller chose what to re-run).
-func checkRegressions(results []Result, baselinePath string, tolerance float64) error {
+// (they are new); benchmarks missing from the fresh run cannot fail the gate
+// (the caller chose what to re-run) but are listed on out, so a tracked
+// benchmark that was deleted or renamed does not drop out of it unseen.
+func checkRegressions(out io.Writer, results []Result, baselinePath string, tolerance float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("benchjson: reading baseline: %w", err)
@@ -216,7 +219,9 @@ func checkRegressions(results []Result, baselinePath string, tolerance float64) 
 	}
 	var regressions []string
 	compared := 0
+	fresh := make(map[string]bool, len(results))
 	for _, r := range results {
+		fresh[r.Name] = true
 		b, ok := byName[r.Name]
 		if !ok || b.NsPerOp <= 0 {
 			continue
@@ -231,6 +236,15 @@ func checkRegressions(results []Result, baselinePath string, tolerance float64) 
 	if compared == 0 {
 		return fmt.Errorf("benchjson: no benchmark in the input matches the baseline %s (%d baseline entries)",
 			baselinePath, len(base.Benchmarks))
+	}
+	var notRerun []string
+	for _, b := range base.Benchmarks {
+		if !fresh[b.Name] {
+			notRerun = append(notRerun, b.Name)
+		}
+	}
+	if len(notRerun) > 0 {
+		fmt.Fprintf(out, "benchjson: not re-run: %s\n", strings.Join(notRerun, ", "))
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("benchjson: %d of %d benchmarks regressed beyond the %.0f%% tolerance vs %s:\n%s",
@@ -281,7 +295,7 @@ func run(in io.Reader, out io.Writer, commit, outPath, note, zeroAlloc, maxAlloc
 		if checkTol <= 0 {
 			return fmt.Errorf("benchjson: -check-tolerance %g must be positive", checkTol)
 		}
-		if err := checkRegressions(results, checkPath, checkTol); err != nil {
+		if err := checkRegressions(out, results, checkPath, checkTol); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "benchjson: regression gate passed against %s (tolerance %.0f%%)\n",

@@ -177,6 +177,27 @@ func TestCheckSkipsBenchmarksNewInThisRun(t *testing.T) {
 	}
 }
 
+func TestCheckListsBaselineEntriesNotRerun(t *testing.T) {
+	base := writeBaseline(t, sample)
+	// The fresh run lost one tracked benchmark (deleted or renamed): the
+	// gate still passes on the rest, and says which entry it did not see.
+	fresh := strings.Replace(sample, "BenchmarkDecide/no-tracer-8 ", "BenchmarkDecide/renamed-8 ", 1)
+	var out strings.Builder
+	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", base, 0.20); err != nil {
+		t.Fatalf("gate failed on a benchmark the run did not produce: %v", err)
+	}
+	if !strings.Contains(out.String(), "not re-run: BenchmarkDecide/no-tracer\n") {
+		t.Fatalf("missing or wrong not-re-run line:\n%s", out.String())
+	}
+	out.Reset()
+	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", base, 0.20); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "not re-run") {
+		t.Fatalf("complete run reported entries as not re-run:\n%s", out.String())
+	}
+}
+
 func TestCheckRejectsDisjointBaseline(t *testing.T) {
 	other := `BenchmarkSomethingElse-8	100	50 ns/op
 `

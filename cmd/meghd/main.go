@@ -108,8 +108,6 @@ func run() error {
 			"max learners resident in memory; 0 = unlimited (>0 needs -checkpoint-dir; LRU sessions are checkpointed and evicted)")
 		maxInFlight = flag.Int("max-inflight", 0,
 			"max concurrent in-flight decisions (batches weigh their item count) before shedding 429s; 0 = unlimited")
-		coalesceLinger = flag.Duration("coalesce-linger", 0,
-			"window during which concurrent decide requests to one session merge into a single batched learner call; 0 = default (100µs), <0 disables coalescing")
 		sessionRing = flag.Int("session-ring", 0,
 			"per-session trace ring size for /v2 trace tails; 0 = default, <0 disables")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute,
@@ -207,7 +205,6 @@ func run() error {
 		CheckpointDir:      *ckptDir,
 		MaxSessions:        *maxSessions,
 		MaxInFlight:        *maxInFlight,
-		CoalesceLinger:     *coalesceLinger,
 		SessionRing:        *sessionRing,
 		DeferThreshold:     *deferThreshold,
 		DeferMaxAge:        *deferMaxAge,

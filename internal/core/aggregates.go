@@ -9,30 +9,23 @@ import (
 
 // This file holds snapshot-delta aggregate reuse: refreshHostAggregates
 // used to rebuild every per-host feasibility table from scratch on every
-// Decide — O(N+M) of float adds that, at 10k-host grids, dwarf the decision
-// itself. Three reuse tiers now sit in front of the full rebuild:
+// Decide — O(N+M) of float adds. Two tiers:
 //
-//   - trusted: inside one DecideBatch call, an item whose *Snapshot pointer
-//     equals the previous item's is reading the same memory the aggregates
-//     were just built from, so nothing is recomputed at all (the candidate
-//     base set is reused too). The trust window is scoped by aggEpoch,
-//     which every non-batch Decide bumps — a simulator mutating one
-//     snapshot in place between Decide calls can never hit this tier.
 //   - delta: a content diff of VM placement/size against privately stored
 //     previous values marks dirty hosts (old and new host of any changed
 //     VM); dirty hosts' sums are zeroed and recomputed by a second VM-major
 //     pass restricted to them. Because that pass adds each dirty host's
 //     VMs in the same ascending-VM order the full rebuild uses, the sums
 //     are bitwise identical to a rebuild's — float addition is not
-//     associative, so subtract-then-readd patching would NOT be.
-//   - rebuild: the historical full pass, taken on the first call, when a
-//     host failure is (or was) present, or when aggregate reuse is
-//     disabled (SetAggregateReuse(false), the differential-test baseline).
+//     associative, so subtract-then-readd patching would NOT be. The diff
+//     itself reads every VM, so a refresh is never cheaper than O(N).
+//   - rebuild: the historical full pass, taken on the first call and when a
+//     host failure is (or was) present.
 //
 // Speculative per-step mutations (chooseFromCandidates charging a chosen
 // destination) are recorded in an undo log that restores the exact
 // pre-mutation values — again because (x+y)−y is not bitwise x — so the
-// next delta/trusted refresh starts from the clean snapshot-derived state.
+// next refresh starts from the clean snapshot-derived state.
 
 // aggUndo records one host's aggregate state before a speculative charge.
 type aggUndo struct {
@@ -42,47 +35,18 @@ type aggUndo struct {
 	pen       float64 // penActive before the charge
 }
 
-// SetAggregateReuse toggles snapshot-delta aggregate reuse (default on).
-// With reuse off every refresh is a full rebuild — the reference behaviour
-// the differential tests compare against. Runtime-only state, like the
-// scan-kernel selection: not part of Config, not persisted, and unable to
-// change any decision.
-func (m *Megh) SetAggregateReuse(on bool) {
-	m.aggReuse = on
-	m.aggValid = false
-	m.candCacheOK = false
-}
-
 // refreshHostAggregates (re)establishes the flat per-host feasibility
-// tables for snapshot s, choosing the cheapest sound tier (see the file
+// tables for snapshot s: roll back last step's speculative charges, then
+// patch by delta, or rebuild where only that is sound (see the file
 // comment). Postcondition, identical across tiers bit for bit: hostRAM /
 // hostMIPS hold each host's committed RAM and demanded MIPS, hostActive /
-// hostBlocked and their penalty mirrors match the snapshot, activeList is
-// the ascending list of active hosts, and all speculative charges from the
-// previous step are rolled back.
+// hostBlocked and their penalty mirrors match the snapshot, and activeList
+// is the ascending list of active hosts.
 func (m *Megh) refreshHostAggregates(s *sim.Snapshot) {
-	if !m.aggReuse {
-		m.undoLog = m.undoLog[:0]
-		m.candCacheOK = false
-		m.aggSnap = nil
-		m.rebuildHostAggregates(s)
-		return
-	}
-	if m.aggValid {
-		m.undoSpeculative()
-		if s == m.aggSnap && m.aggSnapEpoch == m.aggEpoch {
-			// Trusted: same pointer within the same batch window; the
-			// aggregates (and the cached candidate base set) still describe
-			// exactly this memory.
-			return
-		}
-	}
-	m.candCacheOK = false
+	m.undoSpeculative()
 	if !m.aggValid || !m.deltaHostAggregates(s) {
 		m.rebuildHostAggregates(s)
 	}
-	m.aggSnap = s
-	m.aggSnapEpoch = m.aggEpoch
 	m.aggValid = true
 }
 

@@ -107,15 +107,6 @@ type BatchItem struct {
 // across the batch's repeated transitions. Per-item tracer events and
 // metrics fire exactly as they would sequentially.
 func (m *Megh) DecideBatch(items []BatchItem) [][]sim.Migration {
-	// One aggregate trust window for the whole batch: items are queued ahead
-	// of the call and immutable while it runs (the Snap doc contract above),
-	// so consecutive items sharing a *Snapshot pointer read the very memory
-	// the aggregates were built from and can skip the refresh outright.
-	// The defer keeps a panicking item (e.g. a dimension mismatch) from
-	// leaving the learner stuck in batch mode.
-	m.aggEpoch++
-	m.inBatch = true
-	defer func() { m.inBatch = false }()
 	out := make([][]sim.Migration, len(items))
 	for i := range items {
 		if items[i].Feedback != nil {

@@ -1,17 +1,21 @@
 package core
 
-import (
-	"math"
+import "megh/internal/sim"
 
-	"megh/internal/sim"
-)
-
-// This file holds the candidate-scoring sweep (scanRow) and its kernels.
-// The scalar kernel is the historical loop, kept verbatim as the reference;
-// the unrolled kernels are 4-wide blocked rewrites that hoist bounds checks
-// and replace the blocked/active branches with a branch-free penalty mask,
-// and are pinned bitwise-identical to the scalar kernel by
-// TestScanKernelsBitwiseIdentical / TestScanKernelDecisionsIdentical.
+// This file holds the candidate-scoring sweep: one pass over VM j's θ row,
+// cells [base, base+M), gathering the feasible destinations, their Q values
+// and the row minimum. Feasibility reads only the flat per-host aggregate
+// arrays refreshHostAggregates filled (committed RAM/MIPS, capacities and
+// the blocked/active penalty mirrors), with arithmetic identical to fits.
+// Returned slices alias the learner's scratch.
+//
+// Both kernels are 4-wide blocked loops with a scalar tail for short rows
+// and remainders; they hoist bounds checks and replace the blocked/active
+// branches with a branch-free penalty mask. sampleDestination picks between
+// them by the input: the active-list walk when the VM's host is active, the
+// full-grid sweep otherwise. The one-host-at-a-time loop they replaced lives
+// on in kernels_test.go as the oracle its row-level differential pins them
+// to, bit for bit.
 //
 // Bitwise identity rests on three IEEE-754 facts, each load-bearing:
 //
@@ -23,90 +27,6 @@ import (
 //     never the multiplied-out one: a/b > c and a > c*b round differently.
 //   - The row minimum uses the same strict-less, sequential comparison
 //     order, via sparse.PagedVector.GatherMin.
-
-// ScanKernel selects the scanRow implementation.
-type ScanKernel int
-
-const (
-	// ScanAuto (the default) picks the unrolled kernel for worlds with at
-	// least unrolledMinHosts hosts and the scalar one below that, where the
-	// mask setup outweighs the sweep.
-	ScanAuto ScanKernel = iota
-	// ScanScalar forces the historical scalar sweep.
-	ScanScalar
-	// ScanUnrolled forces the 4-wide unrolled sweep.
-	ScanUnrolled
-)
-
-// unrolledMinHosts is the ScanAuto crossover: below it the scalar loop wins.
-const unrolledMinHosts = 16
-
-// SetScanKernel selects the scanRow kernel at runtime. The selection is
-// runtime-only state: it is not part of Config and is not persisted in
-// checkpoints (a restored learner starts back at ScanAuto), which it does
-// not need to be — every kernel is bitwise-identical, so the choice can
-// never change a decision, only its cost.
-func (m *Megh) SetScanKernel(k ScanKernel) { m.scanKernel = k }
-
-// scanRow is the candidate-scoring sweep: one pass over VM j's θ row, cells
-// [base, base+M), gathering the feasible destinations, their Q
-// values and the row minimum. Feasibility reads only the flat per-host
-// aggregate arrays refreshHostAggregates filled (committed RAM/MIPS,
-// capacities, active/blocked flags and their penalty mirrors), with
-// arithmetic identical to fits. Returned slices alias the learner's
-// scratch. This dispatcher picks a kernel; every kernel returns bitwise
-// identical results.
-func (m *Megh) scanRow(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feasible []int, qs []float64, minQ float64) {
-	switch m.scanKernel {
-	case ScanScalar:
-		return m.scanRowScalar(s, j, cur, base, activeOnly)
-	case ScanUnrolled:
-	default: // ScanAuto
-		if m.cfg.NumHosts < unrolledMinHosts {
-			return m.scanRowScalar(s, j, cur, base, activeOnly)
-		}
-	}
-	if activeOnly && m.hostActive[cur] {
-		return m.scanRowActive(s, j, cur, base)
-	}
-	return m.scanRowUnrolled(s, j, cur, base, activeOnly)
-}
-
-// scanRowScalar is the historical scalar sweep — the reference the
-// unrolled kernels are differential-tested against.
-func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feasible []int, qs []float64, minQ float64) {
-	n := m.cfg.NumHosts
-	ramJ := s.VMSpecs[j].RAMMB
-	mipsJ := s.VMMIPS[j]
-	beta := s.OverloadThreshold
-	hostRAM := m.hostRAM[:n]
-	hostMIPS := m.hostMIPS[:n]
-	ramCap := m.hostRAMCap[:n]
-	mipsCap := m.hostMIPSCap[:n]
-	blocked := m.hostBlocked[:n]
-	active := m.hostActive[:n]
-	feasible = m.feasibleScratch[:0]
-	qs = m.qScratch[:0]
-	minQ = math.Inf(1)
-	for k := 0; k < n; k++ {
-		if k != cur {
-			if blocked[k] || (activeOnly && !active[k]) ||
-				hostRAM[k]+ramJ > ramCap[k] ||
-				(hostMIPS[k]+mipsJ)/mipsCap[k] > beta {
-				continue
-			}
-		}
-		q := m.theta.At(base + k)
-		feasible = append(feasible, k)
-		qs = append(qs, q)
-		if q < minQ {
-			minQ = q
-		}
-	}
-	m.feasibleScratch = feasible
-	m.qScratch = qs
-	return feasible, qs, minQ
-}
 
 // scanRowUnrolled is the 4-wide unrolled full-grid sweep. The penalty
 // arrays (penAll for blocked hosts, penActive additionally for inactive
@@ -167,7 +87,7 @@ func (m *Megh) scanRowUnrolled(s *sim.Snapshot, j, cur, base int, activeOnly boo
 // masking all M hosts it walks the sorted active-host list, which at the
 // consolidation steady state is a small fraction of the grid. It is
 // bitwise-equivalent to the full activeOnly sweep because an inactive host
-// can never pass the active mask, cur is in the list (the dispatcher
+// can never pass the active mask, cur is in the list (sampleDestination
 // checked hostActive[cur]; it holds whenever the snapshot's VMHost and
 // HostVMs agree, since VM j resides on cur), and the list is ascending —
 // the same visit order, hence the same feasible sequence and the same

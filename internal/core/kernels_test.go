@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,9 +11,8 @@ import (
 	"megh/internal/trace"
 )
 
-// kernelWorld builds a learner and a snapshot large enough for the unrolled
-// kernels to engage (NumHosts ≥ unrolledMinHosts), with a θ full of
-// irregular values so row minima and ties are non-trivial.
+// kernelWorld builds a learner and a snapshot with a θ full of irregular
+// values so row minima and ties are non-trivial.
 func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 	t.Helper()
 	snaps := snapshotStream(t, nVMs, nHosts, 3)
@@ -38,21 +38,33 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 	return m, snaps[len(snaps)-1]
 }
 
-// TestScanKernelsBitwiseIdentical compares every scanRow kernel directly:
-// same feasible set, bit-identical Q gather, bit-identical row minimum —
-// including with failed (blocked) hosts in play.
+// TestScanKernelsBitwiseIdentical compares both production kernels with the
+// scalar oracle directly: same feasible set, bit-identical Q gather,
+// bit-identical row minimum — including with failed (blocked) hosts in play.
 func TestScanKernelsBitwiseIdentical(t *testing.T) {
 	// Odd host counts exercise the unroll tail.
-	scanKernelsBitwiseIdentical(t, 24, 23)
+	scanKernelsBitwiseIdentical(t, 24, 23, 0, 7, 22)
 	// Past the eager budget θ's pages are allocated on write, and the
 	// unwritten third of its rows is swept through pages that do not exist.
-	t.Run("past-eager-budget", func(t *testing.T) { scanKernelsBitwiseIdentical(t, 33, 32003) })
+	t.Run("past-eager-budget", func(t *testing.T) { scanKernelsBitwiseIdentical(t, 33, 32003, 0, 7, 32002) })
+	// Rows shorter than, equal to and just past one and four unroll blocks:
+	// the sizes the scalar loop served in production until the kernels'
+	// tails took them over.
+	for _, nHosts := range []int{1, 2, 3, 4, 5, 7, 15, 16, 17} {
+		t.Run(fmt.Sprintf("short-row-%d", nHosts), func(t *testing.T) {
+			scanKernelsBitwiseIdentical(t, 6, nHosts, nHosts/2)
+		})
+	}
 }
 
 // scanKernelsBitwiseIdentical runs the comparison on one world, as the
-// subtests healthy and failed-hosts of t.
-func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int) {
+// subtests healthy and failed-hosts (with the listed hosts failed) of t.
+func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int, failed ...int) {
 	m, snap := kernelWorld(t, nVMs, nHosts)
+	// Placement is round-robin, so VM 0 sits on the first host; put the last
+	// VM on the last one so cur is seen at both ends of the row.
+	snap = snap.Clone()
+	moveVM(snap, nVMs-1, nHosts-1)
 
 	check := func(t *testing.T, s *sim.Snapshot) {
 		t.Helper()
@@ -81,11 +93,48 @@ func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int) {
 	t.Run("failed-hosts", func(t *testing.T) {
 		cl := snap.Clone()
 		cl.HostFailed = make([]bool, nHosts)
-		cl.HostFailed[0] = true
-		cl.HostFailed[7] = true
-		cl.HostFailed[nHosts-1] = true
+		for _, h := range failed {
+			cl.HostFailed[h] = true
+		}
 		check(t, cl)
 	})
+}
+
+// scanRowScalar is the one-host-at-a-time sweep the production kernels
+// replaced, kept verbatim as their oracle: explicit blocked/active branches,
+// inline gather, strict-less minimum.
+func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feasible []int, qs []float64, minQ float64) {
+	n := m.cfg.NumHosts
+	ramJ := s.VMSpecs[j].RAMMB
+	mipsJ := s.VMMIPS[j]
+	beta := s.OverloadThreshold
+	hostRAM := m.hostRAM[:n]
+	hostMIPS := m.hostMIPS[:n]
+	ramCap := m.hostRAMCap[:n]
+	mipsCap := m.hostMIPSCap[:n]
+	blocked := m.hostBlocked[:n]
+	active := m.hostActive[:n]
+	feasible = m.feasibleScratch[:0]
+	qs = m.qScratch[:0]
+	minQ = math.Inf(1)
+	for k := 0; k < n; k++ {
+		if k != cur {
+			if blocked[k] || (activeOnly && !active[k]) ||
+				hostRAM[k]+ramJ > ramCap[k] ||
+				(hostMIPS[k]+mipsJ)/mipsCap[k] > beta {
+				continue
+			}
+		}
+		q := m.theta.At(base + k)
+		feasible = append(feasible, k)
+		qs = append(qs, q)
+		if q < minQ {
+			minQ = q
+		}
+	}
+	m.feasibleScratch = feasible
+	m.qScratch = qs
+	return feasible, qs, minQ
 }
 
 func compareScan(t *testing.T, kernel string, j int, activeOnly bool,
@@ -107,56 +156,9 @@ func compareScan(t *testing.T, kernel string, j int, activeOnly bool,
 	}
 }
 
-// TestScanKernelDecisionsIdentical is the end-to-end kernel differential:
-// two same-seed learners, one forced scalar and one forced unrolled, must
-// make identical decisions with byte-identical traces over a full stream.
-func TestScanKernelDecisionsIdentical(t *testing.T) {
-	const nVMs, nHosts, steps = 18, 20, 60
-	snaps := snapshotStream(t, nVMs, nHosts, steps)
-	items := batchItems(snaps)
-
-	run := func(k ScanKernel) ([][]sim.Migration, []byte) {
-		m, err := New(DefaultConfig(nVMs, nHosts, 4242))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetScanKernel(k)
-		var buf bytes.Buffer
-		tr, err := trace.New(trace.Options{W: &buf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Trace(tr)
-		out := make([][]sim.Migration, len(items))
-		for i, it := range items {
-			if it.Feedback != nil {
-				m.Observe(it.Feedback)
-			}
-			out[i] = m.DecideAppend(nil, it.Snap)
-		}
-		return out, buf.Bytes()
-	}
-
-	scalarOut, scalarTrace := run(ScanScalar)
-	unrolledOut, unrolledTrace := run(ScanUnrolled)
-	if !reflect.DeepEqual(scalarOut, unrolledOut) {
-		t.Fatal("unrolled scanRow kernel diverged from the scalar kernel")
-	}
-	if !bytes.Equal(scalarTrace, unrolledTrace) {
-		t.Fatal("scalar and unrolled trace streams differ byte-for-byte")
-	}
-	total := 0
-	for _, migs := range scalarOut {
-		total += len(migs)
-	}
-	if total == 0 {
-		t.Fatal("stream produced no migrations — the differential exercised nothing")
-	}
-}
-
 // TestAggregateReuseMatchesRebuild is the end-to-end reuse differential:
-// a default learner (delta/trusted tiers active) against a same-seed
-// learner with SetAggregateReuse(false) (every refresh a full rebuild),
+// a default learner (delta tier active) against a same-seed learner whose
+// aggValid is cleared before every decide (every refresh a full rebuild),
 // over a stream that exercises distinct snapshots, repeated pointers,
 // in-place mutation of one snapshot, and the failed-host fallback.
 func TestAggregateReuseMatchesRebuild(t *testing.T) {
@@ -180,7 +182,6 @@ func TestAggregateReuseMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetAggregateReuse(reuse)
 		var buf bytes.Buffer
 		tr, err := trace.New(trace.Options{W: &buf})
 		if err != nil {
@@ -193,11 +194,14 @@ func TestAggregateReuseMatchesRebuild(t *testing.T) {
 				m.Observe(&sim.Feedback{Step: i - 1, StepCost: 0.3 + 0.05*float64(i%7)})
 			}
 			if s == mut && i > 0 {
-				// Mutate the snapshot in place between the two learners'
-				// visibility windows: move the first VM to the next host.
-				// The trust epoch must force the reuse learner to re-diff
-				// rather than serve stale aggregates.
+				// Mutate the clone in place before the learner sees it: move
+				// the first VM to the next host. The reuse learner must pick
+				// the move up from the contents — the two preceding items
+				// were the unmutated original.
 				moveVM(mut, 0, (mut.VMHost[0]+1)%nHosts)
+			}
+			if !reuse {
+				m.aggValid = false
 			}
 			out[i] = m.DecideAppend(nil, s)
 		}
@@ -233,41 +237,4 @@ func moveVM(s *sim.Snapshot, j, dest int) {
 	}
 	s.HostVMs[from] = vms
 	s.HostVMs[dest] = append(s.HostVMs[dest], j)
-}
-
-// TestTrustedBatchMatchesClonedBatch pins the trusted tier: a batch whose
-// items share one snapshot pointer (the steady-state serving shape, served
-// by the zero-work trusted tier and the candidate cache) must decide
-// exactly like a batch of per-item clones (served by the delta tier).
-func TestTrustedBatchMatchesClonedBatch(t *testing.T) {
-	const nVMs, nHosts, batch = 18, 20, 64
-	snaps := snapshotStream(t, nVMs, nHosts, 1)
-	snap := snaps[0]
-
-	mk := func() *Megh {
-		m, err := New(DefaultConfig(nVMs, nHosts, 2026))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	fb := sim.Feedback{StepCost: 0.4}
-	shared := make([]BatchItem, batch)
-	cloned := make([]BatchItem, batch)
-	for i := range shared {
-		shared[i] = BatchItem{Snap: snap, Feedback: &fb}
-		cloned[i] = BatchItem{Snap: snap.Clone(), Feedback: &fb}
-	}
-	sharedOut := mk().DecideBatch(shared)
-	clonedOut := mk().DecideBatch(cloned)
-	if !reflect.DeepEqual(sharedOut, clonedOut) {
-		t.Fatal("trusted-tier batch diverged from the per-item-clone batch")
-	}
-	total := 0
-	for _, migs := range sharedOut {
-		total += len(migs)
-	}
-	if total == 0 {
-		t.Fatal("batch produced no migrations — the differential exercised nothing")
-	}
 }

@@ -262,33 +262,24 @@ type Megh struct {
 	pendingBuf      []int           // backing array for pending
 	rejectedScratch map[int]bool    // Observe's rejected-action set
 
-	// Aggregate-reuse and kernel-selection state (aggregates.go,
-	// kernels.go). All of it is runtime-only — never persisted — and none
-	// of it can change a decision: every reuse tier and every kernel is
-	// pinned bitwise identical to the rebuild/scalar reference, so this
+	// Aggregate-reuse state (aggregates.go). All of it is runtime-only —
+	// never persisted — and none of it can change a decision: the delta
+	// tier is pinned bitwise identical to the rebuild reference, so this
 	// block only changes what a decision costs.
-	scanKernel    ScanKernel
-	aggReuse      bool          // snapshot-delta reuse enabled (default true)
-	aggValid      bool          // aggregates describe aggSnap's state
-	aggAnyBlocked bool          // last rebuild saw a failed host
-	aggEpoch      uint64        // bumped per standalone Decide and per DecideBatch
-	aggSnap       *sim.Snapshot // snapshot the aggregates were built from
-	aggSnapEpoch  uint64        // epoch at which aggSnap was recorded
-	inBatch       bool          // inside DecideBatch (epoch held for the batch)
-	prevVMHost    []int         // per-VM placement/size at the last (re)build,
-	prevVMRAM     []float64     // the delta tier's diff baseline
+	aggValid      bool      // aggregates describe the last refreshed snapshot
+	aggAnyBlocked bool      // last rebuild saw a failed host
+	prevVMHost    []int     // per-VM placement/size at the last (re)build,
+	prevVMRAM     []float64 // the delta tier's diff baseline
 	prevVMMIPS    []float64
 	prevHostSpecs []sim.HostSpec // backing identity of the last-seen HostSpecs
 	hostVMCount   []int
-	penAll        []float64 // +Inf iff blocked, else 0 (scanRow feasibility mask)
+	penAll        []float64 // +Inf iff blocked, else 0 (scan feasibility mask)
 	penActive     []float64 // +Inf iff blocked or inactive, else 0
 	activeList    []int     // ascending active hosts (scanRowActive's walk)
 	dirtyStamp    []int     // per-host dirty epoch stamps for the delta diff
 	dirtyEpoch    int
 	dirtyHosts    []int
-	undoLog       []aggUndo   // speculative charges to roll back next refresh
-	candCache     []candidate // candidate base set reused in the trusted tier
-	candCacheOK   bool
+	undoLog       []aggUndo // speculative charges to roll back next refresh
 }
 
 var (
@@ -336,7 +327,6 @@ func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta *sparse.Page
 		prevVMHost:  make([]int, cfg.NumVMs),
 		prevVMRAM:   make([]float64, cfg.NumVMs),
 		prevVMMIPS:  make([]float64, cfg.NumVMs),
-		aggReuse:    true,
 	}
 }
 
@@ -541,13 +531,6 @@ func (m *Megh) Decide(s *sim.Snapshot) []sim.Migration {
 	if s.NumVMs() != m.cfg.NumVMs || s.NumHosts() != m.cfg.NumHosts {
 		panic(fmt.Sprintf("core: snapshot %d×%d does not match Megh config %d×%d",
 			s.NumVMs(), s.NumHosts(), m.cfg.NumVMs, m.cfg.NumHosts))
-	}
-	// Every standalone Decide opens a fresh aggregate trust window, so a
-	// caller mutating one snapshot in place between calls can never hit the
-	// trusted reuse tier. DecideBatch bumps once for the whole batch
-	// instead: within one call the snapshots are immutable by contract.
-	if !m.inBatch {
-		m.aggEpoch++
 	}
 	if m.metrics != nil {
 		start := time.Now()
@@ -796,62 +779,47 @@ func (m *Megh) chooseFromCandidates(s *sim.Snapshot, candidates []candidate, mig
 	return actions, migrations
 }
 
-// candidates assembles the step's decision set: up to two VMs per
+// candidates assembles the step's decision set: the heaviest VM of each
 // overloaded host, the VMs of the most underloaded active host
-// (consolidation source, §3.1), and ExplorationCandidates uniform draws;
-// deduplicated and capped.
+// (consolidation source, §3.1), and at most one uniform exploration draw
+// (taken with probability ExplorationRate); deduplicated and capped.
 func (m *Megh) candidates(s *sim.Snapshot, cap_ int) []candidate {
 	// seenScratch and candScratch are scratch reused across steps (a
 	// closure over locals here would heap-allocate every call); the result
 	// is valid until the next candidates call.
 	clear(m.seenScratch)
 	m.candScratch = m.candScratch[:0]
-	if m.candCacheOK {
-		// Trusted-tier replay: the overload/underload scans below read only
-		// the snapshot, which the trusted aggregate tier guarantees is the
-		// same memory as last step, so their output is replayed from the
-		// cache instead of rescanning all hosts. The exploration draw is
-		// appended fresh below, consuming the RNG exactly as the scans'
-		// (deterministic, RNG-free) path would.
-		for _, c := range m.candCache {
-			m.seenScratch[c.vm] = true
+	// Overloaded hosts: shed pressure, one decision per host per step so
+	// a batch does not overshoot below the threshold (an unresolved
+	// overload re-triggers next step). The heaviest VM is the decisive
+	// one to re-place.
+	for i := 0; i < s.NumHosts() && len(m.candScratch) < cap_; i++ {
+		if !s.HostOverloaded(i) || len(s.HostVMs[i]) == 0 {
+			continue
 		}
-		m.candScratch = append(m.candScratch, m.candCache...)
-	} else {
-		// Overloaded hosts: shed pressure, one decision per host per step so
-		// a batch does not overshoot below the threshold (an unresolved
-		// overload re-triggers next step). The heaviest VM is the decisive
-		// one to re-place.
-		for i := 0; i < s.NumHosts() && len(m.candScratch) < cap_; i++ {
-			if !s.HostOverloaded(i) || len(s.HostVMs[i]) == 0 {
-				continue
-			}
-			heaviest, demand := -1, -1.0
-			for _, j := range s.HostVMs[i] {
-				if s.VMMIPS[j] > demand {
-					heaviest, demand = j, s.VMMIPS[j]
-				}
-			}
-			m.addCandidate(heaviest, trace.ReasonOverload, cap_)
-		}
-		// Most underloaded active host below the threshold: consolidation
-		// (may only target already-active hosts — never wake a machine to
-		// empty another).
-		minUtil := m.cfg.UnderloadThreshold
-		minHost := -1
-		for i := 0; i < s.NumHosts(); i++ {
-			if len(s.HostVMs[i]) > 0 && s.HostUtil[i] < minUtil {
-				minUtil = s.HostUtil[i]
-				minHost = i
+		heaviest, demand := -1, -1.0
+		for _, j := range s.HostVMs[i] {
+			if s.VMMIPS[j] > demand {
+				heaviest, demand = j, s.VMMIPS[j]
 			}
 		}
-		if minHost >= 0 {
-			for _, j := range s.HostVMs[minHost] {
-				m.addCandidate(j, trace.ReasonUnderload, cap_)
-			}
+		m.addCandidate(heaviest, trace.ReasonOverload, cap_)
+	}
+	// Most underloaded active host below the threshold: consolidation
+	// (may only target already-active hosts — never wake a machine to
+	// empty another).
+	minUtil := m.cfg.UnderloadThreshold
+	minHost := -1
+	for i := 0; i < s.NumHosts(); i++ {
+		if len(s.HostVMs[i]) > 0 && s.HostUtil[i] < minUtil {
+			minUtil = s.HostUtil[i]
+			minHost = i
 		}
-		m.candCache = append(m.candCache[:0], m.candScratch...)
-		m.candCacheOK = true
+	}
+	if minHost >= 0 {
+		for _, j := range s.HostVMs[minHost] {
+			m.addCandidate(j, trace.ReasonUnderload, cap_)
+		}
 	}
 	// An occasional exploration draw keeps the learner sampling the rest
 	// of the space.
@@ -888,9 +856,16 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 	// Collect feasible destinations and their Q values. Active hosts are
 	// preferred; an overload shed may wake a sleeping machine, but only
 	// when no active host can absorb the VM.
-	feasible, qs, minQ := m.scanRow(s, j, cur, base, true)
+	var feasible []int
+	var qs []float64
+	var minQ float64
+	if m.hostActive[cur] {
+		feasible, qs, minQ = m.scanRowActive(s, j, cur, base)
+	} else {
+		feasible, qs, minQ = m.scanRowUnrolled(s, j, cur, base, true)
+	}
 	if c.overload() && len(feasible) <= 1 { // only the stay option found
-		feasible, qs, minQ = m.scanRow(s, j, cur, base, false)
+		feasible, qs, minQ = m.scanRowUnrolled(s, j, cur, base, false)
 	}
 	m.feasibleScratch = feasible
 	m.qScratch = qs
@@ -946,8 +921,8 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 // RAM capacity, the overload threshold β after placement (a policy must not
 // manufacture overloads), and — for consolidation/exploration moves — that
 // the destination is already active. Aggregates include this step's earlier
-// choices; refreshHostAggregates must have run for this snapshot. scanRow
-// inlines the same tests (kept in exact sync) for the hot sweep.
+// choices; refreshHostAggregates must have run for this snapshot. The scan
+// kernels inline the same tests (kept in exact sync) for the hot sweep.
 func (m *Megh) fits(s *sim.Snapshot, j, k int, activeOnly bool) bool {
 	// A failed host delivers no capacity; proposing it burns the per-step
 	// migration budget on a guaranteed rejection and feeds the LSPI update

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"megh/internal/core"
 	"megh/internal/sim"
@@ -19,17 +18,16 @@ import (
 // becomes the round's *leader*. If no earlier round is still executing,
 // the leader fires immediately — an uncontended decide pays no added
 // latency. While a previous round's merged batch is executing, the leader
-// instead lingers for up to the configured window (Config.CoalesceLinger,
-// default DefCoalesceLinger) or until that batch completes, whichever is
-// first — the execution window is exactly when concurrent requests pile
-// up, so this is group commit: everything that arrives behind an
-// in-flight decide merges into the next round. On firing, the leader
-// detaches the round, concatenates every waiter's items in join order,
-// runs one DecideBatch under one withLearner acquisition, slices the
-// results back per waiter, and wakes them. A round also fires early when
-// its item count reaches MaxBatchItems; a joiner that would push it past
-// the cap instead fires the open round immediately and starts a new one
-// as leader.
+// waits for it to complete — it could not take the session lock before
+// then anyway, and the execution window is exactly when concurrent
+// requests pile up, so this is group commit: everything that arrives
+// behind an in-flight decide merges into the next round. On firing, the
+// leader detaches the round, concatenates every waiter's items in join
+// order, runs one DecideBatch under one withLearner acquisition, slices
+// the results back per waiter, and wakes them. A round also fires early
+// when its item count reaches MaxBatchItems; a joiner that would push it
+// past the cap instead fires the open round immediately and starts a new
+// one as leader.
 //
 // Ordering guarantee: within one merged round, items are decided in waiter
 // join order and each response carries exactly its own items' decisions in
@@ -41,14 +39,6 @@ import (
 // Observe/Decide loop (core's contract), so coalescing changes *when* the
 // learner runs, never what it decides — pinned end to end by
 // TestCoalescingPreservesDecisions.
-
-// DefCoalesceLinger is the coalescing window when Config.CoalesceLinger is
-// zero: the longest a round waits behind an in-flight decide before giving
-// up on merging and contending for the session lock itself. Long enough to
-// span a typical decide, short against any realistic monitoring interval.
-// Negative disables coalescing. (An uncontended round never waits at all,
-// so the window does not tax idle-session latency.)
-const DefCoalesceLinger = 100 * time.Microsecond
 
 // coalesceWaiter carries one request's items into a round and its slice of
 // the results back out.
@@ -66,14 +56,14 @@ type coalesceRound struct {
 	// at join and a displacing joiner may try to fire. Written under the
 	// coalescer mutex.
 	fired bool
-	// fire wakes the lingering leader early (capacity reached / displaced).
+	// fire wakes the waiting leader early (capacity reached / displaced).
 	fire chan struct{}
 	// done is closed by the leader once every waiter's out/err is set.
 	done chan struct{}
 }
 
-// fireNowLocked wakes the leader before its linger expires. Callers hold
-// the coalescer mutex.
+// fireNowLocked wakes the leader before the round ahead of it completes.
+// Callers hold the coalescer mutex.
 func (r *coalesceRound) fireNowLocked() {
 	if !r.fired {
 		r.fired = true
@@ -87,9 +77,9 @@ type coalescer struct {
 	cur *coalesceRound
 	// lastDone is the done channel of the most recently dispatched round:
 	// open while that round's merged batch is still executing. A new
-	// leader waits on it (capped by the linger window) before firing, so a
-	// round sweeps up everything that arrives during the previous round's
-	// execution; nil or closed, the leader fires immediately.
+	// leader waits on it before firing, so a round sweeps up everything
+	// that arrives during the previous round's execution; nil or closed,
+	// the leader fires immediately.
 	lastDone chan struct{}
 }
 
@@ -105,25 +95,9 @@ func (s *session) noteDecidedLocked(items []core.BatchItem) {
 	}
 }
 
-// decideDirect is the coalescing-off path: one request, one learner
-// acquisition.
-func (s *Service) decideDirect(sess *session, items []core.BatchItem) ([][]sim.Migration, error) {
-	var out [][]sim.Migration
-	err := s.mgr.withLearner(sess, func(l *core.Megh) error {
-		out = l.DecideBatch(items)
-		sess.noteDecidedLocked(items)
-		return nil
-	})
-	return out, err
-}
-
 // coalesceDecide routes one request's items through the session's
-// coalescer (or straight to the learner when coalescing is disabled) and
-// returns the request's own per-item decision slices.
+// coalescer and returns the request's own per-item decision slices.
 func (s *Service) coalesceDecide(sess *session, items []core.BatchItem) ([][]sim.Migration, error) {
-	if s.coalesceLinger <= 0 {
-		return s.decideDirect(sess, items)
-	}
 	w := &coalesceWaiter{items: items}
 	c := &sess.coal
 	c.mu.Lock()
@@ -161,20 +135,12 @@ func (s *Service) coalesceDecide(sess *session, items []core.BatchItem) ([][]sim
 // merged batch, and demultiplexes the results. The merge window is zero
 // when no earlier round is still executing (prev nil or closed): an
 // uncontended decide fires immediately. Behind an in-flight round it is
-// min(remaining execution time, linger) — group commit.
+// that round's remaining execution time — group commit.
 func (s *Service) leadRound(sess *session, round *coalesceRound, prev chan struct{}) {
 	if prev != nil {
 		select {
 		case <-prev:
 		case <-round.fire:
-		default:
-			timer := time.NewTimer(s.coalesceLinger)
-			select {
-			case <-prev:
-			case <-round.fire:
-			case <-timer.C:
-			}
-			timer.Stop()
 		}
 	}
 	c := &sess.coal

@@ -10,15 +10,13 @@ import (
 	"time"
 
 	"megh/internal/core"
+	"megh/internal/sim"
+	"megh/internal/trace"
 )
 
-func newCoalesceService(t *testing.T, linger time.Duration, maxInFlight int) (*Service, *httptest.Server) {
+func newCoalesceService(t *testing.T, maxInFlight int) (*Service, *httptest.Server) {
 	t.Helper()
-	svc, err := New(Config{
-		NumVMs: 4, NumHosts: 3, Seed: 7,
-		CoalesceLinger: linger,
-		MaxInFlight:    maxInFlight,
-	})
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, MaxInFlight: maxInFlight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,80 +48,148 @@ func waitWaiters(t *testing.T, sess *session, n int) {
 	}
 }
 
+// twinLearner is the reference the coalescing tests compare against: a
+// same-seed core.Megh driven directly, with no service around it, fed the
+// snapshots the handlers would build from the same requests.
+type twinLearner struct {
+	*core.Megh
+	spec SessionSpec
+}
+
+func newTwinLearner(t *testing.T, svc *Service) twinLearner {
+	t.Helper()
+	spec := svc.def.spec
+	m, err := core.New(core.DefaultConfig(spec.NumVMs, spec.NumHosts, spec.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twinLearner{Megh: m, spec: spec}
+}
+
+func (tw twinLearner) observe(fb *FeedbackRequest) {
+	tw.Observe(&sim.Feedback{Step: fb.Step, StepCost: fb.StepCost,
+		EnergyCost: fb.EnergyCost, SLACost: fb.SLACost, ResourceCost: fb.ResourceCost})
+}
+
+func (tw twinLearner) decide(req StateRequest) DecideResponse {
+	base := newSnapshotBase(&req, staticDigest(req.Hosts, req.VMs))
+	migs := tw.Decide(req.snapshot(base, tw.spec.OverloadThreshold, tw.spec.StepSeconds))
+	resp := DecideResponse{Step: req.Step, Migrations: make([]MigrationDecision, 0, len(migs))}
+	for _, m := range migs {
+		resp.Migrations = append(resp.Migrations, MigrationDecision{VM: m.VM, Dest: m.Dest})
+	}
+	return resp
+}
+
+func (tw twinLearner) decideBatch(req BatchDecideRequest) BatchDecideResponse {
+	var resp BatchDecideResponse
+	for _, it := range req.Items {
+		if it.Feedback != nil {
+			tw.observe(it.Feedback)
+		}
+		resp.Results = append(resp.Results, tw.decide(it.State))
+	}
+	return resp
+}
+
+// decideEvents keeps a JSONL trace stream's decide events — the ones the
+// learner writes; step and batch markers come from the handlers.
+func decideEvents(stream []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(stream, []byte("\n")) {
+		if bytes.Contains(line, []byte(`"kind":"decide"`)) {
+			out = append(out, line...)
+		}
+	}
+	return out
+}
+
 // TestCoalescingPreservesDecisions is the end-to-end differential for the
-// coalescing path itself: the same request sequence (single decides,
-// batches with feedback, bare feedback posts) against a coalescing-on and
-// a coalescing-off service with the same seed must produce byte-identical
-// response bodies, stats, and session trace streams.
+// coalescing path itself: a request sequence (single decides, batches with
+// feedback, bare feedback posts) through the service must produce the
+// response bodies, learner stats and decide trace events that a same-seed
+// learner produces when the same states and feedback are fed to it
+// directly, byte for byte.
 func TestCoalescingPreservesDecisions(t *testing.T) {
-	run := func(linger time.Duration) (bodies [][]byte, stats, tail []byte) {
-		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, CoalesceLinger: linger})
+	var svcTrace, twinTrace bytes.Buffer
+	tracer := func(w *bytes.Buffer) *trace.Tracer {
+		tr, err := trace.New(trace.Options{W: w, RingSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = svc
-		ts := httptest.NewServer(svc.Handler())
-		defer ts.Close()
+		return tr
+	}
+	svcTracer, twinTracer := tracer(&svcTrace), tracer(&twinTrace)
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, Tracer: svcTracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	twin := newTwinLearner(t, svc)
+	twin.Trace(twinTracer)
 
-		base := ts.URL + "/v2/sessions/" + DefaultSessionID
-		for step := 0; step < 18; step++ {
-			var status int
-			var body []byte
-			switch {
-			case step%6 == 5:
-				// A 3-item batch, the middle item carrying feedback.
-				req := BatchDecideRequest{Items: []BatchDecideItem{
-					{State: sessionWorld(4, 3, step)},
-					{State: sessionWorld(4, 3, step+1),
-						Feedback: &FeedbackRequest{Step: step, StepCost: 0.4, EnergyCost: 0.3, SLACost: 0.1}},
-					{State: sessionWorld(4, 3, step+2)},
-				}}
-				status, body = rawPost(t, base+"/decide/batch", req)
-			case step%6 == 2:
-				status, body = rawPost(t, base+"/feedback",
-					FeedbackRequest{Step: step - 1, StepCost: 0.5, EnergyCost: 0.4, SLACost: 0.1})
-			default:
-				status, body = rawPost(t, base+"/decide", sessionWorld(4, 3, step))
+	base := ts.URL + "/v2/sessions/" + DefaultSessionID
+	decisions := 0
+	for step := 0; step < 18; step++ {
+		var status int
+		var body []byte
+		var want any
+		switch {
+		case step%6 == 5:
+			// A 3-item batch, the middle item carrying feedback.
+			req := BatchDecideRequest{Items: []BatchDecideItem{
+				{State: sessionWorld(4, 3, step)},
+				{State: sessionWorld(4, 3, step+1),
+					Feedback: &FeedbackRequest{Step: step, StepCost: 0.4, EnergyCost: 0.3, SLACost: 0.1}},
+				{State: sessionWorld(4, 3, step+2)},
+			}}
+			status, body = rawPost(t, base+"/decide/batch", req)
+			want = twin.decideBatch(req)
+			decisions += len(req.Items)
+		case step%6 == 2:
+			fb := FeedbackRequest{Step: step - 1, StepCost: 0.5, EnergyCost: 0.4, SLACost: 0.1}
+			status, body = rawPost(t, base+"/feedback", fb)
+			twin.observe(&fb)
+		default:
+			req := sessionWorld(4, 3, step)
+			status, body = rawPost(t, base+"/decide", req)
+			want = twin.decide(req)
+			decisions++
+		}
+		if status != http.StatusOK && status != http.StatusNoContent {
+			t.Fatalf("step %d: status %d: %s", step, status, body)
+		}
+		var wantBody []byte
+		if want != nil {
+			raw, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if status != http.StatusOK && status != http.StatusNoContent {
-				t.Fatalf("linger %v step %d: status %d: %s", linger, step, status, body)
-			}
-			bodies = append(bodies, body)
+			wantBody = append(raw, '\n')
 		}
-		resp, err := http.Get(base + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st SessionStatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		stats, _ = json.Marshal(st)
-		tresp, err := http.Get(base + "/trace/tail?n=500")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tresp.Body.Close()
-		buf := new(bytes.Buffer)
-		if _, err := buf.ReadFrom(tresp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return bodies, stats, buf.Bytes()
-	}
-
-	onBodies, onStats, onTail := run(time.Nanosecond) // coalescing path, no real linger
-	offBodies, offStats, offTail := run(-1)           // disabled: direct path
-	for i := range onBodies {
-		if !bytes.Equal(onBodies[i], offBodies[i]) {
-			t.Fatalf("request %d diverged:\ncoalescing: %s\ndirect:     %s", i, onBodies[i], offBodies[i])
+		if !bytes.Equal(body, wantBody) {
+			t.Fatalf("request %d diverged:\ncoalescing: %s\ndirect:     %s", step, body, wantBody)
 		}
 	}
-	if !bytes.Equal(onStats, offStats) {
-		t.Fatalf("stats diverged:\ncoalescing: %s\ndirect:     %s", onStats, offStats)
+	st, err := svc.sessionStats(svc.def)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(onTail, offTail) {
-		t.Fatal("session trace streams differ between coalescing and direct paths")
+	if st.Decisions != decisions || st.QTableNNZ != twin.QTableNNZ() || st.Temperature != twin.Temperature() {
+		t.Fatalf("stats diverged: service %d decisions, nnz %d, temp %v; direct %d, %d, %v",
+			st.Decisions, st.QTableNNZ, st.Temperature, decisions, twin.QTableNNZ(), twin.Temperature())
+	}
+	if err := svcTracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := twinTracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := decideEvents(svcTrace.Bytes())
+	if len(got) == 0 || !bytes.Equal(got, twinTrace.Bytes()) {
+		t.Fatalf("decide trace events differ between the coalesced and the direct learner:\ncoalescing: %s\ndirect:     %s",
+			got, twinTrace.Bytes())
 	}
 }
 
@@ -133,12 +199,12 @@ func TestCoalescingPreservesDecisions(t *testing.T) {
 // what one client posting the concatenated 3-item batch would get from a
 // same-seed learner.
 func TestConcurrentClientsCoalesceIntoOneLearnerCall(t *testing.T) {
-	svc, ts := newCoalesceService(t, 30*time.Second, 0)
+	svc, ts := newCoalesceService(t, 0)
 	base := ts.URL + "/v2/sessions/" + DefaultSessionID
 
-	// Simulate an in-flight decide so the next round lingers: an open
-	// lastDone makes the leader wait (capped by the 30s linger) until we
-	// close it, giving the second client a deterministic join window.
+	// Simulate an in-flight decide so the next round waits: an open
+	// lastDone makes the leader wait until we close it, giving the second
+	// client a deterministic join window.
 	hold := make(chan struct{})
 	svc.def.coal.mu.Lock()
 	svc.def.coal.lastDone = hold
@@ -159,7 +225,7 @@ func TestConcurrentClientsCoalesceIntoOneLearnerCall(t *testing.T) {
 		defer wg.Done()
 		singleStatus, singleBody = rawPost(t, base+"/decide", single)
 	}()
-	waitWaiters(t, svc.def, 1) // the single decide is now the lingering leader
+	waitWaiters(t, svc.def, 1) // the single decide is now the waiting leader
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -182,20 +248,11 @@ func TestConcurrentClientsCoalesceIntoOneLearnerCall(t *testing.T) {
 		t.Fatalf("coalesced items = %d, want 3", got)
 	}
 
-	// Reference: one client, one 3-item batch, same-seed coalescing-off
-	// service. Its per-item results must equal the merged round's, sliced
+	// Reference: the concatenated 3-item batch fed to a same-seed learner
+	// directly. Its per-item results must equal the merged round's, sliced
 	// back per client.
-	_, refTS := newCoalesceService(t, -1, 0)
-	refReq := BatchDecideRequest{Items: append(
-		[]BatchDecideItem{{State: single}}, batch.Items...)}
-	refStatus, refBody := rawPost(t, refTS.URL+"/v2/sessions/"+DefaultSessionID+"/decide/batch", refReq)
-	if refStatus != http.StatusOK {
-		t.Fatalf("reference batch status %d: %s", refStatus, refBody)
-	}
-	var ref BatchDecideResponse
-	if err := json.Unmarshal(refBody, &ref); err != nil {
-		t.Fatal(err)
-	}
+	ref := newTwinLearner(t, svc).decideBatch(BatchDecideRequest{Items: append(
+		[]BatchDecideItem{{State: single}}, batch.Items...)})
 	var gotSingle DecideResponse
 	if err := json.Unmarshal(singleBody, &gotSingle); err != nil {
 		t.Fatal(err)
@@ -217,15 +274,15 @@ func TestConcurrentClientsCoalesceIntoOneLearnerCall(t *testing.T) {
 }
 
 // TestBatchAdmissionWeighting pins the per-item admission accounting: a
-// K-item batch holds K gate slots, so with MaxInFlight=2 a lingering
+// K-item batch holds K gate slots, so with MaxInFlight=2 a waiting
 // 2-item batch forces a concurrent single decide to 429; and a batch
 // larger than the whole gate clamps to capacity rather than being
 // unadmittable.
 func TestBatchAdmissionWeighting(t *testing.T) {
-	svc, ts := newCoalesceService(t, 30*time.Second, 2)
+	svc, ts := newCoalesceService(t, 2)
 	base := ts.URL + "/v2/sessions/" + DefaultSessionID
 
-	// An open lastDone keeps the batch's round lingering, so it holds its
+	// An open lastDone keeps the batch's round waiting, so it holds its
 	// gate slots for a deterministic window.
 	hold := make(chan struct{})
 	svc.def.coal.mu.Lock()
@@ -244,7 +301,7 @@ func TestBatchAdmissionWeighting(t *testing.T) {
 			t.Errorf("batch status %d: %s", status, body)
 		}
 	}()
-	waitWaiters(t, svc.def, 1) // the batch holds both gate slots while lingering
+	waitWaiters(t, svc.def, 1) // the batch holds both gate slots while waiting
 
 	raw, _ := json.Marshal(sessionWorld(4, 3, 2))
 	resp, err := http.Post(base+"/decide", "application/json", bytes.NewReader(raw))
@@ -278,12 +335,13 @@ func TestBatchAdmissionWeighting(t *testing.T) {
 }
 
 // TestDecideBatchEdgeCasesUnderCoalescing covers the batch-size boundaries
-// with coalescing enabled: empty (400), single item, exactly MaxBatchItems
-// (fires on capacity, not linger), a joiner that would overflow an open
-// round (displaces it), and mixed single+batch traffic racing one session.
+// of the coalescer: empty (400), single item, exactly MaxBatchItems (fires
+// on capacity, not on the round ahead completing), a joiner that would
+// overflow an open round (displaces it), and mixed single+batch traffic
+// racing one session.
 func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
-		_, ts := newCoalesceService(t, time.Millisecond, 0)
+		_, ts := newCoalesceService(t, 0)
 		status, body := rawPost(t, ts.URL+"/v2/sessions/default/decide/batch", BatchDecideRequest{})
 		if status != http.StatusBadRequest {
 			t.Fatalf("empty batch answered %d: %s", status, body)
@@ -291,7 +349,7 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 
 	t.Run("single-item", func(t *testing.T) {
-		_, ts := newCoalesceService(t, time.Millisecond, 0)
+		_, ts := newCoalesceService(t, 0)
 		req := BatchDecideRequest{Items: []BatchDecideItem{{State: sessionWorld(4, 3, 0)}}}
 		status, body := rawPost(t, ts.URL+"/v2/sessions/default/decide/batch", req)
 		if status != http.StatusOK {
@@ -304,21 +362,22 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 
 	t.Run("exactly-max", func(t *testing.T) {
-		// A full-capacity batch must fire on the capacity trigger, not sit
-		// out the (deliberately long) linger.
-		_, ts := newCoalesceService(t, 30*time.Second, 0)
+		// A full-capacity batch must fire on the capacity trigger, not wait
+		// for the (never-completing) round ahead of it.
+		svc, ts := newCoalesceService(t, 0)
+		hold := make(chan struct{})
+		defer close(hold)
+		svc.def.coal.mu.Lock()
+		svc.def.coal.lastDone = hold
+		svc.def.coal.mu.Unlock()
 		items := make([]BatchDecideItem, MaxBatchItems)
 		for i := range items {
 			items[i] = BatchDecideItem{State: sessionWorld(4, 3, i)}
 		}
-		start := time.Now()
 		status, body := rawPost(t, ts.URL+"/v2/sessions/default/decide/batch",
 			BatchDecideRequest{Items: items})
 		if status != http.StatusOK {
 			t.Fatalf("max-size batch answered %d: %s", status, body[:min(len(body), 200)])
-		}
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("max-size batch took %v — capacity trigger did not fire", elapsed)
 		}
 		var resp BatchDecideResponse
 		if err := json.Unmarshal(body, &resp); err != nil || len(resp.Results) != MaxBatchItems {
@@ -327,10 +386,10 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 
 	t.Run("overflow-displaces-round", func(t *testing.T) {
-		// A lingering single decide plus a full-size batch cannot share a
+		// A waiting single decide plus a full-size batch cannot share a
 		// round (1+1024 > cap): the batch must fire the open round and lead
-		// a fresh one, and both must complete without waiting out the linger.
-		svc, ts := newCoalesceService(t, 30*time.Second, 0)
+		// a fresh one, and both must complete though the round ahead never does.
+		svc, ts := newCoalesceService(t, 0)
 		base := ts.URL + "/v2/sessions/default"
 		hold := make(chan struct{})
 		defer close(hold)
@@ -361,10 +420,10 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 
 	t.Run("mixed-racing", func(t *testing.T) {
-		// Singles and batches hammer one session concurrently with a real
-		// linger window; every request must succeed and the session must
-		// account exactly one decision per item.
-		svc, ts := newCoalesceService(t, 200*time.Microsecond, 0)
+		// Singles and batches hammer one session concurrently; every
+		// request must succeed and the session must account exactly one
+		// decision per item.
+		svc, ts := newCoalesceService(t, 0)
 		base := ts.URL + "/v2/sessions/default"
 		const (
 			workers  = 4
@@ -412,15 +471,65 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 }
 
+// TestGroupCommitWithoutWindow pins what replaced the linger timer: behind
+// a round whose learner call is still running, the next round stays open
+// for as long as that call takes — here 5 ms, fifty of the old 100 µs
+// windows — and then carries every request that arrived meanwhile in one
+// learner call.
+func TestGroupCommitWithoutWindow(t *testing.T) {
+	const k = 6
+	svc, ts := newCoalesceService(t, 0)
+	base := ts.URL + "/v2/sessions/" + DefaultSessionID
+	post := func(wg *sync.WaitGroup, step int) {
+		defer wg.Done()
+		if status, body := rawPost(t, base+"/decide", sessionWorld(4, 3, step)); status != http.StatusOK {
+			t.Errorf("decide %d answered %d: %s", step, status, body)
+		}
+	}
+
+	// Holding the session lock keeps the first round's learner call open:
+	// its leader has detached the round and sits in withLearner.
+	svc.def.mu.Lock()
+	unlock := sync.OnceFunc(svc.def.mu.Unlock)
+	defer unlock() // a failed wait below must not strand the server's handlers
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go post(&wg, 0)
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.coalRounds.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first round never fired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i <= k; i++ {
+		wg.Add(1)
+		go post(&wg, i)
+	}
+	waitWaiters(t, svc.def, k)
+	time.Sleep(5 * time.Millisecond)
+	unlock()
+	wg.Wait()
+
+	if got := svc.coalRounds.Value(); got != 2 {
+		t.Fatalf("megh_coalesce_rounds_total = %d, want 2 (the followers split across rounds)", got)
+	}
+	if got := svc.coalItems.Value(); got != 1+k {
+		t.Fatalf("coalesced items = %d, want %d", got, 1+k)
+	}
+	if got := svc.coalMerged.Value(); got != k {
+		t.Fatalf("merged requests = %d, want %d (one following round carrying all followers)", got, k)
+	}
+}
+
 // BenchmarkCoalescedDecide measures the server decide path at the service
-// layer (no HTTP stack): "direct" is the coalescing-off reference,
-// "serial" pays the full round machinery with no concurrency to merge
-// (group commit means an uncontended round never waits on a timer), and
-// "parallel" lets concurrent callers share rounds. `make check` gates the
-// serial path's allocs/op.
+// layer (no HTTP stack): "serial" pays the full round machinery with no
+// concurrency to merge (an uncontended round never waits), and "parallel"
+// lets concurrent callers share rounds. `make check` gates the serial
+// path's allocs/op.
 func BenchmarkCoalescedDecide(b *testing.B) {
-	mk := func(b *testing.B, linger time.Duration) (*Service, []core.BatchItem) {
-		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, CoalesceLinger: linger})
+	mk := func(b *testing.B) (*Service, []core.BatchItem) {
+		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -429,18 +538,8 @@ func BenchmarkCoalescedDecide(b *testing.B) {
 		snap := req.snapshot(base, svc.def.spec.OverloadThreshold, svc.def.spec.StepSeconds)
 		return svc, []core.BatchItem{{Snap: snap}}
 	}
-	b.Run("direct", func(b *testing.B) {
-		svc, items := mk(b, -1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.coalesceDecide(svc.def, items); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("serial", func(b *testing.B) {
-		svc, items := mk(b, 0) // default linger; uncontended rounds skip it
+		svc, items := mk(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -450,7 +549,7 @@ func BenchmarkCoalescedDecide(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		svc, items := mk(b, 0)
+		svc, items := mk(b)
 		// Force real goroutine concurrency even on GOMAXPROCS=1 machines,
 		// so rounds actually merge behind in-flight decides.
 		b.SetParallelism(8)

@@ -55,12 +55,6 @@ type Config struct {
 	// slots); excess requests are refused with 429 and a Retry-After
 	// header instead of queueing without bound. 0 means unlimited.
 	MaxInFlight int
-	// CoalesceLinger is the cross-request batch-coalescing window: a decide
-	// request for a session lingers this long so concurrent decide and
-	// decide/batch requests for the same session merge into one
-	// core.DecideBatch call per lock acquisition. 0 means DefCoalesceLinger;
-	// negative disables coalescing (every request acquires the lock itself).
-	CoalesceLinger time.Duration
 	// DeferThreshold and DeferMaxAge configure the deferred/merged
 	// Sherman–Morrison update mode for every learner the service builds
 	// (core.Config.DeferThreshold / DeferMaxAge): transitions whose
@@ -130,11 +124,9 @@ type Service struct {
 	gate      *admitGate
 	throttled *obs.Counter
 
-	// coalesceLinger is the resolved coalescing window (<= 0 disabled).
-	coalesceLinger time.Duration
-	coalRounds     *obs.Counter
-	coalMerged     *obs.Counter
-	coalItems      *obs.Counter
+	coalRounds *obs.Counter
+	coalMerged *obs.Counter
+	coalItems  *obs.Counter
 
 	// elided counts decide requests that relied on a snapshot base;
 	// baseConflicts counts those refused with 409 because the session did
@@ -253,10 +245,6 @@ func New(cfg Config) (*Service, error) {
 		"Decide/feedback requests refused with 429 by the admission gate.", nil)
 	if cfg.MaxInFlight > 0 {
 		s.gate = &admitGate{capacity: cfg.MaxInFlight}
-	}
-	s.coalesceLinger = cfg.CoalesceLinger
-	if s.coalesceLinger == 0 {
-		s.coalesceLinger = DefCoalesceLinger
 	}
 	s.coalRounds = reg.Counter("megh_coalesce_rounds_total",
 		"Coalesced decide rounds run (one DecideBatch call each).", nil)
@@ -695,8 +683,8 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 
 // decideBatchSession is the batched decide path: many observe→decide steps
 // validated up front, then run back-to-back against the session's learner
-// under a single lock acquisition via core.DecideBatch — shared, when
-// coalescing is on, with whatever other requests joined the same round.
+// under a single lock acquisition via core.DecideBatch — shared with
+// whatever other requests joined the same coalescing round.
 // The whole batch is validated before the learner is touched, so a 400
 // never leaves the learner having consumed half a batch, and before
 // admission, so the gate can weigh the request by its item count.
