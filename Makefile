@@ -69,22 +69,28 @@ bench-trace:
 	$(GO) test -run=- -bench=BenchmarkDecideHealth -benchtime=100x ./internal/health/
 
 # Allocation-regression gates: the untraced decide path with no pending cost
-# must stay at exactly 0 allocs/op, and the coalesced server decide path
+# must stay at exactly 0 allocs/op, the coalesced server decide path
 # (round + waiter + demux machinery per uncontended request) must stay within
-# its small fixed budget. Short iteration counts so `make check` stays fast;
-# benchjson fails the build on any regression.
+# its small fixed budget, and the elided-snapshot codec must allocate per
+# request, not per VM (decode ≤ 4, encode ≤ 2 at 1 000 VMs). Short iteration
+# counts so `make check` stays fast; benchjson fails the build on any
+# regression.
 bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecide/no-tracer-nocost' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-zero-alloc BenchmarkDecide/no-tracer-nocost
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide/serial' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkCoalescedDecide/serial=16
+	$(GO) test -run='TestSnapshotCodecAllocs' -count=1 ./internal/server/
 
 # The tracked benchmarks: the one pipeline bench-json records and
 # bench-check compares against. Decide benchmarks run a fixed iteration
 # count: the learner's Q-table densifies as updates accumulate, so ns/op is
 # only comparable across revisions at an identical iteration count.
 # BenchmarkCheckpoint (save / verify / load of one learner image) warms its
-# learner by a fixed update count for the same reason. BenchmarkNewLearner
+# learner by a fixed update count for the same reason. BenchmarkSnapshotCodec
+# is the budget table's decode and encode rows (DESIGN.md §7.5): the elided
+# decide body at 10 000 × 1 000, an elided 16-item batch, and the full-form
+# decode that stays with encoding/json. BenchmarkNewLearner
 # builds an empty learner on each side of the eager page budget (ns/op and
 # B/op are what a session create costs). Every benchmark runs
 # -count=$(BENCH_REPS) times and benchjson keeps the fastest rep per name,
@@ -94,8 +100,9 @@ TRACKED_BENCHMARKS = { \
 	$(GO) test -run=- -bench='BenchmarkDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
 	$(GO) test -run=- -bench='BenchmarkCheckpoint' -benchtime=1000x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
 	$(GO) test -run=- -bench='BenchmarkNewLearner' -benchtime=100x -count=$(BENCH_REPS) -benchmem ./internal/core/ ; \
-	$(GO) test -run=- -bench='BenchmarkShermanMorrison' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
+	$(GO) test -run=- -bench='BenchmarkShermanMorrisonMeghShape' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
+	$(GO) test -run=- -bench='BenchmarkSnapshotCodec' -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; }
 
 # Regenerate the tracked benchmark baseline.

@@ -193,10 +193,7 @@ func BenchmarkAblationShermanMorrison(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, nb := r.Intn(dim), r.Intn(dim)
-		u := sparse.Basis(dim, a)
-		v := sparse.Basis(dim, a)
-		v.Add(nb, -0.5)
-		if _, err := m.ShermanMorrison(u, v); err != nil {
+		if _, err := m.ShermanMorrisonBasis(a, nb, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,10 +235,7 @@ func benchAblationDropTolerance(b *testing.B, tol float64) {
 		b.StartTimer()
 		for step := 0; step < 400; step++ {
 			a, nb := r.Intn(actions), r.Intn(actions)
-			u := sparse.Basis(dim, a)
-			v := sparse.Basis(dim, a)
-			v.Add(nb, -0.5)
-			if _, err := m.ShermanMorrison(u, v); err != nil {
+			if _, err := m.ShermanMorrisonBasis(a, nb, 0.5); err != nil {
 				b.Fatal(err)
 			}
 		}

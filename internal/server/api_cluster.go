@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 
@@ -140,10 +139,11 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
 		return
 	}
-	img, err := readImage(r.Body, r.ContentLength)
+	img, err := readBody(r.Body, r.ContentLength, maxReplicaBytes)
+	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.Is(err, errImageTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes))
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica image: %w", err))
@@ -158,45 +158,6 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ClusterReplicaResponse{ID: id, Bytes: len(img)})
-}
-
-// replicaReadStep is the most readImage reserves on the word of a
-// Content-Length header alone.
-const replicaReadStep = 1 << 20
-
-var errImageTooLarge = fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes)
-
-// readImage reads a replica body of up to maxReplicaBytes. A declared length
-// sizes the buffer, so an honest image of up to replicaReadStep is read in
-// place with no regrowth; past that the buffer at most doubles, and only
-// once the bytes before have arrived, so a header that lies cannot reserve
-// more than replicaReadStep plus twice what its sender really sent.
-func readImage(body io.Reader, declared int64) ([]byte, error) {
-	if declared > maxReplicaBytes {
-		return nil, errImageTooLarge
-	}
-	want := int(declared) // -1 when the sender declared nothing
-	buf := make([]byte, 0, min(max(want, 512), replicaReadStep)+1)
-	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		switch {
-		case len(buf) > maxReplicaBytes:
-			return nil, errImageTooLarge
-		case err == io.EOF:
-			return buf, nil
-		case err != nil:
-			return nil, err
-		case len(buf) == cap(buf):
-			// Double, or stop one byte past the declared length if that is
-			// nearer: the read that finds EOF then needs no further growth.
-			size := 2 * cap(buf)
-			if want >= len(buf) && want < size {
-				size = want + 1
-			}
-			buf = append(make([]byte, 0, size), buf...)
-		}
-	}
 }
 
 // handleReplicaGet serves GET /v2/cluster/replicas/{id}: the stored

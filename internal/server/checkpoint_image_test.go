@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -320,11 +321,11 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	}
 	const sent = 1024
 	var reply []byte
-	got = allocatedBy(func() { reply = rawReplicaPut(t, u.Host, "liar", maxReplicaBytes, sent) })
+	got = allocatedBy(func() { reply = rawSend(t, u.Host, http.MethodPut, "/v2/cluster/replicas/liar", maxReplicaBytes, sent) })
 	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
 		t.Fatalf("short body under a 1 GiB header answered %q, want 400", firstLine(reply))
 	}
-	if limit := uint64(replicaReadStep + 2*sent + 1<<20); got > limit {
+	if limit := uint64(bodyReadStep + 2*sent + 1<<20); got > limit {
 		t.Fatalf("%d bytes under a %d-byte header made the process allocate %d bytes (limit %d)",
 			sent, maxReplicaBytes, got, limit)
 	}
@@ -333,7 +334,7 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	}
 
 	// A header declaring more than the cap is refused outright.
-	if reply := rawReplicaPut(t, u.Host, "big", maxReplicaBytes+1, 16); !bytes.HasPrefix(reply, []byte("HTTP/1.1 413")) {
+	if reply := rawSend(t, u.Host, http.MethodPut, "/v2/cluster/replicas/big", maxReplicaBytes+1, 16); !bytes.HasPrefix(reply, []byte("HTTP/1.1 413")) {
 		t.Fatalf("oversize declaration answered %q, want 413", firstLine(reply))
 	}
 }
@@ -394,18 +395,18 @@ func TestSessionPutHostileSizes(t *testing.T) {
 	}
 }
 
-// rawReplicaPut sends a replica PUT whose Content-Length says declared but
-// whose body is sent bytes long, and returns the raw reply. net/http's
-// client refuses to send such a request, hence the bare connection.
-func rawReplicaPut(t *testing.T, host, id string, declared int64, sent int) []byte {
+// rawSend sends a request whose Content-Length says declared but whose body
+// is sent bytes long, and returns the raw reply. net/http's client refuses to
+// send such a request, hence the bare connection.
+func rawSend(t *testing.T, host, method, path string, declared int64, sent int) []byte {
 	t.Helper()
 	conn, err := net.Dial("tcp", host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "PUT /v2/cluster/replicas/%s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
-		id, host, declared)
+	fmt.Fprintf(conn, "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
+		method, path, host, declared)
 	// A server that refuses on the header alone may hang up before the body
 	// is out; the reply is what the callers judge.
 	_, _ = conn.Write(bytes.Repeat([]byte{'x'}, sent))
@@ -427,21 +428,22 @@ func TestReadImage(t *testing.T) {
 	for name, declared := range map[string]int64{
 		"honest": int64(len(payload)), "undeclared": -1, "understated": 10, "overstated": 1 << 29,
 	} {
-		got, err := readImage(bytes.NewReader(payload), declared)
+		got, err := readBody(bytes.NewReader(payload), declared, maxReplicaBytes)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: read %d bytes, err %v", name, len(got), err)
 		}
 	}
 	// An honest length up to the step is read in place: one buffer.
-	small := payload[:replicaReadStep/2]
+	small := payload[:bodyReadStep/2]
 	if n := testing.AllocsPerRun(5, func() {
-		if _, err := readImage(bytes.NewReader(small), int64(len(small))); err != nil {
+		if _, err := readBody(bytes.NewReader(small), int64(len(small)), maxReplicaBytes); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 { // the buffer and the bytes.Reader
 		t.Fatalf("an honestly declared image took %.0f allocations to read", n)
 	}
-	if _, err := readImage(bytes.NewReader(payload), maxReplicaBytes+1); err != errImageTooLarge {
+	var tooLarge *http.MaxBytesError
+	if _, err := readBody(bytes.NewReader(payload), maxReplicaBytes+1, maxReplicaBytes); !errors.As(err, &tooLarge) {
 		t.Fatalf("oversize declaration: err %v", err)
 	}
 }

@@ -175,10 +175,15 @@ func (c *Client) send(ctx context.Context, method, path string, body, out any) e
 		var err error
 		raw, err = json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("server: encoding %s request: %w", path, err)
+			return encodingError(path, err)
 		}
 	}
 	return c.do(ctx, method, path, raw, out)
+}
+
+// encodingError wraps a request body's encoding failure.
+func encodingError(path string, err error) error {
+	return fmt.Errorf("server: encoding %s request: %w", path, err)
 }
 
 // statusError is an error answer from the service: the status code and
@@ -333,21 +338,6 @@ func elidable(r *StateRequest) bool {
 	return len(r.Hosts)+len(r.VMs) >= minElideEntries
 }
 
-// elideSnapshot returns full snapshot r in the elided form; digest is
-// staticDigest of r's static fields.
-func elideSnapshot(r *StateRequest, digest string) StateRequest {
-	out := StateRequest{Step: r.Step, Base: digest, VMs: make([]VMState, len(r.VMs))}
-	for i := range r.Hosts {
-		if r.Hosts[i].Failed {
-			out.FailedHosts = append(out.FailedHosts, i)
-		}
-	}
-	for j := range r.VMs {
-		out.VMs[j] = VMState{Host: r.VMs[j].Host, Utilization: r.VMs[j].Utilization}
-	}
-	return out
-}
-
 // isBaseConflict reports whether err is the service's 409 to an elided
 // snapshot — the session does not hold the base the request named (it
 // restarted, failed over, or another client replaced the base).
@@ -392,8 +382,11 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 	}
 	digest := staticDigest(req.Hosts, req.VMs)
 	if held := s.base.Load(); held != nil && *held == digest {
-		err := s.c.send(ctx, http.MethodPost, path, elideSnapshot(&req, digest), &out)
-		if !isBaseConflict(err) {
+		body, err := appendElidedState(make([]byte, 0, elidedSizeHint(&req)), &req, digest)
+		if err != nil {
+			return out, encodingError(path, err)
+		}
+		if err = s.c.do(ctx, http.MethodPost, path, body, &out); !isBaseConflict(err) {
 			return out, err
 		}
 	}
@@ -423,23 +416,33 @@ func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideReque
 	if p := s.base.Load(); p != nil {
 		held = *p
 	}
+	// The body is written item by item, as json.Marshal would write the
+	// request with its elidable items elided.
 	base, elided := held, false
-	wire := BatchDecideRequest{Items: make([]BatchDecideItem, len(req.Items))}
+	size := 16
+	for i := range req.Items {
+		size += 256 + elidedSizeHint(&req.Items[i].State)
+	}
+	body := append(make([]byte, 0, size), `{"items":[`...)
 	for i := range req.Items {
 		it := &req.Items[i]
 		if it.State.Base != "" {
 			// Elided by the caller's own hand: theirs to manage.
 			return out, s.c.send(ctx, http.MethodPost, path, req, &out)
 		}
-		wire.Items[i] = *it
-		if digest := staticDigest(it.State.Hosts, it.State.VMs); digest != base {
-			base = digest
-		} else if elidable(&it.State) {
-			wire.Items[i].State = elideSnapshot(&it.State, digest)
-			elided = true
+		digest := staticDigest(it.State.Hosts, it.State.VMs)
+		elide := digest == base && elidable(&it.State)
+		base, elided = digest, elided || elide
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = appendBatchItem(body, it, digest, elide); err != nil {
+			return out, encodingError(path, err)
 		}
 	}
-	err := s.c.send(ctx, http.MethodPost, path, wire, &out)
+	body = append(body, `]}`...)
+	err := s.c.do(ctx, http.MethodPost, path, body, &out)
 	if elided && isBaseConflict(err) {
 		err = s.c.send(ctx, http.MethodPost, path, req, &out)
 	}

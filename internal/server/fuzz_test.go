@@ -26,7 +26,7 @@ func fillFromWorld(r, world StateRequest) StateRequest {
 	return full
 }
 
-// FuzzDecideRequestJSON drives the decide ingress path — JSON decode,
+// FuzzDecideRequestJSON drives the decide ingress path — decodeRequest,
 // resolveBase (Validate for the full form, the base checks for the elided
 // one), snapshot conversion — with arbitrary bytes, against a session that
 // already holds a 3×2 base. Nothing may panic, and any request the path
@@ -63,8 +63,15 @@ func FuzzDecideRequestJSON(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"step":4,"base":%q,"vms":[{"host":0,"utilization":1,"mips":9},{"host":0,"utilization":0.3},{"host":1,"utilization":2}]}`, held.digest)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The decode itself is differential: whatever the bytes, alone or as a
+		// batch item's state, the service decodes them to what encoding/json
+		// does, error text included.
+		decodeAgrees[StateRequest](t, data)
+		for _, wrapped := range batchWraps(data) {
+			decodeAgrees[BatchDecideRequest](t, wrapped)
+		}
 		var req StateRequest
-		if json.Unmarshal(data, &req) != nil {
+		if _, err := decodeRequest(data, &req); err != nil {
 			return
 		}
 		// Resource guard: JSON can declare arbitrarily many hosts/VMs;

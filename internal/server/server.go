@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -133,6 +134,9 @@ type Service struct {
 	// not hold the base they named.
 	elided        *obs.Counter
 	baseConflicts *obs.Counter
+	// decodeFallback counts decide and decide/batch bodies that were not the
+	// canonical elided form and went through encoding/json.
+	decodeFallback *obs.Counter
 
 	// cluster is the cluster-mode runtime (nil = single-node): ring
 	// ownership, request proxying, checkpoint replication, rebalancing.
@@ -254,6 +258,8 @@ func New(cfg Config) (*Service, error) {
 		"Decision items carried by coalesced rounds.", nil)
 	s.elided = reg.Counter("megh_snapshot_elided_requests_total",
 		"Decide and decide/batch requests that left static fields to the session's snapshot base.", nil)
+	s.decodeFallback = reg.Counter("megh_snapshot_decode_fallback_total",
+		"Decide and decide/batch requests whose body was not the canonical elided form and was decoded by encoding/json.", nil)
 	s.baseConflicts = reg.Counter("megh_snapshot_base_conflicts_total",
 		"Elided decide requests refused with 409 because the session did not hold the base they named.", nil)
 	if cfg.SLODecideP99 >= 0 {
@@ -596,11 +602,59 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // session spec): a handful of numbers, so 4 KiB is generous.
 const maxSmallBodyBytes = 4 << 10
 
-// decodeBody reads one JSON request body of at most limit bytes into v.
-// On failure it has answered — 413 for an oversized body, 400 for anything
-// else — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+// bodyReadStep is the most readBody reserves on the word of a
+// Content-Length header alone.
+const bodyReadStep = 1 << 20
+
+// readBody reads a request body of at most limit bytes, whole; a longer one
+// — by its declared length, or by what arrives — is an *http.MaxBytesError.
+// A declared length sizes the buffer, so an honest body of up to
+// bodyReadStep is read in place with no regrowth; past that the buffer at
+// most doubles, and only once the bytes before have arrived, so a header that
+// lies cannot reserve more than bodyReadStep plus twice what its sender
+// really sent. Nothing is kept between requests: a pool would hold on to the
+// one-off full-form snapshot's buffer for the life of the process.
+func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	want := int(declared) // -1 when the sender declared nothing
+	buf := make([]byte, 0, min(max(want, 512), bodyReadStep)+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case int64(len(buf)) > limit:
+			return nil, &http.MaxBytesError{Limit: limit}
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		case len(buf) == cap(buf):
+			// Double, or stop one byte past the declared length if that is
+			// nearer: the read that finds EOF then needs no further growth.
+			size := 2 * cap(buf)
+			if want >= len(buf) && want < size {
+				size = want + 1
+			}
+			buf = append(make([]byte, 0, size), buf...)
+		}
+	}
+}
+
+// decodeBody reads one JSON request body of at most limit bytes and decodes
+// it into v (see decodeRequest; bytes after the first JSON value are
+// ignored, as json.Decoder ignores them). On failure it has answered — 413
+// for a body past the limit, wherever its JSON ends, 400 for anything else —
+// and returns false.
+func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
+	buf, err := readBody(r.Body, r.ContentLength, limit)
+	if err == nil {
+		var fallback bool
+		if fallback, err = decodeRequest(buf, v); fallback {
+			s.decodeFallback.Inc()
+		}
+	}
 	if err == nil {
 		return true
 	}
@@ -644,7 +698,7 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 	// Decode and validate before admission: the gate weighs requests by item
 	// count, which is only known after the decode.
 	var req StateRequest
-	if !decodeBody(w, r, sess.spec.maxSnapshotBytes(), &req, "snapshot") {
+	if !s.decodeBody(w, r, sess.spec.maxSnapshotBytes(), &req, "snapshot") {
 		return
 	}
 	held := sess.base.Load()
@@ -690,7 +744,7 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 // admission, so the gate can weigh the request by its item count.
 func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req BatchDecideRequest
-	if !decodeBody(w, r, sess.spec.maxBatchBytes(), &req, "batch") {
+	if !s.decodeBody(w, r, sess.spec.maxBatchBytes(), &req, "batch") {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -779,7 +833,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 
 func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req FeedbackRequest
-	if !decodeBody(w, r, maxSmallBodyBytes, &req, "feedback") {
+	if !s.decodeBody(w, r, maxSmallBodyBytes, &req, "feedback") {
 		return
 	}
 	if req.StepCost < 0 {
@@ -905,7 +959,7 @@ func (s *Service) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec SessionSpec
-	if !decodeBody(w, r, maxSmallBodyBytes, &spec, "session spec") {
+	if !s.decodeBody(w, r, maxSmallBodyBytes, &spec, "session spec") {
 		return
 	}
 	sess, created, err := s.mgr.put(id, spec, false)

@@ -347,72 +347,20 @@ func (m *Matrix) MulVec(x *Vector) *Vector {
 	return out
 }
 
-// VecMul returns xᵀ·M as a sparse vector (the row-vector product).
-func (m *Matrix) VecMul(x *Vector) *Vector {
-	if x.Dim() != m.dim {
-		panic(fmt.Sprintf("sparse: VecMul dimension mismatch %d vs %d", m.dim, x.Dim()))
-	}
-	out := NewVector(m.dim)
-	x.Range(func(i int, xi float64) bool {
-		r := &m.peek(i).row
-		for p, j := range r.idx {
-			out.Add(j, xi*r.val[p])
-		}
-		if !m.diagSet(i) {
-			out.Add(i, xi*m.diag)
-		}
-		return true
-	})
-	return out
-}
-
-// ErrSingularUpdate is returned by ShermanMorrison when the rank-1 update
-// would make the matrix singular (denominator too close to zero).
+// ErrSingularUpdate is returned by the Sherman–Morrison kernels when the
+// rank-1 update would make the matrix singular (denominator too close to
+// zero).
 var ErrSingularUpdate = fmt.Errorf("sparse: sherman-morrison denominator is numerically zero")
 
-// ShermanMorrison applies the rank-1 inverse update
+// ShermanMorrisonBasis applies the rank-1 inverse update
 //
 //	M ← M − (M·u)(vᵀ·M) / (1 + vᵀ·M·u)
 //
-// in place, which is the Sherman–Morrison formula for maintaining M = A⁻¹
-// under A ← A + u·vᵀ (paper Eq. 11). It returns the denominator 1 + vᵀMu.
-// If the denominator is numerically zero the matrix is left unchanged and
-// ErrSingularUpdate is returned.
-//
-// This is the fully general form, kept as the reference implementation; the
-// Megh hot path uses the structure-exploiting ShermanMorrisonBasis, which is
-// cross-checked against this one in tests.
-func (m *Matrix) ShermanMorrison(u, v *Vector) (float64, error) {
-	mu := m.MulVec(u) // column combination: M·u
-	vm := m.VecMul(v) // row combination: vᵀ·M
-	den := 1 + vm.Dot(u)
-	if math.Abs(den) < 1e-12 {
-		return den, ErrSingularUpdate
-	}
-	inv := 1 / den
-	tol := m.dropTol
-	mu.Range(func(i int, a float64) bool {
-		ai := a * inv
-		vm.Range(func(j int, b float64) bool {
-			d := ai * b
-			// Skip numerically negligible fill-in without touching
-			// the storage at all; an existing entry this small is
-			// kept only until its next write.
-			if d < tol && d > -tol {
-				return true
-			}
-			m.Add(i, j, -d)
-			return true
-		})
-		return true
-	})
-	return den, nil
-}
-
-// ShermanMorrisonBasis applies the same rank-1 inverse update as
-// ShermanMorrison specialised to the shape every Megh transition has
-// (Eq. 10): u = e_a and v = e_a − γ·e_b. The structure collapses the two
-// matrix-vector products into reads:
+// in place — the Sherman–Morrison formula for maintaining M = A⁻¹ under
+// A ← A + u·vᵀ (paper Eq. 11) — for the shape every Megh transition has
+// (Eq. 10): u = e_a and v = e_a − γ·e_b. It returns the denominator
+// 1 + vᵀMu. The structure collapses the two matrix-vector products into
+// reads:
 //
 //	M·u  = column a of M
 //	vᵀ·M = row_a − γ·row_b        (a merge of two sorted rows)
@@ -426,7 +374,8 @@ func (m *Matrix) ShermanMorrison(u, v *Vector) (float64, error) {
 // u = e_a, v = (1−γ)·e_a.
 //
 // A numerically zero denominator leaves the matrix unchanged and returns
-// ErrSingularUpdate, exactly as the general form does.
+// ErrSingularUpdate. The tests cross-check the kernel against the fully
+// general ShermanMorrison(u, v) kept in oracle_test.go.
 func (m *Matrix) ShermanMorrisonBasis(a, b int, gamma float64) (float64, error) {
 	return m.ShermanMorrisonBasisScaled(a, b, gamma, 1)
 }

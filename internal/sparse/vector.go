@@ -178,30 +178,6 @@ func (v *Vector) AXPY(a float64, u *Vector) {
 	v.idx, v.val = ni, nv
 }
 
-// Dot returns the inner product ⟨v,u⟩, accumulated in ascending index order
-// via a merge walk over the two sorted supports. It panics if dimensions
-// differ.
-func (v *Vector) Dot(u *Vector) float64 {
-	if v.dim != u.dim {
-		panic(fmt.Sprintf("sparse: Dot dimension mismatch %d vs %d", v.dim, u.dim))
-	}
-	var s float64
-	p, q := 0, 0
-	for p < len(v.idx) && q < len(u.idx) {
-		switch {
-		case v.idx[p] < u.idx[q]:
-			p++
-		case v.idx[p] > u.idx[q]:
-			q++
-		default:
-			s += v.val[p] * u.val[q]
-			p++
-			q++
-		}
-	}
-	return s
-}
-
 // Range calls f for every stored non-zero entry in ascending index order. If
 // f returns false, iteration stops. f must not mutate the vector.
 func (v *Vector) Range(f func(i int, x float64) bool) {
