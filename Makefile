@@ -84,8 +84,11 @@ bench-alloc-gate:
 
 # The tracked benchmarks: the one pipeline bench-json records and
 # bench-check compares against. Decide benchmarks run a fixed iteration
-# count: the learner's Q-table densifies as updates accumulate, so ns/op is
-# only comparable across revisions at an identical iteration count.
+# count: B's NNZ grows as updates accumulate, so ns/op is only comparable
+# across revisions at an identical iteration count. BenchmarkSoak is the
+# long-horizon instrument: one fixed 48 384-step run of the paper's
+# 800 × 1 052 world, reporting ns/decide in week 2 and in week 20 (they
+# must stay together) and the final NNZ of B and z.
 # BenchmarkCheckpoint (save / verify / load of one learner image) warms its
 # learner by a fixed update count for the same reason. BenchmarkSnapshotCodec
 # is the budget table's decode and encode rows (DESIGN.md §7.5): the elided
@@ -103,13 +106,16 @@ TRACKED_BENCHMARKS = { \
 	$(GO) test -run=- -bench='BenchmarkShermanMorrisonMeghShape' -count=$(BENCH_REPS) -benchmem ./internal/sparse/ ; \
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide' -benchtime=10000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkSnapshotCodec' -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
-	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; }
+	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; \
+	$(GO) test -run=- -bench='BenchmarkSoak' -benchtime=1x -count=$(BENCH_REPS) -benchmem . ; }
 
-# Regenerate the tracked benchmark baseline.
+# Regenerate the tracked benchmark baseline. The stamp is the tree that was
+# measured: the commit, with "-dirty" when it carried uncommitted changes
+# (a baseline regenerated inside the change it belongs to).
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
-		| $(GO) run ./cmd/benchjson -commit "$$(git rev-parse --short HEAD)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, as the server builds them, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer" \
+		| $(GO) run ./cmd/benchjson -commit "$$(git describe --always --dirty --abbrev=7)" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, as the server builds them, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

@@ -13,6 +13,7 @@ package megh_test
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"megh"
 	"megh/internal/experiments"
@@ -270,4 +271,54 @@ func BenchmarkQuickstart(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// soakWeek is one simulated week of τ = 5 min steps.
+const soakWeek = 2016
+
+// soakPolicy is a learner whose Decide calls are timed into per-week sums.
+type soakPolicy struct {
+	*megh.Learner
+	week []time.Duration
+}
+
+func (p *soakPolicy) Decide(s *megh.Snapshot) []megh.Migration {
+	start := time.Now()
+	migs := p.Learner.Decide(s)
+	p.week[s.Step/soakWeek] += time.Since(start)
+	return migs
+}
+
+// BenchmarkSoak is the long-horizon instrument (ROADMAP item 2): the
+// repository benchmark's sim-local world — the paper's Table-2 setup,
+// PlanetLab 800 × 1 052, 7-day traces replayed — run for a fixed 48 384
+// steps (sim-local at -seconds 20), reporting what a decide costs early
+// (week 2, counted from 0) and late (week 20) and what the learner has
+// accumulated by the end. A step's cost must follow the world, not the run
+// length (§5.2, Theorem 2): week 20 within a small factor of week 2, while
+// B's and z's NNZ keep growing. Run with -benchtime=1x; ns/op is the whole
+// run, simulator included.
+func BenchmarkSoak(b *testing.B) {
+	b.Run("paper800-20w", func(b *testing.B) {
+		const steps = 48384
+		setup := experiments.Setup{
+			Dataset: experiments.PlanetLab, Hosts: 800, VMs: 1052,
+			Steps: soakWeek, Seed: 1, Placement: megh.PlacementRandom,
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			learner, err := megh.New(megh.DefaultConfig(setup.VMs, setup.Hosts, setup.PolicySeed()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := &soakPolicy{Learner: learner, week: make([]time.Duration, steps/soakWeek)}
+			if _, err := experiments.RunCustom(setup, p, func(c *megh.SimConfig) { c.Steps = steps }); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(p.week[2].Nanoseconds())/soakWeek, "week2_ns/decide")
+			b.ReportMetric(float64(p.week[20].Nanoseconds())/soakWeek, "week20_ns/decide")
+			b.ReportMetric(float64(learner.QTableNNZ()), "final_b_nnz")
+			b.ReportMetric(float64(learner.DebugZ().NNZ()), "final_z_nnz")
+		}
+	})
 }

@@ -7,18 +7,20 @@ import (
 	"megh/internal/sim"
 )
 
-// This file holds snapshot-delta aggregate reuse: refreshHostAggregates
-// used to rebuild every per-host feasibility table from scratch on every
-// Decide — O(N+M) of float adds. Two tiers:
+// This file holds aggregate reuse: refreshHostAggregates used to rebuild
+// every per-host feasibility table from scratch on every Decide — O(N+M).
+// Two tiers:
 //
-//   - delta: a content diff of VM placement/size against privately stored
-//     previous values marks dirty hosts (old and new host of any changed
-//     VM); dirty hosts' sums are zeroed and recomputed by a second VM-major
-//     pass restricted to them. Because that pass adds each dirty host's
-//     VMs in the same ascending-VM order the full rebuild uses, the sums
-//     are bitwise identical to a rebuild's — float addition is not
-//     associative, so subtract-then-readd patching would NOT be. The diff
-//     itself reads every VM, so a refresh is never cheaper than O(N).
+//   - sweep: utilization moves on nearly every VM every step, so every
+//     occupied host's sums are stale every step and there is nothing to
+//     gain from finding out which. The sums of the hosts that were active
+//     are zeroed and one ascending-VM pass accumulates them again — the
+//     exact addition sequence the full rebuild uses, so they are bitwise
+//     identical to a rebuild's (float addition is not associative, so
+//     subtract-then-readd patching would NOT be). What is reused is
+//     everything per host that rarely moves: flags, penalties, capacities
+//     and the active list are touched only for hosts whose VM count
+//     crossed zero. O(N + active hosts).
 //   - rebuild: the historical full pass, taken on the first call and when a
 //     host failure is (or was) present.
 //
@@ -37,21 +39,21 @@ type aggUndo struct {
 
 // refreshHostAggregates (re)establishes the flat per-host feasibility
 // tables for snapshot s: roll back last step's speculative charges, then
-// patch by delta, or rebuild where only that is sound (see the file
-// comment). Postcondition, identical across tiers bit for bit: hostRAM /
-// hostMIPS hold each host's committed RAM and demanded MIPS, hostActive /
+// sweep, or rebuild where only that is sound (see the file comment).
+// Postcondition, identical across tiers bit for bit: hostRAM / hostMIPS
+// hold each host's committed RAM and demanded MIPS, hostActive /
 // hostBlocked and their penalty mirrors match the snapshot, and activeList
 // is the ascending list of active hosts.
 func (m *Megh) refreshHostAggregates(s *sim.Snapshot) {
 	m.undoSpeculative()
-	if !m.aggValid || !m.deltaHostAggregates(s) {
+	if !m.aggValid || !m.sweepHostAggregates(s) {
 		m.rebuildHostAggregates(s)
 	}
 	m.aggValid = true
 }
 
 // rebuildHostAggregates is the full O(N+M) pass, and the bitwise reference
-// the delta tier reproduces: per-host zeroing and flag/capacity refresh,
+// the sweep reproduces: per-host zeroing and flag/capacity refresh,
 // then one ascending-VM accumulation.
 func (m *Megh) rebuildHostAggregates(s *sim.Snapshot) {
 	failed := len(s.HostFailed) > 0
@@ -90,23 +92,22 @@ func (m *Megh) rebuildHostAggregates(s *sim.Snapshot) {
 			m.hostRAM[h] += s.VMSpecs[j].RAMMB
 			m.hostMIPS[h] += s.VMMIPS[j]
 		}
-		m.prevVMHost[j] = h
-		m.prevVMRAM[j] = s.VMSpecs[j].RAMMB
-		m.prevVMMIPS[j] = s.VMMIPS[j]
 	}
 	m.aggAnyBlocked = anyBlocked
 	m.prevHostSpecs = s.HostSpecs
 }
 
-// deltaHostAggregates patches the aggregates from the previous snapshot's
-// state to s by content diff, returning false when only a full rebuild is
-// sound (any host failure now or at the last rebuild — failures also flow
-// into penalties and candidate blocking, and are rare enough that the
-// rebuild is the right price). Capacities refresh by backing-array
-// identity: a caller may reuse a HostSpecs slice across snapshots only with
-// unchanged contents (the simulator's static specs), while per-request
-// decoders allocate fresh slices, which the pointer test catches.
-func (m *Megh) deltaHostAggregates(s *sim.Snapshot) bool {
+// sweepHostAggregates brings the aggregates from the previous snapshot's
+// state to s, returning false when only a full rebuild is sound (any host
+// failure now or at the last rebuild — failures also flow into penalties
+// and candidate blocking, and are rare enough that the rebuild is the right
+// price). It relies on what every refresh leaves behind: a host outside
+// activeList has zero sums and a zero count. Capacities refresh by
+// backing-array identity: a caller may reuse a HostSpecs slice across
+// snapshots only with unchanged contents (the simulator's static specs),
+// while per-request decoders allocate fresh slices, which the pointer test
+// catches.
+func (m *Megh) sweepHostAggregates(s *sim.Snapshot) bool {
 	if m.aggAnyBlocked || anyFailed(s.HostFailed) {
 		return false
 	}
@@ -117,70 +118,41 @@ func (m *Megh) deltaHostAggregates(s *sim.Snapshot) bool {
 		}
 		m.prevHostSpecs = s.HostSpecs
 	}
-	n := s.NumVMs()
-	m.dirtyEpoch++
-	m.dirtyHosts = m.dirtyHosts[:0]
-	for j := 0; j < n; j++ {
-		nh := s.VMHost[j]
-		nr := s.VMSpecs[j].RAMMB
-		nm := s.VMMIPS[j]
-		if nh == m.prevVMHost[j] && nr == m.prevVMRAM[j] && nm == m.prevVMMIPS[j] {
-			continue
-		}
-		if ph := m.prevVMHost[j]; ph >= 0 {
-			m.markDirty(ph)
-		}
-		if nh >= 0 {
-			m.markDirty(nh)
-		}
-		m.prevVMHost[j] = nh
-		m.prevVMRAM[j] = nr
-		m.prevVMMIPS[j] = nm
-	}
-	if len(m.dirtyHosts) == 0 {
-		return true
-	}
-	for _, h := range m.dirtyHosts {
+	for _, h := range m.activeList {
 		m.hostRAM[h] = 0
 		m.hostMIPS[h] = 0
 		m.hostVMCount[h] = 0
 	}
-	// Recompute dirty hosts' sums in ascending-VM order — the exact
-	// addition sequence the full rebuild would use, so the patched sums are
-	// bitwise identical to a rebuild's.
-	for j := 0; j < n; j++ {
-		h := s.VMHost[j]
-		if h >= 0 && m.dirtyStamp[h] == m.dirtyEpoch {
-			m.hostRAM[h] += s.VMSpecs[j].RAMMB
-			m.hostMIPS[h] += s.VMMIPS[j]
-			m.hostVMCount[h]++
-		}
-	}
-	inf := math.Inf(1)
-	for _, h := range m.dirtyHosts {
-		act := m.hostVMCount[h] > 0
-		if act == m.hostActive[h] {
+	m.wokenHosts = m.wokenHosts[:0]
+	for j, h := range s.VMHost {
+		if h < 0 { // dead slots (lifecycle runs) occupy nothing
 			continue
 		}
-		m.hostActive[h] = act
-		if act {
-			m.penActive[h] = 0
-			m.activeInsert(h)
-		} else {
-			m.penActive[h] = inf
-			m.activeRemove(h)
+		m.hostRAM[h] += s.VMSpecs[j].RAMMB
+		m.hostMIPS[h] += s.VMMIPS[j]
+		if m.hostVMCount[h] == 0 && !m.hostActive[h] {
+			m.wokenHosts = append(m.wokenHosts, h)
 		}
+		m.hostVMCount[h]++
+	}
+	// Only hosts whose count crossed zero change flag, penalty and list.
+	inf := math.Inf(1)
+	kept := m.activeList[:0]
+	for _, h := range m.activeList {
+		if m.hostVMCount[h] > 0 {
+			kept = append(kept, h)
+			continue
+		}
+		m.hostActive[h] = false
+		m.penActive[h] = inf
+	}
+	m.activeList = kept
+	for _, h := range m.wokenHosts {
+		m.hostActive[h] = true
+		m.penActive[h] = 0
+		m.activeInsert(h)
 	}
 	return true
-}
-
-// markDirty stamps host h dirty for the current delta pass. Epoch stamps
-// avoid an O(M) clear per refresh.
-func (m *Megh) markDirty(h int) {
-	if m.dirtyStamp[h] != m.dirtyEpoch {
-		m.dirtyStamp[h] = m.dirtyEpoch
-		m.dirtyHosts = append(m.dirtyHosts, h)
-	}
 }
 
 // speculate charges VM vm's chosen migration against destination host dest
@@ -205,7 +177,7 @@ func (m *Megh) speculate(s *sim.Snapshot, vm, dest int) {
 
 // undoSpeculative rolls the speculative charges back in reverse order,
 // restoring the exact recorded values — (x+y)−y is not bitwise x, so
-// arithmetic reversal would poison the delta tier's bitwise guarantee.
+// arithmetic reversal would poison the sweep's bitwise guarantee.
 func (m *Megh) undoSpeculative() {
 	for i := len(m.undoLog) - 1; i >= 0; i-- {
 		u := m.undoLog[i]

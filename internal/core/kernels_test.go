@@ -157,7 +157,7 @@ func compareScan(t *testing.T, kernel string, j int, activeOnly bool,
 }
 
 // TestAggregateReuseMatchesRebuild is the end-to-end reuse differential:
-// a default learner (delta tier active) against a same-seed learner whose
+// a default learner (sweep tier active) against a same-seed learner whose
 // aggValid is cleared before every decide (every refresh a full rebuild),
 // over a stream that exercises distinct snapshots, repeated pointers,
 // in-place mutation of one snapshot, and the failed-host fallback.

@@ -177,8 +177,10 @@ type Megh struct {
 
 	// b is B = T⁻¹, initialised to (1/δ)·I with δ = d (Algorithm 1 line 2).
 	b *sparse.Matrix
-	// z accumulates Σ φ_{a_t}·C_{t+1} (Algorithm 1 line 10).
-	z *sparse.Vector
+	// z accumulates Σ φ_{a_t}·C_{t+1} (Algorithm 1 line 10), one sorted run
+	// per VM: it gains an entry for every new action as long as the learner
+	// runs, and an insert must cost one VM's row, not the run's history.
+	z *sparse.RowVector
 	// theta is θ = B·z (Algorithm 1 line 11), maintained incrementally as
 	// a dense mirror: the Boltzmann inner loop in sampleDestination reads
 	// one Q value per (candidate, host) pair, so θ lookups are the single
@@ -263,22 +265,17 @@ type Megh struct {
 	rejectedScratch map[int]bool    // Observe's rejected-action set
 
 	// Aggregate-reuse state (aggregates.go). All of it is runtime-only —
-	// never persisted — and none of it can change a decision: the delta
-	// tier is pinned bitwise identical to the rebuild reference, so this
-	// block only changes what a decision costs.
-	aggValid      bool      // aggregates describe the last refreshed snapshot
-	aggAnyBlocked bool      // last rebuild saw a failed host
-	prevVMHost    []int     // per-VM placement/size at the last (re)build,
-	prevVMRAM     []float64 // the delta tier's diff baseline
-	prevVMMIPS    []float64
+	// never persisted — and none of it can change a decision: the sweep is
+	// pinned bitwise identical to the rebuild reference, so this block only
+	// changes what a decision costs.
+	aggValid      bool           // aggregates describe the last refreshed snapshot
+	aggAnyBlocked bool           // last rebuild saw a failed host
 	prevHostSpecs []sim.HostSpec // backing identity of the last-seen HostSpecs
 	hostVMCount   []int
 	penAll        []float64 // +Inf iff blocked, else 0 (scan feasibility mask)
 	penActive     []float64 // +Inf iff blocked or inactive, else 0
 	activeList    []int     // ascending active hosts (scanRowActive's walk)
-	dirtyStamp    []int     // per-host dirty epoch stamps for the delta diff
-	dirtyEpoch    int
-	dirtyHosts    []int
+	wokenHosts    []int     // sweep scratch: hosts that gained their first VM
 	undoLog       []aggUndo // speculative charges to roll back next refresh
 }
 
@@ -298,13 +295,13 @@ func New(cfg Config) (*Megh, error) {
 	// Q comparison; dropping them keeps the Q-table growth linear in the
 	// migration count (§5.2, Figure 7).
 	b.SetDropTolerance(1e-9 / float64(d))
-	return assemble(cfg, b, sparse.NewVector(d), sparse.NewPagedVector(d)), nil
+	return assemble(cfg, b, sparse.NewRowVector(d, cfg.NumHosts), sparse.NewPagedVector(d)), nil
 }
 
 // assemble builds a learner around the given LSPI state (B, z and the dense
 // θ mirror, all of dimension N·M) — a fresh one from New, a persisted one
 // from LoadState. cfg must already be validated.
-func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta *sparse.PagedVector) *Megh {
+func assemble(cfg Config, b *sparse.Matrix, z *sparse.RowVector, theta *sparse.PagedVector) *Megh {
 	return &Megh{
 		cfg:         cfg,
 		d:           mdp.SpaceSize(cfg.NumVMs, cfg.NumHosts),
@@ -323,10 +320,6 @@ func assemble(cfg Config, b *sparse.Matrix, z *sparse.Vector, theta *sparse.Page
 		hostVMCount: make([]int, cfg.NumHosts),
 		penAll:      make([]float64, cfg.NumHosts),
 		penActive:   make([]float64, cfg.NumHosts),
-		dirtyStamp:  make([]int, cfg.NumHosts),
-		prevVMHost:  make([]int, cfg.NumVMs),
-		prevVMRAM:   make([]float64, cfg.NumVMs),
-		prevVMMIPS:  make([]float64, cfg.NumVMs),
 	}
 }
 
@@ -362,7 +355,7 @@ func (m *Megh) Instrument(reg *obs.Registry) {
 		qtableNNZ: reg.Gauge("megh_qtable_nnz",
 			"Materialised entries in the Q-table operator B (Figure 7).", nil),
 		qtableBytes: reg.Gauge("megh_qtable_resident_bytes",
-			"Bytes the Q-table holds in memory: the page tables, allocated pages and stored entries of B and theta.", nil),
+			"Bytes the Q-table holds in memory: the page tables, allocated pages and stored entries of B and theta, and the rows and stored entries of z.", nil),
 		temperature: reg.Gauge("megh_temperature",
 			"Current Boltzmann exploration temperature.", nil),
 		rejected: reg.Counter("megh_actions_rejected_total",
@@ -423,10 +416,11 @@ func (m *Megh) Temperature() float64 { return m.temp }
 func (m *Megh) QTableNNZ() int { return m.b.NNZ() }
 
 // QTableResidentBytes returns what the Q-table holds in memory: the page
-// tables and allocated pages of B and θ and B's stored entries. Past the
-// eager budget it follows what migrations have touched, not N·M.
+// tables and allocated pages of B and θ, B's stored entries, and z's rows
+// and stored entries. Past the eager budget it follows what migrations have
+// touched, not N·M.
 func (m *Megh) QTableResidentBytes() int {
-	return m.b.ResidentBytes() + m.theta.ResidentBytes()
+	return m.b.ResidentBytes() + m.theta.ResidentBytes() + m.z.ResidentBytes()
 }
 
 // NNZHistory returns the per-step Q-table sizes recorded so far, oldest
@@ -953,6 +947,7 @@ func (m *Megh) DebugB() [][]float64 { return m.b.Dense() }
 // DebugTheta exposes a sparse copy of θ for diagnostics.
 func (m *Megh) DebugTheta() *sparse.Vector { return m.theta.Vector() }
 
-// DebugZ exposes a copy of the accumulated cost vector z for diagnostics
-// and the invariant probes (θ must equal B·z at all times).
-func (m *Megh) DebugZ() *sparse.Vector { return m.z.Clone() }
+// DebugZ exposes a copy of the accumulated cost vector z, assembled into
+// one sparse vector, for diagnostics and the invariant probes (θ must equal
+// B·z at all times).
+func (m *Megh) DebugZ() *sparse.Vector { return m.z.Vector() }

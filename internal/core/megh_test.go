@@ -70,7 +70,7 @@ func TestUpdateMaintainsThetaInvariant(t *testing.T) {
 		b := r.Intn(m.d)
 		c := r.Float64() * 5
 		m.update(a, b, c)
-		want := m.b.MulVec(m.z)
+		want := m.b.MulVec(m.z.Vector())
 		for i := 0; i < m.d; i++ {
 			if diff := math.Abs(m.theta.At(i) - want.Get(i)); diff > 1e-6 {
 				t.Fatalf("step %d: θ[%d] = %g, B·z = %g (|Δ| = %g)",
@@ -132,7 +132,7 @@ func TestQuickThetaInvariant(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			m.update(r.Intn(m.d), r.Intn(m.d), r.Float64()*3)
 		}
-		want := m.b.MulVec(m.z)
+		want := m.b.MulVec(m.z.Vector())
 		for i := 0; i < m.d; i++ {
 			if math.Abs(m.theta.At(i)-want.Get(i)) > 1e-6 {
 				return false
@@ -646,6 +646,15 @@ func TestInstrumentMirrorsLearnerInternals(t *testing.T) {
 	}
 	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= 0 || got != float64(m.QTableResidentBytes()) {
 		t.Fatalf("resident-bytes gauge = %g, want %d", got, m.QTableResidentBytes())
+	}
+	// z is part of what the learner holds: growth in z alone — B and θ
+	// untouched — must show (it used to be left out, and holds MBs on a
+	// months-old session).
+	before := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value()
+	m.z.Add(mdp.Action{VM: 1, Host: 1}.Index(2), 1.5)
+	m.metrics.publish(m)
+	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= before {
+		t.Fatalf("resident-bytes gauge = %g after z alone grew, was %g", got, before)
 	}
 	m.pending = []int{mdp.Action{VM: 1, Host: 0}.Index(2)}
 	m.Observe(&sim.Feedback{StepCost: 1, Rejected: []sim.Migration{{VM: 1, Dest: 0}}})

@@ -218,7 +218,7 @@ func (st *persistedState) build() (*Megh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring θ: %w", err)
 	}
-	m := assemble(st.Config, b, z, theta.Paged())
+	m := assemble(st.Config, b, z.Rows(st.Config.NumHosts), theta.Paged())
 	m.temp = st.Temp
 	m.pending = st.Pending
 	m.pendingTotal = st.PendingTotal

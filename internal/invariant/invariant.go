@@ -6,10 +6,11 @@
 //     conservation laws after every step — placement is a bijection, host
 //     occupancy is the sum of its VMs, migration accounting balances, host
 //     wake/sleep transitions are legal, and the cost decomposition adds up.
-//   - LSPIHealth probes the learner's sparse Sherman–Morrison state against
-//     a dense Gauss–Jordan oracle: B must remain the inverse of the
-//     accumulated T, the dense θ mirror must agree with B·z, and a
-//     checkpoint round-trip must be lossless.
+//   - The package's tests (lspi_test.go) probe the learner's sparse
+//     Sherman–Morrison state against a dense Gauss–Jordan oracle: B must
+//     remain the inverse of the accumulated T, the dense θ mirror must agree
+//     with B·z, and a checkpoint round-trip must be lossless. The production
+//     counterpart, sampled and O(rows probed), is internal/health.
 //
 // Both are pure observers: enabling them never changes a decision, a cost,
 // or a random draw, so a checked run is byte-identical to an unchecked one.

@@ -38,6 +38,28 @@ func (v *Vector) State() VectorState {
 	}
 }
 
+// State exports the vector for persistence: the image Vector.State gives
+// for the same entries, byte for byte, packed row after row with no
+// assembled vector in between.
+func (v *RowVector) State() VectorState {
+	st := VectorState{
+		Dim: v.dim,
+		// Two bytes an index covers every gap below 16 384; sparser vectors
+		// grow the list as they go.
+		PackedIndex: make([]byte, 0, 2*v.nnz),
+		PackedValue: make([]byte, 0, 8*v.nnz),
+	}
+	prev := -1
+	v.each(func(r *span) {
+		for _, i := range r.idx {
+			st.PackedIndex = appendGap(st.PackedIndex, prev, i)
+			prev = i
+		}
+		st.PackedValue = appendWords(st.PackedValue, r.val)
+	})
+	return st
+}
+
 // Validate reports the first malformed field of st. It costs O(len of the
 // image) and allocates nothing, whatever Dim claims.
 func (st VectorState) Validate() error {
