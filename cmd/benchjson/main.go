@@ -13,7 +13,8 @@
 // regression gate on the allocation-free decide path. -assert-max-allocs
 // generalises the gate to bounded-allocation paths: repeated NAME=N pairs
 // each fail the run when the named benchmark exceeds N allocs/op (`make
-// check` bounds the coalesced server decide path this way).
+// check` bounds the coalesced server decide path this way), and
+// -assert-max-bytes does the same for B/op (the decide handler's bound).
 //
 // With -check FILE, benchjson compares the freshly parsed results against
 // the committed baseline document instead of writing one: any benchmark
@@ -172,6 +173,17 @@ func assertZeroAlloc(results []Result, names []string) error {
 // assertMaxAllocs fails unless every "NAME=N" entry names a present
 // benchmark reporting at most N allocs/op.
 func assertMaxAllocs(results []Result, specs []string) error {
+	return assertMax(results, specs, "-assert-max-allocs", "allocs/op", func(r Result) float64 { return r.AllocsPerOp })
+}
+
+// assertMaxBytes is assertMaxAllocs for B/op.
+func assertMaxBytes(results []Result, specs []string) error {
+	return assertMax(results, specs, "-assert-max-bytes", "B/op", func(r Result) float64 { return r.BytesPerOp })
+}
+
+// assertMax fails unless every "NAME=N" entry of the named flag names a
+// present benchmark whose metric, in unit, is at most N.
+func assertMax(results []Result, specs []string, flagName, unit string, metric func(Result) float64) error {
 	byName := make(map[string]Result, len(results))
 	for _, r := range results {
 		byName[r.Name] = r
@@ -179,19 +191,19 @@ func assertMaxAllocs(results []Result, specs []string) error {
 	for _, spec := range specs {
 		name, limitStr, ok := strings.Cut(spec, "=")
 		if !ok {
-			return fmt.Errorf("benchjson: -assert-max-allocs entry %q is not NAME=N", spec)
+			return fmt.Errorf("benchjson: %s entry %q is not NAME=N", flagName, spec)
 		}
 		limit, err := strconv.ParseFloat(limitStr, 64)
 		if err != nil || limit < 0 {
-			return fmt.Errorf("benchjson: -assert-max-allocs entry %q has a bad limit", spec)
+			return fmt.Errorf("benchjson: %s entry %q has a bad limit", flagName, spec)
 		}
 		r, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("benchjson: benchmark %q not found in input (have %d results)", name, len(results))
 		}
-		if r.AllocsPerOp > limit {
-			return fmt.Errorf("benchjson: %s allocates %.0f allocs/op (%.0f B/op), limit %.0f — the bounded-allocation path regressed",
-				name, r.AllocsPerOp, r.BytesPerOp, limit)
+		if got := metric(r); got > limit {
+			return fmt.Errorf("benchjson: %s reports %.0f %s (%.0f allocs/op, %.0f B/op), limit %.0f — the bounded-allocation path regressed",
+				name, got, unit, r.AllocsPerOp, r.BytesPerOp, limit)
 		}
 	}
 	return nil
@@ -253,7 +265,7 @@ func checkRegressions(out io.Writer, results []Result, baselinePath string, tole
 	return nil
 }
 
-func run(in io.Reader, out io.Writer, commit, outPath, note, zeroAlloc, maxAllocs, checkPath string, checkTol float64) error {
+func run(in io.Reader, out io.Writer, commit, outPath, note, zeroAlloc, maxAllocs, maxBytes, checkPath string, checkTol float64) error {
 	results, cpu, err := parse(in)
 	if err != nil {
 		return err
@@ -275,17 +287,26 @@ func run(in io.Reader, out io.Writer, commit, outPath, note, zeroAlloc, maxAlloc
 		fmt.Fprintf(out, "benchjson: zero-alloc gate passed for %s\n", zeroAlloc)
 		gated = true
 	}
-	if maxAllocs != "" {
+	for _, gate := range []struct {
+		flag, value string
+		assert      func([]Result, []string) error
+	}{
+		{"max-allocs", maxAllocs, assertMaxAllocs},
+		{"max-bytes", maxBytes, assertMaxBytes},
+	} {
+		if gate.value == "" {
+			continue
+		}
 		var specs []string
-		for _, n := range strings.Split(maxAllocs, ",") {
+		for _, n := range strings.Split(gate.value, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				specs = append(specs, n)
 			}
 		}
-		if err := assertMaxAllocs(results, specs); err != nil {
+		if err := gate.assert(results, specs); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "benchjson: max-allocs gate passed for %s\n", maxAllocs)
+		fmt.Fprintf(out, "benchjson: %s gate passed for %s\n", gate.flag, gate.value)
 		gated = true
 	}
 	if gated && outPath == "" && checkPath == "" {
@@ -338,12 +359,14 @@ func main() {
 		"comma-separated benchmark names that must report 0 allocs/op; exit 1 otherwise")
 	maxAllocs := flag.String("assert-max-allocs", "",
 		"comma-separated NAME=N pairs; exit 1 when NAME reports more than N allocs/op")
+	maxBytes := flag.String("assert-max-bytes", "",
+		"comma-separated NAME=N pairs; exit 1 when NAME reports more than N B/op")
 	checkPath := flag.String("check", "",
 		"baseline BENCH JSON file to compare against; exit 1 when any shared benchmark's ns/op regresses beyond -check-tolerance")
 	checkTol := flag.Float64("check-tolerance", 0.20,
 		"allowed fractional ns/op regression for -check (0.20 = 20%)")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *commit, *outPath, *note, *zeroAlloc, *maxAllocs, *checkPath, *checkTol); err != nil {
+	if err := run(os.Stdin, os.Stdout, *commit, *outPath, *note, *zeroAlloc, *maxAllocs, *maxBytes, *checkPath, *checkTol); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -106,9 +106,22 @@ func TestAssertMaxAllocs(t *testing.T) {
 	}
 }
 
+func TestAssertMaxBytes(t *testing.T) {
+	results, _, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := assertMaxBytes(results, []string{"BenchmarkDecide/no-tracer=412"}); err != nil {
+		t.Fatalf("gate failed at the exact limit: %v", err)
+	}
+	if err := assertMaxBytes(results, []string{"BenchmarkDecide/no-tracer=411"}); err == nil {
+		t.Fatal("gate passed a benchmark over its limit")
+	}
+}
+
 func TestRunWritesJSON(t *testing.T) {
 	var out strings.Builder
-	if err := run(strings.NewReader(sample), &out, "abc1234", "-", "", "", "", "", 0.20); err != nil {
+	if err := run(strings.NewReader(sample), &out, "abc1234", "-", "", "", "", "", "", 0.20); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -121,7 +134,7 @@ func TestRunWritesJSON(t *testing.T) {
 
 func TestRunRejectsEmptyInput(t *testing.T) {
 	var out strings.Builder
-	if err := run(strings.NewReader("PASS\n"), &out, "", "-", "", "", "", "", 0.20); err == nil {
+	if err := run(strings.NewReader("PASS\n"), &out, "", "-", "", "", "", "", "", 0.20); err == nil {
 		t.Fatal("empty benchmark input accepted")
 	}
 }
@@ -132,7 +145,7 @@ func writeBaseline(t *testing.T, benchText string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	var out strings.Builder
-	if err := run(strings.NewReader(benchText), &out, "base", path, "", "", "", "", 0.20); err != nil {
+	if err := run(strings.NewReader(benchText), &out, "base", path, "", "", "", "", "", 0.20); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -143,7 +156,7 @@ func TestCheckPassesWithinTolerance(t *testing.T) {
 	// Fresh run 10% slower on one benchmark: inside the 20% budget.
 	fresh := strings.Replace(sample, "2648 ns/op", "2900 ns/op", 1)
 	var out strings.Builder
-	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", base, 0.20); err != nil {
+	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", "", base, 0.20); err != nil {
 		t.Fatalf("within-tolerance run failed the gate: %v", err)
 	}
 	if !strings.Contains(out.String(), "regression gate passed") {
@@ -157,7 +170,7 @@ func TestCheckFailsOnRegression(t *testing.T) {
 	// benchmark and both values.
 	fresh := strings.Replace(sample, "2648 ns/op", "4000 ns/op", 1)
 	var out strings.Builder
-	err := run(strings.NewReader(fresh), &out, "", "", "", "", "", base, 0.20)
+	err := run(strings.NewReader(fresh), &out, "", "", "", "", "", "", base, 0.20)
 	if err == nil {
 		t.Fatal("51% regression passed the 20% gate")
 	}
@@ -172,7 +185,7 @@ func TestCheckSkipsBenchmarksNewInThisRun(t *testing.T) {
 	base := writeBaseline(t, sample)
 	fresh := sample + "BenchmarkDecideBatch/deferred-n64-8\t10000\t999999 ns/op\t0 B/op\t0 allocs/op\n"
 	var out strings.Builder
-	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", base, 0.20); err != nil {
+	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", "", base, 0.20); err != nil {
 		t.Fatalf("benchmark absent from the baseline failed the gate: %v", err)
 	}
 }
@@ -183,14 +196,14 @@ func TestCheckListsBaselineEntriesNotRerun(t *testing.T) {
 	// gate still passes on the rest, and says which entry it did not see.
 	fresh := strings.Replace(sample, "BenchmarkDecide/no-tracer-8 ", "BenchmarkDecide/renamed-8 ", 1)
 	var out strings.Builder
-	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", base, 0.20); err != nil {
+	if err := run(strings.NewReader(fresh), &out, "", "", "", "", "", "", base, 0.20); err != nil {
 		t.Fatalf("gate failed on a benchmark the run did not produce: %v", err)
 	}
 	if !strings.Contains(out.String(), "not re-run: BenchmarkDecide/no-tracer\n") {
 		t.Fatalf("missing or wrong not-re-run line:\n%s", out.String())
 	}
 	out.Reset()
-	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", base, 0.20); err != nil {
+	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", "", base, 0.20); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "not re-run") {
@@ -203,7 +216,7 @@ func TestCheckRejectsDisjointBaseline(t *testing.T) {
 `
 	base := writeBaseline(t, other)
 	var out strings.Builder
-	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", base, 0.20); err == nil {
+	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", "", base, 0.20); err == nil {
 		t.Fatal("gate passed with zero benchmarks compared")
 	}
 }
@@ -211,7 +224,7 @@ func TestCheckRejectsDisjointBaseline(t *testing.T) {
 func TestCheckRejectsMissingBaselineFile(t *testing.T) {
 	var out strings.Builder
 	missing := filepath.Join(t.TempDir(), "nope.json")
-	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", missing, 0.20); err == nil {
+	if err := run(strings.NewReader(sample), &out, "", "", "", "", "", "", missing, 0.20); err == nil {
 		t.Fatal("gate passed without a baseline file")
 	}
 	if _, err := os.Stat(missing); err == nil {

@@ -86,7 +86,10 @@ type BatchItem struct {
 	// Snap is the state to decide on. Batch callers queue snapshots ahead
 	// of the call, so unlike the single-step Decide path the snapshot must
 	// not alias simulator-owned scratch — use sim.Snapshot.Clone when the
-	// producer reuses its buffers.
+	// producer reuses its buffers. (A caller that would rather hold one
+	// snapshot than a batch of them runs DecideBatch's loop itself and
+	// refills the snapshot between Observe and DecideAppend, as the HTTP
+	// service does.)
 	Snap *sim.Snapshot
 	// Feedback, when non-nil, is observed (cost recorded, rejected actions
 	// reconciled) before this item's decide, exactly as a sequential
@@ -102,10 +105,9 @@ type BatchItem struct {
 // Decide calls — same RNG consumption, same updates, byte-identical traces
 // (pinned by TestDecideBatchMatchesSequential) — in both exact and
 // deferred-update modes; what it amortises is everything *around* the
-// learner: one lock acquisition and one request decode for the whole batch
-// on the server path, and, with deferral enabled, merged rank-1 updates
-// across the batch's repeated transitions. Per-item tracer events and
-// metrics fire exactly as they would sequentially.
+// learner: one call for the whole batch and, with deferral enabled, merged
+// rank-1 updates across the batch's repeated transitions. Per-item tracer
+// events and metrics fire exactly as they would sequentially.
 func (m *Megh) DecideBatch(items []BatchItem) [][]sim.Migration {
 	out := make([][]sim.Migration, len(items))
 	for i := range items {

@@ -238,3 +238,166 @@ func moveVM(s *sim.Snapshot, j, dest int) {
 	s.HostVMs[from] = vms
 	s.HostVMs[dest] = append(s.HostVMs[dest], j)
 }
+
+// candidatesFullScan is candidates as it was while both host loops walked
+// all M hosts, kept verbatim as the oracle for the walk over activeList.
+func (m *Megh) candidatesFullScan(s *sim.Snapshot, cap_ int) []candidate {
+	clear(m.seenScratch)
+	m.candScratch = m.candScratch[:0]
+	for i := 0; i < s.NumHosts() && len(m.candScratch) < cap_; i++ {
+		if !s.HostOverloaded(i) || len(s.HostVMs[i]) == 0 {
+			continue
+		}
+		heaviest, demand := -1, -1.0
+		for _, j := range s.HostVMs[i] {
+			if s.VMMIPS[j] > demand {
+				heaviest, demand = j, s.VMMIPS[j]
+			}
+		}
+		m.addCandidate(heaviest, trace.ReasonOverload, cap_)
+	}
+	minUtil := m.cfg.UnderloadThreshold
+	minHost := -1
+	for i := 0; i < s.NumHosts(); i++ {
+		if len(s.HostVMs[i]) > 0 && s.HostUtil[i] < minUtil {
+			minUtil = s.HostUtil[i]
+			minHost = i
+		}
+	}
+	if minHost >= 0 {
+		for _, j := range s.HostVMs[minHost] {
+			m.addCandidate(j, trace.ReasonUnderload, cap_)
+		}
+	}
+	if m.rng.Float64() < m.cfg.ExplorationRate && len(m.candScratch) < cap_ {
+		if j := m.rng.Intn(s.NumVMs()); s.VMLive(j) {
+			m.addCandidate(j, trace.ReasonExploration, cap_)
+		}
+	}
+	return m.candScratch
+}
+
+// candidateWorld builds a consistent snapshot of nHosts identical hosts
+// (1000 MIPS, ample RAM) from a placement and per-VM utilizations of 100-MIPS
+// VMs; host −1 is a dead lifecycle slot. failed lists the failed hosts.
+func candidateWorld(step, nHosts int, vmHost []int, vmUtil []float64, failed ...int) *sim.Snapshot {
+	nVMs := len(vmHost)
+	s := &sim.Snapshot{
+		Step: step, StepSeconds: 300, OverloadThreshold: 0.7,
+		VMHost: vmHost, VMUtil: vmUtil,
+		VMMIPS: make([]float64, nVMs), VMSpecs: make([]sim.VMSpec, nVMs),
+		HostUtil: make([]float64, nHosts), HostVMs: make([][]int, nHosts),
+		HostSpecs: make([]sim.HostSpec, nHosts),
+	}
+	for i := range s.HostSpecs {
+		s.HostSpecs[i] = sim.HostSpec{MIPS: 1000, RAMMB: 1 << 20, BandwidthMbps: 1000}
+	}
+	for j, h := range vmHost {
+		s.VMSpecs[j] = sim.VMSpec{MIPS: 100, RAMMB: 512, BandwidthMbps: 100}
+		if h < 0 {
+			if s.VMAlive == nil {
+				s.VMAlive = make([]bool, nVMs)
+				for k := range s.VMAlive {
+					s.VMAlive[k] = vmHost[k] >= 0
+				}
+			}
+			continue
+		}
+		s.VMMIPS[j] = vmUtil[j] * 100
+		s.HostVMs[h] = append(s.HostVMs[h], j)
+		s.HostUtil[h] += s.VMMIPS[j] / 1000
+	}
+	if len(failed) > 0 {
+		s.HostFailed = make([]bool, nHosts)
+		for _, h := range failed {
+			s.HostFailed[h] = true
+		}
+	}
+	return s
+}
+
+// TestCandidatesOverActiveListMatchesFullScan steps one learner through
+// worlds built to separate the two walks if anything could — failed hosts
+// with and without VMs (the rebuild tier), dead lifecycle slots, hosts
+// emptying and waking, steps entered with speculative charges still in the
+// undo log, ties on the minimum utilization — and at every step, for caps
+// that bite mid-scan and caps that do not, compares the candidate list (VM,
+// reason, order) and the RNG draws of candidates with the full-scan oracle's.
+func TestCandidatesOverActiveListMatchesFullScan(t *testing.T) {
+	const nVMs, nHosts = 24, 40
+	cfg := DefaultConfig(nVMs, nHosts, 5)
+	cfg.ExplorationRate = 0.5
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight VMs each on hosts 3 and 30 (overloaded at util 0.9), two light
+	// ones each on 7 and 21 (tied for the minimum), the rest spread.
+	place := func() ([]int, []float64) {
+		h, u := make([]int, nVMs), make([]float64, nVMs)
+		for j := range h {
+			switch {
+			case j < 8:
+				h[j], u[j] = 3, 0.9+0.001*float64(j)
+			case j < 16:
+				h[j], u[j] = 30, 0.9
+			case j < 18:
+				h[j], u[j] = 7, 0.25
+			case j < 20:
+				h[j], u[j] = 21, 0.25
+			default:
+				h[j], u[j] = 10+j, 0.6
+			}
+		}
+		return h, u
+	}
+	var stream []*sim.Snapshot
+	add := func(edit func(h []int, u []float64), failed ...int) {
+		h, u := place()
+		if edit != nil {
+			edit(h, u)
+		}
+		stream = append(stream, candidateWorld(len(stream), nHosts, h, u, failed...))
+	}
+	add(nil)
+	add(nil)                                                            // entered with the first step's speculative charges pending
+	add(func(h []int, u []float64) { h[16], h[17] = 21, 21 })           // host 7 empties
+	add(func(h []int, u []float64) { h[16], h[17] = 39, 0 })            // hosts 39 and 0 wake
+	add(func(h []int, u []float64) { h[5], h[18], h[23] = -1, -1, -1 }) // dead slots
+	add(nil, 3, 5)                                                      // a failed host with VMs, one without
+	add(func(h []int, u []float64) { h[16], h[17] = 5, 5 }, 5, 30)
+	add(nil) // failures cleared: rebuild tier once more, then sweep
+	add(func(h []int, u []float64) {
+		for j := range h {
+			h[j] = 12 // every VM on one host
+		}
+	})
+	add(nil)
+
+	sawUndo := false
+	for step, s := range stream {
+		if step > 0 {
+			m.Observe(&sim.Feedback{Step: step - 1, StepCost: 0.4})
+		}
+		sawUndo = sawUndo || len(m.undoLog) > 0
+		m.refreshHostAggregates(s)
+		for _, cap_ := range []int{1, 2, 3, 5, nVMs} {
+			before := *m.rng
+			want := append([]candidate(nil), m.candidatesFullScan(s, cap_)...)
+			wantRNG := *m.rng
+			*m.rng = before
+			got := append([]candidate(nil), m.candidates(s, cap_)...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d cap %d: candidates %v, full scan %v", step, cap_, got, want)
+			}
+			if *m.rng != wantRNG {
+				t.Fatalf("step %d cap %d: candidates drew differently from the full scan", step, cap_)
+			}
+			*m.rng = before
+		}
+		m.Decide(s)
+	}
+	if !sawUndo {
+		t.Fatal("no step was entered with speculative charges in the undo log")
+	}
+}

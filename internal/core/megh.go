@@ -776,7 +776,10 @@ func (m *Megh) chooseFromCandidates(s *sim.Snapshot, candidates []candidate, mig
 // candidates assembles the step's decision set: the heaviest VM of each
 // overloaded host, the VMs of the most underloaded active host
 // (consolidation source, §3.1), and at most one uniform exploration draw
-// (taken with probability ExplorationRate); deduplicated and capped.
+// (taken with probability ExplorationRate); deduplicated and capped. Both
+// host loops range over activeList, which refreshHostAggregates has just
+// left as the ascending list of hosts with a VM — the hosts a scan of all M
+// would stop at, in the order it would meet them.
 func (m *Megh) candidates(s *sim.Snapshot, cap_ int) []candidate {
 	// seenScratch and candScratch are scratch reused across steps (a
 	// closure over locals here would heap-allocate every call); the result
@@ -787,8 +790,11 @@ func (m *Megh) candidates(s *sim.Snapshot, cap_ int) []candidate {
 	// a batch does not overshoot below the threshold (an unresolved
 	// overload re-triggers next step). The heaviest VM is the decisive
 	// one to re-place.
-	for i := 0; i < s.NumHosts() && len(m.candScratch) < cap_; i++ {
-		if !s.HostOverloaded(i) || len(s.HostVMs[i]) == 0 {
+	for _, i := range m.activeList {
+		if len(m.candScratch) >= cap_ {
+			break
+		}
+		if !s.HostOverloaded(i) {
 			continue
 		}
 		heaviest, demand := -1, -1.0
@@ -804,8 +810,8 @@ func (m *Megh) candidates(s *sim.Snapshot, cap_ int) []candidate {
 	// empty another).
 	minUtil := m.cfg.UnderloadThreshold
 	minHost := -1
-	for i := 0; i < s.NumHosts(); i++ {
-		if len(s.HostVMs[i]) > 0 && s.HostUtil[i] < minUtil {
+	for _, i := range m.activeList {
+		if s.HostUtil[i] < minUtil {
 			minUtil = s.HostUtil[i]
 			minHost = i
 		}

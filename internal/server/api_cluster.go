@@ -139,7 +139,7 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
 		return
 	}
-	img, err := readBody(r.Body, r.ContentLength, maxReplicaBytes)
+	img, err := readBody(r.Body, r.ContentLength, maxReplicaBytes, nil)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

@@ -17,7 +17,7 @@ import (
 // full snapshot therefore establishes the session's snapshot base — that
 // static half, converted once into the []sim.HostSpec / []sim.VMSpec the
 // learner reads — and later requests may name it by digest and leave it
-// out (see StateRequest). Every snapshot built from one base shares the
+// out (see StateRequest). Every snapshot filled from one base shares the
 // base's spec slices, so core's capacity refresh (sameHostSpecs) sees the
 // same backing array step after step.
 //
@@ -35,9 +35,6 @@ type snapshotBase struct {
 	digest    string
 	hostSpecs []sim.HostSpec
 	vmSpecs   []sim.VMSpec
-	// hostHistory and vmHistory are the all-nil history tables every
-	// snapshot carries: the wire has no history, so one pair serves all.
-	hostHistory, vmHistory [][]float64
 }
 
 // staticDigest is the 64-bit content digest of a full snapshot's static
@@ -82,9 +79,6 @@ func newSnapshotBase(r *StateRequest, digest string) *snapshotBase {
 		digest:    digest,
 		hostSpecs: make([]sim.HostSpec, len(r.Hosts)),
 		vmSpecs:   make([]sim.VMSpec, len(r.VMs)),
-
-		hostHistory: make([][]float64, len(r.Hosts)),
-		vmHistory:   make([][]float64, len(r.VMs)),
 	}
 	g4, g5 := power.HPProLiantG4(), power.HPProLiantG5()
 	for i, h := range r.Hosts {
@@ -163,42 +157,96 @@ func resolveBase(cur *snapshotBase, r *StateRequest, id string, spec SessionSpec
 	return cur, nil
 }
 
-// snapshot converts a request resolveBase accepted into the read-only view
-// the policies consume, taking the static half from b — the value
-// resolveBase returned for it. The β threshold and τ come from the session.
-func (r *StateRequest) snapshot(b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
+// retainedSnapshot is a session's one sim.Snapshot, filled in place from
+// each request under the session lock. The learner reads a snapshot only
+// during the Decide it is passed to (sim.Snapshot's contract; what core
+// keeps, the host-spec slice, is the immutable base's), so one serves every
+// decide of the session, item after item: storage is O(N + M) per resident
+// session whatever the traffic, and a fill allocates nothing.
+type retainedSnapshot struct {
+	snap sim.Snapshot
+	// touched lists the hosts the last fill occupied or failed — the only
+	// hosts whose HostVMs, HostUtil and HostFailed entries are not zero, so
+	// the only ones the next fill resets.
+	touched []int
+	// arena is the N slots the per-host lists are carved from: a list's
+	// length is known before its first append, so a host's list never regrows
+	// and the lists together never outgrow N.
+	arena []int
+}
+
+// fill converts a request resolveBase accepted into the read-only view the
+// policies consume, taking the static half from b — the value resolveBase
+// returned for it — and β and τ from the session. It is O(N + hosts occupied
+// or failed, now or at the last fill), not O(M). VMs are appended in
+// ascending order and each host's demand is summed in list order, so every
+// field, trace.Digest64 and therefore every decision are what a fresh build
+// (the snapshot oracle in base_test.go) gives; HostFailed is never nil. The
+// result is valid until the next fill.
+func (rs *retainedSnapshot) fill(r *StateRequest, b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
+	s := &rs.snap
 	nH, nV := len(b.hostSpecs), len(b.vmSpecs)
-	s := &sim.Snapshot{
-		Step:              r.Step,
-		StepSeconds:       stepSeconds,
-		OverloadThreshold: overload,
-		VMHost:            make([]int, nV),
-		VMUtil:            make([]float64, nV),
-		VMMIPS:            make([]float64, nV),
-		VMSpecs:           b.vmSpecs,
-		HostUtil:          make([]float64, nH),
-		HostVMs:           make([][]int, nH),
-		HostSpecs:         b.hostSpecs,
-		HostHistory:       b.hostHistory,
-		VMHistory:         b.vmHistory,
-		HostFailed:        make([]bool, nH),
+	if len(s.HostUtil) != nH || len(s.VMHost) != nV {
+		*rs = retainedSnapshot{
+			snap: sim.Snapshot{
+				VMHost:     make([]int, nV),
+				VMUtil:     make([]float64, nV),
+				VMMIPS:     make([]float64, nV),
+				HostUtil:   make([]float64, nH),
+				HostVMs:    make([][]int, nH),
+				HostFailed: make([]bool, nH),
+			},
+			arena: make([]int, nV),
+		}
 	}
+	// A host joins touched before anything of its is written, so a fill that
+	// panicked half way still leaves the next one a complete reset list.
+	for _, i := range rs.touched {
+		s.HostVMs[i], s.HostUtil[i], s.HostFailed[i] = nil, 0, false
+	}
+	rs.touched = rs.touched[:0]
+	s.Step, s.StepSeconds, s.OverloadThreshold = r.Step, stepSeconds, overload
+	s.VMSpecs, s.HostSpecs = b.vmSpecs, b.hostSpecs
+
 	for i := range r.Hosts {
-		s.HostFailed[i] = r.Hosts[i].Failed
+		if r.Hosts[i].Failed {
+			rs.touched = append(rs.touched, i)
+			s.HostFailed[i] = true
+		}
 	}
 	for _, i := range r.FailedHosts {
-		s.HostFailed[i] = true
+		if !s.HostFailed[i] {
+			rs.touched = append(rs.touched, i)
+			s.HostFailed[i] = true
+		}
 	}
+	// First pass: the per-VM fields, and each host's VM count — kept, until
+	// the lists are carved, as the length of the host's own list header: a
+	// prefix of arena that is measured, never read.
 	for j := range r.VMs {
 		v := &r.VMs[j]
 		s.VMHost[j] = v.Host
 		s.VMUtil[j] = v.Utilization
 		s.VMMIPS[j] = v.Utilization * b.vmSpecs[j].MIPS
-		s.HostVMs[v.Host] = append(s.HostVMs[v.Host], j)
+		n := len(s.HostVMs[v.Host])
+		if n == 0 && !s.HostFailed[v.Host] {
+			rs.touched = append(rs.touched, v.Host)
+		}
+		s.HostVMs[v.Host] = rs.arena[:n+1]
 	}
-	for i, vms := range s.HostVMs {
+	off := 0
+	for _, i := range rs.touched {
+		n := len(s.HostVMs[i])
+		s.HostVMs[i] = rs.arena[off : off : off+n]
+		off += n
+	}
+	for j := range r.VMs {
+		h := r.VMs[j].Host
+		s.HostVMs[h] = append(s.HostVMs[h], j)
+	}
+	for _, i := range rs.touched {
 		var mips float64
-		for _, j := range vms {
+		for _, j := range s.HostVMs[i] {
 			mips += s.VMMIPS[j]
 		}
 		s.HostUtil[i] = mips / b.hostSpecs[i].MIPS

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"megh/internal/sim"
 )
 
 // elidedWorld is sessionWorld with host 2 failed on some steps, so both
@@ -641,4 +643,46 @@ func TestRequestBodyLimits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshot is the conversion the service ran per request before it retained
+// one snapshot per session: everything built fresh, O(N + M). Kept verbatim
+// (minus the all-nil history tables, which went with snapshotBase's) as the
+// oracle retainedSnapshot.fill is compared with.
+func (r *StateRequest) snapshot(b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
+	nH, nV := len(b.hostSpecs), len(b.vmSpecs)
+	s := &sim.Snapshot{
+		Step:              r.Step,
+		StepSeconds:       stepSeconds,
+		OverloadThreshold: overload,
+		VMHost:            make([]int, nV),
+		VMUtil:            make([]float64, nV),
+		VMMIPS:            make([]float64, nV),
+		VMSpecs:           b.vmSpecs,
+		HostUtil:          make([]float64, nH),
+		HostVMs:           make([][]int, nH),
+		HostSpecs:         b.hostSpecs,
+		HostFailed:        make([]bool, nH),
+	}
+	for i := range r.Hosts {
+		s.HostFailed[i] = r.Hosts[i].Failed
+	}
+	for _, i := range r.FailedHosts {
+		s.HostFailed[i] = true
+	}
+	for j := range r.VMs {
+		v := &r.VMs[j]
+		s.VMHost[j] = v.Host
+		s.VMUtil[j] = v.Utilization
+		s.VMMIPS[j] = v.Utilization * b.vmSpecs[j].MIPS
+		s.HostVMs[v.Host] = append(s.HostVMs[v.Host], j)
+	}
+	for i, vms := range s.HostVMs {
+		var mips float64
+		for _, j := range vms {
+			mips += s.VMMIPS[j]
+		}
+		s.HostUtil[i] = mips / b.hostSpecs[i].MIPS
+	}
+	return s
 }

@@ -428,7 +428,7 @@ func TestReadImage(t *testing.T) {
 	for name, declared := range map[string]int64{
 		"honest": int64(len(payload)), "undeclared": -1, "understated": 10, "overstated": 1 << 29,
 	} {
-		got, err := readBody(bytes.NewReader(payload), declared, maxReplicaBytes)
+		got, err := readBody(bytes.NewReader(payload), declared, maxReplicaBytes, nil)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: read %d bytes, err %v", name, len(got), err)
 		}
@@ -436,14 +436,14 @@ func TestReadImage(t *testing.T) {
 	// An honest length up to the step is read in place: one buffer.
 	small := payload[:bodyReadStep/2]
 	if n := testing.AllocsPerRun(5, func() {
-		if _, err := readBody(bytes.NewReader(small), int64(len(small)), maxReplicaBytes); err != nil {
+		if _, err := readBody(bytes.NewReader(small), int64(len(small)), maxReplicaBytes, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 { // the buffer and the bytes.Reader
 		t.Fatalf("an honestly declared image took %.0f allocations to read", n)
 	}
 	var tooLarge *http.MaxBytesError
-	if _, err := readBody(bytes.NewReader(payload), maxReplicaBytes+1, maxReplicaBytes); !errors.As(err, &tooLarge) {
+	if _, err := readBody(bytes.NewReader(payload), maxReplicaBytes+1, maxReplicaBytes, nil); !errors.As(err, &tooLarge) {
 		t.Fatalf("oversize declaration: err %v", err)
 	}
 }

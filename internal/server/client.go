@@ -127,7 +127,10 @@ func retryableStatus(code int) bool {
 // do issues the request up to maxAttempts times. Only the final failure is
 // returned; transient errors before that sleep through the backoff and try
 // again. Context cancellation cuts both the request and the backoff short.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// A body that lives in a reused buffer comes with shared (nil for a body of
+// the caller's own): each request holds a reference to it until the
+// transport closes the request body.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, shared *sharedBody, out any) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.maxAttempts; attempt++ {
 		if attempt > 1 {
@@ -139,12 +142,19 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			}
 		}
 		var reader io.Reader
-		if body != nil {
+		if body != nil && shared == nil {
 			reader = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, reader)
 		if err != nil {
 			return fmt.Errorf("server: building %s request: %w", path, err)
+		}
+		if shared != nil {
+			// What NewRequest sets up for a *bytes.Reader, for a reader that
+			// reports its Close.
+			req.ContentLength = int64(len(body))
+			req.GetBody = func() (io.ReadCloser, error) { return shared.open(), nil }
+			req.Body = shared.open()
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -178,7 +188,7 @@ func (c *Client) send(ctx context.Context, method, path string, body, out any) e
 			return encodingError(path, err)
 		}
 	}
-	return c.do(ctx, method, path, raw, out)
+	return c.do(ctx, method, path, raw, nil, out)
 }
 
 // encodingError wraps a request body's encoding failure.
@@ -324,6 +334,63 @@ type SessionClient struct {
 	// from this view (nil before the first). The service treats digest
 	// equality as content equality, so the digest is all the view keeps.
 	base atomic.Pointer[string]
+
+	// spare is the append encoder's buffer between requests, nil while a
+	// request holds it or none has left one; a Decide that finds it empty
+	// allocates, as every Decide used to.
+	spare atomic.Pointer[sharedBody]
+}
+
+// sharedBody is an encoded request body and a count of who may still read it:
+// the call that encoded it, and every request body opened over it. net/http
+// may go on reading a request body after the response is in hand (a server
+// can answer before it has read everything) and promises only to Close it
+// when done, so the buffer goes back to its view's spare slot when the last
+// reference does, not when the call returns.
+type sharedBody struct {
+	buf  []byte
+	refs atomic.Int32
+	home *SessionClient
+}
+
+// takeBody returns the view's spare buffer, or a new one of at least the
+// given capacity, holding the caller's reference.
+func (s *SessionClient) takeBody(capacity int) *sharedBody {
+	b := s.spare.Swap(nil)
+	if b == nil {
+		b = &sharedBody{buf: make([]byte, 0, capacity), home: s}
+	}
+	b.refs.Store(1)
+	return b
+}
+
+// release drops one reference; the last one out leaves the buffer as the
+// view's spare.
+func (b *sharedBody) release() {
+	if b.refs.Add(-1) == 0 {
+		b.buf = b.buf[:0]
+		b.home.spare.Store(b)
+	}
+}
+
+// open returns a request body over b holding one reference until its first
+// Close (net/http may close a body more than once).
+func (b *sharedBody) open() io.ReadCloser {
+	b.refs.Add(1)
+	return &sharedBodyReader{Reader: *bytes.NewReader(b.buf), b: b}
+}
+
+type sharedBodyReader struct {
+	bytes.Reader
+	b      *sharedBody
+	closed atomic.Bool
+}
+
+func (r *sharedBodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.b.release()
+	}
+	return nil
 }
 
 // minElideEntries is the smallest snapshot, in hosts plus VMs, the client
@@ -382,11 +449,13 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 	}
 	digest := staticDigest(req.Hosts, req.VMs)
 	if held := s.base.Load(); held != nil && *held == digest {
-		body, err := appendElidedState(make([]byte, 0, elidedSizeHint(&req)), &req, digest)
-		if err != nil {
+		body := s.takeBody(elidedSizeHint(&req))
+		defer body.release()
+		var err error
+		if body.buf, err = appendElidedState(body.buf, &req, digest); err != nil {
 			return out, encodingError(path, err)
 		}
-		if err = s.c.do(ctx, http.MethodPost, path, body, &out); !isBaseConflict(err) {
+		if err = s.c.do(ctx, http.MethodPost, path, body.buf, body, &out); !isBaseConflict(err) {
 			return out, err
 		}
 	}
@@ -423,7 +492,9 @@ func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideReque
 	for i := range req.Items {
 		size += 256 + elidedSizeHint(&req.Items[i].State)
 	}
-	body := append(make([]byte, 0, size), `{"items":[`...)
+	shared := s.takeBody(size)
+	defer shared.release()
+	body := append(shared.buf, `{"items":[`...)
 	for i := range req.Items {
 		it := &req.Items[i]
 		if it.State.Base != "" {
@@ -442,7 +513,8 @@ func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideReque
 		}
 	}
 	body = append(body, `]}`...)
-	err := s.c.do(ctx, http.MethodPost, path, body, &out)
+	shared.buf = body
+	err := s.c.do(ctx, http.MethodPost, path, body, shared, &out)
 	if elided && isBaseConflict(err) {
 		err = s.c.send(ctx, http.MethodPost, path, req, &out)
 	}
@@ -481,7 +553,12 @@ func (s *SessionClient) DecideBatchChunkedCtx(ctx context.Context, req BatchDeci
 
 // Feedback reports the realised cost of an interval to the session.
 func (s *SessionClient) Feedback(ctx context.Context, fb FeedbackRequest) error {
-	return s.c.send(ctx, http.MethodPost, s.prefix+"/feedback", fb, nil)
+	path := s.prefix + "/feedback"
+	body, err := appendFeedback(make([]byte, 0, 128), &fb)
+	if err != nil {
+		return encodingError(path, err)
+	}
+	return s.c.do(ctx, http.MethodPost, path, body, nil, nil)
 }
 
 // Stats fetches the session's learner internals (restoring it if evicted).

@@ -11,7 +11,7 @@ import (
 
 // This file holds cross-request batch coalescing: concurrent decide and
 // decide/batch requests against one session are merged into a single
-// core.DecideBatch call per session-lock acquisition, and the results are
+// observe→decide run per session-lock acquisition, and the results are
 // demultiplexed back to each waiter in arrival order.
 //
 // Mechanics: the first request to arrive for a session with no open round
@@ -22,9 +22,9 @@ import (
 // then anyway, and the execution window is exactly when concurrent
 // requests pile up, so this is group commit: everything that arrives
 // behind an in-flight decide merges into the next round. On firing, the
-// leader detaches the round, concatenates every waiter's items in join
-// order, runs one DecideBatch under one withLearner acquisition, slices
-// the results back per waiter, and wakes them. A round also fires early
+// leader detaches the round, runs every waiter's items in join order under
+// one withLearner acquisition (decideRound), slices the results back per
+// waiter, and wakes them. A round also fires early
 // when its item count reaches MaxBatchItems; a joiner that would push it
 // past the cap instead fires the open round immediately and starts a new
 // one as leader.
@@ -35,15 +35,27 @@ import (
 // concurrent requests that land in different rounds have no relative
 // ordering guarantee — the same contract they had without coalescing.
 //
-// Decision identity: DecideBatch is decision-identical to the sequential
-// Observe/Decide loop (core's contract), so coalescing changes *when* the
+// Decision identity: a round is the sequential Observe/Decide loop over its
+// items — what core.DecideBatch is too — so coalescing changes *when* the
 // learner runs, never what it decides — pinned end to end by
 // TestCoalescingPreservesDecisions.
+
+// decideItem is one decision query as the handlers hand it to a round: the
+// request resolveBase accepted, the base it resolved to, and the feedback
+// observed since the previous query, if any. The server's counterpart of
+// core.BatchItem, one step earlier: there is no snapshot yet, because the
+// session has a single one (session.snap) and only the round leader, holding
+// the session lock, may fill it.
+type decideItem struct {
+	state    *StateRequest
+	base     *snapshotBase
+	feedback *sim.Feedback
+}
 
 // coalesceWaiter carries one request's items into a round and its slice of
 // the results back out.
 type coalesceWaiter struct {
-	items []core.BatchItem
+	items []decideItem
 	out   [][]sim.Migration
 	err   error
 }
@@ -83,21 +95,40 @@ type coalescer struct {
 	lastDone chan struct{}
 }
 
-// noteDecidedLocked records a decided batch in the session's bookkeeping.
-// Callers hold the session lock (it runs inside withLearner's fn).
-func (s *session) noteDecidedLocked(items []core.BatchItem) {
-	s.decisions += len(items)
-	s.lastStep = items[len(items)-1].Snap.Step
+// decideRound runs the waiters' items against the learner in join order —
+// per item, Observe the feedback if any, fill the session's snapshot, decide
+// — and returns one caller-owned migration slice per item. It is
+// core.DecideBatch's loop with the snapshot built between the two calls
+// instead of ahead of them. Callers hold the session lock (it runs inside
+// withLearner's fn).
+func (s *session) decideRound(l *core.Megh, waiters []*coalesceWaiter, total int) [][]sim.Migration {
+	if s.snap == nil {
+		s.snap = new(retainedSnapshot)
+	}
+	outs := make([][]sim.Migration, 0, total)
+	for _, w := range waiters {
+		for i := range w.items {
+			it := &w.items[i]
+			if it.feedback != nil {
+				l.Observe(it.feedback)
+			}
+			snap := s.snap.fill(it.state, it.base, s.spec.OverloadThreshold, s.spec.StepSeconds)
+			outs = append(outs, l.DecideAppend(nil, snap))
+		}
+	}
+	s.decisions += total
+	s.lastStep = s.snap.snap.Step
 	if s.health != nil {
-		// One call covers the whole batch: the tracker diffs the learner's
+		// One call covers the whole round: the tracker diffs the learner's
 		// cumulative stats, so deltas stay exact.
 		s.health.AfterDecide()
 	}
+	return outs
 }
 
 // coalesceDecide routes one request's items through the session's
 // coalescer and returns the request's own per-item decision slices.
-func (s *Service) coalesceDecide(sess *session, items []core.BatchItem) ([][]sim.Migration, error) {
+func (s *Service) coalesceDecide(sess *session, items []decideItem) ([][]sim.Migration, error) {
 	w := &coalesceWaiter{items: items}
 	c := &sess.coal
 	c.mu.Lock()
@@ -156,10 +187,6 @@ func (s *Service) leadRound(sess *session, round *coalesceRound, prev chan struc
 	// From here the round is closed: no joiner can reach it, so waiters and
 	// total are stable without the lock.
 
-	combined := make([]core.BatchItem, 0, total)
-	for _, w := range waiters {
-		combined = append(combined, w.items...)
-	}
 	s.coalRounds.Inc()
 	s.coalItems.Add(int64(total))
 	if len(waiters) > 1 {
@@ -176,8 +203,7 @@ func (s *Service) leadRound(sess *session, round *coalesceRound, prev chan struc
 			}
 		}()
 		err = s.mgr.withLearner(sess, func(l *core.Megh) error {
-			outs = l.DecideBatch(combined)
-			sess.noteDecidedLocked(combined)
+			outs = sess.decideRound(l, waiters, total)
 			return nil
 		})
 		return outs, err

@@ -528,15 +528,14 @@ func TestGroupCommitWithoutWindow(t *testing.T) {
 // lets concurrent callers share rounds. `make check` gates the serial
 // path's allocs/op.
 func BenchmarkCoalescedDecide(b *testing.B) {
-	mk := func(b *testing.B) (*Service, []core.BatchItem) {
+	mk := func(b *testing.B) (*Service, []decideItem) {
 		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
 		req := sessionWorld(4, 3, 0)
 		base := newSnapshotBase(&req, staticDigest(req.Hosts, req.VMs))
-		snap := req.snapshot(base, svc.def.spec.OverloadThreshold, svc.def.spec.StepSeconds)
-		return svc, []core.BatchItem{{Snap: snap}}
+		return svc, []decideItem{{state: &req, base: base}}
 	}
 	b.Run("serial", func(b *testing.B) {
 		svc, items := mk(b)

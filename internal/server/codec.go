@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+
+	"megh/internal/sim"
 )
 
 // This file holds the hand-written codec for the one request shape that
@@ -29,9 +31,11 @@ import (
 
 // decodeRequest decodes one request body into v, which must be zero.
 // fallback reports that v is a snapshot or a batch of them and the body was
-// not the canonical elided form, so encoding/json decoded it.
-func decodeRequest(buf []byte, v any) (fallback bool, err error) {
-	d := elidedDecoder{b: buf}
+// not the canonical elided form, so encoding/json decoded it. The canonical
+// form's VM and item slices are carved from sc, so v is good until sc is
+// recycled; what the fallback decodes owns its memory.
+func decodeRequest(buf []byte, v any, sc *requestScratch) (fallback bool, err error) {
+	d := elidedDecoder{b: buf, sc: sc}
 	switch v := v.(type) {
 	case *StateRequest:
 		if d.state(v) && d.i == len(buf) {
@@ -47,12 +51,37 @@ func decodeRequest(buf []byte, v any) (fallback bool, err error) {
 	return fallback, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
 }
 
+// requestScratch is the storage one decide or decide/batch request needs only
+// until its handler returns: the body bytes, the decoded VM entries and a
+// batch's items. A session keeps one between requests (session.scratch), left
+// there by the last request whose body the canonical decoder accepted — and
+// only by those: the full form is sent once per session and runs to hundreds
+// of KB, which the session would otherwise hold on to for life.
+type requestScratch struct {
+	body  []byte
+	vms   []VMState
+	items []BatchDecideItem
+}
+
+// takeVMs carves n entries off sc.vms for one snapshot. When they do not
+// fit, a new backing array replaces the old one, which the snapshots already
+// decoded keep; sc ends up holding the largest, so a stream of like requests
+// stops allocating after its first few.
+func (sc *requestScratch) takeVMs(n int) []VMState {
+	if cap(sc.vms)-len(sc.vms) < n {
+		sc.vms = make([]VMState, 0, max(n, 2*cap(sc.vms)))
+	}
+	sc.vms = sc.vms[:len(sc.vms)+n]
+	return sc.vms[len(sc.vms)-n : len(sc.vms) : len(sc.vms)]
+}
+
 // elidedDecoder walks a body in the canonical elided form. Every method
 // reports whether the bytes at i were what it expected and, if so, leaves i
 // past them; after a false the decoder is abandoned.
 type elidedDecoder struct {
-	b []byte
-	i int
+	b  []byte
+	i  int
+	sc *requestScratch
 }
 
 // lit consumes the literal s.
@@ -203,7 +232,7 @@ func (d *elidedDecoder) state(r *StateRequest) bool {
 	if n == 0 || n*minVMBytes > span {
 		return false
 	}
-	vms := make([]VMState, n)
+	vms := d.sc.takeVMs(n)
 	for j := range vms {
 		if j > 0 && !d.lit(`,`) {
 			return false
@@ -266,7 +295,7 @@ func (d *elidedDecoder) batch(r *BatchDecideRequest) bool {
 	if !d.lit(`{"items":[`) {
 		return false
 	}
-	var items []BatchDecideItem
+	items := d.sc.items[:0]
 	for {
 		var it BatchDecideItem
 		if !d.lit(`{`) {
@@ -286,6 +315,7 @@ func (d *elidedDecoder) batch(r *BatchDecideRequest) bool {
 			break
 		}
 	}
+	d.sc.items = items
 	if !d.lit(`]}`) {
 		return false
 	}
@@ -406,4 +436,23 @@ func appendBatchItem(b []byte, it *BatchDecideItem, digest string, elide bool) (
 		b = append(b, full...)
 	}
 	return append(b, '}'), err
+}
+
+// appendDecideResponse appends the decide response for one step as
+// json.Marshal writes a DecideResponse whose Migrations is not nil.
+func appendDecideResponse(b []byte, step int, migs []sim.Migration) []byte {
+	b = append(b, `{"step":`...)
+	b = strconv.AppendInt(b, int64(step), 10)
+	b = append(b, `,"migrations":[`...)
+	for i, m := range migs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"vm":`...)
+		b = strconv.AppendInt(b, int64(m.VM), 10)
+		b = append(b, `,"dest":`...)
+		b = strconv.AppendInt(b, int64(m.Dest), 10)
+		b = append(b, '}')
+	}
+	return append(b, `]}`...)
 }

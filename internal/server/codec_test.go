@@ -16,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"megh/internal/sim"
 )
 
 // elideSnapshot returns full snapshot r in the elided form; digest is
@@ -35,6 +37,9 @@ func elideSnapshot(r *StateRequest, digest string) StateRequest {
 	return out
 }
 
+// decodeScratch is a session only for its scratch slot.
+var decodeScratch session
+
 // decodeAgrees is the decoder's differential oracle: decodeRequest and the
 // json.Decoder call it stands in for must agree on data — error or not, the
 // error's text, the decoded value. It returns whether the fast path took the
@@ -42,7 +47,10 @@ func elideSnapshot(r *StateRequest, digest string) StateRequest {
 func decodeAgrees[T any](t *testing.T, data []byte) bool {
 	t.Helper()
 	var got, want T
-	fallback, gotErr := decodeRequest(data, &got)
+	// Decode into storage earlier calls have used, as a session's requests do.
+	sc := decodeScratch.takeScratch()
+	defer decodeScratch.recycle(sc)
+	fallback, gotErr := decodeRequest(data, &got, sc)
 	fast := !fallback
 	wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -344,6 +352,32 @@ func TestSessionClientWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("batch across a 409", mustMarshal(t, parentBatchWire(digest, breq)), mustMarshal(t, breq))
+
+	// Feedback posts go through the append encoder too.
+	spy.conflict = nil
+	for _, fb := range []FeedbackRequest{
+		{Step: 3, StepCost: 0.4},
+		{Step: 4, StepCost: 1e21, EnergyCost: math.Copysign(0, -1), SLACost: 1e-9, ResourceCost: 3},
+	} {
+		if err := sc.Feedback(ctx, fb); err != nil {
+			t.Fatal(err)
+		}
+		expect("feedback", mustMarshal(t, fb))
+	}
+}
+
+// TestDecideResponseEncoder: the service's decide answer is json.Marshal of
+// the DecideResponse it used to build, with or without migrations.
+func TestDecideResponseEncoder(t *testing.T) {
+	for _, migs := range [][]sim.Migration{nil, {{VM: 0, Dest: 9999}}, {{VM: 12, Dest: 3}, {VM: 7, Dest: 0}, {VM: 999, Dest: 41}}} {
+		want := DecideResponse{Step: 287 * len(migs), Migrations: []MigrationDecision{}}
+		for _, m := range migs {
+			want.Migrations = append(want.Migrations, MigrationDecision{VM: m.VM, Dest: m.Dest})
+		}
+		if got := appendDecideResponse(nil, want.Step, migs); !bytes.Equal(got, mustMarshal(t, want)) {
+			t.Fatalf("appendDecideResponse wrote %s, json.Marshal %s", got, mustMarshal(t, want))
+		}
+	}
 }
 
 // TestEncoderFloats: the append encoder writes every float64 the way
@@ -629,7 +663,7 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		var got StateRequest
-		if fallback, err := decodeRequest(body, &got); fallback || err != nil || len(got.VMs) != len(req.VMs) {
+		if fallback, err := decodeRequest(body, &got, new(requestScratch)); fallback || err != nil || len(got.VMs) != len(req.VMs) {
 			t.Fatalf("fallback %t, err %v, %d VMs", fallback, err, len(got.VMs))
 		}
 	}); n > 4 {
@@ -655,14 +689,19 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Decodes run as a session's do in steady state: into the scratch the
+	// request before left behind.
 	decode := func(body []byte, v func() any, wantFallback bool) func(*testing.B) {
 		return func(b *testing.B) {
+			var sess session
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if fallback, err := decodeRequest(body, v()); err != nil || fallback != wantFallback {
+				sc := sess.takeScratch()
+				if fallback, err := decodeRequest(body, v(), sc); err != nil || fallback != wantFallback {
 					b.Fatalf("fallback %t, err %v", fallback, err)
 				}
+				sess.recycle(sc)
 			}
 		}
 	}

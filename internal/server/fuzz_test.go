@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -71,7 +70,7 @@ func FuzzDecideRequestJSON(f *testing.F) {
 			decodeAgrees[BatchDecideRequest](t, wrapped)
 		}
 		var req StateRequest
-		if _, err := decodeRequest(data, &req); err != nil {
+		if _, err := decodeRequest(data, &req, new(requestScratch)); err != nil {
 			return
 		}
 		// Resource guard: JSON can declare arbitrarily many hosts/VMs;
@@ -87,7 +86,8 @@ func FuzzDecideRequestJSON(f *testing.F) {
 			return
 		}
 		nH, nV := len(base.hostSpecs), len(base.vmSpecs)
-		snap := req.snapshot(base, 0.7, 300)
+		snap := new(retainedSnapshot).fill(&req, base, 0.7, 300)
+		sameSnapshot(t, "first fill", snap, req.snapshot(base, 0.7, 300))
 		if len(snap.HostVMs) != nH || len(snap.VMHost) != nV || len(req.VMs) != nV {
 			t.Fatalf("snapshot dims %d×%d, request has %d VMs, base %d×%d",
 				len(snap.HostVMs), len(snap.VMHost), len(req.VMs), nH, nV)
@@ -132,8 +132,6 @@ func FuzzDecideRequestJSON(f *testing.F) {
 		if fullBase != held {
 			t.Fatalf("filled full form digests to %q, base is %q", fullBase.digest, held.digest)
 		}
-		if want := full.snapshot(fullBase, 0.7, 300); !reflect.DeepEqual(snap, want) {
-			t.Fatalf("elided and full forms convert differently:\nelided: %+v\nfull:   %+v", snap, want)
-		}
+		sameSnapshot(t, "elided form against its full form", snap, full.snapshot(fullBase, 0.7, 300))
 	})
 }

@@ -251,7 +251,7 @@ func New(cfg Config) (*Service, error) {
 		s.gate = &admitGate{capacity: cfg.MaxInFlight}
 	}
 	s.coalRounds = reg.Counter("megh_coalesce_rounds_total",
-		"Coalesced decide rounds run (one DecideBatch call each).", nil)
+		"Coalesced decide rounds run (one session-lock hold each).", nil)
 	s.coalMerged = reg.Counter("megh_coalesce_merged_requests_total",
 		"Decide requests that shared a coalesced round with at least one other request.", nil)
 	s.coalItems = reg.Counter("megh_coalesce_items_total",
@@ -594,6 +594,14 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
+// writeJSONBytes answers 200 with a body already encoded, newline included,
+// as writeJSON would have written it.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
@@ -606,20 +614,23 @@ const maxSmallBodyBytes = 4 << 10
 // Content-Length header alone.
 const bodyReadStep = 1 << 20
 
-// readBody reads a request body of at most limit bytes, whole; a longer one
-// — by its declared length, or by what arrives — is an *http.MaxBytesError.
-// A declared length sizes the buffer, so an honest body of up to
-// bodyReadStep is read in place with no regrowth; past that the buffer at
-// most doubles, and only once the bytes before have arrived, so a header that
-// lies cannot reserve more than bodyReadStep plus twice what its sender
-// really sent. Nothing is kept between requests: a pool would hold on to the
-// one-off full-form snapshot's buffer for the life of the process.
-func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
+// readBody reads a request body of at most limit bytes, whole, appending to
+// into[:0] while it fits; a longer body — by its declared length, or by what
+// arrives — is an *http.MaxBytesError. A declared length sizes the buffer, so
+// an honest body of up to bodyReadStep is read in place with no regrowth;
+// past that the buffer at most doubles, and only once the bytes before have
+// arrived, so a header that lies cannot reserve more than bodyReadStep plus
+// twice what its sender really sent. Whether the buffer outlives the request
+// is the caller's decision (see requestScratch).
+func readBody(body io.Reader, declared, limit int64, into []byte) ([]byte, error) {
 	if declared > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
 	want := int(declared) // -1 when the sender declared nothing
-	buf := make([]byte, 0, min(max(want, 512), bodyReadStep)+1)
+	buf := into[:0]
+	if need := min(max(want, 512), bodyReadStep) + 1; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
 	for {
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -643,28 +654,53 @@ func readBody(body io.Reader, declared, limit int64) ([]byte, error) {
 }
 
 // decodeBody reads one JSON request body of at most limit bytes and decodes
-// it into v (see decodeRequest; bytes after the first JSON value are
-// ignored, as json.Decoder ignores them). On failure it has answered — 413
-// for a body past the limit, wherever its JSON ends, 400 for anything else —
-// and returns false.
+// it into v (bytes after the first JSON value are ignored, as json.Decoder
+// ignores them). On failure it has answered — see rejectBody — and returns
+// false.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
-	buf, err := readBody(r.Body, r.ContentLength, limit)
+	buf, err := readBody(r.Body, r.ContentLength, limit, nil)
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(buf)).Decode(v)
+	}
+	if err != nil {
+		rejectBody(w, err, what)
+	}
+	return err == nil
+}
+
+// decodeSnapshots is decodeBody for the two bodies that carry snapshots, v a
+// *StateRequest or a *BatchDecideRequest (see decodeRequest). A body in the
+// canonical elided form is read and decoded into the session's scratch: the
+// caller recycles the returned scratch when it has answered, and v dies with
+// it. Any other body is counted as a decode fallback and owns its memory; the
+// scratch returned for it is nil.
+func (s *Service) decodeSnapshots(w http.ResponseWriter, r *http.Request, sess *session, limit int64, v any, what string) (*requestScratch, bool) {
+	sc := sess.takeScratch()
+	buf, err := readBody(r.Body, r.ContentLength, limit, sc.body)
 	if err == nil {
 		var fallback bool
-		if fallback, err = decodeRequest(buf, v); fallback {
+		if fallback, err = decodeRequest(buf, v, sc); fallback {
 			s.decodeFallback.Inc()
+		} else if err == nil {
+			sc.body = buf
+			return sc, true
 		}
 	}
-	if err == nil {
-		return true
+	if err != nil {
+		rejectBody(w, err, what)
 	}
+	return nil, err == nil
+}
+
+// rejectBody answers a body that could not be read or decoded: 413 for one
+// past its limit, wherever its JSON ends, 400 for anything else.
+func rejectBody(w http.ResponseWriter, err error, what string) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeError(w, status, fmt.Errorf("decoding %s: %w", what, err))
-	return false
 }
 
 // rejectSnapshot answers a snapshot resolveBase refused: 409 when the
@@ -698,9 +734,11 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 	// Decode and validate before admission: the gate weighs requests by item
 	// count, which is only known after the decode.
 	var req StateRequest
-	if !s.decodeBody(w, r, sess.spec.maxSnapshotBytes(), &req, "snapshot") {
+	sc, ok := s.decodeSnapshots(w, r, sess, sess.spec.maxSnapshotBytes(), &req, "snapshot")
+	if !ok {
 		return
 	}
+	defer sess.recycle(sc)
 	held := sess.base.Load()
 	base, err := resolveBase(held, &req, sess.id, sess.spec)
 	if err != nil {
@@ -713,40 +751,36 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 	}
 	defer release()
 	s.adoptBase(sess, held, base, req.Base != "")
-	snap := req.snapshot(base, sess.spec.OverloadThreshold, sess.spec.StepSeconds)
 
-	// A single decide is a one-item batch through the coalescer
-	// (DecideBatch over one item is decision-identical to Decide), so
+	// A single decide is a one-item batch through the coalescer, so
 	// concurrent single decides for the same session share one lock
-	// acquisition. DecideBatch returns caller-owned slices, so unlike the
-	// historical Decide path nothing here races the lock release.
+	// acquisition. The round returns caller-owned slices, so nothing here
+	// races the lock release.
 	start := time.Now()
-	outs, err := s.coalesceDecide(sess, []core.BatchItem{{Snap: snap}})
+	outs, err := s.coalesceDecide(sess, []decideItem{{state: &req, base: base}})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	migs := outs[0]
-	decisions := make([]MigrationDecision, 0, len(migs))
-	for _, m := range migs {
-		decisions = append(decisions, MigrationDecision{VM: m.VM, Dest: m.Dest})
-	}
 	s.slo.Observe(time.Since(start).Seconds())
-	writeJSON(w, http.StatusOK, DecideResponse{Step: req.Step, Migrations: decisions})
+	body := appendDecideResponse(make([]byte, 0, 64+32*len(outs[0])), req.Step, outs[0])
+	writeJSONBytes(w, append(body, '\n'))
 }
 
 // decideBatchSession is the batched decide path: many observe→decide steps
 // validated up front, then run back-to-back against the session's learner
-// under a single lock acquisition via core.DecideBatch — shared with
-// whatever other requests joined the same coalescing round.
+// under a single lock acquisition — shared with whatever other requests
+// joined the same coalescing round.
 // The whole batch is validated before the learner is touched, so a 400
 // never leaves the learner having consumed half a batch, and before
 // admission, so the gate can weigh the request by its item count.
 func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req BatchDecideRequest
-	if !s.decodeBody(w, r, sess.spec.maxBatchBytes(), &req, "batch") {
+	sc, ok := s.decodeSnapshots(w, r, sess, sess.spec.maxBatchBytes(), &req, "batch")
+	if !ok {
 		return
 	}
+	defer sess.recycle(sc)
 	if len(req.Items) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("batch has no items"))
 		return
@@ -756,7 +790,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 			fmt.Errorf("batch has %d items, limit %d", len(req.Items), MaxBatchItems))
 		return
 	}
-	items := make([]core.BatchItem, len(req.Items))
+	items := make([]decideItem, len(req.Items))
 	feedbacks := make([]sim.Feedback, len(req.Items))
 	// Items resolve in order against the base in force, which a full item
 	// replaces for the items after it; the session adopts the last one only
@@ -772,6 +806,11 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 			return
 		}
 		elided = elided || it.State.Base != ""
+		// An item carries the request as decoded and the base it resolved to,
+		// not a snapshot: the round leader fills the session's one snapshot
+		// from it under the session lock, when the item's turn comes, so a
+		// batch holds one snapshot however many items it has.
+		items[i] = decideItem{state: &it.State, base: base}
 		if fb := it.Feedback; fb != nil {
 			if fb.StepCost < 0 {
 				writeError(w, http.StatusBadRequest,
@@ -785,11 +824,8 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 				SLACost:      fb.SLACost,
 				ResourceCost: fb.ResourceCost,
 			}
-			items[i].Feedback = &feedbacks[i]
+			items[i].feedback = &feedbacks[i]
 		}
-		// snapshot() allocates fresh per-interval storage per item, so no
-		// Clone is needed.
-		items[i].Snap = it.State.snapshot(base, sess.spec.OverloadThreshold, sess.spec.StepSeconds)
 	}
 	release := s.admitN(w, len(items))
 	if release == nil {
@@ -804,14 +840,14 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		writeError(w, statusFor(err), err)
 		return
 	}
-	results := make([]DecideResponse, len(items))
+	body := append(make([]byte, 0, 64*len(items)), `{"results":[`...)
 	for i, migs := range outs {
-		decisions := make([]MigrationDecision, 0, len(migs))
-		for _, m := range migs {
-			decisions = append(decisions, MigrationDecision{VM: m.VM, Dest: m.Dest})
+		if i > 0 {
+			body = append(body, ',')
 		}
-		results[i] = DecideResponse{Step: items[i].Snap.Step, Migrations: decisions}
+		body = appendDecideResponse(body, items[i].state.Step, migs)
 	}
+	body = append(body, "]}\n"...)
 	// The SLO sees the per-item amortized latency — the fair comparison
 	// against single decides, since one batch request answers N steps.
 	s.slo.ObserveN(time.Since(start).Seconds()/float64(len(items)), int64(len(items)))
@@ -820,7 +856,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		// can amortize the request's wall time across its items.
 		ev := trace.Event{
 			Kind:       trace.KindBatch,
-			Step:       items[len(items)-1].Snap.Step,
+			Step:       items[len(items)-1].state.Step,
 			BatchItems: len(items),
 		}
 		if sess.tracer.Timings() {
@@ -828,7 +864,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		}
 		sess.tracer.Emit(&ev)
 	}
-	writeJSON(w, http.StatusOK, BatchDecideResponse{Results: results})
+	writeJSONBytes(w, body)
 }
 
 func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *session) {

@@ -57,10 +57,22 @@ type session struct {
 	// taking mu and replace it whole, never mutate it.
 	base atomic.Pointer[snapshotBase]
 
+	// scratch is the request storage the next decide may reuse (see
+	// requestScratch), nil while a request holds it or none has left one.
+	// One slot, not a pool: a session is one monitoring pipeline, and a
+	// request that finds the slot empty allocates, as every request used to.
+	// Dropped with snap by evict and delete.
+	scratch atomic.Pointer[requestScratch]
+
 	mu sync.Mutex
 	// learner is nil while the session is evicted (its state lives in
 	// ckptPath); the next touch restores it lazily.
 	learner *core.Megh
+	// snap is the one snapshot every decide of this session is filled into
+	// and decided from (see retainedSnapshot). It lives and dies with the
+	// resident learner: nil until the first decide, dropped by evict and
+	// delete, rebuilt by the first decide after a restore.
+	snap *retainedSnapshot
 	// health rides alongside the learner for the session's whole lifetime:
 	// it detaches (keeping its accumulated telemetry and T shadow) when the
 	// learner is evicted and reattaches on lazy restore, so health reads on
@@ -75,7 +87,7 @@ type session struct {
 	deleted   bool
 
 	// coal merges concurrent decide requests for this session into shared
-	// DecideBatch rounds (see coalesce.go). It has its own mutex: requests
+	// rounds (see coalesce.go). It has its own mutex: requests
 	// join rounds without touching mu, which the round leader holds for the
 	// whole merged batch.
 	coal coalescer
@@ -85,6 +97,33 @@ type session struct {
 	// ckptPath is where this session checkpoints ("" = no persistence;
 	// such a session can never be evicted, only deleted).
 	ckptPath string
+}
+
+// takeScratch empties the session's scratch slot into the caller's hands.
+func (s *session) takeScratch() *requestScratch {
+	if sc := s.scratch.Swap(nil); sc != nil {
+		return sc
+	}
+	return new(requestScratch)
+}
+
+// recycle leaves sc for the session's next request; nothing decoded into it
+// may be used after. A nil sc — a request whose storage is its own — is a
+// no-op.
+func (s *session) recycle(sc *requestScratch) {
+	if sc == nil {
+		return
+	}
+	clear(sc.items) // drop the items' own pointers: base strings, feedback
+	sc.body, sc.vms, sc.items = sc.body[:0], sc.vms[:0], sc.items[:0]
+	s.scratch.Store(sc)
+}
+
+// dropRetained releases what a resident session keeps between decides.
+// Callers hold mu.
+func (s *session) dropRetained() {
+	s.snap = nil
+	s.scratch.Store(nil)
 }
 
 // info snapshots the session for GET/list responses. It never restores an
@@ -398,6 +437,7 @@ func (m *sessionManager) delete(id string) error {
 	s.deleted = true
 	wasLive := s.learner != nil
 	s.learner = nil
+	s.dropRetained()
 	path := s.ckptPath
 	s.mu.Unlock()
 
@@ -647,6 +687,7 @@ func (m *sessionManager) evict(s *session) bool {
 		return false
 	}
 	s.learner = nil
+	s.dropRetained()
 	if s.health != nil {
 		s.health.Detach()
 	}
