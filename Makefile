@@ -73,10 +73,12 @@ bench-trace:
 # (round + waiter + demux machinery per uncontended request) must stay within
 # its small fixed budget, the decide handler on the 10 000 × 1 000 grid must
 # allocate under a tenth of the 471 652 B/op it took before the session
-# retained its snapshot and request storage, and the elided-snapshot codec
+# retained its snapshot and request storage, the elided-snapshot codec
 # must allocate per request, not per VM (decode ≤ 4, encode ≤ 2 at 1 000
-# VMs). Short iteration counts so `make check` stays fast; benchjson fails
-# the build on any regression.
+# VMs), and a checkpoint image must cost what it is: encoding one allocates
+# the image and little else (≤ 1.05 × the image-bytes it reports — gob took
+# 4.7 ×), verifying one where it lies under 1 KB. Short iteration counts so
+# `make check` stays fast; benchjson fails the build on any regression.
 bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecide/no-tracer-nocost' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-zero-alloc BenchmarkDecide/no-tracer-nocost
@@ -85,6 +87,8 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecideHandler/elided-grid10k' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkDecideHandler/elided-grid10k=47000
 	$(GO) test -run='TestSnapshotCodecAllocs' -count=1 ./internal/server/
+	$(GO) test -run=- -bench='BenchmarkCheckpoint/(save|verify)$$' -benchtime=300x -benchmem ./internal/core/ \
+		| $(GO) run ./cmd/benchjson -assert-max-bytes 'BenchmarkCheckpoint/save=1.05*image-bytes,BenchmarkCheckpoint/verify=1024'
 
 # The tracked benchmarks: the one pipeline bench-json records and
 # bench-check compares against. Decide benchmarks run a fixed iteration
@@ -122,7 +126,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git describe --always --dirty --abbrev=7)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer; BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does (since PR 24)" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer; BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does (since PR 24); BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do (since PR 25)" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

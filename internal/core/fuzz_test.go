@@ -11,9 +11,10 @@ import (
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint verifier and
 // loader. Neither may panic; VerifyState must accept exactly what LoadState
-// accepts and refuse the rest with the same error; and anything accepted
-// must behave like a real checkpoint: re-saving is possible and the save →
-// load → save cycle is byte-stable.
+// accepts and refuse the rest with the same error; whatever the in-place
+// reader takes, gob's decoder must take too and read into the same state;
+// and anything accepted must behave like a real checkpoint: re-saving is
+// possible and the save → load → save cycle is byte-stable.
 func FuzzCheckpointLoad(f *testing.F) {
 	// Seed with a genuine checkpoint from a learner holding non-trivial
 	// state, plus a truncation of it and a couple of obvious non-gobs.
@@ -33,6 +34,14 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()/2])
+	// The same learner with a deferred update queued, so the in-place
+	// reader's slice of structs is in the corpus.
+	m.deferPush(1, 2, 0.5)
+	withQueue, err := m.AppendImage(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withQueue)
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	// A world past the eager budget, so the loader's page-on-touch side is
@@ -78,7 +87,16 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// the eager budget, so both page policies run; rejection paths
 		// don't care.
 		var st persistedState
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&st) == nil {
+		gobErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&st)
+		if in := decodeImage(data, false); in != nil {
+			if gobErr != nil {
+				t.Fatalf("read in place, but gob refuses it: %v", gobErr)
+			}
+			if !sameState(in, &st) {
+				t.Fatalf("read in place:\n%#v\ngob decodes:\n%#v", *in, st)
+			}
+		}
+		if gobErr == nil {
 			if n, h := st.Config.NumVMs, st.Config.NumHosts; n > 4096 || h > 4096 || (n > 0 && h > 2<<20/n) {
 				return
 			}

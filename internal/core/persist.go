@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -23,7 +24,8 @@ const (
 	oldestStateVersion = 1
 )
 
-// persistedState is the gob image of a learner. Everything the LSPI
+// persistedState is the image of a learner: one gob value, which image.go
+// writes and reads without running gob. Everything the LSPI
 // machinery needs survives a round-trip: B (the Q-table), z, θ, the
 // temperature, the pending transition, and the exploration RNG state —
 // exact to the bit, so a save/load pair continues the identical random
@@ -60,26 +62,11 @@ type persistedState struct {
 // side-effect-free and a checkpoint-restore-resumed run makes decisions
 // byte-identical to the uninterrupted run it forked from.
 func (m *Megh) SaveState(w io.Writer) error {
-	s0, s1 := m.rng.state()
-	st := persistedState{
-		Version:      stateVersion,
-		Config:       m.cfg,
-		Temp:         m.temp,
-		B:            m.b.State(),
-		Z:            m.z.State(),
-		Theta:        m.theta.Vector().State(),
-		Pending:      append([]int(nil), m.pending...),
-		PendingTotal: m.pendingTotal,
-		StepCost:     m.stepCost,
-		HaveCost:     m.haveCost,
-		// NNZHistory() linearises the ring, so the image is chronological
-		// regardless of where nnzStart points.
-		NNZHistory: append([]int(nil), m.NNZHistory()...),
-		Deferred:   append([]deferredUpdate(nil), m.deferQ...),
-		DeferAge:   m.deferAge,
-		RngState:   []uint64{s0, s1},
+	img, err := m.AppendImage(nil)
+	if err != nil {
+		return err
 	}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	if _, err := w.Write(img); err != nil {
 		return fmt.Errorf("core: encoding learner state: %w", err)
 	}
 	return nil
@@ -93,6 +80,10 @@ func (m *Megh) SaveState(w io.Writer) error {
 // snapshot must serialise learner mutation themselves (SaveStateFile only
 // reads).
 func (m *Megh) SaveStateFile(path string) error {
+	img, err := m.AppendImage(nil)
+	if err != nil {
+		return err
+	}
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -102,7 +93,9 @@ func (m *Megh) SaveStateFile(path string) error {
 		return fmt.Errorf("core: checkpoint temp file: %w", err)
 	}
 	tmp := f.Name()
-	err = m.SaveState(f)
+	if _, err = f.Write(img); err != nil {
+		err = fmt.Errorf("core: encoding learner state: %w", err)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -121,42 +114,75 @@ func (m *Megh) SaveStateFile(path string) error {
 // (errors.Is(err, fs.ErrNotExist)), so callers can distinguish
 // "no checkpoint yet" from a corrupt one.
 func LoadStateFile(path string) (*Megh, error) {
-	f, err := os.Open(path)
+	img, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := LoadState(f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("core: closing %s: %w", path, cerr)
-	}
-	return m, err
+	return loadImage(img)
 }
 
-// VerifyState reports whether LoadState would accept the image, without
-// building the learner: it decodes the image and makes every check
-// LoadState makes — it is the function LoadState calls first — at a cost
-// proportional to the image, however large a world the image declares.
+// VerifyState reports whether LoadState would accept the image read from
+// r, without building the learner; see VerifyImage.
 func VerifyState(r io.Reader) error {
-	_, err := readState(r)
+	img, err := readAll(r)
+	if err != nil {
+		return err
+	}
+	return VerifyImage(img)
+}
+
+// VerifyImage reports whether LoadState would accept the image img,
+// without building the learner: it decodes the image and makes every check
+// LoadState makes — it is the function LoadState calls first — at a cost
+// proportional to the image, however large a world the image declares. A
+// canonical image is checked where it lies, without a copy.
+func VerifyImage(img []byte) error {
+	_, err := readState(img, true)
 	return err
 }
 
 // LoadState reconstructs a learner saved with SaveState.
 func LoadState(r io.Reader) (*Megh, error) {
-	st, err := readState(r)
+	img, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return loadImage(img)
+}
+
+// readAll reads an image from r to its end, into one buffer sized at once
+// when r says how much it holds (a bytes.Reader, a bytes.Buffer):
+// io.ReadAll's gradual growth would allocate the image about five times.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("core: decoding learner state: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+func loadImage(img []byte) (*Megh, error) {
+	st, err := readState(img, false)
 	if err != nil {
 		return nil, err
 	}
 	return st.build()
 }
 
-// readState decodes a persisted image and validates it. Everything that
-// can make an image unrestorable is rejected here, so build cannot fail on
-// what this returns.
-func readState(r io.Reader) (*persistedState, error) {
-	var st persistedState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: decoding learner state: %w", err)
+// readState decodes a persisted image — in place when it is canonical
+// (decodeImage), with gob otherwise — and validates it. Everything that can
+// make an image unrestorable is rejected here, so build cannot fail on what
+// this returns. verify leaves out what only build reads.
+func readState(img []byte, verify bool) (*persistedState, error) {
+	st := decodeImage(img, verify)
+	if st == nil {
+		st = new(persistedState)
+		if err := gob.NewDecoder(bytes.NewReader(img)).Decode(st); err != nil {
+			return nil, fmt.Errorf("core: decoding learner state: %w", err)
+		}
 	}
 	if st.Version < oldestStateVersion || st.Version > stateVersion {
 		return nil, fmt.Errorf("core: learner state version %d, this build reads %d to %d",
@@ -201,7 +227,7 @@ func readState(r io.Reader) (*persistedState, error) {
 			return nil, fmt.Errorf("core: deferred update cost %g is not finite", du.C)
 		}
 	}
-	return &st, nil
+	return st, nil
 }
 
 // build assembles the learner a validated image describes.

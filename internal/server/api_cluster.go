@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -125,9 +124,10 @@ func (s *Service) handleClusterRoute(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicaPut serves PUT /v2/cluster/replicas/{id}: a peer pushing a
 // session's checkpoint image here for safekeeping. The image must pass
-// core.VerifyState — every check a restore would make, without building the
-// learner the image describes — before it lands, so an image that would not
-// restore can never shadow a good replica; it lands atomically.
+// core.VerifyImage — every check a restore would make, on the body where it
+// lies, without building the learner the image describes — before it lands,
+// so an image that would not restore can never shadow a good replica; it
+// lands atomically.
 func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {
@@ -149,7 +149,7 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica image: %w", err))
 		return
 	}
-	if err := core.VerifyState(bytes.NewReader(img)); err != nil {
+	if err := core.VerifyImage(img); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replica image is not a valid checkpoint: %w", err))
 		return
 	}

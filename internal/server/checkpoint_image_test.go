@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -258,9 +260,121 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 			}
 		})
 	}
+
+	// The cases above re-encode an imageMirror, whose type definitions are
+	// not a checkpoint's, so gob reads them. These are cut from the real
+	// image and keep its definitions, so they look canonical until the
+	// value message: each gets the answer it got when gob read every image —
+	// word for word, and gob's acceptance of bytes after the value included.
+	defs, msg := splitImage(t, good)
+	var im imageMirror
+	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&im); err != nil {
+		t.Fatal(err)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	frame := func(msg []byte) []byte { return cat(defs, putGobUint(nil, uint64(len(msg))), msg) }
+	// B's PackedVals, with its length in front.
+	valsLen := putGobUint(nil, uint64(len(im.B.PackedVals)))
+	vals := bytes.Index(msg, im.B.PackedVals)
+	// The tail: RngState's two words, and the struct's closing 0.
+	rng := cat(putGobUint(nil, 2), putGobUint(nil, im.RngState[0]), putGobUint(nil, im.RngState[1]), []byte{0})
+	// The head: the type id, then Version 2 and Config's first field, NumVMs 4.
+	_, id := gobUint(msg)
+	if vals < len(valsLen) || !bytes.HasSuffix(msg[:vals], valsLen) || !bytes.HasSuffix(msg, rng) ||
+		!bytes.HasPrefix(msg[id:], []byte{1, 2 << 1, 1, 1, 4 << 1}) {
+		t.Fatal("the image is not laid out as this test expects")
+	}
+	numVMs := id + 4
+	const refused = "replica image is not a valid checkpoint: core: "
+	for name, c := range map[string]struct {
+		img  []byte
+		want string // "" for an image gob accepts
+	}{
+		"truncated value message":     {frame(msg[:len(msg)/2]), "decoding learner state: gob: bad []uint8 slice length: 0"},
+		"message length past the end": {cat(defs, putGobUint(nil, uint64(len(msg)+1)), msg), "decoding learner state: unexpected EOF"},
+		"field past the struct's end": {frame(cat(msg[:len(msg)-1], []byte{1})), "decoding learner state: gob: bad data: field numbers out of bounds"},
+		"bytes past the end": {frame(cat(msg[:vals-len(valsLen)], putGobUint(nil, uint64(len(msg))), msg[vals:])),
+			"decoding learner state: gob: bad []uint8 slice length: 0"},
+		"three-word RngState": {frame(cat(msg[:len(msg)-len(rng)], putGobUint(nil, 3), rng[1:len(rng)-1], []byte{0, 0})),
+			"persisted RNG state has 3 words, want 2"},
+		"overlong uint in Config": {frame(cat(msg[:numVMs], []byte{0xf7}, make([]byte, 9), msg[numVMs+1:])),
+			"decoding learner state: gob: encoded unsigned integer out of range"},
+		"trailing bytes":            {cat(good, []byte{0}), ""},
+		"trailing bytes in message": {frame(cat(msg, []byte{0})), ""},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if c.want == "" {
+				// gob reads the value and ignores what follows it; so does
+				// the replica store, which keeps the body it was sent.
+				status, body := putReplicaRaw(t, tc.urls["a"], "lookalike", c.img)
+				stored, err := os.ReadFile(tc.svcs["a"].cluster.replicaPath("lookalike"))
+				if status != http.StatusOK || err != nil || !bytes.Equal(stored, c.img) {
+					t.Fatalf("HTTP %d %s (stored: err=%v); want 200 and the body stored", status, body, err)
+				}
+			} else if status, body := putReplicaRaw(t, tc.urls["a"], "victim", c.img); status != http.StatusBadRequest ||
+				body != fmt.Sprintf("{%q:%q}\n", "error", refused+c.want) {
+				t.Fatalf("HTTP %d %s; want 400 %q", status, body, refused+c.want)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+				t.Fatalf("the good replica was disturbed (err=%v)", err)
+			}
+		})
+	}
+
 	if leftovers, _ := filepath.Glob(path + ".tmp-*"); len(leftovers) != 0 {
 		t.Fatalf("stray temp files: %v", leftovers)
 	}
+}
+
+// splitImage cuts a checkpoint image into the type definitions gob sends
+// ahead of the value and the value message, its length left off.
+func splitImage(t *testing.T, img []byte) (defs, msg []byte) {
+	t.Helper()
+	for off := 0; off < len(img); {
+		n, w := gobUint(img[off:])
+		end := off + w + int(n)
+		if w == 0 || end > len(img) {
+			break
+		}
+		if end == len(img) {
+			return img[:off], img[off+w:]
+		}
+		off = end
+	}
+	t.Fatal("not a gob stream")
+	return nil, nil
+}
+
+// gobUint reads one of gob's unsigned integers from the front of b: the
+// value, and how many bytes it took (0 if b does not start with one).
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] <= 0x7f {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || n >= len(b) {
+		return 0, 0
+	}
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
+}
+
+// putGobUint appends x as gob codes an unsigned integer: below 128 the
+// byte itself, else the negated byte count and the big-endian bytes.
+func putGobUint(b []byte, x uint64) []byte {
+	if x <= 0x7f {
+		return append(b, byte(x))
+	}
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], x)
+	skip := bits.LeadingZeros64(x) / 8
+	return append(append(b, byte(skip-8)), be[skip:]...)
 }
 
 // TestReplicaPutHostileSizes: what a PUT makes the successor allocate

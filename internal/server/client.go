@@ -169,14 +169,24 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, share
 		}
 		if retryableStatus(resp.StatusCode) {
 			lastErr = newStatusError(path, resp)
-			resp.Body.Close()
+			closeBody(resp)
 			continue
 		}
 		err = c.finish(path, resp, out)
-		resp.Body.Close()
+		closeBody(resp)
 		return err
 	}
 	return lastErr
+}
+
+// closeBody reads a response to its end before closing it. A chunked body
+// ends in a terminator that arrives after the JSON value a decoder stops
+// at; closing short of it hangs up on the server mid-answer — a proxying
+// entry node then abandons the owner while it is still answering — and
+// gives up the connection.
+func closeBody(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 func (c *Client) send(ctx context.Context, method, path string, body, out any) error {
@@ -225,7 +235,6 @@ func (c *Client) finish(path string, resp *http.Response, out any) error {
 		return newStatusError(path, resp)
 	}
 	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

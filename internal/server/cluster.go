@@ -251,10 +251,14 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 	// A bare io.Reader body has no length NewRequest can infer; without the
 	// inbound one every proxied request would go out chunked.
 	req.ContentLength = r.ContentLength
-	for _, hdr := range []string{"Content-Type", "X-Request-ID"} {
-		if v := r.Header.Get(hdr); v != "" {
-			req.Header.Set(hdr, v)
-		}
+	if v := r.Header.Get("Content-Type"); v != "" {
+		req.Header.Set("Content-Type", v)
+	}
+	// The ID the envelope stamped on the response — the caller's, or the
+	// one minted here when the caller sent none — so the owner records the
+	// ID the caller is given.
+	if rid := w.Header().Get("X-Request-ID"); rid != "" {
+		req.Header.Set("X-Request-ID", rid)
 	}
 	req.Header.Set(forwardedHeader, c.node.Self().Name)
 	resp, err := c.httpc.Do(req)
@@ -275,8 +279,15 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 	}
 	w.Header().Set(proxiedHeader, owner.Name)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[32 << 10]byte)
+	_, _ = io.CopyBuffer(w, resp.Body, buf[:])
+	relayBufs.Put(buf)
 }
+
+// relayBufs holds proxy's copy buffers. The writers a response is relayed
+// through (statusWriter, envelopeWriter) hide the connection's ReadFrom, so
+// io.Copy would allocate a fresh 32 KB buffer for every proxied request.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // --- checkpoint replication ---------------------------------------------
 

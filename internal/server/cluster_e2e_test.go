@@ -656,6 +656,58 @@ func TestClusterProxyToDeadOwnerIs502(t *testing.T) {
 	}
 }
 
+// TestClusterProxyCarriesRequestID: the owner of a proxied request is sent
+// the X-Request-ID the caller gets back — the caller's own, or the one the
+// entry node minted when the caller sent none — so the owner's exemplars and
+// trace name the request the caller knows.
+func TestClusterProxyCarriesRequestID(t *testing.T) {
+	tc := newTestCluster(t, 2, "a", "b")
+	id := tc.idOwnedBy(t, "a", "b")
+	var mu sync.Mutex
+	var sent []string
+	owner := tc.svcs["b"].Handler()
+	tc.servers["b"].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		sent = append(sent, r.Header.Get("X-Request-ID"))
+		mu.Unlock()
+		owner.ServeHTTP(w, r)
+	})
+	if resp := doJSON(t, http.MethodPut, tc.urls["a"]+"/v2/sessions/"+id, clusterSpec, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+
+	for _, c := range []struct {
+		route string
+		body  any
+	}{
+		{"decide", sessionWorld(4, 3, 0)},
+		{"checkpoint", struct{}{}},
+	} {
+		for _, callerID := range []string{"", "caller-" + c.route} {
+			mu.Lock()
+			sent = nil
+			mu.Unlock()
+			var hdr map[string]string
+			if callerID != "" {
+				hdr = map[string]string{"X-Request-ID": callerID}
+			}
+			resp := doJSON(t, http.MethodPost, tc.urls["a"]+"/v2/sessions/"+id+"/"+c.route, c.body, hdr, nil)
+			got := resp.Header.Get("X-Request-ID")
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Megh-Proxied") != "b" || got == "" ||
+				(callerID != "" && got != callerID) {
+				t.Fatalf("%s with caller ID %q: HTTP %d, proxied=%q, X-Request-ID %q",
+					c.route, callerID, resp.StatusCode, resp.Header.Get("X-Megh-Proxied"), got)
+			}
+			mu.Lock()
+			ownerSaw := sent
+			mu.Unlock()
+			if len(ownerSaw) != 1 || ownerSaw[0] != got {
+				t.Fatalf("%s with caller ID %q: the caller got %q, the owner was sent %q", c.route, callerID, got, ownerSaw)
+			}
+		}
+	}
+}
+
 func TestClusterBadSessionIDsOnClusterAPI(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b")
 	for _, probe := range []struct{ method, path string }{

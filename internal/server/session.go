@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -269,18 +268,17 @@ func (m *sessionManager) checkpointPath(id string) string {
 // failure leaves the previous image in place and is counted.
 func (m *sessionManager) writeImage(s *session) ([]byte, error) {
 	start := time.Now()
-	var buf bytes.Buffer
-	err := s.learner.SaveState(&buf)
+	img, err := s.learner.AppendImage(nil)
 	if err == nil {
-		err = writeFileAtomic(s.ckptPath, buf.Bytes())
+		err = writeFileAtomic(s.ckptPath, img)
 	}
 	if err != nil {
 		m.cCkptErrs.Inc()
 		return nil, fmt.Errorf("checkpointing session %q: %w", s.id, err)
 	}
 	m.hCkpt.Observe(time.Since(start).Seconds())
-	m.gCkptBytes.Set(float64(buf.Len()))
-	return buf.Bytes(), nil
+	m.gCkptBytes.Set(float64(len(img)))
+	return img, nil
 }
 
 // checkpoint is writeImage followed by the cluster replication hook, which

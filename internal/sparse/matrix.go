@@ -175,6 +175,12 @@ func (m *Matrix) ResidentBytes() int {
 // Dim returns the matrix dimension.
 func (m *Matrix) Dim() int { return m.dim }
 
+// Diag returns the value of the implicit diagonal entries.
+func (m *Matrix) Diag() float64 { return m.diag }
+
+// DropTolerance returns the tolerance SetDropTolerance set.
+func (m *Matrix) DropTolerance() float64 { return m.dropTol }
+
 // NNZ returns the number of *materialised* non-zero entries, maintained
 // incrementally (O(1)). The implicit identity is excluded: this is the
 // quantity the paper plots in Figure 7 (growth of the Q-table with time),

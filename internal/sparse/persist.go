@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The packed forms below carry each array as one byte string, so the
-// enclosing encoder (encoding/gob in internal/core) moves a whole array
-// with one copy instead of one reflective call per element.
+// enclosing image (gob's format, written by internal/core) moves a whole
+// array with one copy.
 //
 // An index list is ascending and coded as uvarint gaps: the first entry is
 // the index itself, every later one the distance to its predecessor (≥ 1),
@@ -38,26 +39,78 @@ func (v *Vector) State() VectorState {
 	}
 }
 
+// Packed receives one packed list from a packer (Matrix.Pack,
+// RowVector.Pack, PagedVector.Pack): appended to Buf, or — with Counting
+// set — only measured in Len. Counting first and packing second lets a
+// caller that frames the lists itself (internal/core's image encoder) size
+// one buffer exactly and pack into it in place; State packs into fresh
+// slices.
+type Packed struct {
+	Buf      []byte
+	Len      int
+	Counting bool
+}
+
+// gap emits index i of an ascending list whose previous entry was prev (-1
+// at the start of the list).
+func (p *Packed) gap(prev, i int) {
+	if prev >= 0 {
+		i -= prev
+	}
+	p.uvarint(uint64(i))
+}
+
+func (p *Packed) uvarint(x uint64) {
+	if p.Counting {
+		p.Len += uvarintLen(x)
+	} else {
+		p.Buf = binary.AppendUvarint(p.Buf, x)
+	}
+}
+
+func (p *Packed) words(val []float64) {
+	if p.Counting {
+		p.Len += 8 * len(val)
+	} else {
+		p.Buf = appendWords(p.Buf, val)
+	}
+}
+
 // State exports the vector for persistence: the image Vector.State gives
 // for the same entries, byte for byte, packed row after row with no
 // assembled vector in between.
 func (v *RowVector) State() VectorState {
-	st := VectorState{
-		Dim: v.dim,
-		// Two bytes an index covers every gap below 16 384; sparser vectors
-		// grow the list as they go.
-		PackedIndex: make([]byte, 0, 2*v.nnz),
-		PackedValue: make([]byte, 0, 8*v.nnz),
-	}
+	var index, value Packed
+	v.Pack(&index, &value)
+	return VectorState{Dim: v.dim, PackedIndex: index.Buf, PackedValue: value.Buf}
+}
+
+// Pack emits the vector's PackedIndex and PackedValue lists.
+func (v *RowVector) Pack(index, value *Packed) {
 	prev := -1
 	v.each(func(r *span) {
 		for _, i := range r.idx {
-			st.PackedIndex = appendGap(st.PackedIndex, prev, i)
+			index.gap(prev, i)
 			prev = i
 		}
-		st.PackedValue = appendWords(st.PackedValue, r.val)
+		value.words(r.val)
 	})
-	return st
+}
+
+// Pack emits the PackedIndex and PackedValue lists of the vector's non-zero
+// cells: what Vector().State() holds.
+func (v *PagedVector) Pack(index, value *Packed) {
+	prev := -1
+	v.pages.each(func(p int, pg *[pageSize]float64) {
+		for k := range pg {
+			if pg[k] != 0 {
+				i := p<<pageShift + k
+				index.gap(prev, i)
+				value.words(pg[k : k+1])
+				prev = i
+			}
+		}
+	})
 }
 
 // Validate reports the first malformed field of st. It costs O(len of the
@@ -159,35 +212,37 @@ type MatrixState struct {
 // emitted in ascending order, so two identical matrices serialise
 // byte-identically.
 func (m *Matrix) State() MatrixState {
-	st := MatrixState{
-		Dim:     m.dim,
-		Diag:    m.diag,
-		DropTol: m.dropTol,
-		// Two bytes a column covers every gap below 16 384; wider matrices
-		// grow the list as they go.
-		PackedCols: make([]byte, 0, 2*m.nnz),
-		PackedVals: make([]byte, 0, 8*m.nnz),
-	}
+	var l [4]Packed
+	m.Pack(&l[0], &l[1], &l[2], &l[3])
+	return MatrixState{Dim: m.dim, Diag: m.diag, DropTol: m.dropTol,
+		PackedRows: l[0].Buf, PackedCols: l[1].Buf, PackedVals: l[2].Buf, PackedDiag: l[3].Buf}
+}
+
+// Pack emits the matrix's four packed lists in one walk over its pages.
+func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
 	prevRow, prevDiag := -1, -1
 	m.pages.each(func(p int, pg *page) {
 		for k := range pg.recs {
 			i := p<<pageShift + k
 			if pg.overridden(k) {
-				st.PackedDiag = appendGap(st.PackedDiag, prevDiag, i)
+				diag.gap(prevDiag, i)
 				prevDiag = i
 			}
 			r := &pg.recs[k].row
 			if len(r.idx) == 0 {
 				continue
 			}
-			st.PackedRows = appendGap(st.PackedRows, prevRow, i)
-			st.PackedRows = binary.AppendUvarint(st.PackedRows, uint64(len(r.idx)))
+			rows.gap(prevRow, i)
+			rows.uvarint(uint64(len(r.idx)))
 			prevRow = i
-			st.PackedCols = appendGaps(st.PackedCols, r.idx)
-			st.PackedVals = appendWords(st.PackedVals, r.val)
+			prevCol := -1
+			for _, j := range r.idx {
+				cols.gap(prevCol, j)
+				prevCol = j
+			}
+			vals.words(r.val)
 		}
 	})
-	return st
 }
 
 // Validate reports the first malformed field of st. It costs O(len of the
@@ -340,23 +395,17 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 	return m, nil
 }
 
-// appendGap appends index i of an ascending list whose previous entry was
-// prev (-1 at the start of the list).
-func appendGap(dst []byte, prev, i int) []byte {
-	if prev >= 0 {
-		i -= prev
-	}
-	return binary.AppendUvarint(dst, uint64(i))
-}
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // appendGaps appends a whole ascending index list.
 func appendGaps(dst []byte, idx []int) []byte {
-	prev := -1
+	p, prev := Packed{Buf: dst}, -1
 	for _, i := range idx {
-		dst = appendGap(dst, prev, i)
+		p.gap(prev, i)
 		prev = i
 	}
-	return dst
+	return p.Buf
 }
 
 // nextIndex decodes the entry after prev (-1 at the start of a list) from

@@ -82,6 +82,9 @@ func (v *RowVector) Add(i int, x float64) {
 	}
 }
 
+// Dim returns the dimension of the vector.
+func (v *RowVector) Dim() int { return v.dim }
+
 // NNZ returns the number of stored non-zero entries.
 func (v *RowVector) NNZ() int { return v.nnz }
 
