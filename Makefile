@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e
+.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check
 
 # Tier-1: everything compiles and the test suite passes.
 verify:
@@ -13,9 +13,32 @@ verify:
 # run of the trace-overhead benchmark (compare the disabled sub-benchmark
 # against no-tracer: they must match in ns/op and allocs/op), the
 # allocation-regression gate on the untraced decide path, and a short
-# fuzz pass over the fuzz targets, the scenario-matrix smoke run, and vet +
-# tests of the nested benchmark module.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module
+# fuzz pass over the fuzz targets, the scenario-matrix smoke run, vet +
+# tests of the nested benchmark module, and the package-size gate.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check
+
+# Package sizes: the non-test Go lines (go list's GoFiles, counted by wc -l)
+# of every package in the root module, one "import-path lines" pair per
+# package, sorted. SIZE.json commits them; size-check fails when a package
+# has grown past its entry or has none, so growth is a reviewed diff line
+# of SIZE.json, the way a benchmark regression is one of BENCH_megh.json.
+# After a change that shrinks or (deliberately) grows a package, rewrite the
+# file with make size-json and commit it with the change.
+SIZE_COUNTS = $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... \
+	| while read -r pkg files; do \
+		if [ -n "$$files" ]; then echo "$$pkg $$(cat $$files | wc -l)"; else echo "$$pkg 0"; fi; \
+	done | LC_ALL=C sort
+
+size-json:
+	@$(SIZE_COUNTS) | awk 'BEGIN { print "{" } \
+		{ if (NR > 1) printf ",\n"; printf "  \"%s\": %d", $$1, $$2 } \
+		END { print "\n}" }' > SIZE.json
+
+size-check:
+	@$(SIZE_COUNTS) | awk 'NR == FNR { if (split($$0, f, "\"") == 3) { v = f[3]; gsub(/[^0-9]/, "", v); want[f[2]] = v + 0 } next } \
+		!($$1 in want) { print "size-check: " $$1 " has no entry in SIZE.json (run make size-json)"; bad = 1; next } \
+		$$2 > want[$$1] { print "size-check: " $$1 " has " $$2 " non-test lines, SIZE.json allows " want[$$1]; bad = 1 } \
+		END { exit bad }' SIZE.json -
 
 # bench/ is a Go module of its own (megh/bench), so ./... above never
 # reaches it: vet and test it by name, then run the program itself at a
@@ -126,7 +149,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git describe --always --dirty --abbrev=7)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideBatch items carry one snapshot each, so its deferred-* entries do not compare with baselines from before PR 15, whose batches shared one snapshot pointer; BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does (since PR 24); BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do (since PR 25)" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does; BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

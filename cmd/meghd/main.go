@@ -114,10 +114,6 @@ func run() error {
 			"periodic checkpoint interval; 0 disables (needs -checkpoint or -checkpoint-dir)")
 		drain = flag.Duration("drain-timeout", 10*time.Second,
 			"how long to wait for in-flight requests on shutdown")
-		deferThreshold = flag.Float64("defer-threshold", 0,
-			"defer/merge LSPI updates whose influence is below this threshold; 0 = exact mode (apply every update immediately)")
-		deferMaxAge = flag.Int("defer-maxage", 0,
-			"max decides a deferred update may wait before the queue is flushed; 0 = default cadence (only meaningful with -defer-threshold)")
 		healthProbeEvery = flag.Int("health-probe-every", 0,
 			"decides between sampled learning-health probes (theta and inverse-drift spot checks) per session; 0 = default cadence, <0 disables probing")
 		sloDecideP99 = flag.Float64("slo-decide-p99", 0,
@@ -206,8 +202,6 @@ func run() error {
 		MaxSessions:        *maxSessions,
 		MaxInFlight:        *maxInFlight,
 		SessionRing:        *sessionRing,
-		DeferThreshold:     *deferThreshold,
-		DeferMaxAge:        *deferMaxAge,
 		Seed:               *seed,
 		Tracer:             tracer,
 		HealthProbeEvery:   *healthProbeEvery,

@@ -22,7 +22,7 @@ func TestRenderFleetFrame(t *testing.T) {
 			{ID: "dc-eu-1", State: "live", Verdict: "diverging",
 				Reason: "bellman residual ewma 12.3 above divergence threshold", Decides: 410},
 			{ID: "dc-us-2", State: "evicted", Verdict: "degraded",
-				Reason: "deferred queue age 40 past flush cadence", Decides: 12},
+				Reason: "nnz growth 60 per decide >= 40", Decides: 12},
 			{ID: "default", State: "live", Verdict: "healthy", Decides: 9000},
 		},
 		SLO: &obs.SLOStatus{

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"megh/internal/obs"
@@ -14,39 +15,28 @@ import (
 	"megh/internal/trace"
 )
 
+// TestValidateRejectsBadDeferParameters: the retired deferred-update
+// fields accept only zero, and the refusal names the field and says why.
 func TestValidateRejectsBadDeferParameters(t *testing.T) {
-	for name, mutate := range map[string]func(*Config){
-		"nan-defer-threshold":      func(c *Config) { c.DeferThreshold = math.NaN() },
-		"inf-defer-threshold":      func(c *Config) { c.DeferThreshold = math.Inf(1) },
-		"negative-defer-threshold": func(c *Config) { c.DeferThreshold = -1 },
-		"negative-defer-max-age":   func(c *Config) { c.DeferMaxAge = -1 },
+	for name, tc := range map[string]struct {
+		mutate func(*Config)
+		field  string
+	}{
+		"nan-defer-threshold":      {func(c *Config) { c.DeferThreshold = math.NaN() }, "DeferThreshold"},
+		"inf-defer-threshold":      {func(c *Config) { c.DeferThreshold = math.Inf(1) }, "DeferThreshold"},
+		"negative-defer-threshold": {func(c *Config) { c.DeferThreshold = -1 }, "DeferThreshold"},
+		"positive-defer-threshold": {func(c *Config) { c.DeferThreshold = 1e-3 }, "DeferThreshold"},
+		"negative-defer-max-age":   {func(c *Config) { c.DeferMaxAge = -1 }, "DeferMaxAge"},
+		"positive-defer-max-age":   {func(c *Config) { c.DeferMaxAge = 8 }, "DeferMaxAge"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig(2, 2, 1)
-			mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
-				t.Fatal("invalid defer parameter accepted")
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "deferred updates were removed") {
+				t.Fatalf("Validate() = %v, want a refusal naming %s", err, tc.field)
 			}
 		})
-	}
-}
-
-func TestDeferMaxAgeResolution(t *testing.T) {
-	m, err := New(DefaultConfig(2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.deferMaxAge(); got != DefaultDeferMaxAge {
-		t.Fatalf("zero DeferMaxAge resolved to %d, want DefaultDeferMaxAge %d", got, DefaultDeferMaxAge)
-	}
-	cfg := DefaultConfig(2, 2, 1)
-	cfg.DeferMaxAge = 3
-	m2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m2.deferMaxAge(); got != 3 {
-		t.Fatalf("explicit DeferMaxAge resolved to %d, want 3", got)
 	}
 }
 
@@ -214,31 +204,5 @@ func TestLoadStateTrimsLegacyNNZHistory(t *testing.T) {
 	}
 	if want := []int{4, 5, 6, 7}; !reflect.DeepEqual(got.NNZHistory(), want) {
 		t.Fatalf("restored history %v, want newest-cap %v", got.NNZHistory(), want)
-	}
-}
-
-// TestLoadStateMergesDuplicateDeferredEntries: duplicate (a, b) rows in a
-// hand-edited image collapse into one queue slot, exactly as deferPush
-// would have produced.
-func TestLoadStateMergesDuplicateDeferredEntries(t *testing.T) {
-	cfg := DefaultConfig(2, 2, 1)
-	cfg.DeferThreshold = math.MaxFloat64
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.deferPush(1, 2, 0.5)
-	st := decodeState(t, m)
-	st.Deferred = append(st.Deferred, deferredUpdate{A: 1, B: 2, N: 2, C: 0.25})
-	got, err := LoadState(reencode(t, st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DeferredUpdates() != 3 {
-		t.Fatalf("restored %d deferred transitions, want 3 merged", got.DeferredUpdates())
-	}
-	want := []deferredUpdate{{A: 1, B: 2, N: 3, C: 0.75}}
-	if !reflect.DeepEqual(got.deferQ, want) {
-		t.Fatalf("restored queue %+v, want %+v", got.deferQ, want)
 	}
 }

@@ -34,14 +34,14 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()/2])
-	// The same learner with a deferred update queued, so the in-place
-	// reader's slice of structs is in the corpus.
-	m.deferPush(1, 2, 0.5)
-	withQueue, err := m.AppendImage(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(withQueue)
+	// The same image carrying a queue of the removed deferred-update mode,
+	// which is refused wherever it is read.
+	var queued persistedState
+	newTestDecoder(f, seed.Bytes(), &queued)
+	queued.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: 0.5}}
+	var withQueue bytes.Buffer
+	encodeTestState(f, &withQueue, queued)
+	f.Add(withQueue.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	// A world past the eager budget, so the loader's page-on-touch side is
@@ -51,7 +51,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, a := range []int{1023, 70001, 555555, 1099999, 70001} {
-		lazy.applyUpdate(a, (a*7+i)%lazy.d, 1, 0.5+float64(i))
+		lazy.update(a, (a*7+i)%lazy.d, 0.5+float64(i))
 	}
 	var lazySeed bytes.Buffer
 	if err := lazy.SaveState(&lazySeed); err != nil {

@@ -16,10 +16,9 @@ import "megh/internal/sparse"
 type LearnStats struct {
 	// Decides counts completed Decide calls.
 	Decides int64
-	// Applied counts logical LSPI transitions applied, with merged
-	// multiplicity (a deferred update of multiplicity n counts n).
+	// Applied counts LSPI transitions applied.
 	Applied int64
-	// Skipped counts logical transitions skipped as numerically singular.
+	// Skipped counts transitions skipped as numerically singular.
 	Skipped int64
 	// DriftSqSum accumulates the squared magnitude of every θ write the
 	// update path performs: Σ (Δθ_i)² across the rank-1 column passes. Its
@@ -27,7 +26,7 @@ type LearnStats struct {
 	// window (exact when the scaled and cost column passes touch disjoint
 	// indices; within √2 otherwise).
 	DriftSqSum float64
-	// ResidualAbsSum accumulates |θ[a] − γ·θ[b] − c/n| per rank-1
+	// ResidualAbsSum accumulates |θ[a] − γ·θ[b] − c| per rank-1
 	// application, evaluated against the pre-update θ — the Bellman/TD
 	// residual of the transition being learned. ResidualCount is the number
 	// of samples folded in.
@@ -70,10 +69,6 @@ func (m *Megh) LearnStats() LearnStats {
 	}
 	return *m.learnStats
 }
-
-// DeferredAge reports how many Decide calls the oldest queued deferred
-// transition has been waiting — 0 in exact mode or with an empty queue.
-func (m *Megh) DeferredAge() int { return m.deferAge }
 
 // DebugBRow returns row i of B as a sparse vector copy (implicit diagonal
 // included). Like the other Debug accessors it is a verification/probe

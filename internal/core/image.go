@@ -56,8 +56,8 @@ var imageFormat = sync.OnceValues(func() (gobFormat, error) {
 // A fieldList points at the fields of one struct of the image in
 // declaration order, which is how gob numbers them. Encoder and decoder
 // both walk these lists, and TestImageCodecKnowsEveryField holds them to
-// the structs. A nil is a version-1 list, which nothing writes and only gob
-// reads.
+// the structs. A nil is a field nothing writes and only gob reads: a
+// version-1 list, or the retired Deferred queue, which readState refuses.
 type fieldList struct {
 	n int
 	f [15]any // persistedState's fields, the most of any struct
@@ -65,7 +65,7 @@ type fieldList struct {
 
 func stateFields(st *persistedState) fieldList {
 	return fieldList{15, [15]any{&st.Version, &st.Config, &st.Temp, &st.B, &st.Z, &st.Theta, &st.Pending,
-		&st.PendingTotal, &st.StepCost, &st.HaveCost, &st.NNZHistory, &st.Deferred, &st.DeferAge,
+		&st.PendingTotal, &st.StepCost, &st.HaveCost, &st.NNZHistory, nil, &st.DeferAge,
 		&st.RngSeed, &st.RngState}}
 }
 
@@ -80,10 +80,6 @@ func matrixFields(m *sparse.MatrixState) fieldList {
 
 func vectorFields(v *sparse.VectorState) fieldList {
 	return fieldList{5, [15]any{&v.Dim, &v.PackedIndex, &v.PackedValue}}
-}
-
-func deferredFields(du *deferredUpdate) fieldList {
-	return fieldList{4, [15]any{&du.A, &du.B, &du.N, &du.C}}
 }
 
 // AppendImage appends the learner's checkpoint image — the bytes SaveState
@@ -104,7 +100,7 @@ func (m *Megh) AppendImage(dst []byte) ([]byte, error) {
 		B: sparse.MatrixState{Dim: m.b.Dim(), Diag: m.b.Diag(), DropTol: m.b.DropTolerance()},
 		Z: sparse.VectorState{Dim: m.z.Dim()}, Theta: sparse.VectorState{Dim: m.theta.Dim()},
 		Pending: m.pending, PendingTotal: m.pendingTotal, StepCost: m.stepCost, HaveCost: m.haveCost,
-		NNZHistory: m.NNZHistory(), Deferred: m.deferQ, DeferAge: m.deferAge, RngState: rng[:],
+		NNZHistory: m.NNZHistory(), RngState: rng[:],
 	}
 	fl := stateFields(&st)
 	w := imageWriter{sizing: true}
@@ -177,11 +173,6 @@ func (w *imageWriter) fields(fl fieldList) {
 			w.list(f, len(*v))
 			for _, x := range *v {
 				w.uint(x)
-			}
-		case *[]deferredUpdate:
-			w.list(f, len(*v))
-			for i := range *v {
-				w.fields(deferredFields(&(*v)[i]))
 			}
 		case *[]byte:
 			l := &w.lists[w.next]
@@ -335,11 +326,6 @@ func (r *imageReader) fields(fl fieldList) {
 			for i := range *v {
 				(*v)[i] = r.uint()
 			}
-		case *[]deferredUpdate:
-			*v = nilOrMake[deferredUpdate](r.len(3*bits.UintSize/8 + 8))
-			for i := range *v {
-				r.fields(deferredFields(&(*v)[i]))
-			}
 		case *[]byte:
 			if n := r.len(1); n > 0 {
 				*v, r.b = r.b[:n:n], r.b[n:]
@@ -350,7 +336,7 @@ func (r *imageReader) fields(fl fieldList) {
 			r.fields(matrixFields(v))
 		case *sparse.VectorState:
 			r.fields(vectorFields(v))
-		default: // a version-1 list
+		default: // a field only gob reads
 			r.bad = true
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -12,12 +11,19 @@ import (
 )
 
 // gobImage is SaveState as it was before the image was written by hand:
-// assemble persistedState from the State() calls and let gob encode it. It
-// is the oracle the hand-written encoder must match byte for byte.
+// assemble persistedState from the State() calls (gobState) and let gob
+// encode it. It is the oracle the hand-written encoder must match byte for
+// byte.
 func gobImage(t testing.TB, m *Megh) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	encodeTestState(t, &buf, gobState(m))
+	return buf.Bytes()
+}
+
+func gobState(m *Megh) persistedState {
 	s0, s1 := m.rng.state()
-	st := persistedState{
+	return persistedState{
 		Version:      stateVersion,
 		Config:       m.cfg,
 		Temp:         m.temp,
@@ -29,13 +35,8 @@ func gobImage(t testing.TB, m *Megh) []byte {
 		StepCost:     m.stepCost,
 		HaveCost:     m.haveCost,
 		NNZHistory:   append([]int(nil), m.NNZHistory()...),
-		Deferred:     append([]deferredUpdate(nil), m.deferQ...),
-		DeferAge:     m.deferAge,
 		RngState:     []uint64{s0, s1},
 	}
-	var buf bytes.Buffer
-	encodeTestState(t, &buf, st)
-	return buf.Bytes()
 }
 
 // sameState compares two decoded images field by field — nil against empty
@@ -75,13 +76,6 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 		t.Fatal("the NNZ ring did not wrap")
 	}
 
-	deferCfg := DefaultConfig(12, 6, 4)
-	deferCfg.DeferThreshold, deferCfg.DeferMaxAge = math.MaxFloat64, 50
-	deferred := stepped(deferCfg, 6)
-	if len(deferred.deferQ) == 0 || deferred.deferAge == 0 {
-		t.Fatalf("the deferred queue holds %d updates, age %d", len(deferred.deferQ), deferred.deferAge)
-	}
-
 	unboundedCfg := DefaultConfig(12, 6, 6)
 	unboundedCfg.NNZHistoryCap = -1
 	pending := stepped(unboundedCfg, 9)
@@ -98,14 +92,13 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range []int{1023, 70001, 555555, 1099999, 70001} {
-		lazy.applyUpdate(a, (a*7+i)%lazy.d, 1, 0.5+float64(i))
+		lazy.update(a, (a*7+i)%lazy.d, 0.5+float64(i))
 	}
 
 	for name, m := range map[string]*Megh{
 		"fresh":                  fresh,
 		"BenchmarkCheckpoint":    checkpointLearner(t),
 		"wrapped NNZ ring":       ring,
-		"deferred queue":         deferred,
 		"pending with its cost":  pending,
 		"lazily paged 1100x1000": lazy,
 	} {
@@ -148,20 +141,20 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 // what gob writes, and the hand-written codec would go on with the old
 // layout: this fails first, naming the place to teach. Entry i of each
 // field list must point at the struct's i-th exported field (gob's field
-// number i), and only the version-1 lists may be left nil.
+// number i), and only the version-1 lists and the retired Deferred queue
+// may be left nil.
 func TestImageCodecKnowsEveryField(t *testing.T) {
 	var (
 		st persistedState
 		c  Config
 		ms sparse.MatrixState
 		vs sparse.VectorState
-		du deferredUpdate
 	)
-	v1 := map[string]bool{"Triplets": true, "OverriddenDiag": true, "Index": true, "Value": true}
+	gobOnly := map[string]bool{"Triplets": true, "OverriddenDiag": true, "Index": true, "Value": true, "Deferred": true}
 	for _, s := range []struct {
 		v  any
 		fl fieldList
-	}{{&st, stateFields(&st)}, {&c, configFields(&c)}, {&ms, matrixFields(&ms)}, {&vs, vectorFields(&vs)}, {&du, deferredFields(&du)}} {
+	}{{&st, stateFields(&st)}, {&c, configFields(&c)}, {&ms, matrixFields(&ms)}, {&vs, vectorFields(&vs)}} {
 		fields := s.fl.f[:s.fl.n]
 		rv := reflect.ValueOf(s.v).Elem()
 		var exported []reflect.StructField
@@ -178,7 +171,7 @@ func TestImageCodecKnowsEveryField(t *testing.T) {
 		}
 		for i, f := range exported {
 			want := rv.FieldByIndex(f.Index).Addr().Interface()
-			if got := fields[i]; got != want && !(got == nil && v1[f.Name]) {
+			if got := fields[i]; got != want && !(got == nil && gobOnly[f.Name]) {
 				t.Errorf("%s field %d is %s, but the checkpoint image codec's field list in internal/core/image.go has %T there",
 					rv.Type(), i, f.Name, got)
 			}

@@ -62,23 +62,13 @@ type Config struct {
 	// a bounded run, sets this).
 	NNZHistoryCap int
 
-	// DeferThreshold, when positive, enables the deferred-update decide
-	// mode: a pending LSPI transition whose influence on the score vector,
-	// |θ[a] − γ·θ[b]| + |c|, falls below the threshold is queued instead
-	// of applied, and repeats of the same (a, b) pair merge into a single
-	// scaled Sherman–Morrison update (sparse.ShermanMorrisonBasisScaled).
-	// Queued transitions are applied after at most DeferMaxAge decides, so
-	// staleness is bounded; θ = B·z continues to hold exactly at all times
-	// because B, z and θ age together. Use math.MaxFloat64 to defer every
-	// transition (pure cadence batching). Zero (the default) keeps the
-	// exact mode: every update applies immediately and the decide path is
-	// bit-for-bit the historical one.
+	// DeferThreshold and DeferMaxAge configured a deferred-update mode that
+	// has been removed: every transition is applied when it is observed
+	// (Algorithm 2). The version-2 checkpoint image's gob type definitions
+	// name both fields, so they stay until that format is retired, and
+	// Validate refuses any value but zero.
 	DeferThreshold float64
-
-	// DeferMaxAge caps how many Decide calls a deferred transition may wait
-	// before the queue is flushed. 0 selects DefaultDeferMaxAge. Only
-	// meaningful when DeferThreshold > 0.
-	DeferMaxAge int
+	DeferMaxAge    int
 }
 
 // DefaultNNZHistoryCap is the NNZHistory ring size when Config.NNZHistoryCap
@@ -86,11 +76,6 @@ type Config struct {
 // full resolution, small enough (512 KiB of ints) to be irrelevant to a
 // server's footprint.
 const DefaultNNZHistoryCap = 65536
-
-// DefaultDeferMaxAge is the deferred-update flush cadence when
-// Config.DeferMaxAge is zero: a queued transition is applied after at most
-// this many Decide calls.
-const DefaultDeferMaxAge = 8
 
 // The world-size ceilings Validate enforces. A learner's tables are paged and
 // cost what they hold, but their slot tables and the per-VM and per-host
@@ -134,7 +119,6 @@ func (c Config) Validate() error {
 		{"MaxMigrationsFrac", c.MaxMigrationsFrac},
 		{"UnderloadThreshold", c.UnderloadThreshold},
 		{"ExplorationRate", c.ExplorationRate},
-		{"DeferThreshold", c.DeferThreshold},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: %s %g is not finite", f.name, f.v)
@@ -161,10 +145,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: UnderloadThreshold %g out of [0,1]", c.UnderloadThreshold)
 	case c.ExplorationRate < 0 || c.ExplorationRate > 1:
 		return fmt.Errorf("core: ExplorationRate %g out of [0,1]", c.ExplorationRate)
-	case c.DeferThreshold < 0:
-		return fmt.Errorf("core: DeferThreshold %g must be non-negative", c.DeferThreshold)
-	case c.DeferMaxAge < 0:
-		return fmt.Errorf("core: DeferMaxAge %d must be non-negative", c.DeferMaxAge)
+	case c.DeferThreshold != 0:
+		return fmt.Errorf("core: DeferThreshold %g: deferred updates were removed, it must be 0", c.DeferThreshold)
+	case c.DeferMaxAge != 0:
+		return fmt.Errorf("core: DeferMaxAge %d: deferred updates were removed, it must be 0", c.DeferMaxAge)
 	}
 	return nil
 }
@@ -210,13 +194,6 @@ type Megh struct {
 	// series wraps around it.
 	nnzHistory []int
 	nnzStart   int
-
-	// deferQ holds queued low-magnitude LSPI transitions in deferred-update
-	// mode, merged by (a, b) pair; deferIdx maps a*d+b to its queue slot and
-	// deferAge counts Decide calls since the oldest entry was queued.
-	deferQ   []deferredUpdate
-	deferIdx map[int64]int
-	deferAge int
 
 	// updateHook, when non-nil, observes every rank-1 LSPI update the
 	// learner attempts (SetUpdateHook). The verification layer
@@ -384,23 +361,16 @@ func (m *Megh) Trace(t *trace.Tracer) { m.tracer = t }
 
 // SetUpdateHook installs an observer called once per attempted rank-1 LSPI
 // update, after the Sherman–Morrison step: a and b are the action indices
-// of Eq. 10, n the multiplicity (how many identical logical transitions the
-// rank-1 update folds together — always 1 in exact mode), gamma the
-// discount, c the total cost added to z[a], and applied reports whether the
+// of Eq. 10, n is always 1 (each update is one observed transition), gamma
+// the discount, c the cost added to z[a], and applied reports whether the
 // update was applied (false when it was skipped as numerically singular, in
 // which case z and θ were left untouched too). A nil hook (the default)
 // costs one pointer test.
 //
 // The hook exists for the verification layer (internal/invariant), which
 // shadows the sparse recursion with an independent dense accumulation of T
-// and z and periodically checks ‖B·T − I‖∞.
-//
-// In deferred-update mode the hook fires when a queued transition is
-// *applied* (at flush), not when it is queued, with n carrying the merged
-// multiplicity. It fires once per rank-1 application — never mid-update —
-// so B, z, θ and the n·(e_a e_aᵀ − γ·e_a e_bᵀ) the hook describes are
-// always mutually consistent, and a probe run from inside the hook sees a
-// coherent state.
+// and z and periodically checks ‖B·T − I‖∞. It fires once per update, never
+// mid-update, so a probe run from inside the hook sees B, z and θ coherent.
 func (m *Megh) SetUpdateHook(h func(a, b, n int, gamma, c float64, applied bool)) {
 	m.updateHook = h
 }
@@ -573,15 +543,6 @@ func (m *Megh) Decide(s *sim.Snapshot) []sim.Migration {
 			m.update(a, next, share)
 		}
 	}
-	// Bounded staleness for deferred updates: any queued transition is
-	// applied after at most DeferMaxAge decides. In exact mode the queue
-	// is always empty and this is one length test.
-	if len(m.deferQ) > 0 {
-		m.deferAge++
-		if m.deferAge >= m.deferMaxAge() {
-			m.FlushUpdates()
-		}
-	}
 	m.spans.Mark("update")
 	m.haveCost = false
 	if len(actions) > 0 {
@@ -626,60 +587,36 @@ func (m *Megh) DecideAppend(dst []sim.Migration, s *sim.Snapshot) []sim.Migratio
 	return append(dst, m.Decide(s)...)
 }
 
-// update routes one LSPI transition (a taken, b the policy's next action,
-// c the per-stage cost share): in exact mode (DeferThreshold == 0) it
-// applies immediately; in deferred mode a transition whose influence on the
-// score vector, |θ[a] − γ·θ[b]| + |c|, is below the threshold is queued and
-// merged with repeats of the same (a, b) pair instead (Decide flushes the
-// queue on the DeferMaxAge cadence).
-func (m *Megh) update(a, b int, c float64) {
-	if m.cfg.DeferThreshold > 0 {
-		if math.Abs(m.theta.At(a)-m.cfg.Gamma*m.theta.At(b))+math.Abs(c) < m.cfg.DeferThreshold {
-			m.deferPush(a, b, c)
-			return
-		}
-	}
-	m.applyUpdate(a, b, 1, c)
-}
-
-// applyUpdate applies n merged repetitions of one LSPI transition with
-// summed cost c, maintaining B, z and θ = B·z incrementally:
+// update applies one LSPI transition (a taken, b the policy's next action,
+// c the per-stage cost share), maintaining B, z and θ = B·z incrementally:
 //
-//	B' = B − (B·u)(vᵀB)/den          u = φ_a, v = n·(φ_a − γφ_b)
+//	B' = B − (B·u)(vᵀB)/den          u = φ_a, v = φ_a − γφ_b
 //	θ' = B'·(z + c·φ_a) = θ − (B·u)(vᵀθ)/den + c·col_a(B')
 //
-// which is exact for T + n·φ_a(φ_a − γφ_b)ᵀ — n identical transitions in
-// one rank-1 pass. B·u is column a of B and v has two non-zeros, so the
-// whole transition runs through the structure-exploiting
-// ShermanMorrisonBasisScaled kernel, and θ is maintained from the column
-// snapshots the kernel already took (LastUpdateScaledCol /
-// LastUpdateNewCol) — no vector allocations and no extra column walks.
-// With n = 1 every scaling multiply is by exactly 1.0, so the exact-mode
-// path is bit-for-bit the historical unscaled update. A numerically
-// singular update is skipped (the operator would lose invertibility),
-// matching the guarded inverse of §5.2.
+// B·u is column a of B and v has two non-zeros, so the whole transition
+// runs through the structure-exploiting ShermanMorrisonBasis kernel, and θ
+// is maintained from the column snapshots the kernel already took
+// (LastUpdateScaledCol / LastUpdateNewCol) — no vector allocations and no
+// extra column walks. A numerically singular update is skipped (the
+// operator would lose invertibility), matching the guarded inverse of §5.2.
 //
-// The update hook observes the rank-1 application once, with its full
-// multiplicity and summed cost, so the invariant layer's dense T/z shadow
-// stays in lockstep.
-func (m *Megh) applyUpdate(a, b, n int, c float64) {
-	scale := float64(n)
-	vTheta := scale * (m.theta.At(a) - m.cfg.Gamma*m.theta.At(b))
-	if _, err := m.b.ShermanMorrisonBasisScaled(a, b, m.cfg.Gamma, scale); err != nil {
+// The update hook observes the update once, so the invariant layer's dense
+// T/z shadow stays in lockstep.
+func (m *Megh) update(a, b int, c float64) {
+	vTheta := m.theta.At(a) - m.cfg.Gamma*m.theta.At(b)
+	if _, err := m.b.ShermanMorrisonBasis(a, b, m.cfg.Gamma); err != nil {
 		if m.learnStats != nil {
-			m.learnStats.Skipped += int64(n)
+			m.learnStats.Skipped++
 		}
 		if m.updateHook != nil {
-			m.updateHook(a, b, n, m.cfg.Gamma, c, false)
+			m.updateHook(a, b, 1, m.cfg.Gamma, c, false)
 		}
 		return
 	}
 	ls := m.learnStats
 	if ls != nil {
-		// Bellman residual of the transition against the pre-update θ; c is
-		// the merged cost of n identical transitions, so the per-transition
-		// residual uses c/n (vTheta/scale is θ[a] − γθ[b] pre-update).
-		resid := (vTheta - c) / scale
+		// Bellman residual of the transition against the pre-update θ.
+		resid := vTheta - c
 		if resid < 0 {
 			resid = -resid
 		}
@@ -689,7 +626,7 @@ func (m *Megh) applyUpdate(a, b, n int, c float64) {
 			ls.ResidualAbsSum += resid
 		}
 		ls.ResidualCount++
-		ls.Applied += int64(n)
+		ls.Applied++
 	}
 	if vTheta != 0 {
 		// θ needs (B·u)/den with B from *before* the rank-1 update; the
@@ -706,7 +643,7 @@ func (m *Megh) applyUpdate(a, b, n int, c float64) {
 		ls.addDrift(m.theta.AddScaled(idx, val, c))
 	}
 	if m.updateHook != nil {
-		m.updateHook(a, b, n, m.cfg.Gamma, c, true)
+		m.updateHook(a, b, 1, m.cfg.Gamma, c, true)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"megh/internal/sim"
@@ -31,8 +32,9 @@ func lazyTwin(t *testing.T, cfg Config) *Megh {
 // The two sides of the eager budget are one program: the same seeded
 // observe/decide stream through a learner whose tables were carved up front
 // and through its page-on-touch twin yields the same migrations, byte-equal
-// decision traces, equal NNZ, bit-equal θ and the same B, z and θ images —
-// in exact mode and with deferred, merged updates.
+// decision traces, equal NNZ, bit-equal θ and the same B, z and θ images.
+// The removed deferred-update mode builds neither side: New refuses its
+// config, naming the field.
 func TestEagerAndLazyLearnersAreOneProgram(t *testing.T) {
 	const nVMs, nHosts, steps = 18, 20, 120
 	items := batchItems(snapshotStream(t, nVMs, nHosts, steps))
@@ -41,6 +43,12 @@ func TestEagerAndLazyLearnersAreOneProgram(t *testing.T) {
 			cfg := DefaultConfig(nVMs, nHosts, 4242)
 			cfg.DeferThreshold = deferThreshold
 			eager, err := New(cfg)
+			if deferThreshold != 0 {
+				if err == nil || !strings.Contains(err.Error(), "DeferThreshold") {
+					t.Fatalf("New = %v, want an error naming DeferThreshold", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +71,6 @@ func TestEagerAndLazyLearnersAreOneProgram(t *testing.T) {
 					}
 					out[i] = m.DecideAppend(nil, it.Snap)
 				}
-				m.FlushUpdates()
 				return out, buf.Bytes()
 			}
 			eagerOut, eagerTrace := run(eager)

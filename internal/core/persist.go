@@ -34,9 +34,12 @@ const (
 // RngState holds the two xoroshiro128+ words. RngSeed is the legacy field:
 // checkpoints written before exact RNG persistence carry only a reseed
 // value there, which LoadState still honours when RngState is absent.
-// PendingTotal, Deferred and DeferAge were added after version 1 shipped;
-// gob tolerates their absence (they decode as zero values, which LoadState
-// maps to the historical behaviour), so old checkpoints keep loading.
+// PendingTotal was added after version 1 shipped; gob tolerates its absence
+// (it decodes as zero, which LoadState maps to the historical behaviour), so
+// old checkpoints keep loading. Deferred and DeferAge held the queue of a
+// removed deferred-update mode: the format's type definitions still name
+// them, this build never sets them, and readState refuses an image in which
+// either is not empty.
 type persistedState struct {
 	Version      int
 	Config       Config
@@ -180,8 +183,12 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 	st := decodeImage(img, verify)
 	if st == nil {
 		st = new(persistedState)
-		if err := gob.NewDecoder(bytes.NewReader(img)).Decode(st); err != nil {
+		r := bytes.NewReader(img)
+		if err := gob.NewDecoder(r).Decode(st); err != nil {
 			return nil, fmt.Errorf("core: decoding learner state: %w", err)
+		}
+		if r.Len() > 0 {
+			return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", r.Len())
 		}
 	}
 	if st.Version < oldestStateVersion || st.Version > stateVersion {
@@ -216,16 +223,11 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 			return nil, fmt.Errorf("core: pending action %d out of range [0,%d)", a, d)
 		}
 	}
-	for i := range st.Deferred {
-		du := &st.Deferred[i]
-		switch {
-		case du.A < 0 || du.A >= d || du.B < 0 || du.B >= d:
-			return nil, fmt.Errorf("core: deferred update (%d,%d) out of range [0,%d)", du.A, du.B, d)
-		case du.N < 1:
-			return nil, fmt.Errorf("core: deferred update multiplicity %d must be positive", du.N)
-		case math.IsNaN(du.C) || math.IsInf(du.C, 0):
-			return nil, fmt.Errorf("core: deferred update cost %g is not finite", du.C)
-		}
+	switch {
+	case len(st.Deferred) != 0:
+		return nil, fmt.Errorf("core: persisted Deferred holds %d updates: deferred updates were removed", len(st.Deferred))
+	case st.DeferAge != 0:
+		return nil, fmt.Errorf("core: persisted DeferAge %d: deferred updates were removed", st.DeferAge)
 	}
 	return st, nil
 }
@@ -263,23 +265,6 @@ func (st *persistedState) build() (*Megh, error) {
 	if cap_ := m.nnzCap(); cap_ >= 0 && len(m.nnzHistory) > cap_ {
 		m.nnzHistory = append([]int(nil), m.nnzHistory[len(m.nnzHistory)-cap_:]...)
 	}
-	for i := range st.Deferred {
-		du := st.Deferred[i]
-		key := int64(du.A)*int64(m.d) + int64(du.B)
-		if j, ok := m.deferIdx[key]; ok {
-			// Duplicate (a, b) entries in a hand-edited image merge, matching
-			// what deferPush would have produced.
-			m.deferQ[j].N += du.N
-			m.deferQ[j].C += du.C
-			continue
-		}
-		if m.deferIdx == nil {
-			m.deferIdx = make(map[int64]int)
-		}
-		m.deferIdx[key] = len(m.deferQ)
-		m.deferQ = append(m.deferQ, du)
-	}
-	m.deferAge = st.DeferAge
 	if len(st.RngState) == 2 {
 		m.rng.setState(st.RngState[0], st.RngState[1])
 	} else {

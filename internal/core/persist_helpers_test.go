@@ -37,7 +37,7 @@ func ageOneDay(m *Megh) {
 	prev := next(m.d)
 	for i := 0; i < 398; i++ {
 		a := next(m.d)
-		m.applyUpdate(prev, a, 1, 0.25+float64(i%5))
+		m.update(prev, a, 0.25+float64(i%5))
 		prev = a
 	}
 }

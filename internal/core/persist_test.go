@@ -203,7 +203,6 @@ func TestLoadStateRejectsInvalidFields(t *testing.T) {
 // refusal says which part of the image is at fault.
 func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 	m, _ := trainLearner(t)
-	m.deferPush(1, 2, 0.5)
 	var good bytes.Buffer
 	if err := m.SaveState(&good); err != nil {
 		t.Fatal(err)
@@ -230,9 +229,11 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 		"θ values not whole": {func(st *persistedState) { st.Theta.PackedValue = st.Theta.PackedValue[:9] }, "restoring θ: sparse: vector PackedValue is 9 bytes"},
 		"dimension mismatch": {func(st *persistedState) { st.Z.Dim = d + 1 }, "do not match config"},
 		"pending range":      {func(st *persistedState) { st.Pending = []int{d} }, "pending action"},
-		"deferred range":     {func(st *persistedState) { st.Deferred[0].B = d }, "deferred update"},
-		"deferred count":     {func(st *persistedState) { st.Deferred[0].N = 0 }, "multiplicity"},
-		"deferred cost":      {func(st *persistedState) { st.Deferred[0].C = math.Inf(1) }, "not finite"},
+		// Any queue of the removed deferred-update mode, well-formed or not,
+		// is refused by the one check that names the field.
+		"deferred range": {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: d, N: 1}} }, "persisted Deferred holds 1"},
+		"deferred count": {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2}} }, "persisted Deferred holds 1"},
+		"deferred cost":  {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: math.Inf(1)}} }, "persisted Deferred holds 1"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var st persistedState
@@ -251,15 +252,86 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 		})
 	}
 	for name, raw := range map[string][]byte{
-		"garbage":   []byte("not gob"),
-		"truncated": good.Bytes()[:good.Len()/2],
-		"empty":     nil,
+		"garbage":        []byte("not gob"),
+		"truncated":      good.Bytes()[:good.Len()/2],
+		"empty":          nil,
+		"trailing bytes": append(bytes.Clone(good.Bytes()), 1, 2),
 	} {
 		verr := VerifyState(bytes.NewReader(raw))
 		_, lerr := LoadState(bytes.NewReader(raw))
 		if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
 			t.Fatalf("%s: VerifyState says %v, LoadState says %v", name, verr, lerr)
 		}
+	}
+}
+
+// The deferred-update mode was removed, but the version-2 image still names
+// its fields. An image that sets any of them — written by a build that had
+// the mode — is refused by VerifyImage and LoadState alike, with an error
+// naming the field, never restored without its queue; and New refuses
+// either config field. (A replica PUT of each is refused in
+// internal/server's TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
+func TestRetiredDeferredFieldsAreRefused(t *testing.T) {
+	m := checkpointLearner(t)
+	for field, mutate := range map[string]func(*persistedState){
+		"Deferred":       func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: 0.5}} },
+		"DeferAge":       func(st *persistedState) { st.DeferAge = 3 },
+		"DeferThreshold": func(st *persistedState) { st.Config.DeferThreshold = 1e-3 },
+		"DeferMaxAge":    func(st *persistedState) { st.Config.DeferMaxAge = 8 },
+	} {
+		t.Run(field, func(t *testing.T) {
+			st := gobState(m)
+			mutate(&st)
+			var img bytes.Buffer
+			encodeTestState(t, &img, st)
+			verr := VerifyImage(img.Bytes())
+			_, lerr := LoadState(bytes.NewReader(img.Bytes()))
+			if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
+				t.Fatalf("VerifyImage says %v, LoadState says %v", verr, lerr)
+			}
+			if !strings.Contains(verr.Error(), field) || !strings.Contains(verr.Error(), "deferred updates were removed") {
+				t.Fatalf("error %q does not name %s", verr, field)
+			}
+		})
+	}
+	for field, mutate := range map[string]func(*Config){
+		"DeferThreshold": func(c *Config) { c.DeferThreshold = 1e-3 },
+		"DeferMaxAge":    func(c *Config) { c.DeferMaxAge = 8 },
+	} {
+		cfg := DefaultConfig(4, 3, 1)
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("New with %s set: err %v, want an error naming it", field, err)
+		}
+	}
+}
+
+// TestLoadStateRejectsCorruptDeferredQueue: out-of-range indices, zero
+// multiplicities and non-finite costs in a persisted queue must be refused,
+// not replayed into the kernel — now by the check that refuses any queue.
+func TestLoadStateRejectsCorruptDeferredQueue(t *testing.T) {
+	m, err := New(DefaultConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]deferredUpdate{
+		"action-out-of-range": {A: 99, B: 0, N: 1, C: 0},
+		"zero-multiplicity":   {A: 0, B: 1, N: 0, C: 0},
+		"nan-cost":            {A: 0, B: 1, N: 1, C: math.NaN()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := gobState(m)
+			st.Deferred = []deferredUpdate{corrupt}
+			var buf bytes.Buffer
+			encodeTestState(t, &buf, st)
+			_, err := LoadState(&buf)
+			if err == nil {
+				t.Fatalf("corrupt deferred entry %+v loaded without error", corrupt)
+			}
+			if !strings.Contains(err.Error(), "Deferred") {
+				t.Fatalf("error %q does not name Deferred", err)
+			}
+		})
 	}
 }
 

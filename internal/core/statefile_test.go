@@ -113,6 +113,23 @@ func TestLoadStateFileErrors(t *testing.T) {
 	if _, err := LoadStateFile(bad); err == nil {
 		t.Fatal("corrupt checkpoint loaded")
 	}
+	// A real checkpoint with bytes appended is refused, not read up to the
+	// end of its image.
+	m, err := New(DefaultConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := m.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := filepath.Join(t.TempDir(), "padded.ckpt")
+	if err := os.WriteFile(padded, append(img, 0, 0, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStateFile(padded); err == nil || err.Error() != "core: decoding learner state: 3 bytes after the image" {
+		t.Fatalf("checkpoint with 3 trailing bytes: err %v", err)
+	}
 }
 
 type failWriter struct{}

@@ -10,7 +10,6 @@
 //   - θ drift rate — EWMA of ‖Δθ‖ per decide,
 //   - Bellman/TD residual EWMA,
 //   - nnz growth rate per decide,
-//   - deferred-update queue depth and staleness,
 //   - the exploration-temperature timeline,
 //
 // and, on a configurable cadence, runs sampled consistency probes: a
@@ -75,14 +74,6 @@ type Thresholds struct {
 	// ThetaDegraded / ThetaDiverging bound the sampled max |θ[i] − (B·z)[i]|.
 	ThetaDegraded  float64
 	ThetaDiverging float64
-	// QueueDepthDegraded bounds the deferred-update queue depth (logical
-	// transitions, merged multiplicity counted).
-	QueueDepthDegraded int
-	// StalenessDegraded bounds the deferred queue's age in decides. The
-	// learner flushes at its DeferMaxAge, so the default (2× the learner's
-	// effective max age, resolved at NewTracker) only fires if flushing is
-	// broken.
-	StalenessDegraded int
 	// NNZGrowthDegraded bounds the EWMA of Q-table nnz growth per decide.
 	NNZGrowthDegraded float64
 }
@@ -93,24 +84,23 @@ type Thresholds struct {
 // float noise but far below anything a corrupted state produces.
 func DefThresholds() Thresholds {
 	return Thresholds{
-		DriftDegraded:      1e4,
-		DriftDiverging:     1e8,
-		ResidualDegraded:   1e4,
-		ResidualDiverging:  1e8,
-		InverseDegraded:    1e-5,
-		InverseDiverging:   1e-2,
-		ThetaDegraded:      1e-5,
-		ThetaDiverging:     1e-2,
-		QueueDepthDegraded: 1 << 16,
-		NNZGrowthDegraded:  0, // resolved to dim/20 per decide at NewTracker
+		DriftDegraded:     1e4,
+		DriftDiverging:    1e8,
+		ResidualDegraded:  1e4,
+		ResidualDiverging: 1e8,
+		InverseDegraded:   1e-5,
+		InverseDiverging:  1e-2,
+		ThetaDegraded:     1e-5,
+		ThetaDiverging:    1e-2,
+		NNZGrowthDegraded: 0, // resolved to dim/20 per decide at NewTracker
 	}
 }
 
 // Config configures one Tracker.
 type Config struct {
 	// ProbeEvery is the number of decides between sampled probes; 0 means
-	// DefProbeEvery, negative disables probing (the streaming EWMAs and
-	// queue telemetry still run).
+	// DefProbeEvery, negative disables probing (the streaming EWMAs still
+	// run).
 	ProbeEvery int
 	// SampleRows is how many rows each probe samples; 0 means 4.
 	SampleRows int
@@ -169,9 +159,6 @@ type Snapshot struct {
 	Temperature  float64      `json:"temperature"`
 	QTableNNZ    int          `json:"qtable_nnz"`
 	NNZGrowth    float64      `json:"nnz_growth_per_decide_ewma"`
-	QueueDepth   int          `json:"deferred_queue_depth"`
-	QueueAge     int          `json:"deferred_queue_age"`
-	QueueAgePeak int          `json:"deferred_queue_age_peak"`
 	Applied      int64        `json:"updates_applied_total"`
 	Skipped      int64        `json:"updates_skipped_total"`
 	NonFinite    int64        `json:"non_finite_total"`
@@ -206,7 +193,7 @@ type Tracker struct {
 	rngState uint64
 
 	// shadow, when armed, mirrors T − δ·I per row: every applied rank-1
-	// update adds n to (a,a) and −n·γ to (a,b). Armed only when the
+	// update adds 1 to (a,a) and −γ to (a,b). Armed only when the
 	// tracker has witnessed every update since construction (fresh
 	// learners; survives byte-identical evict/restore cycles because B and
 	// the shadow age together).
@@ -224,15 +211,12 @@ type Tracker struct {
 	nonFinite int64
 	evictions int64
 
-	drift    ewma
-	resid    ewma
-	nnzRate  ewma
-	lastNNZ  int
-	temp     float64
-	nnz      int
-	qDepth   int
-	qAge     int
-	qAgePeak int
+	drift   ewma
+	resid   ewma
+	nnzRate ewma
+	lastNNZ int
+	temp    float64
+	nnz     int
 
 	sinceProbe int64
 	probe      *ProbeResult
@@ -249,7 +233,6 @@ type gauges struct {
 	verdict  *obs.Gauge
 	drift    *obs.Gauge
 	residual *obs.Gauge
-	queue    *obs.Gauge
 	inverse  *obs.Gauge
 }
 
@@ -313,16 +296,6 @@ func resolveThresholds(thr Thresholds, m *core.Megh) Thresholds {
 	thr.InverseDiverging = pick(thr.InverseDiverging, def.InverseDiverging)
 	thr.ThetaDegraded = pick(thr.ThetaDegraded, def.ThetaDegraded)
 	thr.ThetaDiverging = pick(thr.ThetaDiverging, def.ThetaDiverging)
-	if thr.QueueDepthDegraded == 0 {
-		thr.QueueDepthDegraded = def.QueueDepthDegraded
-	}
-	if thr.StalenessDegraded == 0 {
-		maxAge := m.Config().DeferMaxAge
-		if maxAge <= 0 {
-			maxAge = core.DefaultDeferMaxAge
-		}
-		thr.StalenessDegraded = 2 * maxAge
-	}
 	if thr.NNZGrowthDegraded == 0 {
 		// The paper's Figure 7 expects near-linear growth; a sustained rate
 		// of dim/20 new entries per decide means the Q-table is densifying.
@@ -332,7 +305,7 @@ func resolveThresholds(thr Thresholds, m *core.Megh) Thresholds {
 }
 
 func (t *Tracker) installHook() {
-	t.m.SetUpdateHook(func(a, b, n int, gamma, c float64, applied bool) {
+	t.m.SetUpdateHook(func(a, b, _ int, gamma, _ float64, applied bool) {
 		if !applied {
 			return
 		}
@@ -341,8 +314,8 @@ func (t *Tracker) installHook() {
 			row = make(map[int]float64, 2)
 			t.shadow[a] = row
 		}
-		row[a] += float64(n)
-		row[b] -= float64(n) * gamma
+		row[a]++
+		row[b] -= gamma
 	})
 }
 
@@ -375,8 +348,7 @@ func (t *Tracker) Attached() bool { return t.m != nil }
 
 // Instrument mirrors the tracker's headline telemetry into reg as gauges
 // (refreshed on every AfterDecide): the verdict as 0/1/2, the drift and
-// residual EWMAs, the deferred queue depth, and the last inverse-probe
-// residual.
+// residual EWMAs, and the last inverse-probe residual.
 func (t *Tracker) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		t.gauges = nil
@@ -389,8 +361,6 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 			"EWMA of per-decide theta drift magnitude.", nil),
 		residual: reg.Gauge("megh_health_bellman_residual_ewma",
 			"EWMA of the Bellman/TD residual per applied LSPI transition.", nil),
-		queue: reg.Gauge("megh_health_deferred_queue_depth",
-			"Deferred LSPI transitions queued (merged multiplicity counted).", nil),
 		inverse: reg.Gauge("megh_health_inverse_residual",
 			"Sampled max |B*T - I| from the last inverse-drift probe.", nil),
 	}
@@ -427,11 +397,6 @@ func (t *Tracker) AfterDecide() {
 
 	t.temp = t.m.Temperature()
 	t.nnz = t.m.QTableNNZ()
-	t.qDepth = t.m.DeferredUpdates()
-	t.qAge = t.m.DeferredAge()
-	if t.qAge > t.qAgePeak {
-		t.qAgePeak = t.qAge
-	}
 
 	if t.cfg.ProbeEvery > 0 {
 		t.sinceProbe += dd
@@ -483,9 +448,6 @@ func (t *Tracker) Snapshot() Snapshot {
 		Temperature:  t.temp,
 		QTableNNZ:    t.nnz,
 		NNZGrowth:    t.nnzRate.v,
-		QueueDepth:   t.qDepth,
-		QueueAge:     t.qAge,
-		QueueAgePeak: t.qAgePeak,
 		Applied:      t.applied,
 		Skipped:      t.skipped,
 		NonFinite:    t.nonFinite,

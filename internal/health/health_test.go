@@ -342,7 +342,7 @@ func TestSimIntegrationAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"megh_health_verdict", "megh_health_theta_drift_ewma", "megh_health_deferred_queue_depth"} {
+	for _, want := range []string{"megh_health_verdict", "megh_health_theta_drift_ewma", "megh_health_inverse_residual"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("registry missing %s:\n%s", want, out)
 		}

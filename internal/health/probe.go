@@ -149,12 +149,6 @@ func (t *Tracker) evaluate() {
 	case t.resid.init && exceeds(t.resid.v, t.thr.ResidualDegraded):
 		fail(Degraded,
 			"bellman residual EWMA "+fg(t.resid.v)+" >= "+fg(t.thr.ResidualDegraded))
-	case t.thr.QueueDepthDegraded > 0 && t.qDepth >= t.thr.QueueDepthDegraded:
-		fail(Degraded,
-			"deferred queue depth "+strconv.Itoa(t.qDepth)+" >= "+strconv.Itoa(t.thr.QueueDepthDegraded))
-	case t.thr.StalenessDegraded > 0 && t.qAge >= t.thr.StalenessDegraded:
-		fail(Degraded,
-			"deferred queue age "+strconv.Itoa(t.qAge)+" decides >= "+strconv.Itoa(t.thr.StalenessDegraded))
 	case t.nnzRate.init && exceeds(t.nnzRate.v, t.thr.NNZGrowthDegraded):
 		fail(Degraded,
 			"nnz growth "+fg(t.nnzRate.v)+" per decide >= "+fg(t.thr.NNZGrowthDegraded))
@@ -173,7 +167,6 @@ func (t *Tracker) publish() {
 	g.verdict.Set(float64(t.verdict))
 	g.drift.Set(t.drift.v)
 	g.residual.Set(t.resid.v)
-	g.queue.Set(float64(t.qDepth))
 	if t.probe != nil {
 		g.inverse.Set(t.probe.InverseResidualMax)
 	}

@@ -1,7 +1,6 @@
 package invariant
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -210,49 +209,6 @@ func TestLSPIHealthCleanRun(t *testing.T) {
 	}
 	if err := h.Probe(); err != nil {
 		t.Fatalf("final probe failed: %v", err)
-	}
-}
-
-// TestLSPIHealthDeferredMode runs the dense oracle against a learner in
-// deferred-update mode (everything queued, flushed on the DeferMaxAge
-// cadence). B, z and θ age together while transitions are queued and the
-// update hook fires only at flush time, so the shadow T must stay in
-// lockstep with B throughout — every auto-probe along the way and the
-// final probe (after a manual flush drains the tail) must hold ‖B·T − I‖∞
-// within tolerance.
-func TestLSPIHealthDeferredMode(t *testing.T) {
-	const nVMs, nHosts, steps = 6, 3, 120
-	cfg := worldConfig(t, nVMs, nHosts, steps, 5)
-	lc := core.DefaultConfig(nVMs, nHosts, 11)
-	lc.DeferThreshold = math.MaxFloat64
-	lc.DeferMaxAge = 4
-	m, err := core.New(lc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := AttachLSPIHealth(m, 25)
-	s, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(m); err != nil {
-		t.Fatal(err)
-	}
-	if h.Err() != nil {
-		t.Fatalf("LSPI health probe failed in deferred mode: %v", h.Err())
-	}
-	if h.Applied() == 0 {
-		t.Fatal("no flushed updates were shadowed — hook not wired through the deferred path")
-	}
-	if h.Probes() == 0 {
-		t.Fatal("auto-probe never fired")
-	}
-	m.FlushUpdates()
-	if n := m.DeferredUpdates(); n != 0 {
-		t.Fatalf("%d transitions still queued after FlushUpdates", n)
-	}
-	if err := h.Probe(); err != nil {
-		t.Fatalf("final probe failed after flush: %v", err)
 	}
 }
 

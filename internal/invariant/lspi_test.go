@@ -56,24 +56,20 @@ func AttachLSPIHealth(m *core.Megh, every int) *LSPIHealth {
 	return h
 }
 
-// onUpdate shadows one learner update: an applied Sherman–Morrison step of
-// multiplicity n means T gained the rank-1 term n·e_a·(e_a − γ·e_b)ᵀ (in
-// deferred mode one application can fold n merged logical transitions).
-// Rejected (singular) updates leave both B and the mirror untouched — that
-// agreement is itself part of what the probes verify. The learner fires the
-// hook only between complete rank-1 applications, so probing from here
-// always sees B and the mirror in a mutually consistent state.
-func (h *LSPIHealth) onUpdate(a, b, n int, gamma, c float64, applied bool) {
+// onUpdate shadows one learner update: an applied Sherman–Morrison step
+// means T gained the rank-1 term e_a·(e_a − γ·e_b)ᵀ. Rejected (singular)
+// updates leave both B and the mirror untouched — that agreement is itself
+// part of what the probes verify. The learner fires the hook only between
+// complete rank-1 applications, so probing from here always sees B and the
+// mirror in a mutually consistent state.
+func (h *LSPIHealth) onUpdate(a, b, _ int, gamma, _ float64, applied bool) {
 	if !applied {
 		return
 	}
-	h.t.Add(a, a, float64(n))
-	h.t.Add(a, b, -float64(n)*gamma)
-	prev := h.applied
-	h.applied += n
-	// Probe when the transition count crosses an Every boundary; merged
-	// updates advance the count by n, so exact multiples may be skipped.
-	if h.Every > 0 && h.applied/h.Every > prev/h.Every && h.err == nil {
+	h.t.Add(a, a, 1)
+	h.t.Add(a, b, -gamma)
+	h.applied++
+	if h.Every > 0 && h.applied%h.Every == 0 && h.err == nil {
 		h.err = h.Probe()
 	}
 }
@@ -81,8 +77,7 @@ func (h *LSPIHealth) onUpdate(a, b, n int, gamma, c float64, applied bool) {
 // Probes reports how many probes have run (manual and automatic).
 func (h *LSPIHealth) Probes() int { return h.probes }
 
-// Applied reports how many applied logical transitions the mirror has
-// shadowed (merged rank-1 updates count their full multiplicity).
+// Applied reports how many applied transitions the mirror has shadowed.
 func (h *LSPIHealth) Applied() int { return h.applied }
 
 // Err returns the first probe failure, or nil.

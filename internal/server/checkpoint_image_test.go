@@ -151,7 +151,16 @@ type imageMirror struct {
 	StepCost     float64
 	HaveCost     bool
 	NNZHistory   []int
+	Deferred     []deferredMirror
+	DeferAge     int
 	RngState     []uint64
+}
+
+// deferredMirror is an entry of the queue the removed deferred-update mode
+// kept in the image.
+type deferredMirror struct {
+	A, B, N int
+	C       float64
 }
 
 // doctoredImage saves a learner that has taken a few updates and returns
@@ -249,6 +258,12 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 		"truncated columns":   {func(im *imageMirror) { im.B.PackedCols = im.B.PackedCols[:1] }, "PackedCols is truncated"},
 		"theta duplicate":     {func(im *imageMirror) { im.Theta.PackedIndex[1] = 0 }, "restoring θ: sparse: vector PackedIndex repeats"},
 		"version 1 number":    {func(im *imageMirror) { im.Version = 3 }, "version 3"},
+		// The removed deferred-update mode's fields: the image still names
+		// them, and any image that sets one is refused naming it.
+		"retired Deferred":       {func(im *imageMirror) { im.Deferred = []deferredMirror{{A: 1, B: 2, N: 1, C: 0.5}} }, "persisted Deferred holds 1 updates: deferred updates were removed"},
+		"retired DeferAge":       {func(im *imageMirror) { im.DeferAge = 3 }, "persisted DeferAge 3: deferred updates were removed"},
+		"retired DeferThreshold": {func(im *imageMirror) { im.Config.DeferThreshold = 1e-3 }, "DeferThreshold 0.001: deferred updates were removed"},
+		"retired DeferMaxAge":    {func(im *imageMirror) { im.Config.DeferMaxAge = 8 }, "DeferMaxAge 8: deferred updates were removed"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			status, body := putReplicaRaw(t, tc.urls["a"], "victim", doctoredImage(t, tc2.edit))
@@ -264,8 +279,9 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 	// The cases above re-encode an imageMirror, whose type definitions are
 	// not a checkpoint's, so gob reads them. These are cut from the real
 	// image and keep its definitions, so they look canonical until the
-	// value message: each gets the answer it got when gob read every image —
-	// word for word, and gob's acceptance of bytes after the value included.
+	// value message: each gets the answer it got when gob read every image,
+	// word for word — except bytes after the value, which gob leaves unread
+	// and readState refuses.
 	defs, msg := splitImage(t, good)
 	var im imageMirror
 	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&im); err != nil {
@@ -299,13 +315,15 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 			"persisted RNG state has 3 words, want 2"},
 		"overlong uint in Config": {frame(cat(msg[:numVMs], []byte{0xf7}, make([]byte, 9), msg[numVMs+1:])),
 			"decoding learner state: gob: encoded unsigned integer out of range"},
-		"trailing bytes":            {cat(good, []byte{0}), ""},
+		"trailing bytes": {cat(good, []byte{0, 0}), "decoding learner state: 2 bytes after the image"},
+		// Padding inside the value message, after the struct's closing 0:
+		// gob's decoder skips it and cannot report it, so the image is
+		// accepted and stored as sent. Only a reader of a gob-free format
+		// can close this.
 		"trailing bytes in message": {frame(cat(msg, []byte{0})), ""},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if c.want == "" {
-				// gob reads the value and ignores what follows it; so does
-				// the replica store, which keeps the body it was sent.
 				status, body := putReplicaRaw(t, tc.urls["a"], "lookalike", c.img)
 				stored, err := os.ReadFile(tc.svcs["a"].cluster.replicaPath("lookalike"))
 				if status != http.StatusOK || err != nil || !bytes.Equal(stored, c.img) {

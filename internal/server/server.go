@@ -56,18 +56,9 @@ type Config struct {
 	// slots); excess requests are refused with 429 and a Retry-After
 	// header instead of queueing without bound. 0 means unlimited.
 	MaxInFlight int
-	// DeferThreshold and DeferMaxAge configure the deferred/merged
-	// Sherman–Morrison update mode for every learner the service builds
-	// (core.Config.DeferThreshold / DeferMaxAge): transitions whose
-	// influence falls below the threshold are queued and merged, and
-	// applied after at most DeferMaxAge decides. Zero threshold (the
-	// default) keeps the exact mode. Learners restored from a checkpoint
-	// keep the mode persisted with them.
-	DeferThreshold float64
-	DeferMaxAge    int
-	// Learner optionally overrides the default core configuration for the
-	// default session (DeferThreshold/DeferMaxAge above are ignored for
-	// the default session in that case).
+	// Learner optionally overrides the default core configuration
+	// (core.DefaultConfig with Seed) of a fresh default session; /v2
+	// sessions take theirs from their spec.
 	Learner *core.Config
 	// Seed drives the default learner configuration; sessions carry their
 	// own seed in their spec.
@@ -81,8 +72,8 @@ type Config struct {
 	// HealthProbeEvery is the cadence, in decides, of every session health
 	// tracker's sampled consistency probes (θ = B·z spot checks and the
 	// ‖B·T − I‖∞ inverse-drift probe). 0 means health.DefProbeEvery;
-	// negative disables probing (the streaming EWMAs and queue telemetry
-	// still run and still score the verdict).
+	// negative disables probing (the streaming EWMAs still run and still
+	// score the verdict).
 	HealthProbeEvery int
 	// SLODecideP99 is the decide-latency objective in seconds backing the
 	// burn-rate SLO served on /v2/health and /metrics: a decide is "good"
@@ -215,8 +206,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if learner == nil {
 		lc := core.DefaultConfig(cfg.NumVMs, cfg.NumHosts, cfg.Seed)
-		lc.DeferThreshold = cfg.DeferThreshold
-		lc.DeferMaxAge = cfg.DeferMaxAge
 		if cfg.Learner != nil {
 			lc = *cfg.Learner
 		}

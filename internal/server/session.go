@@ -164,11 +164,6 @@ type sessionManager struct {
 	overload    float64
 	stepSeconds float64
 
-	// deferThreshold/deferMaxAge configure the deferred-update mode of
-	// every fresh learner this manager builds (Config.DeferThreshold).
-	deferThreshold float64
-	deferMaxAge    int
-
 	// healthProbeEvery is the sampled-probe cadence for every session's
 	// health tracker (health.Config.ProbeEvery): 0 means the package
 	// default, negative disables probing (EWMAs still run).
@@ -196,13 +191,11 @@ type sessionManager struct {
 
 func newSessionManager(cfg Config, reg *obs.Registry) *sessionManager {
 	m := &sessionManager{
-		maxLive:        cfg.MaxSessions,
-		ckptDir:        cfg.CheckpointDir,
-		ringSize:       cfg.SessionRing,
-		overload:       cfg.OverloadThreshold,
-		stepSeconds:    cfg.StepSeconds,
-		deferThreshold: cfg.DeferThreshold,
-		deferMaxAge:    cfg.DeferMaxAge,
+		maxLive:     cfg.MaxSessions,
+		ckptDir:     cfg.CheckpointDir,
+		ringSize:    cfg.SessionRing,
+		overload:    cfg.OverloadThreshold,
+		stepSeconds: cfg.StepSeconds,
 
 		healthProbeEvery: cfg.HealthProbeEvery,
 		gLive: reg.Gauge("megh_sessions_live",
@@ -383,10 +376,7 @@ func (m *sessionManager) put(id string, spec SessionSpec, pinned bool) (*session
 		}
 	}
 	if learner == nil {
-		lc := core.DefaultConfig(spec.NumVMs, spec.NumHosts, spec.Seed)
-		lc.DeferThreshold = m.deferThreshold
-		lc.DeferMaxAge = m.deferMaxAge
-		l, err := core.New(lc)
+		l, err := core.New(core.DefaultConfig(spec.NumVMs, spec.NumHosts, spec.Seed))
 		if err != nil {
 			sh.mu.Unlock()
 			return nil, false, err

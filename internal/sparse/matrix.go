@@ -389,12 +389,12 @@ func (m *Matrix) ShermanMorrisonBasis(a, b int, gamma float64) (float64, error) 
 // ShermanMorrisonBasisScaled is ShermanMorrisonBasis with a scaled v:
 // u = e_a, v = scale·(e_a − γ·e_b). One call with scale = n maintains the
 // inverse of T + n·e_a(e_a − γ·e_b)ᵀ, i.e. it folds n repetitions of the
-// same Megh transition into a single kernel pass — the primitive the
-// deferred-update mode in internal/core amortises rank-1 work with.
+// same Megh transition into a single kernel pass. The learner applies one
+// transition at a time through ShermanMorrisonBasis.
 //
 // scale = 1 reproduces ShermanMorrisonBasis bit for bit: every extra
 // multiply the scaling introduces is by exactly 1.0, an identity in
-// IEEE-754, so the exact-mode decide path keeps its determinism contract.
+// IEEE-754, so the decide path keeps its determinism contract.
 // A non-finite or zero scale is rejected (zero would be a no-op update
 // that still invalidated the column snapshots).
 func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (float64, error) {
