@@ -119,7 +119,9 @@ bench-alloc-gate:
 # across revisions at an identical iteration count. BenchmarkSoak is the
 # long-horizon instrument: one fixed 48 384-step run of the paper's
 # 800 × 1 052 world, reporting ns/decide in week 2 and in week 20 (they
-# must stay together) and the final NNZ of B and z.
+# must stay together) and the final NNZ of B and z. BenchmarkSimStep/paper800
+# is the simulator's own share of sim-local's step: the same world under a
+# policy that never migrates, a fixed 8 064 steps, reporting ns/step.
 # BenchmarkCheckpoint (save / verify / load of one learner image) warms its
 # learner by a fixed update count for the same reason. BenchmarkSnapshotCodec
 # is the budget table's decode and encode rows (DESIGN.md §7.5): the elided
@@ -141,7 +143,7 @@ TRACKED_BENCHMARKS = { \
 	$(GO) test -run=- -bench='BenchmarkSnapshotCodec' -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkDecideHandler' -benchtime=2000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; \
-	$(GO) test -run=- -bench='BenchmarkSoak' -benchtime=1x -count=$(BENCH_REPS) -benchmem . ; }
+	$(GO) test -run=- -bench='BenchmarkSoak|BenchmarkSimStep' -benchtime=1x -count=$(BENCH_REPS) -benchmem . ; }
 
 # Regenerate the tracked benchmark baseline. The stamp is the tree that was
 # measured: the commit, with "-dirty" when it carried uncommitted changes
@@ -149,7 +151,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git describe --always --dirty --abbrev=7)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does; BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak and BenchmarkSimStep -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does; BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

@@ -322,3 +322,42 @@ func BenchmarkSoak(b *testing.B) {
 		}
 	})
 }
+
+// idlePolicy never migrates: the simulator's step with no policy cost.
+type idlePolicy struct{}
+
+func (idlePolicy) Name() string                           { return "idle" }
+func (idlePolicy) Decide(*megh.Snapshot) []megh.Migration { return nil }
+
+// BenchmarkSimStep prices the simulator's own share of a step: sim-local's
+// world (PlanetLab 800 × 1 052, one week of trace replayed, seed 1) under a
+// policy that never migrates, for a fixed four weeks (8 064 steps). Run with
+// -benchtime=1x; ns/step is the figure (world construction excluded), and
+// sim-local's decisions_per_s is mostly this number plus Megh's own
+// Decide and Observe.
+func BenchmarkSimStep(b *testing.B) {
+	b.Run("paper800", func(b *testing.B) {
+		const steps = 4 * soakWeek
+		setup := experiments.Setup{
+			Dataset: experiments.PlanetLab, Hosts: 800, VMs: 1052,
+			Steps: soakWeek, Seed: 1, Placement: megh.PlacementRandom,
+		}
+		cfg, err := setup.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Steps = steps
+		s, err := megh.NewSimulator(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Run(idlePolicy{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+	})
+}

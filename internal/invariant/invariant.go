@@ -222,10 +222,10 @@ func (c *SimChecker) checkLifecycle(sc *sim.StepCheck) error {
 	return nil
 }
 
-// checkOccupancy verifies each host's published utilization equals the sum
-// of its VMs' demanded MIPS over capacity, and that RAM is never
-// overcommitted (the feasibility check every placement and migration path
-// must have enforced).
+// checkOccupancy verifies each host's published utilization equals, bit for
+// bit, the sum of its VMs' demanded MIPS over capacity added in list order as
+// the simulator adds it, and that RAM is never overcommitted (the feasibility
+// check every placement and migration path must have enforced).
 func (c *SimChecker) checkOccupancy(s *sim.Snapshot) error {
 	for i := range s.HostVMs {
 		var mips, ram float64
@@ -234,7 +234,7 @@ func (c *SimChecker) checkOccupancy(s *sim.Snapshot) error {
 			ram += s.VMSpecs[j].RAMMB
 		}
 		want := mips / s.HostSpecs[i].MIPS
-		if !withinUlps(s.HostUtil[i], want, 4) {
+		if s.HostUtil[i] != want {
 			return fmt.Errorf("host %d utilization %g, sum of its VMs gives %g",
 				i, s.HostUtil[i], want)
 		}

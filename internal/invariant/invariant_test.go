@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -125,6 +126,9 @@ func TestSimCheckerCatchesViolations(t *testing.T) {
 		}, "VMHost says"},
 		{"utilization-not-sum-of-vms", func(c *sim.StepCheck) {
 			c.Snapshot.HostUtil[0] = 0.2
+		}, "sum of its VMs"},
+		{"utilization-one-ulp-off", func(c *sim.StepCheck) {
+			c.Snapshot.HostUtil[0] = math.Nextafter(0.125, 1)
 		}, "sum of its VMs"},
 		{"ram-overcommitted", func(c *sim.StepCheck) {
 			c.Snapshot.VMSpecs[0].RAMMB = 1 << 20

@@ -13,6 +13,8 @@ import (
 // Feedback is the post-step signal delivered to policies that implement
 // FeedbackReceiver. It is what lets learning policies (Megh, MadVM,
 // Q-learning) observe the realised per-stage cost of their decisions.
+// Like the Snapshot, it and its slices are the simulator's scratch, reused
+// every step: valid only during the Observe call (copy anything you keep).
 type Feedback struct {
 	// Step is the interval that just completed.
 	Step int
@@ -29,7 +31,7 @@ type Feedback struct {
 
 // FeedbackReceiver is implemented by policies that learn from realised
 // costs. Observe is called once per step, after the interval's cost is
-// known and before the next Decide.
+// known and before the next Decide; fb is valid only during the call.
 type FeedbackReceiver interface {
 	Observe(fb *Feedback)
 }
@@ -71,10 +73,16 @@ type runState struct {
 	requestedSec []float64
 	stepDowntime []float64
 
-	history   [][]float64
-	vmHistory [][]float64
+	hostWin, vmWin windows
 
 	hostFailed []bool
+
+	// Per-step scratch: the feedback handed to Observe, the step (plus one)
+	// each VM last migrated in — the duplicate-migration check — and the
+	// hosts this step's migrations touched.
+	fb      Feedback
+	migStep []int
+	touched []int
 
 	// VM lifecycle state: vmAlive is nil for fixed-population runs. The
 	// lifecycle schedule is consumed by a cursor (events are sorted by
@@ -160,21 +168,16 @@ func newRunState(cfg Config) (*runState, error) {
 		downtimeSec:  make([]float64, len(cfg.VMs)),
 		requestedSec: make([]float64, len(cfg.VMs)),
 		stepDowntime: make([]float64, len(cfg.VMs)),
-		history:      make([][]float64, len(cfg.Hosts)),
-		vmHistory:    make([][]float64, len(cfg.VMs)),
+		hostWin:      newWindows(len(cfg.Hosts), cfg.HistoryLen),
+		vmWin:        newWindows(len(cfg.VMs), cfg.HistoryLen),
 		hostFailed:   make([]bool, len(cfg.Hosts)),
+		migStep:      make([]int, len(cfg.VMs)),
 	}
 	if cfg.InitialAlive != nil || len(cfg.Lifecycle) > 0 {
 		st.vmAlive = make([]bool, len(cfg.VMs))
 		for j := range st.vmAlive {
 			st.vmAlive[j] = cfg.InitialAlive == nil || cfg.InitialAlive[j]
 		}
-	}
-	for i := range st.history {
-		st.history[i] = make([]float64, 0, cfg.HistoryLen)
-	}
-	for j := range st.vmHistory {
-		st.vmHistory[j] = make([]float64, 0, cfg.HistoryLen)
 	}
 	if err := st.place(); err != nil {
 		return nil, err
@@ -201,8 +204,8 @@ func newRunState(cfg Config) (*runState, error) {
 		HostUtil:          st.hostUtil,
 		HostVMs:           st.hostVMs,
 		HostSpecs:         cfg.Hosts,
-		HostHistory:       st.history,
-		VMHistory:         st.vmHistory,
+		HostHistory:       st.hostWin.rows,
+		VMHistory:         st.vmWin.rows,
 		HostFailed:        st.hostFailed,
 		VMAlive:           st.vmAlive,
 		migModel:          cfg.Migration,
@@ -380,6 +383,9 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 			}
 		}
 	}
+	// Trace.At's read, with t % len computed once per run of equal lengths
+	// (every VM's, in the generated worlds) instead of once per VM.
+	traceLen, idx := -1, 0
 	for j := range cfg.VMs {
 		st.stepDowntime[j] = 0
 		if st.vmAlive != nil && !st.vmAlive[j] {
@@ -387,7 +393,17 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 			st.vmMIPS[j] = 0
 			continue
 		}
-		u := cfg.Traces[j].At(t)
+		tr := cfg.Traces[j]
+		if len(tr) != traceLen {
+			traceLen = len(tr)
+			if traceLen > 0 {
+				idx = t % traceLen
+			}
+		}
+		var u float64
+		if traceLen > 0 {
+			u = tr[idx]
+		}
 		st.vmUtil[j] = u
 		st.vmMIPS[j] = u * cfg.VMs[j].MIPS
 	}
@@ -397,12 +413,8 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 	// 2. Record the observed (pre-decision) utilization into the host and
 	// VM history windows; MMT's adaptive detectors and the correlation-
 	// based selection policies consume these.
-	for i := range st.history {
-		st.history[i] = pushWindow(st.history[i], st.hostUtil[i], cfg.HistoryLen)
-	}
-	for j := range st.vmHistory {
-		st.vmHistory[j] = pushWindow(st.vmHistory[j], st.vmUtil[j], cfg.HistoryLen)
-	}
+	st.hostWin.push(st.hostUtil)
+	st.vmWin.push(st.vmUtil)
 
 	// 3. Ask the policy, timing the call. The checker's placement view is
 	// captured here — after lifecycle, before migrations — so migration
@@ -417,9 +429,10 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 	decideSeconds := decideDur.Seconds()
 
 	// 4. Execute migrations with feasibility checks.
-	fb := &Feedback{Step: t}
+	fb := &st.fb
+	*fb = Feedback{Step: t, Executed: fb.Executed[:0], Rejected: fb.Rejected[:0]}
+	st.touched = st.touched[:0]
 	var resource float64
-	migrated := make(map[int]bool, len(migrations))
 	for _, m := range migrations {
 		if m.VM < 0 || m.VM >= len(cfg.VMs) || m.Dest < 0 || m.Dest >= len(cfg.Hosts) {
 			fb.Rejected = append(fb.Rejected, m)
@@ -444,11 +457,12 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 		if st.vmHost[m.VM] == m.Dest {
 			continue // stay: free no-op
 		}
-		if migrated[m.VM] || !st.snap.FitsOn(m.VM, m.Dest) {
+		duplicate := st.migStep[m.VM] == t+1
+		if duplicate || !st.snap.FitsOn(m.VM, m.Dest) {
 			fb.Rejected = append(fb.Rejected, m)
 			if st.tracer != nil {
 				reason := trace.RejectInfeasible
-				if migrated[m.VM] {
+				if duplicate {
 					reason = trace.RejectDuplicate
 				}
 				st.traceRej = append(st.traceRej, trace.Migration{
@@ -456,7 +470,7 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 			}
 			continue
 		}
-		migrated[m.VM] = true
+		st.migStep[m.VM] = t + 1
 		// Live-migration downtime (Eq. 5 with the α model folded into
 		// MigrationDowntimeFactor), plus the optional transfer-volume
 		// price module.
@@ -467,11 +481,14 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 			st.traceExec = append(st.traceExec, trace.Migration{
 				VM: m.VM, From: st.vmHost[m.VM], Dest: m.Dest, Seconds: migSec})
 		}
+		st.touched = append(st.touched, st.vmHost[m.VM], m.Dest)
 		st.move(m.VM, m.Dest)
 		fb.Executed = append(fb.Executed, m)
 	}
-	if len(fb.Executed) > 0 {
-		st.recomputeHostUtil()
+	// Only the hosts a migration touched changed their lists; re-summing
+	// them in list order gives the bits a full recomputeHostUtil would.
+	for _, i := range st.touched {
+		st.sumHost(i)
 	}
 
 	// 5. Overload downtime (Eq. 4): every VM spending this interval on an
@@ -531,6 +548,9 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 		}
 		st.requestedSec[j] += tau
 		st.downtimeSec[j] += st.stepDowntime[j]
+		if !cumulative && st.stepDowntime[j] == 0 {
+			continue // RefundRate(0) is 0 (Validate keeps thresholds ≥ 0)
+		}
 		var frac float64
 		if cumulative {
 			frac = st.downtimeSec[j] / st.requestedSec[j]
@@ -685,14 +705,42 @@ func (f *obsFeed) record(m StepMetrics) {
 	f.activeHosts.Set(float64(m.ActiveHosts))
 }
 
-// pushWindow appends x to a fixed-capacity trailing window, evicting the
-// oldest sample once full.
-func pushWindow(w []float64, x float64, capLen int) []float64 {
-	if len(w) == capLen {
-		copy(w, w[1:])
-		w = w[:capLen-1]
+// windows holds one trailing window of at most l samples per row, oldest
+// first, in a flat slab of 2·l slots a row. Every row is pushed once per
+// step, so one cursor [lo, end) serves them all: a push writes one slot per
+// row and re-slices, and only once every l+1 pushes do the newest l−1
+// samples move back to the row start. rows[r] has cap == len, so a policy
+// appending to a window reallocates instead of writing into the slab.
+type windows struct {
+	slab    []float64
+	rows    [][]float64
+	l       int
+	lo, end int
+}
+
+func newWindows(n, l int) windows {
+	return windows{slab: make([]float64, n*2*l), rows: make([][]float64, n), l: l}
+}
+
+// push appends vals[r] to row r, evicting each row's oldest sample once full.
+func (w *windows) push(vals []float64) {
+	stride := 2 * w.l
+	if w.end == stride {
+		keep := w.l - 1
+		for b := 0; b < len(w.slab); b += stride {
+			copy(w.slab[b:b+keep], w.slab[b+stride-keep:b+stride])
+		}
+		w.lo, w.end = 0, keep
 	}
-	return append(w, x)
+	w.end++
+	if w.end-w.lo > w.l {
+		w.lo++
+	}
+	for r, x := range vals {
+		b := r * stride
+		w.slab[b+w.end-1] = x
+		w.rows[r] = w.slab[b+w.lo : b+w.end : b+w.end]
+	}
 }
 
 // depart takes live slot vm down: it leaves its host's list (the host may
@@ -807,10 +855,16 @@ func (st *runState) move(j, dest int) {
 
 func (st *runState) recomputeHostUtil() {
 	for i := range st.hostUtil {
-		var mips float64
-		for _, j := range st.hostVMs[i] {
-			mips += st.vmMIPS[j]
-		}
-		st.hostUtil[i] = mips / st.cfg.Hosts[i].MIPS
+		st.sumHost(i)
 	}
+}
+
+// sumHost sets host i's utilization from its VMs' demand, added in list
+// order.
+func (st *runState) sumHost(i int) {
+	var mips float64
+	for _, j := range st.hostVMs[i] {
+		mips += st.vmMIPS[j]
+	}
+	st.hostUtil[i] = mips / st.cfg.Hosts[i].MIPS
 }

@@ -17,7 +17,8 @@ func (nopPolicy) Name() string                 { return "nop" }
 func (nopPolicy) Decide(*Snapshot) []Migration { return nil }
 
 // scriptPolicy replays a fixed schedule of migrations keyed by step and
-// records the feedback it receives.
+// records the feedback it receives. Feedback is the simulator's scratch,
+// valid only during Observe, so it keeps copies.
 type scriptPolicy struct {
 	script   map[int][]Migration
 	feedback []*Feedback
@@ -29,7 +30,12 @@ func (s *scriptPolicy) Decide(snap *Snapshot) []Migration {
 	return s.script[snap.Step]
 }
 
-func (s *scriptPolicy) Observe(fb *Feedback) { s.feedback = append(s.feedback, fb) }
+func (s *scriptPolicy) Observe(fb *Feedback) {
+	c := *fb
+	c.Executed = append([]Migration(nil), fb.Executed...)
+	c.Rejected = append([]Migration(nil), fb.Rejected...)
+	s.feedback = append(s.feedback, &c)
+}
 
 var (
 	_ Policy           = nopPolicy{}

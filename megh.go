@@ -53,7 +53,7 @@ type (
 	Result = sim.Result
 	// StepMetrics holds one interval's measurements.
 	StepMetrics = sim.StepMetrics
-	// Feedback carries the realised per-stage cost to learning policies.
+	// Feedback carries the realised per-stage cost to learning policies; valid only during Observe.
 	Feedback = sim.Feedback
 	// FeedbackReceiver marks policies that learn from realised costs.
 	FeedbackReceiver = sim.FeedbackReceiver
