@@ -19,6 +19,7 @@ import (
 	"megh/internal/cost"
 	"megh/internal/scenario"
 	"megh/internal/sim"
+	"megh/internal/workload"
 )
 
 var updateFrozen = flag.Bool("update-frozen", false, "rewrite testdata/frozen_outputs.golden from this tree")
@@ -67,7 +68,8 @@ func writeFloats(h hash.Hash, vs ...float64) {
 
 // frozenWorlds are the configurations the benchmark's digests cannot see:
 // history windows read by a selection policy, lifecycle churn, injected
-// outages, and cumulative SLA accounting. Each spans ≥ 5 history windows.
+// outages, cumulative SLA accounting, and traces of mixed lengths. Each
+// spans ≥ 5 history windows.
 func frozenWorlds(t *testing.T) map[string]sim.Config {
 	t.Helper()
 	const steps = 96
@@ -89,7 +91,22 @@ func frozenWorlds(t *testing.T) map[string]sim.Config {
 	if checkerFactory != nil {
 		churn.Checker = checkerFactory()
 	}
+	// mixed replays week-long traces cut to unsorted, paired lengths: a short
+	// trace wraps many times inside the horizon, and neighbouring VMs change
+	// length, so every run of equal lengths is short.
+	week := pl
+	week.Steps = workload.SevenDays
+	mixed, err := week.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed.Steps = steps
+	lens := []int{13, 0, workload.SevenDays, 1, 9, 5, 16, 8, 7}
+	for j := range mixed.Traces {
+		mixed.Traces[j] = mixed.Traces[j][:lens[j/2%len(lens)]]
+	}
 	return map[string]sim.Config{
+		"mixed":     mixed,
 		"planetlab": build(nil),
 		"churn":     churn,
 		"failures": build(func(c *sim.Config) {
@@ -152,7 +169,7 @@ func frozenDigest(t *testing.T, cfg sim.Config, policy string) string {
 }
 
 // TestSimulatorOutputsAreFrozen pins every simulated number of five
-// policies on four worlds to a golden digest. The benchmark's workloads run
+// policies on five worlds to a golden digest. The benchmark's workloads run
 // only Megh on static PlanetLab worlds under per-interval SLA accounting, so
 // a history-window, lifecycle, outage or cumulative-SLA change in the
 // simulator would pass them unseen; it cannot pass this. Regenerate only

@@ -73,6 +73,11 @@ type runState struct {
 	requestedSec []float64
 	stepDowntime []float64
 
+	// stage holds samples stageFrom … stageFrom+stageSteps−1 of every trace,
+	// step-major: row k is step stageFrom+k, one sample per VM.
+	stage     []float64
+	stageFrom int
+
 	hostWin, vmWin windows
 
 	hostFailed []bool
@@ -168,6 +173,8 @@ func newRunState(cfg Config) (*runState, error) {
 		downtimeSec:  make([]float64, len(cfg.VMs)),
 		requestedSec: make([]float64, len(cfg.VMs)),
 		stepDowntime: make([]float64, len(cfg.VMs)),
+		stage:        make([]float64, stageSteps*len(cfg.VMs)),
+		stageFrom:    -stageSteps,
 		hostWin:      newWindows(len(cfg.Hosts), cfg.HistoryLen),
 		vmWin:        newWindows(len(cfg.VMs), cfg.HistoryLen),
 		hostFailed:   make([]bool, len(cfg.Hosts)),
@@ -204,8 +211,6 @@ func newRunState(cfg Config) (*runState, error) {
 		HostUtil:          st.hostUtil,
 		HostVMs:           st.hostVMs,
 		HostSpecs:         cfg.Hosts,
-		HostHistory:       st.hostWin.rows,
-		VMHistory:         st.vmWin.rows,
 		HostFailed:        st.hostFailed,
 		VMAlive:           st.vmAlive,
 		migModel:          cfg.Migration,
@@ -383,26 +388,19 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 			}
 		}
 	}
-	// Trace.At's read, with t % len computed once per run of equal lengths
-	// (every VM's, in the generated worlds) instead of once per VM.
-	traceLen, idx := -1, 0
-	for j := range cfg.VMs {
+	// This step's samples are row t − stageFrom of the stage.
+	k := t - st.stageFrom
+	if k < 0 || k >= stageSteps {
+		st.refillStage(t)
+		k = 0
+	}
+	samples := st.stage[k*len(cfg.VMs) : (k+1)*len(cfg.VMs)]
+	for j, u := range samples {
 		st.stepDowntime[j] = 0
 		if st.vmAlive != nil && !st.vmAlive[j] {
 			st.vmUtil[j] = 0
 			st.vmMIPS[j] = 0
 			continue
-		}
-		tr := cfg.Traces[j]
-		if len(tr) != traceLen {
-			traceLen = len(tr)
-			if traceLen > 0 {
-				idx = t % traceLen
-			}
-		}
-		var u float64
-		if traceLen > 0 {
-			u = tr[idx]
 		}
 		st.vmUtil[j] = u
 		st.vmMIPS[j] = u * cfg.VMs[j].MIPS
@@ -415,6 +413,8 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 	// based selection policies consume these.
 	st.hostWin.push(st.hostUtil)
 	st.vmWin.push(st.vmUtil)
+	st.snap.HostHistory = st.hostWin.rows
+	st.snap.VMHistory = st.vmWin.rows
 
 	// 3. Ask the policy, timing the call. The checker's placement view is
 	// captured here — after lifecycle, before migrations — so migration
@@ -608,6 +608,40 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 	return metrics, fb, nil
 }
 
+// stageSteps is how many steps of samples the stage holds: eight float64
+// samples are one 64-byte cache line of a trace.
+const stageSteps = 8
+
+// refillStage copies samples t … t+stageSteps−1 of every trace into the
+// stage (Trace.At's values: wrapped, 0 for an empty trace). A step reading
+// one sample per trace touches one cache line of each; the refill reads that
+// line once for eight steps. t % len is computed once per run of equal
+// trace lengths, and every slot is filled, dead or alive, because a slot
+// may arrive within the block.
+func (st *runState) refillStage(t int) {
+	n := len(st.cfg.VMs)
+	st.stageFrom = t
+	traceLen, idx := -1, 0
+	for j, tr := range st.cfg.Traces {
+		if len(tr) != traceLen {
+			traceLen = len(tr)
+			if traceLen > 0 {
+				idx = t % traceLen
+			}
+		}
+		for k, i := 0, idx; k < stageSteps; k++ {
+			var u float64
+			if traceLen > 0 {
+				u = tr[i]
+				if i++; i == traceLen {
+					i = 0
+				}
+			}
+			st.stage[k*n+j] = u
+		}
+	}
+}
+
 // emitStepEvent writes the environment-side trace event for step t: what
 // was executed or refused, the realised cost decomposition, and which
 // hosts woke or went to sleep as a result of the step's migrations.
@@ -708,18 +742,34 @@ func (f *obsFeed) record(m StepMetrics) {
 // windows holds one trailing window of at most l samples per row, oldest
 // first, in a flat slab of 2·l slots a row. Every row is pushed once per
 // step, so one cursor [lo, end) serves them all: a push writes one slot per
-// row and re-slices, and only once every l+1 pushes do the newest l−1
-// samples move back to the row start. rows[r] has cap == len, so a policy
-// appending to a window reallocates instead of writing into the slab.
+// row, and only once every l+1 pushes do the newest l−1 samples move back to
+// the row start. end takes only the values 1 … 2·l, with lo = max(0, end−l),
+// so the row headers for each cursor position are built once: views[end−1]
+// is the window set at that position, and a push just re-points rows. Each
+// header has cap == len, so a policy appending to a window reallocates
+// instead of writing into the slab.
 type windows struct {
-	slab    []float64
-	rows    [][]float64
-	l       int
-	lo, end int
+	slab  []float64
+	views [][][]float64
+	rows  [][]float64
+	l     int
+	end   int
 }
 
 func newWindows(n, l int) windows {
-	return windows{slab: make([]float64, n*2*l), rows: make([][]float64, n), l: l}
+	stride := 2 * l
+	w := windows{slab: make([]float64, n*stride), views: make([][][]float64, stride), l: l}
+	headers := make([][]float64, stride*n)
+	for end := 1; end <= stride; end++ {
+		lo := max(0, end-l)
+		view := headers[(end-1)*n : end*n]
+		for r := range view {
+			b := r * stride
+			view[r] = w.slab[b+lo : b+end : b+end]
+		}
+		w.views[end-1] = view
+	}
+	return w
 }
 
 // push appends vals[r] to row r, evicting each row's oldest sample once full.
@@ -730,17 +780,13 @@ func (w *windows) push(vals []float64) {
 		for b := 0; b < len(w.slab); b += stride {
 			copy(w.slab[b:b+keep], w.slab[b+stride-keep:b+stride])
 		}
-		w.lo, w.end = 0, keep
+		w.end = keep
 	}
 	w.end++
-	if w.end-w.lo > w.l {
-		w.lo++
-	}
 	for r, x := range vals {
-		b := r * stride
-		w.slab[b+w.end-1] = x
-		w.rows[r] = w.slab[b+w.lo : b+w.end : b+w.end]
+		w.slab[r*stride+w.end-1] = x
 	}
+	w.rows = w.views[w.end-1]
 }
 
 // depart takes live slot vm down: it leaves its host's list (the host may

@@ -3,7 +3,10 @@ package sim
 // Snapshot is the read-only view of the data center a Policy sees at one
 // decision step. All slices are owned by the simulator and reused across
 // steps for efficiency; policies must not mutate or retain them beyond the
-// Decide call (copy anything you keep).
+// Decide call (copy anything you keep). The HostHistory and VMHistory rows
+// are views the simulator hands out again every 2·Config.HistoryLen steps,
+// over storage that later windows share: a policy that assigns into one
+// corrupts a later step's window, not only its own.
 type Snapshot struct {
 	// Step is the 0-based step index.
 	Step int

@@ -117,7 +117,8 @@ type Config struct {
 	// Hosts and VMs define the data center.
 	Hosts []HostSpec
 	VMs   []VMSpec
-	// Traces supplies one utilization trace per VM.
+	// Traces supplies one utilization trace per VM; every sample must lie
+	// in [0,1] (no NaN or ±Inf).
 	Traces []workload.Trace
 	// Steps is the horizon in τ-intervals; 0 means the longest trace.
 	Steps int
@@ -366,6 +367,13 @@ func (c Config) normalized() (Config, error) {
 	}
 	if len(c.Traces) != len(c.VMs) {
 		return c, fmt.Errorf("sim: %d traces for %d VMs", len(c.Traces), len(c.VMs))
+	}
+	for j, tr := range c.Traces {
+		for t, u := range tr {
+			if !(u >= 0 && u <= 1) { // also catches NaN
+				return c, fmt.Errorf("sim: VM %d trace sample at step %d is %g, outside [0,1]", j, t, u)
+			}
+		}
 	}
 	for i, h := range c.Hosts {
 		if err := h.Validate(); err != nil {

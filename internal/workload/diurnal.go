@@ -76,13 +76,13 @@ func GenerateDiurnal(cfg DiurnalConfig, n int) ([]Trace, error) {
 	if period == 0 {
 		period = StepsPerDay
 	}
-	traces := make([]Trace, n)
+	traces := newTraces(n, steps)
 	r := rand.New(rand.NewSource(cfg.Seed))
 	for v := 0; v < n; v++ {
 		vr := rand.New(rand.NewSource(r.Int63()))
 		phase := vr.Float64() * 2 * math.Pi
 		amp := cfg.Amplitude * (0.7 + 0.6*vr.Float64())
-		tr := make(Trace, steps)
+		tr := traces[v]
 		noise := 0.0
 		burstLeft := 0
 		for t := 0; t < steps; t++ {
@@ -97,7 +97,6 @@ func GenerateDiurnal(cfg DiurnalConfig, n int) ([]Trace, error) {
 			}
 			tr[t] = Clamp01(u)
 		}
-		traces[v] = tr
 	}
 	return traces, nil
 }

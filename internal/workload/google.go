@@ -112,12 +112,12 @@ func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 	if stepSec == 0 {
 		stepSec = 300
 	}
-	traces := make([]Trace, n)
+	traces := newTraces(n, steps)
 	var tasks []GoogleTask
 	r := rand.New(rand.NewSource(cfg.Seed))
 	for v := 0; v < n; v++ {
 		vr := rand.New(rand.NewSource(r.Int63()))
-		tr := make(Trace, steps)
+		tr := traces[v]
 		// Stagger start times across the first day.
 		t := vr.Intn(StepsPerDay / 2)
 		for t < steps {
@@ -139,7 +139,6 @@ func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 				t += 1 + vr.Intn(cfg.MaxIdleGapSteps)
 			}
 		}
-		traces[v] = tr
 	}
 	return traces, tasks, nil
 }

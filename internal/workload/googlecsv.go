@@ -90,10 +90,7 @@ func ReadGoogleUsage(r io.Reader) ([]Trace, error) {
 	if maxVM < 0 {
 		return nil, fmt.Errorf("workload: usage input holds no samples")
 	}
-	traces := make([]Trace, maxVM+1)
-	for v := range traces {
-		traces[v] = make(Trace, maxStep+1)
-	}
+	traces := newTraces(maxVM+1, maxStep+1)
 	for _, s := range samples {
 		traces[s.vm][s.step] = s.cpu
 	}

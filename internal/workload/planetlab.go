@@ -80,7 +80,7 @@ func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 	if steps == 0 {
 		steps = SevenDays
 	}
-	traces := make([]Trace, n)
+	traces := newTraces(n, steps)
 	r := rand.New(rand.NewSource(cfg.Seed))
 	busyFrac := 0.0
 	if p := cfg.PIdleToBusy + cfg.PBusyToIdle; p > 0 {
@@ -90,7 +90,7 @@ func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 		// Per-VM generator seeded from the master stream keeps traces
 		// independent yet reproducible regardless of generation order.
 		vr := rand.New(rand.NewSource(r.Int63()))
-		tr := make(Trace, steps)
+		tr := traces[v]
 		busy := vr.Float64() < busyFrac // start from the stationary mix
 		level := cfg.regimeLevel(vr, busy)
 		for t := 0; t < steps; t++ {
@@ -108,7 +108,6 @@ func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 			}
 			tr[t] = Clamp01(level)
 		}
-		traces[v] = tr
 	}
 	return traces, nil
 }

@@ -113,6 +113,19 @@ func WriteTrace(w io.Writer, tr Trace) error {
 	return nil
 }
 
+// newTraces carves n zeroed traces of steps samples out of one array, each
+// with cap == len. One array instead of n keeps a reader that takes one
+// sample per trace walking memory in order: as separate allocations, week-
+// long traces land 16 KiB apart and evict each other from the same cache sets.
+func newTraces(n, steps int) []Trace {
+	all := make([]float64, n*steps)
+	traces := make([]Trace, n)
+	for v := range traces {
+		traces[v] = all[v*steps : (v+1)*steps : (v+1)*steps]
+	}
+	return traces
+}
+
 // gaussClamped draws N(mean, std) clamped into [lo, hi].
 func gaussClamped(r *rand.Rand, mean, std, lo, hi float64) float64 {
 	v := mean + std*r.NormFloat64()
