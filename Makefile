@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check
+.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check experiments-check
 
 # Tier-1: everything compiles and the test suite passes.
 verify:
@@ -14,8 +14,18 @@ verify:
 # against no-tracer: they must match in ns/op and allocs/op), the
 # allocation-regression gate on the untraced decide path, and a short
 # fuzz pass over the fuzz targets, the scenario-matrix smoke run, vet +
-# tests of the nested benchmark module, and the package-size gate.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check
+# tests of the nested benchmark module, the package-size gate, and a
+# re-run of every committed results/ file.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check experiments-check
+
+# The paper's evaluation reproduces: every registry entry re-runs and must
+# match its committed results/ file in every simulated cell (wall-clock
+# *exec_ms columns are exempt), and results/ may hold nothing else but
+# README.md. About 2 minutes on a 2-vCPU VM, most of it Table 2. Regenerate
+# deliberately (and review the diff) with:
+#   $(GO) run ./cmd/experiments -run all
+experiments-check:
+	$(GO) run ./cmd/experiments -run all -check
 
 # Package sizes: the non-test Go lines (go list's GoFiles, counted by wc -l)
 # of every package in the root module, one "import-path lines" pair per

@@ -1,10 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6) at benchmark scale. Each BenchmarkTableN_* / BenchmarkFigureN* runs
-// the same experiment code as cmd/tables and cmd/figures, shrunk so the
+// the same experiment code as the cmd/experiments registry, shrunk so the
 // whole suite completes in minutes; custom metrics report the quantities
 // the paper's table columns hold (cost_usd, migrations, exec time). The
-// full-scale numbers live in EXPERIMENTS.md and are regenerated with the
-// cmd/ binaries.
+// full-scale numbers live in results/ and EXPERIMENTS.md and are
+// regenerated with go run ./cmd/experiments -run all.
 //
 // BenchmarkAblation* cover the design choices DESIGN.md §4 calls out:
 // Sherman–Morrison vs dense re-inversion, and fill-in truncation on/off.

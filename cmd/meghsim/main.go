@@ -224,7 +224,7 @@ func runScenario(scenarioName, policy string, hosts, vms, steps int, seed int64,
 	check, unsupportedFlags bool) error {
 	if unsupportedFlags {
 		return fmt.Errorf("-scenario does not combine with -csv/-fattree/-fail/-metrics/-trace; " +
-			"use cmd/tables -scenarios for CSV output")
+			"cmd/experiments -run scenarios writes the default matrix as CSV")
 	}
 	if check {
 		experiments.SetCheckerFactory(func() sim.Checker { return invariant.NewSimChecker() })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	"megh/internal/core"
 	"megh/internal/sim"
@@ -100,12 +101,13 @@ func RunSeries(setup Setup, policies []string) (SeriesSet, error) {
 
 // WriteSeriesCSV emits one row per step with, per policy, the four panel
 // series of Figures 2–5: per-step cost, cumulative migrations, active
-// hosts and decide time (ms).
+// hosts and decide time (ms). An empty order means the sorted policy names.
 func WriteSeriesCSV(w io.Writer, set SeriesSet, order []string) error {
 	if len(order) == 0 {
 		for name := range set {
 			order = append(order, name)
 		}
+		sort.Strings(order)
 	}
 	header := "step"
 	for _, name := range order {

@@ -1,7 +1,7 @@
 // Package experiments assembles the paper's evaluation (§6): one named
-// runner per table and figure, each returning the data series the paper
-// plots, plus text/CSV emitters used by cmd/tables and cmd/figures and the
-// repository-root benchmarks.
+// runner per table, figure and ablation, each returning the data the paper
+// plots, and the CSV writers behind results/. Experiments is the registry
+// cmd/experiments regenerates and checks that directory from.
 package experiments
 
 import (
@@ -81,17 +81,10 @@ func (s Setup) Scaled(factor int) Setup {
 		return s
 	}
 	out := s
-	out.Hosts = maxInt(2, s.Hosts/factor)
-	out.VMs = maxInt(2, s.VMs/factor)
-	out.Steps = maxInt(36, s.Steps/factor)
+	out.Hosts = max(2, s.Hosts/factor)
+	out.VMs = max(2, s.VMs/factor)
+	out.Steps = max(36, s.Steps/factor)
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Build materialises the setup into a ready simulator configuration.

@@ -12,7 +12,5 @@ var checkerFactory func() sim.Checker
 // checks in internal/invariant without this package importing the checker;
 // cmd/meghsim's -check flag rides the same configuration field directly.
 //
-// The factory must be safe for concurrent calls: parallel runners build
-// several configurations at once. Install it before starting runs — the
-// variable itself is not synchronised.
+// Install it before starting runs: the variable is not synchronised.
 func SetCheckerFactory(f func() sim.Checker) { checkerFactory = f }

@@ -1,8 +1,6 @@
-// Package report renders experiment results as plain-text charts for
-// terminals: multi-series line charts (the Figure 2–5 panels), heat grids
-// (Figure 6), bar charts (table comparisons) and boxplot strips
-// (Figure 8). cmd/figures and the examples use it so a reproduction can be
-// eyeballed without leaving the shell.
+// Package report renders Figure 8's sensitivity boxplots as plain-text
+// strips, so a reproduction can be eyeballed without leaving the shell
+// (examples/sensitivity).
 package report
 
 import (
@@ -12,203 +10,14 @@ import (
 	"strings"
 )
 
-// Series is one named line in a chart.
-type Series struct {
-	Name   string
-	Values []float64
-}
-
-// seriesGlyphs mark the lines in drawing order.
-var seriesGlyphs = []byte{'*', '+', 'o', 'x', '#', '@'}
-
-// LineChart renders the series into a height×width character grid with a
-// y-axis scale and a legend. Series longer than width are downsampled by
-// bucket means. It returns an error for unusable dimensions or no data.
-func LineChart(w io.Writer, title string, series []Series, width, height int) error {
-	if width < 10 || height < 3 {
-		return fmt.Errorf("report: chart dimensions %dx%d too small", width, height)
-	}
-	if len(series) == 0 {
-		return fmt.Errorf("report: no series to draw")
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	resampled := make([][]float64, len(series))
-	for i, s := range series {
-		if len(s.Values) == 0 {
-			return fmt.Errorf("report: series %q is empty", s.Name)
-		}
-		resampled[i] = bucketMeans(s.Values, width)
-		for _, v := range resampled[i] {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for si, vals := range resampled {
-		glyph := seriesGlyphs[si%len(seriesGlyphs)]
-		for x, v := range vals {
-			y := int((hi - v) / (hi - lo) * float64(height-1))
-			grid[y][x] = glyph
-		}
-	}
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	for r, row := range grid {
-		label := "          "
-		switch r {
-		case 0:
-			label = fmt.Sprintf("%9.3g ", hi)
-		case height - 1:
-			label = fmt.Sprintf("%9.3g ", lo)
-		case (height - 1) / 2:
-			label = fmt.Sprintf("%9.3g ", (hi+lo)/2)
-		}
-		if _, err := fmt.Fprintf(w, "%s|%s\n", label, string(row)); err != nil {
-			return err
-		}
-	}
-	legend := make([]string, 0, len(series))
-	for i, s := range series {
-		legend = append(legend, fmt.Sprintf("%c %s", seriesGlyphs[i%len(seriesGlyphs)], s.Name))
-	}
-	_, err := fmt.Fprintf(w, "%s+%s\n           %s\n",
-		strings.Repeat(" ", 10), strings.Repeat("-", width), strings.Join(legend, "   "))
-	return err
-}
-
-// bucketMeans compresses vals into exactly n bucket means (padding by
-// repetition when vals is shorter than n).
-func bucketMeans(vals []float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		loIdx := i * len(vals) / n
-		hiIdx := (i + 1) * len(vals) / n
-		if hiIdx <= loIdx {
-			hiIdx = loIdx + 1
-		}
-		if loIdx >= len(vals) {
-			loIdx = len(vals) - 1
-			hiIdx = len(vals)
-		}
-		var s float64
-		for _, v := range vals[loIdx:hiIdx] {
-			s += v
-		}
-		out[i] = s / float64(hiIdx-loIdx)
-	}
-	return out
-}
-
-// BarChart renders one horizontal bar per (label, value), scaled to the
-// maximum value.
-func BarChart(w io.Writer, title string, labels []string, values []float64, width int) error {
-	if len(labels) != len(values) || len(labels) == 0 {
-		return fmt.Errorf("report: bar chart needs matching non-empty labels and values")
-	}
-	if width < 10 {
-		return fmt.Errorf("report: bar width %d too small", width)
-	}
-	maxV := math.Inf(-1)
-	maxLabel := 0
-	for i, v := range values {
-		if v < 0 {
-			return fmt.Errorf("report: negative bar value %g", v)
-		}
-		maxV = math.Max(maxV, v)
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		if _, err := fmt.Fprintf(w, "  %-*s %s %.4g\n",
-			maxLabel, labels[i], strings.Repeat("█", n), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HeatGrid renders a matrix of values (rows × cols) using a shade ramp,
-// with row and column labels — the Figure-6 execution-time grids.
-func HeatGrid(w io.Writer, title string, rowLabels, colLabels []string, cells [][]float64) error {
-	if len(cells) == 0 || len(rowLabels) != len(cells) {
-		return fmt.Errorf("report: heat grid needs one row label per row")
-	}
-	for _, row := range cells {
-		if len(row) != len(colLabels) {
-			return fmt.Errorf("report: heat grid row width %d != %d labels", len(row), len(colLabels))
-		}
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, row := range cells {
-		for _, v := range row {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	ramp := []rune(" ░▒▓█")
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%8s", ""); err != nil {
-		return err
-	}
-	for _, c := range colLabels {
-		if _, err := fmt.Fprintf(w, "%8s", c); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for r, row := range cells {
-		if _, err := fmt.Fprintf(w, "%8s", rowLabels[r]); err != nil {
-			return err
-		}
-		for _, v := range row {
-			shade := ramp[int((v-lo)/(hi-lo)*float64(len(ramp)-1))]
-			if _, err := fmt.Fprintf(w, " %c%6.2f", shade, v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BoxplotStrip renders one labelled [p05 ── box ── p95] strip per entry,
-// scaled to the global range — the Figure-8 panels.
+// BoxplotRow is one labelled boxplot: a Figure-8 parameter value.
 type BoxplotRow struct {
 	Label                    string
 	P05, Q1, Median, Q3, P95 float64
 }
 
-// BoxplotStrips renders the rows.
+// BoxplotStrips renders one [p05 ── box ── p95] strip per row, scaled to
+// the global range — the Figure-8 panels.
 func BoxplotStrips(w io.Writer, title string, rows []BoxplotRow, width int) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("report: no boxplots to draw")

@@ -1,131 +1,9 @@
 package report
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestLineChartBasic(t *testing.T) {
-	var b strings.Builder
-	err := LineChart(&b, "demo", []Series{
-		{Name: "up", Values: []float64{0, 1, 2, 3, 4}},
-		{Name: "down", Values: []float64{4, 3, 2, 1, 0}},
-	}, 20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "demo") {
-		t.Fatal("title missing")
-	}
-	if !strings.Contains(out, "* up") || !strings.Contains(out, "+ down") {
-		t.Fatal("legend missing")
-	}
-	if !strings.Contains(out, "*") || !strings.Contains(out, "+") {
-		t.Fatal("series glyphs missing from plot")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title + 5 rows + axis + legend
-	if len(lines) != 8 {
-		t.Fatalf("got %d lines, want 8:\n%s", len(lines), out)
-	}
-}
-
-func TestLineChartValidation(t *testing.T) {
-	var b strings.Builder
-	if err := LineChart(&b, "", nil, 20, 5); err == nil {
-		t.Fatal("no series should error")
-	}
-	if err := LineChart(&b, "", []Series{{Name: "x", Values: []float64{1}}}, 2, 5); err == nil {
-		t.Fatal("tiny width should error")
-	}
-	if err := LineChart(&b, "", []Series{{Name: "x"}}, 20, 5); err == nil {
-		t.Fatal("empty series should error")
-	}
-}
-
-func TestLineChartFlatSeries(t *testing.T) {
-	var b strings.Builder
-	if err := LineChart(&b, "", []Series{{Name: "flat", Values: []float64{2, 2, 2}}}, 15, 4); err != nil {
-		t.Fatalf("flat series must render: %v", err)
-	}
-}
-
-func TestBucketMeans(t *testing.T) {
-	got := bucketMeans([]float64{1, 2, 3, 4}, 2)
-	if got[0] != 1.5 || got[1] != 3.5 {
-		t.Fatalf("downsample = %v", got)
-	}
-	up := bucketMeans([]float64{1, 3}, 4)
-	if len(up) != 4 || up[0] != 1 || up[3] != 3 {
-		t.Fatalf("upsample = %v", up)
-	}
-	for _, v := range up {
-		if math.IsNaN(v) {
-			t.Fatal("NaN in upsample")
-		}
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	var b strings.Builder
-	err := BarChart(&b, "costs", []string{"Megh", "THR-MMT"}, []float64{10, 20}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "Megh") || !strings.Contains(out, "THR-MMT") {
-		t.Fatal("labels missing")
-	}
-	// The larger value's bar must be longer.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if strings.Count(lines[1], "█") >= strings.Count(lines[2], "█") {
-		t.Fatalf("bar lengths not proportional:\n%s", out)
-	}
-}
-
-func TestBarChartValidation(t *testing.T) {
-	var b strings.Builder
-	if err := BarChart(&b, "", []string{"a"}, []float64{1, 2}, 20); err == nil {
-		t.Fatal("mismatched labels should error")
-	}
-	if err := BarChart(&b, "", []string{"a"}, []float64{-1}, 20); err == nil {
-		t.Fatal("negative value should error")
-	}
-	if err := BarChart(&b, "", []string{"a"}, []float64{0}, 20); err != nil {
-		t.Fatalf("all-zero bars must render: %v", err)
-	}
-}
-
-func TestHeatGrid(t *testing.T) {
-	var b strings.Builder
-	err := HeatGrid(&b, "exec", []string{"100", "200"}, []string{"100", "200"},
-		[][]float64{{0.1, 0.2}, {0.3, 3.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "█") {
-		t.Fatal("hottest cell should use the full shade")
-	}
-	if !strings.Contains(out, "3.00") || !strings.Contains(out, "0.10") {
-		t.Fatal("cell values missing")
-	}
-}
-
-func TestHeatGridValidation(t *testing.T) {
-	var b strings.Builder
-	if err := HeatGrid(&b, "", []string{"a"}, []string{"x"}, nil); err == nil {
-		t.Fatal("empty cells should error")
-	}
-	if err := HeatGrid(&b, "", []string{"a"}, []string{"x", "y"}, [][]float64{{1}}); err == nil {
-		t.Fatal("ragged row should error")
-	}
-	if err := HeatGrid(&b, "", []string{"a"}, []string{"x"}, [][]float64{{5}}); err != nil {
-		t.Fatalf("constant grid must render: %v", err)
-	}
-}
 
 func TestBoxplotStrips(t *testing.T) {
 	var b strings.Builder
