@@ -30,10 +30,12 @@ experiments-check:
 # Package sizes: the non-test Go lines (go list's GoFiles, counted by wc -l)
 # of every package in the root module, one "import-path lines" pair per
 # package, sorted. SIZE.json commits them; size-check fails when a package
-# has grown past its entry or has none, so growth is a reviewed diff line
-# of SIZE.json, the way a benchmark regression is one of BENCH_megh.json.
-# After a change that shrinks or (deliberately) grows a package, rewrite the
-# file with make size-json and commit it with the change.
+# differs from its entry or has none, so every size change is a reviewed
+# diff line of SIZE.json, the way a benchmark regression is one of
+# BENCH_megh.json — and a shrink cannot leave a stale entry behind for a
+# later change to grow back into. After a change that shrinks or
+# (deliberately) grows a package, rewrite the file with make size-json and
+# commit it with the change.
 SIZE_COUNTS = $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... \
 	| while read -r pkg files; do \
 		if [ -n "$$files" ]; then echo "$$pkg $$(cat $$files | wc -l)"; else echo "$$pkg 0"; fi; \
@@ -47,7 +49,7 @@ size-json:
 size-check:
 	@$(SIZE_COUNTS) | awk 'NR == FNR { if (split($$0, f, "\"") == 3) { v = f[3]; gsub(/[^0-9]/, "", v); want[f[2]] = v + 0 } next } \
 		!($$1 in want) { print "size-check: " $$1 " has no entry in SIZE.json (run make size-json)"; bad = 1; next } \
-		$$2 > want[$$1] { print "size-check: " $$1 " has " $$2 " non-test lines, SIZE.json allows " want[$$1]; bad = 1 } \
+		$$2 != want[$$1] { print "size-check: " $$1 " has " $$2 " non-test lines, SIZE.json says " want[$$1] " (run make size-json)"; bad = 1 } \
 		END { exit bad }' SIZE.json -
 
 # bench/ is a Go module of its own (megh/bench), so ./... above never

@@ -11,6 +11,8 @@
 package megh_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 	"time"
@@ -318,9 +320,24 @@ func BenchmarkSoak(b *testing.B) {
 			b.ReportMetric(float64(p.week[2].Nanoseconds())/soakWeek, "week2_ns/decide")
 			b.ReportMetric(float64(p.week[20].Nanoseconds())/soakWeek, "week20_ns/decide")
 			b.ReportMetric(float64(learner.QTableNNZ()), "final_b_nnz")
-			b.ReportMetric(float64(learner.DebugZ().NNZ()), "final_z_nnz")
+			b.ReportMetric(float64(imageZNNZ(b, learner)), "final_z_nnz")
 		}
 	})
+}
+
+// imageZNNZ counts z's stored entries in the learner's checkpoint image:
+// gob matches fields by name, so the image decodes into a struct naming Z
+// alone, whose packed value list holds one 8-byte word per entry.
+func imageZNNZ(b *testing.B, learner *megh.Learner) int {
+	img, err := learner.AppendImage(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st struct{ Z sparse.VectorState }
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
+		b.Fatal(err)
+	}
+	return len(st.Z.PackedValue) / 8
 }
 
 // idlePolicy never migrates: the simulator's step with no policy cost.

@@ -166,11 +166,13 @@ func TestLoadStateRejectsCorruptSparseState(t *testing.T) {
 	d := base.B.Dim
 	for name, mutate := range map[string]func(*persistedState){
 		"corrupt-B": func(st *persistedState) { st.B.Dim = -1 },
+		// One stored 1.0 at index d, out of range.
 		"corrupt-z": func(st *persistedState) {
-			st.Z = sparse.VectorState{Dim: d, Index: []int{d + 1}, Value: []float64{1}}
+			st.Z = sparse.VectorState{Dim: d, PackedIndex: []byte{byte(d)}, PackedValue: []byte{6: 0xf0, 7: 0x3f}}
 		},
+		// Index 1 listed twice, holding 1.0 each time.
 		"corrupt-theta": func(st *persistedState) {
-			st.Theta = sparse.VectorState{Dim: d, Index: []int{-1}, Value: []float64{1}}
+			st.Theta = sparse.VectorState{Dim: d, PackedIndex: []byte{1, 0}, PackedValue: []byte{6: 0xf0, 7: 0x3f, 14: 0xf0, 15: 0x3f}}
 		},
 		// A self-consistent matrix of the wrong dimension must be refused,
 		// not silently adopted.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"megh/internal/sim"
+	"megh/internal/sparse"
 )
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint verifier and
@@ -58,18 +59,19 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lazySeed.Bytes())
-	// Both committed formats, and a packed image gone wrong in the packed
-	// lists themselves (a repeated column, a stored zero).
-	for _, path := range []string{"testdata/checkpoint_v1_mapbacked.gob", "testdata/checkpoint_v2_packed.gob"} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+	// The committed fixture; a packed image gone wrong in the packed lists
+	// themselves (a repeated column, a stored zero); and the same image
+	// carrying version-1 forms, which are refused.
+	raw, err := os.ReadFile("testdata/checkpoint_v2_packed.gob")
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(raw)
 	for _, corrupt := range []func(*persistedState){
 		func(st *persistedState) { st.B.PackedCols[1] = 0 },
 		func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) },
+		func(st *persistedState) { st.Version = 1 },
+		func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 1, Col: 2, Val: 0.5}} },
 	} {
 		var st persistedState
 		newTestDecoder(f, seed.Bytes(), &st)

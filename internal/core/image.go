@@ -57,7 +57,7 @@ var imageFormat = sync.OnceValues(func() (gobFormat, error) {
 // declaration order, which is how gob numbers them. Encoder and decoder
 // both walk these lists, and TestImageCodecKnowsEveryField holds them to
 // the structs. A nil is a field nothing writes and only gob reads: a
-// version-1 list, or the retired Deferred queue, which readState refuses.
+// version-1 list or the retired Deferred queue, each refused when set.
 type fieldList struct {
 	n int
 	f [15]any // persistedState's fields, the most of any struct

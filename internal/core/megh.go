@@ -532,13 +532,8 @@ func (m *Megh) Decide(s *sim.Snapshot) []sim.Migration {
 		// step, including any the environment rejected and Observe
 		// reconciled away — dividing by the survivor count alone would
 		// inflate each survivor's share. pendingTotal is the pre-reconcile
-		// count; the max guard covers learners whose pending predates the
-		// field (legacy checkpoints record zero).
-		total := m.pendingTotal
-		if total < len(m.pending) {
-			total = len(m.pending)
-		}
-		share := m.stepCost / float64(total)
+		// count.
+		share := m.stepCost / float64(m.pendingTotal)
 		for _, a := range m.pending {
 			m.update(a, next, share)
 		}
@@ -876,21 +871,3 @@ func (m *Megh) fits(s *sim.Snapshot, j, k int, activeOnly bool) bool {
 	after := (m.hostMIPS[k] + s.VMMIPS[j]) / m.hostMIPSCap[k]
 	return after <= s.OverloadThreshold
 }
-
-// DebugTriplets exposes B's materialised entries for diagnostics. Rows the
-// learner never touched keep their implicit (1/δ)-diagonal, which this view
-// omits; use DebugB for the full matrix.
-func (m *Megh) DebugTriplets() []sparse.Triplet { return m.b.Triplets() }
-
-// DebugB materialises the full B matrix, implicit diagonal included, as a
-// dense row-major copy. O(d²) — intended for the invariant probes and tests
-// on small configurations.
-func (m *Megh) DebugB() [][]float64 { return m.b.Dense() }
-
-// DebugTheta exposes a sparse copy of θ for diagnostics.
-func (m *Megh) DebugTheta() *sparse.Vector { return m.theta.Vector() }
-
-// DebugZ exposes a copy of the accumulated cost vector z, assembled into
-// one sparse vector, for diagnostics and the invariant probes (θ must equal
-// B·z at all times).
-func (m *Megh) DebugZ() *sparse.Vector { return m.z.Vector() }

@@ -605,23 +605,6 @@ func TestObserveReconcilesRejectedActions(t *testing.T) {
 	}
 }
 
-// TestCostShareLegacyPendingFallsBack pins the compatibility path: a learner
-// whose pending predates pendingTotal (a legacy checkpoint restores it as
-// zero) divides by the surviving count, the historical behaviour.
-func TestCostShareLegacyPendingFallsBack(t *testing.T) {
-	m, err := New(DefaultConfig(2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := mdp.Action{VM: 0, Host: 1}.Index(2)
-	m.pending = []int{a} // pendingTotal left at zero, as a legacy restore would
-	m.Observe(&sim.Feedback{Step: 0, StepCost: 3})
-	m.Decide(tinySnapshot(t, 2, 2))
-	if got := m.z.Get(a); got != 3 {
-		t.Fatalf("legacy pending accrued z=%g, want the full cost 3", got)
-	}
-}
-
 // TestInstrumentMirrorsLearnerInternals checks the obs wiring: after a
 // Decide, the gauges track NNZ, resident bytes and temperature and the decide
 // histogram has one observation; after a rejection-bearing Observe the
@@ -656,7 +639,7 @@ func TestInstrumentMirrorsLearnerInternals(t *testing.T) {
 	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= before {
 		t.Fatalf("resident-bytes gauge = %g after z alone grew, was %g", got, before)
 	}
-	m.pending = []int{mdp.Action{VM: 1, Host: 0}.Index(2)}
+	m.pending, m.pendingTotal = []int{mdp.Action{VM: 1, Host: 0}.Index(2)}, 1
 	m.Observe(&sim.Feedback{StepCost: 1, Rejected: []sim.Migration{{VM: 1, Dest: 0}}})
 	if got := reg.Counter("megh_actions_rejected_total", "", nil).Value(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)

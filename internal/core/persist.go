@@ -13,16 +13,10 @@ import (
 	"megh/internal/sparse"
 )
 
-// stateVersion is the format SaveState writes. Version 2 carries B, z and θ
-// in sparse's packed form; version 1 carried them element by element. The
-// number had to move with the layout: gob drops fields the reader's struct
-// lacks, so a version-1 build handed a packed image under the old number
-// would restore an empty Q-table without complaint. This build reads both
-// (oldestStateVersion is the support horizon; see DESIGN.md §7.6).
-const (
-	stateVersion       = 2
-	oldestStateVersion = 1
-)
+// stateVersion is the format SaveState writes and the only one LoadState
+// reads. Version 2 carries B, z and θ in sparse's packed form; version 1
+// carried them element by element and is refused (DESIGN.md §7.6).
+const stateVersion = 2
 
 // persistedState is the image of a learner: one gob value, which image.go
 // writes and reads without running gob. Everything the LSPI
@@ -31,15 +25,13 @@ const (
 // exact to the bit, so a save/load pair continues the identical random
 // stream (the differential suite in internal/invariant depends on this).
 //
-// RngState holds the two xoroshiro128+ words. RngSeed is the legacy field:
-// checkpoints written before exact RNG persistence carry only a reseed
-// value there, which LoadState still honours when RngState is absent.
-// PendingTotal was added after version 1 shipped; gob tolerates its absence
-// (it decodes as zero, which LoadState maps to the historical behaviour), so
-// old checkpoints keep loading. Deferred and DeferAge held the queue of a
-// removed deferred-update mode: the format's type definitions still name
-// them, this build never sets them, and readState refuses an image in which
-// either is not empty.
+// RngState holds the two xoroshiro128+ words. RngSeed, Deferred and
+// DeferAge are wire-only: the format's type definitions name them, this
+// build never sets them, and readState refuses an image in which one is
+// not empty. RngSeed held the reseed value of version-1 images; Deferred
+// and DeferAge the queue of a removed deferred-update mode. PendingTotal is
+// never below len(Pending) in an image this build writes, and readState
+// refuses one where it is.
 type persistedState struct {
 	Version      int
 	Config       Config
@@ -191,9 +183,8 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 			return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", r.Len())
 		}
 	}
-	if st.Version < oldestStateVersion || st.Version > stateVersion {
-		return nil, fmt.Errorf("core: learner state version %d, this build reads %d to %d",
-			st.Version, oldestStateVersion, stateVersion)
+	if st.Version != stateVersion {
+		return nil, fmt.Errorf("core: learner state version %d, this build reads only version %d", st.Version, stateVersion)
 	}
 	if err := st.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("core: restoring learner: %w", err)
@@ -201,7 +192,7 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 	if st.Temp <= 0 || math.IsNaN(st.Temp) || math.IsInf(st.Temp, 0) {
 		return nil, fmt.Errorf("core: persisted temperature %g invalid", st.Temp)
 	}
-	if len(st.RngState) != 0 && len(st.RngState) != 2 {
+	if len(st.RngState) != 2 {
 		return nil, fmt.Errorf("core: persisted RNG state has %d words, want 2", len(st.RngState))
 	}
 	if err := st.B.Validate(); err != nil {
@@ -224,6 +215,10 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 		}
 	}
 	switch {
+	case st.PendingTotal < len(st.Pending):
+		return nil, fmt.Errorf("core: persisted PendingTotal %d is below the %d pending actions", st.PendingTotal, len(st.Pending))
+	case st.RngSeed != 0:
+		return nil, fmt.Errorf("core: persisted RngSeed %d: version-1 reseeding was removed", st.RngSeed)
 	case len(st.Deferred) != 0:
 		return nil, fmt.Errorf("core: persisted Deferred holds %d updates: deferred updates were removed", len(st.Deferred))
 	case st.DeferAge != 0:
@@ -250,11 +245,6 @@ func (st *persistedState) build() (*Megh, error) {
 	m.temp = st.Temp
 	m.pending = st.Pending
 	m.pendingTotal = st.PendingTotal
-	if m.pendingTotal < len(m.pending) {
-		// Legacy checkpoint (no PendingTotal): the historical divisor was
-		// the surviving pending count, which this floor reproduces.
-		m.pendingTotal = len(m.pending)
-	}
 	m.stepCost = st.StepCost
 	m.haveCost = st.HaveCost
 	// The persisted series is chronological; the restored ring starts
@@ -265,13 +255,6 @@ func (st *persistedState) build() (*Megh, error) {
 	if cap_ := m.nnzCap(); cap_ >= 0 && len(m.nnzHistory) > cap_ {
 		m.nnzHistory = append([]int(nil), m.nnzHistory[len(m.nnzHistory)-cap_:]...)
 	}
-	if len(st.RngState) == 2 {
-		m.rng.setState(st.RngState[0], st.RngState[1])
-	} else {
-		// Legacy checkpoint (pre exact-state persistence): reseed from the
-		// stored value. Deterministic, but the stream differs from the run
-		// that wrote the checkpoint — the historical behaviour.
-		m.rng.seed(st.RngSeed)
-	}
+	m.rng.setState(st.RngState[0], st.RngState[1])
 	return m, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"reflect"
 	"testing"
@@ -10,28 +9,20 @@ import (
 	"megh/internal/sim"
 )
 
-// The committed version-1 fixture was serialised by the original map-of-maps
-// sparse implementation (before the slice-backed storage rewrite), element
-// by element: triplets and index/value pairs. It must load unchanged into
-// the current implementation — checkpoints written by older builds may not
-// be orphaned by a storage or format rewrite — and save again as version 2.
-func TestLoadStateReadsMapBackedFixture(t *testing.T) {
-	m := loadFixture(t, "testdata/checkpoint_v1_mapbacked.gob", 1)
-	assertFixtureLearner(t, m)
-	assertSavesStablyAsPacked(t, m)
-}
-
-// The version-2 fixture is the same learner in the packed format, so it
-// pins the same values.
+// The committed version-2 fixture holds a learner first serialised by the
+// original map-of-maps sparse implementation (before the slice-backed
+// storage rewrite), re-saved in the packed format. It must load unchanged
+// into the current implementation — checkpoints written by older builds of
+// this format may not be orphaned by a storage rewrite.
 func TestLoadStateReadsPackedFixture(t *testing.T) {
-	m := loadFixture(t, "testdata/checkpoint_v2_packed.gob", 2)
+	m := loadFixture(t)
 	assertFixtureLearner(t, m)
 	assertSavesStablyAsPacked(t, m)
 }
 
 // The version-2 fixture is, byte for byte, what this build writes for the
-// version-1 fixture's learner: a change to the image layout cannot slip in
-// without this test (and the version number) noticing.
+// learner it holds: a change to the image layout cannot slip in without
+// this test (and the version number) noticing.
 func TestPackedFixtureIsWhatThisBuildWrites(t *testing.T) {
 	want, err := os.ReadFile("testdata/checkpoint_v2_packed.gob")
 	if err != nil {
@@ -43,18 +34,19 @@ func TestPackedFixtureIsWhatThisBuildWrites(t *testing.T) {
 	}
 }
 
-// loadFixture loads a committed image, checking first that it is of the
-// format version the test means to cover.
-func loadFixture(t *testing.T, path string, version int) *Megh {
+// loadFixture loads the committed image, checking first that it is the
+// packed version-2 format the test means to cover.
+func loadFixture(t *testing.T) *Megh {
 	t.Helper()
+	const path = "testdata/checkpoint_v2_packed.gob"
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st persistedState
 	newTestDecoder(t, raw, &st)
-	if packed := len(st.B.PackedVals) > 0; st.Version != version || packed != (version == 2) {
-		t.Fatalf("%s is a version-%d image (packed: %v), want version %d", path, st.Version, packed, version)
+	if st.Version != 2 || len(st.B.PackedVals) == 0 {
+		t.Fatalf("%s is a version-%d image (%d packed B bytes), want a packed version 2", path, st.Version, len(st.B.PackedVals))
 	}
 	m, err := LoadState(bytes.NewReader(raw))
 	if err != nil {
@@ -81,11 +73,10 @@ func assertFixtureLearner(t *testing.T, m *Megh) {
 	}
 }
 
-// assertSavesStablyAsPacked: whatever format the learner came from, it
-// saves as version 2 with nothing left in the version-1 lists, and from
-// there on save → load → save is byte-stable — SaveState consumes no
-// randomness and persists the full generator state, so nothing can drift
-// across the round-trip.
+// assertSavesStablyAsPacked: the learner saves as version 2 with nothing in
+// the version-1 lists, and save → load → save is byte-stable — SaveState
+// consumes no randomness and persists the full generator state, so nothing
+// can drift across the round-trip.
 func assertSavesStablyAsPacked(t *testing.T, m *Megh) {
 	t.Helper()
 	var first, second bytes.Buffer
@@ -120,66 +111,11 @@ func assertSavesStablyAsPacked(t *testing.T, m *Megh) {
 	}
 }
 
-// A version-1 build must refuse a version-2 image outright. v1State is a
-// frozen copy of the struct such a build decodes into: gob drops the packed
-// fields it has no place for, so B, z and θ arrive empty — what stands
-// between that and a silently emptied Q-table is the version check, which
-// is why the number had to move with the layout.
-func TestVersion1ReaderRefusesVersion2Image(t *testing.T) {
-	type v1Vector struct {
-		Dim   int
-		Index []int
-		Value []float64
-	}
-	type v1Triplet struct {
-		Row, Col int
-		Val      float64
-	}
-	type v1Matrix struct {
-		Dim            int
-		Diag           float64
-		DropTol        float64
-		Triplets       []v1Triplet
-		OverriddenDiag []int
-	}
-	type v1State struct {
-		Version  int
-		Config   Config
-		Temp     float64
-		B        v1Matrix
-		Z, Theta v1Vector
-		Pending  []int
-	}
-	raw, err := os.ReadFile("testdata/checkpoint_v2_packed.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st v1State
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
-		t.Fatalf("a version-1 struct cannot even decode the image: %v", err)
-	}
-	if len(st.B.Triplets) != 0 || len(st.Theta.Index) != 0 {
-		t.Fatal("test premise broken: the version-1 struct found data in a packed image")
-	}
-	// The version-1 reader's gate, verbatim: `st.Version != stateVersion`
-	// with stateVersion = 1.
-	if st.Version == 1 {
-		t.Fatal("a packed image carries version 1: a version-1 build would restore it as an empty Q-table")
-	}
-}
-
-// A learner restored from the map-backed fixture must keep scheduling:
-// resuming the same world for more steps exercises the restored Q-table,
-// θ mirror and pending update end to end on the new storage.
-func TestMapBackedFixtureResumesScheduling(t *testing.T) {
-	raw, err := os.ReadFile("testdata/checkpoint_v1_mapbacked.gob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadState(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+// A learner restored from the packed fixture must keep scheduling: resuming
+// the same world for more steps exercises the restored Q-table, θ mirror
+// and pending update end to end on the current storage.
+func TestPackedFixtureResumesScheduling(t *testing.T) {
+	m := loadFixture(t)
 	cfg := tinyConfig(t, 12, 6, 0.5)
 	cfg.Steps = 40
 	for i := range cfg.Traces {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -120,30 +122,52 @@ func TestSaveLoadPreservesRNGStream(t *testing.T) {
 	}
 }
 
-// TestLoadStateLegacyReseed keeps the pre-RngState path alive: a checkpoint
-// carrying only the old RngSeed field must still load, deterministically
-// reseeded from that value.
-func TestLoadStateLegacyReseed(t *testing.T) {
+// TestVersion1FormsAreRefused: this build reads only the version it
+// writes. An otherwise good image carrying any form only a version-1 image
+// had — the version number, an element-by-element list, a reseed value in
+// place of the RNG state, a PendingTotal below the pending count — is
+// refused by LoadState, VerifyImage and LoadStateFile with one error that
+// names it. (A replica PUT of one is refused in internal/server's
+// TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
+func TestVersion1FormsAreRefused(t *testing.T) {
 	m, _ := trainLearner(t)
-	var buf bytes.Buffer
-	if err := m.SaveState(&buf); err != nil {
-		t.Fatal(err)
+	if err := VerifyImage(gobImage(t, m)); err != nil {
+		t.Fatalf("the unedited image is refused: %v", err)
 	}
-	var st persistedState
-	newTestDecoder(t, buf.Bytes(), &st)
-	st.RngState = nil
-	st.RngSeed = 12345
-	var buf2 bytes.Buffer
-	encodeTestState(t, &buf2, st)
-	back, err := LoadState(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := newXrand(12345)
-	for i := 0; i < 16; i++ {
-		if a, b := back.rng.Uint64(), want.Uint64(); a != b {
-			t.Fatalf("legacy reseed stream wrong at draw %d", i)
-		}
+	for name, tc := range map[string]struct {
+		edit func(*persistedState)
+		want string
+	}{
+		"Version 1":        {func(st *persistedState) { st.Version = 1 }, "learner state version 1, this build reads only version 2"},
+		"Triplets":         {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "restoring B: sparse: matrix Triplets holds 1 entries"},
+		"OverriddenDiag":   {func(st *persistedState) { st.B.OverriddenDiag = []int{0, 3} }, "restoring B: sparse: matrix OverriddenDiag holds 2 entries"},
+		"Index":            {func(st *persistedState) { st.Z.Index = []int{4} }, "restoring z: sparse: vector Index holds 1 entries"},
+		"Value":            {func(st *persistedState) { st.Theta.Value = []float64{0.5} }, "restoring θ: sparse: vector Value holds 1 entries"},
+		"RngSeed":          {func(st *persistedState) { st.RngSeed = 12345 }, "persisted RngSeed 12345"},
+		"RngState 0 words": {func(st *persistedState) { st.RngState = nil }, "persisted RNG state has 0 words, want 2"},
+		"RngState 3 words": {func(st *persistedState) { st.RngState = append(st.RngState, 9) }, "persisted RNG state has 3 words, want 2"},
+		"PendingTotal": {func(st *persistedState) { st.Pending, st.PendingTotal = []int{1, 2}, 1 },
+			"persisted PendingTotal 1 is below the 2 pending actions"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := gobState(m)
+			tc.edit(&st)
+			var img bytes.Buffer
+			encodeTestState(t, &img, st)
+			path := filepath.Join(t.TempDir(), "v1.ckpt")
+			if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			verr := VerifyImage(img.Bytes())
+			_, lerr := LoadState(bytes.NewReader(img.Bytes()))
+			_, ferr := LoadStateFile(path)
+			if verr == nil || lerr == nil || ferr == nil || verr.Error() != lerr.Error() || ferr.Error() != lerr.Error() {
+				t.Fatalf("VerifyImage says %v, LoadState %v, LoadStateFile %v", verr, lerr, ferr)
+			}
+			if !strings.Contains(verr.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", verr, tc.want)
+			}
+		})
 	}
 }
 
@@ -224,7 +248,7 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 		"bad rng":            {func(st *persistedState) { st.RngState = st.RngState[:1] }, "RNG state has 1 words"},
 		"B repeated column":  {func(st *persistedState) { st.B.PackedCols[1] = 0 }, "restoring B: sparse: matrix PackedCols repeats"},
 		"B stored zero":      {func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) }, "restoring B: sparse: matrix PackedVals stores a zero"},
-		"B both forms":       {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 0, Val: 1}} }, "restoring B: sparse: matrix state carries both"},
+		"B both forms":       {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 0, Val: 1}} }, "restoring B: sparse: matrix Triplets holds 1 entries"},
 		"z truncated":        {func(st *persistedState) { st.Z.PackedIndex = st.Z.PackedIndex[:0] }, "restoring z: sparse: vector PackedIndex is truncated"},
 		"θ values not whole": {func(st *persistedState) { st.Theta.PackedValue = st.Theta.PackedValue[:9] }, "restoring θ: sparse: vector PackedValue is 9 bytes"},
 		"dimension mismatch": {func(st *persistedState) { st.Z.Dim = d + 1 }, "do not match config"},

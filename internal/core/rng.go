@@ -24,30 +24,22 @@ func splitmix64(z *uint64) uint64 {
 	return r ^ (r >> 31)
 }
 
-// newXrand returns a generator seeded deterministically from seed.
+// newXrand returns a generator seeded deterministically from seed: two
+// splitmix64 outputs, which setState guards against the all-zero state.
 func newXrand(seed int64) *xrand {
-	x := &xrand{}
-	x.seed(seed)
-	return x
-}
-
-func (x *xrand) seed(seed int64) {
 	z := uint64(seed)
-	x.s0 = splitmix64(&z)
-	x.s1 = splitmix64(&z)
-	if x.s0|x.s1 == 0 {
-		// The all-zero state is the one fixed point of xoroshiro128+;
-		// splitmix64 cannot produce it from any seed, but guard anyway.
-		x.s1 = 0x9e3779b97f4a7c15
-	}
+	x := &xrand{}
+	x.setState(splitmix64(&z), splitmix64(&z))
+	return x
 }
 
 // state exports the generator state for persistence.
 func (x *xrand) state() (s0, s1 uint64) { return x.s0, x.s1 }
 
 // setState restores a state captured with state. A degenerate all-zero
-// state (possible only in a hand-crafted checkpoint) is nudged off the
-// fixed point so the generator keeps producing.
+// state — the one fixed point of xoroshiro128+, possible only in a
+// hand-crafted checkpoint — is nudged off it so the generator keeps
+// producing.
 func (x *xrand) setState(s0, s1 uint64) {
 	if s0|s1 == 0 {
 		s1 = 0x9e3779b97f4a7c15

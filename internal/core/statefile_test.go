@@ -42,13 +42,13 @@ func TestSaveStateFileRoundTrip(t *testing.T) {
 	if got.Config() != m.Config() {
 		t.Fatalf("restored config %+v, want %+v", got.Config(), m.Config())
 	}
-	if !reflect.DeepEqual(got.DebugTriplets(), m.DebugTriplets()) {
+	if !reflect.DeepEqual(got.b.Triplets(), m.b.Triplets()) {
 		t.Fatal("restored B differs from the saved learner")
 	}
-	if !reflect.DeepEqual(got.DebugTheta().Dense(), m.DebugTheta().Dense()) {
+	if !reflect.DeepEqual(got.theta.Vector().Dense(), m.theta.Vector().Dense()) {
 		t.Fatal("restored θ differs from the saved learner")
 	}
-	if !reflect.DeepEqual(got.DebugZ().Dense(), m.DebugZ().Dense()) {
+	if !reflect.DeepEqual(got.z.Vector().Dense(), m.z.Vector().Dense()) {
 		t.Fatal("restored z differs from the saved learner")
 	}
 	// The atomic write must not leave its temp file behind.

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -86,16 +87,53 @@ func (h *LSPIHealth) Err() error { return h.err }
 // Probe runs all three health checks now and returns the first failure.
 func (h *LSPIHealth) Probe() error {
 	h.probes++
-	if err := h.checkInverse(); err != nil {
+	b, z, theta, err := denseState(h.m)
+	if err != nil {
 		return err
 	}
-	if err := h.checkTheta(); err != nil {
+	if err := h.checkInverse(b); err != nil {
+		return err
+	}
+	if err := h.checkTheta(b, z, theta); err != nil {
 		return err
 	}
 	if err := h.checkCheckpoint(); err != nil {
 		return err
 	}
 	return nil
+}
+
+// lspiImage is the part of a checkpoint image the probes read: gob matches
+// fields by name, so decoding an image into it keeps B, z and θ and skips
+// the rest.
+type lspiImage struct {
+	B        sparse.MatrixState
+	Z, Theta sparse.VectorState
+}
+
+// denseState reads B, z and θ out of m's checkpoint image, dense.
+func denseState(m *core.Megh) (b [][]float64, z, theta []float64, err error) {
+	img, err := m.AppendImage(nil)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: checkpoint image: %w", err)
+	}
+	var st lspiImage
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: decoding checkpoint image: %w", err)
+	}
+	bm, err := sparse.MatrixFromState(st.B)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: image B: %w", err)
+	}
+	zv, err := sparse.VectorFromState(st.Z)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: image z: %w", err)
+	}
+	tv, err := sparse.VectorFromState(st.Theta)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: image θ: %w", err)
+	}
+	return bm.Dense(), zv.Dense(), tv.Dense(), nil
 }
 
 func (h *LSPIHealth) tol() float64 {
@@ -107,9 +145,8 @@ func (h *LSPIHealth) tol() float64 {
 
 // checkInverse verifies B is still T⁻¹ two ways: the residual ‖B·T − I‖∞
 // and the entrywise distance to the dense Gauss–Jordan inverse.
-func (h *LSPIHealth) checkInverse() error {
+func (h *LSPIHealth) checkInverse(b [][]float64) error {
 	d := h.m.Dim()
-	b := h.m.DebugB()
 
 	// Residual ‖B·T − I‖∞, the ∞-norm of the product minus identity.
 	var norm float64
@@ -152,10 +189,8 @@ func (h *LSPIHealth) checkInverse() error {
 }
 
 // checkTheta verifies the dense θ mirror against a fresh B·z.
-func (h *LSPIHealth) checkTheta() error {
+func (h *LSPIHealth) checkTheta(b [][]float64, z, got []float64) error {
 	d := h.m.Dim()
-	z := h.m.DebugZ().Dense()
-	b := h.m.DebugB()
 	want := make([]float64, d)
 	for i := 0; i < d; i++ {
 		for k, bik := range b[i] {
@@ -164,7 +199,6 @@ func (h *LSPIHealth) checkTheta() error {
 			}
 		}
 	}
-	got := h.m.DebugTheta().Dense()
 	for i := 0; i < d; i++ {
 		scale := math.Max(1, math.Abs(want[i]))
 		if diff := math.Abs(got[i] - want[i]); diff > h.tol()*scale {
@@ -195,11 +229,9 @@ func (h *LSPIHealth) checkCheckpoint() error {
 	if got, want := back.Temperature(), h.m.Temperature(); got != want {
 		return fmt.Errorf("invariant: checkpoint temperature %g ≠ %g", got, want)
 	}
-	got := back.DebugTheta().Dense()
-	want := h.m.DebugTheta().Dense()
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("invariant: checkpoint θ[%d] %g ≠ %g", i, got[i], want[i])
+	for i := 0; i < h.m.Dim(); i++ {
+		if got, want := back.Theta(i), h.m.Theta(i); got != want {
+			return fmt.Errorf("invariant: checkpoint θ[%d] %g ≠ %g", i, got, want)
 		}
 	}
 	return nil

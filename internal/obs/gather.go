@@ -162,8 +162,8 @@ func mergePoint(d *FamilySnapshot, p MetricPoint) {
 }
 
 // WriteSnapshots renders family snapshots in the Prometheus text format,
-// families sorted by name and points by label signature — the same layout
-// WritePrometheus produces for a live registry.
+// families sorted by name and points by label signature. It is the one
+// exposition writer: WritePrometheus renders a live registry through it.
 func WriteSnapshots(w io.Writer, fams []FamilySnapshot) error {
 	sorted := append([]FamilySnapshot(nil), fams...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })

@@ -92,6 +92,50 @@ func TestHistogramObserveAndExport(t *testing.T) {
 	}
 }
 
+// TestWritePrometheusGolden pins the exposition byte for byte: a labelled
+// and an unlabelled instance of each metric type, HELP escaping, a family
+// without HELP, and a family without instances, which prints nothing.
+func TestWritePrometheusGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "requests by route", Labels{"route": "/v2/decide"}).Add(3)
+	r.Counter("req_total", "", nil).Add(1 << 53)
+	r.Gauge("temp", `a \ and a`+"\nnewline", nil).Set(0.25)
+	r.Gauge("temp", "", Labels{"k": `q"v`}).Set(-2)
+	h := r.HistogramBuckets("lat_seconds", "", []float64{0.5, 1}, nil)
+	h.Observe(0.5)
+	h.Observe(3)
+	r.HistogramBuckets("lat_seconds", "", nil, Labels{"s": "a"}).Observe(0.75)
+	r.families["idle"] = &family{name: "idle", help: "never touched", typ: typeGauge, instances: map[string]any{}}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE lat_seconds histogram
+lat_seconds_bucket{le="0.5"} 1
+lat_seconds_bucket{le="1"} 1
+lat_seconds_bucket{le="+Inf"} 2
+lat_seconds_sum 3.5
+lat_seconds_count 2
+lat_seconds_bucket{s="a",le="0.5"} 0
+lat_seconds_bucket{s="a",le="1"} 1
+lat_seconds_bucket{s="a",le="+Inf"} 1
+lat_seconds_sum{s="a"} 0.75
+lat_seconds_count{s="a"} 1
+# HELP req_total requests by route
+# TYPE req_total counter
+req_total 9007199254740992
+req_total{route="/v2/decide"} 3
+# HELP temp a \\ and a\nnewline
+# TYPE temp gauge
+temp 0.25
+temp{k="q\"v"} -2
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestHistogramBoundaryIsInclusive(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramBuckets("b", "", []float64{1, 2}, nil)

@@ -2,107 +2,23 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name and instances
-// by label signature, so output is deterministic and diffable.
+// by label signature, so output is deterministic and diffable. It is
+// WriteSnapshots over Gather, so a counter travels as a snapshot's float64,
+// which holds it exactly below 2⁵³.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make([]*family, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
-
 	bw := bufio.NewWriter(w)
-	for _, fam := range fams {
-		if err := fam.write(bw); err != nil {
-			return err
-		}
+	if err := WriteSnapshots(bw, r.Gather()); err != nil {
+		return err
 	}
 	return bw.Flush()
-}
-
-func (f *family) write(w io.Writer) error {
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.instances))
-	for k := range f.instances {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	insts := make([]any, len(keys))
-	for i, k := range keys {
-		insts[i] = f.instances[k]
-	}
-	f.mu.Unlock()
-
-	if len(insts) == 0 {
-		return nil
-	}
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-		return err
-	}
-	for i, key := range keys {
-		if err := writeInstance(w, f.name, key, insts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeInstance(w io.Writer, name, labelSig string, inst any) error {
-	switch m := inst.(type) {
-	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labelSig, m.Value())
-		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labelSig, formatFloat(m.Value()))
-		return err
-	case *Histogram:
-		return writeHistogram(w, name, labelSig, m)
-	default:
-		return fmt.Errorf("obs: unknown metric type %T", inst)
-	}
-}
-
-func writeHistogram(w io.Writer, name, labelSig string, h *Histogram) error {
-	// Snapshot the per-bucket counts once, then accumulate; sum/count may
-	// skew by in-flight observations, which the format tolerates.
-	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, withLabel(labelSig, "le", formatFloat(bound)), cum); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		name, withLabel(labelSig, "le", "+Inf"), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelSig, formatFloat(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelSig, cum)
-	return err
 }
 
 // withLabel splices one extra label pair into an existing signature

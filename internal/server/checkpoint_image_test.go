@@ -253,11 +253,17 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 		"row out of range":    {func(im *imageMirror) { im.B.PackedRows[0] = 0x7f }, "PackedRows"},
 		"length mismatch":     {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[8:] }, "PackedRows gives row"},
 		"stored zero":         {func(im *imageMirror) { copy(im.B.PackedVals, make([]byte, 8)) }, "PackedVals stores a zero"},
-		"both forms":          {func(im *imageMirror) { im.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "both Triplets"},
+		"both forms":          {func(im *imageMirror) { im.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "matrix Triplets holds 1 entries"},
 		"truncated values":    {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[:len(im.B.PackedVals)-3] }, "PackedVals is"},
 		"truncated columns":   {func(im *imageMirror) { im.B.PackedCols = im.B.PackedCols[:1] }, "PackedCols is truncated"},
 		"theta duplicate":     {func(im *imageMirror) { im.Theta.PackedIndex[1] = 0 }, "restoring θ: sparse: vector PackedIndex repeats"},
 		"version 1 number":    {func(im *imageMirror) { im.Version = 3 }, "version 3"},
+		// An image as a version-1 build wrote it: B element by element under
+		// the old number. This build reads only version 2.
+		"version-1 image": {func(im *imageMirror) {
+			im.Version, im.B.Triplets = 1, []sparse.Triplet{{Row: 0, Col: 1, Val: 2}}
+			im.B.PackedRows, im.B.PackedCols, im.B.PackedVals, im.B.PackedDiag = nil, nil, nil, nil
+		}, "learner state version 1, this build reads only version 2"},
 		// The removed deferred-update mode's fields: the image still names
 		// them, and any image that sets one is refused naming it.
 		"retired Deferred":       {func(im *imageMirror) { im.Deferred = []deferredMirror{{A: 1, B: 2, N: 1, C: 0.5}} }, "persisted Deferred holds 1 updates: deferred updates were removed"},

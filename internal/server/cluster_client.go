@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 
 	"megh/internal/cluster"
@@ -25,7 +26,7 @@ func (c *Client) ClusterInfo(ctx context.Context) (ClusterInfoResponse, error) {
 // ring, whether or not the session exists yet.
 func (c *Client) ClusterRoute(ctx context.Context, id string) (ClusterRouteResponse, error) {
 	var out ClusterRouteResponse
-	err := c.send(ctx, http.MethodGet, "/v2/cluster/route/"+id, nil, &out)
+	err := c.send(ctx, http.MethodGet, "/v2/cluster/route/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -747,6 +748,12 @@ func TestClusterClientMethodsAndAccessors(t *testing.T) {
 	}
 	if route.Owner.Name != tc.svcs["a"].ClusterNode().Owner("tenant-1").Name {
 		t.Fatalf("ClusterRoute owner %q disagrees with the node", route.Owner.Name)
+	}
+	// The ID is one path segment: "a?b" is an invalid ID, not the route of
+	// "a" with a query string.
+	var se *statusError
+	if route, err := c.ClusterRoute(ctx, "a?b"); !errors.As(err, &se) || se.code != http.StatusBadRequest {
+		t.Fatalf(`ClusterRoute("a?b") = %+v, %v; want an HTTP 400 error`, route, err)
 	}
 	if _, err := c.ClusterRebalance(ctx); err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ type VectorState struct {
 	// stored indices as uvarint gaps and the stored values as 8-byte words.
 	PackedIndex []byte
 	PackedValue []byte
-	// Index and Value are the version-1 form (one element per entry).
-	// VectorFromState still reads it; nothing writes it.
+	// Index and Value are the version-1 form (one element per entry):
+	// wire-only, refused when not empty.
 	Index []int
 	Value []float64
 }
@@ -128,35 +128,14 @@ func VectorFromState(st VectorState) (*Vector, error) {
 // unpack makes every check a VectorState must pass, building the vector
 // alongside when build is set.
 func (st VectorState) unpack(build bool) (*Vector, error) {
-	if st.Dim < 0 {
+	switch {
+	case st.Dim < 0:
 		return nil, fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
+	case len(st.Index) > 0:
+		return nil, version1("vector Index", len(st.Index))
+	case len(st.Value) > 0:
+		return nil, version1("vector Value", len(st.Value))
 	}
-	packed := len(st.PackedIndex) > 0 || len(st.PackedValue) > 0
-	if packed && (len(st.Index) > 0 || len(st.Value) > 0) {
-		return nil, fmt.Errorf("sparse: vector state carries both Index/Value and PackedIndex/PackedValue")
-	}
-	if !packed {
-		if len(st.Index) != len(st.Value) {
-			return nil, fmt.Errorf("sparse: vector state has %d indices but %d values",
-				len(st.Index), len(st.Value))
-		}
-		for _, j := range st.Index {
-			if j < 0 || j >= st.Dim {
-				return nil, fmt.Errorf("sparse: vector state index %d out of range [0,%d)", j, st.Dim)
-			}
-		}
-		if !build {
-			return nil, nil
-		}
-		// Version-1 lists may be unsorted or repeat an index; Set keeps
-		// the last write, as it always has.
-		v := NewVector(st.Dim)
-		for i, j := range st.Index {
-			v.Set(j, st.Value[i])
-		}
-		return v, nil
-	}
-
 	n, err := wordCount(st.PackedValue, "vector PackedValue")
 	if err != nil {
 		return nil, err
@@ -203,7 +182,7 @@ type MatrixState struct {
 	PackedVals []byte
 	PackedDiag []byte
 	// Triplets and OverriddenDiag are the version-1 form (one element per
-	// entry). MatrixFromState still reads it; nothing writes it.
+	// entry): wire-only, refused when not empty.
 	Triplets       []Triplet
 	OverriddenDiag []int
 }
@@ -265,15 +244,15 @@ func MatrixFromState(st MatrixState) (*Matrix, error) {
 // index is filled by counting — no per-entry search or shift, and nothing
 // but the page table sized by Dim.
 func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
-	if st.Dim < 0 {
+	switch {
+	case st.Dim < 0:
 		return nil, fmt.Errorf("sparse: negative dimension %d in matrix state", st.Dim)
-	}
-	if st.DropTol < 0 {
+	case st.DropTol < 0:
 		return nil, fmt.Errorf("sparse: negative drop tolerance %g in matrix state", st.DropTol)
-	}
-	if (len(st.Triplets) > 0 || len(st.OverriddenDiag) > 0) &&
-		(len(st.PackedRows) > 0 || len(st.PackedCols) > 0 || len(st.PackedVals) > 0 || len(st.PackedDiag) > 0) {
-		return nil, fmt.Errorf("sparse: matrix state carries both Triplets/OverriddenDiag and the Packed lists")
+	case len(st.Triplets) > 0:
+		return nil, version1("matrix Triplets", len(st.Triplets))
+	case len(st.OverriddenDiag) > 0:
+		return nil, version1("matrix OverriddenDiag", len(st.OverriddenDiag))
 	}
 	nnz, err := wordCount(st.PackedVals, "matrix PackedVals")
 	if err != nil {
@@ -290,32 +269,12 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 		idx, val, members = make([]int, nnz), make([]float64, nnz), make([]int, nnz)
 	}
 
-	for _, i := range st.OverriddenDiag {
-		if i < 0 || i >= st.Dim {
-			return nil, fmt.Errorf("sparse: overridden diagonal %d out of range [0,%d)", i, st.Dim)
-		}
-		if build {
-			m.setDiag(i)
-		}
-	}
 	for gaps, i := st.PackedDiag, -1; len(gaps) > 0; {
 		if i, gaps, err = nextIndex(gaps, i, st.Dim, "matrix PackedDiag"); err != nil {
 			return nil, err
 		}
 		if build {
 			m.setDiag(i)
-		}
-	}
-
-	for _, t := range st.Triplets {
-		if t.Row < 0 || t.Row >= st.Dim || t.Col < 0 || t.Col >= st.Dim {
-			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of range for dim %d",
-				t.Row, t.Col, st.Dim)
-		}
-		if build {
-			// Version-1 lists may be unsorted, repeat a cell or store a
-			// zero; Set resolves all three, as it always has.
-			m.Set(t.Row, t.Col, t.Val)
 		}
 	}
 
@@ -393,6 +352,12 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 	// are individually below a later-raised tolerance still round-trip.
 	m.dropTol = st.DropTol
 	return m, nil
+}
+
+// version1 refuses a non-empty list of the version-1 form, which no build
+// since version 2 writes.
+func version1(field string, n int) error {
+	return fmt.Errorf("sparse: %s holds %d entries: the version-1 form is refused", field, n)
 }
 
 // uvarintLen is the length of x's uvarint encoding.

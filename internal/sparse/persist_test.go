@@ -134,29 +134,6 @@ func TestStateWritesPackedFormOnly(t *testing.T) {
 	}
 }
 
-// The version-1 form still loads, with Set's tolerance for unsorted lists,
-// repeated cells and stored zeros.
-func TestVersion1StateStillLoads(t *testing.T) {
-	m, err := MatrixFromState(MatrixState{
-		Dim: 3, Diag: 0.5,
-		Triplets:       []Triplet{{2, 1, 7}, {0, 2, 1}, {0, 2, 4}, {1, 0, 0}},
-		OverriddenDiag: []int{2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Get(0, 2) != 4 || m.Get(2, 1) != 7 || m.Get(2, 2) != 0 || m.Get(1, 1) != 0.5 || m.NNZ() != 2 {
-		t.Fatalf("version-1 matrix state restored wrongly: nnz %d, %v", m.NNZ(), m.Dense())
-	}
-	v, err := VectorFromState(VectorState{Dim: 4, Index: []int{3, 1, 3}, Value: []float64{1, 2, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Get(3) != 5 || v.Get(1) != 2 || v.NNZ() != 2 {
-		t.Fatalf("version-1 vector state restored wrongly: %v", v)
-	}
-}
-
 // A restored matrix is the matrix: same column index, and the same bits
 // after the same further updates — rows carved out of one array must
 // reallocate when they grow, never write into their neighbour.
@@ -219,23 +196,28 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		st    MatrixState
 		field string
 	}{
-		"duplicate column":      {with(func(st *MatrixState) { st.PackedCols = []byte{0, 0, 2} }), "PackedCols repeats"},
-		"column out of range":   {with(func(st *MatrixState) { st.PackedCols = append(gaps(0, 3), 4) }), "PackedCols"},
-		"column overlong":       {with(func(st *MatrixState) { st.PackedCols = bytes.Repeat([]byte{0xff}, 11) }), "PackedCols is truncated or overlong"},
-		"columns truncated":     {with(func(st *MatrixState) { st.PackedCols = gaps(0, 3) }), "PackedCols is truncated"},
-		"columns left over":     {with(func(st *MatrixState) { st.PackedCols = append(st.PackedCols, 1) }), "PackedCols holds more"},
-		"row out of range":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 3, 1) }), "PackedRows"},
-		"duplicate row":         {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 0, 1) }), "PackedRows repeats"},
-		"row count truncated":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2) }), "PackedRows is truncated"},
-		"empty row listed":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 0, 2, 3) }), "PackedRows gives row 1 0 entries"},
-		"rows claim too many":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2, 2) }), "PackedRows gives row 3 2 entries"},
-		"rows claim too few":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 2) }), "PackedRows accounts for 2 entries"},
-		"values not whole":      {with(func(st *MatrixState) { st.PackedVals = st.PackedVals[:23] }), "PackedVals is 23 bytes"},
-		"stored zero":           {with(func(st *MatrixState) { st.PackedVals = words(1, 0, 3) }), "PackedVals stores a zero at (1,3)"},
-		"diag out of range":     {with(func(st *MatrixState) { st.PackedDiag = gaps(1, 4) }), "PackedDiag"},
-		"diag repeats":          {with(func(st *MatrixState) { st.PackedDiag = []byte{1, 0} }), "PackedDiag repeats"},
-		"both forms":            {with(func(st *MatrixState) { st.Triplets = []Triplet{{0, 0, 1}} }), "both Triplets/OverriddenDiag and the Packed"},
-		"both diag forms":       {with(func(st *MatrixState) { st.OverriddenDiag = []int{0} }), "both Triplets/OverriddenDiag and the Packed"},
+		"duplicate column":    {with(func(st *MatrixState) { st.PackedCols = []byte{0, 0, 2} }), "PackedCols repeats"},
+		"column out of range": {with(func(st *MatrixState) { st.PackedCols = append(gaps(0, 3), 4) }), "PackedCols"},
+		"column overlong":     {with(func(st *MatrixState) { st.PackedCols = bytes.Repeat([]byte{0xff}, 11) }), "PackedCols is truncated or overlong"},
+		"columns truncated":   {with(func(st *MatrixState) { st.PackedCols = gaps(0, 3) }), "PackedCols is truncated"},
+		"columns left over":   {with(func(st *MatrixState) { st.PackedCols = append(st.PackedCols, 1) }), "PackedCols holds more"},
+		"row out of range":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 3, 1) }), "PackedRows"},
+		"duplicate row":       {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 0, 1) }), "PackedRows repeats"},
+		"row count truncated": {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2) }), "PackedRows is truncated"},
+		"empty row listed":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 0, 2, 3) }), "PackedRows gives row 1 0 entries"},
+		"rows claim too many": {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2, 2) }), "PackedRows gives row 3 2 entries"},
+		"rows claim too few":  {with(func(st *MatrixState) { st.PackedRows = rows(1, 2) }), "PackedRows accounts for 2 entries"},
+		"values not whole":    {with(func(st *MatrixState) { st.PackedVals = st.PackedVals[:23] }), "PackedVals is 23 bytes"},
+		"stored zero":         {with(func(st *MatrixState) { st.PackedVals = words(1, 0, 3) }), "PackedVals stores a zero at (1,3)"},
+		"diag out of range":   {with(func(st *MatrixState) { st.PackedDiag = gaps(1, 4) }), "PackedDiag"},
+		"diag repeats":        {with(func(st *MatrixState) { st.PackedDiag = []byte{1, 0} }), "PackedDiag repeats"},
+		"both forms":          {with(func(st *MatrixState) { st.Triplets = []Triplet{{0, 0, 1}} }), "matrix Triplets holds 1 entries"},
+		"both diag forms":     {with(func(st *MatrixState) { st.OverriddenDiag = []int{0} }), "matrix OverriddenDiag holds 1 entries"},
+		// The version-1 form alone, which the v1 build loops used to read.
+		"version-1 Triplets": {MatrixState{Dim: 3, Diag: 0.5, Triplets: []Triplet{{2, 1, 7}, {0, 2, 4}}},
+			"matrix Triplets holds 2 entries: the version-1 form is refused"},
+		"version-1 OverriddenDiag": {MatrixState{Dim: 3, Diag: 0.5, OverriddenDiag: []int{2}},
+			"matrix OverriddenDiag holds 1 entries: the version-1 form is refused"},
 		"negative dim":          {with(func(st *MatrixState) { st.Dim = -1 }), "negative dimension"},
 		"dim smaller than data": {with(func(st *MatrixState) { st.Dim = 3 }), "out of range [0,3)"},
 	} {
@@ -265,7 +247,9 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		"indices left":     {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2)}, "PackedIndex holds more"},
 		"values not whole": {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2)[:7]}, "PackedValue is 7 bytes"},
 		"stored zero":      {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, 0)}, "PackedValue stores a zero at index 4"},
-		"both forms":       {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2), Index: []int{0}, Value: []float64{1}}, "both Index/Value and PackedIndex"},
+		"both forms":       {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2), Index: []int{0}, Value: []float64{1}}, "vector Index holds 1 entries"},
+		"version-1 Index":  {VectorState{Dim: 4, Index: []int{3, 1}, Value: []float64{1, 2}}, "vector Index holds 2 entries: the version-1 form is refused"},
+		"version-1 Value":  {VectorState{Dim: 4, Value: []float64{1}}, "vector Value holds 1 entries: the version-1 form is refused"},
 	} {
 		t.Run("vector/"+name, func(t *testing.T) {
 			verr := tc.st.Validate()
