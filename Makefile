@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check experiments-check
+.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check experiments-check examples-smoke
 
 # Tier-1: everything compiles and the test suite passes.
 verify:
@@ -14,9 +14,17 @@ verify:
 # against no-tracer: they must match in ns/op and allocs/op), the
 # allocation-regression gate on the untraced decide path, and a short
 # fuzz pass over the fuzz targets, the scenario-matrix smoke run, vet +
-# tests of the nested benchmark module, the package-size gate, and a
-# re-run of every committed results/ file.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check experiments-check
+# tests of the nested benchmark module, the package-size gate, a re-run of
+# every committed results/ file, and a run of the end-to-end examples.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check experiments-check examples-smoke
+
+# The examples that drive the public API end to end, the service one over
+# real HTTP: each must run to completion and exit 0 (under a second each on
+# a 2-vCPU VM). A package compiling is not the same as its example working.
+examples-smoke:
+	$(GO) run ./examples/service >/dev/null
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/failover >/dev/null
 
 # The paper's evaluation reproduces: every registry entry re-runs and must
 # match its committed results/ file in every simulated cell (wall-clock

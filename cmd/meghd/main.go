@@ -31,11 +31,6 @@
 //	GET    /v2/health                   fleet roll-up: verdict histogram, worst-N sessions,
 //	                                    decide-latency SLO burn rates, latency exemplars
 //
-//	POST /v1/decide      {"step":0,"hosts":[…],"vms":[…]} → {"migrations":[…]}
-//	POST /v1/feedback    {"step":0,"step_cost":0.61}       → 204
-//	GET  /v1/stats       → learner internals (Q-table size, temperature, …)
-//	GET  /v1/trace/tail  → newest buffered trace events (with -trace)
-//	POST /v1/checkpoint  → writes the state file
 //	GET  /metrics        → Prometheus text format (request counters, decide
 //	                       latency histogram, learner gauges)
 //	GET  /healthz        → "ok"
@@ -58,8 +53,8 @@
 //	DELETE /v2/cluster/replicas/{id}    drop a replica image
 //	POST   /v2/cluster/rebalance        hand misplaced sessions to their ring owners
 //
-// The /v1 routes are a deprecated shim over the reserved "default"
-// session; /v1 and /v2/sessions/default address the same learner.
+// -vms and -hosts size the reserved "default" session, served at
+// /v2/sessions/default and checkpointed to -checkpoint.
 //
 // Observability: -trace FILE appends one JSONL event per decision and per
 // feedback post (analyse with meghtrace); -log-level picks the stderr log
@@ -137,7 +132,7 @@ func run() error {
 		seed      = flag.Int64("seed", time.Now().UnixNano(), "exploration seed")
 		traceOut  = flag.String("trace", "", "append structured trace events (JSONL) to this file")
 		traceRing = flag.Int("trace-ring", trace.DefaultRingSize,
-			"trace events retained in memory for GET /v1/trace/tail")
+			"trace events retained in memory for GET /v2/sessions/default/trace/tail")
 		traceTimings = flag.Bool("trace-timings", false,
 			"record wall-clock span timings in trace events (nondeterministic)")
 		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
@@ -155,8 +150,8 @@ func run() error {
 	}
 
 	// The tracer is on by default with only the in-memory ring (feeding
-	// GET /v1/trace/tail); -trace adds the JSONL file sink and
-	// -trace-ring 0 without -trace turns tracing off entirely.
+	// GET /v2/sessions/default/trace/tail); -trace adds the JSONL file sink
+	// and -trace-ring 0 without -trace turns tracing off entirely.
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceRing > 0 {
 		tracer, err = trace.New(trace.Options{

@@ -114,7 +114,7 @@ func ExampleNewSimChecker() {
 // ExampleServiceClient_Session walks the /v2 session API end to end:
 // host the service in-process, create a named session, post a snapshot,
 // and list what the service now manages. The reserved "default" session
-// (serving the /v1 shim) always exists alongside the created one.
+// (sized by the service config) always exists alongside the created one.
 func ExampleServiceClient_Session() {
 	svc, err := megh.NewService(megh.ServiceConfig{NumVMs: 4, NumHosts: 3, Seed: 7})
 	if err != nil {

@@ -65,7 +65,9 @@ func main() {
 	if err := client.Health(); err != nil {
 		log.Fatal(err)
 	}
-	policy := server.NewRemotePolicy(client)
+	ctx := context.Background()
+	def := client.Session(server.DefaultSessionID)
+	policy := server.NewRemoteSessionPolicy(def)
 	result, err := simulator.Run(policy)
 	if err != nil {
 		log.Fatal(err)
@@ -81,23 +83,21 @@ func main() {
 		result.MeanDecideSeconds()*1000)
 
 	// 3. Inspect and persist the learner via the API.
-	stats, err := client.Stats()
+	stats, err := def.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("service stats: %d decisions, Q-table %d entries, temperature %.3f\n",
 		stats.Decisions, stats.QTableNNZ, stats.Temperature)
-	ck, err := client.Checkpoint()
+	ck, err := def.Checkpoint(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpoint written: %s (%d bytes)\n\n", ck.Path, ck.Bytes)
 
 	// 4. Multi-tenancy: the same service hosts further data centers as
-	// named /v2 sessions, each an independent learner. (The /v1 calls
-	// above went to the reserved "default" session.)
+	// named sessions, each an independent learner beside "default".
 	const tHosts, tVMs, tSteps = 10, 13, 48
-	ctx := context.Background()
 	sess := client.Session("dc-west")
 	if _, err := sess.Create(ctx, server.SessionSpec{
 		NumVMs: tVMs, NumHosts: tHosts, Seed: 11,

@@ -27,7 +27,7 @@ import (
 )
 
 // Labels attaches dimension key/value pairs to one metric instance
-// (e.g. {"route": "/v1/decide"}). A nil map means no labels.
+// (e.g. {"route": "/v2/sessions/:id/decide"}). A nil map means no labels.
 type Labels map[string]string
 
 // Counter is a monotonically increasing count.

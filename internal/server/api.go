@@ -10,7 +10,7 @@
 // evicted from memory LRU-first, then restored lazily on their next
 // touch.
 //
-// API (JSON over HTTP). /v2 is the session surface:
+// API (JSON over HTTP), the session surface:
 //
 //	GET    /v2/sessions                   → SessionListResponse
 //	PUT    /v2/sessions/{id}              SessionSpec → SessionInfo (201 created / 200 idempotent)
@@ -24,14 +24,9 @@
 //	GET    /v2/sessions/{id}/trace/tail   → TraceTailResponse
 //	GET    /v2/sessions/{id}/metrics      → per-session Prometheus text
 //
-// /v1 is the deprecated single-tenant shim, bound to the reserved
-// "default" session (pinned, never evicted):
-//
-//	POST /v1/decide      StateRequest  → DecideResponse
-//	POST /v1/feedback    FeedbackRequest → 204
-//	GET  /v1/stats       → StatsResponse
-//	GET  /v1/trace/tail  → TraceTailResponse (newest buffered trace events)
-//	POST /v1/checkpoint  → CheckpointResponse (writes the state file)
+// The reserved "default" session is sized by the service Config rather
+// than a PUT, is pinned (never evicted), and checkpoints to
+// Config.CheckpointPath (else <CheckpointDir>/default.ckpt).
 //
 // Operational routes:
 //

@@ -92,8 +92,8 @@ type SessionListResponse struct {
 	MaxSessions int `json:"max_sessions"`
 }
 
-// SessionStatsResponse extends the /v1 stats shape with session identity
-// and lifecycle counters.
+// SessionStatsResponse extends the learner stats with session identity and
+// lifecycle counters.
 type SessionStatsResponse struct {
 	StatsResponse
 	ID        string `json:"id"`

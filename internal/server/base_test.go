@@ -611,7 +611,7 @@ func TestRequestBodyLimits(t *testing.T) {
 		ok          int
 	}{
 		{http.MethodPost, session + "/decide", world, spec.maxSnapshotBytes(), http.StatusOK},
-		{http.MethodPost, ts.URL + "/v1/decide", world, spec.maxSnapshotBytes(), http.StatusOK},
+		{http.MethodPost, ts.URL + "/v2/sessions/default/decide", world, spec.maxSnapshotBytes(), http.StatusOK},
 		{http.MethodPost, session + "/decide/batch", batch, spec.maxBatchBytes(), http.StatusOK},
 		{http.MethodPost, session + "/feedback", []byte(`{"step":0,"step_cost":0.5}`), maxSmallBodyBytes, http.StatusNoContent},
 		{http.MethodPut, ts.URL + "/v2/sessions/fresh", []byte(`{"num_vms":4,"num_hosts":3}`), maxSmallBodyBytes, http.StatusCreated},

@@ -184,8 +184,8 @@ func doctoredImage(t *testing.T, edit func(*imageMirror)) []byte {
 		}
 	}
 	for step := 0; step < 6; step++ {
-		post("/v1/decide", sessionWorld(4, 3, step))
-		post("/v1/feedback", FeedbackRequest{Step: step, StepCost: 0.5})
+		post("/v2/sessions/default/decide", sessionWorld(4, 3, step))
+		post("/v2/sessions/default/feedback", FeedbackRequest{Step: step, StepCost: 0.5})
 	}
 	var raw bytes.Buffer
 	if err := svc.def.learner.SaveState(&raw); err != nil {

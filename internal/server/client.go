@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"megh/internal/cluster"
 	"megh/internal/obs"
 	"megh/internal/sim"
 )
@@ -31,16 +32,28 @@ const (
 // (transport errors, 5xx responses, and 429 throttles from the admission
 // gate) are retried with exponential backoff and jitter before an error is
 // surfaced, so a single dropped connection does not poison a long-running
-// caller.
+// caller. Every request takes a context.Context that cancels both the
+// in-flight request and any backoff sleep.
 //
-// Every request method takes a context.Context variant (DecideCtx,
-// StatsCtx, …) that cancels both the in-flight request and any backoff
-// sleep; the context-free methods are thin wrappers over
-// context.Background() kept for compatibility. Session-scoped requests go
-// through Session(id), which returns a view over the /v2 API.
+// Session-scoped requests go through Session(id), which returns a view over
+// the /v2 API. Against a cluster, Refresh lets those views go straight to
+// each session's ring owner.
 type Client struct {
 	base string
-	hc   *http.Client
+	*conn
+
+	// mu guards the routing view the last Refresh adopted: ring is nil
+	// unless that Refresh found a cluster, and nodes maps each alive node's
+	// name to a client on its URL.
+	mu    sync.RWMutex
+	ring  *cluster.Ring
+	nodes map[string]*Client
+}
+
+// conn is what a client shares with the node clients its Refresh builds:
+// the transport, the retry policy, and the retry counter.
+type conn struct {
+	hc *http.Client
 
 	maxAttempts int
 	baseDelay   time.Duration
@@ -58,13 +71,12 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{
-		base:        baseURL,
+	return &Client{base: baseURL, conn: &conn{
 		hc:          httpClient,
 		maxAttempts: defaultMaxAttempts,
 		baseDelay:   defaultRetryBaseDelay,
 		jitter:      rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
+	}}
 }
 
 // SetRetryPolicy overrides the retry budget: maxAttempts total tries per
@@ -243,53 +255,7 @@ func (c *Client) finish(path string, resp *http.Response, out any) error {
 	return nil
 }
 
-// --- /v1 methods --------------------------------------------------------
-
-// DecideCtx posts a snapshot and returns the service's migration decisions.
-func (c *Client) DecideCtx(ctx context.Context, req StateRequest) (DecideResponse, error) {
-	var out DecideResponse
-	err := c.send(ctx, http.MethodPost, "/v1/decide", req, &out)
-	return out, err
-}
-
-// Decide is DecideCtx with context.Background().
-func (c *Client) Decide(req StateRequest) (DecideResponse, error) {
-	return c.DecideCtx(context.Background(), req)
-}
-
-// FeedbackCtx reports the realised cost of an interval.
-func (c *Client) FeedbackCtx(ctx context.Context, fb FeedbackRequest) error {
-	return c.send(ctx, http.MethodPost, "/v1/feedback", fb, nil)
-}
-
-// Feedback is FeedbackCtx with context.Background().
-func (c *Client) Feedback(fb FeedbackRequest) error {
-	return c.FeedbackCtx(context.Background(), fb)
-}
-
-// StatsCtx fetches the learner internals.
-func (c *Client) StatsCtx(ctx context.Context) (StatsResponse, error) {
-	var out StatsResponse
-	err := c.send(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
-// Stats is StatsCtx with context.Background().
-func (c *Client) Stats() (StatsResponse, error) {
-	return c.StatsCtx(context.Background())
-}
-
-// CheckpointCtx asks the service to persist its learner state.
-func (c *Client) CheckpointCtx(ctx context.Context) (CheckpointResponse, error) {
-	var out CheckpointResponse
-	err := c.send(ctx, http.MethodPost, "/v1/checkpoint", struct{}{}, &out)
-	return out, err
-}
-
-// Checkpoint is CheckpointCtx with context.Background().
-func (c *Client) Checkpoint() (CheckpointResponse, error) {
-	return c.CheckpointCtx(context.Background())
-}
+// --- service methods ----------------------------------------------------
 
 // HealthCtx pings /healthz. No retries: health checks are themselves the
 // probe.
@@ -302,7 +268,7 @@ func (c *Client) HealthCtx(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("server: health check: %w", err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("server: health check: HTTP %d", resp.StatusCode)
 	}
@@ -323,10 +289,13 @@ func (c *Client) ListSessions(ctx context.Context) (SessionListResponse, error) 
 
 // Session returns a view of one named session on the /v2 API. The view
 // shares the parent client's transport, retry policy, and instrumentation.
-// Hold on to it: the view remembers the snapshot base the service accepted,
-// and a fresh view starts without one and sends one full snapshot first.
+// It is aimed at the session's ring owner when the last Refresh found a
+// cluster and knows the owner's URL, and at the client's own base otherwise
+// (the node-local default session always). Hold on to it: the view
+// remembers the snapshot base the service accepted, and a fresh view starts
+// without one and sends one full snapshot first.
 func (c *Client) Session(id string) *SessionClient {
-	return &SessionClient{c: c, id: id, prefix: "/v2/sessions/" + url.PathEscape(id)}
+	return &SessionClient{c: c.node(id), id: id, prefix: "/v2/sessions/" + url.PathEscape(id)}
 }
 
 // SessionClient scopes requests to one /v2 session. Decide and
@@ -598,17 +567,12 @@ func (s *SessionClient) TraceTail(ctx context.Context, n int) (TraceTailResponse
 
 // --- simulator adapter --------------------------------------------------
 
-// RemotePolicy adapts a meghd service into a sim.Policy, so the simulator
-// can drive the service over HTTP exactly as a monitoring pipeline would —
-// the loopback ("hardware-in-the-loop") configuration used by the service
-// integration tests and examples/service.
+// RemotePolicy adapts one session of a meghd service into a sim.Policy, so
+// the simulator can drive the service over HTTP exactly as a monitoring
+// pipeline would — the loopback ("hardware-in-the-loop") configuration used
+// by the service integration tests and examples/service.
 type RemotePolicy struct {
-	client *Client
-	// session, when non-nil, routes through the /v2 session API instead of
-	// the /v1 shim.
 	session *SessionClient
-	// name reported to the simulator.
-	name string
 	// err records the first post-retry failure; the policy degrades to
 	// no-ops afterwards. Because the client retries transient errors with
 	// backoff before surfacing them, a single dropped connection no longer
@@ -621,19 +585,13 @@ var (
 	_ sim.FeedbackReceiver = (*RemotePolicy)(nil)
 )
 
-// NewRemotePolicy wraps a client as a simulator policy on the /v1 shim.
-func NewRemotePolicy(client *Client) *RemotePolicy {
-	return &RemotePolicy{client: client, name: "Megh(remote)"}
-}
-
-// NewRemoteSessionPolicy wraps a session view as a simulator policy: the
-// same loopback shape, but against one tenant of a multi-session service.
+// NewRemoteSessionPolicy wraps a session view as a simulator policy.
 func NewRemoteSessionPolicy(sc *SessionClient) *RemotePolicy {
-	return &RemotePolicy{client: sc.c, session: sc, name: "Megh(remote:" + sc.id + ")"}
+	return &RemotePolicy{session: sc}
 }
 
 // Name implements sim.Policy.
-func (p *RemotePolicy) Name() string { return p.name }
+func (p *RemotePolicy) Name() string { return "Megh(remote:" + p.session.id + ")" }
 
 // Err returns the first exhausted-retries transport error, if any.
 func (p *RemotePolicy) Err() error { return p.err }
@@ -660,13 +618,7 @@ func (p *RemotePolicy) Decide(s *sim.Snapshot) []sim.Migration {
 			MIPS: spec.MIPS, RAMMB: spec.RAMMB, BandwidthMbps: spec.BandwidthMbps,
 		}
 	}
-	var resp DecideResponse
-	var err error
-	if p.session != nil {
-		resp, err = p.session.Decide(context.Background(), req)
-	} else {
-		resp, err = p.client.Decide(req)
-	}
+	resp, err := p.session.Decide(context.Background(), req)
 	if err != nil {
 		p.err = err
 		return nil
@@ -683,19 +635,13 @@ func (p *RemotePolicy) Observe(fb *sim.Feedback) {
 	if p.err != nil {
 		return
 	}
-	req := FeedbackRequest{
+	err := p.session.Feedback(context.Background(), FeedbackRequest{
 		Step:         fb.Step,
 		StepCost:     fb.StepCost,
 		EnergyCost:   fb.EnergyCost,
 		SLACost:      fb.SLACost,
 		ResourceCost: fb.ResourceCost,
-	}
-	var err error
-	if p.session != nil {
-		err = p.session.Feedback(context.Background(), req)
-	} else {
-		err = p.client.Feedback(req)
-	}
+	})
 	if err != nil {
 		p.err = err
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestClientContextCancelsStalledRequest: a server that never answers
-// must not hang a caller that set a deadline — DecideCtx returns as soon
+// must not hang a caller that set a deadline — the request returns as soon
 // as the context expires, carrying the deadline error.
 func TestClientContextCancelsStalledRequest(t *testing.T) {
 	// The handler holds the request open until the client gives up. The
@@ -29,12 +29,12 @@ func TestClientContextCancelsStalledRequest(t *testing.T) {
 	t.Cleanup(stall.Close)
 	t.Cleanup(func() { close(done) })
 
-	c := NewClient(stall.URL, nil)
+	def := NewClient(stall.URL, nil).Session(DefaultSessionID)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 
 	start := time.Now()
-	_, err := c.DecideCtx(ctx, testWorld(4, 3, false))
+	_, err := def.Stats(ctx)
 	if err == nil {
 		t.Fatal("stalled request must surface an error")
 	}
@@ -62,7 +62,7 @@ func TestClientContextCancelsBackoff(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	_, err := c.StatsCtx(ctx)
+	_, err := c.Session(DefaultSessionID).Stats(ctx)
 	if err == nil {
 		t.Fatal("cancelled retry loop must surface an error")
 	}
@@ -99,7 +99,7 @@ func TestClientRetries429FromAdmissionGate(t *testing.T) {
 
 	c := NewClient(flaky.URL, nil)
 	c.SetRetryPolicy(3, time.Millisecond)
-	if _, err := c.Decide(testWorld(4, 3, false)); err != nil {
+	if _, err := c.Session(DefaultSessionID).Decide(context.Background(), testWorld(4, 3, false)); err != nil {
 		t.Fatalf("two 429s within the retry budget must not surface: %v", err)
 	}
 	if calls.Load() != 3 {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,21 +18,23 @@ import (
 func TestClientEndpoints(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
 	c := NewClient(ts.URL, nil)
+	def := c.Session(DefaultSessionID)
+	ctx := context.Background()
 
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Decide(testWorld(4, 3, false))
+	out, err := def.Decide(ctx, testWorld(4, 3, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Step != 0 {
 		t.Fatalf("decide step %d", out.Step)
 	}
-	if err := c.Feedback(FeedbackRequest{Step: 0, StepCost: 0.3}); err != nil {
+	if err := def.Feedback(ctx, FeedbackRequest{Step: 0, StepCost: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
+	stats, err := def.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +45,14 @@ func TestClientEndpoints(t *testing.T) {
 
 func TestClientSurfacesServerErrors(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	c := NewClient(ts.URL, nil)
-	if _, err := c.Decide(StateRequest{}); err == nil {
+	def := NewClient(ts.URL, nil).Session(DefaultSessionID)
+	ctx := context.Background()
+	if _, err := def.Decide(ctx, StateRequest{}); err == nil {
 		t.Fatal("empty snapshot should surface the 400")
 	} else if !strings.Contains(err.Error(), "no hosts") {
 		t.Fatalf("error lost the server's message: %v", err)
 	}
-	if _, err := c.Checkpoint(); err == nil {
+	if _, err := def.Checkpoint(ctx); err == nil {
 		t.Fatal("checkpoint without a path should surface the 412")
 	}
 }
@@ -57,8 +62,36 @@ func TestClientTransportFailure(t *testing.T) {
 	if err := c.Health(); err == nil {
 		t.Fatal("expected a transport error")
 	}
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Session(DefaultSessionID).Stats(context.Background()); err == nil {
 		t.Fatal("expected a transport error")
+	}
+}
+
+// TestClientHealthReusesConnection: Health reads the answer to its end, so
+// the transport keeps the connection for the next call instead of dialling
+// one per probe.
+func TestClientHealthReusesConnection(t *testing.T) {
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(svc.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, ts.Client())
+	for i := 0; i < 5; i++ {
+		if err := c.Health(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("5 health checks opened %d connections, want 1", n)
 	}
 }
 
@@ -84,7 +117,7 @@ func TestLoopbackSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := NewRemotePolicy(NewClient(ts.URL, nil))
+	policy := NewRemoteSessionPolicy(NewClient(ts.URL, nil).Session(DefaultSessionID))
 	res, err := simulator.Run(policy)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +146,7 @@ func TestLoopbackSimulation(t *testing.T) {
 func TestRemotePolicyDegradesOnDeadServer(t *testing.T) {
 	ts := httptest.NewServer(nil)
 	ts.Close() // dead immediately
-	policy := NewRemotePolicy(NewClient(ts.URL, nil))
+	policy := NewRemoteSessionPolicy(NewClient(ts.URL, nil).Session(DefaultSessionID))
 
 	traces := []workload.Trace{{0.3}, {0.3}}
 	hosts, _ := sim.PlanetLabHosts(2)
@@ -158,7 +191,7 @@ func TestClientRetriesTransientServerErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 
-	if _, err := c.Decide(testWorld(4, 3, false)); err != nil {
+	if _, err := c.Session(DefaultSessionID).Decide(context.Background(), testWorld(4, 3, false)); err != nil {
 		t.Fatalf("two 503s within the retry budget must not surface: %v", err)
 	}
 	if got := reg.Counter("megh_client_retries_total", "", nil).Value(); got != 2 {
@@ -182,7 +215,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	c.SetRetryPolicy(3, time.Millisecond)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.ListSessions(context.Background()); err == nil {
 		t.Fatal("400 must surface an error")
 	}
 	if calls.Load() != 1 {
@@ -204,7 +237,7 @@ func TestClientExhaustsRetriesThenFails(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, nil)
 	c.SetRetryPolicy(3, time.Millisecond)
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.ListSessions(context.Background()); err == nil {
 		t.Fatal("exhausted retries must surface an error")
 	} else if !strings.Contains(err.Error(), "502") {
 		t.Fatalf("error should carry the final status: %v", err)
@@ -235,7 +268,7 @@ func TestRemotePolicySurvivesTransientBlip(t *testing.T) {
 
 	c := NewClient(flaky.URL, nil)
 	c.SetRetryPolicy(3, time.Millisecond)
-	policy := NewRemotePolicy(c)
+	policy := NewRemoteSessionPolicy(c.Session(DefaultSessionID))
 
 	traces := make([]workload.Trace, 4)
 	for i := range traces {

@@ -210,8 +210,8 @@ func (c *clusterRuntime) replicaPath(id string) string {
 
 // routeSession wraps a session-scoped handler with ownership routing:
 // requests for sessions this node does not own are proxied to the ring
-// owner. The default session is node-local by construction (each node has
-// its own /v1 shim learner), and already-forwarded requests are served
+// owner. The default session is node-local by construction (each node
+// builds its own from its Config), and already-forwarded requests are served
 // locally — the one-hop rule that keeps transiently split views from
 // looping.
 func (s *Service) routeSession(h http.HandlerFunc) http.HandlerFunc {

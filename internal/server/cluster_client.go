@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
-	"sync"
 
 	"megh/internal/cluster"
 )
@@ -39,141 +36,53 @@ func (c *Client) ClusterRebalance(ctx context.Context) (ClusterRebalanceResponse
 	return out, err
 }
 
-// --- ClusterClient ------------------------------------------------------
-
-// ClusterClient is a client-side router for a meghd cluster. It pulls the
-// membership view from GET /v2/cluster, rebuilds the same consistent-hash
-// ring the servers use, and hands out SessionClients aimed straight at
-// each session's owner — saving the server-side proxy hop on every
-// request. A stale view is never wrong, only slower: a request landing on
+// Refresh reads the membership view from the client's own base (GET
+// /v2/cluster) and rebuilds the consistent-hash ring the servers use, so
+// the views Session hands out afterwards go straight to each session's
+// owner and save the server-side proxy hop. An unclustered answer clears
+// the view. A stale view is never wrong, only slower: a request landing on
 // the old owner is proxied one hop to the new one, so Refresh is an
-// optimisation cadence, not a correctness requirement.
-//
-// Against an unclustered service the router degrades to a plain
-// passthrough of the seed node.
-type ClusterClient struct {
-	hc    *http.Client
-	seeds []*Client
-
-	mu      sync.RWMutex
-	ring    *cluster.Ring      // nil until the first successful Refresh on a clustered service
-	clients map[string]*Client // node name → client, from the last Refresh
-	epoch   int64
-	leader  string
-}
-
-// NewClusterClient builds a router over the given seed URLs (any subset
-// of the cluster; one reachable seed suffices) and performs an initial
-// Refresh. A nil httpClient means http.DefaultClient.
-func NewClusterClient(ctx context.Context, seedURLs []string, httpClient *http.Client) (*ClusterClient, error) {
-	if len(seedURLs) == 0 {
-		return nil, errors.New("server: cluster client needs at least one seed URL")
+// optimisation cadence — on a timer or after errors — not a correctness
+// requirement.
+func (c *Client) Refresh(ctx context.Context) error {
+	info, err := c.ClusterInfo(ctx)
+	if err != nil {
+		return err
 	}
-	cc := &ClusterClient{hc: httpClient}
-	for _, u := range seedURLs {
-		cc.seeds = append(cc.seeds, NewClient(u, httpClient))
-	}
-	if err := cc.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	return cc, nil
-}
-
-// Refresh re-pulls the membership view from the first reachable seed and
-// rebuilds the routing ring. Call it on a timer (or after errors) to chase
-// membership changes; between refreshes the server-side proxy covers any
-// staleness.
-func (cc *ClusterClient) Refresh(ctx context.Context) error {
-	var lastErr error
-	for _, seed := range cc.seeds {
-		info, err := seed.ClusterInfo(ctx)
-		if err != nil {
-			lastErr = err
-			continue
+	var ring *cluster.Ring
+	var nodes map[string]*Client
+	if info.Enabled {
+		alive := make([]string, 0, len(info.Nodes))
+		nodes = make(map[string]*Client, len(info.Nodes))
+		for _, n := range info.Nodes {
+			if n.State != cluster.StateAlive.String() {
+				continue
+			}
+			alive = append(alive, n.Name)
+			if n.URL != "" {
+				nodes[n.Name] = &Client{base: n.URL, conn: c.conn}
+			}
 		}
-		cc.adopt(info)
-		return nil
+		ring = cluster.NewRing(alive, info.VNodes)
 	}
-	return fmt.Errorf("server: cluster refresh: no seed reachable: %w", lastErr)
+	c.mu.Lock()
+	c.ring, c.nodes = ring, nodes
+	c.mu.Unlock()
+	return nil
 }
 
-// adopt installs a membership view as the routing state.
-func (cc *ClusterClient) adopt(info ClusterInfoResponse) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if !info.Enabled {
-		// Single-node service: route everything to the seed that answered.
-		cc.ring = nil
-		cc.clients = nil
-		cc.epoch = 0
-		cc.leader = ""
-		return
-	}
-	alive := make([]string, 0, len(info.Nodes))
-	clients := make(map[string]*Client, len(info.Nodes))
-	for _, n := range info.Nodes {
-		if n.State != cluster.StateAlive.String() || n.URL == "" {
-			continue
-		}
-		alive = append(alive, n.Name)
-		// Reuse the previous node client where the URL is unchanged, so
-		// connection pools survive refreshes.
-		if prev, ok := cc.clients[n.Name]; ok && prev.base == n.URL {
-			clients[n.Name] = prev
-		} else {
-			clients[n.Name] = NewClient(n.URL, cc.hc)
-		}
-	}
-	cc.ring = cluster.NewRing(alive, info.VNodes)
-	cc.clients = clients
-	cc.epoch = info.Epoch
-	cc.leader = info.Leader
-}
-
-// Node returns the client for the node owning session id — the seed
-// passthrough when the service is unclustered or the owner's URL is
-// unknown. The DefaultSessionID always maps to the seed: the /v1 shim
-// session is per-node and never routed.
-func (cc *ClusterClient) Node(id string) *Client {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	if cc.ring == nil || id == DefaultSessionID {
-		return cc.seeds[0]
-	}
-	if c, ok := cc.clients[cc.ring.Owner(id)]; ok {
+// node returns the client for the node owning session id under the view
+// the last Refresh adopted: c itself with no clustered view, for an owner
+// whose URL is unknown, and for the default session, which every node
+// serves locally.
+func (c *Client) node(id string) *Client {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.ring == nil || id == DefaultSessionID {
 		return c
 	}
-	return cc.seeds[0]
-}
-
-// Session returns a session view aimed at the session's ring owner.
-func (cc *ClusterClient) Session(id string) *SessionClient {
-	return cc.Node(id).Session(id)
-}
-
-// Leader returns a client for the current leader, falling back to the
-// seed when no leader is known.
-func (cc *ClusterClient) Leader() *Client {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	if c, ok := cc.clients[cc.leader]; ok {
-		return c
+	if n, ok := c.nodes[c.ring.Owner(id)]; ok {
+		return n
 	}
-	return cc.seeds[0]
-}
-
-// Epoch returns the alive-set generation of the adopted view (0 before
-// the first clustered Refresh).
-func (cc *ClusterClient) Epoch() int64 {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	return cc.epoch
-}
-
-// Clustered reports whether the adopted view came from a clustered
-// service.
-func (cc *ClusterClient) Clustered() bool {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	return cc.ring != nil
+	return c
 }

@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"megh/internal/cluster"
+	"megh/internal/obs"
 )
 
 // handlerHolder lets a httptest server exist before the service behind it
@@ -496,16 +499,13 @@ func TestClusterReplicaPutRejectsGarbage(t *testing.T) {
 
 func TestClusterClientRoutesToOwner(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b", "c")
-
-	cc, err := NewClusterClient(context.Background(), []string{tc.urls["a"]}, nil)
-	if err != nil {
+	ctx := context.Background()
+	c := NewClient(tc.urls["a"], nil)
+	if err := c.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !cc.Clustered() {
-		t.Fatal("cluster client did not detect cluster mode")
-	}
-	if cc.Leader().base != tc.urls["a"] {
-		t.Fatalf("leader client base %q, want %q", cc.Leader().base, tc.urls["a"])
+	if info, err := c.ClusterInfo(ctx); err != nil || !info.Enabled || info.Leader != "a" {
+		t.Fatalf("cluster view %+v, %v; want enabled with leader a", info, err)
 	}
 
 	// The client's local ring must agree with the servers' for every key.
@@ -513,50 +513,111 @@ func TestClusterClientRoutesToOwner(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("tenant-%d", i)
 		want := tc.urls[node.Owner(id).Name]
-		if got := cc.Node(id).base; got != want {
+		if got := c.Session(id).c.base; got != want {
 			t.Fatalf("client routes %s to %s, servers say %s", id, got, want)
 		}
 	}
-	// The default session is per-node and always goes to the seed.
-	if cc.Node(DefaultSessionID).base != tc.urls["a"] {
-		t.Fatal("default session should route to the seed")
+	// The default session is per-node and always goes to the client's base.
+	if c.Session(DefaultSessionID).c != c {
+		t.Fatal("default session should stay on the client's own base")
 	}
 
-	// End to end: a session created through the router lands directly on
+	// End to end: a session created through the client lands directly on
 	// its owner (no proxy hop needed, so the owner holds the record).
 	id := tc.idOwnedBy(t, "a", "c")
-	if _, err := cc.Session(id).Create(context.Background(), clusterSpec); err != nil {
+	if _, err := c.Session(id).Create(ctx, clusterSpec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tc.svcs["c"].mgr.get(id); err != nil {
-		t.Fatalf("owner c missing session created via cluster client: %v", err)
+		t.Fatalf("owner c missing session created via the refreshed client: %v", err)
 	}
+	// Refreshes and Session lookups may run concurrently on one client.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Refresh(ctx); err != nil {
+				t.Error(err)
+			}
+			if got := c.Session(id).c.base; got != tc.urls["c"] {
+				t.Errorf("concurrent lookup routes %s to %s", id, got)
+			}
+		}()
+	}
+	wg.Wait()
 
 	// Membership change: drop c, refresh, and routing follows the ring.
 	tc.servers["c"].Close()
 	tc.markDead("c")
-	if err := cc.Refresh(context.Background()); err != nil {
+	if err := c.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := cc.Node(id).base; got == tc.urls["c"] {
+	if got := c.Session(id).c.base; got == tc.urls["c"] {
 		t.Fatal("client still routes to the dead node after refresh")
 	}
 }
 
 func TestClusterClientUnclusteredPassthrough(t *testing.T) {
 	_, ts := newSessionService(t, 0)
-	cc, err := NewClusterClient(context.Background(), []string{ts.URL}, nil)
-	if err != nil {
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil)
+	if err := c.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if cc.Clustered() {
-		t.Fatal("unclustered service reported as clustered")
+	if info, err := c.ClusterInfo(ctx); err != nil || info.Enabled {
+		t.Fatalf("unclustered service reported as %+v, %v", info, err)
 	}
-	if cc.Node("anything").base != ts.URL {
-		t.Fatal("passthrough should route to the seed")
+	if c.Session("anything").c != c {
+		t.Fatal("passthrough should stay on the client's own base")
 	}
-	if _, err := cc.Session("solo").Create(context.Background(), clusterSpec); err != nil {
+	if _, err := c.Session("solo").Create(ctx, clusterSpec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterClientRetryPolicyReachesOwner: a view Refresh aimed at a ring
+// owner retries under its parent's policy, set before or after the Refresh,
+// and counts its retries on the parent's counter.
+func TestClusterClientRetryPolicyReachesOwner(t *testing.T) {
+	tc := newTestCluster(t, 2, "a", "b")
+	id := tc.idOwnedBy(t, "a", "b")
+	var calls atomic.Int64
+	owner := tc.svcs["b"].Handler()
+	tc.servers["b"].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			http.Error(w, "blip", http.StatusServiceUnavailable)
+			return
+		}
+		owner.ServeHTTP(w, r)
+	})
+
+	ctx := context.Background()
+	c := NewClient(tc.urls["a"], nil)
+	c.SetRetryPolicy(1, 0)
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	if err := c.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sc := c.Session(id)
+	if _, err := sc.Create(ctx, clusterSpec); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("one 503 under a one-attempt policy: err %v, want the 503", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("owner saw %d requests, want 1", n)
+	}
+
+	calls.Store(0)
+	c.SetRetryPolicy(2, time.Millisecond)
+	if _, err := sc.Create(ctx, clusterSpec); err != nil {
+		t.Fatalf("one 503 under a two-attempt policy must not surface: %v", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("owner saw %d requests, want 2", n)
+	}
+	if got := reg.Counter("megh_client_retries_total", "", nil).Value(); got != 1 {
+		t.Fatalf("retry counter = %d, want 1", got)
 	}
 }
 
@@ -759,12 +820,12 @@ func TestClusterClientMethodsAndAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cc, err := NewClusterClient(ctx, []string{tc.urls["a"]}, nil)
+	info, err := c.ClusterInfo(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.Epoch() != tc.svcs["a"].ClusterNode().Epoch() {
-		t.Fatalf("client epoch %d != node epoch %d", cc.Epoch(), tc.svcs["a"].ClusterNode().Epoch())
+	if info.Epoch != tc.svcs["a"].ClusterNode().Epoch() {
+		t.Fatalf("client epoch %d != node epoch %d", info.Epoch, tc.svcs["a"].ClusterNode().Epoch())
 	}
 
 	// StartCluster on an unclustered service is a no-op, not a hang.
@@ -782,14 +843,14 @@ func TestClusterClientMethodsAndAccessors(t *testing.T) {
 }
 
 func TestClusterClientNoReachableSeed(t *testing.T) {
-	if _, err := NewClusterClient(context.Background(), nil, nil); err == nil {
-		t.Fatal("empty seed list should fail")
-	}
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	cc, err := NewClusterClient(context.Background(), []string{dead.URL}, nil)
-	if err == nil {
-		t.Fatalf("unreachable seed should fail the initial refresh, got %+v", cc)
+	c := NewClient(dead.URL, nil)
+	if err := c.Refresh(context.Background()); err == nil {
+		t.Fatal("an unreachable base should fail the refresh")
+	}
+	if c.Session("x").c != c {
+		t.Fatal("a failed refresh should leave session views on the client's own base")
 	}
 }
 

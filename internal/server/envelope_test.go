@@ -35,16 +35,16 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"decide bad json", "POST", "/v1/decide", `not json`, http.StatusBadRequest},
-		{"decide empty snapshot", "POST", "/v1/decide", `{}`, http.StatusBadRequest},
-		{"decide wrong dims", "POST", "/v1/decide",
+		{"decide bad json", "POST", "/v2/sessions/default/decide", `not json`, http.StatusBadRequest},
+		{"decide empty snapshot", "POST", "/v2/sessions/default/decide", `{}`, http.StatusBadRequest},
+		{"decide wrong dims", "POST", "/v2/sessions/default/decide",
 			`{"step":0,"hosts":[{"mips":4000,"ram_mb":8192}],"vms":[{"host":0,"utilization":0.5,"mips":1000,"ram_mb":512}]}`,
 			http.StatusBadRequest},
-		{"feedback bad json", "POST", "/v1/feedback", `{`, http.StatusBadRequest},
-		{"feedback negative cost", "POST", "/v1/feedback", `{"step_cost":-1}`, http.StatusBadRequest},
-		{"trace tail bad n", "GET", "/v1/trace/tail?n=bogus", "", http.StatusBadRequest},
+		{"feedback bad json", "POST", "/v2/sessions/default/feedback", `{`, http.StatusBadRequest},
+		{"feedback negative cost", "POST", "/v2/sessions/default/feedback", `{"step_cost":-1}`, http.StatusBadRequest},
+		{"trace tail bad n", "GET", "/v2/sessions/default/trace/tail?n=bogus", "", http.StatusBadRequest},
 		{"unknown route", "GET", "/v1/nope", "", http.StatusNotFound},
-		{"method mismatch", "DELETE", "/v1/stats", "", http.StatusMethodNotAllowed},
+		{"method mismatch", "DELETE", "/v2/sessions/default/stats", "", http.StatusMethodNotAllowed},
 		{"v2 invalid session id", "PUT", "/v2/sessions/bad!id", `{"num_vms":4,"num_hosts":3}`, http.StatusBadRequest},
 		{"v2 reserved id", "PUT", "/v2/sessions/default", `{"num_vms":4,"num_hosts":3}`, http.StatusConflict},
 		{"v2 spec bad json", "PUT", "/v2/sessions/x1", `nope`, http.StatusBadRequest},

@@ -296,7 +296,7 @@ func TestDecideExemplarLinksRequestID(t *testing.T) {
 	_, ts := newSessionService(t, 0)
 	world := testWorld(4, 3, true)
 	raw, _ := json.Marshal(world)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/decide", bytes.NewReader(raw))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/sessions/default/decide", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -28,10 +29,10 @@ func TestDecideConcurrentConsistency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			req := rotatedWorld(nVMs, nHosts, g)
-			c := NewClient(ts.URL, nil)
+			sc := NewClient(ts.URL, nil).Session(DefaultSessionID)
 			for i := 0; i < rounds; i++ {
 				req.Step = g*rounds + i
-				resp, err := c.Decide(req)
+				resp, err := sc.Decide(context.Background(), req)
 				if err != nil {
 					t.Error(err)
 					return

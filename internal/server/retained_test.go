@@ -405,7 +405,7 @@ func TestBatchHoldsOneSnapshot(t *testing.T) {
 func TestOnlyCanonicalBodiesLeaveScratch(t *testing.T) {
 	svc, _ := newSessionService(t, 0)
 	full := grid10k()
-	sess, _, err := svc.mgr.put("grid", SessionSpec{NumVMs: len(full.VMs), NumHosts: len(full.Hosts)}, false)
+	sess, _, err := svc.mgr.put("grid", SessionSpec{NumVMs: len(full.VMs), NumHosts: len(full.Hosts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func BenchmarkDecideHandler(b *testing.B) {
 			b.Fatal(err)
 		}
 		grid := grid10k()
-		if _, _, err := svc.mgr.put("grid", SessionSpec{NumVMs: len(grid.VMs), NumHosts: len(grid.Hosts)}, false); err != nil {
+		if _, _, err := svc.mgr.put("grid", SessionSpec{NumVMs: len(grid.VMs), NumHosts: len(grid.Hosts)}); err != nil {
 			b.Fatal(err)
 		}
 		full, err := json.Marshal(grid)

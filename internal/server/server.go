@@ -25,7 +25,7 @@ import (
 // Config sizes the service.
 type Config struct {
 	// NumVMs and NumHosts fix the default session's projected space; every
-	// snapshot posted to /v1 (or to /v2 session "default") must match.
+	// snapshot posted to session "default" must match.
 	NumVMs, NumHosts int
 	// OverloadThreshold is β; 0 means 0.70. Sessions whose spec leaves the
 	// threshold unset inherit it.
@@ -65,9 +65,9 @@ type Config struct {
 	Seed int64
 	// Tracer optionally records one structured event per decision and per
 	// feedback post on the default session. The in-memory tail is served at
-	// GET /v1/trace/tail. Nil disables default-session tracing (the
-	// endpoint then reports enabled=false). /v2 sessions each get their own
-	// ring tracer regardless (see SessionRing).
+	// GET /v2/sessions/default/trace/tail. Nil disables default-session
+	// tracing (the endpoint then reports enabled=false). Other sessions each
+	// get their own ring tracer regardless (see SessionRing).
 	Tracer *trace.Tracer
 	// HealthProbeEvery is the cadence, in decides, of every session health
 	// tracker's sampled consistency probes (θ = B·z spot checks and the
@@ -102,9 +102,8 @@ const DefMetricsSessionTopK = 10
 // Service is the HTTP scheduling service: a registry of named sessions,
 // each an independent data center with its own learner, tracer ring,
 // metrics, and lock (decides for different tenants never contend on one
-// mutex). The /v1 routes are a shim bound to the reserved "default"
-// session; /v2 exposes the full multi-tenant surface. Safe for concurrent
-// use.
+// mutex). The reserved "default" session is sized by the Config itself;
+// every other session is created through /v2. Safe for concurrent use.
 type Service struct {
 	cfg Config
 	reg *obs.Registry
@@ -259,7 +258,7 @@ func New(cfg Config) (*Service, error) {
 		s.slo = obs.NewSLO(obs.SLOConfig{Name: "decide", Objective: objective})
 	}
 
-	// The default session backs the /v1 shim: pinned (never evicted),
+	// The default session is the Config's own: pinned (never evicted),
 	// instrumented on the service registry, traced by the shared tracer,
 	// and checkpointing to CheckpointPath (falling back to the session
 	// directory when only that is configured).
@@ -320,21 +319,6 @@ func (s *Service) Handler() http.Handler {
 		mux.HandleFunc(pattern, s.instrument(route, h))
 	}
 
-	// /v1: the single-tenant shim, bound to the reserved default session.
-	handle("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
-		s.decideSession(w, r, s.def)
-	})
-	handle("POST /v1/feedback", func(w http.ResponseWriter, r *http.Request) {
-		s.feedbackSession(w, r, s.def)
-	})
-	handle("GET /v1/stats", s.handleStats)
-	handle("POST /v1/checkpoint", func(w http.ResponseWriter, _ *http.Request) {
-		s.checkpointHandler(w, s.def)
-	})
-	handle("GET /v1/trace/tail", func(w http.ResponseWriter, r *http.Request) {
-		s.traceTailSession(w, r, s.def)
-	})
-
 	// /v2: the multi-tenant session surface. Every {id}-scoped route goes
 	// through routeSession, which — in cluster mode — proxies requests
 	// for sessions owned by another node to that node (no-op wrapper when
@@ -368,17 +352,16 @@ func (s *Service) Handler() http.Handler {
 	handle("DELETE /v2/cluster/replicas/{id}", s.handleReplicaDelete)
 	handle("POST /v2/cluster/rebalance", s.handleRebalance)
 
-	// Like /v1's /metrics before it, the global scrape endpoint stays
-	// outside the instrument middleware so scrapes don't inflate the
-	// request metrics they collect.
+	// The global scrape endpoint stays outside the instrument middleware so
+	// scrapes don't inflate the request metrics they collect.
 	patterns = append(patterns, "GET /metrics")
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 
 	// Pin the decide-route latency histograms so the fleet health endpoint
 	// can surface their exemplars; the registry returns the same instances
 	// the middleware observes into.
-	decideLats := make([]*obs.Histogram, 0, 3)
-	for _, route := range []string{"/v1/decide", "/v2/sessions/:id/decide", "/v2/sessions/:id/decide/batch"} {
+	decideLats := make([]*obs.Histogram, 0, 2)
+	for _, route := range []string{"/v2/sessions/:id/decide", "/v2/sessions/:id/decide/batch"} {
 		decideLats = append(decideLats, s.reg.Histogram("megh_http_request_seconds",
 			"HTTP request latency in seconds, by route.", obs.Labels{"route": route}))
 	}
@@ -717,7 +700,7 @@ func (s *Service) adoptBase(sess *session, held, base *snapshotBase, elided bool
 	}
 }
 
-// --- session handlers (shared by /v1 and /v2) ---------------------------
+// --- session handlers ---------------------------------------------------
 
 func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	// Decode and validate before admission: the gate weighs requests by item
@@ -942,16 +925,6 @@ func (s *Service) sessionStats(sess *session) (SessionStatsResponse, error) {
 	return resp, err
 }
 
-func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
-	resp, err := s.sessionStats(s.def)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	// /v1 predates sessions: answer the historical flat shape.
-	writeJSON(w, http.StatusOK, resp.StatsResponse)
-}
-
 func (s *Service) statsSession(w http.ResponseWriter, _ *http.Request, sess *session) {
 	resp, err := s.sessionStats(sess)
 	if err != nil {
@@ -987,7 +960,7 @@ func (s *Service) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, maxSmallBodyBytes, &spec, "session spec") {
 		return
 	}
-	sess, created, err := s.mgr.put(id, spec, false)
+	sess, created, err := s.mgr.put(id, spec)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -1020,13 +993,6 @@ func (s *Service) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 // errNoCheckpointPath distinguishes "not configured" from I/O failures.
 var errNoCheckpointPath = errors.New("no checkpoint path configured")
-
-// Checkpoint persists the default session's learner state atomically
-// (unique temp file + rename, so concurrent checkpoints each complete a
-// private file and the last rename wins with a fully written image).
-func (s *Service) Checkpoint() (CheckpointResponse, error) {
-	return s.checkpointSession(s.def)
-}
 
 // CheckpointAll persists every resident session that has a checkpoint
 // path; evicted sessions are already on disk. Returns how many files

@@ -107,7 +107,7 @@ func TestDecideRespondsToOverload(t *testing.T) {
 	for step := 0; step < 20 && !sawMigration; step++ {
 		world := testWorld(6, 7, true)
 		world.Step = step
-		resp := postJSON(t, ts.URL+"/v1/decide", world)
+		resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", world)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("decide status %d", resp.StatusCode)
 		}
@@ -120,7 +120,7 @@ func TestDecideRespondsToOverload(t *testing.T) {
 				sawMigration = true
 			}
 		}
-		fb := postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Step: step, StepCost: 0.5})
+		fb := postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{Step: step, StepCost: 0.5})
 		if fb.StatusCode != http.StatusNoContent {
 			t.Fatalf("feedback status %d", fb.StatusCode)
 		}
@@ -142,13 +142,13 @@ func TestDecideRejectsMalformed(t *testing.T) {
 		func() StateRequest { w := testWorld(4, 3, false); w.Hosts[0].MIPS = 0; return w }(),
 	}
 	for i, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/decide", c)
+		resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", c)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
 	// Non-JSON body.
-	resp, err := http.Post(ts.URL+"/v1/decide", "application/json",
+	resp, err := http.Post(ts.URL+"/v2/sessions/default/decide", "application/json",
 		strings.NewReader("not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestDecideRejectsMalformed(t *testing.T) {
 
 func TestFeedbackRejectsNegativeCost(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	resp := postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{StepCost: -1})
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{StepCost: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
@@ -169,8 +169,8 @@ func TestFeedbackRejectsNegativeCost(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, true))
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, true))
+	resp, err := http.Get(ts.URL + "/v2/sessions/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestCheckpointAndRestore(t *testing.T) {
 	for step := 0; step < 5; step++ {
 		world := testWorld(4, 3, true)
 		world.Step = step
-		postJSON(t, ts.URL+"/v1/decide", world)
-		postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Step: step, StepCost: 0.4})
+		postJSON(t, ts.URL+"/v2/sessions/default/decide", world)
+		postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{Step: step, StepCost: 0.4})
 	}
-	resp := postJSON(t, ts.URL+"/v1/checkpoint", struct{}{})
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/checkpoint", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
@@ -234,7 +234,7 @@ func TestCheckpointAndRestore(t *testing.T) {
 
 func TestCheckpointWithoutPathFails(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	resp := postJSON(t, ts.URL+"/v1/checkpoint", struct{}{})
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/checkpoint", struct{}{})
 	if resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("status %d, want 412", resp.StatusCode)
 	}
@@ -248,7 +248,7 @@ func TestConcurrentDecides(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				world := testWorld(4, 3, i%2 == 0)
 				raw, _ := json.Marshal(world)
-				resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(raw))
+				resp, err := http.Post(ts.URL+"/v2/sessions/default/decide", "application/json", bytes.NewReader(raw))
 				if err != nil {
 					done <- err
 					return
@@ -276,7 +276,7 @@ func TestConcurrentDecides(t *testing.T) {
 func TestStaleCheckpointRefusedAtStartup(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "megh.ckpt")
 	_, ts := newTestService(t, 4, 3, path)
-	resp := postJSON(t, ts.URL+"/v1/checkpoint", struct{}{})
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/checkpoint", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
@@ -305,7 +305,7 @@ func TestLearnerPanicBecomesHTTP500(t *testing.T) {
 	svc.def.learner = bad
 	svc.def.mu.Unlock()
 
-	resp := postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, false))
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, false))
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
@@ -318,7 +318,7 @@ func TestLearnerPanicBecomesHTTP500(t *testing.T) {
 	}
 	// The error counter must have recorded it.
 	if got := svc.Metrics().Counter("megh_http_errors_total", "",
-		obs.Labels{"route": "/v1/decide"}).Value(); got != 1 {
+		obs.Labels{"route": "/v2/sessions/:id/decide"}).Value(); got != 1 {
 		t.Fatalf("error counter = %d, want 1", got)
 	}
 }
@@ -333,14 +333,14 @@ func TestConcurrentCheckpointsDoNotCorrupt(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		world := testWorld(4, 3, true)
 		world.Step = step
-		postJSON(t, ts.URL+"/v1/decide", world)
-		postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Step: step, StepCost: 0.4})
+		postJSON(t, ts.URL+"/v2/sessions/default/decide", world)
+		postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{Step: step, StepCost: 0.4})
 	}
 	const writers = 8
 	done := make(chan int, writers)
 	for g := 0; g < writers; g++ {
 		go func() {
-			resp := postJSON(t, ts.URL+"/v1/checkpoint", struct{}{})
+			resp := postJSON(t, ts.URL+"/v2/sessions/default/checkpoint", struct{}{})
 			done <- resp.StatusCode
 		}()
 	}
@@ -374,9 +374,9 @@ func TestConcurrentCheckpointsDoNotCorrupt(t *testing.T) {
 // request counters, and the learner gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, true))
-	postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Step: 0, StepCost: 0.4})
-	postJSON(t, ts.URL+"/v1/decide", StateRequest{}) // one 400 for the error counter
+	postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, true))
+	postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{Step: 0, StepCost: 0.4})
+	postJSON(t, ts.URL+"/v2/sessions/default/decide", StateRequest{}) // one 400 for the error counter
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -396,12 +396,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"# TYPE megh_http_requests_total counter",
-		`megh_http_requests_total{route="/v1/decide"} 2`,
-		`megh_http_requests_total{route="/v1/feedback"} 1`,
-		`megh_http_errors_total{route="/v1/decide"} 1`,
+		`megh_http_requests_total{route="/v2/sessions/:id/decide"} 2`,
+		`megh_http_requests_total{route="/v2/sessions/:id/feedback"} 1`,
+		`megh_http_errors_total{route="/v2/sessions/:id/decide"} 1`,
 		"# TYPE megh_http_request_seconds histogram",
-		`megh_http_request_seconds_bucket{route="/v1/decide",le="+Inf"} 2`,
-		`megh_http_request_seconds_count{route="/v1/decide"} 2`,
+		`megh_http_request_seconds_bucket{route="/v2/sessions/:id/decide",le="+Inf"} 2`,
+		`megh_http_request_seconds_count{route="/v2/sessions/:id/decide"} 2`,
 		"# TYPE megh_decide_seconds histogram",
 		"megh_decide_seconds_count 1",
 		"# TYPE megh_qtable_nnz gauge",
@@ -441,16 +441,16 @@ func TestTraceTailEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// A decide and a feedback should each leave one event in the ring.
-	resp := postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, true))
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, true))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decide status %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Step: 0, StepCost: 1.5, EnergyCost: 1, SLACost: 0.5})
+	resp = postJSON(t, ts.URL+"/v2/sessions/default/feedback", FeedbackRequest{Step: 0, StepCost: 1.5, EnergyCost: 1, SLACost: 0.5})
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("feedback status %d", resp.StatusCode)
 	}
 
-	get, err := http.Get(ts.URL + "/v1/trace/tail?n=10")
+	get, err := http.Get(ts.URL + "/v2/sessions/default/trace/tail?n=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestTraceTailEndpoint(t *testing.T) {
 		t.Fatalf("second event is not the feedback step event: %+v", second)
 	}
 
-	if resp, err := http.Get(ts.URL + "/v1/trace/tail?n=bogus"); err != nil {
+	if resp, err := http.Get(ts.URL + "/v2/sessions/default/trace/tail?n=bogus"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -491,7 +491,7 @@ func TestTraceTailEndpoint(t *testing.T) {
 
 func TestTraceTailDisabled(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
-	get, err := http.Get(ts.URL + "/v1/trace/tail")
+	get, err := http.Get(ts.URL + "/v2/sessions/default/trace/tail")
 	if err != nil {
 		t.Fatal(err)
 	}

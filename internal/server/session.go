@@ -25,7 +25,7 @@ import (
 // operations, never across learner work.
 const numShards = 32
 
-// DefaultSessionID is the reserved session backing the /v1 shim. It is
+// DefaultSessionID is the reserved session the service Config sizes. It is
 // pinned (never evicted) and cannot be created or deleted through /v2.
 const DefaultSessionID = "default"
 
@@ -91,7 +91,7 @@ type session struct {
 	// whole merged batch.
 	coal coalescer
 
-	// pinned sessions (the /v1 default) are never evicted.
+	// pinned sessions (the default) are never evicted.
 	pinned bool
 	// ckptPath is where this session checkpoints ("" = no persistence;
 	// such a session can never be evicted, only deleted).
@@ -315,7 +315,7 @@ func (m *sessionManager) get(id string) (*session, error) {
 // starts from its checkpoint file when one already exists on disk — that
 // is how learning survives a service restart — and from a fresh learner
 // otherwise. Returns the session and whether it was newly created.
-func (m *sessionManager) put(id string, spec SessionSpec, pinned bool) (*session, bool, error) {
+func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error) {
 	if !validSessionID(id) {
 		return nil, false, fmt.Errorf("%w: %q", errInvalidSessionID, id)
 	}
@@ -340,7 +340,6 @@ func (m *sessionManager) put(id string, spec SessionSpec, pinned bool) (*session
 	s := &session{
 		id:       id,
 		spec:     spec,
-		pinned:   pinned,
 		reg:      obs.NewRegistry(),
 		ckptPath: m.checkpointPath(id),
 	}
@@ -405,7 +404,7 @@ func (m *sessionManager) put(id string, spec SessionSpec, pinned bool) (*session
 }
 
 // delete removes a session and its checkpoint file. Pinned sessions (the
-// /v1 default) are reserved and refuse deletion.
+// default) are reserved and refuse deletion.
 func (m *sessionManager) delete(id string) error {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
@@ -416,7 +415,7 @@ func (m *sessionManager) delete(id string) error {
 	}
 	if s.pinned {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q backs the /v1 shim", errSessionReserved, id)
+		return fmt.Errorf("%w: %q is managed by the service configuration", errSessionReserved, id)
 	}
 	delete(sh.m, id)
 	sh.mu.Unlock()

@@ -115,7 +115,7 @@ func TestSessionCreateDecideDelete(t *testing.T) {
 	}
 	// The default session's world is 4×3 — a 6×7 snapshot must be refused
 	// there, proving the two learners are truly separate.
-	if _, err := c.Decide(testWorld(6, 7, true)); err == nil {
+	if _, err := c.Session(DefaultSessionID).Decide(ctx, testWorld(6, 7, true)); err == nil {
 		t.Fatal("default session accepted another tenant's world size")
 	}
 
@@ -383,7 +383,7 @@ func TestAdmissionGateSheds429(t *testing.T) {
 		t.Fatal("idle gate refused admission")
 	}
 
-	resp := postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, false))
+	resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, false))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full gate answered %d, want 429", resp.StatusCode)
 	}
@@ -400,7 +400,7 @@ func TestAdmissionGateSheds429(t *testing.T) {
 
 	// Free a slot; the same request now succeeds.
 	rel1()
-	resp = postJSON(t, ts.URL+"/v1/decide", testWorld(4, 3, false))
+	resp = postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, false))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("freed gate answered %d, want 200", resp.StatusCode)
 	}
@@ -433,13 +433,12 @@ func TestSessionPerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDefaultSessionReserved: the /v1 shim's backing session cannot be
-// created or deleted through /v2, but is visible and usable there.
+// TestDefaultSessionReserved: the session the service config sizes cannot
+// be created or deleted through /v2, but is visible and usable there.
 func TestDefaultSessionReserved(t *testing.T) {
 	_, ts := newSessionService(t, 0)
 	ctx := context.Background()
-	c := NewClient(ts.URL, nil)
-	def := c.Session(DefaultSessionID)
+	def := NewClient(ts.URL, nil).Session(DefaultSessionID)
 
 	if _, err := def.Create(ctx, SessionSpec{NumVMs: 4, NumHosts: 3}); err == nil {
 		t.Fatal("PUT /v2/sessions/default must be refused")
@@ -454,8 +453,8 @@ func TestDefaultSessionReserved(t *testing.T) {
 	if !info.Pinned || !info.Live {
 		t.Fatalf("default session info %+v", info)
 	}
-	// Decides through /v1 and /v2 hit the same learner.
-	if _, err := c.Decide(testWorld(4, 3, false)); err != nil {
+	// A decide through the view reaches the config's learner.
+	if _, err := def.Decide(ctx, testWorld(4, 3, false)); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := def.Stats(ctx)
@@ -463,7 +462,7 @@ func TestDefaultSessionReserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Decisions != 1 {
-		t.Fatalf("v2 view of default session missed the /v1 decide: %+v", stats)
+		t.Fatalf("default session stats missed the decide: %+v", stats)
 	}
 }
 
@@ -498,8 +497,8 @@ func TestCheckpointAllPersistsResidentSessions(t *testing.T) {
 			t.Fatalf("missing checkpoint after CheckpointAll: %v", err)
 		}
 	}
-	// The single-session variant reports the default session's file.
-	resp, err := svc.Checkpoint()
+	// A single-session checkpoint reports the default session's file.
+	resp, err := c.Session(DefaultSessionID).Checkpoint(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

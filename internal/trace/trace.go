@@ -8,7 +8,7 @@
 // A Tracer fans each Event out to two sinks: an optional JSONL stream
 // (buffered writer over a file or any io.Writer) and an optional bounded
 // in-memory ring for live inspection (meghd serves it at
-// GET /v1/trace/tail). Events are encoded with a hand-rolled append-based
+// GET /v2/sessions/{id}/trace/tail). Events are encoded with a hand-rolled append-based
 // JSON encoder so that (a) the enabled hot path stays cheap and (b) the
 // byte output is a pure function of the event values — two runs with the
 // same seed produce byte-identical traces, which is what makes

@@ -30,7 +30,6 @@
 package megh
 
 import (
-	"context"
 	"net/http"
 
 	"megh/internal/core"
@@ -138,15 +137,16 @@ func NewSimChecker() *SimChecker { return invariant.NewSimChecker() }
 // HTTP service and client, re-exported from internal/server: the same
 // scheduler as a deployable component (cmd/meghd) or embedded handler.
 type (
-	// Service hosts learners over HTTP: the versioned /v2 multi-session
-	// API plus the deprecated /v1 shim bound to the "default" session.
+	// Service hosts learners over HTTP as named /v2 sessions, among them
+	// the reserved "default" session its config sizes.
 	Service = server.Service
 	// ServiceConfig parameterises a Service (dimensions, checkpointing,
 	// session cap, admission limit).
 	ServiceConfig = server.Config
-	// ServiceClient is the typed HTTP client for a meghd endpoint. All
-	// methods have context-accepting forms and retry transient failures
-	// (5xx and 429) with exponential backoff.
+	// ServiceClient is the typed HTTP client for a meghd endpoint or
+	// cluster. Requests take a context and retry transient failures (5xx
+	// and 429) with exponential backoff; Refresh aims session views at
+	// their ring owners.
 	ServiceClient = server.Client
 	// SessionClient is a ServiceClient view scoped to one named /v2
 	// session; obtain one with ServiceClient.Session(id).
@@ -155,8 +155,8 @@ type (
 	SessionSpec = server.SessionSpec
 	// SessionInfo reports one session's spec, residency, and counters.
 	SessionInfo = server.SessionInfo
-	// RemotePolicy adapts a ServiceClient (or SessionClient) into a
-	// sim.Policy, so a simulation can drive a remote learner.
+	// RemotePolicy adapts a SessionClient into a sim.Policy, so a
+	// simulation can drive a remote learner.
 	RemotePolicy = server.RemotePolicy
 	// StateRequest is one monitoring interval's snapshot on the wire.
 	StateRequest = server.StateRequest
@@ -173,9 +173,6 @@ type (
 	// consistent-hash session routing, checkpoint replication, and
 	// leader-driven rebalancing. Set it on ServiceConfig.Cluster.
 	ClusterConfig = server.ClusterConfig
-	// ClusterClient routes session traffic straight to each session's
-	// ring owner, skipping the server-side proxy hop.
-	ClusterClient = server.ClusterClient
 )
 
 // NewService builds an HTTP service hosting Megh learners.
@@ -186,15 +183,6 @@ func NewService(cfg ServiceConfig) (*Service, error) { return server.New(cfg) }
 func NewServiceClient(baseURL string, httpClient *http.Client) *ServiceClient {
 	return server.NewClient(baseURL, httpClient)
 }
-
-// NewClusterClient builds a client-side router for a meghd cluster from
-// one or more seed URLs; see server.NewClusterClient.
-func NewClusterClient(ctx context.Context, seedURLs []string, httpClient *http.Client) (*ClusterClient, error) {
-	return server.NewClusterClient(ctx, seedURLs, httpClient)
-}
-
-// NewRemotePolicy adapts a v1 client into a simulator Policy.
-func NewRemotePolicy(c *ServiceClient) *RemotePolicy { return server.NewRemotePolicy(c) }
 
 // NewRemoteSessionPolicy adapts a session-scoped client into a Policy,
 // so one simulator process can drive many named remote learners.
