@@ -117,8 +117,8 @@ bench-trace:
 # its small fixed budget, the decide handler on the 10 000 × 1 000 grid must
 # allocate under a tenth of the 471 652 B/op it took before the session
 # retained its snapshot and request storage, the elided-snapshot codec
-# must allocate per request, not per VM (decode ≤ 4, encode ≤ 2 at 1 000
-# VMs), and a checkpoint image must cost what it is: encoding one allocates
+# must allocate per request, not per VM or batch item (decode ≤ 4, encode
+# ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), and a checkpoint image must cost what it is: encoding one allocates
 # the image and little else (≤ 1.05 × the image-bytes it reports — gob took
 # 4.7 ×), verifying one where it lies under 1 KB. Short iteration counts so
 # `make check` stays fast; benchjson fails the build on any regression.
@@ -196,6 +196,7 @@ fuzz-short:
 	$(GO) test -run=- -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=- -fuzz=FuzzElidedNumber -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzShermanMorrisonBasis -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -run=- -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=- -fuzz=FuzzRingOwners -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -18,22 +18,24 @@ import (
 // optional "feedback". SessionClient writes it with the append encoder
 // below, byte for byte what json.Marshal writes for the same value, and the
 // service parses it with elidedDecoder instead of encoding/json's reflective
-// decoder.
+// decoder; a feedback post, the other request of every interval, too.
 //
 // The decoder is form-selected: it recognises exactly the bytes the encoder
 // emits — fixed key order, no whitespace, no escapes, no nulls, nothing after
 // the closing brace — and gives up on anything else, whereupon the same
 // buffer goes to encoding/json (decodeRequest). Every shape it does accept
-// is valid JSON that encoding/json decodes to the same value (numbers go
-// through the same strconv calls), so the accepted language, the decoded
-// values and every error text remain encoding/json's; the full form — sent
-// once per session, and by every world too small to elide — never leaves it.
+// is valid JSON that encoding/json decodes to the same value (numbers to
+// strconv.ParseFloat's bits, decimal.go), so the accepted language, the
+// decoded values and every error text remain encoding/json's; the full form
+// — sent once per session, and by every world too small to elide — never
+// leaves it.
 
 // decodeRequest decodes one request body into v, which must be zero.
-// fallback reports that v is a snapshot or a batch of them and the body was
-// not the canonical elided form, so encoding/json decoded it. The canonical
-// form's VM and item slices are carved from sc, so v is good until sc is
-// recycled; what the fallback decodes owns its memory.
+// fallback reports that the body was not the canonical form of a snapshot,
+// a batch of them or a feedback post, so encoding/json decoded it. The
+// canonical form's VM entries, items and feedback are carved from sc — nil
+// will do for a feedback post — so v is good until sc is recycled; what the
+// fallback decodes owns its memory.
 func decodeRequest(buf []byte, v any, sc *requestScratch) (fallback bool, err error) {
 	d := elidedDecoder{b: buf, sc: sc}
 	switch v := v.(type) {
@@ -41,38 +43,47 @@ func decodeRequest(buf []byte, v any, sc *requestScratch) (fallback bool, err er
 		if d.state(v) && d.i == len(buf) {
 			return false, nil
 		}
-		*v, fallback = StateRequest{}, true
+		*v = StateRequest{}
 	case *BatchDecideRequest:
 		if d.batch(v) && d.i == len(buf) {
 			return false, nil
 		}
-		*v, fallback = BatchDecideRequest{}, true
+		*v = BatchDecideRequest{}
+	case *FeedbackRequest:
+		if d.feedback(v) && d.i == len(buf) {
+			return false, nil
+		}
+		*v = FeedbackRequest{}
 	}
-	return fallback, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
+	return true, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
 }
 
 // requestScratch is the storage one decide or decide/batch request needs only
-// until its handler returns: the body bytes, the decoded VM entries and a
-// batch's items. A session keeps one between requests (session.scratch), left
-// there by the last request whose body the canonical decoder accepted — and
-// only by those: the full form is sent once per session and runs to hundreds
-// of KB, which the session would otherwise hold on to for life.
+// until its handler returns: the body bytes, the decoded VM entries, a
+// batch's items and their feedback. A session keeps one between requests
+// (session.scratch), left there by the last request whose body the canonical
+// decoder accepted — and only by those: the full form is sent once per
+// session and runs to hundreds of KB, which the session would otherwise hold
+// on to for life.
 type requestScratch struct {
-	body  []byte
-	vms   []VMState
-	items []BatchDecideItem
+	body      []byte
+	vms       []VMState
+	items     []BatchDecideItem
+	feedbacks []FeedbackRequest
+	base      string // the last base decoded, shared while the bytes repeat
 }
 
-// takeVMs carves n entries off sc.vms for one snapshot. When they do not
-// fit, a new backing array replaces the old one, which the snapshots already
-// decoded keep; sc ends up holding the largest, so a stream of like requests
-// stops allocating after its first few.
-func (sc *requestScratch) takeVMs(n int) []VMState {
-	if cap(sc.vms)-len(sc.vms) < n {
-		sc.vms = make([]VMState, 0, max(n, 2*cap(sc.vms)))
+// carve takes n entries off the spare capacity of *s for one request; what
+// they held is the caller's to overwrite. When they do not fit, a new backing
+// array replaces the old one, which the requests already decoded keep; *s
+// ends up holding the largest, so a stream of like requests stops allocating
+// after its first few.
+func carve[T any](s *[]T, n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, 2*cap(*s)))
 	}
-	sc.vms = sc.vms[:len(sc.vms)+n]
-	return sc.vms[len(sc.vms)-n : len(sc.vms) : len(sc.vms)]
+	*s = (*s)[:len(*s)+n]
+	return (*s)[len(*s)-n : len(*s) : len(*s)]
 }
 
 // elidedDecoder walks a body in the canonical elided form. Every method
@@ -125,56 +136,31 @@ func (d *elidedDecoder) integer() (int, bool) {
 
 // maxNumberBytes is the longest number literal the decoder converts: the
 // conversion to string for strconv stays on the stack up to 32 bytes, and
-// encoding/json never writes a float64 longer than 24.
+// encoding/json never writes a float64 longer than 25
+// (-0.0000012345678901234567).
 const maxNumberBytes = 32
 
 // number consumes a JSON number and converts it as encoding/json does for a
-// float64 field: the JSON grammar first (strconv alone also takes "1.",
-// ".5", "0x1p-2", "1_0" and "inf"), then strconv.ParseFloat, whose refusal
-// (1e999) is left to the fallback to report.
+// float64 field, to strconv.ParseFloat's bits: scanNumber checks the grammar
+// (strconv alone also takes "1.", ".5", "0x1p-2", "1_0" and "inf") and
+// decimalToFloat converts a plain decimal; anything else goes to strconv on
+// the same bytes, whose refusal (1e999) is left to the fallback to report.
 func (d *elidedDecoder) number() (float64, bool) {
-	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && isDigit(b[i]):
-		for i++; i < len(b) && isDigit(b[i]); i++ {
-		}
-	default:
+	n, man, exp10, neg, plain := scanNumber(d.b[d.i:])
+	if n == 0 || n > maxNumberBytes {
 		return 0, false
 	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		frac := i
-		for ; i < len(b) && isDigit(b[i]); i++ {
-		}
-		if i == frac {
+	f, ok := 0.0, false
+	if plain {
+		f, ok = decimalToFloat(man, exp10, neg)
+	}
+	if !ok {
+		var err error
+		if f, err = strconv.ParseFloat(string(d.b[d.i:d.i+n]), 64); err != nil {
 			return 0, false
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		exp := i
-		for ; i < len(b) && isDigit(b[i]); i++ {
-		}
-		if i == exp {
-			return 0, false
-		}
-	}
-	if i-d.i > maxNumberBytes {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(b[d.i:i]), 64)
-	if err != nil {
-		return 0, false
-	}
-	d.i = i
+	d.i += n
 	return f, true
 }
 
@@ -202,6 +188,9 @@ func (d *elidedDecoder) state(r *StateRequest) bool {
 	end := d.i
 	if end == start || !d.lit(`"`) {
 		return false
+	}
+	if string(d.b[start:end]) != d.sc.base {
+		d.sc.base = string(d.b[start:end])
 	}
 	var failed []int
 	if d.lit(`,"failed_hosts":[`) {
@@ -232,7 +221,7 @@ func (d *elidedDecoder) state(r *StateRequest) bool {
 	if n == 0 || n*minVMBytes > span {
 		return false
 	}
-	vms := d.sc.takeVMs(n)
+	vms := carve(&d.sc.vms, n)
 	for j := range vms {
 		if j > 0 && !d.lit(`,`) {
 			return false
@@ -253,7 +242,7 @@ func (d *elidedDecoder) state(r *StateRequest) bool {
 	if !d.lit(`]}`) {
 		return false
 	}
-	*r = StateRequest{Step: step, Base: string(d.b[start:end]), FailedHosts: failed, VMs: vms}
+	*r = StateRequest{Step: step, Base: d.sc.base, FailedHosts: failed, VMs: vms}
 	return true
 }
 
@@ -302,7 +291,8 @@ func (d *elidedDecoder) batch(r *BatchDecideRequest) bool {
 			return false
 		}
 		if d.lit(`"feedback":`) {
-			it.Feedback = new(FeedbackRequest)
+			it.Feedback = &carve(&d.sc.feedbacks, 1)[0]
+			*it.Feedback = FeedbackRequest{}
 			if !d.feedback(it.Feedback) || !d.lit(`,`) {
 				return false
 			}

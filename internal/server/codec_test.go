@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -42,8 +43,9 @@ var decodeScratch session
 
 // decodeAgrees is the decoder's differential oracle: decodeRequest and the
 // json.Decoder call it stands in for must agree on data — error or not, the
-// error's text, the decoded value. It returns whether the fast path took the
-// input.
+// error's text, the decoded value, and every float64 in it to the bit, which
+// reflect.DeepEqual alone does not check (it holds −0 == +0). It returns
+// whether the fast path took the input.
 func decodeAgrees[T any](t *testing.T, data []byte) bool {
 	t.Helper()
 	var got, want T
@@ -56,13 +58,34 @@ func decodeAgrees[T any](t *testing.T, data []byte) bool {
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("decodeRequest: %v\nencoding/json: %v\ninput: %q", gotErr, wantErr, data)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, want) || !slices.Equal(floatBits(nil, reflect.ValueOf(got)), floatBits(nil, reflect.ValueOf(want))) {
 		t.Fatalf("decodeRequest: %+v\nencoding/json: %+v\ninput: %q", got, want, data)
 	}
 	if fast && gotErr != nil {
 		t.Fatalf("fast path returned %v for %q", gotErr, data)
 	}
 	return fast
+}
+
+// floatBits appends the bits of every float64 v holds, in field order.
+func floatBits(out []uint64, v reflect.Value) []uint64 {
+	switch v.Kind() {
+	case reflect.Float64:
+		out = append(out, math.Float64bits(v.Float()))
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = floatBits(out, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = floatBits(out, v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			out = floatBits(out, v.Index(i))
+		}
+	}
+	return out
 }
 
 // batchWraps returns state as the state of decide/batch items: alone, and
@@ -100,6 +123,12 @@ func codecSeeds() []codecSeed {
 		{"negative-zero", head + vms(`{"host":0,"utilization":-0}`), true},
 		{"small-exponent", head + vms(`{"host":0,"utilization":0.1e-7}`), true},
 		{"capital-exponent", head + vms(`{"host":0,"utilization":1E+0}`), true},
+		{"seventeen-digits", head + vms(`{"host":0,"utilization":0.12345678901234568}`), true},
+		{"mantissa-2p53-plus-1", head + vms(`{"host":0,"utilization":0.9007199254740993}`), true},
+		{"twenty-digits", head + vms(`{"host":0,"utilization":0.12345678901234567891}`), true},
+		{"table-edge", head + vms(`{"host":0,"utilization":0.0000010000000000000002}`), true},
+		{"e-form", head + vms(`{"host":0,"utilization":9.99e-7}`), true},
+		{"negative-zero-fraction", head + vms(`{"host":0,"utilization":-0.0}`), true},
 		{"negative-host", head + vms(`{"host":-1,"utilization":1}`), true},
 		{"long-step", `{"step":123456789012345678,"base":"d",` + vms(vm0), true},
 		{"whitespace", " {\n \"step\" : 4, \"base\" : \"d\" ,\t\"vms\" : [ { \"host\" : 0 , \"utilization\" : 1 } ] } ", false},
@@ -182,9 +211,28 @@ func TestDecodeFastPath(t *testing.T) {
 		"item without state": {`{"items":[{}]}`, false},
 		"trailing comma":     {`{"items":[{"state":` + state + `},]}`, false},
 		"bare state":         {state, false},
+		"bases differ":       {`{"items":[{"state":` + state + `},{"state":` + strings.Replace(state, `"d"`, `"e"`, 1) + `}]}`, true},
 	} {
 		if fast := decodeAgrees[BatchDecideRequest](t, []byte(tc.body)); fast != tc.fast {
 			t.Errorf("batch %s: fast path taken: %t, want %t", name, fast, tc.fast)
+		}
+	}
+
+	// The feedback route's body, which the same decoder reads.
+	for body, fast := range map[string]bool{
+		`{"step":3,"step_cost":0.5}`: true,
+		`{"step":3,"step_cost":-0.0,"energy_cost":0.25,"sla_cost":1e-7,"resource_cost":0.9007199254740993}`: true,
+		`{"step":3,"step_cost":0.5}` + "\n":                       false,
+		`{"step":3, "step_cost":0.5}`:                             false,
+		`{"step_cost":0.5,"step":3}`:                              false,
+		`{"step":3,"step_cost":0.5,"sla_cost":1,"energy_cost":1}`: false,
+		`{"step":3}`:                   false,
+		`{"step":3,"step_cost":1e999}`: false,
+		`{"step":3.5,"step_cost":1}`:   false,
+		`not json`:                     false,
+	} {
+		if got := decodeAgrees[FeedbackRequest](t, []byte(body)); got != fast {
+			t.Errorf("feedback %s: fast path taken: %t, want %t", body, got, fast)
 		}
 	}
 }
@@ -553,7 +601,7 @@ func TestBodyLimitIsOnTheBody(t *testing.T) {
 // the decide and decide/batch bodies encoding/json decoded — the full form
 // that uploads a base, and an elided body that is not the canonical bytes —
 // and stands still for what SessionClient sends in steady state, and for
-// the routes that have no fast path to fall back from.
+// feedback posts, which it does not count whichever decoder reads them.
 func TestDecodeFallbackCounter(t *testing.T) {
 	svc, ts := newSessionService(t, 0)
 	ctx := context.Background()
@@ -652,7 +700,9 @@ func paperBatch(tb testing.TB) []byte {
 // TestSnapshotCodecAllocs is the codec's allocation budget (`make
 // bench-alloc-gate` runs it): decoding a 1 000-VM elided snapshot allocates
 // the VM slice and the base string, encoding one the buffer — not one object
-// per VM or per number.
+// per VM or per number — and a 16-item batch decoded into the scratch the
+// batch before left allocates one base string, not a base and a feedback per
+// item.
 func TestSnapshotCodecAllocs(t *testing.T) {
 	req := grid10k()
 	req.Hosts[17].Failed = true
@@ -675,6 +725,18 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("encoding a 1000-VM elided snapshot took %.0f allocations, want at most 2", n)
+	}
+	batch := paperBatch(t)
+	var sess session
+	if n := testing.AllocsPerRun(20, func() {
+		sc := sess.takeScratch()
+		var got BatchDecideRequest
+		if fallback, err := decodeRequest(batch, &got, sc); fallback || err != nil || len(got.Items) != 16 {
+			t.Fatalf("fallback %t, err %v, %d items", fallback, err, len(got.Items))
+		}
+		sess.recycle(sc)
+	}); n > 4 {
+		t.Errorf("decoding a 16-item elided batch took %.0f allocations, want at most 4", n)
 	}
 }
 

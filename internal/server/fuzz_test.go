@@ -62,10 +62,11 @@ func FuzzDecideRequestJSON(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"step":4,"base":%q,"vms":[{"host":0,"utilization":1,"mips":9},{"host":0,"utilization":0.3},{"host":1,"utilization":2}]}`, held.digest)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The decode itself is differential: whatever the bytes, alone or as a
-		// batch item's state, the service decodes them to what encoding/json
-		// does, error text included.
+		// The decode itself is differential: whatever the bytes, alone, as a
+		// batch item's state or as a feedback post, the service decodes them
+		// to what encoding/json does, error text included.
 		decodeAgrees[StateRequest](t, data)
+		decodeAgrees[FeedbackRequest](t, data)
 		for _, wrapped := range batchWraps(data) {
 			decodeAgrees[BatchDecideRequest](t, wrapped)
 		}

@@ -626,13 +626,14 @@ func readBody(body io.Reader, declared, limit int64, into []byte) ([]byte, error
 }
 
 // decodeBody reads one JSON request body of at most limit bytes and decodes
-// it into v (bytes after the first JSON value are ignored, as json.Decoder
-// ignores them). On failure it has answered — see rejectBody — and returns
-// false.
+// it into v by decodeRequest — a feedback post in its canonical form skips
+// encoding/json, and bytes after the first JSON value are ignored, as
+// json.Decoder ignores them. On failure it has answered — see rejectBody —
+// and returns false.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
 	buf, err := readBody(r.Body, r.ContentLength, limit, nil)
 	if err == nil {
-		err = json.NewDecoder(bytes.NewReader(buf)).Decode(v)
+		_, err = decodeRequest(buf, v, nil)
 	}
 	if err != nil {
 		rejectBody(w, err, what)

@@ -114,7 +114,7 @@ func (s *session) recycle(sc *requestScratch) {
 		return
 	}
 	clear(sc.items) // drop the items' own pointers: base strings, feedback
-	sc.body, sc.vms, sc.items = sc.body[:0], sc.vms[:0], sc.items[:0]
+	sc.body, sc.vms, sc.items, sc.feedbacks = sc.body[:0], sc.vms[:0], sc.items[:0], sc.feedbacks[:0]
 	s.scratch.Store(sc)
 }
 
