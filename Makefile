@@ -197,6 +197,7 @@ fuzz-short:
 	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzElidedNumber -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=- -fuzz=FuzzAppendFloat -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzShermanMorrisonBasis -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -run=- -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=- -fuzz=FuzzRingOwners -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -314,8 +314,8 @@ type SessionClient struct {
 	base atomic.Pointer[string]
 
 	// spare is the append encoder's buffer between requests, nil while a
-	// request holds it or none has left one; a Decide that finds it empty
-	// allocates, as every Decide used to.
+	// request holds it or none has left one; a Decide, batch or Feedback
+	// that finds it empty allocates.
 	spare atomic.Pointer[sharedBody]
 }
 
@@ -532,11 +532,13 @@ func (s *SessionClient) DecideBatchChunkedCtx(ctx context.Context, req BatchDeci
 // Feedback reports the realised cost of an interval to the session.
 func (s *SessionClient) Feedback(ctx context.Context, fb FeedbackRequest) error {
 	path := s.prefix + "/feedback"
-	body, err := appendFeedback(make([]byte, 0, 128), &fb)
-	if err != nil {
+	body := s.takeBody(128)
+	defer body.release()
+	var err error
+	if body.buf, err = appendFeedback(body.buf, &fb); err != nil {
 		return encodingError(path, err)
 	}
-	return s.c.do(ctx, http.MethodPost, path, body, nil, nil)
+	return s.c.do(ctx, http.MethodPost, path, body.buf, body, nil)
 }
 
 // Stats fetches the session's learner internals (restoring it if evicted).

@@ -16,7 +16,8 @@ import (
 //
 // alone (decide) or as the "state" of decide/batch items with their
 // optional "feedback". SessionClient writes it with the append encoder
-// below, byte for byte what json.Marshal writes for the same value, and the
+// below, byte for byte what json.Marshal writes for the same value (every
+// nonzero utilization by shortestDecimal, decimal.go, not strconv), and the
 // service parses it with elidedDecoder instead of encoding/json's reflective
 // decoder; a feedback post, the other request of every interval, too.
 //
@@ -317,8 +318,12 @@ func (d *elidedDecoder) batch(r *BatchDecideRequest) bool {
 
 // appendFloat appends f as encoding/json writes a float64: ES6 number
 // formatting — exponent form below 1e-6 and from 1e21, with e-09 cleaned up
-// to e-9 — and for NaN and ±Inf encoding/json's own error.
+// to e-9 — and for NaN and ±Inf encoding/json's own error. ±[1e-6, 2^56),
+// which holds every nonzero utilization, takes shortestDecimal; the rest strconv.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if digits, exp10, ok := shortestDecimal(f); ok && math.Abs(f) >= 1e-6 {
+		return appendDecimal(b, f < 0, digits, exp10), nil
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		_, err := json.Marshal(f) // a *json.UnsupportedValueError
 		return b, err

@@ -430,8 +430,8 @@ func TestDecideResponseEncoder(t *testing.T) {
 
 // TestEncoderFloats: the append encoder writes every float64 the way
 // encoding/json does — the 'f'/'e' switch at 1e-6 and 1e21, the e-09 → e-9
-// clean-up, −0, the subnormal and the largest — and refuses what it refuses
-// with its own error.
+// clean-up, −0, the subnormal and the largest, and floatEdges, a VM's worth
+// per request — and refuses what it refuses with its own error.
 func TestEncoderFloats(t *testing.T) {
 	spy := &wireSpy{}
 	ts := httptest.NewServer(spy)
@@ -454,11 +454,9 @@ func TestEncoderFloats(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		floats = append(floats, math.Float64frombits(r.Uint64()), r.Float64(), r.NormFloat64()*1e-6)
 	}
-	for _, f := range floats {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			continue
-		}
-		req.VMs[3].Utilization = f
+	// send posts req as a decide and as a batch item with feedback f.
+	send := func(f float64) {
+		t.Helper()
 		if _, err := sc.Decide(ctx, req); err != nil {
 			t.Fatalf("%g: %v", f, err)
 		}
@@ -476,6 +474,20 @@ func TestEncoderFloats(t *testing.T) {
 				t.Fatalf("%g (bits %#x), request %d:\n got %s\nwant %s", f, math.Float64bits(f), i, got[i], want[i])
 			}
 		}
+	}
+	for _, f := range floats {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		req.VMs[3].Utilization = f
+		send(f)
+	}
+	edges := floatEdges()
+	for i := 0; i < len(edges); i += len(req.VMs) {
+		for j := range req.VMs {
+			req.VMs[j].Utilization = edges[(i+j)%len(edges)]
+		}
+		send(edges[i])
 	}
 
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -672,23 +684,33 @@ func grid10k() StateRequest {
 	return req
 }
 
-// paperBatch is a 16-item decide/batch request at the paper's 100 × 150
-// grid, every item elided and carrying feedback — the batch-replay
-// workload's steady state.
-func paperBatch(tb testing.TB) []byte {
+// paperBatchRequest is a 16-item decide/batch request at the paper's
+// 100 × 150 grid, every item carrying feedback, in full — what the
+// batch-replay workload's client encodes — with the digest all its items'
+// static fields share.
+func paperBatchRequest() (req BatchDecideRequest, digest string) {
 	r := rand.New(rand.NewSource(16))
-	var req BatchDecideRequest
 	for k := 0; k < 16; k++ {
 		world := testWorld(150, 100, false)
 		world.Step = k
 		for j := range world.VMs {
 			world.VMs[j].Utilization = r.Float64()
 		}
-		digest := staticDigest(world.Hosts, world.VMs)
+		digest = staticDigest(world.Hosts, world.VMs)
 		req.Items = append(req.Items, BatchDecideItem{
-			State:    elideSnapshot(&world, digest),
+			State:    world,
 			Feedback: &FeedbackRequest{Step: k - 1, StepCost: r.Float64(), EnergyCost: r.Float64(), SLACost: r.Float64()},
 		})
+	}
+	return req, digest
+}
+
+// paperBatch is paperBatchRequest with every item elided, as it goes on the
+// wire in steady state.
+func paperBatch(tb testing.TB) []byte {
+	req, digest := paperBatchRequest()
+	for i := range req.Items {
+		req.Items[i].State = elideSnapshot(&req.Items[i].State, digest)
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -742,8 +764,9 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 
 // BenchmarkSnapshotCodec is the tracked benchmark behind the budget table's
 // codec rows (DESIGN.md §7.5): the server's decode of the elided decide body
-// and of an elided 16-item batch, the client's encode, and the full-form
-// decode — the encoding/json fallback, which must cost what it always did.
+// and of an elided 16-item batch, the client's encode of each, and the
+// full-form decode — the encoding/json fallback, which must cost what it
+// always did.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	grid := grid10k()
 	digest := staticDigest(grid.Hosts, grid.VMs)
@@ -778,6 +801,33 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		}
 	})
 	b.Run("decode-batch16-100x150", decode(paperBatch(b), func() any { return new(BatchDecideRequest) }, false))
+	b.Run("encode-batch16-100x150", func(b *testing.B) {
+		// As DecideBatchCtx writes the body, into the view's reused buffer.
+		req, digest := paperBatchRequest()
+		var body []byte
+		encode := func() {
+			body = append(body[:0], `{"items":[`...)
+			for i := range req.Items {
+				if i > 0 {
+					body = append(body, ',')
+				}
+				var err error
+				if body, err = appendBatchItem(body, &req.Items[i], digest, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			body = append(body, `]}`...)
+		}
+		if encode(); !bytes.Equal(body, paperBatch(b)) {
+			b.Fatal("the encoder's batch differs from json.Marshal's")
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			encode()
+		}
+	})
 	full, err := json.Marshal(testWorld(150, 100, false))
 	if err != nil {
 		b.Fatal(err)

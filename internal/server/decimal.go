@@ -146,3 +146,104 @@ func decimalToFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	// man × 10^exp10 lies in [1e-22, 2^64), far inside the normal range.
 	return math.Float64frombits(sign | exp2<<52 | mant&(1<<52-1)), true
 }
+
+// schubfachRows holds the rows g(n) = ⌊10^n·2^(127−⌊log₂10^n⌋)⌋+1, n = 0…27,
+// of Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
+// 10^n = 5^n·2^n is exact while 5^n fits 64 bits, so a row is {5^n ≪ clz, 1}.
+var schubfachRows = func() (rows [28][2]uint64) {
+	for n, p := 0, uint64(1); n < len(rows); n, p = n+1, p*5 {
+		rows[n] = [2]uint64{p << bits.LeadingZeros64(p), 1}
+	}
+	return rows
+}()
+
+// ⌊log₁₀2^q⌋, ⌊log₁₀ ¾·2^q⌋, ⌊log₂10^n⌋: exact where used (TestSchubfachRows).
+func floorLog10Pow2(q int) int              { return q * 1262611 >> 22 }
+func floorLog10ThreeQuartersPow2(q int) int { return (q*1262611 - 524031) >> 22 }
+func floorLog2Pow10(n int) int              { return n * 1741647 >> 19 }
+
+// roundToOdd returns g·cp/2^128 truncated, made odd if that cut anything off.
+func roundToOdd(g *[2]uint64, cp uint64) uint64 {
+	x1, _ := bits.Mul64(g[1], cp)
+	y1, y0 := bits.Mul64(g[0], cp)
+	z, carry := bits.Add64(y0, x1, 0)
+	if z > 1 {
+		return y1 + carry | 1
+	}
+	return y1 + carry
+}
+
+// shortestDecimal returns the digits × 10^exp10 strconv's shortest
+// formatting gives |f| — the fewest digits that read back as |f|, of those
+// the closest, ties to even — by Schubfach over schubfachRows; digits has
+// no trailing zeros. ok is false outside [2^-37, 2^56), what the rows cover.
+func shortestDecimal(f float64) (digits uint64, exp10 int, ok bool) {
+	if a := math.Abs(f); !(a >= 0x1p-37 && a < 0x1p56) {
+		return 0, 0, false
+	}
+	// |f| = c·2^q; an integer below 2^53 is its own digits.
+	c := math.Float64bits(f)&(1<<52-1) | 1<<52
+	q := int(math.Float64bits(f)>>52&0x7FF) - 1075
+	if q <= 0 && bits.TrailingZeros64(c) >= -q {
+		digits = c >> uint(-q)
+	} else {
+		// 4·|f|·10^-k and the ends of the interval that rounds to |f|, which
+		// count when c is even; the float below a power of two is half as far.
+		cb, cbl, k := c<<2, c<<2-2, floorLog10Pow2(q)
+		if c == 1<<52 {
+			cbl, k = cb-1, floorLog10ThreeQuartersPow2(q)
+		}
+		g, h := &schubfachRows[-k], q+floorLog2Pow10(-k)+1
+		vb, odd := roundToOdd(g, cb<<h), c&1
+		lower, upper := roundToOdd(g, cbl<<h)+odd, roundToOdd(g, (cb+2)<<h)-odd
+		// One digit fewer if a multiple of ten is in (at most one fits);
+		// else s or s+1, whichever is in, or the closer, ties to even.
+		s := vb >> 2
+		if up, wp := lower <= s/10*40, s/10*40+40 <= upper; up != wp {
+			digits, exp10 = s/10, k+1
+			if wp {
+				digits++
+			}
+		} else if digits, exp10 = s, k; lower > 4*s || 4*s+4 <= upper && (vb > 4*s+2 || vb == 4*s+2 && s&1 == 1) {
+			digits++
+		}
+	}
+	for ; digits%10 == 0; digits, exp10 = digits/10, exp10+1 {
+	}
+	return digits, exp10, true
+}
+
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendDecimal appends ±digits·10^exp10 (in [1e-6, 2^56), digits < 10^17)
+// in strconv's 'f' form, two digits per step in 32-bit halves of 10^8.
+func appendDecimal(b []byte, neg bool, digits uint64, exp10 int) []byte {
+	var buf [18]byte
+	i, x := len(buf), uint32(digits)
+	pair := func(r uint32) { i -= 2; buf[i], buf[i+1] = digitPairs[2*r], digitPairs[2*r+1] }
+	if digits >= 1e8 {
+		for lo, j := uint32(digits%1e8), 0; j < 4; lo, j = lo/100, j+1 {
+			pair(lo % 100)
+		}
+		x = uint32(digits / 1e8)
+	}
+	for ; x >= 100; x /= 100 {
+		pair(x % 100)
+	}
+	if pair(x); x < 10 {
+		i++ // the leading zero of "05"
+	}
+	if neg {
+		b = append(b, '-')
+	}
+	d := buf[i:]
+	switch dp := len(d) + exp10; {
+	case exp10 >= 0: // exp10 ≤ 16 below 2^56
+		b = append(append(b, d...), "0000000000000000"[:exp10]...)
+	case dp > 0:
+		b = append(append(append(b, d[:dp]...), '.'), d[dp:]...)
+	default: // dp ≥ −5 from 1e-6 up
+		b = append(append(b, "0.00000"[:2-dp]...), d...)
+	}
+	return b
+}

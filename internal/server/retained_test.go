@@ -499,6 +499,28 @@ func TestClientBufferWaitsForTheTransport(t *testing.T) {
 	}
 }
 
+// TestFeedbackReusesTheViewsBuffer: a feedback post encodes into the view's
+// spare buffer and leaves it there, as Decide does, so consecutive feedbacks
+// on one view write into one backing array.
+func TestFeedbackReusesTheViewsBuffer(t *testing.T) {
+	tr := &holdingTransport{}
+	sc := NewClient("http://megh.test", &http.Client{Transport: tr}).Session("a")
+	var arrays []*byte
+	for step := 0; step < 2; step++ {
+		if err := sc.Feedback(context.Background(), FeedbackRequest{Step: step, StepCost: 0.25}); err != nil {
+			t.Fatal(err)
+		}
+		spare := sc.spare.Load()
+		if spare == nil || cap(spare.buf) == 0 {
+			t.Fatalf("feedback %d left no buffer on the view", step)
+		}
+		arrays = append(arrays, &spare.buf[:1][0])
+	}
+	if tr.n != 2 || arrays[0] != arrays[1] {
+		t.Fatalf("%d posts; the second feedback wrote into a new array: %p, then %p", tr.n, arrays[0], arrays[1])
+	}
+}
+
 // BenchmarkDecideHandler is the service's own share of a decide, handler in
 // to handler out, with no socket: the /v2 decide route over a recorder, fed
 // the canonical elided body of the 10 000 × 1 000 grid in steady state (base
