@@ -71,6 +71,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -110,7 +111,7 @@ func run() error {
 		drain = flag.Duration("drain-timeout", 10*time.Second,
 			"how long to wait for in-flight requests on shutdown")
 		healthProbeEvery = flag.Int("health-probe-every", 0,
-			"decides between sampled learning-health probes (theta and inverse-drift spot checks) per session; 0 = default cadence, <0 disables probing")
+			"decides between sampled learning-health probes (theta = B*z spot checks) per session; 0 = default cadence, <0 disables probing")
 		sloDecideP99 = flag.Float64("slo-decide-p99", 0,
 			"decide-latency SLO objective in seconds for the burn-rate tracking on /v2/health and /metrics; 0 = default, <0 disables")
 		metricsTopK = flag.Int("metrics-session-topk", 0,
@@ -139,11 +140,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	level, err := trace.ParseLevel(*logLevel)
+	level, err := parseLogLevel(*logLevel)
 	if err != nil {
 		return err
 	}
-	logger := trace.NewLogger(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	if *vms <= 0 || *hosts <= 0 {
 		return fmt.Errorf("-vms and -hosts are required and must be positive")
@@ -161,12 +162,12 @@ func run() error {
 		}
 		defer func() {
 			if cerr := tracer.Close(); cerr != nil {
-				logger.Errorf("closing trace sink: %v", cerr)
+				logger.Error(fmt.Sprintf("closing trace sink: %v", cerr))
 			}
 		}()
 		if *traceOut != "" {
-			logger.Infof("tracing decisions to %s (ring=%d, timings=%t)",
-				*traceOut, *traceRing, *traceTimings)
+			logger.Info(fmt.Sprintf("tracing decisions to %s (ring=%d, timings=%t)",
+				*traceOut, *traceRing, *traceTimings))
 		}
 	}
 
@@ -207,10 +208,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	logger.Infof("serving %d VMs × %d hosts on %s (β=%.2f, τ=%.0fs, checkpoint=%q)",
-		*vms, *hosts, *listen, *overload, *step, *checkpoint)
+	logger.Info(fmt.Sprintf("serving %d VMs × %d hosts on %s (β=%.2f, τ=%.0fs, checkpoint=%q)",
+		*vms, *hosts, *listen, *overload, *step, *checkpoint))
 	if *ckptDir != "" {
-		logger.Infof("sessions: checkpoint-dir=%s max-sessions=%d", *ckptDir, *maxSessions)
+		logger.Info(fmt.Sprintf("sessions: checkpoint-dir=%s max-sessions=%d", *ckptDir, *maxSessions))
 	}
 	srv := &http.Server{
 		Addr:              *listen,
@@ -222,8 +223,8 @@ func run() error {
 	defer stop()
 
 	if clusterCfg != nil {
-		logger.Infof("cluster: node=%s advertise=%s peers=%d replicas=%d",
-			clusterCfg.NodeName, clusterCfg.AdvertiseURL, len(clusterCfg.Peers), clusterCfg.Replicas)
+		logger.Info(fmt.Sprintf("cluster: node=%s advertise=%s peers=%d replicas=%d",
+			clusterCfg.NodeName, clusterCfg.AdvertiseURL, len(clusterCfg.Peers), clusterCfg.Replicas))
 		go svc.StartCluster(ctx)
 	}
 
@@ -240,9 +241,9 @@ func run() error {
 					return
 				case <-ticker.C:
 					if n, err := svc.CheckpointAll(); err != nil {
-						logger.Warnf("periodic checkpoint failed: %v", err)
+						logger.Warn(fmt.Sprintf("periodic checkpoint failed: %v", err))
 					} else {
-						logger.Debugf("checkpointed %d session(s)", n)
+						logger.Debug(fmt.Sprintf("checkpointed %d session(s)", n))
 					}
 				}
 			}
@@ -266,24 +267,34 @@ func run() error {
 
 	// Graceful shutdown: stop accepting, drain in-flight requests, then
 	// persist the learner one last time so no learning is lost.
-	logger.Infof("shutting down (draining up to %s)", *drain)
+	logger.Info(fmt.Sprintf("shutting down (draining up to %s)", *drain))
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	shutdownErr := srv.Shutdown(shutdownCtx)
 	if *checkpoint != "" || *ckptDir != "" {
 		if n, err := svc.CheckpointAll(); err != nil {
-			logger.Errorf("final checkpoint failed: %v", err)
+			logger.Error(fmt.Sprintf("final checkpoint failed: %v", err))
 			if shutdownErr == nil {
 				shutdownErr = err
 			}
 		} else {
-			logger.Infof("final checkpoint: %d session(s) persisted", n)
+			logger.Info(fmt.Sprintf("final checkpoint: %d session(s) persisted", n))
 		}
 	}
 	// Let the final checkpoint's replica pushes land before exiting, so a
 	// clean shutdown leaves peers holding this node's freshest learning.
 	svc.WaitReplication()
 	return shutdownErr
+}
+
+// parseLogLevel resolves a -log-level flag value: debug, info, warn or
+// error, in any case.
+func parseLogLevel(s string) (slog.Level, error) {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(s)); err != nil {
+		return 0, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", s)
+	}
+	return level, nil
 }
 
 // parsePeers decodes a "name=url,name=url" peer list.

@@ -264,7 +264,7 @@ func gatherHealth() ([]obs.FamilySnapshot, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	health.NewTracker(learner, true, health.Config{}).Instrument(reg)
+	health.NewTracker(learner, false, health.Config{}).Instrument(reg)
 	return reg.Gather(), nil
 }
 

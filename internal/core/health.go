@@ -1,7 +1,5 @@
 package core
 
-import "megh/internal/sparse"
-
 // This file holds the learner's cheap, always-on learning-health
 // accumulators: cumulative sums the health layer (internal/health) polls
 // and diffs to derive windowed rates (θ drift per decide, Bellman residual
@@ -69,12 +67,6 @@ func (m *Megh) LearnStats() LearnStats {
 	}
 	return *m.learnStats
 }
-
-// DebugBRow returns row i of B as a sparse vector copy (implicit diagonal
-// included). Like the other Debug accessors it is a verification/probe
-// surface, not a hot-path API: the health layer's sampled ‖B·T−I‖∞ and
-// θ = B·z probes read a handful of rows per probe cadence.
-func (m *Megh) DebugBRow(i int) *sparse.Vector { return m.b.Row(i) }
 
 // DebugBZRow returns (B·z)[i] — the dot product of row i of B with z —
 // computed against the live state without cloning either operand. The

@@ -367,10 +367,12 @@ func (m *Megh) Trace(t *trace.Tracer) { m.tracer = t }
 // which case z and θ were left untouched too). A nil hook (the default)
 // costs one pointer test.
 //
-// The hook exists for the verification layer (internal/invariant), which
-// shadows the sparse recursion with an independent dense accumulation of T
-// and z and periodically checks ‖B·T − I‖∞. It fires once per update, never
-// mid-update, so a probe run from inside the hook sees B, z and θ coherent.
+// The hook exists for verification and measurement only: internal/invariant's
+// tests shadow the sparse recursion with an independent dense accumulation
+// of T and z and periodically check ‖B·T − I‖∞, and the benchmark module's
+// sparse probe records the update sequence. Production code installs no
+// hook. It fires once per update, never mid-update, so a probe run from
+// inside the hook sees B, z and θ coherent.
 func (m *Megh) SetUpdateHook(h func(a, b, n int, gamma, c float64, applied bool)) {
 	m.updateHook = h
 }

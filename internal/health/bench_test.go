@@ -38,7 +38,7 @@ func BenchmarkDecideHealth(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr := health.NewTracker(m, true, health.Config{Seed: 7})
+		tr := health.NewTracker(m, false, health.Config{Seed: 7})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -49,25 +49,52 @@ func BenchmarkDecideHealth(b *testing.B) {
 	})
 }
 
-// TestAfterDecideStaysCheapOffProbe pins the per-decide cost of the health
-// layer between probes: after warm-up, a non-probe AfterDecide must not
-// allocate at all — the stats diff and EWMA updates run on struct fields.
+// TestAfterDecideStaysCheapOffProbe pins what the health layer keeps per
+// update: nothing. A tracked learner and its untracked twin (same seed,
+// same snapshots, same costs) make the same decisions, so between probes
+// the tracked cycle may allocate no more than the twin's. The world is the
+// benchmark's 150 × 100 one, whose updates keep reaching new (a, b) pairs —
+// the case where per-update state would have to grow.
 func TestAfterDecideStaysCheapOffProbe(t *testing.T) {
-	m, snap := newLearner(t, 7)
-	// A cadence far beyond the measured window keeps every measured call on
-	// the cheap path.
+	const nVMs, nHosts = 150, 100
+	snap := testWorld(t, nVMs, nHosts)
+	learner := func() *core.Megh {
+		m, err := core.New(core.DefaultConfig(nVMs, nHosts, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m, twin := learner(), learner()
+	// The bool is ignored: no tracker shadows the learner's updates, even
+	// when asked to. A cadence far beyond the measured window keeps every
+	// measured call on the cheap path.
 	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 1 << 20, Seed: 7})
-	drive(m, tr, snap, 8, 1.0)
+	fb := sim.Feedback{StepCost: 1.0}
+	for i := 0; i < 8; i++ {
+		m.Observe(&fb)
+		m.Decide(snap)
+		tr.AfterDecide()
+		twin.Observe(&fb)
+		twin.Decide(snap)
+	}
+	nnz := m.QTableNNZ()
 	allocs := testing.AllocsPerRun(200, func() {
-		m.Observe(&sim.Feedback{StepCost: 1.0})
+		m.Observe(&fb)
 		m.Decide(snap)
 		tr.AfterDecide()
 	})
 	base := testing.AllocsPerRun(200, func() {
-		m.Observe(&sim.Feedback{StepCost: 1.0})
-		m.Decide(snap)
+		twin.Observe(&fb)
+		twin.Decide(snap)
 	})
+	if m.QTableNNZ() != twin.QTableNNZ() {
+		t.Fatalf("twin learners diverged: nnz %d vs %d", m.QTableNNZ(), twin.QTableNNZ())
+	}
+	if grown := m.QTableNNZ() - nnz; grown < 200 {
+		t.Fatalf("Q-table grew by %d entries over 201 updates; the run must keep reaching new pairs", grown)
+	}
 	if allocs > base {
-		t.Fatalf("off-probe AfterDecide allocates: %.1f allocs/op vs %.1f without health", allocs, base)
+		t.Fatalf("off-probe tracked cycle allocates %.1f allocs/op, its untracked twin %.1f", allocs, base)
 	}
 }

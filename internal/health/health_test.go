@@ -84,11 +84,10 @@ func newLearner(t testing.TB, seed int64) (*core.Megh, *sim.Snapshot) {
 	return m, testWorld(t, 8, 4)
 }
 
-// A normally learning session stays Healthy, probes run on cadence, and the
-// inverse probe is available on a fresh learner.
+// A normally learning session stays Healthy and probes run on cadence.
 func TestHealthyOnNormalRun(t *testing.T) {
 	m, snap := newLearner(t, 7)
-	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 8, SampleRows: 6, Seed: 7})
+	tr := health.NewTracker(m, false, health.Config{ProbeEvery: 8, Seed: 7})
 	drive(m, tr, snap, 40, 1.5)
 	v, reason := tr.Verdict()
 	if v != health.Healthy {
@@ -97,12 +96,6 @@ func TestHealthyOnNormalRun(t *testing.T) {
 	s := tr.Snapshot()
 	if s.Probe == nil {
 		t.Fatal("no probe ran in 40 decides at cadence 8")
-	}
-	if !s.Probe.InverseAvailable {
-		t.Fatal("inverse probe unavailable on a fresh learner")
-	}
-	if s.Probe.InverseResidualMax > 1e-8 {
-		t.Fatalf("inverse residual %g on a consistent learner", s.Probe.InverseResidualMax)
 	}
 	if s.Probe.ThetaResidualMax > 1e-8 {
 		t.Fatalf("theta residual %g on a consistent learner", s.Probe.ThetaResidualMax)
@@ -118,44 +111,36 @@ func TestHealthyOnNormalRun(t *testing.T) {
 	}
 }
 
-// Driving costs across custom thresholds walks the verdict deterministically
-// through Healthy → Degraded → Diverging with the matching reason strings.
+// Driving costs across the shipped thresholds walks the verdict
+// deterministically through Healthy → Degraded → Diverging with the
+// matching reason strings. Drift is scored before the Bellman residual at
+// each level, so the drift reasons are the ones asserted.
 func TestVerdictTransitions(t *testing.T) {
 	m, snap := newLearner(t, 11)
-	tr := health.NewTracker(m, true, health.Config{
-		ProbeEvery: -1, // streaming EWMAs only; probes off
-		Thresholds: health.Thresholds{
-			DriftDegraded:  1e3,
-			DriftDiverging: 1e7,
-			// Residual scales with cost too; keep it out of the way so the
-			// drift reasons are the ones asserted.
-			ResidualDegraded:  1e30,
-			ResidualDiverging: 1e31,
-		},
-		Seed: 11,
-	})
+	// Streaming EWMAs only; probes off.
+	tr := health.NewTracker(m, false, health.Config{ProbeEvery: -1, Seed: 11})
 
 	drive(m, tr, snap, 10, 1)
 	if v, reason := tr.Verdict(); v != health.Healthy {
 		t.Fatalf("after small costs: verdict = %s (%s), want healthy", v, reason)
 	}
 
-	drive(m, tr, snap, 30, 5e4)
+	drive(m, tr, snap, 30, 1e6)
 	v, reason := tr.Verdict()
 	if v != health.Degraded {
 		t.Fatalf("after moderate costs: verdict = %s (%s), want degraded", v, reason)
 	}
-	if !strings.Contains(reason, "theta drift EWMA") || !strings.Contains(reason, ">= 1000") {
-		t.Fatalf("degraded reason = %q, want theta drift EWMA vs 1000", reason)
+	if !strings.Contains(reason, "theta drift EWMA") || !strings.Contains(reason, ">= 10000") {
+		t.Fatalf("degraded reason = %q, want theta drift EWMA vs 10000", reason)
 	}
 
-	drive(m, tr, snap, 30, 5e9)
+	drive(m, tr, snap, 30, 1e10)
 	v, reason = tr.Verdict()
 	if v != health.Diverging {
 		t.Fatalf("after huge costs: verdict = %s (%s), want diverging", v, reason)
 	}
-	if !strings.Contains(reason, "theta drift EWMA") || !strings.Contains(reason, ">= 1e+07") {
-		t.Fatalf("diverging reason = %q, want theta drift EWMA vs 1e+07", reason)
+	if !strings.Contains(reason, "theta drift EWMA") || !strings.Contains(reason, ">= 1e+08") {
+		t.Fatalf("diverging reason = %q, want theta drift EWMA vs 1e+08", reason)
 	}
 }
 
@@ -164,7 +149,7 @@ func TestVerdictTransitions(t *testing.T) {
 // probe confirms the poisoned state.
 func TestNaNCostDiverges(t *testing.T) {
 	m, snap := newLearner(t, 3)
-	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 16, Seed: 3})
+	tr := health.NewTracker(m, false, health.Config{ProbeEvery: 16, Seed: 3})
 	drive(m, tr, snap, 20, 1)
 	if v, reason := tr.Verdict(); v != health.Healthy {
 		t.Fatalf("pre-corruption verdict = %s (%s)", v, reason)
@@ -183,35 +168,12 @@ func TestNaNCostDiverges(t *testing.T) {
 	}
 }
 
-// If the tracker misses updates (hook detached — the stand-in for a
-// corrupted/unobserved update stream), the inverse probe catches the drift
-// between B and the shadowed T within one probe cadence.
-func TestInverseProbeCatchesMissedUpdates(t *testing.T) {
-	m, snap := newLearner(t, 5)
-	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 4, SampleRows: 12, Seed: 5})
-	drive(m, tr, snap, 16, 2)
-	if v, reason := tr.Verdict(); v != health.Healthy {
-		t.Fatalf("pre-divergence verdict = %s (%s)", v, reason)
-	}
-	// Updates now bypass the shadow: B keeps moving, T's mirror does not.
-	m.SetUpdateHook(nil)
-	drive(m, tr, snap, 8, 2)
-	v, reason := tr.Verdict()
-	if v == health.Healthy {
-		s := tr.Snapshot()
-		t.Fatalf("verdict still healthy after divergence (probe=%+v)", s.Probe)
-	}
-	if !strings.Contains(reason, "inverse probe") {
-		t.Fatalf("reason = %q, want inverse probe", reason)
-	}
-}
-
 // Same-seed runs produce byte-identical health snapshots: the determinism
 // guarantee extends to telemetry.
 func TestSnapshotByteIdentical(t *testing.T) {
 	run := func() []byte {
 		m, snap := newLearner(t, 42)
-		tr := health.NewTracker(m, true, health.Config{ProbeEvery: 8, SampleRows: 5, Seed: 42})
+		tr := health.NewTracker(m, false, health.Config{ProbeEvery: 8, Seed: 42})
 		drive(m, tr, snap, 64, 3)
 		b, err := json.Marshal(tr.Snapshot())
 		if err != nil {
@@ -225,8 +187,8 @@ func TestSnapshotByteIdentical(t *testing.T) {
 	}
 }
 
-// A tracker attached to a restored learner (fresh=false) still runs the
-// θ = B·z probe but reports the inverse probe unavailable.
+// A tracker attached to a learner with history it never saw (a restored
+// one) runs the θ = B·z probe and scores it like any other.
 func TestRestoredLearnerThetaProbeOnly(t *testing.T) {
 	m, snap := newLearner(t, 9)
 	// Simulate a mid-stream attach: learner has history the tracker missed.
@@ -237,14 +199,8 @@ func TestRestoredLearnerThetaProbeOnly(t *testing.T) {
 	tr := health.NewTracker(m, false, health.Config{ProbeEvery: 4, Seed: 9})
 	drive(m, tr, snap, 8, 2)
 	s := tr.Snapshot()
-	if s.InverseArmed {
-		t.Fatal("inverse probe armed on a mid-stream attach")
-	}
 	if s.Probe == nil {
 		t.Fatal("no probe ran")
-	}
-	if s.Probe.InverseAvailable {
-		t.Fatal("inverse probe reported available without full observation")
 	}
 	if s.Probe.ThetaResidualMax > 1e-8 {
 		t.Fatalf("theta residual %g on a consistent learner", s.Probe.ThetaResidualMax)
@@ -259,7 +215,7 @@ func TestRestoredLearnerThetaProbeOnly(t *testing.T) {
 // counters without double counting.
 func TestDetachReattach(t *testing.T) {
 	m, snap := newLearner(t, 13)
-	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 8, Seed: 13})
+	tr := health.NewTracker(m, false, health.Config{ProbeEvery: 8, Seed: 13})
 	drive(m, tr, snap, 16, 2)
 	before := tr.Snapshot()
 
@@ -288,13 +244,26 @@ func TestDetachReattach(t *testing.T) {
 	if v, reason := tr.Verdict(); v != health.Healthy {
 		t.Fatalf("verdict = %s (%s), want healthy", v, reason)
 	}
-	if s.Probe == nil || !s.Probe.InverseAvailable {
-		t.Fatal("inverse probe lost across detach/reattach")
+	if s.Probe == nil || s.Probe.AtDecide != s.Decides {
+		t.Fatalf("probe %+v did not run on cadence across detach/reattach", s.Probe)
 	}
 }
 
-// The tracker plugs into sim.Config.Health and its gauges land in a
-// registry.
+// trackedPolicy runs a learner in the simulator and advances its tracker
+// after every decide, the way the server does per request.
+type trackedPolicy struct {
+	*core.Megh
+	tr *health.Tracker
+}
+
+func (p trackedPolicy) Decide(s *sim.Snapshot) []sim.Migration {
+	migs := p.Megh.Decide(s)
+	p.tr.AfterDecide()
+	return migs
+}
+
+// A tracker follows a learner through a simulator run, and its gauges land
+// in a registry: the three it publishes and no inverse-probe gauge.
 func TestSimIntegrationAndGauges(t *testing.T) {
 	lin, err := power.NewLinear("test", 100, 200)
 	if err != nil {
@@ -319,19 +288,18 @@ func TestSimIntegrationAndGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := health.NewTracker(m, true, health.Config{ProbeEvery: 4, Seed: 21})
+	tr := health.NewTracker(m, false, health.Config{ProbeEvery: 4, Seed: 21})
 	reg := obs.NewRegistry()
 	tr.Instrument(reg)
 	s, err := sim.New(sim.Config{
 		Hosts: hosts, VMs: vms, Traces: traces, Steps: 30,
 		InitialPlacement: sim.PlacementRoundRobin,
 		Seed:             21,
-		Health:           tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(m); err != nil {
+	if _, err := s.Run(trackedPolicy{Megh: m, tr: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Decides() != 30 {
@@ -342,9 +310,12 @@ func TestSimIntegrationAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"megh_health_verdict", "megh_health_theta_drift_ewma", "megh_health_inverse_residual"} {
+	for _, want := range []string{"megh_health_verdict", "megh_health_theta_drift_ewma", "megh_health_bellman_residual_ewma"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("registry missing %s:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "megh_health_inverse_residual") {
+		t.Fatalf("registry still publishes an inverse-probe gauge:\n%s", out)
 	}
 }

@@ -17,71 +17,21 @@ func (t *Tracker) nextRow() int {
 	return int(z % uint64(t.dim))
 }
 
-// runProbe samples SampleRows random rows and computes
-//
-//   - the θ = B·z residual |θ[i] − (B·z)[i]| — valid on any learner,
-//   - when the shadow is armed, the inverse-drift residual
-//     max_j |(B·T)[i,j] − I[i,j]| with T = δ·I + D reconstructed from the
-//     sparse shadow D: (B·T)[i,j] = δ·B[i,j] + Σ_k B[i,k]·D[k,j].
-//
-// Cost is O(rows · nnz_row · nnz_shadow_row) — a few sampled sparse dot
-// products per cadence, independent of d², which is what makes the
-// invariant package's dense oracle production-affordable.
+// runProbe samples sampleRows random rows and records the largest θ = B·z
+// residual |θ[i] − (B·z)[i]| among them. θ and z are both persisted state,
+// so the check is valid on any learner, including one restored mid-stream.
+// Cost is O(rows · nnz_row) — a few sampled sparse dot products per
+// cadence, independent of d².
 func (t *Tracker) runProbe() {
-	rows := t.cfg.SampleRows
-	if rows > t.dim {
-		rows = t.dim
-	}
-	p := &ProbeResult{
-		AtDecide:         t.decides,
-		Rows:             rows,
-		InverseAvailable: t.shadowArmed,
-	}
-	delta := float64(t.dim) // B₀ = (1/δ)·I with δ = d, so T₀ = δ·I
-	if t.shadowArmed && t.slot == nil {
-		t.slot = make(map[int]int)
-	}
+	rows := min(sampleRows, t.dim)
+	p := &ProbeResult{AtDecide: t.decides, Rows: rows}
 	for r := 0; r < rows; r++ {
 		i := t.nextRow()
 		if d := math.Abs(t.m.Theta(i) - t.m.DebugBZRow(i)); d > p.ThetaResidualMax || isNaN(d) {
 			p.ThetaResidualMax = maxNaN(p.ThetaResidualMax, d)
 		}
-		if !t.shadowArmed {
-			continue
-		}
-		// Row i of B·T − I, accumulated per column in the order the terms
-		// arrive; only the columns some term reaches are held.
-		row := t.m.DebugBRow(i)
-		clear(t.slot)
-		t.acc = t.acc[:0]
-		row.Range(func(k int, bik float64) bool {
-			// δ·B[i,k] term of B·T.
-			*t.cell(k) += delta * bik
-			// B[i,k] · D[k,·] terms.
-			for j, dkj := range t.shadow[k] {
-				*t.cell(j) += bik * dkj
-			}
-			return true
-		})
-		*t.cell(i) -= 1
-		for _, x := range t.acc {
-			if v := math.Abs(x); v > p.InverseResidualMax || isNaN(v) {
-				p.InverseResidualMax = maxNaN(p.InverseResidualMax, v)
-			}
-		}
 	}
 	t.probe = p
-}
-
-// cell returns the probe accumulator of column j, starting it at zero.
-func (t *Tracker) cell(j int) *float64 {
-	p, ok := t.slot[j]
-	if !ok {
-		p = len(t.acc)
-		t.slot[j] = p
-		t.acc = append(t.acc, 0)
-	}
-	return &t.acc[p]
 }
 
 func isNaN(v float64) bool { return v != v }
@@ -108,14 +58,11 @@ func fg(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // fires: evaluate runs on every decide, so the healthy path must not
 // allocate.
 func (t *Tracker) evaluate() {
-	exceeds := func(v, thr float64) bool {
-		return thr >= 0 && (isNaN(v) || v >= thr)
-	}
-	probeTheta, probeInv := 0.0, 0.0
+	exceeds := func(v, thr float64) bool { return isNaN(v) || v >= thr }
+	probeTheta := 0.0
 	haveProbe := t.probe != nil
 	if haveProbe {
 		probeTheta = t.probe.ThetaResidualMax
-		probeInv = t.probe.InverseResidualMax
 	}
 	fail := func(v Verdict, reason string) {
 		t.verdict, t.reason = v, reason
@@ -125,33 +72,27 @@ func (t *Tracker) evaluate() {
 	case t.nonFinite > 0:
 		fail(Diverging,
 			"non-finite values in LSPI updates (count "+strconv.FormatInt(t.nonFinite, 10)+")")
-	case haveProbe && t.probe.InverseAvailable && exceeds(probeInv, t.thr.InverseDiverging):
+	case haveProbe && exceeds(probeTheta, thetaDiverging):
 		fail(Diverging,
-			"inverse probe |B*T-I| "+fg(probeInv)+" >= "+fg(t.thr.InverseDiverging))
-	case haveProbe && exceeds(probeTheta, t.thr.ThetaDiverging):
+			"theta probe |theta-B*z| "+fg(probeTheta)+" >= "+fg(thetaDiverging))
+	case t.drift.init && exceeds(t.drift.v, driftDiverging):
 		fail(Diverging,
-			"theta probe |theta-B*z| "+fg(probeTheta)+" >= "+fg(t.thr.ThetaDiverging))
-	case t.drift.init && exceeds(t.drift.v, t.thr.DriftDiverging):
+			"theta drift EWMA "+fg(t.drift.v)+" >= "+fg(driftDiverging))
+	case t.resid.init && exceeds(t.resid.v, residualDiverging):
 		fail(Diverging,
-			"theta drift EWMA "+fg(t.drift.v)+" >= "+fg(t.thr.DriftDiverging))
-	case t.resid.init && exceeds(t.resid.v, t.thr.ResidualDiverging):
-		fail(Diverging,
-			"bellman residual EWMA "+fg(t.resid.v)+" >= "+fg(t.thr.ResidualDiverging))
-	case haveProbe && t.probe.InverseAvailable && exceeds(probeInv, t.thr.InverseDegraded):
+			"bellman residual EWMA "+fg(t.resid.v)+" >= "+fg(residualDiverging))
+	case haveProbe && exceeds(probeTheta, thetaDegraded):
 		fail(Degraded,
-			"inverse probe |B*T-I| "+fg(probeInv)+" >= "+fg(t.thr.InverseDegraded))
-	case haveProbe && exceeds(probeTheta, t.thr.ThetaDegraded):
+			"theta probe |theta-B*z| "+fg(probeTheta)+" >= "+fg(thetaDegraded))
+	case t.drift.init && exceeds(t.drift.v, driftDegraded):
 		fail(Degraded,
-			"theta probe |theta-B*z| "+fg(probeTheta)+" >= "+fg(t.thr.ThetaDegraded))
-	case t.drift.init && exceeds(t.drift.v, t.thr.DriftDegraded):
+			"theta drift EWMA "+fg(t.drift.v)+" >= "+fg(driftDegraded))
+	case t.resid.init && exceeds(t.resid.v, residualDegraded):
 		fail(Degraded,
-			"theta drift EWMA "+fg(t.drift.v)+" >= "+fg(t.thr.DriftDegraded))
-	case t.resid.init && exceeds(t.resid.v, t.thr.ResidualDegraded):
+			"bellman residual EWMA "+fg(t.resid.v)+" >= "+fg(residualDegraded))
+	case t.nnzRate.init && exceeds(t.nnzRate.v, t.nnzDegraded):
 		fail(Degraded,
-			"bellman residual EWMA "+fg(t.resid.v)+" >= "+fg(t.thr.ResidualDegraded))
-	case t.nnzRate.init && exceeds(t.nnzRate.v, t.thr.NNZGrowthDegraded):
-		fail(Degraded,
-			"nnz growth "+fg(t.nnzRate.v)+" per decide >= "+fg(t.thr.NNZGrowthDegraded))
+			"nnz growth "+fg(t.nnzRate.v)+" per decide >= "+fg(t.nnzDegraded))
 	default:
 		t.verdict, t.reason = Healthy, ""
 		t.publish()
@@ -167,7 +108,4 @@ func (t *Tracker) publish() {
 	g.verdict.Set(float64(t.verdict))
 	g.drift.Set(t.drift.v)
 	g.residual.Set(t.resid.v)
-	if t.probe != nil {
-		g.inverse.Set(t.probe.InverseResidualMax)
-	}
 }

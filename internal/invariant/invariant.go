@@ -10,7 +10,7 @@
 //     Sherman–Morrison state against a dense Gauss–Jordan oracle: B must
 //     remain the inverse of the accumulated T, the dense θ mirror must agree
 //     with B·z, and a checkpoint round-trip must be lossless. The production
-//     counterpart, sampled and O(rows probed), is internal/health.
+//     counterpart, internal/health, samples only the θ = B·z check.
 //
 // Both are pure observers: enabling them never changes a decision, a cost,
 // or a random draw, so a checked run is byte-identical to an unchecked one.

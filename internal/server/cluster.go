@@ -498,9 +498,7 @@ func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 		// healing for a replica set that moved again, not a new handoff.
 		if sess.learner != nil {
 			sess.learner = nil
-			if sess.health != nil {
-				sess.health.Detach()
-			}
+			sess.health.Detach()
 			sess.evictions++
 			c.svc.mgr.cEvict.Inc()
 			c.svc.mgr.noteResident(-1)

@@ -118,11 +118,9 @@ func (s *session) decideRound(l *core.Megh, waiters []*coalesceWaiter, total int
 	}
 	s.decisions += total
 	s.lastStep = s.snap.snap.Step
-	if s.health != nil {
-		// One call covers the whole round: the tracker diffs the learner's
-		// cumulative stats, so deltas stay exact.
-		s.health.AfterDecide()
-	}
+	// One call covers the whole round: the tracker diffs the learner's
+	// cumulative stats, so deltas stay exact.
+	s.health.AfterDecide()
 	return outs
 }
 

@@ -21,11 +21,7 @@ func (s *Service) healthSession(w http.ResponseWriter, _ *http.Request, sess *se
 	if sess.learner != nil {
 		resp.State = "live"
 	}
-	if sess.health != nil {
-		resp.Health = sess.health.Snapshot()
-	} else {
-		resp.Health.Verdict = health.Healthy.String()
-	}
+	resp.Health = sess.health.Snapshot()
 	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -56,15 +52,14 @@ func (s *Service) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
 		if sess.deleted {
 			return
 		}
-		fr := row{FleetSessionHealth: FleetSessionHealth{ID: sess.id, State: "evicted", Verdict: health.Healthy.String()}}
+		v, reason := sess.health.Verdict()
+		fr := row{sev: v, FleetSessionHealth: FleetSessionHealth{
+			ID: sess.id, State: "evicted", Verdict: v.String(), Reason: reason,
+			Decides: sess.health.Decides(),
+		}}
 		if sess.learner != nil {
 			fr.State = "live"
 			live++
-		}
-		if sess.health != nil {
-			v, reason := sess.health.Verdict()
-			fr.sev, fr.Verdict, fr.Reason = v, v.String(), reason
-			fr.Decides = sess.health.Decides()
 		}
 		rows = append(rows, fr)
 	})

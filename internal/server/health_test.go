@@ -127,9 +127,6 @@ func TestHealthTracksLearning(t *testing.T) {
 	if resp.Health.Verdict != "healthy" {
 		t.Fatalf("benign run scored %q (%s)", resp.Health.Verdict, resp.Health.Reason)
 	}
-	if !resp.Health.InverseArmed {
-		t.Fatal("fresh session must arm the inverse probe")
-	}
 	if resp.Health.Applied == 0 {
 		t.Fatal("feedback-driven updates should have been applied")
 	}
@@ -232,7 +229,7 @@ func TestHealthDoesNotRestoreEvicted(t *testing.T) {
 	if err := json.Unmarshal(body, &sh); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Health.Decides != 3 || !sh.Health.InverseArmed {
+	if sh.Health.Decides != 3 {
 		t.Fatalf("post-restore snapshot %+v", sh.Health)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"megh/internal/core"
-	"megh/internal/health"
 	"megh/internal/obs"
 	"megh/internal/sim"
 	"megh/internal/trace"
@@ -70,8 +69,7 @@ type Config struct {
 	// get their own ring tracer regardless (see SessionRing).
 	Tracer *trace.Tracer
 	// HealthProbeEvery is the cadence, in decides, of every session health
-	// tracker's sampled consistency probes (θ = B·z spot checks and the
-	// ‖B·T − I‖∞ inverse-drift probe). 0 means health.DefProbeEvery;
+	// tracker's sampled θ = B·z spot check. 0 means health.DefProbeEvery;
 	// negative disables probing (the streaming EWMAs still run and still
 	// score the verdict).
 	HealthProbeEvery int
@@ -186,7 +184,6 @@ func New(cfg Config) (*Service, error) {
 	}
 
 	var learner *core.Megh
-	defaultFresh := true
 	if cfg.CheckpointPath != "" {
 		restored, err := core.LoadStateFile(cfg.CheckpointPath)
 		switch {
@@ -197,7 +194,6 @@ func New(cfg Config) (*Service, error) {
 					cfg.CheckpointPath, lc.NumVMs, lc.NumHosts, cfg.NumVMs, cfg.NumHosts)
 			}
 			learner = restored
-			defaultFresh = false
 		case os.IsNotExist(err):
 		default:
 			return nil, fmt.Errorf("server: restoring %s: %w", cfg.CheckpointPath, err)
@@ -276,15 +272,11 @@ func New(cfg Config) (*Service, error) {
 		},
 		pinned:   true,
 		learner:  learner,
+		health:   newTracker(learner, cfg.HealthProbeEvery, cfg.Seed, reg),
 		tracer:   cfg.Tracer,
 		reg:      reg,
 		ckptPath: ckptPath,
 	}
-	def.health = health.NewTracker(learner, defaultFresh, health.Config{
-		ProbeEvery: cfg.HealthProbeEvery,
-		Seed:       cfg.Seed,
-	})
-	def.health.Instrument(reg)
 	sh := s.mgr.shardFor(def.id)
 	sh.mu.Lock()
 	sh.m[def.id] = def

@@ -73,9 +73,9 @@ type session struct {
 	// delete, rebuilt by the first decide after a restore.
 	snap *retainedSnapshot
 	// health rides alongside the learner for the session's whole lifetime:
-	// it detaches (keeping its accumulated telemetry and T shadow) when the
-	// learner is evicted and reattaches on lazy restore, so health reads on
-	// an evicted session never thaw it.
+	// it detaches (keeping its accumulated telemetry) when the learner is
+	// evicted and reattaches on lazy restore, so health reads on an evicted
+	// session never thaw it.
 	health    *health.Tracker
 	tracer    *trace.Tracer
 	reg       *obs.Registry
@@ -296,6 +296,14 @@ func (m *sessionManager) loadCheckpoint(id, path string) (*core.Megh, error) {
 	return l, err
 }
 
+// newTracker attaches a health tracker to a session's learner and publishes
+// its gauges on the session's registry.
+func newTracker(l *core.Megh, probeEvery int, seed int64, reg *obs.Registry) *health.Tracker {
+	t := health.NewTracker(l, false, health.Config{ProbeEvery: probeEvery, Seed: seed})
+	t.Instrument(reg)
+	return t
+}
+
 // touch advances the LRU clock for the session.
 func (m *sessionManager) touch(s *session) { s.lastTouch.Store(m.clock.Add(1)) }
 
@@ -337,35 +345,30 @@ func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error
 		return existing, false, nil
 	}
 
-	s := &session{
-		id:       id,
-		spec:     spec,
-		reg:      obs.NewRegistry(),
-		ckptPath: m.checkpointPath(id),
-	}
+	ckptPath := m.checkpointPath(id)
+	var tracer *trace.Tracer
 	if m.ringSize > 0 {
 		tr, err := trace.New(trace.Options{RingSize: m.ringSize})
 		if err != nil {
 			sh.mu.Unlock()
 			return nil, false, err
 		}
-		s.tracer = tr
+		tracer = tr
 	}
 
 	var learner *core.Megh
-	freshLearner := true
-	if s.ckptPath != "" {
-		l, err := m.loadCheckpoint(id, s.ckptPath)
+	restores := 0
+	if ckptPath != "" {
+		l, err := m.loadCheckpoint(id, ckptPath)
 		switch {
 		case err == nil:
 			if lc := l.Config(); lc.NumVMs != spec.NumVMs || lc.NumHosts != spec.NumHosts {
 				sh.mu.Unlock()
 				return nil, false, fmt.Errorf("%w: checkpoint %s holds a %d×%d learner, request wants %d×%d",
-					errSessionExists, s.ckptPath, lc.NumVMs, lc.NumHosts, spec.NumVMs, spec.NumHosts)
+					errSessionExists, ckptPath, lc.NumVMs, lc.NumHosts, spec.NumVMs, spec.NumHosts)
 			}
 			learner = l
-			freshLearner = false
-			s.restores++
+			restores = 1
 			m.cRestore.Inc()
 		case errors.Is(err, fs.ErrNotExist):
 			// First life of this session: build below.
@@ -382,17 +385,19 @@ func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error
 		}
 		learner = l
 	}
-	learner.Instrument(s.reg)
-	learner.Trace(s.tracer)
-	// fresh=true arms the inverse-drift probe: the tracker will witness
-	// every update from here on. A learner restored from a checkpoint the
-	// tracker never saw gets the restore-safe θ = B·z probe only.
-	s.health = health.NewTracker(learner, freshLearner, health.Config{
-		ProbeEvery: m.healthProbeEvery,
-		Seed:       spec.Seed,
-	})
-	s.health.Instrument(s.reg)
-	s.learner = learner
+	reg := obs.NewRegistry()
+	learner.Instrument(reg)
+	learner.Trace(tracer)
+	s := &session{
+		id:       id,
+		spec:     spec,
+		learner:  learner,
+		health:   newTracker(learner, m.healthProbeEvery, spec.Seed, reg),
+		tracer:   tracer,
+		reg:      reg,
+		restores: restores,
+		ckptPath: ckptPath,
+	}
 	sh.m[id] = s
 	sh.mu.Unlock()
 
@@ -582,12 +587,7 @@ func (m *sessionManager) withLearner(s *session, fn func(l *core.Megh) error) er
 		l.Instrument(s.reg)
 		l.Trace(s.tracer)
 		s.learner = l
-		if s.health != nil {
-			// The checkpoint is byte-identical to the state at eviction, so
-			// the tracker's T shadow still matches B and the inverse probe
-			// stays armed.
-			s.health.Reattach(l)
-		}
+		s.health.Reattach(l)
 		s.restores++
 		restored = true
 		m.cRestore.Inc()
@@ -675,9 +675,7 @@ func (m *sessionManager) evict(s *session) bool {
 	}
 	s.learner = nil
 	s.dropRetained()
-	if s.health != nil {
-		s.health.Detach()
-	}
+	s.health.Detach()
 	s.evictions++
 	m.cEvict.Inc()
 	m.noteResident(-1)

@@ -146,9 +146,6 @@ func (s *Simulator) Run(p Policy) (*Result, error) {
 		if receiver != nil {
 			receiver.Observe(fb)
 		}
-		if s.cfg.Health != nil {
-			s.cfg.Health.ObserveStep(t, metrics.DecideSeconds)
-		}
 	}
 	res.VMDowntimeFrac = make([]float64, len(st.downtimeSec))
 	for j := range st.downtimeSec {

@@ -185,21 +185,6 @@ type Config struct {
 	// finish. Nil disables checking at the cost of one pointer test per
 	// step.
 	Checker Checker
-	// Health optionally observes every completed step — the learning-health
-	// layer (internal/health.Tracker) uses it to advance its per-decide
-	// EWMAs and probe cadence during sim runs, exactly as the server does
-	// per request. Nil disables it at the cost of one pointer test per
-	// step.
-	Health StepObserver
-}
-
-// StepObserver receives one callback per completed simulation step, after
-// metrics are recorded and feedback delivered. Implementations must not
-// retain arguments past the call.
-type StepObserver interface {
-	// ObserveStep is called with the 0-based step index and the policy's
-	// decide wall time for the step.
-	ObserveStep(step int, decideSeconds float64)
 }
 
 // Checker validates simulator state. Implementations live outside the hot

@@ -94,34 +94,6 @@ func TestRingTailEmpty(t *testing.T) {
 	}
 }
 
-func TestLevelString(t *testing.T) {
-	cases := map[Level]string{
-		LevelDebug: "debug", LevelInfo: "info", LevelWarn: "warn", LevelError: "error",
-		Level(42): "level(42)",
-	}
-	for l, want := range cases {
-		if got := l.String(); got != want {
-			t.Errorf("Level(%d).String() = %q, want %q", int32(l), got, want)
-		}
-	}
-}
-
-func TestLoggerNilSinkAndSetLevel(t *testing.T) {
-	lg := NewLogger(nil, LevelError) // nil writer falls back to stderr
-	if lg.Enabled(LevelInfo) {
-		t.Fatal("info enabled at error threshold")
-	}
-	lg.SetLevel(LevelDebug)
-	if !lg.Enabled(LevelDebug) {
-		t.Fatal("SetLevel did not lower the threshold")
-	}
-	var nilLogger *Logger
-	nilLogger.SetLevel(LevelDebug) // must not panic
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger claims to be enabled")
-	}
-}
-
 // divergenceFields collects the Field labels a Diff produced.
 func divergenceFields(d *DiffResult) map[string]bool {
 	out := make(map[string]bool, len(d.Divergences))

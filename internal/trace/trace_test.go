@@ -225,43 +225,3 @@ func TestSpanRecorder(t *testing.T) {
 		t.Fatal("nil recorder returned spans")
 	}
 }
-
-func TestLoggerLevels(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLogger(&buf, LevelWarn)
-	lg.Debugf("d")
-	lg.Infof("i")
-	lg.Warnf("w %d", 1)
-	lg.Errorf("e")
-	out := buf.String()
-	if strings.Contains(out, " d\n") || strings.Contains(out, " i\n") {
-		t.Fatalf("sub-threshold messages written: %q", out)
-	}
-	if !strings.Contains(out, "warn  w 1") || !strings.Contains(out, "error e") {
-		t.Fatalf("missing leveled output: %q", out)
-	}
-	lg.SetLevel(LevelDebug)
-	if !lg.Enabled(LevelDebug) {
-		t.Fatal("SetLevel did not lower threshold")
-	}
-	var nilLogger *Logger
-	nilLogger.Infof("ignored") // must not panic
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger claims enabled")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo,
-		"warn": LevelWarn, "warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("want error for unknown level")
-	}
-}
