@@ -150,7 +150,9 @@ bench-alloc-gate:
 # service's whole share of that decide, handler in to handler out (ns/op and
 # B/op). BenchmarkNewLearner
 # builds an empty learner on each side of the eager page budget (ns/op and
-# B/op are what a session create costs). Every benchmark runs
+# B/op are what a session create costs). BenchmarkBuild is experiments'
+# Setup.Build — trace synthesis, mostly — at the three world shapes the
+# repository benchmark sets up, a fixed 20 iterations each. Every benchmark runs
 # -count=$(BENCH_REPS) times and benchjson keeps the fastest rep per name,
 # filtering scheduler noise out of both sides.
 BENCH_REPS ?= 3
@@ -163,7 +165,8 @@ TRACKED_BENCHMARKS = { \
 	$(GO) test -run=- -bench='BenchmarkSnapshotCodec' -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkDecideHandler' -benchtime=2000x -count=$(BENCH_REPS) -benchmem ./internal/server/ ; \
 	$(GO) test -run=- -bench='BenchmarkFigure6_Megh|BenchmarkTable2_Megh' -count=$(BENCH_REPS) -benchmem . ; \
-	$(GO) test -run=- -bench='BenchmarkSoak|BenchmarkSimStep' -benchtime=1x -count=$(BENCH_REPS) -benchmem . ; }
+	$(GO) test -run=- -bench='BenchmarkSoak|BenchmarkSimStep' -benchtime=1x -count=$(BENCH_REPS) -benchmem . ; \
+	$(GO) test -run=- -bench='BenchmarkBuild' -benchtime=20x -count=$(BENCH_REPS) -benchmem ./internal/experiments/ ; }
 
 # Regenerate the tracked benchmark baseline. The stamp is the tree that was
 # measured: the commit, with "-dirty" when it carried uncommitted changes
@@ -171,7 +174,7 @@ TRACKED_BENCHMARKS = { \
 bench-json:
 	@$(TRACKED_BENCHMARKS) \
 		| $(GO) run ./cmd/benchjson -commit "$$(git describe --always --dirty --abbrev=7)" \
-			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak and BenchmarkSimStep -benchtime=1x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does; BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do" \
+			-note "Decide benchmarks use -benchtime=10000x, BenchmarkCheckpoint -benchtime=1000x, BenchmarkNewLearner -benchtime=100x, BenchmarkSoak and BenchmarkSimStep -benchtime=1x, BenchmarkBuild -benchtime=20x (fixed iterations; see DESIGN.md Performance); fastest of $(BENCH_REPS) reps per benchmark. BenchmarkDecideHandler -benchtime=2000x; BenchmarkSnapshotCodec decodes into a reused request scratch, as a session does; BenchmarkCheckpoint/save encodes a fresh image with AppendImage and /verify reads it in place with VerifyImage, as a checkpoint and a replica PUT do" \
 			-o BENCH_megh.json
 
 # Performance regression gate: rerun the tracked benchmarks and fail when

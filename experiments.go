@@ -73,7 +73,9 @@ type (
 )
 
 // GeneratePlanetLabTraces produces n PlanetLab-like traces matched to the
-// paper's §6.2 statistics (mean ≈ 12 %, std ≈ 34 %, sustained bursts).
+// paper's §6.2 statistics (mean ≈ 12 %, std ≈ 34 %, sustained bursts). The
+// VMs are generated in parallel; the traces depend on cfg and n alone, not
+// on GOMAXPROCS.
 func GeneratePlanetLabTraces(cfg PlanetLabTraceConfig, n int) ([]Trace, error) {
 	return workload.GeneratePlanetLab(cfg, n)
 }
@@ -84,7 +86,8 @@ func DefaultPlanetLabTraceConfig(seed int64) PlanetLabTraceConfig {
 }
 
 // GenerateGoogleTraces produces n Google-Cluster-like traces plus the
-// underlying task list (log-spread durations over 10¹–10⁶ s).
+// underlying task list (log-spread durations over 10¹–10⁶ s), in VM order.
+// Like GeneratePlanetLabTraces, the output does not depend on GOMAXPROCS.
 func GenerateGoogleTraces(cfg GoogleTraceConfig, n int) ([]Trace, []GoogleTask, error) {
 	return workload.GenerateGoogle(cfg, n)
 }

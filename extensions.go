@@ -78,7 +78,8 @@ func DefaultDiurnalTraceConfig(seed int64) DiurnalTraceConfig {
 	return workload.DefaultDiurnalConfig(seed)
 }
 
-// GenerateDiurnalTraces produces n periodic traces.
+// GenerateDiurnalTraces produces n periodic traces. Like
+// GeneratePlanetLabTraces, the output does not depend on GOMAXPROCS.
 func GenerateDiurnalTraces(cfg DiurnalTraceConfig, n int) ([]Trace, error) {
 	return workload.GenerateDiurnal(cfg, n)
 }

@@ -72,6 +72,34 @@ func staticDigest(hosts []HostState, vms []VMState) string {
 	return strconv.FormatUint(h, 16)
 }
 
+// sameStatic reports whether b's static fields — everything staticDigest
+// mixes — are bit-identical to a's, so b has a's digest. Bits, not ==: the
+// digest tells +0 from −0. Hosts in one backing array are the same hosts.
+func sameStatic(a, b *StateRequest) bool {
+	if len(a.Hosts) != len(b.Hosts) || len(a.VMs) != len(b.VMs) {
+		return false
+	}
+	if len(a.Hosts) > 0 && &a.Hosts[0] != &b.Hosts[0] {
+		for i := range a.Hosts {
+			x, y := &a.Hosts[i], &b.Hosts[i]
+			if !sameBits(x.MIPS, y.MIPS) || !sameBits(x.RAMMB, y.RAMMB) ||
+				!sameBits(x.BandwidthMbps, y.BandwidthMbps) || x.PowerModel != y.PowerModel {
+				return false
+			}
+		}
+	}
+	for j := range a.VMs {
+		x, y := &a.VMs[j], &b.VMs[j]
+		if !sameBits(x.MIPS, y.MIPS) || !sameBits(x.RAMMB, y.RAMMB) ||
+			!sameBits(x.BandwidthMbps, y.BandwidthMbps) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
 // newSnapshotBase converts a validated full snapshot's static fields.
 // Hosts naming the same power model share one table.
 func newSnapshotBase(r *StateRequest, digest string) *snapshotBase {

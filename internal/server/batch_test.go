@@ -91,6 +91,68 @@ func TestSessionDecideBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBatchedFeedbackTracesLikePerStep drives one stream through feedback
+// and decide posts on one session and as a single batch with embedded
+// feedback on another: the two trace tails must match event for event,
+// step events included, once the batch marker is set aside — what lets
+// meghtrace summary and diff read a batched run like an unbatched one.
+func TestBatchedFeedbackTracesLikePerStep(t *testing.T) {
+	const nVMs, nHosts, steps = 6, 7, 25
+	_, ts := newSessionService(t, 0)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	spec := SessionSpec{NumVMs: nVMs, NumHosts: nHosts, Seed: 42}
+	seq, bat := c.Session("seq"), c.Session("bat")
+	for _, sc := range []*SessionClient{seq, bat} {
+		if _, err := sc.Create(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	items := batchSteps(nVMs, nHosts, steps)
+	for _, it := range items {
+		if it.Feedback != nil {
+			if err := seq.Feedback(ctx, *it.Feedback); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := seq.Decide(ctx, it.State); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bat.DecideBatchCtx(ctx, BatchDecideRequest{Items: items}); err != nil {
+		t.Fatal(err)
+	}
+
+	tail := func(sc *SessionClient) []string {
+		resp, err := sc.TraceTail(ctx, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, ev := range resp.Events {
+			if !strings.Contains(string(ev), `"kind":"batch"`) {
+				out = append(out, string(ev))
+			}
+		}
+		return out
+	}
+	seqTail, batTail := tail(seq), tail(bat)
+	stepEvents := 0
+	for _, ev := range seqTail {
+		if strings.Contains(ev, `"kind":"step"`) {
+			stepEvents++
+		}
+	}
+	if stepEvents != steps-1 {
+		t.Fatalf("per-step session traced %d step events, want %d", stepEvents, steps-1)
+	}
+	if !reflect.DeepEqual(batTail, seqTail) {
+		t.Fatalf("batched trace diverged from per-step trace:\nbatch    %d events %q\nper-step %d events %q",
+			len(batTail), batTail, len(seqTail), seqTail)
+	}
+}
+
 // TestDecideBatchChunked pins the chunking client helper: a stream split
 // into small chunks decides exactly like the same stream posted as one
 // batch, because one session's chunks run serially.

@@ -473,13 +473,18 @@ func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideReque
 	shared := s.takeBody(size)
 	defer shared.release()
 	body := append(shared.buf, `{"items":[`...)
+	var digest string
 	for i := range req.Items {
 		it := &req.Items[i]
 		if it.State.Base != "" {
 			// Elided by the caller's own hand: theirs to manage.
 			return out, s.c.send(ctx, http.MethodPost, path, req, &out)
 		}
-		digest := staticDigest(it.State.Hosts, it.State.VMs)
+		// Consecutive items mostly share their static half: hash it only
+		// when it differs from the previous item's.
+		if i == 0 || !sameStatic(&req.Items[i-1].State, &it.State) {
+			digest = staticDigest(it.State.Hosts, it.State.VMs)
+		}
 		elide := digest == base && elidable(&it.State)
 		base, elided = digest, elided || elide
 		if i > 0 {

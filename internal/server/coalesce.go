@@ -96,11 +96,11 @@ type coalescer struct {
 }
 
 // decideRound runs the waiters' items against the learner in join order —
-// per item, Observe the feedback if any, fill the session's snapshot, decide
-// — and returns one caller-owned migration slice per item. It is
-// core.DecideBatch's loop with the snapshot built between the two calls
-// instead of ahead of them. Callers hold the session lock (it runs inside
-// withLearner's fn).
+// per item, Observe the feedback if any and emit its step event as a
+// feedback post would, fill the session's snapshot, decide — and returns
+// one caller-owned migration slice per item. It is core.DecideBatch's loop
+// with the snapshot built between the two calls instead of ahead of them.
+// Callers hold the session lock (it runs inside withLearner's fn).
 func (s *session) decideRound(l *core.Megh, waiters []*coalesceWaiter, total int) [][]sim.Migration {
 	if s.snap == nil {
 		s.snap = new(retainedSnapshot)
@@ -111,6 +111,7 @@ func (s *session) decideRound(l *core.Megh, waiters []*coalesceWaiter, total int
 			it := &w.items[i]
 			if it.feedback != nil {
 				l.Observe(it.feedback)
+				s.traceStep(it.feedback)
 			}
 			snap := s.snap.fill(it.state, it.base, s.spec.OverloadThreshold, s.spec.StepSeconds)
 			outs = append(outs, l.DecideAppend(nil, snap))

@@ -304,7 +304,8 @@ func parentBatchWire(held string, req BatchDecideRequest) BatchDecideRequest {
 // json.Marshal of the value it marshalled before it had an encoder of its
 // own — for single decides and batches, with and without feedback and failed
 // hosts, with the static half changing mid-run so that a full snapshot or a
-// full item leads, and for the one full resend after a 409.
+// full item leads, or changing only in the sign of a zero MIPS, and for the
+// one full resend after a 409.
 func TestSessionClientWireBytes(t *testing.T) {
 	spy := &wireSpy{}
 	ts := httptest.NewServer(spy)
@@ -369,14 +370,36 @@ func TestSessionClientWireBytes(t *testing.T) {
 		}
 		return req
 	}
+	// DecideBatchCtx digests an item only when its statics differ from the
+	// previous item's, so the wire must not change when they differ only in
+	// the sign of a zero, or when items share one Hosts array. Each batch
+	// ends on the statics in force before it, which the 409 step below
+	// relies on.
+	edit := func(req BatchDecideRequest, from, to int, f func(*StateRequest)) BatchDecideRequest {
+		for i := from; i < to; i++ {
+			f(&req.Items[i].State)
+		}
+		return req
+	}
+	hostZeroMIPS := func(sign float64) func(*StateRequest) {
+		return func(st *StateRequest) { st.Hosts[3].MIPS = math.Copysign(0, sign) }
+	}
+	vmZeroMIPS := func(sign float64) func(*StateRequest) {
+		return func(st *StateRequest) { st.VMs[5].MIPS = math.Copysign(0, sign) }
+	}
+	shared := batch(3, 9)
+	edit(shared, 1, len(shared.Items), func(st *StateRequest) { st.Hosts = shared.Items[0].State.Hosts })
 	for what, run := range map[string]struct {
 		view *SessionClient
 		req  BatchDecideRequest
 	}{
-		"all elided":      {sc, batch(10, 16)},
-		"full in between": {sc, BatchDecideRequest{Items: append(batch(16, 19).Items, append(batch(2, 5).Items, batch(19, 21).Items...)...)}},
-		"fresh view":      {c.Session("wire"), batch(21, 25)},
-		"empty":           {sc, BatchDecideRequest{}},
+		"all elided":               {sc, batch(10, 16)},
+		"full in between":          {sc, BatchDecideRequest{Items: append(batch(16, 19).Items, append(batch(2, 5).Items, batch(19, 21).Items...)...)}},
+		"fresh view":               {c.Session("wire"), batch(21, 25)},
+		"empty":                    {sc, BatchDecideRequest{}},
+		"shared hosts, VMs change": {sc, shared},
+		"host MIPS +0 then -0":     {sc, edit(edit(batch(25, 30), 0, 2, hostZeroMIPS(1)), 2, 4, hostZeroMIPS(-1))},
+		"VM MIPS +0 then -0":       {sc, edit(edit(batch(30, 35), 0, 2, vmZeroMIPS(1)), 2, 4, vmZeroMIPS(-1))},
 	} {
 		var held string
 		if p := run.view.base.Load(); p != nil {

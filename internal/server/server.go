@@ -846,33 +846,39 @@ func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *
 		return
 	}
 	defer release()
+	fb := sim.Feedback{
+		Step:         req.Step,
+		StepCost:     req.StepCost,
+		EnergyCost:   req.EnergyCost,
+		SLACost:      req.SLACost,
+		ResourceCost: req.ResourceCost,
+	}
 	err := s.mgr.withLearner(sess, func(l *core.Megh) error {
-		l.Observe(&sim.Feedback{
-			Step:         req.Step,
-			StepCost:     req.StepCost,
-			EnergyCost:   req.EnergyCost,
-			SLACost:      req.SLACost,
-			ResourceCost: req.ResourceCost,
-		})
+		l.Observe(&fb)
 		return nil
 	})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if sess.tracer.Enabled() {
-		// The service never executes migrations itself, so the step event
-		// carries only the cost decomposition the caller reported.
-		sess.tracer.Emit(&trace.Event{
+	sess.traceStep(&fb)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// traceStep emits the step event for feedback the learner just observed.
+// The service never executes migrations itself, so the event carries only
+// the cost decomposition the caller reported.
+func (s *session) traceStep(fb *sim.Feedback) {
+	if s.tracer.Enabled() {
+		s.tracer.Emit(&trace.Event{
 			Kind:         trace.KindStep,
-			Step:         req.Step,
-			EnergyCost:   req.EnergyCost,
-			SLACost:      req.SLACost,
-			ResourceCost: req.ResourceCost,
-			StepCost:     req.StepCost,
+			Step:         fb.Step,
+			EnergyCost:   fb.EnergyCost,
+			SLACost:      fb.SLACost,
+			ResourceCost: fb.ResourceCost,
+			StepCost:     fb.StepCost,
 		})
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // traceTailSession serves the newest buffered trace events, oldest first.

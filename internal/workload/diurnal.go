@@ -60,7 +60,7 @@ func (c DiurnalConfig) Validate() error {
 	return nil
 }
 
-// GenerateDiurnal produces n periodic traces.
+// GenerateDiurnal produces n periodic traces, the same at any GOMAXPROCS.
 func GenerateDiurnal(cfg DiurnalConfig, n int) ([]Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -77,9 +77,7 @@ func GenerateDiurnal(cfg DiurnalConfig, n int) ([]Trace, error) {
 		period = StepsPerDay
 	}
 	traces := newTraces(n, steps)
-	r := rand.New(rand.NewSource(cfg.Seed))
-	for v := 0; v < n; v++ {
-		vr := rand.New(rand.NewSource(r.Int63()))
+	perVM(cfg.Seed, n, func(v int, vr *rand.Rand) {
 		phase := vr.Float64() * 2 * math.Pi
 		amp := cfg.Amplitude * (0.7 + 0.6*vr.Float64())
 		tr := traces[v]
@@ -97,6 +95,6 @@ func GenerateDiurnal(cfg DiurnalConfig, n int) ([]Trace, error) {
 			}
 			tr[t] = Clamp01(u)
 		}
-	}
+	})
 	return traces, nil
 }

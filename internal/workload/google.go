@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // GoogleConfig parameterises the Google-Cluster-like synthetic generator.
@@ -96,7 +97,7 @@ type GoogleTask struct {
 // GenerateGoogle produces n Google-like traces plus the underlying task
 // list. Task durations are drawn from a three-component log-uniform mixture
 // (short / medium / long) so the resulting log-duration histogram is broad
-// and non-standard, as in Figure 1b.
+// and non-standard, as in Figure 1b. Tasks are listed in VM order.
 func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -113,10 +114,8 @@ func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 		stepSec = 300
 	}
 	traces := newTraces(n, steps)
-	var tasks []GoogleTask
-	r := rand.New(rand.NewSource(cfg.Seed))
-	for v := 0; v < n; v++ {
-		vr := rand.New(rand.NewSource(r.Int63()))
+	vmTasks := make([][]GoogleTask, n)
+	perVM(cfg.Seed, n, func(v int, vr *rand.Rand) {
 		tr := traces[v]
 		// Stagger start times across the first day.
 		t := vr.Intn(StepsPerDay / 2)
@@ -127,7 +126,7 @@ func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 			if durSteps < 1 {
 				durSteps = 1
 			}
-			tasks = append(tasks, GoogleTask{
+			vmTasks[v] = append(vmTasks[v], GoogleTask{
 				VM: v, StartStep: t, DurationSec: durSec, Utilization: util,
 			})
 			for k := 0; k < durSteps && t < steps; k++ {
@@ -139,8 +138,8 @@ func GenerateGoogle(cfg GoogleConfig, n int) ([]Trace, []GoogleTask, error) {
 				t += 1 + vr.Intn(cfg.MaxIdleGapSteps)
 			}
 		}
-	}
-	return traces, tasks, nil
+	})
+	return traces, slices.Concat(vmTasks...), nil
 }
 
 // drawDuration samples from a mixture of log-uniform components. The

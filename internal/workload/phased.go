@@ -74,12 +74,16 @@ func GeneratePhased(cfg DiurnalConfig, phases []PhaseSpec, n int) ([]Trace, erro
 	if err != nil {
 		return nil, err
 	}
-	if len(phases) == 0 {
+	if len(phases) == 0 || len(traces) == 0 {
 		return traces, nil
+	}
+	scale := make([]float64, len(traces[0]))
+	for t := range scale {
+		scale[t] = LoadScaleAt(phases, t)
 	}
 	for _, tr := range traces {
 		for t := range tr {
-			tr[t] = Clamp01(tr[t] * LoadScaleAt(phases, t))
+			tr[t] = Clamp01(tr[t] * scale[t])
 		}
 	}
 	return traces, nil

@@ -68,7 +68,8 @@ func (c PlanetLabConfig) Validate() error {
 // GeneratePlanetLab produces n independent PlanetLab-like traces. Each VM
 // follows a two-state (idle/busy) Markov chain; within a regime the level
 // follows a clamped Gaussian around the regime mean with slight AR(1)
-// smoothing so bursts are sustained rather than i.i.d. noise.
+// smoothing so bursts are sustained rather than i.i.d. noise. The output is
+// the same at any GOMAXPROCS.
 func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -81,15 +82,11 @@ func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 		steps = SevenDays
 	}
 	traces := newTraces(n, steps)
-	r := rand.New(rand.NewSource(cfg.Seed))
 	busyFrac := 0.0
 	if p := cfg.PIdleToBusy + cfg.PBusyToIdle; p > 0 {
 		busyFrac = cfg.PIdleToBusy / p
 	}
-	for v := 0; v < n; v++ {
-		// Per-VM generator seeded from the master stream keeps traces
-		// independent yet reproducible regardless of generation order.
-		vr := rand.New(rand.NewSource(r.Int63()))
+	perVM(cfg.Seed, n, func(v int, vr *rand.Rand) {
 		tr := traces[v]
 		busy := vr.Float64() < busyFrac // start from the stationary mix
 		level := cfg.regimeLevel(vr, busy)
@@ -108,7 +105,7 @@ func GeneratePlanetLab(cfg PlanetLabConfig, n int) ([]Trace, error) {
 			}
 			tr[t] = Clamp01(level)
 		}
-	}
+	})
 	return traces, nil
 }
 

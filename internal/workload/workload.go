@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Trace is a fixed-length sequence of CPU-utilization samples in [0,1],
@@ -124,6 +126,31 @@ func newTraces(n, steps int) []Trace {
 		traces[v] = all[v*steps : (v+1)*steps : (v+1)*steps]
 	}
 	return traces
+}
+
+// perVM calls gen(v, r) for each VM v < n with r reseeded to the v-th Int63
+// of a master stream on seed. Contiguous blocks of VMs run on min(GOMAXPROCS,
+// n) goroutines, so what gen writes for VM v alone is the same at any count.
+func perVM(seed int64, n int, gen func(v int, r *rand.Rand)) {
+	master := rand.New(rand.NewSource(seed))
+	seeds := make([]int64, n)
+	for v := range seeds {
+		seeds[v] = master.Int63()
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(0))
+			for v := lo; v < hi; v++ {
+				r.Seed(seeds[v])
+				gen(v, r)
+			}
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	wg.Wait()
 }
 
 // gaussClamped draws N(mean, std) clamped into [lo, hi].

@@ -348,14 +348,3 @@ func TestGaussClamped(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkGeneratePlanetLab(b *testing.B) {
-	cfg := DefaultPlanetLabConfig(1)
-	cfg.Steps = StepsPerDay
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := GeneratePlanetLab(cfg, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
