@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check experiments-check examples-smoke
+.PHONY: verify check build test race vet fmt-check bench-trace bench-json bench-check bench-alloc-gate fuzz-short routes-golden metriclint cover scenario-smoke bench-module bench-e2e size-json size-check experiments-check examples-smoke reach-check
 
 # Tier-1: everything compiles and the test suite passes.
 verify:
@@ -14,9 +14,19 @@ verify:
 # against no-tracer: they must match in ns/op and allocs/op), the
 # allocation-regression gate on the untraced decide path, and a short
 # fuzz pass over the fuzz targets, the scenario-matrix smoke run, vet +
-# tests of the nested benchmark module, the package-size gate, a re-run of
-# every committed results/ file, and a run of the end-to-end examples.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check experiments-check examples-smoke
+# tests of the nested benchmark module, the package-size gate, the
+# reachability gate, a re-run of every committed results/ file, and a run of
+# the end-to-end examples.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check reach-check experiments-check examples-smoke
+
+# A path stays only if a binary or the public API reaches it: every non-test
+# function under internal/ must be linked by a cmd/*, examples/* or bench
+# binary (built with inlining off, read back with go tool nm), be an exported
+# method of an internal type the root package aliases, or be listed in
+# scripts/reach.allow with its reason (facade, oracle or waits:<item>; at
+# most 50 entries, none stale). About 10 s with a warm build cache.
+reach-check:
+	sh scripts/reachcheck.sh
 
 # The examples that drive the public API end to end, the service one over
 # real HTTP: each must run to completion and exit 0 (under a second each on
@@ -194,8 +204,6 @@ bench-check:
 # one fuzz target per invocation, hence one line per target.
 FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -run=- -fuzz=FuzzPlanetLabParse -fuzztime=$(FUZZTIME) ./internal/workload/
-	$(GO) test -run=- -fuzz=FuzzGoogleParse -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run=- -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/

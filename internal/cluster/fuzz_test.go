@@ -31,7 +31,7 @@ func FuzzRingOwners(f *testing.F) {
 		r := NewRing(members, vnodes)
 
 		memberSet := map[string]bool{}
-		for _, m := range r.Members() {
+		for _, m := range r.members {
 			memberSet[m] = true
 		}
 		owners := r.Owners(key, n)

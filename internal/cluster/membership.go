@@ -108,12 +108,6 @@ func NewMembership(self Peer, peers []Peer, failAfter int) (*Membership, error) 
 	return m, nil
 }
 
-// Self returns this node's identity.
-func (m *Membership) Self() Peer { return m.self }
-
-// FailAfter returns the dead threshold.
-func (m *Membership) FailAfter() int { return m.failAfter }
-
 // ReportSuccess records a successful probe of peer name. A dead peer
 // rejoining bumps the epoch (its ring points come back).
 func (m *Membership) ReportSuccess(name string) {

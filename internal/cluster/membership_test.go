@@ -123,8 +123,8 @@ func TestMembershipValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.FailAfter() != DefFailAfter {
-		t.Fatalf("FailAfter default = %d", m.FailAfter())
+	if m.failAfter != DefFailAfter {
+		t.Fatalf("FailAfter default = %d", m.failAfter)
 	}
 	if !m.IsLeader() {
 		t.Fatal("single node must lead itself")

@@ -83,9 +83,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the sorted member names (a copy).
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 

@@ -148,8 +148,8 @@ func TestRingEdgeCases(t *testing.T) {
 	if dup.Len() != 2 {
 		t.Fatalf("duplicate members collapsed to %d, want 2", dup.Len())
 	}
-	if got := NewRing([]string{"x", "y"}, 1).Members(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("Members() = %v", got)
+	if got := NewRing([]string{"x", "y"}, 1).members; len(got) != 2 || got[0] != "x" || got[1] != "y" {
+		t.Fatalf("members = %v", got)
 	}
 }
 

@@ -74,29 +74,6 @@ func TestObserveReusesRejectedScratch(t *testing.T) {
 	m.Observe(fb)
 }
 
-// TestFitsExcludesBlockedAndInactiveHosts exercises the destination filter
-// directly: a failed host is never a destination, and an empty host is
-// excluded only from active-only scans.
-func TestFitsExcludesBlockedAndInactiveHosts(t *testing.T) {
-	m, err := New(DefaultConfig(2, 3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tinySnapshot(t, 2, 3) // round-robin: hosts 0 and 1 hold a VM, host 2 is empty
-	s.HostFailed = make([]bool, 3)
-	s.HostFailed[1] = true
-	m.refreshHostAggregates(s)
-	if m.fits(s, 0, 1, false) {
-		t.Fatal("failed host accepted as destination")
-	}
-	if m.fits(s, 0, 2, true) {
-		t.Fatal("inactive host accepted in an active-only scan")
-	}
-	if !m.fits(s, 0, 2, false) {
-		t.Fatal("healthy empty host rejected without active-only")
-	}
-}
-
 // TestDecideRecordsTimingSpans: a Timings-enabled tracer switches Decide
 // onto the span-recording path.
 func TestDecideWithTimingsTracer(t *testing.T) {

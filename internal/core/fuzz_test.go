@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint verifier and
-// loader. Neither may panic; VerifyState must accept exactly what LoadState
+// loader. Neither may panic; VerifyImage must accept exactly what LoadState
 // accepts and refuse the rest with the same error; whatever the in-place
 // reader takes, gob's decoder must take too and read into the same state;
 // and anything accepted must behave like a real checkpoint: re-saving is
@@ -103,10 +103,10 @@ func FuzzCheckpointLoad(f *testing.F) {
 				return
 			}
 		}
-		verr := VerifyState(bytes.NewReader(data))
+		verr := VerifyImage(data)
 		back, err := LoadState(bytes.NewReader(data))
 		if (verr == nil) != (err == nil) || (err != nil && verr.Error() != err.Error()) {
-			t.Fatalf("VerifyState says %v, LoadState says %v", verr, err)
+			t.Fatalf("VerifyImage says %v, LoadState says %v", verr, err)
 		}
 		if err != nil {
 			return // rejected input is fine; panics are not

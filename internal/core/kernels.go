@@ -4,9 +4,16 @@ import "megh/internal/sim"
 
 // This file holds the candidate-scoring sweep: one pass over VM j's θ row,
 // cells [base, base+M), gathering the feasible destinations, their Q values
-// and the row minimum. Feasibility reads only the flat per-host aggregate
-// arrays refreshHostAggregates filled (committed RAM/MIPS, capacities and
-// the blocked/active penalty mirrors), with arithmetic identical to fits.
+// and the row minimum. The stay destination cur is always feasible; another
+// host k is feasible when it has not failed (a failed host delivers no
+// capacity: proposing it burns the step's migration budget on a certain
+// rejection and feeds the LSPI update an action that never executed), the
+// VM's RAM fits, placing it leaves k's CPU at or under the overload
+// threshold β (a policy must not manufacture overloads), and, in an
+// activeOnly sweep, k is already active. Feasibility reads only the flat
+// per-host aggregate arrays refreshHostAggregates filled (committed
+// RAM/MIPS, capacities and the blocked/active penalty mirrors), with
+// arithmetic identical to scanRowScalar, the oracle in kernels_test.go.
 // Returned slices alias the learner's scratch.
 //
 // Both kernels are 4-wide blocked loops with a scalar tail for short rows

@@ -41,6 +41,8 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 // TestScanKernelsBitwiseIdentical compares both production kernels with the
 // scalar oracle directly: same feasible set, bit-identical Q gather,
 // bit-identical row minimum — including with failed (blocked) hosts in play.
+// Each kernel's feasible set must also keep the destination rules on its
+// own (assertFeasible); the two TestFits tests pin them on a 2×3 world.
 func TestScanKernelsBitwiseIdentical(t *testing.T) {
 	// Odd host counts exercise the unroll tail.
 	scanKernelsBitwiseIdentical(t, 24, 23, 0, 7, 22)
@@ -54,6 +56,60 @@ func TestScanKernelsBitwiseIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("short-row-%d", nHosts), func(t *testing.T) {
 			scanKernelsBitwiseIdentical(t, 6, nHosts, nHosts/2)
 		})
+	}
+}
+
+// feasibleSets sweeps VM 0 of a 2×3 world with host 1 failed through every
+// kernel and mode, keyed "kernel/activeOnly". Round-robin placement puts
+// VM 0 on host 0 and VM 1 on host 1, and leaves host 2 empty.
+func feasibleSets(t *testing.T) map[string][]int {
+	t.Helper()
+	m, err := New(DefaultConfig(2, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tinySnapshot(t, 2, 3)
+	s.HostFailed = []bool{false, true, false}
+	m.rebuildHostAggregates(s)
+	sets := make(map[string][]int)
+	for _, activeOnly := range []bool{false, true} {
+		f, _, _ := m.scanRowUnrolled(s, 0, 0, 0, activeOnly)
+		assertFeasible(t, "unrolled", m, s, 0, 0, activeOnly, f)
+		sets[fmt.Sprintf("unrolled/%v", activeOnly)] = append([]int(nil), f...)
+	}
+	f, _, _ := m.scanRowActive(s, 0, 0, 0)
+	assertFeasible(t, "active", m, s, 0, 0, true, f)
+	sets["active/true"] = append([]int(nil), f...)
+	return sets
+}
+
+// TestFitsExcludesBlockedAndInactiveHosts exercises the destination filter
+// of both scan kernels: a failed host is never a destination, and an empty
+// host is excluded only from active-only sweeps.
+func TestFitsExcludesBlockedAndInactiveHosts(t *testing.T) {
+	want := map[string][]int{
+		"unrolled/false": {0, 2},
+		"unrolled/true":  {0},
+		"active/true":    {0},
+	}
+	if got := feasibleSets(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("feasible sets %v, want %v", got, want)
+	}
+}
+
+// TestFitsExcludesFailedHosts is the regression test for the failed-host
+// destination bug: no kernel may admit a failed host, in any mode, while a
+// healthy active host stays admissible under the same aggregates.
+func TestFitsExcludesFailedHosts(t *testing.T) {
+	for key, f := range feasibleSets(t) {
+		for _, k := range f {
+			if k == 1 {
+				t.Fatalf("%s: failed host 1 admitted (feasible %v)", key, f)
+			}
+		}
+		if len(f) == 0 || f[0] != 0 {
+			t.Fatalf("%s: healthy active host 0 rejected (feasible %v)", key, f)
+		}
 	}
 }
 
@@ -79,10 +135,12 @@ func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int, failed ...int) 
 				wantMin := min
 
 				f, q, min = m.scanRowUnrolled(s, j, cur, base, activeOnly)
+				assertFeasible(t, "unrolled", m, s, j, cur, activeOnly, f)
 				compareScan(t, "unrolled", j, activeOnly, f, q, min, wantF, wantQ, wantMin)
 
 				if activeOnly && m.hostActive[cur] {
 					f, q, min = m.scanRowActive(s, j, cur, base)
+					assertFeasible(t, "active", m, s, j, cur, activeOnly, f)
 					compareScan(t, "active", j, activeOnly, f, q, min, wantF, wantQ, wantMin)
 				}
 			}
@@ -135,6 +193,23 @@ func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool)
 	m.feasibleScratch = feasible
 	m.qScratch = qs
 	return feasible, qs, minQ
+}
+
+// assertFeasible checks a kernel's feasible list against the destination
+// rules directly, not through the oracle: a failed host is never a
+// destination, nor an inactive one in an activeOnly sweep; the VM's current
+// host (the stay action) is exempt from both.
+func assertFeasible(t *testing.T, kernel string, m *Megh, s *sim.Snapshot, j, cur int, activeOnly bool, f []int) {
+	t.Helper()
+	for _, k := range f {
+		switch {
+		case k == cur:
+		case len(s.HostFailed) > 0 && s.HostFailed[k]:
+			t.Fatalf("%s kernel, vm %d activeOnly=%v: failed host %d is feasible", kernel, j, activeOnly, k)
+		case activeOnly && !m.hostActive[k]:
+			t.Fatalf("%s kernel, vm %d activeOnly=true: inactive host %d is feasible", kernel, j, k)
+		}
+	}
 }
 
 func compareScan(t *testing.T, kernel string, j int, activeOnly bool,

@@ -850,26 +850,3 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 	}
 	return chosen, base + chosen
 }
-
-// fits checks whether VM j can move to host k: the host not being failed,
-// RAM capacity, the overload threshold β after placement (a policy must not
-// manufacture overloads), and — for consolidation/exploration moves — that
-// the destination is already active. Aggregates include this step's earlier
-// choices; refreshHostAggregates must have run for this snapshot. The scan
-// kernels inline the same tests (kept in exact sync) for the hot sweep.
-func (m *Megh) fits(s *sim.Snapshot, j, k int, activeOnly bool) bool {
-	// A failed host delivers no capacity; proposing it burns the per-step
-	// migration budget on a guaranteed rejection and feeds the LSPI update
-	// an action that never executed.
-	if m.hostBlocked[k] {
-		return false
-	}
-	if activeOnly && !m.hostActive[k] {
-		return false
-	}
-	if m.hostRAM[k]+s.VMSpecs[j].RAMMB > m.hostRAMCap[k] {
-		return false
-	}
-	after := (m.hostMIPS[k] + s.VMMIPS[j]) / m.hostMIPSCap[k]
-	return after <= s.OverloadThreshold
-}

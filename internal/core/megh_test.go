@@ -486,29 +486,6 @@ func BenchmarkMeghDecide(b *testing.B) {
 	}
 }
 
-// TestFitsExcludesFailedHosts is the regression test for the failed-host
-// destination bug: fits must never admit a failed host, in any mode, even
-// when capacity-wise it is the best destination.
-func TestFitsExcludesFailedHosts(t *testing.T) {
-	m, err := New(DefaultConfig(2, 3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := tinySnapshot(t, 2, 3)
-	snap.HostFailed = []bool{false, true, false}
-	m.refreshHostAggregates(snap)
-	if m.fits(snap, 0, 1, true) {
-		t.Fatal("fits admitted a failed host (activeOnly=true)")
-	}
-	if m.fits(snap, 0, 1, false) {
-		t.Fatal("fits admitted a failed host (activeOnly=false)")
-	}
-	// Healthy hosts remain admissible under the same aggregates.
-	if !m.fits(snap, 0, 0, true) {
-		t.Fatal("fits rejected a healthy active host")
-	}
-}
-
 // TestSampleDestinationAvoidsFailedHost plants Q values that make the
 // failed host the greedy choice; the sampler must still never pick it.
 func TestSampleDestinationAvoidsFailedHost(t *testing.T) {
@@ -532,8 +509,8 @@ func TestSampleDestinationAvoidsFailedHost(t *testing.T) {
 }
 
 // TestMeghDoesNotProposeFailedHostsEndToEnd drives Megh through a run with
-// a long outage on a capacious host; with the fits guard every proposal
-// stays feasible (pre-fix, proposals into the failed host were rejected by
+// a long outage on a capacious host; with failed hosts out of the scan every
+// proposal stays feasible (pre-fix, proposals into the failed host were rejected by
 // the simulator and silently burned the migration budget).
 func TestMeghDoesNotProposeFailedHostsEndToEnd(t *testing.T) {
 	const nVMs, nHosts, steps = 12, 6, 80

@@ -116,16 +116,6 @@ func LoadStateFile(path string) (*Megh, error) {
 	return loadImage(img)
 }
 
-// VerifyState reports whether LoadState would accept the image read from
-// r, without building the learner; see VerifyImage.
-func VerifyState(r io.Reader) error {
-	img, err := readAll(r)
-	if err != nil {
-		return err
-	}
-	return VerifyImage(img)
-}
-
 // VerifyImage reports whether LoadState would accept the image img,
 // without building the learner: it decodes the image and makes every check
 // LoadState makes — it is the function LoadState calls first — at a cost

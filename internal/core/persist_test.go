@@ -222,7 +222,7 @@ func TestLoadStateRejectsInvalidFields(t *testing.T) {
 	}
 }
 
-// VerifyState is the first half of LoadState, so the two cannot disagree:
+// VerifyImage is the first half of LoadState, so the two cannot disagree:
 // every image one refuses the other refuses with the same words, and a
 // refusal says which part of the image is at fault.
 func TestVerifyStateAgreesWithLoadState(t *testing.T) {
@@ -231,8 +231,8 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 	if err := m.SaveState(&good); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyState(bytes.NewReader(good.Bytes())); err != nil {
-		t.Fatalf("VerifyState refuses a fresh image: %v", err)
+	if err := VerifyImage(good.Bytes()); err != nil {
+		t.Fatalf("VerifyImage refuses a fresh image: %v", err)
 	}
 	d := m.d
 	for name, tc := range map[string]struct {
@@ -265,10 +265,10 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 			tc.mutate(&st)
 			var bad bytes.Buffer
 			encodeTestState(t, &bad, st)
-			verr := VerifyState(bytes.NewReader(bad.Bytes()))
+			verr := VerifyImage(bad.Bytes())
 			_, lerr := LoadState(bytes.NewReader(bad.Bytes()))
 			if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
-				t.Fatalf("VerifyState says %v, LoadState says %v", verr, lerr)
+				t.Fatalf("VerifyImage says %v, LoadState says %v", verr, lerr)
 			}
 			if !strings.Contains(verr.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", verr, tc.want)
@@ -281,10 +281,10 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 		"empty":          nil,
 		"trailing bytes": append(bytes.Clone(good.Bytes()), 1, 2),
 	} {
-		verr := VerifyState(bytes.NewReader(raw))
+		verr := VerifyImage(raw)
 		_, lerr := LoadState(bytes.NewReader(raw))
 		if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
-			t.Fatalf("%s: VerifyState says %v, LoadState says %v", name, verr, lerr)
+			t.Fatalf("%s: VerifyImage says %v, LoadState says %v", name, verr, lerr)
 		}
 	}
 }
@@ -383,7 +383,7 @@ func TestVerifyStateCostFollowsTheImage(t *testing.T) {
 	encodeTestState(t, &img, st)
 
 	got := allocatedBy(func() {
-		if err := VerifyState(bytes.NewReader(img.Bytes())); err != nil {
+		if err := VerifyImage(img.Bytes()); err != nil {
 			t.Fatalf("image of a fresh 10 000 × 1 000 learner refused: %v", err)
 		}
 	})

@@ -234,9 +234,6 @@ func (t *Tracker) Reattach(m *core.Megh) {
 	t.lastNNZ = m.QTableNNZ()
 }
 
-// Attached reports whether a live learner is currently being tracked.
-func (t *Tracker) Attached() bool { return t.m != nil }
-
 // Instrument mirrors the tracker's headline telemetry into reg as gauges
 // (refreshed on every AfterDecide): the verdict as 0/1/2 and the drift and
 // residual EWMAs.

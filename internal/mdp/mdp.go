@@ -1,7 +1,7 @@
 // Package mdp holds the Markov-decision-process vocabulary of paper §4
-// shared by the learning policies: the (VM, destination-PM) action encoding,
-// its bijection onto the d = N·M-dimensional index space that spans Megh's
-// sparse basis, and small helpers for discounted-cost bookkeeping.
+// shared by the learning policies: the (VM, destination-PM) action encoding
+// and its bijection onto the d = N·M-dimensional index space that spans
+// Megh's sparse basis.
 package mdp
 
 import "fmt"
@@ -26,17 +26,6 @@ func (a Action) Index(numHosts int) int {
 	return a.VM*numHosts + a.Host
 }
 
-// ActionFromIndex inverts Index.
-func ActionFromIndex(idx, numHosts int) Action {
-	if numHosts <= 0 {
-		panic(fmt.Sprintf("mdp: non-positive host count %d", numHosts))
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("mdp: negative action index %d", idx))
-	}
-	return Action{VM: idx / numHosts, Host: idx % numHosts}
-}
-
 // SpaceSize returns d = N·M, the dimension of the projected action space.
 func SpaceSize(numVMs, numHosts int) int {
 	if numVMs < 0 || numHosts < 0 {
@@ -44,29 +33,3 @@ func SpaceSize(numVMs, numHosts int) int {
 	}
 	return numVMs * numHosts
 }
-
-// DiscountedSum accumulates Σ γ^(t-1)·c_t incrementally; it is the running
-// cost-to-go realisation used by convergence diagnostics and tests.
-type DiscountedSum struct {
-	gamma float64
-	pow   float64
-	sum   float64
-}
-
-// NewDiscountedSum returns an accumulator for discount γ ∈ [0,1).
-func NewDiscountedSum(gamma float64) (*DiscountedSum, error) {
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("mdp: discount %g out of [0,1)", gamma)
-	}
-	return &DiscountedSum{gamma: gamma, pow: 1}, nil
-}
-
-// Add folds in the next per-stage cost and returns the updated sum.
-func (d *DiscountedSum) Add(cost float64) float64 {
-	d.sum += d.pow * cost
-	d.pow *= d.gamma
-	return d.sum
-}
-
-// Sum returns the accumulated discounted sum.
-func (d *DiscountedSum) Sum() float64 { return d.sum }

@@ -1,7 +1,6 @@
 package mdp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +12,7 @@ func TestActionIndexRoundTrip(t *testing.T) {
 		for h := 0; h < hosts; h++ {
 			a := Action{VM: vm, Host: h}
 			idx := a.Index(hosts)
-			if got := ActionFromIndex(idx, hosts); got != a {
+			if got := (Action{VM: idx / hosts, Host: idx % hosts}); got != a {
 				t.Fatalf("round trip %+v → %d → %+v", a, idx, got)
 			}
 		}
@@ -44,8 +43,6 @@ func TestActionIndexPanics(t *testing.T) {
 		func() { Action{VM: 0, Host: 0}.Index(0) },
 		func() { Action{VM: -1, Host: 0}.Index(3) },
 		func() { Action{VM: 0, Host: 3}.Index(3) },
-		func() { ActionFromIndex(-1, 3) },
-		func() { ActionFromIndex(0, 0) },
 		func() { SpaceSize(-1, 2) },
 	} {
 		func() {
@@ -56,28 +53,6 @@ func TestActionIndexPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestDiscountedSumGeometric(t *testing.T) {
-	d, err := NewDiscountedSum(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		d.Add(1)
-	}
-	if got := d.Sum(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Σ 0.5^t = %g, want 2", got)
-	}
-}
-
-func TestDiscountedSumRejectsBadGamma(t *testing.T) {
-	if _, err := NewDiscountedSum(1); err == nil {
-		t.Fatal("γ = 1 must be rejected (infinite-horizon divergence)")
-	}
-	if _, err := NewDiscountedSum(-0.1); err == nil {
-		t.Fatal("negative γ must be rejected")
 	}
 }
 

@@ -2,22 +2,6 @@ package power
 
 import "testing"
 
-func TestCubicNameAndClamps(t *testing.T) {
-	c, err := NewCubic("fan", 100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != "fan" {
-		t.Fatalf("Name() = %q", c.Name())
-	}
-	if got := c.Power(-0.5); got != 100 {
-		t.Fatalf("P(-0.5) = %g, want idle draw", got)
-	}
-	if got, want := c.Power(2), c.Power(1); got != want {
-		t.Fatalf("P(2) = %g, want clamp to P(1) = %g", got, want)
-	}
-}
-
 // mustTable backs the embedded Table-1 models, so its panic-on-bad-input
 // contract is part of the package API surface.
 func TestMustTablePanicsOnBadTable(t *testing.T) {

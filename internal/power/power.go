@@ -4,10 +4,7 @@
 // from these instantaneous power values.
 package power
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Model yields instantaneous power (Watts) at a CPU utilization in [0,1].
 // Implementations must clamp out-of-range utilizations into [0,1].
@@ -57,13 +54,6 @@ func (t *Table) Power(u float64) float64 {
 	frac := pos - float64(lo)
 	return t.watts[lo]*(1-frac) + t.watts[lo+1]*frac
 }
-
-// IdlePower returns the draw at 0 % utilization (the cost of keeping the
-// host powered on but idle).
-func (t *Table) IdlePower() float64 { return t.watts[0] }
-
-// MaxPower returns the draw at 100 % utilization.
-func (t *Table) MaxPower() float64 { return t.watts[10] }
 
 // mustTable builds the embedded reference tables; the inputs are compile-time
 // constants so failure is a programming error.
@@ -120,41 +110,4 @@ func (l *Linear) Power(u float64) float64 {
 		u = 1
 	}
 	return l.idle + (l.max_-l.idle)*u
-}
-
-// Cubic is the empirical concave model P(u) = idle + (max−idle)·(2u − u^1.4)
-// (Fan et al., "Power provisioning for a warehouse-sized computer"), an
-// alternative Model for power-model sensitivity studies.
-type Cubic struct {
-	name       string
-	idle, max_ float64
-}
-
-var _ Model = (*Cubic)(nil)
-
-// NewCubic builds a concave empirical model P(u) = idle + (max−idle)·(2u−u^1.4).
-// It returns an error when max < idle or either is negative.
-func NewCubic(name string, idle, max float64) (*Cubic, error) {
-	if idle < 0 || max < idle {
-		return nil, fmt.Errorf("power: invalid cubic model idle=%g max=%g", idle, max)
-	}
-	return &Cubic{name: name, idle: idle, max_: max}, nil
-}
-
-// Name implements Model.
-func (c *Cubic) Name() string { return c.name }
-
-// Power implements Model.
-func (c *Cubic) Power(u float64) float64 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	shape := 2*u - math.Pow(u, 1.4)
-	if shape > 1 {
-		shape = 1
-	}
-	return c.idle + (c.max_-c.idle)*shape
 }

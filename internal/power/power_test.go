@@ -44,8 +44,8 @@ func TestTableClamping(t *testing.T) {
 
 func TestTableIdleMax(t *testing.T) {
 	g4 := HPProLiantG4()
-	if g4.IdlePower() != 86 || g4.MaxPower() != 117 {
-		t.Fatalf("G4 idle/max = %g/%g", g4.IdlePower(), g4.MaxPower())
+	if g4.Power(0) != 86 || g4.Power(1) != 117 {
+		t.Fatalf("G4 idle/max = %g/%g", g4.Power(0), g4.Power(1))
 	}
 }
 
@@ -88,32 +88,11 @@ func TestLinearRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestCubicModel(t *testing.T) {
-	c, err := NewCubic("cub", 100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Power(0) != 100 {
-		t.Fatalf("cubic idle = %g", c.Power(0))
-	}
-	if got := c.Power(1); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("cubic max = %g", got)
-	}
-	// Concave: midpoint above the chord.
-	if c.Power(0.5) <= 150 {
-		t.Fatalf("cubic not concave: P(0.5) = %g", c.Power(0.5))
-	}
-	if _, err := NewCubic("bad", 5, 1); err == nil {
-		t.Fatal("expected error for max < idle")
-	}
-}
-
 // Property: all models are monotone non-decreasing in utilization and
 // bounded by [idle, max].
 func TestQuickModelsMonotone(t *testing.T) {
 	lin, _ := NewLinear("lin", 90, 140)
-	cub, _ := NewCubic("cub", 90, 140)
-	models := []Model{HPProLiantG4(), HPProLiantG5(), lin, cub}
+	models := []Model{HPProLiantG4(), HPProLiantG5(), lin}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		u1 := r.Float64()

@@ -30,9 +30,6 @@ func NewDenseIdentity(n int, c float64) *Dense {
 	return d
 }
 
-// Dim returns the matrix dimension.
-func (d *Dense) Dim() int { return d.n }
-
 // Get returns entry (i,j).
 func (d *Dense) Get(i, j int) float64 { return d.a[i*d.n+j] }
 

@@ -227,57 +227,12 @@ func (m *Matrix) colRemove(j, i int) {
 	r.col = append(r.col[:p], r.col[p+1:]...)
 }
 
-// Set assigns entry (i,j). Setting an off-diagonal entry to zero (or below
-// the drop tolerance) removes it; a diagonal entry set to zero stays
-// materialised as absent (overriding the implicit identity).
-func (m *Matrix) Set(i, j int, x float64) {
-	m.check(i, j)
-	if i == j {
-		m.setDiag(i)
-	}
-	if x < m.dropTol && x > -m.dropTol {
-		x = 0
-	}
-	// A found entry means the page exists, so the peeked row is the row.
-	r := &m.peek(i).row
-	p, ok := r.find(j)
-	if x == 0 {
-		if ok {
-			r.removeAt(p)
-			m.colRemove(j, i)
-			m.nnz--
-		}
-		return
-	}
-	if ok {
-		r.val[p] = x
-		return
-	}
-	m.touch(i).row.insertAt(p, j, x)
-	m.colInsert(j, i)
-	m.nnz++
-}
-
-// Add adds x to entry (i,j), respecting the implicit diagonal.
-func (m *Matrix) Add(i, j int, x float64) {
-	m.Set(i, j, m.Get(i, j)+x)
-}
-
 // Row returns row i as a sparse vector (a copy, including the implicit
 // diagonal entry if still in effect).
 func (m *Matrix) Row(i int) *Vector {
 	m.check(i, 0)
 	v := &Vector{dim: m.dim}
 	v.idx, v.val = m.appendRow(i, v.idx, v.val)
-	return v
-}
-
-// Col returns column j as a sparse vector (a copy, including the implicit
-// diagonal entry if still in effect).
-func (m *Matrix) Col(j int) *Vector {
-	m.check(0, j)
-	v := &Vector{dim: m.dim}
-	v.idx, v.val = m.AppendCol(j, v.idx, v.val)
 	return v
 }
 

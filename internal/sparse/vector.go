@@ -18,7 +18,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Vector is a sparse real vector of a fixed dimension, stored as parallel
@@ -39,18 +38,8 @@ func NewVector(dim int) *Vector {
 	return &Vector{dim: dim}
 }
 
-// Basis returns the standard basis vector e_i of the given dimension.
-func Basis(dim, i int) *Vector {
-	v := NewVector(dim)
-	v.Set(i, 1)
-	return v
-}
-
 // Dim returns the dimension of the vector.
 func (v *Vector) Dim() int { return v.dim }
-
-// NNZ returns the number of stored non-zero entries.
-func (v *Vector) NNZ() int { return len(v.idx) }
 
 // find returns the position of index i in the sorted index slice and whether
 // it is present; when absent, the position is the insertion point.
@@ -66,25 +55,6 @@ func (v *Vector) Get(i int) float64 {
 		return v.val[p]
 	}
 	return 0
-}
-
-// Set assigns the i-th entry. Setting an entry to exactly zero removes it
-// from the underlying storage.
-func (v *Vector) Set(i int, x float64) {
-	v.check(i)
-	p, ok := v.find(i)
-	if ok {
-		if x == 0 {
-			v.removeAt(p)
-			return
-		}
-		v.val[p] = x
-		return
-	}
-	if x == 0 {
-		return
-	}
-	v.insertAt(p, i, x)
 }
 
 // Add adds x to the i-th entry.
@@ -132,52 +102,6 @@ func (v *Vector) Scale(a float64) {
 	}
 }
 
-// AXPY computes v ← v + a·u by merging the two sorted supports. Entries that
-// cancel to exact zero are removed. It panics if dimensions differ.
-func (v *Vector) AXPY(a float64, u *Vector) {
-	if v.dim != u.dim {
-		panic(fmt.Sprintf("sparse: AXPY dimension mismatch %d vs %d", v.dim, u.dim))
-	}
-	if a == 0 || len(u.idx) == 0 {
-		return
-	}
-	ni := make([]int, 0, len(v.idx)+len(u.idx))
-	nv := make([]float64, 0, len(v.idx)+len(u.idx))
-	p, q := 0, 0
-	for p < len(v.idx) && q < len(u.idx) {
-		switch {
-		case v.idx[p] < u.idx[q]:
-			ni = append(ni, v.idx[p])
-			nv = append(nv, v.val[p])
-			p++
-		case v.idx[p] > u.idx[q]:
-			if x := a * u.val[q]; x != 0 {
-				ni = append(ni, u.idx[q])
-				nv = append(nv, x)
-			}
-			q++
-		default:
-			if x := v.val[p] + a*u.val[q]; x != 0 {
-				ni = append(ni, v.idx[p])
-				nv = append(nv, x)
-			}
-			p++
-			q++
-		}
-	}
-	for ; p < len(v.idx); p++ {
-		ni = append(ni, v.idx[p])
-		nv = append(nv, v.val[p])
-	}
-	for ; q < len(u.idx); q++ {
-		if x := a * u.val[q]; x != 0 {
-			ni = append(ni, u.idx[q])
-			nv = append(nv, x)
-		}
-	}
-	v.idx, v.val = ni, nv
-}
-
 // Range calls f for every stored non-zero entry in ascending index order. If
 // f returns false, iteration stops. f must not mutate the vector.
 func (v *Vector) Range(f func(i int, x float64) bool) {
@@ -188,15 +112,6 @@ func (v *Vector) Range(f func(i int, x float64) bool) {
 	}
 }
 
-// Clone returns a deep copy of the vector.
-func (v *Vector) Clone() *Vector {
-	return &Vector{
-		dim: v.dim,
-		idx: append([]int(nil), v.idx...),
-		val: append([]float64(nil), v.val...),
-	}
-}
-
 // Dense materialises the vector as a dense slice of length Dim().
 func (v *Vector) Dense() []float64 {
 	d := make([]float64, v.dim)
@@ -204,39 +119,6 @@ func (v *Vector) Dense() []float64 {
 		d[i] = v.val[p]
 	}
 	return d
-}
-
-// Indices returns the sorted indices of the non-zero entries.
-func (v *Vector) Indices() []int {
-	return append([]int(nil), v.idx...)
-}
-
-// MaxAbs returns the largest absolute entry value, or 0 for a zero vector.
-func (v *Vector) MaxAbs() float64 {
-	var m float64
-	for _, x := range v.val {
-		if x < 0 {
-			x = -x
-		}
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// String renders the non-zero entries in index order, for debugging.
-func (v *Vector) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for p, i := range v.idx {
-		if p > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d:%g", i, v.val[p])
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 func (v *Vector) check(i int) {

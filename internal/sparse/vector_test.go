@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,19 +94,6 @@ func TestVectorDotDimMismatchPanics(t *testing.T) {
 	NewVector(3).Dot(NewVector(4))
 }
 
-func TestVectorAXPY(t *testing.T) {
-	v := NewVector(4)
-	v.Set(1, 1)
-	u := NewVector(4)
-	u.Set(1, 2)
-	u.Set(2, 3)
-	v.AXPY(2, u)
-	want := []float64{0, 5, 6, 0}
-	if got := v.Dense(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("AXPY result = %v, want %v", got, want)
-	}
-}
-
 func TestVectorScale(t *testing.T) {
 	v := NewVector(3)
 	v.Set(0, 2)
@@ -120,48 +106,6 @@ func TestVectorScale(t *testing.T) {
 	v.Scale(0)
 	if v.NNZ() != 0 {
 		t.Fatalf("Scale(0) left %d non-zeros", v.NNZ())
-	}
-}
-
-func TestVectorCloneIsDeep(t *testing.T) {
-	v := NewVector(3)
-	v.Set(1, 5)
-	c := v.Clone()
-	c.Set(1, 9)
-	if v.Get(1) != 5 {
-		t.Fatal("Clone is not deep: mutation leaked to original")
-	}
-}
-
-func TestVectorIndicesSorted(t *testing.T) {
-	v := NewVector(10)
-	for _, i := range []int{7, 1, 4} {
-		v.Set(i, float64(i))
-	}
-	want := []int{1, 4, 7}
-	if got := v.Indices(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Indices = %v, want %v", got, want)
-	}
-}
-
-func TestVectorMaxAbs(t *testing.T) {
-	v := NewVector(5)
-	if v.MaxAbs() != 0 {
-		t.Fatalf("zero vector MaxAbs = %g", v.MaxAbs())
-	}
-	v.Set(1, -3)
-	v.Set(2, 2)
-	if got := v.MaxAbs(); got != 3 {
-		t.Fatalf("MaxAbs = %g, want 3", got)
-	}
-}
-
-func TestVectorString(t *testing.T) {
-	v := NewVector(5)
-	v.Set(4, 2)
-	v.Set(0, 1)
-	if got, want := v.String(), "[0:1, 4:2]"; got != want {
-		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 
@@ -188,30 +132,6 @@ func randomVector(r *rand.Rand, dim, k int) *Vector {
 		v.Set(r.Intn(dim), r.Float64()*2-1)
 	}
 	return v
-}
-
-// Property: Dot distributes over AXPY — ⟨w, v + a·u⟩ = ⟨w,v⟩ + a⟨w,u⟩.
-func TestQuickDotLinearity(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	f := func(seed int64, a float64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		if math.IsNaN(a) || math.IsInf(a, 0) {
-			return true
-		}
-		a = math.Mod(a, 8)
-		const dim = 24
-		v := randomVector(rr, dim, 6)
-		u := randomVector(rr, dim, 6)
-		w := randomVector(rr, dim, 6)
-		lhsV := v.Clone()
-		lhsV.AXPY(a, u)
-		lhs := w.Dot(lhsV)
-		rhs := w.Dot(v) + a*w.Dot(u)
-		return math.Abs(lhs-rhs) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: r}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: Dense round-trips Set/Get.

@@ -62,15 +62,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of the slice.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear interpolation
 // between closest ranks (type-7, the R default). It panics on an empty slice
 // or out-of-range q.
@@ -119,29 +110,9 @@ func MAD(xs []float64) float64 {
 	return Median(dev)
 }
 
-// Skewness returns the sample skewness (third standardised moment), 0 when
-// the variance vanishes. Together with Kurtosis it gives the coordinates of
-// a Cullen–Frey plot (paper §6.2 uses one to argue the workloads match no
-// standard parametric family).
-func Skewness(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		d := (x - m) / sd
-		s += d * d * d
-	}
-	return s / float64(len(xs))
-}
-
 // Kurtosis returns the (non-excess) sample kurtosis, 0 when the variance
-// vanishes. A normal distribution has kurtosis 3.
+// vanishes. A normal distribution has kurtosis 3; the workload tests use it
+// to check the generators' heavy tails (paper §6.2).
 func Kurtosis(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
@@ -157,34 +128,6 @@ func Kurtosis(xs []float64) float64 {
 		s += d * d * d * d
 	}
 	return s / float64(len(xs))
-}
-
-// Summary bundles the descriptive statistics reported for a sample.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, Median, Max   float64
-	Q1, Q3             float64
-	Skewness, Kurtosis float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:        len(xs),
-		Mean:     Mean(xs),
-		Std:      StdDev(xs),
-		Min:      Min(xs),
-		Median:   Median(xs),
-		Max:      Max(xs),
-		Q1:       Quantile(xs, 0.25),
-		Q3:       Quantile(xs, 0.75),
-		Skewness: Skewness(xs),
-		Kurtosis: Kurtosis(xs),
-	}
 }
 
 // Boxplot holds the five-number summary plus the 5th/95th percentile whiskers

@@ -39,8 +39,8 @@ func TestVarianceDegenerate(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 11 {
-		t.Fatalf("Min/Max/Sum = %g/%g/%g", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Fatalf("Min/Max = %g/%g", Min(xs), Max(xs))
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Fatal("empty Min/Max should be ±Inf")
@@ -103,20 +103,6 @@ func TestMedianIQRMAD(t *testing.T) {
 	}
 }
 
-func TestSkewnessSymmetric(t *testing.T) {
-	xs := []float64{-2, -1, 0, 1, 2}
-	if got := Skewness(xs); !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("Skewness of symmetric sample = %g", got)
-	}
-}
-
-func TestSkewnessRightTail(t *testing.T) {
-	xs := []float64{1, 1, 1, 1, 10}
-	if got := Skewness(xs); got <= 0 {
-		t.Fatalf("Skewness = %g, want > 0 for right-tailed sample", got)
-	}
-}
-
 func TestKurtosisNormalApprox(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	xs := make([]float64, 200000)
@@ -130,18 +116,8 @@ func TestKurtosisNormalApprox(t *testing.T) {
 
 func TestMomentsDegenerateSample(t *testing.T) {
 	xs := []float64{4, 4, 4}
-	if Skewness(xs) != 0 || Kurtosis(xs) != 0 {
-		t.Fatal("constant sample should have zero skewness/kurtosis by convention")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if (Summary{}) != Summarize(nil) {
-		t.Fatal("Summarize(nil) should be zero Summary")
+	if Kurtosis(xs) != 0 {
+		t.Fatal("constant sample should have zero kurtosis by convention")
 	}
 }
 

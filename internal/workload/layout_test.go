@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -27,12 +25,6 @@ func TestGeneratedTracesShareOneBackingArray(t *testing.T) {
 	di.Steps = steps
 	di.BurstProb = 0.05
 	phases := []PhaseSpec{{Name: "fading", From: 0, LoadScale: 0.5}, {Name: "expansion", From: 20, LoadScale: 1.7}}
-	var usage strings.Builder
-	for v := 0; v < n; v++ {
-		for s := v; s < steps; s += 3 {
-			fmt.Fprintf(&usage, "%d,%d,%g\n", s, v, float64(s*v%11)/10)
-		}
-	}
 	cases := []struct {
 		name   string
 		gen    func() ([]Trace, error)
@@ -42,7 +34,6 @@ func TestGeneratedTracesShareOneBackingArray(t *testing.T) {
 		{"google", func() ([]Trace, error) { tr, _, err := GenerateGoogle(gg, n); return tr, err }, "1bd7e7ebbccbe0d7c20686b9b62e3ae2ef3c5a444e849db9494d86873011e501"},
 		{"diurnal", func() ([]Trace, error) { return GenerateDiurnal(di, n) }, "b8bc7b5223b4bb24eed023efd385e13268f5b199682223635a2e87454601a259"},
 		{"phased", func() ([]Trace, error) { return GeneratePhased(di, phases, n) }, "10463db966297946061d89c609a17368790466985303c2130d7a6ec6d18aac89"},
-		{"google-usage", func() ([]Trace, error) { return ReadGoogleUsage(strings.NewReader(usage.String())) }, "b39316861c7a683240b800d92f507785a43d5c53bfbfd259bf31388924fb98cc"},
 	}
 	for _, c := range cases {
 		traces, err := c.gen()

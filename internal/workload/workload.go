@@ -1,9 +1,9 @@
 // Package workload provides the CPU-utilization traces that drive the
 // simulator. The paper evaluates on PlanetLab (CoMoN) and Google Cluster
 // traces; since the original files are external data, this package supplies
-// (a) synthetic generators statistically matched to the trace properties
-// the paper publishes in §6.2, and (b) a loader/writer for the CloudSim
-// PlanetLab trace-file format so the real files can be dropped in.
+// synthetic generators statistically matched to the trace properties the
+// paper publishes in §6.2, and a writer for the CloudSim PlanetLab
+// trace-file format (cmd/tracegen).
 package workload
 
 import (
@@ -12,8 +12,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -70,34 +68,6 @@ const SevenDays = 7 * StepsPerDay // 2016
 
 // ThreeDays is the MadVM-comparison horizon (3 days of 5-minute steps).
 const ThreeDays = 3 * StepsPerDay // 864
-
-// ReadTrace parses a CloudSim PlanetLab-format trace: one integer
-// utilization percentage (0–100) per line. Blank lines are skipped.
-// Out-of-range or non-numeric lines are an error.
-func ReadTrace(r io.Reader) (Trace, error) {
-	sc := bufio.NewScanner(r)
-	var tr Trace
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		v, err := strconv.Atoi(text)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %w", line, err)
-		}
-		if v < 0 || v > 100 {
-			return nil, fmt.Errorf("workload: line %d: utilization %d out of [0,100]", line, v)
-		}
-		tr = append(tr, float64(v)/100)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: reading trace: %w", err)
-	}
-	return tr, nil
-}
 
 // WriteTrace emits the trace in CloudSim PlanetLab format (one integer
 // percentage per line, rounded to the nearest percent).

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,51 +48,27 @@ func TestStepConstants(t *testing.T) {
 	}
 }
 
-func TestReadTrace(t *testing.T) {
-	in := "10\n\n 25 \n100\n0\n"
-	tr, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Trace{0.10, 0.25, 1.0, 0.0}
-	if len(tr) != len(want) {
-		t.Fatalf("len = %d, want %d", len(tr), len(want))
-	}
-	for i := range want {
-		if math.Abs(tr[i]-want[i]) > 1e-12 {
-			t.Fatalf("tr[%d] = %g, want %g", i, tr[i], want[i])
+// TestWriteTrace pins WriteTrace's output byte for byte: one integer
+// percentage per line, samples clamped into [0,1] first and rounded half up
+// to the nearest percent.
+func TestWriteTrace(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   Trace
+		want string
+	}{
+		{"empty", Trace{}, ""},
+		{"zero-and-one", Trace{0, 1}, "0\n100\n"},
+		{"clamped", Trace{-0.25, -1e-9, 1 + 1e-9, 1.5}, "0\n0\n100\n100\n"},
+		{"half-percent-rounds-up", Trace{0.005, 0.125, 0.375, 0.995}, "1\n13\n38\n100\n"},
+		{"below-half-rounds-down", Trace{0.0049, 0.07, 0.1249, 0.994}, "0\n7\n12\n99\n"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, c.tr); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("abc\n")); err == nil {
-		t.Fatal("non-numeric line should error")
-	}
-	if _, err := ReadTrace(strings.NewReader("120\n")); err == nil {
-		t.Fatal("out-of-range percentage should error")
-	}
-	if _, err := ReadTrace(strings.NewReader("-4\n")); err == nil {
-		t.Fatal("negative percentage should error")
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := Trace{0.0, 0.07, 0.5, 0.99, 1.0}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(tr) {
-		t.Fatalf("round-trip length %d, want %d", len(back), len(tr))
-	}
-	for i := range tr {
-		if math.Abs(back[i]-tr[i]) > 0.005+1e-12 { // 1% quantisation
-			t.Fatalf("round-trip[%d] = %g, want ≈%g", i, back[i], tr[i])
+		if got := buf.String(); got != c.want {
+			t.Errorf("%s: WriteTrace wrote %q, want %q", c.name, got, c.want)
 		}
 	}
 }
