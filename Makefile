@@ -24,7 +24,8 @@ check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace be
 # binary (built with inlining off, read back with go tool nm), be an exported
 # method of an internal type the root package aliases, or be listed in
 # scripts/reach.allow with its reason (facade, oracle or waits:<item>; at
-# most 50 entries, none stale). About 10 s with a warm build cache.
+# most 50 entries, none stale). No binary may link encoding/gob. About 10 s
+# with a warm build cache.
 reach-check:
 	sh scripts/reachcheck.sh
 

@@ -7,17 +7,6 @@ import "megh/internal/sim"
 // equivalent sequential Observe/Decide loop — batching amortises transport
 // and locking, never what the learner decides.
 
-// deferredUpdate is the element type of the version-2 image's Deferred
-// field, a queue of postponed LSPI transitions that earlier builds could
-// keep. The image's gob type definitions name it, so it stays as a wire
-// type until the format is retired; this build never queues a transition
-// and refuses an image whose queue is not empty (readState).
-type deferredUpdate struct {
-	A, B int
-	N    int
-	C    float64
-}
-
 // BatchItem pairs one decision query with the feedback observed since the
 // previous one.
 type BatchItem struct {

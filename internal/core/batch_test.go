@@ -2,10 +2,8 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"megh/internal/sim"
@@ -74,77 +72,57 @@ func batchItems(snaps []*sim.Snapshot) []BatchItem {
 // the batch path: DecideBatch over a snapshot stream must be
 // decision-identical — same migrations AND byte-identical trace streams — to
 // the equivalent sequential Observe/Decide loop with the same seed. Batching
-// amortises transport and locking; it must not change semantics. A config
-// asking for the removed deferred-update mode is refused, naming the field,
-// never run as if it were exact. Run under -race by `make check`.
+// amortises transport and locking; it must not change semantics. Run under
+// -race by `make check`.
 func TestDecideBatchMatchesSequential(t *testing.T) {
 	const nVMs, nHosts, steps = 12, 6, 60
 	snaps := snapshotStream(t, nVMs, nHosts, steps)
 
-	for _, tc := range []struct {
-		name    string
-		mod     func(*Config)
-		refused string // the field New must name when it refuses the config
-	}{
-		{"exact", func(*Config) {}, ""},
-		{"deferred", func(c *Config) {
-			c.DeferThreshold = math.MaxFloat64
-			c.DeferMaxAge = 4
-		}, "DeferThreshold"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(nVMs, nHosts, 1234)
-			tc.mod(&cfg)
-			if tc.refused != "" {
-				if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.refused) {
-					t.Fatalf("New(%+v) = %v, want an error naming %s", cfg, err, tc.refused)
-				}
-				return
+	t.Run("exact", func(t *testing.T) {
+		cfg := DefaultConfig(nVMs, nHosts, 1234)
+		newLearner := func(buf *bytes.Buffer) *Megh {
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			newLearner := func(buf *bytes.Buffer) *Megh {
-				m, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr, err := trace.New(trace.Options{W: buf})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Trace(tr)
-				return m
+			tr, err := trace.New(trace.Options{W: buf})
+			if err != nil {
+				t.Fatal(err)
 			}
+			m.Trace(tr)
+			return m
+		}
 
-			items := batchItems(snaps)
+		items := batchItems(snaps)
 
-			var seqBuf bytes.Buffer
-			seq := newLearner(&seqBuf)
-			seqOut := make([][]sim.Migration, len(items))
-			for i, it := range items {
-				if it.Feedback != nil {
-					seq.Observe(it.Feedback)
-				}
-				seqOut[i] = seq.DecideAppend(nil, it.Snap)
+		var seqBuf bytes.Buffer
+		seq := newLearner(&seqBuf)
+		seqOut := make([][]sim.Migration, len(items))
+		for i, it := range items {
+			if it.Feedback != nil {
+				seq.Observe(it.Feedback)
 			}
+			seqOut[i] = seq.DecideAppend(nil, it.Snap)
+		}
 
-			var batchBuf bytes.Buffer
-			batch := newLearner(&batchBuf)
-			batchOut := batch.DecideBatch(items)
+		var batchBuf bytes.Buffer
+		batch := newLearner(&batchBuf)
+		batchOut := batch.DecideBatch(items)
 
-			if !reflect.DeepEqual(seqOut, batchOut) {
-				t.Fatal("DecideBatch diverged from the sequential Observe/Decide loop")
-			}
-			if !bytes.Equal(seqBuf.Bytes(), batchBuf.Bytes()) {
-				t.Fatal("batched and sequential trace streams differ byte-for-byte")
-			}
-			total := 0
-			for _, migs := range batchOut {
-				total += len(migs)
-			}
-			if total == 0 {
-				t.Fatal("stream produced no migrations — the differential test exercised nothing")
-			}
-		})
-	}
+		if !reflect.DeepEqual(seqOut, batchOut) {
+			t.Fatal("DecideBatch diverged from the sequential Observe/Decide loop")
+		}
+		if !bytes.Equal(seqBuf.Bytes(), batchBuf.Bytes()) {
+			t.Fatal("batched and sequential trace streams differ byte-for-byte")
+		}
+		total := 0
+		for _, migs := range batchOut {
+			total += len(migs)
+		}
+		if total == 0 {
+			t.Fatal("stream produced no migrations — the differential test exercised nothing")
+		}
+	})
 }
 
 // BenchmarkDecideBatch measures the amortised per-decision cost of the

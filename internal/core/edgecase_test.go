@@ -2,40 +2,39 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"megh/internal/obs"
 	"megh/internal/sim"
-	"megh/internal/sparse"
 	"megh/internal/trace"
 )
 
 // TestValidateRejectsBadDeferParameters: the retired deferred-update
-// fields accept only zero, and the refusal names the field and says why.
+// parameters are no Config fields any more, but the image still has their
+// slots; one that sets either, to any value, is refused naming it.
 func TestValidateRejectsBadDeferParameters(t *testing.T) {
+	m, err := New(DefaultConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct {
-		mutate func(*Config)
+		mutate func(*configV2)
 		field  string
 	}{
-		"nan-defer-threshold":      {func(c *Config) { c.DeferThreshold = math.NaN() }, "DeferThreshold"},
-		"inf-defer-threshold":      {func(c *Config) { c.DeferThreshold = math.Inf(1) }, "DeferThreshold"},
-		"negative-defer-threshold": {func(c *Config) { c.DeferThreshold = -1 }, "DeferThreshold"},
-		"positive-defer-threshold": {func(c *Config) { c.DeferThreshold = 1e-3 }, "DeferThreshold"},
-		"negative-defer-max-age":   {func(c *Config) { c.DeferMaxAge = -1 }, "DeferMaxAge"},
-		"positive-defer-max-age":   {func(c *Config) { c.DeferMaxAge = 8 }, "DeferMaxAge"},
+		"nan-defer-threshold":      {func(c *configV2) { c.DeferThreshold = math.NaN() }, "DeferThreshold"},
+		"inf-defer-threshold":      {func(c *configV2) { c.DeferThreshold = math.Inf(1) }, "DeferThreshold"},
+		"negative-defer-threshold": {func(c *configV2) { c.DeferThreshold = -1 }, "DeferThreshold"},
+		"positive-defer-threshold": {func(c *configV2) { c.DeferThreshold = 1e-3 }, "DeferThreshold"},
+		"negative-defer-max-age":   {func(c *configV2) { c.DeferMaxAge = -1 }, "DeferMaxAge"},
+		"positive-defer-max-age":   {func(c *configV2) { c.DeferMaxAge = 8 }, "DeferMaxAge"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := DefaultConfig(2, 2, 1)
-			tc.mutate(&cfg)
-			err := cfg.Validate()
-			if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "deferred updates were removed") {
-				t.Fatalf("Validate() = %v, want a refusal naming %s", err, tc.field)
-			}
+			st := mirrorOf(m)
+			tc.mutate(&st.Config)
+			assertRefused(t, mirrorImage(t, st), "Config."+tc.field+" is set")
 		})
 	}
 }
@@ -109,56 +108,31 @@ func TestXrandStateEdgeCases(t *testing.T) {
 	x.Intn(0)
 }
 
-// reencode round-trips a (possibly corrupted) persisted image back into the
-// byte form LoadState consumes.
-func reencode(t *testing.T, st persistedState) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return &buf
-}
-
-// decodeState extracts the persisted image of m for corruption tests.
-func decodeState(t *testing.T, m *Megh) persistedState {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var st persistedState
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 func TestLoadStateRejectsCorruptSparseState(t *testing.T) {
 	m, err := New(DefaultConfig(2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := decodeState(t, m)
+	base := savedMirror(t, m)
 	d := base.B.Dim
-	for name, mutate := range map[string]func(*persistedState){
-		"corrupt-B": func(st *persistedState) { st.B.Dim = -1 },
+	for name, mutate := range map[string]func(*imageV2){
+		"corrupt-B": func(st *imageV2) { st.B.Dim = -1 },
 		// One stored 1.0 at index d, out of range.
-		"corrupt-z": func(st *persistedState) {
-			st.Z = sparse.VectorState{Dim: d, PackedIndex: []byte{byte(d)}, PackedValue: []byte{6: 0xf0, 7: 0x3f}}
+		"corrupt-z": func(st *imageV2) {
+			st.Z = vectorV2{Dim: d, PackedIndex: []byte{byte(d)}, PackedValue: []byte{6: 0xf0, 7: 0x3f}}
 		},
 		// Index 1 listed twice, holding 1.0 each time.
-		"corrupt-theta": func(st *persistedState) {
-			st.Theta = sparse.VectorState{Dim: d, PackedIndex: []byte{1, 0}, PackedValue: []byte{6: 0xf0, 7: 0x3f, 14: 0xf0, 15: 0x3f}}
+		"corrupt-theta": func(st *imageV2) {
+			st.Theta = vectorV2{Dim: d, PackedIndex: []byte{1, 0}, PackedValue: []byte{6: 0xf0, 7: 0x3f, 14: 0xf0, 15: 0x3f}}
 		},
 		// A self-consistent matrix of the wrong dimension must be refused,
 		// not silently adopted.
-		"dim-mismatch": func(st *persistedState) { st.B.Dim = d + 1 },
+		"dim-mismatch": func(st *imageV2) { st.B.Dim = d + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := base
 			mutate(&st)
-			if _, err := LoadState(reencode(t, st)); err == nil {
+			if _, err := LoadState(bytes.NewReader(mirrorImage(t, st))); err == nil {
 				t.Fatal("corrupt persisted state loaded without error")
 			}
 		})
@@ -175,9 +149,9 @@ func TestLoadStateTrimsLegacyNNZHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := decodeState(t, m)
+	st := savedMirror(t, m)
 	st.NNZHistory = []int{1, 2, 3, 4, 5, 6, 7}
-	got, err := LoadState(reencode(t, st))
+	got, err := LoadState(bytes.NewReader(mirrorImage(t, st)))
 	if err != nil {
 		t.Fatal(err)
 	}

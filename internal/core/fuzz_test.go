@@ -12,10 +12,10 @@ import (
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the checkpoint verifier and
 // loader. Neither may panic; VerifyImage must accept exactly what LoadState
-// accepts and refuse the rest with the same error; whatever the in-place
-// reader takes, gob's decoder must take too and read into the same state;
-// and anything accepted must behave like a real checkpoint: re-saving is
-// possible and the save → load → save cycle is byte-stable.
+// accepts and refuse the rest with the same error; whatever the reader
+// takes, gob's decoder — the oracle — must take too and read into the same
+// state; and anything accepted must behave like a real checkpoint:
+// re-saving is possible and the save → load → save cycle is byte-stable.
 func FuzzCheckpointLoad(f *testing.F) {
 	// Seed with a genuine checkpoint from a learner holding non-trivial
 	// state, plus a truncation of it and a couple of obvious non-gobs.
@@ -37,12 +37,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add(seed.Bytes()[:seed.Len()/2])
 	// The same image carrying a queue of the removed deferred-update mode,
 	// which is refused wherever it is read.
-	var queued persistedState
-	newTestDecoder(f, seed.Bytes(), &queued)
-	queued.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: 0.5}}
-	var withQueue bytes.Buffer
-	encodeTestState(f, &withQueue, queued)
-	f.Add(withQueue.Bytes())
+	queued := readMirror(f, seed.Bytes())
+	queued.Deferred = []deferredV2{{A: 1, B: 2, N: 1, C: 0.5}}
+	f.Add(mirrorImage(f, queued))
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	// A world past the eager budget, so the loader's page-on-touch side is
@@ -67,19 +64,21 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	for _, corrupt := range []func(*persistedState){
-		func(st *persistedState) { st.B.PackedCols[1] = 0 },
-		func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) },
-		func(st *persistedState) { st.Version = 1 },
-		func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 1, Col: 2, Val: 0.5}} },
+	for _, corrupt := range []func(*imageV2){
+		func(st *imageV2) { st.B.PackedCols[1] = 0 },
+		func(st *imageV2) { copy(st.B.PackedVals, make([]byte, 8)) },
+		func(st *imageV2) { st.Version = 1 },
+		func(st *imageV2) { st.B.Triplets = []sparse.Triplet{{Row: 1, Col: 2, Val: 0.5}} },
+		func(st *imageV2) { st.Config.DeferThreshold = 1e-3 },
 	} {
-		var st persistedState
-		newTestDecoder(f, seed.Bytes(), &st)
+		st := readMirror(f, seed.Bytes())
 		corrupt(&st)
-		var bad bytes.Buffer
-		encodeTestState(f, &bad, st)
-		f.Add(bad.Bytes())
+		f.Add(mirrorImage(f, st))
 	}
+	// Padding inside the value message, after the state's closing 0.
+	r := imageReader{b: seed.Bytes()[len(imagePrefix):]}
+	r.uint()
+	f.Add(append(appendGobUint([]byte(imagePrefix), uint64(len(r.b)+1)), append(bytes.Clone(r.b), 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Resource guard, not an oracle: a restored learner costs what its
@@ -90,7 +89,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// don't care.
 		var st persistedState
 		gobErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&st)
-		if in := decodeImage(data, false); in != nil {
+		if in, err := decodeImage(data, false); err == nil {
 			if gobErr != nil {
 				t.Fatalf("read in place, but gob refuses it: %v", gobErr)
 			}

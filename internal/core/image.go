@@ -1,63 +1,57 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"megh/internal/sparse"
 )
 
-// A checkpoint image is one gob value of persistedState — the bytes
-// gob.NewEncoder(w).Encode(st) writes — and this file writes and reads
-// those bytes without running gob (DESIGN.md §7.6).
-//
-// A gob stream opens with the definitions of the types it carries, under
-// type ids encoding/gob hands out per process in the order it first
-// encodes each type, so the definitions are never spelled out here:
-// imageFormat asks gob for them. After them comes one message — its length,
-// the type id, then each field as the delta from the previous field number
-// and its value, zero values left out, every struct closed by a 0 — which
-// imageWriter lays out as gob's encoder does. decodeImage reads only that
-// shape, in place; everything else goes to gob (readState), so which path
-// read an image changes no verdict and no error text.
+// A checkpoint image is the bytes encoding/gob writes for one value of the
+// version-2 persistedState, written and read here without gob (DESIGN.md
+// §7.6): imagePrefix, then one message — its length, imageTypeID, then
+// each field as the delta from the previous field number and its value,
+// zero values left out, every struct closed by a 0. decodeImage is the
+// only reader, and it refuses every other shape.
 
-// gobFormat is what gob writes ahead of a persistedState's fields in this
-// process: the type definitions, and the value's type id.
-type gobFormat struct {
-	prefix []byte
-	id     int64
-}
+// imagePrefix is gob's definitions of the image's types as the version-2
+// build sent them, frozen: testdata/checkpoint_v2_packed.gob opens with
+// them. imageTypeID is the id they give persistedState.
+const (
+	imagePrefix = "\xff\xd2\x7f\x03\x01\x01\x0epersistedState\x01\xff\x80\x00\x01\x0f\x01\x07Version\x01\x04\x00\x01\x06Config" +
+		"\x01\xff\x82\x00\x01\x04Temp\x01\x08\x00\x01\x01B\x01\xff\x84\x00\x01\x01Z\x01\xff\x8c\x00\x01\x05Theta" +
+		"\x01\xff\x8c\x00\x01\x07Pending\x01\xff\x8a\x00\x01\x0cPendingTotal\x01\x04\x00\x01\x08StepCost" +
+		"\x01\x08\x00\x01\x08HaveCost\x01\x02\x00\x01\x0aNNZHistory\x01\xff\x8a\x00\x01\x08Deferred" +
+		"\x01\xff\x92\x00\x01\x08DeferAge\x01\x04\x00\x01\x07RngSeed\x01\x04\x00\x01\x08RngState" +
+		"\x01\xff\x94\x00\x00\x00\xff\xcb\xff\x81\x03\x01\x01\x06Config\x01\xff\x82\x00\x01\x0c\x01\x06NumVMs" +
+		"\x01\x04\x00\x01\x08NumHosts\x01\x04\x00\x01\x05Gamma\x01\x08\x00\x01\x05Temp0\x01\x08\x00\x01\x07Epsilon" +
+		"\x01\x08\x00\x01\x11MaxMigrationsFrac\x01\x08\x00\x01\x12UnderloadThreshold\x01\x08\x00\x01\x0fExplorationRate" +
+		"\x01\x08\x00\x01\x04Seed\x01\x04\x00\x01\x0dNNZHistoryCap\x01\x04\x00\x01\x0eDeferThreshold" +
+		"\x01\x08\x00\x01\x0bDeferMaxAge\x01\x04\x00\x00\x00\xff\x94\xff\x83\x03\x01\x01\x0bMatrixState" +
+		"\x01\xff\x84\x00\x01\x09\x01\x03Dim\x01\x04\x00\x01\x04Diag\x01\x08\x00\x01\x07DropTol" +
+		"\x01\x08\x00\x01\x0aPackedRows\x01\x0a\x00\x01\x0aPackedCols\x01\x0a\x00\x01\x0aPackedVals" +
+		"\x01\x0a\x00\x01\x0aPackedDiag\x01\x0a\x00\x01\x08Triplets\x01\xff\x88\x00\x01\x0eOverriddenDiag" +
+		"\x01\xff\x8a\x00\x00\x00\x1f\xff\x87\x02\x01\x01\x10[]sparse.Triplet" +
+		"\x01\xff\x88\x00\x01\xff\x86\x00\x00\x2d\xff\x85\x03\x01\x01\x07Triplet\x01\xff\x86\x00\x01\x03\x01\x03Row" +
+		"\x01\x04\x00\x01\x03Col\x01\x04\x00\x01\x03Val\x01\x08\x00\x00\x00\x13\xff\x89\x02\x01\x01\x05[]int" +
+		"\x01\xff\x8a\x00\x01\x04\x00\x00\x57\xff\x8b\x03\x01\x01\x0bVectorState\x01\xff\x8c\x00\x01\x05\x01\x03Dim" +
+		"\x01\x04\x00\x01\x0bPackedIndex\x01\x0a\x00\x01\x0bPackedValue\x01\x0a\x00\x01\x05Index" +
+		"\x01\xff\x8a\x00\x01\x05Value\x01\xff\x8e\x00\x00\x00\x17\xff\x8d\x02\x01\x01\x09[]float64" +
+		"\x01\xff\x8e\x00\x01\x08\x00\x00\x24\xff\x91\x02\x01\x01\x15[]core.deferredUpdate" +
+		"\x01\xff\x92\x00\x01\xff\x90\x00\x00\x34\xff\x8f\x03\x01\x01\x0edeferredUpdate\x01\xff\x90\x00\x01\x04\x01\x01A" +
+		"\x01\x04\x00\x01\x01B\x01\x04\x00\x01\x01N\x01\x04\x00\x01\x01C" +
+		"\x01\x08\x00\x00\x00\x16\xff\x93\x02\x01\x01\x08[]uint64\x01\xff\x94\x00\x01\x06\x00\x00"
+	imageTypeID = 64
+)
 
-// imageFormat encodes a zero persistedState twice on one encoder: the
-// second time gob sends the value message alone, so the first time it sent
-// the definitions and then that same message.
-var imageFormat = sync.OnceValues(func() (gobFormat, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(persistedState{}); err != nil {
-		return gobFormat{}, err
-	}
-	first := buf.Len()
-	if err := enc.Encode(persistedState{}); err != nil {
-		return gobFormat{}, err
-	}
-	msg := imageReader{b: buf.Bytes()[first:]}
-	msg.uint() // the message's length
-	return gobFormat{prefix: buf.Bytes()[:2*first-buf.Len()], id: msg.int()}, nil
-})
-
-// A fieldList points at the fields of one struct of the image in
-// declaration order, which is how gob numbers them. Encoder and decoder
-// both walk these lists, and TestImageCodecKnowsEveryField holds them to
-// the structs. A nil is a field nothing writes and only gob reads: a
-// version-1 list or the retired Deferred queue, each refused when set.
+// A fieldList points at the fields of one struct of the image in the order
+// imagePrefix numbers them. Encoder and decoder both walk these lists, and
+// TestImageCodecKnowsEveryField holds them to the structs. A string names
+// a retired field: nothing writes it, and the reader refuses it when set.
 type fieldList struct {
 	n int
 	f [15]any // persistedState's fields, the most of any struct
@@ -65,21 +59,21 @@ type fieldList struct {
 
 func stateFields(st *persistedState) fieldList {
 	return fieldList{15, [15]any{&st.Version, &st.Config, &st.Temp, &st.B, &st.Z, &st.Theta, &st.Pending,
-		&st.PendingTotal, &st.StepCost, &st.HaveCost, &st.NNZHistory, nil, &st.DeferAge,
-		&st.RngSeed, &st.RngState}}
+		&st.PendingTotal, &st.StepCost, &st.HaveCost, &st.NNZHistory, "Deferred", "DeferAge", "RngSeed", &st.RngState}}
 }
 
 func configFields(c *Config) fieldList {
 	return fieldList{12, [15]any{&c.NumVMs, &c.NumHosts, &c.Gamma, &c.Temp0, &c.Epsilon, &c.MaxMigrationsFrac,
-		&c.UnderloadThreshold, &c.ExplorationRate, &c.Seed, &c.NNZHistoryCap, &c.DeferThreshold, &c.DeferMaxAge}}
+		&c.UnderloadThreshold, &c.ExplorationRate, &c.Seed, &c.NNZHistoryCap, "Config.DeferThreshold", "Config.DeferMaxAge"}}
 }
 
 func matrixFields(m *sparse.MatrixState) fieldList {
-	return fieldList{9, [15]any{&m.Dim, &m.Diag, &m.DropTol, &m.PackedRows, &m.PackedCols, &m.PackedVals, &m.PackedDiag}}
+	return fieldList{9, [15]any{&m.Dim, &m.Diag, &m.DropTol, &m.PackedRows, &m.PackedCols, &m.PackedVals, &m.PackedDiag,
+		"MatrixState.Triplets", "MatrixState.OverriddenDiag"}}
 }
 
 func vectorFields(v *sparse.VectorState) fieldList {
-	return fieldList{5, [15]any{&v.Dim, &v.PackedIndex, &v.PackedValue}}
+	return fieldList{5, [15]any{&v.Dim, &v.PackedIndex, &v.PackedValue, "VectorState.Index", "VectorState.Value"}}
 }
 
 // AppendImage appends the learner's checkpoint image — the bytes SaveState
@@ -89,10 +83,6 @@ func vectorFields(v *sparse.VectorState) fieldList {
 // once that ring has wrapped); B, z and θ are packed straight from their
 // pages into the space reserved for them.
 func (m *Megh) AppendImage(dst []byte) ([]byte, error) {
-	format, err := imageFormat()
-	if err != nil {
-		return dst, fmt.Errorf("core: encoding learner state: %w", err)
-	}
 	var rng [2]uint64
 	rng[0], rng[1] = m.rng.state()
 	st := persistedState{
@@ -108,11 +98,11 @@ func (m *Megh) AppendImage(dst []byte) ([]byte, error) {
 		w.lists[i].Counting = true
 	}
 	m.pack(&w.lists)
-	w.message(format.id, fl)
+	w.message(fl)
 	n := w.n
-	dst = slices.Grow(dst, len(format.prefix)+gobUintLen(uint64(n))+n)
-	w.buf, w.sizing, w.next = appendGobUint(append(dst, format.prefix...), uint64(n)), false, 0
-	w.message(format.id, fl)
+	dst = slices.Grow(dst, len(imagePrefix)+gobUintLen(uint64(n))+n)
+	w.buf, w.sizing, w.next = appendGobUint(append(dst, imagePrefix...), uint64(n)), false, 0
+	w.message(fl)
 	m.pack(&w.lists)
 	for _, l := range w.lists {
 		if len(l.Buf) != l.Len {
@@ -144,8 +134,8 @@ type imageWriter struct {
 	next  int // the list the next []byte field holds
 }
 
-func (w *imageWriter) message(id int64, fl fieldList) {
-	w.uint(zigzag(id))
+func (w *imageWriter) message(fl fieldList) {
+	w.uint(zigzag(imageTypeID))
 	w.fields(fl)
 }
 
@@ -259,19 +249,22 @@ func gobUintLen(x uint64) int {
 	return 9 - bits.LeadingZeros64(x)>>3
 }
 
-// decodeImage reads img in place if it is this process's canonical image —
-// its definitions, then one message that parses exactly to the end of img
-// with only fields the encoder writes — and returns nil if it is not. The
-// byte lists of the result alias img. With verify set NNZHistory is
-// stepped over, not built: no check reads it.
-func decodeImage(img []byte, verify bool) *persistedState {
-	format, err := imageFormat()
-	if err != nil || !bytes.HasPrefix(img, format.prefix) {
-		return nil
+// decodeImage reads img in place: imagePrefix, then one message that
+// parses exactly to the end of img with no retired field set. The byte
+// lists of the result alias img. With verify set NNZHistory is stepped
+// over, not built: no check reads it.
+func decodeImage(img []byte, verify bool) (*persistedState, error) {
+	if len(img) < len(imagePrefix) || string(img[:len(imagePrefix)]) != imagePrefix {
+		return nil, errors.New("core: decoding learner state: not a version-2 image")
 	}
-	r := imageReader{b: img[len(format.prefix):]}
-	if n := r.uint(); n != uint64(len(r.b)) || n >= gobTooBig || r.int() != format.id || r.bad {
-		return nil
+	r := imageReader{b: img[len(imagePrefix):], size: len(img)}
+	switch n := r.uint(); {
+	case n < uint64(len(r.b)):
+		return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", uint64(len(r.b))-n)
+	case n > uint64(len(r.b)):
+		r.fail("a message of %d bytes, %d left", n, len(r.b))
+	case r.int() != imageTypeID && r.err == nil:
+		return nil, errors.New("core: decoding learner state: not a version-2 image")
 	}
 	st := new(persistedState)
 	fl := stateFields(st)
@@ -279,24 +272,38 @@ func decodeImage(img []byte, verify bool) *persistedState {
 		fl.f[10] = stepOver{}
 	}
 	r.fields(fl)
-	if r.bad || len(r.b) != 0 {
-		return nil
+	if len(r.b) != 0 {
+		r.fail("%d bytes after the state", len(r.b))
 	}
-	return st
+	switch {
+	case r.err != nil && !r.retired:
+		return nil, r.err
+	case st.Version != stateVersion:
+		return nil, fmt.Errorf("core: learner state version %d, this build reads only version %d", st.Version, stateVersion)
+	case r.err != nil:
+		return nil, r.err
+	}
+	return st, nil
 }
 
 // stepOver stands for an []int field read and dropped.
 type stepOver struct{}
 
-// gobTooBig is encoding/gob's ceiling on a message and on the bytes a
-// decoded slice takes; gob refuses anything past it.
-const gobTooBig = (1 << 30) << (^uint(0) >> 62)
-
-// imageReader parses a value message in place, as gob's decoder would.
-// Anything it does not expect sets bad, and from then on it reads nothing.
+// imageReader parses a value message in place. The first thing it does not
+// expect sets err, and from then on it reads nothing.
 type imageReader struct {
-	b   []byte
-	bad bool
+	b       []byte
+	size    int // the image's length, to give offsets
+	err     error
+	retired bool // err names a retired field
+}
+
+// fail records the first error, with its offset, and stops the reader.
+func (r *imageReader) fail(format string, a ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("core: decoding learner state: byte %d: "+format, append([]any{r.size - len(r.b)}, a...)...)
+	}
+	r.b = nil
 }
 
 // fields reads a struct into the fields fl points at, up to and including
@@ -313,21 +320,21 @@ func (r *imageReader) fields(fl fieldList) {
 		case *bool:
 			*v = r.uint() != 0
 		case *[]int:
-			*v = nilOrMake[int](r.len(bits.UintSize / 8))
+			*v = nilOrMake[int](r.len())
 			for i := range *v {
 				(*v)[i] = int(r.int())
 			}
 		case stepOver:
-			for n := r.len(bits.UintSize / 8); n > 0; n-- {
+			for n := r.len(); n > 0; n-- {
 				r.uint()
 			}
 		case *[]uint64:
-			*v = nilOrMake[uint64](r.len(8))
+			*v = nilOrMake[uint64](r.len())
 			for i := range *v {
 				(*v)[i] = r.uint()
 			}
 		case *[]byte:
-			if n := r.len(1); n > 0 {
+			if n := r.len(); n > 0 {
 				*v, r.b = r.b[:n:n], r.b[n:]
 			}
 		case *Config:
@@ -336,8 +343,9 @@ func (r *imageReader) fields(fl fieldList) {
 			r.fields(matrixFields(v))
 		case *sparse.VectorState:
 			r.fields(vectorFields(v))
-		default: // a field only gob reads
-			r.bad = true
+		case string:
+			r.fail("%s is set, a retired field this build refuses", v)
+			r.retired = true
 		}
 	}
 }
@@ -351,8 +359,8 @@ func nilOrMake[T any](n int) []T {
 }
 
 func (r *imageReader) uint() uint64 {
-	if r.bad || len(r.b) == 0 {
-		r.bad = true
+	if len(r.b) == 0 {
+		r.fail("the message ends early")
 		return 0
 	}
 	c := r.b[0]
@@ -362,7 +370,7 @@ func (r *imageReader) uint() uint64 {
 	}
 	n := -int(int8(c))
 	if n > 8 || n >= len(r.b) {
-		r.bad = true
+		r.fail("a truncated or overlong integer")
 		return 0
 	}
 	var x uint64
@@ -385,24 +393,23 @@ func (r *imageReader) int() int64 {
 // reports false at the 0 that closes the struct — or at anything malformed.
 func (r *imageReader) next(f *int, n int) bool {
 	d := r.uint()
-	if r.bad || d == 0 {
+	if r.err != nil || d == 0 {
 		return false
 	}
 	if d > uint64(n-1-*f) {
-		r.bad = true
+		r.fail("a field number past the last of %d", n)
 		return false
 	}
 	*f += int(d)
 	return true
 }
 
-// len reads the length of a list of elements of size bytes each, which can
-// pass neither the end of the message (every element takes a byte at
-// least) nor gob's ceiling.
-func (r *imageReader) len(size uint64) int {
+// len reads the length of a list, which cannot pass the end of the
+// message: every element takes a byte at least.
+func (r *imageReader) len() int {
 	n := r.uint()
-	if n > uint64(len(r.b)) || n*size > gobTooBig {
-		r.bad = true
+	if n > uint64(len(r.b)) {
+		r.fail("a list of %d elements, %d bytes left", n, len(r.b))
 		return 0
 	}
 	return int(n)

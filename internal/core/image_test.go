@@ -2,42 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"megh/internal/sim"
 	"megh/internal/sparse"
 )
-
-// gobImage is SaveState as it was before the image was written by hand:
-// assemble persistedState from the State() calls (gobState) and let gob
-// encode it. It is the oracle the hand-written encoder must match byte for
-// byte.
-func gobImage(t testing.TB, m *Megh) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	encodeTestState(t, &buf, gobState(m))
-	return buf.Bytes()
-}
-
-func gobState(m *Megh) persistedState {
-	s0, s1 := m.rng.state()
-	return persistedState{
-		Version:      stateVersion,
-		Config:       m.cfg,
-		Temp:         m.temp,
-		B:            m.b.State(),
-		Z:            m.z.State(),
-		Theta:        m.theta.Vector().State(),
-		Pending:      append([]int(nil), m.pending...),
-		PendingTotal: m.pendingTotal,
-		StepCost:     m.stepCost,
-		HaveCost:     m.haveCost,
-		NNZHistory:   append([]int(nil), m.NNZHistory()...),
-		RngState:     []uint64{s0, s1},
-	}
-}
 
 // sameState compares two decoded images field by field — nil against empty
 // and NaN's bits included, which reflect.DeepEqual gets wrong one way or
@@ -47,9 +20,9 @@ func sameState(a, b *persistedState) bool {
 }
 
 // TestImageIsWhatGobWrites: the hand-written image is, byte for byte, what
-// gob writes for the persistedState SaveState used to assemble, on learners
-// that between them set every field; and the in-place reader gives back
-// what gob's decoder does.
+// gob writes for the mirror of the learner's tables, framed under the
+// frozen definitions, on learners that between them set every field; and
+// the reader gives back what gob's decoder does.
 func TestImageIsWhatGobWrites(t *testing.T) {
 	stepped := func(cfg Config, steps int) *Megh {
 		m, err := New(cfg)
@@ -103,7 +76,7 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 		"lazily paged 1100x1000": lazy,
 	} {
 		t.Run(name, func(t *testing.T) {
-			want := gobImage(t, m)
+			want := mirrorImage(t, mirrorOf(m))
 			img, err := m.AppendImage(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -117,16 +90,18 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 			}
 
 			var gobs persistedState
-			newTestDecoder(t, img, &gobs)
-			got := decodeImage(img, false)
-			if got == nil {
-				t.Fatal("the in-place reader refused this build's own image")
+			if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&gobs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeImage(img, false)
+			if err != nil {
+				t.Fatalf("the reader refused this build's own image: %v", err)
 			}
 			if !sameState(got, &gobs) {
 				t.Fatalf("read in place:\n%#v\ngob decodes:\n%#v", *got, gobs)
 			}
-			verified := decodeImage(img, true)
-			if verified == nil || verified.NNZHistory != nil {
+			verified, err := decodeImage(img, true)
+			if err != nil || verified.NNZHistory != nil {
 				t.Fatal("verifying read the image differently, or built NNZHistory")
 			}
 			verified.NNZHistory = gobs.NNZHistory
@@ -137,12 +112,12 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 	}
 }
 
-// Adding, removing or reordering a field of any struct of the image changes
-// what gob writes, and the hand-written codec would go on with the old
-// layout: this fails first, naming the place to teach. Entry i of each
-// field list must point at the struct's i-th exported field (gob's field
-// number i), and only the version-1 lists and the retired Deferred queue
-// may be left nil.
+// The image's layout is frozen, so a field added to, removed from or moved
+// within any struct it carries would break it: this fails first, naming the
+// place to look. Slot by slot, each field list must name the field the
+// mirror of the frozen definitions has there — a retired one by its string,
+// a live one by pointing at the Go field of that name — and between them
+// the live slots must point at every exported field of the Go struct.
 func TestImageCodecKnowsEveryField(t *testing.T) {
 	var (
 		st persistedState
@@ -150,31 +125,39 @@ func TestImageCodecKnowsEveryField(t *testing.T) {
 		ms sparse.MatrixState
 		vs sparse.VectorState
 	)
-	gobOnly := map[string]bool{"Triplets": true, "OverriddenDiag": true, "Index": true, "Value": true, "Deferred": true}
 	for _, s := range []struct {
-		v  any
-		fl fieldList
-	}{{&st, stateFields(&st)}, {&c, configFields(&c)}, {&ms, matrixFields(&ms)}, {&vs, vectorFields(&vs)}} {
-		fields := s.fl.f[:s.fl.n]
-		rv := reflect.ValueOf(s.v).Elem()
-		var exported []reflect.StructField
-		for i := 0; i < rv.NumField(); i++ {
-			if f := rv.Type().Field(i); f.IsExported() {
-				exported = append(exported, f)
-			}
-		}
-		if len(exported) != len(fields) {
-			t.Errorf("%s has %d exported fields, the checkpoint image codec knows %d: teach the change to "+
-				"its field list in internal/core/image.go, or the image stops being what gob writes",
-				rv.Type(), len(exported), len(fields))
+		v, frozen any
+		fl        fieldList
+	}{{&st, imageV2{}, stateFields(&st)}, {&c, configV2{}, configFields(&c)},
+		{&ms, matrixV2{}, matrixFields(&ms)}, {&vs, vectorV2{}, vectorFields(&vs)}} {
+		rv, frozen := reflect.ValueOf(s.v).Elem(), reflect.TypeOf(s.frozen)
+		if frozen.NumField() != s.fl.n {
+			t.Errorf("the frozen %s has %d fields, its list in internal/core/image.go %d", rv.Type(), frozen.NumField(), s.fl.n)
 			continue
 		}
-		for i, f := range exported {
-			want := rv.FieldByIndex(f.Index).Addr().Interface()
-			if got := fields[i]; got != want && !(got == nil && gobOnly[f.Name]) {
-				t.Errorf("%s field %d is %s, but the checkpoint image codec's field list in internal/core/image.go has %T there",
-					rv.Type(), i, f.Name, got)
+		live := 0
+		for i, slot := range s.fl.f[:s.fl.n] {
+			name := frozen.Field(i).Name
+			if retired, ok := slot.(string); ok {
+				if retired != name && !strings.HasSuffix(retired, "."+name) {
+					t.Errorf("%s field %d is %s, the retired slot in internal/core/image.go names %s", rv.Type(), i, name, retired)
+				}
+				continue
 			}
+			live++
+			if f, ok := rv.Type().FieldByName(name); !ok || slot != rv.FieldByIndex(f.Index).Addr().Interface() {
+				t.Errorf("%s field %d is %s, but its list in internal/core/image.go has %T there", rv.Type(), i, name, slot)
+			}
+		}
+		exported := 0
+		for i := 0; i < rv.NumField(); i++ {
+			if rv.Type().Field(i).IsExported() {
+				exported++
+			}
+		}
+		if exported != live {
+			t.Errorf("%s has %d exported fields, the version-2 image carries %d: a field it does not carry needs a new format",
+				rv.Type(), exported, live)
 		}
 	}
 }

@@ -61,14 +61,6 @@ type Config struct {
 	// retention (the experiments harness, which needs the full series for
 	// a bounded run, sets this).
 	NNZHistoryCap int
-
-	// DeferThreshold and DeferMaxAge configured a deferred-update mode that
-	// has been removed: every transition is applied when it is observed
-	// (Algorithm 2). The version-2 checkpoint image's gob type definitions
-	// name both fields, so they stay until that format is retired, and
-	// Validate refuses any value but zero.
-	DeferThreshold float64
-	DeferMaxAge    int
 }
 
 // DefaultNNZHistoryCap is the NNZHistory ring size when Config.NNZHistoryCap
@@ -145,10 +137,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: UnderloadThreshold %g out of [0,1]", c.UnderloadThreshold)
 	case c.ExplorationRate < 0 || c.ExplorationRate > 1:
 		return fmt.Errorf("core: ExplorationRate %g out of [0,1]", c.ExplorationRate)
-	case c.DeferThreshold != 0:
-		return fmt.Errorf("core: DeferThreshold %g: deferred updates were removed, it must be 0", c.DeferThreshold)
-	case c.DeferMaxAge != 0:
-		return fmt.Errorf("core: DeferMaxAge %d: deferred updates were removed, it must be 0", c.DeferMaxAge)
 	}
 	return nil
 }

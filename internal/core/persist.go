@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -18,20 +17,14 @@ import (
 // carried them element by element and is refused (DESIGN.md §7.6).
 const stateVersion = 2
 
-// persistedState is the image of a learner: one gob value, which image.go
-// writes and reads without running gob. Everything the LSPI
-// machinery needs survives a round-trip: B (the Q-table), z, θ, the
-// temperature, the pending transition, and the exploration RNG state —
-// exact to the bit, so a save/load pair continues the identical random
-// stream (the differential suite in internal/invariant depends on this).
-//
-// RngState holds the two xoroshiro128+ words. RngSeed, Deferred and
-// DeferAge are wire-only: the format's type definitions name them, this
-// build never sets them, and readState refuses an image in which one is
-// not empty. RngSeed held the reseed value of version-1 images; Deferred
-// and DeferAge the queue of a removed deferred-update mode. PendingTotal is
-// never below len(Pending) in an image this build writes, and readState
-// refuses one where it is.
+// persistedState is the image of a learner, which image.go writes and reads
+// in the frozen version-2 layout. Everything the LSPI machinery needs
+// survives a round-trip: B (the Q-table), z, θ, the temperature, the
+// pending transition, and the exploration RNG state — exact to the bit, so
+// a save/load pair continues the identical random stream (the differential
+// suite in internal/invariant depends on this). RngState holds the two
+// xoroshiro128+ words. The layout's retired fields have no Go field here:
+// image.go's field lists name them.
 type persistedState struct {
 	Version      int
 	Config       Config
@@ -44,9 +37,6 @@ type persistedState struct {
 	StepCost     float64
 	HaveCost     bool
 	NNZHistory   []int
-	Deferred     []deferredUpdate
-	DeferAge     int
-	RngSeed      int64
 	RngState     []uint64
 }
 
@@ -119,8 +109,8 @@ func LoadStateFile(path string) (*Megh, error) {
 // VerifyImage reports whether LoadState would accept the image img,
 // without building the learner: it decodes the image and makes every check
 // LoadState makes — it is the function LoadState calls first — at a cost
-// proportional to the image, however large a world the image declares. A
-// canonical image is checked where it lies, without a copy.
+// proportional to the image, however large a world the image declares,
+// where the image lies, without a copy.
 func VerifyImage(img []byte) error {
 	_, err := readState(img, true)
 	return err
@@ -157,24 +147,14 @@ func loadImage(img []byte) (*Megh, error) {
 	return st.build()
 }
 
-// readState decodes a persisted image — in place when it is canonical
-// (decodeImage), with gob otherwise — and validates it. Everything that can
-// make an image unrestorable is rejected here, so build cannot fail on what
-// this returns. verify leaves out what only build reads.
+// readState decodes a persisted image in place (decodeImage) and validates
+// it. Everything that can make an image unrestorable is rejected here, so
+// build cannot fail on what this returns. verify leaves out what only build
+// reads.
 func readState(img []byte, verify bool) (*persistedState, error) {
-	st := decodeImage(img, verify)
-	if st == nil {
-		st = new(persistedState)
-		r := bytes.NewReader(img)
-		if err := gob.NewDecoder(r).Decode(st); err != nil {
-			return nil, fmt.Errorf("core: decoding learner state: %w", err)
-		}
-		if r.Len() > 0 {
-			return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", r.Len())
-		}
-	}
-	if st.Version != stateVersion {
-		return nil, fmt.Errorf("core: learner state version %d, this build reads only version %d", st.Version, stateVersion)
+	st, err := decodeImage(img, verify)
+	if err != nil {
+		return nil, err
 	}
 	if err := st.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("core: restoring learner: %w", err)
@@ -204,15 +184,8 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 			return nil, fmt.Errorf("core: pending action %d out of range [0,%d)", a, d)
 		}
 	}
-	switch {
-	case st.PendingTotal < len(st.Pending):
+	if st.PendingTotal < len(st.Pending) {
 		return nil, fmt.Errorf("core: persisted PendingTotal %d is below the %d pending actions", st.PendingTotal, len(st.Pending))
-	case st.RngSeed != 0:
-		return nil, fmt.Errorf("core: persisted RngSeed %d: version-1 reseeding was removed", st.RngSeed)
-	case len(st.Deferred) != 0:
-		return nil, fmt.Errorf("core: persisted Deferred holds %d updates: deferred updates were removed", len(st.Deferred))
-	case st.DeferAge != 0:
-		return nil, fmt.Errorf("core: persisted DeferAge %d: deferred updates were removed", st.DeferAge)
 	}
 	return st, nil
 }

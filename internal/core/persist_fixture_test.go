@@ -43,8 +43,7 @@ func loadFixture(t *testing.T) *Megh {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st persistedState
-	newTestDecoder(t, raw, &st)
+	st := readMirror(t, raw)
 	if st.Version != 2 || len(st.B.PackedVals) == 0 {
 		t.Fatalf("%s is a version-%d image (%d packed B bytes), want a packed version 2", path, st.Version, len(st.B.PackedVals))
 	}
@@ -83,8 +82,7 @@ func assertSavesStablyAsPacked(t *testing.T, m *Megh) {
 	if err := m.SaveState(&first); err != nil {
 		t.Fatal(err)
 	}
-	var st persistedState
-	newTestDecoder(t, first.Bytes(), &st)
+	st := readMirror(t, first.Bytes())
 	if st.Version != 2 || len(st.B.Triplets)+len(st.B.OverriddenDiag)+len(st.Z.Index)+len(st.Theta.Index) != 0 {
 		t.Fatalf("re-saved image is version %d and still carries version-1 lists", st.Version)
 	}

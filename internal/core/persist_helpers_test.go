@@ -3,26 +3,142 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"io"
 	"testing"
+
+	"megh/internal/sparse"
 )
 
-// newTestDecoder decodes a persisted state blob for white-box tests.
-func newTestDecoder(t testing.TB, data []byte, st *persistedState) io.Reader {
-	t.Helper()
-	r := bytes.NewReader(data)
-	if err := gob.NewDecoder(r).Decode(st); err != nil {
-		t.Fatalf("decoding test state: %v", err)
-	}
-	return r
+// imageV2 mirrors the version-2 image's type graph field for field, the
+// retired fields included, so encoding/gob — the tests' oracle — reads an
+// image into it and writes one from it. Only the field names and their
+// order matter to gob, not the type names.
+type imageV2 struct {
+	Version      int
+	Config       configV2
+	Temp         float64
+	B            matrixV2
+	Z, Theta     vectorV2
+	Pending      []int
+	PendingTotal int
+	StepCost     float64
+	HaveCost     bool
+	NNZHistory   []int
+	Deferred     []deferredV2
+	DeferAge     int
+	RngSeed      int64
+	RngState     []uint64
 }
 
-// encodeTestState re-encodes a (possibly mutated) state blob.
-func encodeTestState(t testing.TB, w io.Writer, st persistedState) {
+type configV2 struct {
+	NumVMs, NumHosts                         int
+	Gamma, Temp0, Epsilon, MaxMigrationsFrac float64
+	UnderloadThreshold, ExplorationRate      float64
+	Seed                                     int64
+	NNZHistoryCap                            int
+	DeferThreshold                           float64
+	DeferMaxAge                              int
+}
+
+type matrixV2 struct {
+	Dim                                            int
+	Diag, DropTol                                  float64
+	PackedRows, PackedCols, PackedVals, PackedDiag []byte
+	Triplets                                       []sparse.Triplet
+	OverriddenDiag                                 []int
+}
+
+type vectorV2 struct {
+	Dim                      int
+	PackedIndex, PackedValue []byte
+	Index                    []int
+	Value                    []float64
+}
+
+// deferredV2 is an entry of the retired deferred-update queue.
+type deferredV2 struct {
+	A, B, N int
+	C       float64
+}
+
+// readMirror decodes an image into the mirror with gob.
+func readMirror(t testing.TB, img []byte) imageV2 {
 	t.Helper()
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
-		t.Fatalf("encoding test state: %v", err)
+	var im imageV2
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&im); err != nil {
+		t.Fatalf("gob cannot read the image: %v", err)
 	}
+	return im
+}
+
+// mirrorImage is the image of im: gob's value message for it, reframed
+// under imagePrefix and imageTypeID. gob must read it back as im, which
+// holds the mirror to the frozen definitions — a field out of place reads
+// back as another. An image doctored this way is canonical up to the
+// doctoring, so the reader's check for that doctoring is what refuses it.
+func mirrorImage(t testing.TB, im imageV2) []byte {
+	t.Helper()
+	img := frameMirror(t, im)
+	if !bytes.Equal(frameMirror(t, readMirror(t, img)), img) {
+		t.Fatal("the mirror does not follow imagePrefix: the image reads back as another value")
+	}
+	return img
+}
+
+func frameMirror(t testing.TB, im imageV2) []byte {
+	t.Helper()
+	var stream bytes.Buffer
+	if err := gob.NewEncoder(&stream).Encode(im); err != nil {
+		t.Fatal(err)
+	}
+	// Step over gob's type definitions to the last message, the value, and
+	// over its type id, which is this process's.
+	r := imageReader{b: stream.Bytes()}
+	for n := r.uint(); n < uint64(len(r.b)); n = r.uint() {
+		r.b = r.b[n:]
+	}
+	r.int()
+	if r.err != nil {
+		t.Fatalf("gob wrote an unexpected stream: %v", r.err)
+	}
+	msg := append(appendGobUint(nil, zigzag(imageTypeID)), r.b...)
+	return append(appendGobUint([]byte(imagePrefix), uint64(len(msg))), msg...)
+}
+
+// mirrorOf assembles the mirror of m's image from the sparse tables' own
+// State calls, independently of the image writer.
+func mirrorOf(m *Megh) imageV2 {
+	s0, s1 := m.rng.state()
+	c, b := m.cfg, m.b.State()
+	vector := func(v sparse.VectorState) vectorV2 {
+		return vectorV2{Dim: v.Dim, PackedIndex: v.PackedIndex, PackedValue: v.PackedValue}
+	}
+	return imageV2{
+		Version: stateVersion,
+		Config: configV2{NumVMs: c.NumVMs, NumHosts: c.NumHosts, Gamma: c.Gamma, Temp0: c.Temp0, Epsilon: c.Epsilon,
+			MaxMigrationsFrac: c.MaxMigrationsFrac, UnderloadThreshold: c.UnderloadThreshold,
+			ExplorationRate: c.ExplorationRate, Seed: c.Seed, NNZHistoryCap: c.NNZHistoryCap},
+		Temp: m.temp,
+		B: matrixV2{Dim: b.Dim, Diag: b.Diag, DropTol: b.DropTol,
+			PackedRows: b.PackedRows, PackedCols: b.PackedCols, PackedVals: b.PackedVals, PackedDiag: b.PackedDiag},
+		Z:            vector(m.z.State()),
+		Theta:        vector(m.theta.Vector().State()),
+		Pending:      append([]int(nil), m.pending...),
+		PendingTotal: m.pendingTotal,
+		StepCost:     m.stepCost,
+		HaveCost:     m.haveCost,
+		NNZHistory:   append([]int(nil), m.NNZHistory()...),
+		RngState:     []uint64{s0, s1},
+	}
+}
+
+// savedMirror is the mirror of m's saved image.
+func savedMirror(t testing.TB, m *Megh) imageV2 {
+	t.Helper()
+	img, err := m.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readMirror(t, img)
 }
 
 // ageOneDay applies to a fresh learner what a simulated day leaves behind at

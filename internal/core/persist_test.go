@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -123,51 +124,96 @@ func TestSaveLoadPreservesRNGStream(t *testing.T) {
 }
 
 // TestVersion1FormsAreRefused: this build reads only the version it
-// writes. An otherwise good image carrying any form only a version-1 image
-// had — the version number, an element-by-element list, a reseed value in
-// place of the RNG state, a PendingTotal below the pending count — is
-// refused by LoadState, VerifyImage and LoadStateFile with one error that
-// names it. (A replica PUT of one is refused in internal/server's
-// TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
+// writes. An otherwise canonical image carrying any form only a version-1
+// image had — the version number, an element-by-element list, a reseed
+// value in place of the RNG state, a PendingTotal below the pending count —
+// is refused with one error that names it. A Version other than 2 is
+// reported before the lists it would carry. (A replica PUT of each is
+// refused in internal/server's TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
 func TestVersion1FormsAreRefused(t *testing.T) {
 	m, _ := trainLearner(t)
-	if err := VerifyImage(gobImage(t, m)); err != nil {
+	good := mirrorOf(m)
+	if err := VerifyImage(mirrorImage(t, good)); err != nil {
 		t.Fatalf("the unedited image is refused: %v", err)
 	}
+	// The version-1 form of what the packed form already holds: even a
+	// second copy that agrees with the first is refused.
+	diag, thetaIdx := gapIndices(good.B.PackedDiag), gapIndices(good.Theta.PackedIndex)
+	if len(good.B.PackedRows) == 0 || len(diag) == 0 || len(thetaIdx) == 0 || len(good.Theta.PackedValue) != 8*len(thetaIdx) {
+		t.Fatal("the trained image has no packed B entries, B diagonal or θ entries to copy")
+	}
+	thetaVal := make([]float64, len(thetaIdx))
+	for k := range thetaVal {
+		thetaVal[k] = math.Float64frombits(binary.LittleEndian.Uint64(good.Theta.PackedValue[8*k:]))
+	}
 	for name, tc := range map[string]struct {
-		edit func(*persistedState)
+		edit func(*imageV2)
 		want string
 	}{
-		"Version 1":        {func(st *persistedState) { st.Version = 1 }, "learner state version 1, this build reads only version 2"},
-		"Triplets":         {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "restoring B: sparse: matrix Triplets holds 1 entries"},
-		"OverriddenDiag":   {func(st *persistedState) { st.B.OverriddenDiag = []int{0, 3} }, "restoring B: sparse: matrix OverriddenDiag holds 2 entries"},
-		"Index":            {func(st *persistedState) { st.Z.Index = []int{4} }, "restoring z: sparse: vector Index holds 1 entries"},
-		"Value":            {func(st *persistedState) { st.Theta.Value = []float64{0.5} }, "restoring θ: sparse: vector Value holds 1 entries"},
-		"RngSeed":          {func(st *persistedState) { st.RngSeed = 12345 }, "persisted RngSeed 12345"},
-		"RngState 0 words": {func(st *persistedState) { st.RngState = nil }, "persisted RNG state has 0 words, want 2"},
-		"RngState 3 words": {func(st *persistedState) { st.RngState = append(st.RngState, 9) }, "persisted RNG state has 3 words, want 2"},
-		"PendingTotal": {func(st *persistedState) { st.Pending, st.PendingTotal = []int{1, 2}, 1 },
+		"Triplets agreeing with PackedRows":       {func(st *imageV2) { st.B.Triplets = m.b.Triplets() }, "MatrixState.Triplets is set"},
+		"OverriddenDiag agreeing with PackedDiag": {func(st *imageV2) { st.B.OverriddenDiag = diag }, "MatrixState.OverriddenDiag is set"},
+		"Index and Value agreeing with packed θ":  {func(st *imageV2) { st.Theta.Index, st.Theta.Value = thetaIdx, thetaVal }, "VectorState.Index is set"},
+		// The version-1 form alone, with the packed form it replaced cleared.
+		"Triplets alone": {func(st *imageV2) {
+			st.B.Triplets = m.b.Triplets()
+			st.B.PackedRows, st.B.PackedCols, st.B.PackedVals = nil, nil, nil
+		}, "MatrixState.Triplets is set"},
+		"OverriddenDiag alone": {func(st *imageV2) { st.B.OverriddenDiag, st.B.PackedDiag = diag, nil }, "MatrixState.OverriddenDiag is set"},
+		"Value alone": {func(st *imageV2) {
+			st.Theta.Value, st.Theta.PackedIndex, st.Theta.PackedValue = thetaVal, nil, nil
+		}, "VectorState.Value is set"},
+		"Version 1": {func(st *imageV2) { st.Version = 1 }, "learner state version 1, this build reads only version 2"},
+		"version-1 image": {func(st *imageV2) {
+			st.Version, st.B.Triplets = 1, []sparse.Triplet{{Row: 0, Col: 1, Val: 2}}
+			st.B.PackedRows, st.B.PackedCols, st.B.PackedVals = nil, nil, nil
+		}, "learner state version 1, this build reads only version 2"},
+		"Triplets":         {func(st *imageV2) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "MatrixState.Triplets is set"},
+		"OverriddenDiag":   {func(st *imageV2) { st.B.OverriddenDiag = []int{0, 3} }, "MatrixState.OverriddenDiag is set"},
+		"Index":            {func(st *imageV2) { st.Z.Index = []int{4} }, "VectorState.Index is set"},
+		"Index of θ":       {func(st *imageV2) { st.Theta.Index = []int{4} }, "VectorState.Index is set"},
+		"Value":            {func(st *imageV2) { st.Theta.Value = []float64{0.5} }, "VectorState.Value is set"},
+		"RngSeed":          {func(st *imageV2) { st.RngSeed = 12345 }, "RngSeed is set"},
+		"RngState 0 words": {func(st *imageV2) { st.RngState = nil }, "persisted RNG state has 0 words, want 2"},
+		"RngState 3 words": {func(st *imageV2) { st.RngState = append(st.RngState, 9) }, "persisted RNG state has 3 words, want 2"},
+		"PendingTotal": {func(st *imageV2) { st.Pending, st.PendingTotal = []int{1, 2}, 1 },
 			"persisted PendingTotal 1 is below the 2 pending actions"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			st := gobState(m)
+			st := mirrorOf(m)
 			tc.edit(&st)
-			var img bytes.Buffer
-			encodeTestState(t, &img, st)
-			path := filepath.Join(t.TempDir(), "v1.ckpt")
-			if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			verr := VerifyImage(img.Bytes())
-			_, lerr := LoadState(bytes.NewReader(img.Bytes()))
-			_, ferr := LoadStateFile(path)
-			if verr == nil || lerr == nil || ferr == nil || verr.Error() != lerr.Error() || ferr.Error() != lerr.Error() {
-				t.Fatalf("VerifyImage says %v, LoadState %v, LoadStateFile %v", verr, lerr, ferr)
-			}
-			if !strings.Contains(verr.Error(), tc.want) {
-				t.Fatalf("error %q does not say %q", verr, tc.want)
-			}
+			assertRefused(t, mirrorImage(t, st), tc.want)
 		})
+	}
+}
+
+// gapIndices decodes a packed ascending index list: the first index, then
+// each later one as its distance from the one before.
+func gapIndices(gaps []byte) []int {
+	var idx []int
+	for prev := 0; len(gaps) > 0; {
+		g, w := binary.Uvarint(gaps)
+		prev += int(g)
+		idx, gaps = append(idx, prev), gaps[w:]
+	}
+	return idx
+}
+
+// assertRefused: VerifyImage, LoadState and LoadStateFile all refuse img,
+// in the same words, and those words say want.
+func assertRefused(t *testing.T, img []byte, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "refused.ckpt")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	verr := VerifyImage(img)
+	_, lerr := LoadState(bytes.NewReader(img))
+	_, ferr := LoadStateFile(path)
+	if verr == nil || lerr == nil || ferr == nil || verr.Error() != lerr.Error() || ferr.Error() != lerr.Error() {
+		t.Fatalf("VerifyImage says %v, LoadState %v, LoadStateFile %v", verr, lerr, ferr)
+	}
+	if !strings.Contains(verr.Error(), want) {
+		t.Fatalf("error %q does not say %q", verr, want)
 	}
 }
 
@@ -183,40 +229,32 @@ func TestLoadStateRejectsWrongVersion(t *testing.T) {
 	if err := m.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the version by re-encoding through the internal type.
-	var st persistedState
-	dec := newTestDecoder(t, buf.Bytes(), &st)
-	_ = dec
+	st := readMirror(t, buf.Bytes())
 	st.Version = 99
-	var buf2 bytes.Buffer
-	encodeTestState(t, &buf2, st)
-	if _, err := LoadState(&buf2); err == nil {
+	if _, err := LoadState(bytes.NewReader(mirrorImage(t, st))); err == nil {
 		t.Fatal("expected version error")
 	}
 }
 
 func TestLoadStateRejectsInvalidFields(t *testing.T) {
 	m, _ := trainLearner(t)
-	mutations := []func(*persistedState){
-		func(st *persistedState) { st.Temp = -1 },
-		func(st *persistedState) { st.Temp = math.NaN() },
-		func(st *persistedState) { st.Temp = math.Inf(1) },
-		func(st *persistedState) { st.Config.NumVMs = 0 },
-		func(st *persistedState) { st.Pending = []int{1 << 30} },
-		func(st *persistedState) { st.Z.Dim = 1 },
-		func(st *persistedState) { st.RngState = []uint64{1, 2, 3} },
+	mutations := []func(*imageV2){
+		func(st *imageV2) { st.Temp = -1 },
+		func(st *imageV2) { st.Temp = math.NaN() },
+		func(st *imageV2) { st.Temp = math.Inf(1) },
+		func(st *imageV2) { st.Config.NumVMs = 0 },
+		func(st *imageV2) { st.Pending = []int{1 << 30} },
+		func(st *imageV2) { st.Z.Dim = 1 },
+		func(st *imageV2) { st.RngState = []uint64{1, 2, 3} },
 	}
 	for i, mutate := range mutations {
 		var buf bytes.Buffer
 		if err := m.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}
-		var st persistedState
-		newTestDecoder(t, buf.Bytes(), &st)
+		st := readMirror(t, buf.Bytes())
 		mutate(&st)
-		var buf2 bytes.Buffer
-		encodeTestState(t, &buf2, st)
-		if _, err := LoadState(&buf2); err == nil {
+		if _, err := LoadState(bytes.NewReader(mirrorImage(t, st))); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -236,37 +274,35 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 	}
 	d := m.d
 	for name, tc := range map[string]struct {
-		mutate func(*persistedState)
+		mutate func(*imageV2)
 		want   string
 	}{
-		"version too new":    {func(st *persistedState) { st.Version = 3 }, "version 3"},
-		"version too old":    {func(st *persistedState) { st.Version = 0 }, "version 0"},
-		"bad config":         {func(st *persistedState) { st.Config.Gamma = 1 }, "restoring learner: core: Gamma"},
-		"overflowing config": {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 1<<40, 1<<40 }, "on one axis"},
-		"oversize config":    {func(st *persistedState) { st.Config.NumVMs, st.Config.NumHosts = 100000, 100000 }, "exceed the ceiling"},
-		"bad temperature":    {func(st *persistedState) { st.Temp = 0 }, "temperature"},
-		"bad rng":            {func(st *persistedState) { st.RngState = st.RngState[:1] }, "RNG state has 1 words"},
-		"B repeated column":  {func(st *persistedState) { st.B.PackedCols[1] = 0 }, "restoring B: sparse: matrix PackedCols repeats"},
-		"B stored zero":      {func(st *persistedState) { copy(st.B.PackedVals, make([]byte, 8)) }, "restoring B: sparse: matrix PackedVals stores a zero"},
-		"B both forms":       {func(st *persistedState) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 0, Val: 1}} }, "restoring B: sparse: matrix Triplets holds 1 entries"},
-		"z truncated":        {func(st *persistedState) { st.Z.PackedIndex = st.Z.PackedIndex[:0] }, "restoring z: sparse: vector PackedIndex is truncated"},
-		"θ values not whole": {func(st *persistedState) { st.Theta.PackedValue = st.Theta.PackedValue[:9] }, "restoring θ: sparse: vector PackedValue is 9 bytes"},
-		"dimension mismatch": {func(st *persistedState) { st.Z.Dim = d + 1 }, "do not match config"},
-		"pending range":      {func(st *persistedState) { st.Pending = []int{d} }, "pending action"},
+		"version too new":    {func(st *imageV2) { st.Version = 3 }, "version 3"},
+		"version too old":    {func(st *imageV2) { st.Version = 0 }, "version 0"},
+		"bad config":         {func(st *imageV2) { st.Config.Gamma = 1 }, "restoring learner: core: Gamma"},
+		"overflowing config": {func(st *imageV2) { st.Config.NumVMs, st.Config.NumHosts = 1<<40, 1<<40 }, "on one axis"},
+		"oversize config":    {func(st *imageV2) { st.Config.NumVMs, st.Config.NumHosts = 100000, 100000 }, "exceed the ceiling"},
+		"bad temperature":    {func(st *imageV2) { st.Temp = 0 }, "temperature"},
+		"bad rng":            {func(st *imageV2) { st.RngState = st.RngState[:1] }, "RNG state has 1 words"},
+		"B repeated column":  {func(st *imageV2) { st.B.PackedCols[1] = 0 }, "restoring B: sparse: matrix PackedCols repeats"},
+		"B stored zero":      {func(st *imageV2) { copy(st.B.PackedVals, make([]byte, 8)) }, "restoring B: sparse: matrix PackedVals stores a zero"},
+		"B both forms":       {func(st *imageV2) { st.B.Triplets = []sparse.Triplet{{Row: 0, Col: 0, Val: 1}} }, "MatrixState.Triplets is set"},
+		"z truncated":        {func(st *imageV2) { st.Z.PackedIndex = st.Z.PackedIndex[:0] }, "restoring z: sparse: vector PackedIndex is truncated"},
+		"θ values not whole": {func(st *imageV2) { st.Theta.PackedValue = st.Theta.PackedValue[:9] }, "restoring θ: sparse: vector PackedValue is 9 bytes"},
+		"dimension mismatch": {func(st *imageV2) { st.Z.Dim = d + 1 }, "do not match config"},
+		"pending range":      {func(st *imageV2) { st.Pending = []int{d} }, "pending action"},
 		// Any queue of the removed deferred-update mode, well-formed or not,
 		// is refused by the one check that names the field.
-		"deferred range": {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: d, N: 1}} }, "persisted Deferred holds 1"},
-		"deferred count": {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2}} }, "persisted Deferred holds 1"},
-		"deferred cost":  {func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: math.Inf(1)}} }, "persisted Deferred holds 1"},
+		"deferred range": {func(st *imageV2) { st.Deferred = []deferredV2{{A: 1, B: d, N: 1}} }, "Deferred is set"},
+		"deferred count": {func(st *imageV2) { st.Deferred = []deferredV2{{A: 1, B: 2}} }, "Deferred is set"},
+		"deferred cost":  {func(st *imageV2) { st.Deferred = []deferredV2{{A: 1, B: 2, N: 1, C: math.Inf(1)}} }, "Deferred is set"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var st persistedState
-			newTestDecoder(t, good.Bytes(), &st)
+			st := readMirror(t, good.Bytes())
 			tc.mutate(&st)
-			var bad bytes.Buffer
-			encodeTestState(t, &bad, st)
-			verr := VerifyImage(bad.Bytes())
-			_, lerr := LoadState(bytes.NewReader(bad.Bytes()))
+			bad := mirrorImage(t, st)
+			verr := VerifyImage(bad)
+			_, lerr := LoadState(bytes.NewReader(bad))
 			if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
 				t.Fatalf("VerifyImage says %v, LoadState says %v", verr, lerr)
 			}
@@ -291,42 +327,22 @@ func TestVerifyStateAgreesWithLoadState(t *testing.T) {
 
 // The deferred-update mode was removed, but the version-2 image still names
 // its fields. An image that sets any of them — written by a build that had
-// the mode — is refused by VerifyImage and LoadState alike, with an error
-// naming the field, never restored without its queue; and New refuses
-// either config field. (A replica PUT of each is refused in
-// internal/server's TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
+// the mode — is refused wherever it is read, with an error naming the
+// field, never restored without its queue. (A replica PUT of each is
+// refused in internal/server's TestReplicaPutMalformedImagesLeaveGoodReplicaIntact.)
 func TestRetiredDeferredFieldsAreRefused(t *testing.T) {
 	m := checkpointLearner(t)
-	for field, mutate := range map[string]func(*persistedState){
-		"Deferred":       func(st *persistedState) { st.Deferred = []deferredUpdate{{A: 1, B: 2, N: 1, C: 0.5}} },
-		"DeferAge":       func(st *persistedState) { st.DeferAge = 3 },
-		"DeferThreshold": func(st *persistedState) { st.Config.DeferThreshold = 1e-3 },
-		"DeferMaxAge":    func(st *persistedState) { st.Config.DeferMaxAge = 8 },
+	for field, mutate := range map[string]func(*imageV2){
+		"Deferred":       func(st *imageV2) { st.Deferred = []deferredV2{{A: 1, B: 2, N: 1, C: 0.5}} },
+		"DeferAge":       func(st *imageV2) { st.DeferAge = 3 },
+		"DeferThreshold": func(st *imageV2) { st.Config.DeferThreshold = 1e-3 },
+		"DeferMaxAge":    func(st *imageV2) { st.Config.DeferMaxAge = 8 },
 	} {
 		t.Run(field, func(t *testing.T) {
-			st := gobState(m)
+			st := mirrorOf(m)
 			mutate(&st)
-			var img bytes.Buffer
-			encodeTestState(t, &img, st)
-			verr := VerifyImage(img.Bytes())
-			_, lerr := LoadState(bytes.NewReader(img.Bytes()))
-			if verr == nil || lerr == nil || verr.Error() != lerr.Error() {
-				t.Fatalf("VerifyImage says %v, LoadState says %v", verr, lerr)
-			}
-			if !strings.Contains(verr.Error(), field) || !strings.Contains(verr.Error(), "deferred updates were removed") {
-				t.Fatalf("error %q does not name %s", verr, field)
-			}
+			assertRefused(t, mirrorImage(t, st), field+" is set, a retired field this build refuses")
 		})
-	}
-	for field, mutate := range map[string]func(*Config){
-		"DeferThreshold": func(c *Config) { c.DeferThreshold = 1e-3 },
-		"DeferMaxAge":    func(c *Config) { c.DeferMaxAge = 8 },
-	} {
-		cfg := DefaultConfig(4, 3, 1)
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("New with %s set: err %v, want an error naming it", field, err)
-		}
 	}
 }
 
@@ -338,17 +354,15 @@ func TestLoadStateRejectsCorruptDeferredQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, corrupt := range map[string]deferredUpdate{
+	for name, corrupt := range map[string]deferredV2{
 		"action-out-of-range": {A: 99, B: 0, N: 1, C: 0},
 		"zero-multiplicity":   {A: 0, B: 1, N: 0, C: 0},
 		"nan-cost":            {A: 0, B: 1, N: 1, C: math.NaN()},
 	} {
 		t.Run(name, func(t *testing.T) {
-			st := gobState(m)
-			st.Deferred = []deferredUpdate{corrupt}
-			var buf bytes.Buffer
-			encodeTestState(t, &buf, st)
-			_, err := LoadState(&buf)
+			st := mirrorOf(m)
+			st.Deferred = []deferredV2{corrupt}
+			_, err := LoadState(bytes.NewReader(mirrorImage(t, st)))
 			if err == nil {
 				t.Fatalf("corrupt deferred entry %+v loaded without error", corrupt)
 			}
@@ -374,23 +388,20 @@ func TestVerifyStateCostFollowsTheImage(t *testing.T) {
 	if err := m.SaveState(&small); err != nil {
 		t.Fatal(err)
 	}
-	var st persistedState
-	newTestDecoder(t, small.Bytes(), &st)
+	st := readMirror(t, small.Bytes())
 	const d = 10000 * 1000
 	st.Config.NumVMs, st.Config.NumHosts = 10000, 1000
 	st.B.Dim, st.Z.Dim, st.Theta.Dim = d, d, d
-	var img bytes.Buffer
-	encodeTestState(t, &img, st)
+	img := mirrorImage(t, st)
 
 	got := allocatedBy(func() {
-		if err := VerifyImage(img.Bytes()); err != nil {
+		if err := VerifyImage(img); err != nil {
 			t.Fatalf("image of a fresh 10 000 × 1 000 learner refused: %v", err)
 		}
 	})
-	// gob's own decoder set-up is some tens of KB; one d-sized table of
-	// anything would be 10 MB or more.
+	// One d-sized table of anything would be 10 MB or more.
 	if got > 1<<20 {
-		t.Fatalf("verifying a %d-byte image allocated %d bytes", img.Len(), got)
+		t.Fatalf("verifying a %d-byte image allocated %d bytes", len(img), got)
 	}
 
 	// The build half. A day at 10 000 hosts leaves ≈400 touched rows and as

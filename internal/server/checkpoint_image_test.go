@@ -138,14 +138,15 @@ func TestCheckpointImageIdentity(t *testing.T) {
 	}
 }
 
-// imageMirror has the persisted learner image's field names, so gob decodes
-// a real image into it and encodes a doctored one back.
+// imageMirror spells out the version-2 checkpoint image's types field for
+// field, the retired fields included, so gob — the test's oracle — reads a
+// real image into it and writes a doctored one back.
 type imageMirror struct {
 	Version      int
-	Config       core.Config
+	Config       configMirror
 	Temp         float64
-	B            sparse.MatrixState
-	Z, Theta     sparse.VectorState
+	B            matrixMirror
+	Z, Theta     vectorMirror
 	Pending      []int
 	PendingTotal int
 	StepCost     float64
@@ -153,7 +154,33 @@ type imageMirror struct {
 	NNZHistory   []int
 	Deferred     []deferredMirror
 	DeferAge     int
+	RngSeed      int64
 	RngState     []uint64
+}
+
+type configMirror struct {
+	NumVMs, NumHosts                         int
+	Gamma, Temp0, Epsilon, MaxMigrationsFrac float64
+	UnderloadThreshold, ExplorationRate      float64
+	Seed                                     int64
+	NNZHistoryCap                            int
+	DeferThreshold                           float64
+	DeferMaxAge                              int
+}
+
+type matrixMirror struct {
+	Dim                                            int
+	Diag, DropTol                                  float64
+	PackedRows, PackedCols, PackedVals, PackedDiag []byte
+	Triplets                                       []sparse.Triplet
+	OverriddenDiag                                 []int
+}
+
+type vectorMirror struct {
+	Dim                      int
+	PackedIndex, PackedValue []byte
+	Index                    []int
+	Value                    []float64
 }
 
 // deferredMirror is an entry of the queue the removed deferred-update mode
@@ -164,7 +191,9 @@ type deferredMirror struct {
 }
 
 // doctoredImage saves a learner that has taken a few updates and returns
-// its image after edit has been at it (edit may be nil).
+// its image after edit has been at it (edit may be nil): gob's value
+// message for the edited mirror, reframed under the real image's type
+// definitions and type id, so the image is canonical up to the edit.
 func doctoredImage(t *testing.T, edit func(*imageMirror)) []byte {
 	t.Helper()
 	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
@@ -194,19 +223,41 @@ func doctoredImage(t *testing.T, edit func(*imageMirror)) []byte {
 	if edit == nil {
 		return raw.Bytes()
 	}
-	var img imageMirror
-	if err := gob.NewDecoder(&raw).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
+	img := readMirror(t, raw.Bytes())
 	if len(img.B.PackedCols) < 2 || len(img.B.PackedVals) < 16 {
 		t.Fatalf("warm-up left too small a Q-table to doctor (%d column bytes)", len(img.B.PackedCols))
 	}
 	edit(&img)
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(img); err != nil {
+	doctored := reframe(t, raw.Bytes(), img)
+	if !bytes.Equal(reframe(t, raw.Bytes(), readMirror(t, doctored)), doctored) {
+		t.Fatal("imageMirror does not follow the image's type definitions: the edit reads back as another")
+	}
+	return doctored
+}
+
+func readMirror(t *testing.T, img []byte) imageMirror {
+	t.Helper()
+	var im imageMirror
+	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&im); err != nil {
 		t.Fatal(err)
 	}
-	return out.Bytes()
+	return im
+}
+
+// reframe is gob's value message for im under real's type definitions and
+// type id.
+func reframe(t *testing.T, real []byte, im imageMirror) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(im); err != nil {
+		t.Fatal(err)
+	}
+	defs, head := splitImage(t, real)
+	_, msg := splitImage(t, out.Bytes())
+	_, id := gobUint(head)
+	_, skip := gobUint(msg)
+	body := append(head[:id:id], msg[skip:]...)
+	return append(append(defs[:len(defs):len(defs)], putGobUint(nil, uint64(len(body)))...), body...)
 }
 
 func putReplicaRaw(t *testing.T, base, id string, img []byte) (int, string) {
@@ -234,8 +285,9 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // TestReplicaPutMalformedImagesLeaveGoodReplicaIntact: every malformed
-// packed form is answered 400 with an error naming the list at fault, and
-// the good replica already stored under that id is byte-identical after.
+// image is answered 400 in the words core.VerifyImage uses, naming the
+// field or list at fault and never gob, and the good replica already stored
+// under that id is byte-identical after.
 func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b")
 	good := doctoredImage(t, nil)
@@ -243,6 +295,21 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 		t.Fatalf("good replica PUT: HTTP %d: %s", status, body)
 	}
 	path := tc.svcs["a"].cluster.replicaPath("victim")
+	refuses := func(t *testing.T, img []byte, want string) {
+		t.Helper()
+		status, body := putReplicaRaw(t, tc.urls["a"], "victim", img)
+		verr := core.VerifyImage(img)
+		if status != http.StatusBadRequest || verr == nil || !strings.Contains(body, want) ||
+			body != fmt.Sprintf("{%q:%q}\n", "error", "replica image is not a valid checkpoint: "+verr.Error()) {
+			t.Fatalf("HTTP %d %s; want 400 naming %q in VerifyImage's words (%v)", status, body, want, verr)
+		}
+		if strings.Contains(body, "gob") {
+			t.Fatalf("the refusal %s speaks of gob, not of the image", body)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+			t.Fatalf("the good replica was disturbed (err=%v)", err)
+		}
+	}
 
 	for name, tc2 := range map[string]struct {
 		edit func(*imageMirror)
@@ -253,46 +320,36 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 		"row out of range":    {func(im *imageMirror) { im.B.PackedRows[0] = 0x7f }, "PackedRows"},
 		"length mismatch":     {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[8:] }, "PackedRows gives row"},
 		"stored zero":         {func(im *imageMirror) { copy(im.B.PackedVals, make([]byte, 8)) }, "PackedVals stores a zero"},
-		"both forms":          {func(im *imageMirror) { im.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "matrix Triplets holds 1 entries"},
 		"truncated values":    {func(im *imageMirror) { im.B.PackedVals = im.B.PackedVals[:len(im.B.PackedVals)-3] }, "PackedVals is"},
 		"truncated columns":   {func(im *imageMirror) { im.B.PackedCols = im.B.PackedCols[:1] }, "PackedCols is truncated"},
 		"theta duplicate":     {func(im *imageMirror) { im.Theta.PackedIndex[1] = 0 }, "restoring θ: sparse: vector PackedIndex repeats"},
 		"version 1 number":    {func(im *imageMirror) { im.Version = 3 }, "version 3"},
 		// An image as a version-1 build wrote it: B element by element under
-		// the old number. This build reads only version 2.
+		// the old number. This build reads only version 2, and says so first.
 		"version-1 image": {func(im *imageMirror) {
 			im.Version, im.B.Triplets = 1, []sparse.Triplet{{Row: 0, Col: 1, Val: 2}}
 			im.B.PackedRows, im.B.PackedCols, im.B.PackedVals, im.B.PackedDiag = nil, nil, nil, nil
 		}, "learner state version 1, this build reads only version 2"},
-		// The removed deferred-update mode's fields: the image still names
-		// them, and any image that sets one is refused naming it.
-		"retired Deferred":       {func(im *imageMirror) { im.Deferred = []deferredMirror{{A: 1, B: 2, N: 1, C: 0.5}} }, "persisted Deferred holds 1 updates: deferred updates were removed"},
-		"retired DeferAge":       {func(im *imageMirror) { im.DeferAge = 3 }, "persisted DeferAge 3: deferred updates were removed"},
-		"retired DeferThreshold": {func(im *imageMirror) { im.Config.DeferThreshold = 1e-3 }, "DeferThreshold 0.001: deferred updates were removed"},
-		"retired DeferMaxAge":    {func(im *imageMirror) { im.Config.DeferMaxAge = 8 }, "DeferMaxAge 8: deferred updates were removed"},
+		// The retired fields: the image's definitions still name them, and
+		// any image that sets one is refused naming it.
+		"both forms":             {func(im *imageMirror) { im.B.Triplets = []sparse.Triplet{{Row: 0, Col: 1, Val: 2}} }, "MatrixState.Triplets is set"},
+		"retired OverriddenDiag": {func(im *imageMirror) { im.B.OverriddenDiag = []int{1} }, "MatrixState.OverriddenDiag is set"},
+		"retired Index":          {func(im *imageMirror) { im.Z.Index = []int{1} }, "VectorState.Index is set"},
+		"retired Value":          {func(im *imageMirror) { im.Theta.Value = []float64{0.5} }, "VectorState.Value is set"},
+		"retired RngSeed":        {func(im *imageMirror) { im.RngSeed = 12345 }, "RngSeed is set"},
+		"retired Deferred":       {func(im *imageMirror) { im.Deferred = []deferredMirror{{A: 1, B: 2, N: 1, C: 0.5}} }, "Deferred is set, a retired field this build refuses"},
+		"retired DeferAge":       {func(im *imageMirror) { im.DeferAge = 3 }, "DeferAge is set, a retired field this build refuses"},
+		"retired DeferThreshold": {func(im *imageMirror) { im.Config.DeferThreshold = 1e-3 }, "Config.DeferThreshold is set"},
+		"retired DeferMaxAge":    {func(im *imageMirror) { im.Config.DeferMaxAge = 8 }, "Config.DeferMaxAge is set"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			status, body := putReplicaRaw(t, tc.urls["a"], "victim", doctoredImage(t, tc2.edit))
-			if status != http.StatusBadRequest || !strings.Contains(body, tc2.want) {
-				t.Fatalf("HTTP %d %s; want 400 naming %q", status, body, tc2.want)
-			}
-			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
-				t.Fatalf("the good replica was disturbed (err=%v)", err)
-			}
-		})
+		t.Run(name, func(t *testing.T) { refuses(t, doctoredImage(t, tc2.edit), tc2.want) })
 	}
 
-	// The cases above re-encode an imageMirror, whose type definitions are
-	// not a checkpoint's, so gob reads them. These are cut from the real
-	// image and keep its definitions, so they look canonical until the
-	// value message: each gets the answer it got when gob read every image,
-	// word for word — except bytes after the value, which gob leaves unread
-	// and readState refuses.
+	// These are cut from the real image by hand, to break the value
+	// message's own framing where no mirror can: each is refused by the
+	// reader check it names.
 	defs, msg := splitImage(t, good)
-	var im imageMirror
-	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&im); err != nil {
-		t.Fatal(err)
-	}
+	im := readMirror(t, good)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	frame := func(msg []byte) []byte { return cat(defs, putGobUint(nil, uint64(len(msg))), msg) }
 	// B's PackedVals, with its length in front.
@@ -307,42 +364,26 @@ func TestReplicaPutMalformedImagesLeaveGoodReplicaIntact(t *testing.T) {
 		t.Fatal("the image is not laid out as this test expects")
 	}
 	numVMs := id + 4
-	const refused = "replica image is not a valid checkpoint: core: "
 	for name, c := range map[string]struct {
 		img  []byte
-		want string // "" for an image gob accepts
+		want string
 	}{
-		"truncated value message":     {frame(msg[:len(msg)/2]), "decoding learner state: gob: bad []uint8 slice length: 0"},
-		"message length past the end": {cat(defs, putGobUint(nil, uint64(len(msg)+1)), msg), "decoding learner state: unexpected EOF"},
-		"field past the struct's end": {frame(cat(msg[:len(msg)-1], []byte{1})), "decoding learner state: gob: bad data: field numbers out of bounds"},
+		"truncated value message":     {frame(msg[:len(msg)/2]), "decoding learner state: byte"},
+		"message length past the end": {cat(defs, putGobUint(nil, uint64(len(msg)+1)), msg), fmt.Sprintf("a message of %d bytes, %d left", len(msg)+1, len(msg))},
+		"field past the struct's end": {frame(cat(msg[:len(msg)-1], []byte{1})), "a field number past the last of 15"},
 		"bytes past the end": {frame(cat(msg[:vals-len(valsLen)], putGobUint(nil, uint64(len(msg))), msg[vals:])),
-			"decoding learner state: gob: bad []uint8 slice length: 0"},
+			fmt.Sprintf("a list of %d elements", len(msg))},
 		"three-word RngState": {frame(cat(msg[:len(msg)-len(rng)], putGobUint(nil, 3), rng[1:len(rng)-1], []byte{0, 0})),
 			"persisted RNG state has 3 words, want 2"},
 		"overlong uint in Config": {frame(cat(msg[:numVMs], []byte{0xf7}, make([]byte, 9), msg[numVMs+1:])),
-			"decoding learner state: gob: encoded unsigned integer out of range"},
+			"a truncated or overlong integer"},
 		"trailing bytes": {cat(good, []byte{0, 0}), "decoding learner state: 2 bytes after the image"},
-		// Padding inside the value message, after the struct's closing 0:
-		// gob's decoder skips it and cannot report it, so the image is
-		// accepted and stored as sent. Only a reader of a gob-free format
-		// can close this.
-		"trailing bytes in message": {frame(cat(msg, []byte{0})), ""},
+		// Padding inside the value message, after the state's closing 0,
+		// which gob's decoder skipped without a word.
+		"trailing bytes in message": {frame(cat(msg, []byte{0})), "1 bytes after the state"},
+		"another type id":           {frame(cat(putGobUint(nil, 66<<1), msg[id:])), "not a version-2 image"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			if c.want == "" {
-				status, body := putReplicaRaw(t, tc.urls["a"], "lookalike", c.img)
-				stored, err := os.ReadFile(tc.svcs["a"].cluster.replicaPath("lookalike"))
-				if status != http.StatusOK || err != nil || !bytes.Equal(stored, c.img) {
-					t.Fatalf("HTTP %d %s (stored: err=%v); want 200 and the body stored", status, body, err)
-				}
-			} else if status, body := putReplicaRaw(t, tc.urls["a"], "victim", c.img); status != http.StatusBadRequest ||
-				body != fmt.Sprintf("{%q:%q}\n", "error", refused+c.want) {
-				t.Fatalf("HTTP %d %s; want 400 %q", status, body, refused+c.want)
-			}
-			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
-				t.Fatalf("the good replica was disturbed (err=%v)", err)
-			}
-		})
+		t.Run(name, func(t *testing.T) { refuses(t, c.img, c.want) })
 	}
 
 	if leftovers, _ := filepath.Glob(path + ".tmp-*"); len(leftovers) != 0 {
@@ -406,8 +447,8 @@ func putGobUint(b []byte, x uint64) []byte {
 // declares, and not the length the header declares.
 func TestReplicaPutHostileSizes(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b")
-	// Warm the listener, the handler's lazily built state and gob's type
-	// tables, so the measurements below see the requests alone.
+	// Warm the listener and the handler's lazily built state, so the
+	// measurements below see the requests alone.
 	if status, body := putReplicaRaw(t, tc.urls["a"], "warm", doctoredImage(t, nil)); status != http.StatusOK {
 		t.Fatalf("warm-up PUT: HTTP %d: %s", status, body)
 	}
@@ -418,9 +459,9 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	fresh := func(nVMs, nHosts int) []byte {
 		return doctoredImage(t, func(im *imageMirror) {
 			im.Config.NumVMs, im.Config.NumHosts = nVMs, nHosts
-			im.B = sparse.MatrixState{Dim: nVMs * nHosts, Diag: im.B.Diag, DropTol: im.B.DropTol}
-			im.Z = sparse.VectorState{Dim: nVMs * nHosts}
-			im.Theta = sparse.VectorState{Dim: nVMs * nHosts}
+			im.B = matrixMirror{Dim: nVMs * nHosts, Diag: im.B.Diag, DropTol: im.B.DropTol}
+			im.Z = vectorMirror{Dim: nVMs * nHosts}
+			im.Theta = vectorMirror{Dim: nVMs * nHosts}
 			im.Pending, im.PendingTotal, im.NNZHistory = nil, 0, nil
 		})
 	}
@@ -431,7 +472,7 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("image of a fresh huge learner: HTTP %d: %s", status, body)
 	}
-	// Client, transport, handler, gob set-up and the file write together
+	// Client, transport, handler and the file write together
 	// stay within a few hundred KB; one page table alone would be 32 MiB.
 	if limit := uint64(1<<20 + 8*len(huge)); got > limit {
 		t.Fatalf("a %d-byte image made the process allocate %d bytes (limit %d)", len(huge), got, limit)

@@ -8,8 +8,8 @@ import (
 )
 
 // The packed forms below carry each array as one byte string, so the
-// enclosing image (gob's format, written by internal/core) moves a whole
-// array with one copy.
+// enclosing checkpoint image (internal/core) moves a whole array with one
+// copy.
 //
 // An index list is ascending and coded as uvarint gaps: the first entry is
 // the index itself, every later one the distance to its predecessor (≥ 1),
@@ -24,10 +24,6 @@ type VectorState struct {
 	// stored indices as uvarint gaps and the stored values as 8-byte words.
 	PackedIndex []byte
 	PackedValue []byte
-	// Index and Value are the version-1 form (one element per entry):
-	// wire-only, refused when not empty.
-	Index []int
-	Value []float64
 }
 
 // State exports the vector for persistence in packed form.
@@ -128,13 +124,8 @@ func VectorFromState(st VectorState) (*Vector, error) {
 // unpack makes every check a VectorState must pass, building the vector
 // alongside when build is set.
 func (st VectorState) unpack(build bool) (*Vector, error) {
-	switch {
-	case st.Dim < 0:
+	if st.Dim < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
-	case len(st.Index) > 0:
-		return nil, version1("vector Index", len(st.Index))
-	case len(st.Value) > 0:
-		return nil, version1("vector Value", len(st.Value))
 	}
 	n, err := wordCount(st.PackedValue, "vector PackedValue")
 	if err != nil {
@@ -181,10 +172,6 @@ type MatrixState struct {
 	PackedCols []byte
 	PackedVals []byte
 	PackedDiag []byte
-	// Triplets and OverriddenDiag are the version-1 form (one element per
-	// entry): wire-only, refused when not empty.
-	Triplets       []Triplet
-	OverriddenDiag []int
 }
 
 // State exports the matrix for persistence in packed form. Every list is
@@ -249,10 +236,6 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 		return nil, fmt.Errorf("sparse: negative dimension %d in matrix state", st.Dim)
 	case st.DropTol < 0:
 		return nil, fmt.Errorf("sparse: negative drop tolerance %g in matrix state", st.DropTol)
-	case len(st.Triplets) > 0:
-		return nil, version1("matrix Triplets", len(st.Triplets))
-	case len(st.OverriddenDiag) > 0:
-		return nil, version1("matrix OverriddenDiag", len(st.OverriddenDiag))
 	}
 	nnz, err := wordCount(st.PackedVals, "matrix PackedVals")
 	if err != nil {
@@ -352,12 +335,6 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 	// are individually below a later-raised tolerance still round-trip.
 	m.dropTol = st.DropTol
 	return m, nil
-}
-
-// version1 refuses a non-empty list of the version-1 form, which no build
-// since version 2 writes.
-func version1(field string, n int) error {
-	return fmt.Errorf("sparse: %s holds %d entries: the version-1 form is refused", field, n)
 }
 
 // uvarintLen is the length of x's uvarint encoding.

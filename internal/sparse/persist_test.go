@@ -27,9 +27,9 @@ func TestVectorStateRoundTrip(t *testing.T) {
 func TestVectorFromStateRejectsMalformed(t *testing.T) {
 	cases := []VectorState{
 		{Dim: -1},
-		{Dim: 3, Index: []int{0, 1}, Value: []float64{1}},
-		{Dim: 3, Index: []int{5}, Value: []float64{1}},
-		{Dim: 3, Index: []int{-1}, Value: []float64{1}},
+		{Dim: 3, PackedIndex: appendGaps(nil, []int{0, 1}), PackedValue: appendWords(nil, []float64{1})},
+		{Dim: 3, PackedIndex: appendGaps(nil, []int{5}), PackedValue: appendWords(nil, []float64{1})},
+		{Dim: 3, PackedIndex: []byte{1, 0}, PackedValue: appendWords(nil, []float64{1, 2})},
 	}
 	for i, st := range cases {
 		if _, err := VectorFromState(st); err == nil {
@@ -69,8 +69,8 @@ func TestMatrixFromStateRejectsMalformed(t *testing.T) {
 	cases := []MatrixState{
 		{Dim: -1},
 		{Dim: 2, DropTol: -1},
-		{Dim: 2, Triplets: []Triplet{{Row: 2, Col: 0, Val: 1}}},
-		{Dim: 2, OverriddenDiag: []int{5}},
+		{Dim: 2, PackedRows: []byte{2, 1}, PackedCols: []byte{0}, PackedVals: appendWords(nil, []float64{1})},
+		{Dim: 2, PackedDiag: appendGaps(nil, []int{5})},
 	}
 	for i, st := range cases {
 		if _, err := MatrixFromState(st); err == nil {
@@ -114,22 +114,19 @@ func TestQuickMatrixStateRoundTrip(t *testing.T) {
 	}
 }
 
-// State writes the packed form only; the version-1 lists stay empty.
+// State writes every list of the packed form.
 func TestStateWritesPackedFormOnly(t *testing.T) {
 	m := NewMatrix(4, 0.25)
 	m.Set(1, 2, 3)
 	m.Set(3, 3, 0)
 	st := m.State()
-	if len(st.Triplets) != 0 || len(st.OverriddenDiag) != 0 {
-		t.Fatalf("matrix state still carries version-1 lists: %+v", st)
-	}
 	if len(st.PackedRows) == 0 || len(st.PackedCols) == 0 || len(st.PackedVals) != 8 || len(st.PackedDiag) == 0 {
 		t.Fatalf("matrix state is not packed: %+v", st)
 	}
 	v := NewVector(5)
 	v.Set(4, 2)
 	vs := v.State()
-	if len(vs.Index) != 0 || len(vs.Value) != 0 || len(vs.PackedIndex) != 1 || len(vs.PackedValue) != 8 {
+	if len(vs.PackedIndex) != 1 || len(vs.PackedValue) != 8 {
 		t.Fatalf("vector state is not packed: %+v", vs)
 	}
 }
@@ -196,28 +193,21 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		st    MatrixState
 		field string
 	}{
-		"duplicate column":    {with(func(st *MatrixState) { st.PackedCols = []byte{0, 0, 2} }), "PackedCols repeats"},
-		"column out of range": {with(func(st *MatrixState) { st.PackedCols = append(gaps(0, 3), 4) }), "PackedCols"},
-		"column overlong":     {with(func(st *MatrixState) { st.PackedCols = bytes.Repeat([]byte{0xff}, 11) }), "PackedCols is truncated or overlong"},
-		"columns truncated":   {with(func(st *MatrixState) { st.PackedCols = gaps(0, 3) }), "PackedCols is truncated"},
-		"columns left over":   {with(func(st *MatrixState) { st.PackedCols = append(st.PackedCols, 1) }), "PackedCols holds more"},
-		"row out of range":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 3, 1) }), "PackedRows"},
-		"duplicate row":       {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 0, 1) }), "PackedRows repeats"},
-		"row count truncated": {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2) }), "PackedRows is truncated"},
-		"empty row listed":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 0, 2, 3) }), "PackedRows gives row 1 0 entries"},
-		"rows claim too many": {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2, 2) }), "PackedRows gives row 3 2 entries"},
-		"rows claim too few":  {with(func(st *MatrixState) { st.PackedRows = rows(1, 2) }), "PackedRows accounts for 2 entries"},
-		"values not whole":    {with(func(st *MatrixState) { st.PackedVals = st.PackedVals[:23] }), "PackedVals is 23 bytes"},
-		"stored zero":         {with(func(st *MatrixState) { st.PackedVals = words(1, 0, 3) }), "PackedVals stores a zero at (1,3)"},
-		"diag out of range":   {with(func(st *MatrixState) { st.PackedDiag = gaps(1, 4) }), "PackedDiag"},
-		"diag repeats":        {with(func(st *MatrixState) { st.PackedDiag = []byte{1, 0} }), "PackedDiag repeats"},
-		"both forms":          {with(func(st *MatrixState) { st.Triplets = []Triplet{{0, 0, 1}} }), "matrix Triplets holds 1 entries"},
-		"both diag forms":     {with(func(st *MatrixState) { st.OverriddenDiag = []int{0} }), "matrix OverriddenDiag holds 1 entries"},
-		// The version-1 form alone, which the v1 build loops used to read.
-		"version-1 Triplets": {MatrixState{Dim: 3, Diag: 0.5, Triplets: []Triplet{{2, 1, 7}, {0, 2, 4}}},
-			"matrix Triplets holds 2 entries: the version-1 form is refused"},
-		"version-1 OverriddenDiag": {MatrixState{Dim: 3, Diag: 0.5, OverriddenDiag: []int{2}},
-			"matrix OverriddenDiag holds 1 entries: the version-1 form is refused"},
+		"duplicate column":      {with(func(st *MatrixState) { st.PackedCols = []byte{0, 0, 2} }), "PackedCols repeats"},
+		"column out of range":   {with(func(st *MatrixState) { st.PackedCols = append(gaps(0, 3), 4) }), "PackedCols"},
+		"column overlong":       {with(func(st *MatrixState) { st.PackedCols = bytes.Repeat([]byte{0xff}, 11) }), "PackedCols is truncated or overlong"},
+		"columns truncated":     {with(func(st *MatrixState) { st.PackedCols = gaps(0, 3) }), "PackedCols is truncated"},
+		"columns left over":     {with(func(st *MatrixState) { st.PackedCols = append(st.PackedCols, 1) }), "PackedCols holds more"},
+		"row out of range":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 3, 1) }), "PackedRows"},
+		"duplicate row":         {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 0, 1) }), "PackedRows repeats"},
+		"row count truncated":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2) }), "PackedRows is truncated"},
+		"empty row listed":      {with(func(st *MatrixState) { st.PackedRows = rows(1, 0, 2, 3) }), "PackedRows gives row 1 0 entries"},
+		"rows claim too many":   {with(func(st *MatrixState) { st.PackedRows = rows(1, 2, 2, 2) }), "PackedRows gives row 3 2 entries"},
+		"rows claim too few":    {with(func(st *MatrixState) { st.PackedRows = rows(1, 2) }), "PackedRows accounts for 2 entries"},
+		"values not whole":      {with(func(st *MatrixState) { st.PackedVals = st.PackedVals[:23] }), "PackedVals is 23 bytes"},
+		"stored zero":           {with(func(st *MatrixState) { st.PackedVals = words(1, 0, 3) }), "PackedVals stores a zero at (1,3)"},
+		"diag out of range":     {with(func(st *MatrixState) { st.PackedDiag = gaps(1, 4) }), "PackedDiag"},
+		"diag repeats":          {with(func(st *MatrixState) { st.PackedDiag = []byte{1, 0} }), "PackedDiag repeats"},
 		"negative dim":          {with(func(st *MatrixState) { st.Dim = -1 }), "negative dimension"},
 		"dim smaller than data": {with(func(st *MatrixState) { st.Dim = 3 }), "out of range [0,3)"},
 	} {
@@ -247,9 +237,6 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		"indices left":     {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2)}, "PackedIndex holds more"},
 		"values not whole": {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2)[:7]}, "PackedValue is 7 bytes"},
 		"stored zero":      {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, 0)}, "PackedValue stores a zero at index 4"},
-		"both forms":       {VectorState{Dim: 5, PackedIndex: gaps(1), PackedValue: words(2), Index: []int{0}, Value: []float64{1}}, "vector Index holds 1 entries"},
-		"version-1 Index":  {VectorState{Dim: 4, Index: []int{3, 1}, Value: []float64{1, 2}}, "vector Index holds 2 entries: the version-1 form is refused"},
-		"version-1 Value":  {VectorState{Dim: 4, Value: []float64{1}}, "vector Value holds 1 entries: the version-1 form is refused"},
 	} {
 		t.Run("vector/"+name, func(t *testing.T) {
 			verr := tc.st.Validate()

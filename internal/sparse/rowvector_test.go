@@ -9,8 +9,7 @@ import (
 // sameVectorState compares two images byte for byte (a nil and an empty list
 // encode the same, so the lists are compared as bytes, not as values).
 func sameVectorState(a, b VectorState) bool {
-	return a.Dim == b.Dim && bytes.Equal(a.PackedIndex, b.PackedIndex) && bytes.Equal(a.PackedValue, b.PackedValue) &&
-		len(a.Index)+len(a.Value)+len(b.Index)+len(b.Value) == 0
+	return a.Dim == b.Dim && bytes.Equal(a.PackedIndex, b.PackedIndex) && bytes.Equal(a.PackedValue, b.PackedValue)
 }
 
 // A RowVector is a Vector stored differently: the same random Add stream —

@@ -9,8 +9,13 @@
 #   - listed in the allowlist scripts/reach.allow, one
 #     `pkg.[Type.]Func reason` a line, reason facade, oracle or waits:<item>.
 # An allowlist entry that is linked or no longer declared fails too, so the
-# list cannot go stale. Run from the repository root: sh scripts/reachcheck.sh
+# list cannot go stale. It also fails when any of those binaries links
+# encoding/gob: the checkpoint image is read and written by internal/core
+# alone. Run from the repository root: sh scripts/reachcheck.sh
 set -eu
+if { go list -deps ./cmd/... ./examples/...; go -C bench list -deps .; } | grep -qx encoding/gob; then
+	echo "reachcheck: a shipped binary links encoding/gob"; exit 1
+fi
 allow=scripts/reach.allow
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
