@@ -13,7 +13,7 @@
 // regression gate on the allocation-free decide path. -assert-max-allocs
 // generalises the gate to bounded-allocation paths: repeated NAME=N pairs
 // each fail the run when the named benchmark exceeds N allocs/op (`make
-// check` bounds the coalesced server decide path this way), and
+// check` bounds the server's service-layer decide path this way), and
 // -assert-max-bytes does the same for B/op (the decide handler's bound; a
 // limit may also be F*UNIT, a multiple of the benchmark's own UNIT metric,
 // as for a checkpoint encode against the image-bytes it reports).

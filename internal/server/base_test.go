@@ -48,7 +48,7 @@ func sessionState(t *testing.T, base, id string) (SessionInfo, []byte) {
 // session trace streams.
 func TestElidedSnapshotsPreserveDecisions(t *testing.T) {
 	run := func(elide bool) (bodies [][]byte, stats, tail []byte) {
-		svc, ts := newCoalesceService(t, 0)
+		svc, ts := newDecideService(t, 0)
 		base := ts.URL + "/v2/sessions/" + DefaultSessionID
 		var held string
 		wire := func(req StateRequest) StateRequest {
@@ -208,7 +208,7 @@ func TestBaseConflictTouchesNothing(t *testing.T) {
 // to — it would evict the base another client is eliding against — nor count
 // as an elided request served.
 func TestThrottledRequestLeavesBase(t *testing.T) {
-	svc, ts := newCoalesceService(t, 1)
+	svc, ts := newDecideService(t, 1)
 	url := ts.URL + "/v2/sessions/" + DefaultSessionID
 
 	first := sessionWorld(4, 3, 0)

@@ -113,10 +113,6 @@ type Service struct {
 	gate      *admitGate
 	throttled *obs.Counter
 
-	coalRounds *obs.Counter
-	coalMerged *obs.Counter
-	coalItems  *obs.Counter
-
 	// elided counts decide requests that relied on a snapshot base;
 	// baseConflicts counts those refused with 409 because the session did
 	// not hold the base they named.
@@ -234,12 +230,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxInFlight > 0 {
 		s.gate = &admitGate{capacity: cfg.MaxInFlight}
 	}
-	s.coalRounds = reg.Counter("megh_coalesce_rounds_total",
-		"Coalesced decide rounds run (one session-lock hold each).", nil)
-	s.coalMerged = reg.Counter("megh_coalesce_merged_requests_total",
-		"Decide requests that shared a coalesced round with at least one other request.", nil)
-	s.coalItems = reg.Counter("megh_coalesce_items_total",
-		"Decision items carried by coalesced rounds.", nil)
 	s.elided = reg.Counter("megh_snapshot_elided_requests_total",
 		"Decide and decide/batch requests that left static fields to the session's snapshot base.", nil)
 	s.decodeFallback = reg.Counter("megh_snapshot_decode_fallback_total",
@@ -717,12 +707,10 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 	defer release()
 	s.adoptBase(sess, held, base, req.Base != "")
 
-	// A single decide is a one-item batch through the coalescer, so
-	// concurrent single decides for the same session share one lock
-	// acquisition. The round returns caller-owned slices, so nothing here
-	// races the lock release.
+	// A single decide is a one-item batch. decideItems returns caller-owned
+	// slices, so nothing here races the lock release.
 	start := time.Now()
-	outs, err := s.coalesceDecide(sess, []decideItem{{state: &req, base: base}})
+	outs, err := s.decideItems(sess, []decideItem{{state: &req, base: base}})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -734,8 +722,7 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 
 // decideBatchSession is the batched decide path: many observe→decide steps
 // validated up front, then run back-to-back against the session's learner
-// under a single lock acquisition — shared with whatever other requests
-// joined the same coalescing round.
+// under a single lock acquisition.
 // The whole batch is validated before the learner is touched, so a 400
 // never leaves the learner having consumed half a batch, and before
 // admission, so the gate can weigh the request by its item count.
@@ -772,7 +759,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		}
 		elided = elided || it.State.Base != ""
 		// An item carries the request as decoded and the base it resolved to,
-		// not a snapshot: the round leader fills the session's one snapshot
+		// not a snapshot: decideRound fills the session's one snapshot
 		// from it under the session lock, when the item's turn comes, so a
 		// batch holds one snapshot however many items it has.
 		items[i] = decideItem{state: &it.State, base: base}
@@ -800,7 +787,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 	s.adoptBase(sess, held, base, elided)
 
 	start := time.Now()
-	outs, err := s.coalesceDecide(sess, items)
+	outs, err := s.decideItems(sess, items)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return

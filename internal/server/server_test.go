@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"megh/internal/core"
 	"megh/internal/obs"
@@ -291,35 +292,79 @@ func TestStaleCheckpointRefusedAtStartup(t *testing.T) {
 }
 
 // TestLearnerPanicBecomesHTTP500 is the regression test for the panic
-// guard: a learner panic inside a handler must answer 500 with a JSON
-// error body instead of killing the connection.
+// guard: a learner panic inside either decide handler must answer 500 with a
+// JSON error body instead of killing the connection, and must leave the
+// session usable — its lock, its admission slot and its request scratch
+// released — so the next request to it answers.
 func TestLearnerPanicBecomesHTTP500(t *testing.T) {
-	svc, ts := newTestService(t, 4, 3, "")
-	// Simulate a corrupted restore: a learner whose world disagrees with
-	// the service configuration.
-	bad, err := core.New(core.DefaultConfig(3, 3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.def.mu.Lock()
-	svc.def.learner = bad
-	svc.def.mu.Unlock()
+	for _, tc := range []struct {
+		route, path string
+		body        any
+	}{
+		{"/v2/sessions/:id/decide", "/decide", testWorld(4, 3, false)},
+		{"/v2/sessions/:id/decide/batch", "/decide/batch", BatchDecideRequest{Items: []BatchDecideItem{
+			{State: sessionWorld(4, 3, 0)},
+			{State: sessionWorld(4, 3, 1), Feedback: &FeedbackRequest{Step: 0, StepCost: 0.4}},
+		}}},
+	} {
+		t.Run(tc.path[1:], func(t *testing.T) {
+			// A one-slot gate: a slot the panic failed to release would
+			// refuse the follow-up with 429.
+			svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, MaxInFlight: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			url := ts.URL + "/v2/sessions/default" + tc.path
+			// Simulate a corrupted restore: a learner whose world disagrees
+			// with the service configuration.
+			bad, err := core.New(core.DefaultConfig(3, 3, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.def.mu.Lock()
+			good := svc.def.learner
+			svc.def.learner = bad
+			svc.def.mu.Unlock()
 
-	resp := postJSON(t, ts.URL+"/v2/sessions/default/decide", testWorld(4, 3, false))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", resp.StatusCode)
-	}
-	var e errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatalf("500 body is not the JSON error envelope: %v", err)
-	}
-	if e.Error == "" {
-		t.Fatal("500 body carries no error message")
-	}
-	// The error counter must have recorded it.
-	if got := svc.Metrics().Counter("megh_http_errors_total", "",
-		obs.Labels{"route": "/v2/sessions/:id/decide"}).Value(); got != 1 {
-		t.Fatalf("error counter = %d, want 1", got)
+			resp := postJSON(t, url, tc.body)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("status %d, want 500", resp.StatusCode)
+			}
+			var e errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("500 body is not the JSON error envelope: %v", err)
+			}
+			if e.Error == "" {
+				t.Fatal("500 body carries no error message")
+			}
+			// The error counter must have recorded it.
+			if got := svc.Metrics().Counter("megh_http_errors_total", "",
+				obs.Labels{"route": tc.route}).Value(); got != 1 {
+				t.Fatalf("error counter = %d, want 1", got)
+			}
+
+			if !svc.def.mu.TryLock() {
+				t.Fatal("session lock still held after the panic")
+			}
+			svc.def.learner = good
+			svc.def.mu.Unlock()
+			raw, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := &http.Client{Timeout: 10 * time.Second}
+			follow, err := client.Post(url, "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("follow-up request did not answer: %v", err)
+			}
+			defer follow.Body.Close()
+			if follow.StatusCode != http.StatusOK {
+				body, _ := io.ReadAll(follow.Body)
+				t.Fatalf("follow-up request answered %d, want 200: %s", follow.StatusCode, body)
+			}
+		})
 	}
 }
 

@@ -85,12 +85,6 @@ type session struct {
 	restores  int
 	deleted   bool
 
-	// coal merges concurrent decide requests for this session into shared
-	// rounds (see coalesce.go). It has its own mutex: requests
-	// join rounds without touching mu, which the round leader holds for the
-	// whole merged batch.
-	coal coalescer
-
 	// pinned sessions (the default) are never evicted.
 	pinned bool
 	// ckptPath is where this session checkpoints ("" = no persistence;
