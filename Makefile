@@ -100,12 +100,17 @@ scenario-smoke:
 metriclint:
 	$(GO) run ./cmd/metriclint
 
-# The service's HTTP surface is pinned: the live mux patterns must match
-# the committed internal/server/routes.golden. Regenerate deliberately
-# (and review the diff) with:
-#   $(GO) test ./internal/server/ -run TestRoutesGolden -update
+# The service's surface is pinned: the live mux patterns must match the
+# committed internal/server/routes.golden, the exported fields of
+# server.Config and server.ClusterConfig (name and type, in order)
+# internal/server/options.golden, and the flags meghd -h lists
+# cmd/meghd/testdata/flags.golden. Regenerate deliberately (and review the
+# diff) with:
+#   $(GO) test ./internal/server/ -run 'TestRoutesGolden|TestOptionsGolden' -update
+#   $(GO) test ./cmd/meghd/ -run TestFlagsGolden -update
 routes-golden:
-	$(GO) test -run=TestRoutesGolden ./internal/server/
+	$(GO) test -run='TestRoutesGolden|TestOptionsGolden' ./internal/server/
+	$(GO) test -run=TestFlagsGolden ./cmd/meghd/
 
 # gofmt -l lists files needing reformatting; any output fails the gate.
 fmt-check:

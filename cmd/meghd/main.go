@@ -104,14 +104,10 @@ func run() error {
 			"max learners resident in memory; 0 = unlimited (>0 needs -checkpoint-dir; LRU sessions are checkpointed and evicted)")
 		maxInFlight = flag.Int("max-inflight", 0,
 			"max concurrent in-flight decisions (batches weigh their item count) before shedding 429s; 0 = unlimited")
-		sessionRing = flag.Int("session-ring", 0,
-			"per-session trace ring size for /v2 trace tails; 0 = default, <0 disables")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute,
 			"periodic checkpoint interval; 0 disables (needs -checkpoint or -checkpoint-dir)")
 		drain = flag.Duration("drain-timeout", 10*time.Second,
 			"how long to wait for in-flight requests on shutdown")
-		healthProbeEvery = flag.Int("health-probe-every", 0,
-			"decides between sampled learning-health probes (theta = B*z spot checks) per session; 0 = default cadence, <0 disables probing")
 		sloDecideP99 = flag.Float64("slo-decide-p99", 0,
 			"decide-latency SLO objective in seconds for the burn-rate tracking on /v2/health and /metrics; 0 = default, <0 disables")
 		metricsTopK = flag.Int("metrics-session-topk", 0,
@@ -124,8 +120,6 @@ func run() error {
 			"comma-separated name=url peer list; an entry matching -cluster-node is ignored, so all nodes can share one list")
 		clusterReplicas = flag.Int("cluster-replicas", 0,
 			"nodes holding each session's checkpoint, owner included; 0 = default (2)")
-		clusterVNodes = flag.Int("cluster-vnodes", 0,
-			"virtual points per node on the placement ring (all nodes must agree); 0 = default (64)")
 		clusterHeartbeat = flag.Duration("cluster-heartbeat", 0,
 			"peer probe cadence; 0 = default (1s)")
 		clusterFailAfter = flag.Int("cluster-fail-after", 0,
@@ -182,7 +176,6 @@ func run() error {
 			AdvertiseURL:   *clusterAdvertise,
 			Peers:          peers,
 			Replicas:       *clusterReplicas,
-			VNodes:         *clusterVNodes,
 			HeartbeatEvery: *clusterHeartbeat,
 			FailAfter:      *clusterFailAfter,
 		}
@@ -197,10 +190,8 @@ func run() error {
 		CheckpointDir:      *ckptDir,
 		MaxSessions:        *maxSessions,
 		MaxInFlight:        *maxInFlight,
-		SessionRing:        *sessionRing,
 		Seed:               *seed,
 		Tracer:             tracer,
-		HealthProbeEvery:   *healthProbeEvery,
 		SLODecideP99:       *sloDecideP99,
 		MetricsSessionTopK: *metricsTopK,
 		Cluster:            clusterCfg,

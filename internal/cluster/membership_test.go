@@ -147,7 +147,6 @@ func TestNodeOwnershipFollowsMembership(t *testing.T) {
 			{Name: "c", URL: "http://c"},
 		},
 		Replicas:  2,
-		VNodes:    32,
 		FailAfter: 1,
 	})
 	if err != nil {
@@ -198,8 +197,8 @@ func TestNodeDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Replicas() != DefReplicas || n.VNodes() != DefVNodes {
-		t.Fatalf("defaults: replicas=%d vnodes=%d", n.Replicas(), n.VNodes())
+	if n.Replicas() != DefReplicas {
+		t.Fatalf("default replicas = %d", n.Replicas())
 	}
 	if !n.OwnsLocally("anything") {
 		t.Fatal("single node must own every key")
@@ -212,9 +211,6 @@ func TestNodeDefaultsAndValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Self: Peer{Name: "x"}, Replicas: -1}); err == nil {
 		t.Error("negative replicas accepted")
-	}
-	if _, err := NewNode(Config{Self: Peer{Name: "x"}, VNodes: -1}); err == nil {
-		t.Error("negative vnodes accepted")
 	}
 	if _, err := NewNode(Config{Self: Peer{Name: "bad/name"}}); err == nil {
 		t.Error("invalid self name accepted")

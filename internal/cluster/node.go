@@ -13,7 +13,7 @@ const DefReplicas = 2
 type Config struct {
 	// Self is this node: Name is its ring identity, URL the address it
 	// advertises to peers (echoed in /v2/cluster bodies and used by
-	// clients routing straight to owners).
+	// peers proxying to it).
 	Self Peer
 	// Peers are the other nodes. A row matching Self.Name is skipped, so
 	// every node can ship the same static list.
@@ -23,9 +23,6 @@ type Config struct {
 	// at lookup time, so a 2-node cluster with Replicas=3 just replicates
 	// to both.
 	Replicas int
-	// VNodes is the virtual points per member on the ring; 0 means
-	// DefVNodes.
-	VNodes int
 	// FailAfter is the consecutive probe failures marking a peer dead;
 	// 0 means DefFailAfter.
 	FailAfter int
@@ -52,12 +49,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = DefReplicas
 	}
-	if cfg.VNodes < 0 {
-		return nil, fmt.Errorf("cluster: negative vnodes %d", cfg.VNodes)
-	}
-	if cfg.VNodes == 0 {
-		cfg.VNodes = DefVNodes
-	}
 	mem, err := NewMembership(cfg.Self, cfg.Peers, cfg.FailAfter)
 	if err != nil {
 		return nil, err
@@ -74,9 +65,6 @@ func (n *Node) Self() Peer { return n.cfg.Self }
 // Replicas returns the configured replication factor.
 func (n *Node) Replicas() int { return n.cfg.Replicas }
 
-// VNodes returns the configured virtual-point count.
-func (n *Node) VNodes() int { return n.cfg.VNodes }
-
 // currentRing returns the ring for the current alive set, rebuilding it
 // when the epoch moved since the cached build.
 func (n *Node) currentRing() *Ring {
@@ -84,7 +72,7 @@ func (n *Node) currentRing() *Ring {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.ring == nil || n.ringEpoch != epoch {
-		n.ring = NewRing(n.mem.Alive(), n.cfg.VNodes)
+		n.ring = NewRing(n.mem.Alive(), DefVNodes)
 		n.ringEpoch = epoch
 	}
 	return n.ring

@@ -7,7 +7,7 @@
 // decision is a pure function of the membership view and unit-testable
 // without sockets.
 //
-// Placement model: each node contributes VNodes virtual points to a hash
+// Placement model: each node contributes DefVNodes virtual points to a hash
 // ring; a session ID hashes to the first point at or clockwise of it, and
 // its replica set is the first Replicas distinct nodes walking clockwise
 // from there. Because only the departed node's points leave the ring when
@@ -22,10 +22,11 @@ import (
 	"strconv"
 )
 
-// DefVNodes is the default number of virtual points each member
-// contributes to the ring. 64 keeps the owner distribution within a few
-// percent of uniform at small cluster sizes while keeping ring rebuilds
-// cheap.
+// DefVNodes is the number of virtual points each member contributes to a
+// Node's ring, and NewRing's default. 64 keeps the owner distribution within
+// a few percent of uniform at small cluster sizes while keeping ring rebuilds
+// cheap. It is a constant, not a setting, so every node builds the same ring
+// from the same alive set.
 const DefVNodes = 64
 
 // Ring is an immutable consistent-hash ring over a set of member names.

@@ -79,7 +79,7 @@ func (s *Service) handleClusterInfo(w http.ResponseWriter, _ *http.Request) {
 		Leader:   leader,
 		Epoch:    c.node.Epoch(),
 		Replicas: c.node.Replicas(),
-		VNodes:   c.node.VNodes(),
+		VNodes:   cluster.DefVNodes,
 	}
 	for _, row := range c.node.Membership().Table() {
 		resp.Nodes = append(resp.Nodes, ClusterNode{

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"megh/internal/cluster"
 	"megh/internal/obs"
 	"megh/internal/sim"
 )
@@ -36,24 +35,10 @@ const (
 // in-flight request and any backoff sleep.
 //
 // Session-scoped requests go through Session(id), which returns a view over
-// the /v2 API. Against a cluster, Refresh lets those views go straight to
-// each session's ring owner.
+// the /v2 API.
 type Client struct {
 	base string
-	*conn
-
-	// mu guards the routing view the last Refresh adopted: ring is nil
-	// unless that Refresh found a cluster, and nodes maps each alive node's
-	// name to a client on its URL.
-	mu    sync.RWMutex
-	ring  *cluster.Ring
-	nodes map[string]*Client
-}
-
-// conn is what a client shares with the node clients its Refresh builds:
-// the transport, the retry policy, and the retry counter.
-type conn struct {
-	hc *http.Client
+	hc   *http.Client
 
 	maxAttempts int
 	baseDelay   time.Duration
@@ -71,12 +56,13 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: baseURL, conn: &conn{
+	return &Client{
+		base:        baseURL,
 		hc:          httpClient,
 		maxAttempts: defaultMaxAttempts,
 		baseDelay:   defaultRetryBaseDelay,
 		jitter:      rand.New(rand.NewSource(time.Now().UnixNano())),
-	}}
+	}
 }
 
 // SetRetryPolicy overrides the retry budget: maxAttempts total tries per
@@ -288,14 +274,13 @@ func (c *Client) ListSessions(ctx context.Context) (SessionListResponse, error) 
 }
 
 // Session returns a view of one named session on the /v2 API. The view
-// shares the parent client's transport, retry policy, and instrumentation.
-// It is aimed at the session's ring owner when the last Refresh found a
-// cluster and knows the owner's URL, and at the client's own base otherwise
-// (the node-local default session always). Hold on to it: the view
-// remembers the snapshot base the service accepted, and a fresh view starts
-// without one and sends one full snapshot first.
+// shares the parent client's base, transport, retry policy, and
+// instrumentation; against a cluster, the node at that base proxies the
+// session's requests to its owner. Hold on to it: the view remembers the
+// snapshot base the service accepted, and a fresh view starts without one
+// and sends one full snapshot first.
 func (c *Client) Session(id string) *SessionClient {
-	return &SessionClient{c: c.node(id), id: id, prefix: "/v2/sessions/" + url.PathEscape(id)}
+	return &SessionClient{c: c, id: id, prefix: "/v2/sessions/" + url.PathEscape(id)}
 }
 
 // SessionClient scopes requests to one /v2 session. Decide and

@@ -38,9 +38,6 @@ type ClusterConfig struct {
 	// owner included; 0 means cluster.DefReplicas (2). Clamped to the
 	// cluster size.
 	Replicas int
-	// VNodes is the virtual points per node on the hash ring; 0 means
-	// cluster.DefVNodes. All nodes must agree on it.
-	VNodes int
 	// HeartbeatEvery is the probe cadence of Service.StartCluster; 0
 	// means DefClusterHeartbeat.
 	HeartbeatEvery time.Duration
@@ -132,7 +129,6 @@ func newClusterRuntime(svc *Service, cfg Config) (*clusterRuntime, error) {
 		Self:      cluster.Peer{Name: cc.NodeName, URL: strings.TrimSuffix(cc.AdvertiseURL, "/")},
 		Peers:     peers,
 		Replicas:  cc.Replicas,
-		VNodes:    cc.VNodes,
 		FailAfter: cc.FailAfter,
 	})
 	if err != nil {
@@ -237,8 +233,8 @@ func (s *Service) routeSession(h http.HandlerFunc) http.HandlerFunc {
 func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	owner := c.node.Owner(id)
 	if owner.URL == "" {
-		// Unreachable in practice (remote owners always carry URLs); serve
-		// locally rather than drop the request.
+		// Unreachable in practice (remote owners always carry URLs); answer
+		// 502 rather than send the request nowhere.
 		writeError(w, http.StatusBadGateway,
 			fmt.Errorf("session %q owned by %q, which has no address", id, owner.Name))
 		return

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,6 +134,31 @@ func (tc *testCluster) markDead(dead string) {
 			mem.ReportFailure(dead)
 		}
 	}
+}
+
+// scrapeMetric reads one unlabelled sample from a node's GET /metrics.
+func scrapeMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: sample %q: %v", name, line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s: no sample on %s/metrics", name, base)
+	return 0
 }
 
 // doJSON issues one request with optional headers and decodes the reply.
@@ -260,6 +287,13 @@ func TestClusterProxiesToOwner(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Megh-Proxied") != "" {
 		t.Fatalf("direct decide: HTTP %d, proxied=%q", resp.StatusCode, resp.Header.Get("X-Megh-Proxied"))
 	}
+	// Each entry node counts the requests it relayed; the owner relayed none.
+	for n, want := range map[string]int64{"a": 1, "b": 0, "c": 1} {
+		c := tc.svcs[n].cluster
+		if p, e := c.cProxied.Value(), c.cProxyErrs.Value(); p != want || e != 0 {
+			t.Fatalf("node %s proxied %d requests with %d errors, want %d and 0", n, p, e, want)
+		}
+	}
 }
 
 func TestClusterForwardedServedLocally(t *testing.T) {
@@ -324,6 +358,10 @@ func TestClusterCheckpointReplicationByteIdentical(t *testing.T) {
 	if !bytes.Equal(img, replica) {
 		t.Fatalf("replica on %s differs from primary (%d vs %d bytes)", successor, len(replica), len(img))
 	}
+	ca := tc.svcs["a"].cluster
+	if p, e := ca.cReplPush.Value(), ca.cReplErrs.Value(); p != 1 || e != 0 {
+		t.Fatalf("one checkpoint, one successor: %d pushes and %d errors, want 1 and 0", p, e)
+	}
 
 	// The replica is also served back over the API.
 	req, _ := http.NewRequest(http.MethodGet, tc.urls[successor]+"/v2/cluster/replicas/"+id, nil)
@@ -334,6 +372,16 @@ func TestClusterCheckpointReplicationByteIdentical(t *testing.T) {
 	defer rresp.Body.Close()
 	if rresp.StatusCode != http.StatusOK {
 		t.Fatalf("replica GET: HTTP %d", rresp.StatusCode)
+	}
+
+	// A checkpoint whose successor is down still succeeds; the push that
+	// could not land is counted as an error, not as a replication.
+	tc.servers[successor].Close()
+	if resp := doJSON(t, http.MethodPost, tc.urls["a"]+"/v2/sessions/"+id+"/checkpoint", struct{}{}, nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint with the successor down: HTTP %d", resp.StatusCode)
+	}
+	if p, e := ca.cReplPush.Value(), ca.cReplErrs.Value(); p != 1 || e != 1 {
+		t.Fatalf("after a push to a dead successor: %d pushes and %d errors, want 1 and 1", p, e)
 	}
 }
 
@@ -357,6 +405,11 @@ func TestClusterFailoverPromotesReplica(t *testing.T) {
 	tc.markDead("a")
 	if got := tc.svcs[successor].ClusterNode().Owner(id).Name; got != successor {
 		t.Fatalf("after owner death, %q owns %s, want the replica-holding successor %q", got, id, successor)
+	}
+	// Both survivors see two nodes in the alive set's second generation,
+	// and b (now the lowest alive name) leads.
+	for n, leader := range map[string]float64{"b": 1, "c": 0} {
+		assertClusterGauges(t, tc.urls[n], 2, leader, 2)
 	}
 
 	// The new owner never saw this session. Re-asserting it restores the
@@ -387,6 +440,33 @@ func TestClusterFailoverPromotesReplica(t *testing.T) {
 	if info.Restores == 0 {
 		t.Fatalf("failover session reports no restore: %+v", info)
 	}
+	for _, n := range []string{"b", "c"} {
+		want := int64(0)
+		if n == successor {
+			want = 1
+		}
+		if got := tc.svcs[n].cluster.cPromoted.Value(); got != want {
+			t.Fatalf("node %s promoted %d replicas, want %d", n, got, want)
+		}
+	}
+
+	// a answering again brings it back into b's view: a third generation,
+	// and b hands leadership back.
+	tc.svcs["b"].ClusterNode().Membership().ReportSuccess("a")
+	assertClusterGauges(t, tc.urls["b"], 3, 0, 3)
+}
+
+// assertClusterGauges scrapes a node's membership gauges.
+func assertClusterGauges(t *testing.T, base string, alive, leader, epoch float64) {
+	t.Helper()
+	got := [3]float64{
+		scrapeMetric(t, base, "megh_cluster_nodes_alive"),
+		scrapeMetric(t, base, "megh_cluster_is_leader"),
+		scrapeMetric(t, base, "megh_cluster_epoch"),
+	}
+	if got != [3]float64{alive, leader, epoch} {
+		t.Fatalf("%s: nodes_alive, is_leader, epoch = %v, want [%g %g %g]", base, got, alive, leader, epoch)
+	}
 }
 
 func TestClusterRebalanceMovesMisplacedSession(t *testing.T) {
@@ -412,6 +492,9 @@ func TestClusterRebalanceMovesMisplacedSession(t *testing.T) {
 	}
 	if moved.Checked != 1 || moved.Moved != 1 || moved.Errors != 0 {
 		t.Fatalf("rebalance = %+v, want checked=1 moved=1 errors=0", moved)
+	}
+	if got := tc.svcs["a"].cluster.cRebalanced.Value(); got != 1 {
+		t.Fatalf("rebalanced sessions = %d, want 1", got)
 	}
 
 	// The learner left a; the checkpoint image landed in b's replica store.
@@ -452,6 +535,9 @@ func TestClusterRebalanceMovesMisplacedSession(t *testing.T) {
 	doJSON(t, http.MethodPost, tc.urls["a"]+"/v2/cluster/rebalance", nil, fwd, &again)
 	if again.Moved != 0 {
 		t.Fatalf("second sweep moved %d sessions, want 0", again.Moved)
+	}
+	if got := tc.svcs["a"].cluster.cRebalanced.Value(); got != 1 {
+		t.Fatalf("rebalanced sessions after a no-op sweep = %d, want 1", got)
 	}
 }
 
@@ -497,88 +583,9 @@ func TestClusterReplicaPutRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestClusterClientRoutesToOwner(t *testing.T) {
-	tc := newTestCluster(t, 2, "a", "b", "c")
-	ctx := context.Background()
-	c := NewClient(tc.urls["a"], nil)
-	if err := c.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := c.ClusterInfo(ctx); err != nil || !info.Enabled || info.Leader != "a" {
-		t.Fatalf("cluster view %+v, %v; want enabled with leader a", info, err)
-	}
-
-	// The client's local ring must agree with the servers' for every key.
-	node := tc.svcs["a"].ClusterNode()
-	for i := 0; i < 50; i++ {
-		id := fmt.Sprintf("tenant-%d", i)
-		want := tc.urls[node.Owner(id).Name]
-		if got := c.Session(id).c.base; got != want {
-			t.Fatalf("client routes %s to %s, servers say %s", id, got, want)
-		}
-	}
-	// The default session is per-node and always goes to the client's base.
-	if c.Session(DefaultSessionID).c != c {
-		t.Fatal("default session should stay on the client's own base")
-	}
-
-	// End to end: a session created through the client lands directly on
-	// its owner (no proxy hop needed, so the owner holds the record).
-	id := tc.idOwnedBy(t, "a", "c")
-	if _, err := c.Session(id).Create(ctx, clusterSpec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.svcs["c"].mgr.get(id); err != nil {
-		t.Fatalf("owner c missing session created via the refreshed client: %v", err)
-	}
-	// Refreshes and Session lookups may run concurrently on one client.
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Refresh(ctx); err != nil {
-				t.Error(err)
-			}
-			if got := c.Session(id).c.base; got != tc.urls["c"] {
-				t.Errorf("concurrent lookup routes %s to %s", id, got)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Membership change: drop c, refresh, and routing follows the ring.
-	tc.servers["c"].Close()
-	tc.markDead("c")
-	if err := c.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Session(id).c.base; got == tc.urls["c"] {
-		t.Fatal("client still routes to the dead node after refresh")
-	}
-}
-
-func TestClusterClientUnclusteredPassthrough(t *testing.T) {
-	_, ts := newSessionService(t, 0)
-	ctx := context.Background()
-	c := NewClient(ts.URL, nil)
-	if err := c.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := c.ClusterInfo(ctx); err != nil || info.Enabled {
-		t.Fatalf("unclustered service reported as %+v, %v", info, err)
-	}
-	if c.Session("anything").c != c {
-		t.Fatal("passthrough should stay on the client's own base")
-	}
-	if _, err := c.Session("solo").Create(ctx, clusterSpec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterClientRetryPolicyReachesOwner: a view Refresh aimed at a ring
-// owner retries under its parent's policy, set before or after the Refresh,
-// and counts its retries on the parent's counter.
+// TestClusterClientRetryPolicyReachesOwner: a 503 the ring owner answers is
+// relayed by the entry node's proxy, retried under the entry client's policy
+// (set before or after the view was made), and counted once on its counter.
 func TestClusterClientRetryPolicyReachesOwner(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b")
 	id := tc.idOwnedBy(t, "a", "b")
@@ -597,9 +604,6 @@ func TestClusterClientRetryPolicyReachesOwner(t *testing.T) {
 	c.SetRetryPolicy(1, 0)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
-	if err := c.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
 	sc := c.Session(id)
 	if _, err := sc.Create(ctx, clusterSpec); err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("one 503 under a one-attempt policy: err %v, want the 503", err)
@@ -618,6 +622,10 @@ func TestClusterClientRetryPolicyReachesOwner(t *testing.T) {
 	}
 	if got := reg.Counter("megh_client_retries_total", "", nil).Value(); got != 1 {
 		t.Fatalf("retry counter = %d, want 1", got)
+	}
+	// Every attempt went through a's proxy: the 503s are relayed, not errors.
+	if p, e := tc.svcs["a"].cluster.cProxied.Value(), tc.svcs["a"].cluster.cProxyErrs.Value(); p != 3 || e != 0 {
+		t.Fatalf("entry node proxied %d requests with %d errors, want 3 and 0", p, e)
 	}
 }
 
@@ -640,10 +648,17 @@ func TestClusterHeartbeatDrivesFailoverRebalance(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	tc.servers["c"].Close()
+	// One probe round by hand: c's probe fails and b's does not, and one
+	// failure is below FailAfter, so every node is still alive.
+	tc.svcs["a"].cluster.probeRound(ctx)
+	if got := tc.svcs["a"].cluster.cProbeFails.Value(); got != 1 {
+		t.Fatalf("probe failures after one round = %d, want 1", got)
+	}
+	assertClusterGauges(t, tc.urls["a"], 3, 1, 1)
 	for _, n := range []string{"a", "b"} {
 		go tc.svcs[n].StartCluster(ctx)
 	}
-	tc.servers["c"].Close()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -715,6 +730,10 @@ func TestClusterProxyToDeadOwnerIs502(t *testing.T) {
 	}
 	if _, err := tc.svcs["a"].mgr.get(id); err != nil {
 		t.Fatalf("session not served locally after owner death: %v", err)
+	}
+	// FailAfter failed proxies, then none: the ring dropped b.
+	if e, p := tc.svcs["a"].cluster.cProxyErrs.Value(), tc.svcs["a"].cluster.cProxied.Value(); e != cluster.DefFailAfter || p != 0 {
+		t.Fatalf("proxy errors %d, proxied %d; want %d and 0", e, p, cluster.DefFailAfter)
 	}
 }
 
@@ -829,7 +848,10 @@ func TestClusterClientMethodsAndAccessors(t *testing.T) {
 	}
 
 	// StartCluster on an unclustered service is a no-op, not a hang.
-	svc, _ := newSessionService(t, 0)
+	svc, ts := newSessionService(t, 0)
+	if info, err := NewClient(ts.URL, nil).ClusterInfo(ctx); err != nil || info.Enabled {
+		t.Fatalf("unclustered service reported as %+v, %v", info, err)
+	}
 	done := make(chan struct{})
 	go func() { svc.StartCluster(ctx); close(done) }()
 	select {
@@ -839,18 +861,6 @@ func TestClusterClientMethodsAndAccessors(t *testing.T) {
 	}
 	if svc.ClusterNode() != nil {
 		t.Fatal("unclustered service reports a cluster node")
-	}
-}
-
-func TestClusterClientNoReachableSeed(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	c := NewClient(dead.URL, nil)
-	if err := c.Refresh(context.Background()); err == nil {
-		t.Fatal("an unreachable base should fail the refresh")
-	}
-	if c.Session("x").c != c {
-		t.Fatal("a failed refresh should leave session views on the client's own base")
 	}
 }
 

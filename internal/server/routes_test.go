@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite routes.golden from the live route table")
+var updateGolden = flag.Bool("update", false, "rewrite routes.golden and options.golden from the live tables")
 
 // TestRoutesGolden pins the service's HTTP surface: the sorted mux
 // patterns must match the committed routes.golden file, so any API

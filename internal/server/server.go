@@ -46,19 +46,11 @@ type Config struct {
 	// The cap is a residency target: pinned (default) and just-touched
 	// sessions are never evicted, so residency may transiently exceed it.
 	MaxSessions int
-	// SessionRing is the per-session trace ring size backing
-	// GET /v2/sessions/{id}/trace/tail. 0 means trace.DefaultRingSize;
-	// negative disables per-session tracing.
-	SessionRing int
 	// MaxInFlight bounds concurrent decide/feedback work across all
 	// sessions, weighted by batch item count (a K-item batch holds K
 	// slots); excess requests are refused with 429 and a Retry-After
 	// header instead of queueing without bound. 0 means unlimited.
 	MaxInFlight int
-	// Learner optionally overrides the default core configuration
-	// (core.DefaultConfig with Seed) of a fresh default session; /v2
-	// sessions take theirs from their spec.
-	Learner *core.Config
 	// Seed drives the default learner configuration; sessions carry their
 	// own seed in their spec.
 	Seed int64
@@ -66,13 +58,8 @@ type Config struct {
 	// feedback post on the default session. The in-memory tail is served at
 	// GET /v2/sessions/default/trace/tail. Nil disables default-session
 	// tracing (the endpoint then reports enabled=false). Other sessions each
-	// get their own ring tracer regardless (see SessionRing).
+	// get their own ring of trace.DefaultRingSize events regardless.
 	Tracer *trace.Tracer
-	// HealthProbeEvery is the cadence, in decides, of every session health
-	// tracker's sampled θ = B·z spot check. 0 means health.DefProbeEvery;
-	// negative disables probing (the streaming EWMAs still run and still
-	// score the verdict).
-	HealthProbeEvery int
 	// SLODecideP99 is the decide-latency objective in seconds backing the
 	// burn-rate SLO served on /v2/health and /metrics: a decide is "good"
 	// when it completes within the objective, and the SLO tracks the bad
@@ -167,12 +154,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxSessions > 0 && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("server: max sessions %d needs a checkpoint dir to evict into", cfg.MaxSessions)
 	}
-	if cfg.SessionRing == 0 {
-		cfg.SessionRing = trace.DefaultRingSize
-	}
-	if cfg.SessionRing < 0 {
-		cfg.SessionRing = 0
-	}
 	if cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: creating checkpoint dir: %w", err)
@@ -196,12 +177,8 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if learner == nil {
-		lc := core.DefaultConfig(cfg.NumVMs, cfg.NumHosts, cfg.Seed)
-		if cfg.Learner != nil {
-			lc = *cfg.Learner
-		}
 		var err error
-		learner, err = core.New(lc)
+		learner, err = core.New(core.DefaultConfig(cfg.NumVMs, cfg.NumHosts, cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +239,7 @@ func New(cfg Config) (*Service, error) {
 		},
 		pinned:   true,
 		learner:  learner,
-		health:   newTracker(learner, cfg.HealthProbeEvery, cfg.Seed, reg),
+		health:   newTracker(learner, cfg.Seed, reg),
 		tracer:   cfg.Tracer,
 		reg:      reg,
 		ckptPath: ckptPath,

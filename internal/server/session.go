@@ -148,20 +148,14 @@ type shard struct {
 // sessionManager owns the sharded session registry, the LRU logical
 // clock, and the eviction machinery.
 type sessionManager struct {
-	shards   [numShards]shard
-	clock    atomic.Int64
-	live     atomic.Int64
-	maxLive  int    // 0 = unlimited
-	ckptDir  string // "" = sessions are memory-only (eviction disabled)
-	ringSize int    // per-session tracer ring; 0 disables per-session tracing
+	shards  [numShards]shard
+	clock   atomic.Int64
+	live    atomic.Int64
+	maxLive int    // 0 = unlimited
+	ckptDir string // "" = sessions are memory-only (eviction disabled)
 
 	overload    float64
 	stepSeconds float64
-
-	// healthProbeEvery is the sampled-probe cadence for every session's
-	// health tracker (health.Config.ProbeEvery): 0 means the package
-	// default, negative disables probing (EWMAs still run).
-	healthProbeEvery int
 
 	// Cluster-mode hooks (all nil when single-node). onCheckpoint runs
 	// after every successful checkpoint write, with the image that write
@@ -187,11 +181,8 @@ func newSessionManager(cfg Config, reg *obs.Registry) *sessionManager {
 	m := &sessionManager{
 		maxLive:     cfg.MaxSessions,
 		ckptDir:     cfg.CheckpointDir,
-		ringSize:    cfg.SessionRing,
 		overload:    cfg.OverloadThreshold,
 		stepSeconds: cfg.StepSeconds,
-
-		healthProbeEvery: cfg.HealthProbeEvery,
 		gLive: reg.Gauge("megh_sessions_live",
 			"Sessions whose learner is resident in memory.", nil),
 		gDefined: reg.Gauge("megh_sessions_defined",
@@ -291,9 +282,9 @@ func (m *sessionManager) loadCheckpoint(id, path string) (*core.Megh, error) {
 }
 
 // newTracker attaches a health tracker to a session's learner and publishes
-// its gauges on the session's registry.
-func newTracker(l *core.Megh, probeEvery int, seed int64, reg *obs.Registry) *health.Tracker {
-	t := health.NewTracker(l, false, health.Config{ProbeEvery: probeEvery, Seed: seed})
+// its gauges on the session's registry. It probes at health.DefProbeEvery.
+func newTracker(l *core.Megh, seed int64, reg *obs.Registry) *health.Tracker {
+	t := health.NewTracker(l, false, health.Config{Seed: seed})
 	t.Instrument(reg)
 	return t
 }
@@ -340,14 +331,10 @@ func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error
 	}
 
 	ckptPath := m.checkpointPath(id)
-	var tracer *trace.Tracer
-	if m.ringSize > 0 {
-		tr, err := trace.New(trace.Options{RingSize: m.ringSize})
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, false, err
-		}
-		tracer = tr
+	tracer, err := trace.New(trace.Options{}) // a ring of trace.DefaultRingSize
+	if err != nil {
+		sh.mu.Unlock()
+		return nil, false, err
 	}
 
 	var learner *core.Megh
@@ -386,7 +373,7 @@ func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error
 		id:       id,
 		spec:     spec,
 		learner:  learner,
-		health:   newTracker(learner, m.healthProbeEvery, spec.Seed, reg),
+		health:   newTracker(learner, spec.Seed, reg),
 		tracer:   tracer,
 		reg:      reg,
 		restores: restores,

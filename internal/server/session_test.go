@@ -126,6 +126,7 @@ func TestSessionCreateDecideDelete(t *testing.T) {
 	if len(list.Sessions) != 2 { // default + tenant-a
 		t.Fatalf("list has %d sessions, want 2: %+v", len(list.Sessions), list)
 	}
+	assertSessionGauges(t, ts.URL, 2, 2)
 
 	if err := sc.Delete(ctx); err != nil {
 		t.Fatal(err)
@@ -133,6 +134,7 @@ func TestSessionCreateDecideDelete(t *testing.T) {
 	if _, err := sc.Stats(ctx); err == nil {
 		t.Fatal("deleted session must 404")
 	}
+	assertSessionGauges(t, ts.URL, 1, 1)
 	// Its checkpoint file must be gone too.
 	if _, err := os.Stat(filepath.Join(svc.cfg.CheckpointDir, "tenant-a.ckpt")); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint file survived delete: %v", err)
@@ -191,6 +193,8 @@ func TestSessionEvictRestoreByteIdentical(t *testing.T) {
 				if in, err := sc.Info(ctx); err != nil || in.Live {
 					t.Fatalf("session a not evicted (live=%v, err=%v)", in.Live, err)
 				}
+				// default and b resident, a evicted: three defined, two live.
+				assertSessionGauges(t, ts.URL, 2, 3)
 			}
 			status, body := rawPost(t, ts.URL+"/v2/sessions/a/decide", sessionWorld(nVMs, nHosts, step))
 			if status != http.StatusOK {
@@ -305,6 +309,15 @@ func TestSessionRestoreAcrossRestart(t *testing.T) {
 	if _, err := NewClient(ts3.URL, nil).Session("persist-me").
 		Create(ctx, SessionSpec{NumVMs: 9, NumHosts: 3, Seed: 5}); err == nil {
 		t.Fatal("PUT over a mismatched on-disk checkpoint must fail")
+	}
+}
+
+// assertSessionGauges scrapes the service's resident and defined session
+// counts.
+func assertSessionGauges(t *testing.T, base string, live, defined float64) {
+	t.Helper()
+	if l, d := scrapeMetric(t, base, "megh_sessions_live"), scrapeMetric(t, base, "megh_sessions_defined"); l != live || d != defined {
+		t.Fatalf("megh_sessions_live %g, megh_sessions_defined %g; want %g and %g", l, d, live, defined)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"megh/internal/obs"
 	"megh/internal/power"
 	"megh/internal/workload"
 )
@@ -34,6 +35,8 @@ func TestFailureValidation(t *testing.T) {
 func TestFailedHostFullyDownsItsVMs(t *testing.T) {
 	// VM 0 sits on host 0 (round-robin); host 0 fails for steps 1–2.
 	cfg := failureConfig(t, []Failure{{Host: 0, From: 1, Until: 3}})
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +60,10 @@ func TestFailedHostFullyDownsItsVMs(t *testing.T) {
 		if m.FailedHosts != wantFailed {
 			t.Fatalf("step %d: FailedHosts = %d, want %d", m.Step, m.FailedHosts, wantFailed)
 		}
+	}
+	// One host down for two steps is two failed host-steps.
+	if got := reg.Counter("megh_sim_failed_host_steps_total", "", obs.Labels{"policy": "nop"}).Value(); got != 2 {
+		t.Fatalf("megh_sim_failed_host_steps_total = %d, want 2", got)
 	}
 }
 

@@ -145,8 +145,8 @@ type (
 	ServiceConfig = server.Config
 	// ServiceClient is the typed HTTP client for a meghd endpoint or
 	// cluster. Requests take a context and retry transient failures (5xx
-	// and 429) with exponential backoff; Refresh aims session views at
-	// their ring owners.
+	// and 429) with exponential backoff; against a cluster, the node it
+	// talks to proxies each session to its owner.
 	ServiceClient = server.Client
 	// SessionClient is a ServiceClient view scoped to one named /v2
 	// session; obtain one with ServiceClient.Session(id).
