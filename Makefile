@@ -103,13 +103,15 @@ metriclint:
 # The service's surface is pinned: the live mux patterns must match the
 # committed internal/server/routes.golden, the exported fields of
 # server.Config and server.ClusterConfig (name and type, in order)
-# internal/server/options.golden, and the flags meghd -h lists
+# internal/server/options.golden, the binary bodies SessionClient sends
+# (an elided decide, a two-item batch and a feedback post, in hex)
+# internal/server/testdata/elided.golden, and the flags meghd -h lists
 # cmd/meghd/testdata/flags.golden. Regenerate deliberately (and review the
 # diff) with:
-#   $(GO) test ./internal/server/ -run 'TestRoutesGolden|TestOptionsGolden' -update
+#   $(GO) test ./internal/server/ -run 'TestRoutesGolden|TestOptionsGolden|TestSessionClientWireBytes' -update
 #   $(GO) test ./cmd/meghd/ -run TestFlagsGolden -update
 routes-golden:
-	$(GO) test -run='TestRoutesGolden|TestOptionsGolden' ./internal/server/
+	$(GO) test -run='TestRoutesGolden|TestOptionsGolden|TestSessionClientWireBytes|TestEncoderFloats' ./internal/server/
 	$(GO) test -run=TestFlagsGolden ./cmd/meghd/
 
 # gofmt -l lists files needing reformatting; any output fails the gate.
@@ -160,9 +162,9 @@ bench-alloc-gate:
 # policy that never migrates, a fixed 8 064 steps, reporting ns/step.
 # BenchmarkCheckpoint (save / verify / load of one learner image) warms its
 # learner by a fixed update count for the same reason. BenchmarkSnapshotCodec
-# is the budget table's decode and encode rows (DESIGN.md §7.5): the elided
-# decide body at 10 000 × 1 000, an elided 16-item batch, and the full-form
-# decode that stays with encoding/json. BenchmarkDecideHandler is the
+# is the budget table's decode and encode rows (DESIGN.md §7.5): the binary
+# elided decide body at 10 000 × 1 000, a binary 16-item batch, and the
+# full-form decode that stays with encoding/json. BenchmarkDecideHandler is the
 # service's whole share of that decide, handler in to handler out (ns/op and
 # B/op). BenchmarkNewLearner
 # builds an empty learner on each side of the eager page budget (ns/op and
@@ -213,8 +215,7 @@ fuzz-short:
 	$(GO) test -run=- -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzElidedNumber -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzAppendFloat -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=- -fuzz=FuzzDecideRequestBinary -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzShermanMorrisonBasis -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -run=- -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=- -fuzz=FuzzRingOwners -fuzztime=$(FUZZTIME) ./internal/cluster/

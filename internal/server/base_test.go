@@ -494,25 +494,27 @@ func TestSessionClientElidesTransparently(t *testing.T) {
 	}
 
 	// A fresh view has no base: its first batch leads with a full item and
-	// elides the rest against it, in one request.
+	// elides the rest against it, in one request; its second elides whole.
 	fresh := NewClient(ts.URL, nil).Session(id)
-	batch := BatchDecideRequest{}
-	for step := 8; step < 12; step++ {
-		batch.Items = append(batch.Items, BatchDecideItem{
-			State: world(step), Feedback: &FeedbackRequest{Step: step - 1, StepCost: 0.4},
-		})
-	}
-	got, err := fresh.DecideBatchCtx(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want BatchDecideResponse
-	doJSON(t, http.MethodPost, twinURL+"/decide/batch", batch, nil, &want)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("batch: elided %+v, full %+v", got, want)
-	}
-	if e := svc.elided.Value(); e != 7 {
-		t.Fatalf("%d elided after the batch, want 7", e)
+	for from, elided := range []int64{7, 8} {
+		batch := BatchDecideRequest{}
+		for step := 8 + 4*from; step < 12+4*from; step++ {
+			batch.Items = append(batch.Items, BatchDecideItem{
+				State: world(step), Feedback: &FeedbackRequest{Step: step - 1, StepCost: 0.4},
+			})
+		}
+		got, err := fresh.DecideBatchCtx(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want BatchDecideResponse
+		doJSON(t, http.MethodPost, twinURL+"/decide/batch", batch, nil, &want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("batch %d: elided %+v, full %+v", from, got, want)
+		}
+		if e := svc.elided.Value(); e != elided {
+			t.Fatalf("%d elided after batch %d, want %d", e, from, elided)
+		}
 	}
 	if b := fresh.base.Load(); b == nil || *b != *sc.base.Load() {
 		t.Fatalf("fresh view did not adopt the batch's base")
@@ -531,8 +533,8 @@ func TestSessionClientElidesTransparently(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if e := svc.elided.Value(); e != 7 {
-		t.Fatalf("%d elided after the 4×3 requests, want 7 still", e)
+	if e := svc.elided.Value(); e != 8 {
+		t.Fatalf("%d elided after the 4×3 requests, want 8 still", e)
 	}
 }
 

@@ -125,10 +125,10 @@ func retryableStatus(code int) bool {
 // do issues the request up to maxAttempts times. Only the final failure is
 // returned; transient errors before that sleep through the backoff and try
 // again. Context cancellation cuts both the request and the backoff short.
-// A body that lives in a reused buffer comes with shared (nil for a body of
-// the caller's own): each request holds a reference to it until the
-// transport closes the request body.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, shared *sharedBody, out any) error {
+// A body goes out as contentType; one that lives in a reused buffer comes
+// with shared (nil for a body of the caller's own): each request holds a
+// reference to it until the transport closes the request body.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, shared *sharedBody, out any) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.maxAttempts; attempt++ {
 		if attempt > 1 {
@@ -155,7 +155,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, share
 			req.Body = shared.open()
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
@@ -196,7 +196,7 @@ func (c *Client) send(ctx context.Context, method, path string, body, out any) e
 			return encodingError(path, err)
 		}
 	}
-	return c.do(ctx, method, path, raw, nil, out)
+	return c.do(ctx, method, path, "application/json", raw, nil, out)
 }
 
 // encodingError wraps a request body's encoding failure.
@@ -286,8 +286,9 @@ func (c *Client) Session(id string) *SessionClient {
 // SessionClient scopes requests to one /v2 session. Decide and
 // DecideBatchCtx elide transparently: a snapshot whose static fields digest
 // to the base the service last accepted from this view goes out in the
-// elided form (see StateRequest), anything else in full. Safe for
-// concurrent use.
+// elided form (see StateRequest), as a binary body (codec.go) unless a full
+// item shares its batch; anything else goes in full, as JSON. Feedback posts
+// are binary too. Safe for concurrent use.
 type SessionClient struct {
 	c      *Client
 	id     string
@@ -298,7 +299,7 @@ type SessionClient struct {
 	// equality as content equality, so the digest is all the view keeps.
 	base atomic.Pointer[string]
 
-	// spare is the append encoder's buffer between requests, nil while a
+	// spare is the binary encoder's buffer between requests, nil while a
 	// request holds it or none has left one; a Decide, batch or Feedback
 	// that finds it empty allocates.
 	spare atomic.Pointer[sharedBody]
@@ -415,10 +416,10 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 		body := s.takeBody(elidedSizeHint(&req))
 		defer body.release()
 		var err error
-		if body.buf, err = appendElidedState(body.buf, &req, digest); err != nil {
+		if body.buf, err = appendBinaryState(body.buf, &req, digest); err != nil {
 			return out, encodingError(path, err)
 		}
-		if err = s.c.do(ctx, http.MethodPost, path, body.buf, body, &out); !isBaseConflict(err) {
+		if err = s.c.do(ctx, http.MethodPost, path, elidedMediaType, body.buf, body, &out); !isBaseConflict(err) {
 			return out, err
 		}
 	}
@@ -439,58 +440,101 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 //
 // Items elide the way Decide's snapshots do, each against the base in force
 // at its position: an item whose static fields differ goes in full and
-// becomes the base for the items after it. A 409 resends the whole batch in
-// full, once.
+// becomes the base for the items after it. A batch whose every item elides
+// goes out binary, any other as JSON with its elidable items elided. A 409
+// resends the batch once, its first item in full.
 func (s *SessionClient) DecideBatchCtx(ctx context.Context, req BatchDecideRequest) (BatchDecideResponse, error) {
 	var out BatchDecideResponse
 	path := s.prefix + "/decide/batch"
+	byHand := len(req.Items) == 0
+	for i := range req.Items {
+		byHand = byHand || req.Items[i].State.Base != ""
+	}
+	if byHand {
+		// Empty, or elided by the caller's own hand: theirs to manage.
+		return out, s.c.send(ctx, http.MethodPost, path, req, &out)
+	}
 	var held string
 	if p := s.base.Load(); p != nil {
 		held = *p
 	}
-	// The body is written item by item, as json.Marshal would write the
-	// request with its elidable items elided.
-	base, elided := held, false
-	size := 16
-	for i := range req.Items {
-		size += 256 + elidedSizeHint(&req.Items[i].State)
-	}
-	shared := s.takeBody(size)
-	defer shared.release()
-	body := append(shared.buf, `{"items":[`...)
-	var digest string
-	for i := range req.Items {
-		it := &req.Items[i]
-		if it.State.Base != "" {
-			// Elided by the caller's own hand: theirs to manage.
-			return out, s.c.send(ctx, http.MethodPost, path, req, &out)
+	var err error
+	wire, base := elideItems(req.Items, held)
+	if wire != nil {
+		err = s.c.send(ctx, http.MethodPost, path, BatchDecideRequest{Items: wire}, &out)
+	} else {
+		size := 16
+		for i := range req.Items {
+			size += 64 + elidedSizeHint(&req.Items[i].State)
 		}
-		// Consecutive items mostly share their static half: hash it only
-		// when it differs from the previous item's.
-		if i == 0 || !sameStatic(&req.Items[i-1].State, &it.State) {
-			digest = staticDigest(it.State.Hosts, it.State.VMs)
-		}
-		elide := digest == base && elidable(&it.State)
-		base, elided = digest, elided || elide
-		if i > 0 {
-			body = append(body, ',')
-		}
-		var err error
-		if body, err = appendBatchItem(body, it, digest, elide); err != nil {
+		body := s.takeBody(size)
+		defer body.release()
+		if body.buf, err = appendBinaryBatch(body.buf, req.Items, held); err != nil {
 			return out, encodingError(path, err)
 		}
+		err = s.c.do(ctx, http.MethodPost, path, elidedMediaType, body.buf, body, &out)
 	}
-	body = append(body, `]}`...)
-	shared.buf = body
-	err := s.c.do(ctx, http.MethodPost, path, body, shared, &out)
-	if elided && isBaseConflict(err) {
-		err = s.c.send(ctx, http.MethodPost, path, req, &out)
+	if isBaseConflict(err) {
+		wire, base = elideItems(req.Items, "")
+		err = s.c.send(ctx, http.MethodPost, path, BatchDecideRequest{Items: wire}, &out)
 	}
 	// Either way the service now holds the last item's static fields.
 	if err == nil && base != held {
 		s.base.Store(&base)
 	}
 	return out, err
+}
+
+// elideItems returns full snapshots items as they travel from a view that
+// holds base: an item whose static fields digest to the base in force at its
+// position — base, then the last full item's — as its elided copy, any other
+// in full. It returns nil instead when every item elides, and the base in
+// force after the last item.
+func elideItems(items []BatchDecideItem, base string) ([]BatchDecideItem, string) {
+	elided := func(it *BatchDecideItem, digest string) BatchDecideItem {
+		return BatchDecideItem{State: elideSnapshot(&it.State, digest), Feedback: it.Feedback}
+	}
+	var wire []BatchDecideItem
+	var digest string
+	for i := range items {
+		st := &items[i].State
+		// Consecutive items mostly share their static half: hash it only
+		// when it differs from the previous item's.
+		if i == 0 || !sameStatic(&items[i-1].State, st) {
+			digest = staticDigest(st.Hosts, st.VMs)
+		}
+		if digest == base && elidable(st) {
+			if wire != nil {
+				wire = append(wire, elided(&items[i], digest))
+			}
+			continue
+		}
+		if wire == nil {
+			wire = make([]BatchDecideItem, 0, len(items))
+			for j := range i {
+				wire = append(wire, elided(&items[j], base))
+			}
+		}
+		wire = append(wire, items[i])
+		base = digest
+	}
+	return wire, base
+}
+
+// elideSnapshot returns full snapshot r's elided form under digest, the
+// staticDigest of its static fields: its failed hosts by index and its VMs
+// stripped to host and utilization.
+func elideSnapshot(r *StateRequest, digest string) StateRequest {
+	out := StateRequest{Step: r.Step, Base: digest, VMs: make([]VMState, len(r.VMs))}
+	for i := range r.Hosts {
+		if r.Hosts[i].Failed {
+			out.FailedHosts = append(out.FailedHosts, i)
+		}
+	}
+	for j := range r.VMs {
+		out.VMs[j] = VMState{Host: r.VMs[j].Host, Utilization: r.VMs[j].Utilization}
+	}
+	return out
 }
 
 // DecideBatchChunkedCtx splits an arbitrarily large batch into
@@ -522,13 +566,13 @@ func (s *SessionClient) DecideBatchChunkedCtx(ctx context.Context, req BatchDeci
 // Feedback reports the realised cost of an interval to the session.
 func (s *SessionClient) Feedback(ctx context.Context, fb FeedbackRequest) error {
 	path := s.prefix + "/feedback"
-	body := s.takeBody(128)
+	body := s.takeBody(64)
 	defer body.release()
 	var err error
-	if body.buf, err = appendFeedback(body.buf, &fb); err != nil {
+	if body.buf, err = appendBinaryFeedback(body.buf, &fb); err != nil {
 		return encodingError(path, err)
 	}
-	return s.c.do(ctx, http.MethodPost, path, body.buf, body, nil)
+	return s.c.do(ctx, http.MethodPost, path, elidedMediaType, body.buf, body, nil)
 }
 
 // Stats fetches the session's learner internals (restoring it if evicted).

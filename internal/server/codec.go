@@ -2,70 +2,73 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 
 	"megh/internal/sim"
 )
 
-// This file holds the hand-written codec for the one request shape that
-// repeats every interval, the canonical elided snapshot
+// This file holds the binary codec for the three requests a monitoring loop
+// repeats every interval: an elided decide, a decide/batch whose items are
+// all elided, and a feedback post. SessionClient sends them under
+// elidedMediaType; every other body, and these under any other Content-Type,
+// is JSON for encoding/json. All integers are varints as encoding/binary
+// writes them, signed ones zig-zag, and every float64 travels as its
+// IEEE-754 bits, little-endian, so a value arrives with the bits it left
+// with and nothing converts it to text and back:
 //
-//	{"step":N,"base":"<digest>"[,"failed_hosts":[N,…]],"vms":[{"host":N,"utilization":F},…]}
+//	state:    varint step | uvarint len, base digest bytes |
+//	          uvarint count, uvarint failed host index… |
+//	          uvarint count, (varint host, 8-byte utilization)…
+//	batch:    uvarint count, (flag byte 0|1, [feedback], state)…
+//	feedback: varint step | 8-byte step, energy, SLA and resource costs
 //
-// alone (decide) or as the "state" of decide/batch items with their
-// optional "feedback". SessionClient writes it with the append encoder
-// below, byte for byte what json.Marshal writes for the same value (every
-// nonzero utilization by shortestDecimal, decimal.go, not strconv), and the
-// service parses it with elidedDecoder instead of encoding/json's reflective
-// decoder; a feedback post, the other request of every interval, too.
-//
-// The decoder is form-selected: it recognises exactly the bytes the encoder
-// emits — fixed key order, no whitespace, no escapes, no nulls, nothing after
-// the closing brace — and gives up on anything else, whereupon the same
-// buffer goes to encoding/json (decodeRequest). Every shape it does accept
-// is valid JSON that encoding/json decodes to the same value (numbers to
-// strconv.ParseFloat's bits, decimal.go), so the accepted language, the
-// decoded values and every error text remain encoding/json's; the full form
-// — sent once per session, and by every world too small to elide — never
-// leaves it.
+// The decoder takes exactly these bytes and refuses, with a 400, trailing
+// bytes, a varint in more bytes than it needs (one value, one encoding), a
+// count the bytes left cannot hold — checked before anything is carved from
+// the scratch — and NaN or ±Inf, which JSON cannot spell. What it accepts
+// is the value encoding/json would decode from the same request in JSON, and
+// goes through the same checks after.
 
-// decodeRequest decodes one request body into v, which must be zero.
-// fallback reports that the body was not the canonical form of a snapshot,
-// a batch of them or a feedback post, so encoding/json decoded it. The
-// canonical form's VM entries, items and feedback are carved from sc — nil
-// will do for a feedback post — so v is good until sc is recycled; what the
-// fallback decodes owns its memory.
-func decodeRequest(buf []byte, v any, sc *requestScratch) (fallback bool, err error) {
-	d := elidedDecoder{b: buf, sc: sc}
-	switch v := v.(type) {
-	case *StateRequest:
-		if d.state(v) && d.i == len(buf) {
-			return false, nil
+// elidedMediaType is the Content-Type of a binary body.
+const elidedMediaType = "application/x-megh-elided"
+
+// decodeRequest decodes one request body into v, which must be zero. A
+// snapshot, a batch of them or a feedback post under elidedMediaType is read
+// by binaryDecoder, its VM entries, items and feedback carved from sc — nil
+// will do for a feedback post — so v is good until sc is recycled; isBinary
+// reports it. Anything else goes to encoding/json and owns its memory.
+func decodeRequest(contentType string, buf []byte, v any, sc *requestScratch) (isBinary bool, err error) {
+	if contentType == elidedMediaType {
+		d := binaryDecoder{b: buf}
+		switch v := v.(type) {
+		case *StateRequest:
+			d.state(v, sc)
+		case *BatchDecideRequest:
+			d.batch(v, sc)
+		case *FeedbackRequest:
+			d.feedback(v)
+		default:
+			return false, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
 		}
-		*v = StateRequest{}
-	case *BatchDecideRequest:
-		if d.batch(v) && d.i == len(buf) {
-			return false, nil
+		if d.err == nil && len(d.b) != 0 {
+			d.fail("%d trailing bytes", len(d.b))
 		}
-		*v = BatchDecideRequest{}
-	case *FeedbackRequest:
-		if d.feedback(v) && d.i == len(buf) {
-			return false, nil
-		}
-		*v = FeedbackRequest{}
+		return true, d.err
 	}
-	return true, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
+	return false, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
 }
 
 // requestScratch is the storage one decide or decide/batch request needs only
 // until its handler returns: the body bytes, the decoded VM entries, a
 // batch's items and their feedback. A session keeps one between requests
-// (session.scratch), left there by the last request whose body the canonical
-// decoder accepted — and only by those: the full form is sent once per
-// session and runs to hundreds of KB, which the session would otherwise hold
-// on to for life.
+// (session.scratch), left there by the last request whose binary body
+// decoded — and only by those: the full form is sent once per session and
+// runs to hundreds of KB, which the session would otherwise hold on to for
+// life.
 type requestScratch struct {
 	body      []byte
 	vms       []VMState
@@ -87,350 +90,229 @@ func carve[T any](s *[]T, n int) []T {
 	return (*s)[len(*s)-n : len(*s) : len(*s)]
 }
 
-// elidedDecoder walks a body in the canonical elided form. Every method
-// reports whether the bytes at i were what it expected and, if so, leaves i
-// past them; after a false the decoder is abandoned.
-type elidedDecoder struct {
-	b  []byte
-	i  int
-	sc *requestScratch
+// Smallest encodings, which bound what a count may claim: a VM is a one-byte
+// host and its utilization's bits; a batch item a flag byte and a state of
+// one-byte step, base length and counts.
+const (
+	minVMBytes   = 1 + 8
+	minItemBytes = 1 + 4
+)
+
+// binaryDecoder reads a binary body front to back. The first fault is kept in
+// err and empties b, so what follows reads zeros and the caller checks once.
+// The scratch is the methods' argument, not a field: escape analysis would
+// take a returned err for the scratch itself, and put every scratch a
+// request takes on the heap.
+type binaryDecoder struct {
+	b   []byte
+	err error
 }
 
-// lit consumes the literal s.
-func (d *elidedDecoder) lit(s string) bool {
-	if len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
-		return false
+func (d *binaryDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("binary body: "+format, args...)
 	}
-	d.i += len(s)
-	return true
+	d.b = nil
 }
 
-// isDigit reports whether c is an ASCII digit.
-func isDigit(c byte) bool { return c-'0' <= 9 }
-
-// integer consumes a JSON integer of at most 18 digits, which fits an int64
-// whatever its digits; the byte after it is the caller's to check, so 1.0
-// and 1e2 fail there.
-func (d *elidedDecoder) integer() (int, bool) {
-	b, i := d.b, d.i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
+// skip consumes the n bytes a varint took, as binary.Uvarint or
+// binary.Varint reported them: n ≤ 0 is a varint cut short or past 64 bits,
+// and a last byte of zero one that a shorter encoding would have spelled.
+func (d *binaryDecoder) skip(n int) {
+	switch {
+	case n <= 0:
+		d.fail("truncated or overflowing varint")
+	case n > 1 && d.b[n-1] == 0:
+		d.fail("varint in %d bytes is not minimal", n)
+	default:
+		d.b = d.b[n:]
 	}
-	start := i
-	var n int64
-	for ; i < len(b) && isDigit(b[i]); i++ {
-		n = n*10 + int64(b[i]-'0')
-	}
-	if digits := i - start; digits == 0 || digits > 18 || digits > 1 && b[start] == '0' {
-		return 0, false
-	}
-	if neg {
-		n = -n
-	}
-	if int64(int(n)) != n {
-		return 0, false
-	}
-	d.i = i
-	return int(n), true
 }
 
-// maxNumberBytes is the longest number literal the decoder converts: the
-// conversion to string for strconv stays on the stack up to 32 bytes, and
-// encoding/json never writes a float64 longer than 25
-// (-0.0000012345678901234567).
-const maxNumberBytes = 32
+func (d *binaryDecoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	d.skip(n)
+	return x
+}
 
-// number consumes a JSON number and converts it as encoding/json does for a
-// float64 field, to strconv.ParseFloat's bits: scanNumber checks the grammar
-// (strconv alone also takes "1.", ".5", "0x1p-2", "1_0" and "inf") and
-// decimalToFloat converts a plain decimal; anything else goes to strconv on
-// the same bytes, whose refusal (1e999) is left to the fallback to report.
-func (d *elidedDecoder) number() (float64, bool) {
-	n, man, exp10, neg, plain := scanNumber(d.b[d.i:])
-	if n == 0 || n > maxNumberBytes {
-		return 0, false
+func (d *binaryDecoder) varint() int {
+	x, n := binary.Varint(d.b)
+	d.skip(n)
+	return int(x)
+}
+
+// count reads a count of entries of at least size bytes each, refusing one
+// the bytes left cannot hold.
+func (d *binaryDecoder) count(size int, what string) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/size) {
+		d.fail("%d %s do not fit in the %d bytes left", n, what, len(d.b))
+		return 0
 	}
-	f, ok := 0.0, false
-	if plain {
-		f, ok = decimalToFloat(man, exp10, neg)
+	return int(n)
+}
+
+// float reads 8 bytes of IEEE-754 bits, refusing NaN and ±Inf.
+func (d *binaryDecoder) float(what string) float64 {
+	if len(d.b) < 8 {
+		d.fail("truncated %s", what)
+		return 0
 	}
-	if !ok {
-		var err error
-		if f, err = strconv.ParseFloat(string(d.b[d.i:d.i+n]), 64); err != nil {
-			return 0, false
+	f := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		d.fail("%s is %g", what, f)
+		return 0
+	}
+	d.b = d.b[8:]
+	return f
+}
+
+// state reads one elided snapshot into r, carving from sc.
+func (d *binaryDecoder) state(r *StateRequest, sc *requestScratch) {
+	step := d.varint()
+	// The digest: printable ASCII, as every digest is hex, so that JSON
+	// carries it unchanged.
+	base := d.b[:d.count(1, "base bytes")]
+	for _, c := range base {
+		if c < ' ' || c > '~' {
+			d.fail("base %q is not printable ASCII", string(base))
+			return
 		}
 	}
-	d.i += n
-	return f, true
-}
-
-// minVMBytes is the shortest canonical VM entry: {"host":0,"utilization":0}.
-const minVMBytes = 26
-
-// state consumes one canonical elided snapshot into r.
-func (d *elidedDecoder) state(r *StateRequest) bool {
-	if !d.lit(`{"step":`) {
-		return false
-	}
-	step, ok := d.integer()
-	if !ok || !d.lit(`,"base":"`) {
-		return false
-	}
-	// The digest: printable ASCII with nothing to unescape, and not empty —
-	// an empty base is the full form's spelling.
-	start := d.i
-	for d.i < len(d.b) {
-		if c := d.b[d.i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			break
-		}
-		d.i++
-	}
-	end := d.i
-	if end == start || !d.lit(`"`) {
-		return false
-	}
-	if string(d.b[start:end]) != d.sc.base {
-		d.sc.base = string(d.b[start:end])
+	d.b = d.b[len(base):]
+	if string(base) != sc.base {
+		sc.base = string(base)
 	}
 	var failed []int
-	if d.lit(`,"failed_hosts":[`) {
-		for {
-			i, ok := d.integer()
-			if !ok {
-				return false
-			}
-			failed = append(failed, i)
-			if d.lit(`]`) {
-				break
-			}
-			if !d.lit(`,`) {
-				return false
-			}
+	if n := d.count(1, "failed hosts"); n > 0 {
+		failed = make([]int, n)
+		for k := range failed {
+			failed[k] = int(d.uvarint())
 		}
 	}
-	if !d.lit(`,"vms":[`) {
-		return false
-	}
-	// One '{' per VM up to the array's ']' sizes the slice exactly; the bound
-	// keeps a body of bare braces from reserving 40 bytes for each of them.
-	span := bytes.IndexByte(d.b[d.i:], ']')
-	if span < 0 {
-		return false
-	}
-	n := bytes.Count(d.b[d.i:d.i+span], []byte{'{'})
-	if n == 0 || n*minVMBytes > span {
-		return false
-	}
-	vms := carve(&d.sc.vms, n)
+	vms := carve(&sc.vms, d.count(minVMBytes, "VMs"))
 	for j := range vms {
-		if j > 0 && !d.lit(`,`) {
-			return false
-		}
-		if !d.lit(`{"host":`) {
-			return false
-		}
-		host, ok := d.integer()
-		if !ok || !d.lit(`,"utilization":`) {
-			return false
-		}
-		util, ok := d.number()
-		if !ok || !d.lit(`}`) {
-			return false
-		}
-		vms[j] = VMState{Host: host, Utilization: util}
+		vms[j] = VMState{Host: d.varint(), Utilization: d.float("utilization")}
 	}
-	if !d.lit(`]}`) {
-		return false
-	}
-	*r = StateRequest{Step: step, Base: d.sc.base, FailedHosts: failed, VMs: vms}
-	return true
+	*r = StateRequest{Step: step, Base: sc.base, FailedHosts: failed, VMs: vms}
 }
 
-// feedback consumes one FeedbackRequest as encoding/json writes it: step and
-// step_cost, then whichever of the optional costs are present, in order.
-func (d *elidedDecoder) feedback(fb *FeedbackRequest) bool {
-	if !d.lit(`{"step":`) {
-		return false
+// feedback reads one FeedbackRequest into fb.
+func (d *binaryDecoder) feedback(fb *FeedbackRequest) {
+	*fb = FeedbackRequest{
+		Step:         d.varint(),
+		StepCost:     d.float("step cost"),
+		EnergyCost:   d.float("energy cost"),
+		SLACost:      d.float("SLA cost"),
+		ResourceCost: d.float("resource cost"),
 	}
-	step, ok := d.integer()
-	if !ok || !d.lit(`,"step_cost":`) {
-		return false
-	}
-	fb.Step = step
-	if fb.StepCost, ok = d.number(); !ok {
-		return false
-	}
-	for _, opt := range [...]struct {
-		prefix string
-		into   *float64
-	}{
-		{`,"energy_cost":`, &fb.EnergyCost},
-		{`,"sla_cost":`, &fb.SLACost},
-		{`,"resource_cost":`, &fb.ResourceCost},
-	} {
-		if d.lit(opt.prefix) {
-			if *opt.into, ok = d.number(); !ok {
-				return false
-			}
-		}
-	}
-	return d.lit(`}`)
 }
 
-// batch consumes a decide/batch body whose every item is canonical and
-// elided. One full item — the first batch of a session leads with one —
-// sends the whole body to the fallback.
-func (d *elidedDecoder) batch(r *BatchDecideRequest) bool {
-	if !d.lit(`{"items":[`) {
-		return false
+// batch reads a decide/batch body into r, carving from sc. Past
+// MaxBatchItems it stops at the count, before an item is read.
+func (d *binaryDecoder) batch(r *BatchDecideRequest, sc *requestScratch) {
+	n := d.count(minItemBytes, "items")
+	if n > MaxBatchItems {
+		d.fail("batch has %d items, limit %d", n, MaxBatchItems)
+		return
 	}
-	items := d.sc.items[:0]
-	for {
+	items := sc.items[:0]
+	for k := 0; k < n; k++ {
 		var it BatchDecideItem
-		if !d.lit(`{`) {
-			return false
+		switch flag := d.uvarint(); flag {
+		case 0:
+		case 1:
+			it.Feedback = &carve(&sc.feedbacks, 1)[0]
+			d.feedback(it.Feedback)
+		default:
+			d.fail("item %d: feedback flag %d", k, flag)
 		}
-		if d.lit(`"feedback":`) {
-			it.Feedback = &carve(&d.sc.feedbacks, 1)[0]
-			*it.Feedback = FeedbackRequest{}
-			if !d.feedback(it.Feedback) || !d.lit(`,`) {
-				return false
-			}
-		}
-		if !d.lit(`"state":`) || !d.state(&it.State) || !d.lit(`}`) {
-			return false
-		}
+		d.state(&it.State, sc)
 		items = append(items, it)
-		if !d.lit(`,`) {
-			break
-		}
 	}
-	d.sc.items = items
-	if !d.lit(`]}`) {
-		return false
-	}
+	sc.items = items
 	r.Items = items
-	return true
 }
 
 // --- encoder ------------------------------------------------------------
 
-// appendFloat appends f as encoding/json writes a float64: ES6 number
-// formatting — exponent form below 1e-6 and from 1e21, with e-09 cleaned up
-// to e-9 — and for NaN and ±Inf encoding/json's own error. ±[1e-6, 2^56),
-// which holds every nonzero utilization, takes shortestDecimal; the rest strconv.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if digits, exp10, ok := shortestDecimal(f); ok && math.Abs(f) >= 1e-6 {
-		return appendDecimal(b, f < 0, digits, exp10), nil
-	}
+// appendBits appends f's IEEE-754 bits. NaN and ±Inf, which the service
+// refuses, are encoding/json's error, as in the full form.
+func appendBits(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		_, err := json.Marshal(f) // a *json.UnsupportedValueError
 		return b, err
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f)), nil
+}
+
+// elidedSizeHint is the buffer to reserve for r's binary form: a VM is a host
+// index of up to 3 bytes (a million hosts) and 8 bytes of utilization. A miss
+// costs one regrowth.
+func elidedSizeHint(r *StateRequest) int {
+	return 64 + 11*len(r.VMs)
+}
+
+// appendBinaryState appends full snapshot r's elided form: r's step, digest
+// as its base — staticDigest of r's static fields — the indices of r's failed
+// hosts, and r's VMs stripped to host and utilization.
+func appendBinaryState(b []byte, r *StateRequest, digest string) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(r.Step))
+	b = binary.AppendUvarint(b, uint64(len(digest)))
+	b = append(b, digest...)
+	failed := 0
+	for i := range r.Hosts {
+		if r.Hosts[i].Failed {
+			failed++
+		}
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	b = binary.AppendUvarint(b, uint64(failed))
+	for i := 0; failed > 0; i++ {
+		if r.Hosts[i].Failed {
+			b = binary.AppendUvarint(b, uint64(i))
+			failed--
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.VMs)))
+	var err error
+	for j := range r.VMs {
+		b = binary.AppendVarint(b, int64(r.VMs[j].Host))
+		if b, err = appendBits(b, r.VMs[j].Utilization); err != nil {
+			return b, err
 		}
 	}
 	return b, nil
 }
 
-// elidedSizeHint is the buffer to reserve for r's elided form: a VM entry is
-// 24 bytes of keys and punctuation plus a host index and a float64 of up to
-// 17 significant digits. A miss costs one regrowth.
-func elidedSizeHint(r *StateRequest) int {
-	return 128 + 56*len(r.VMs)
-}
-
-// appendElidedState appends full snapshot r in the elided form — what
-// json.Marshal writes for a StateRequest carrying r's step, the digest as
-// base, the indices of r's failed hosts, and r's VMs stripped to host and
-// utilization. digest is staticDigest of r's static fields: hex, so it needs
-// no escaping.
-func appendElidedState(b []byte, r *StateRequest, digest string) ([]byte, error) {
-	b = append(b, `{"step":`...)
-	b = strconv.AppendInt(b, int64(r.Step), 10)
-	b = append(b, `,"base":"`...)
-	b = append(b, digest...)
-	b = append(b, '"')
-	sep := `,"failed_hosts":[`
-	for i := range r.Hosts {
-		if r.Hosts[i].Failed {
-			b = append(b, sep...)
-			b = strconv.AppendInt(b, int64(i), 10)
-			sep = ","
-		}
-	}
-	if sep == "," {
-		b = append(b, ']')
-	}
-	b = append(b, `,"vms":[`...)
+// appendBinaryFeedback appends fb.
+func appendBinaryFeedback(b []byte, fb *FeedbackRequest) ([]byte, error) {
+	b = binary.AppendVarint(b, int64(fb.Step))
 	var err error
-	for j := range r.VMs {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"host":`...)
-		b = strconv.AppendInt(b, int64(r.VMs[j].Host), 10)
-		b = append(b, `,"utilization":`...)
-		if b, err = appendFloat(b, r.VMs[j].Utilization); err != nil {
+	for _, f := range [...]float64{fb.StepCost, fb.EnergyCost, fb.SLACost, fb.ResourceCost} {
+		if b, err = appendBits(b, f); err != nil {
 			return b, err
 		}
-		b = append(b, '}')
 	}
-	return append(b, `]}`...), nil
+	return b, nil
 }
 
-// appendFeedback appends fb as json.Marshal writes it; the optional costs
-// are omitempty, which for a float means == 0 (so −0 is left out too).
-func appendFeedback(b []byte, fb *FeedbackRequest) ([]byte, error) {
-	b = append(b, `{"step":`...)
-	b = strconv.AppendInt(b, int64(fb.Step), 10)
-	b = append(b, `,"step_cost":`...)
-	b, err := appendFloat(b, fb.StepCost)
-	for _, opt := range [...]struct {
-		key string
-		f   float64
-	}{
-		{`,"energy_cost":`, fb.EnergyCost},
-		{`,"sla_cost":`, fb.SLACost},
-		{`,"resource_cost":`, fb.ResourceCost},
-	} {
-		if err == nil && opt.f != 0 {
-			b, err = appendFloat(append(b, opt.key...), opt.f)
-		}
-	}
-	return append(b, '}'), err
-}
-
-// appendBatchItem appends one decide/batch item as json.Marshal writes it,
-// its state elided against digest if elide is set — else in full, by
-// json.Marshal itself: full items are the few that establish a base.
-func appendBatchItem(b []byte, it *BatchDecideItem, digest string, elide bool) ([]byte, error) {
-	b = append(b, '{')
+// appendBinaryBatch appends a decide/batch body whose every item is a full
+// snapshot with the static fields digest names.
+func appendBinaryBatch(b []byte, items []BatchDecideItem, digest string) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(items)))
 	var err error
-	if it.Feedback != nil {
-		if b, err = appendFeedback(append(b, `"feedback":`...), it.Feedback); err != nil {
+	for i := range items {
+		it := &items[i]
+		if it.Feedback == nil {
+			b = append(b, 0)
+		} else if b, err = appendBinaryFeedback(append(b, 1), it.Feedback); err != nil {
 			return b, err
 		}
-		b = append(b, ',')
+		if b, err = appendBinaryState(b, &it.State, digest); err != nil {
+			return b, err
+		}
 	}
-	b = append(b, `"state":`...)
-	if elide {
-		b, err = appendElidedState(b, &it.State, digest)
-	} else {
-		var full []byte
-		full, err = json.Marshal(&it.State)
-		b = append(b, full...)
-	}
-	return append(b, '}'), err
+	return b, nil
 }
 
 // appendDecideResponse appends the decide response for one step as

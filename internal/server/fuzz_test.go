@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -25,8 +29,8 @@ func fillFromWorld(r, world StateRequest) StateRequest {
 	return full
 }
 
-// FuzzDecideRequestJSON drives the decide ingress path — decodeRequest,
-// resolveBase (Validate for the full form, the base checks for the elided
+// FuzzDecideRequestJSON drives the decide ingress path for JSON bodies —
+// decodeRequest, resolveBase (Validate for the full form, the base checks for the elided
 // one), snapshot conversion — with arbitrary bytes, against a session that
 // already holds a 3×2 base. Nothing may panic, and any request the path
 // accepts must convert into a structurally sound snapshot: placement
@@ -62,16 +66,8 @@ func FuzzDecideRequestJSON(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"step":4,"base":%q,"vms":[{"host":0,"utilization":1,"mips":9},{"host":0,"utilization":0.3},{"host":1,"utilization":2}]}`, held.digest)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The decode itself is differential: whatever the bytes, alone, as a
-		// batch item's state or as a feedback post, the service decodes them
-		// to what encoding/json does, error text included.
-		decodeAgrees[StateRequest](t, data)
-		decodeAgrees[FeedbackRequest](t, data)
-		for _, wrapped := range batchWraps(data) {
-			decodeAgrees[BatchDecideRequest](t, wrapped)
-		}
 		var req StateRequest
-		if _, err := decodeRequest(data, &req, new(requestScratch)); err != nil {
+		if _, err := decodeRequest("application/json", data, &req, nil); err != nil {
 			return
 		}
 		// Resource guard: JSON can declare arbitrarily many hosts/VMs;
@@ -134,5 +130,163 @@ func FuzzDecideRequestJSON(f *testing.F) {
 			t.Fatalf("filled full form digests to %q, base is %q", fullBase.digest, held.digest)
 		}
 		sameSnapshot(t, "elided form against its full form", snap, full.snapshot(fullBase, 0.7, 300))
+	})
+}
+
+// FuzzDecideRequestBinary drives the binary decoder with arbitrary bytes, the
+// first of which picks what the rest is posted as — a snapshot ('s'), a
+// decide/batch body ('b') or a feedback post (anything else). Nothing may
+// panic. A body the decoder accepts must be the one encoding of its value —
+// wireBody writes it back byte for byte — and mean what its JSON spelling
+// means: json.Marshal takes the value, encoding/json reads it back to the bit
+// (but for the omitempty costs, which JSON delivers as +0 where the bits say
+// −0), and two like services whose sessions hold the same 3 × 2 base, one
+// sent the binary body and the other its JSON, answer alike: the same status
+// and the same bytes, decisions and error texts included.
+//
+// The seeds are TestBinaryBodyRefusals' table, committed under testdata/fuzz.
+func FuzzDecideRequestBinary(f *testing.F) {
+	world := testWorld(3, 2, true)
+	var handlers [2]http.Handler // binary, JSON
+	for i := range handlers {
+		svc, err := New(Config{NumVMs: 3, NumHosts: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, _, err := svc.mgr.put("fuzz", SessionSpec{NumVMs: 3, NumHosts: 2}); err != nil {
+			f.Fatal(err)
+		}
+		handlers[i] = svc.Handler()
+		postOK(f, handlers[i], "/v2/sessions/fuzz/decide", "application/json", mustMarshal(f, world))
+	}
+	post := func(h http.Handler, route, contentType string, body []byte) (int, string) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v2/sessions/fuzz"+route, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		kind, body := data[0], data[1:]
+		sc := decodeScratch.takeScratch()
+		defer decodeScratch.recycle(sc)
+		v, err := decodeKind(kind, body, sc)
+		if err != nil {
+			return
+		}
+		if again := wireBody(v); !bytes.Equal(again, body) {
+			t.Fatalf("accepted %x, which re-encodes to %x", body, again)
+		}
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("json.Marshal of an accepted %T: %v", v, err)
+		}
+		var route string
+		switch v := v.(type) {
+		case *StateRequest:
+			route = "/decide"
+			jsonAgrees(t, raw, v)
+		case *BatchDecideRequest:
+			route = "/decide/batch"
+			for i := range v.Items {
+				if fb := v.Items[i].Feedback; fb != nil {
+					positiveZeroCosts(fb)
+				}
+			}
+			jsonAgrees(t, raw, v)
+		case *FeedbackRequest:
+			route = "/feedback"
+			positiveZeroCosts(v)
+			jsonAgrees(t, raw, v)
+		}
+		binCode, binBody := post(handlers[0], route, elidedMediaType, body)
+		jsonCode, jsonBody := post(handlers[1], route, "application/json", raw)
+		if binCode != jsonCode || binBody != jsonBody {
+			t.Fatalf("binary body answered %d %s\nits JSON %s answered %d %s", binCode, binBody, raw, jsonCode, jsonBody)
+		}
+	})
+}
+
+// positiveZeroCosts turns fb's −0 optional costs to +0, as a JSON round trip
+// does: json.Marshal leaves omitempty zeros of either sign out.
+func positiveZeroCosts(fb *FeedbackRequest) {
+	for _, c := range []*float64{&fb.EnergyCost, &fb.SLACost, &fb.ResourceCost} {
+		if *c == 0 {
+			*c = 0
+		}
+	}
+}
+
+// jsonAgrees checks that encoding/json reads raw back to want.
+func jsonAgrees[T any](t *testing.T, raw []byte, want *T) {
+	t.Helper()
+	var got T
+	if err := json.Unmarshal(raw, &got); err != nil || !same(&got, want) {
+		t.Fatalf("encoding/json read %s back as %+v (%v), want %+v", raw, got, err, *want)
+	}
+}
+
+// FuzzElidedNumber: whatever number text an elided request spells in JSON —
+// data, as a VM's utilization and as a step cost — the binary body carries
+// the value encoding/json reads from it, to the bit (viaBinary). Where
+// encoding/json refuses the text there is no value to carry. Its seeds run
+// as regression cases; FuzzDecideRequestBinary is the target that fuzzes
+// the binary body's bits.
+func FuzzElidedNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "-0.0", "0.3", "1", "0.12345678901234568", "0.9007199254740993",
+		"0.0000010000000000000002", "0.12345678901234567891", "18446744073709551615.5",
+		"9.99e-7", "1E+0", "1e999", "0.30000000000000004}", "01", "1.", ".5", "-", "1e", "1e+",
+		"0x1p-2", "inf", "1_0", "0." + strings.Repeat("3", 40),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		state := append([]byte(`{"step":4,"base":"d","vms":[{"host":0,"utilization":`), data...)
+		viaBinary[StateRequest](t, append(state, "}]}"...))
+		feedback := append([]byte(`{"step":3,"step_cost":`), data...)
+		viaBinary[FeedbackRequest](t, append(feedback, '}'))
+	})
+}
+
+// FuzzAppendFloat: the client's binary encoder writes any float64 as its
+// bits, as a utilization and as every cost, and the service's decoder reads
+// the same bits back; NaN and ±Inf the encoder refuses with encoding/json's
+// own error, as json.Marshal refuses them in the full form. Its seeds run as
+// regression cases, as FuzzElidedNumber's do.
+func FuzzAppendFloat(f *testing.F) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), -0.3, 1.0 / 3, 1125899906842624.25,
+		math.Nextafter(1<<56, 0), 1 << 56, 1e21, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		req := testWorld(3, 2, false)
+		req.VMs[1].Utilization = x
+		fb := FeedbackRequest{Step: 1, StepCost: x, EnergyCost: x, SLACost: x, ResourceCost: x}
+		state, stateErr := appendBinaryState(nil, &req, "d")
+		feedback, feedbackErr := appendBinaryFeedback(nil, &fb)
+		_, jsonErr := json.Marshal(x)
+		if fmt.Sprint(stateErr) != fmt.Sprint(jsonErr) || fmt.Sprint(feedbackErr) != fmt.Sprint(jsonErr) {
+			t.Fatalf("%g: encoder errors %v and %v, encoding/json's %v", x, stateErr, feedbackErr, jsonErr)
+		}
+		if jsonErr != nil {
+			return
+		}
+		var gotState StateRequest
+		var gotFeedback FeedbackRequest
+		_, stateErr = decodeRequest(elidedMediaType, state, &gotState, new(requestScratch))
+		_, feedbackErr = decodeRequest(elidedMediaType, feedback, &gotFeedback, nil)
+		if stateErr != nil || feedbackErr != nil ||
+			math.Float64bits(gotState.VMs[1].Utilization) != bits || !same(&gotFeedback, &fb) {
+			t.Fatalf("%g (bits %#x): decoded %v (%v) and %+v (%v)", x, bits,
+				gotState.VMs[1].Utilization, stateErr, gotFeedback, feedbackErr)
+		}
 	})
 }

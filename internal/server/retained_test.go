@@ -331,12 +331,14 @@ func TestRetainedSnapshotDiesWithTheLearner(t *testing.T) {
 	}
 }
 
-// postOK posts body to path on h, with no socket, and fails unless the
-// answer is 200.
-func postOK(tb testing.TB, h http.Handler, path string, body []byte) {
+// postOK posts body as contentType to path on h, with no socket, and fails
+// unless the answer is 200.
+func postOK(tb testing.TB, h http.Handler, path, contentType string, body []byte) {
 	tb.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
 	}
@@ -361,23 +363,24 @@ func TestBatchHoldsOneSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	mkBody := func(from int) []byte {
-		body := []byte(`{"items":[`)
+		var req BatchDecideRequest
 		for k := 0; k < batch; k++ {
 			w := churnWorld(nVMs, nHosts, from+k)
 			w.Hosts[(from+k)*131%nHosts].Failed = false // keep the rebuild tier out of the byte count
-			it := BatchDecideItem{State: w, Feedback: &FeedbackRequest{Step: from + k - 1, StepCost: 0.3}}
-			if k > 0 {
-				body = append(body, ',')
-			}
-			var err error
-			if body, err = appendBatchItem(body, &it, staticDigest(w.Hosts, w.VMs), true); err != nil {
-				t.Fatal(err)
-			}
+			req.Items = append(req.Items, BatchDecideItem{State: w, Feedback: &FeedbackRequest{Step: from + k - 1, StepCost: 0.3}})
 		}
-		return append(body, `]}`...)
+		w := &req.Items[0].State
+		body, err := appendBinaryBatch(nil, req.Items, staticDigest(w.Hosts, w.VMs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
 	handler := svc.Handler()
-	post := func(body []byte) { t.Helper(); postOK(t, handler, "/v2/sessions/a/decide/batch", body) }
+	post := func(body []byte) {
+		t.Helper()
+		postOK(t, handler, "/v2/sessions/a/decide/batch", elidedMediaType, body)
+	}
 	post(mkBody(1)) // sizes the session's scratch for a batch
 	body := mkBody(1 + batch)
 
@@ -399,9 +402,9 @@ func TestBatchHoldsOneSnapshot(t *testing.T) {
 }
 
 // TestOnlyCanonicalBodiesLeaveScratch: the session's scratch slot is filled
-// by canonical elided requests alone. A full-form body — 594 KB at 10 000 ×
-// 1 000, sent once per session — and an elided body the fallback decoded
-// leave it empty, so nothing above the elided size is ever held.
+// by binary elided requests alone. A full-form body — 594 KB at 10 000 ×
+// 1 000, sent once per session — and an elided request spelled in JSON leave
+// it empty, so nothing above the binary body's size is ever held.
 func TestOnlyCanonicalBodiesLeaveScratch(t *testing.T) {
 	svc, _ := newSessionService(t, 0)
 	full := grid10k()
@@ -410,31 +413,35 @@ func TestOnlyCanonicalBodiesLeaveScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler := svc.Handler()
-	post := func(body []byte) { t.Helper(); postOK(t, handler, "/v2/sessions/grid/decide", body) }
-	post(mustMarshal(t, full))
+	post := func(contentType string, body []byte) {
+		t.Helper()
+		postOK(t, handler, "/v2/sessions/grid/decide", contentType, body)
+	}
+	post("application/json", mustMarshal(t, full))
 	if sess.scratch.Load() != nil {
 		t.Fatal("a full-form request left its storage on the session")
 	}
-	elided, err := appendElidedState(nil, &full, staticDigest(full.Hosts, full.VMs))
+	digest := staticDigest(full.Hosts, full.VMs)
+	elided, err := appendBinaryState(nil, &full, digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	post(elided)
+	post(elidedMediaType, elided)
 	sc := sess.scratch.Load()
 	if sc == nil {
-		t.Fatal("a canonical elided request left no scratch")
+		t.Fatal("a binary elided request left no scratch")
 	}
 	if hint := elidedSizeHint(&full); cap(sc.body) > hint || cap(sc.vms) != len(full.VMs) {
 		t.Fatalf("scratch holds a %d-byte body buffer and %d VM entries; the elided hint is %d bytes, the world %d VMs",
 			cap(sc.body), cap(sc.vms), hint, len(full.VMs))
 	}
-	post(elided)
+	post(elidedMediaType, elided)
 	if sess.scratch.Load() != sc {
-		t.Fatal("the next canonical request did not reuse the scratch")
+		t.Fatal("the next binary request did not reuse the scratch")
 	}
-	post(bytes.Replace(elided, []byte(`,"vms":`), []byte(`, "vms":`), 1)) // valid, not canonical
+	post("application/json", mustMarshal(t, elideSnapshot(&full, digest)))
 	if sess.scratch.Load() != nil {
-		t.Fatal("a fallback-decoded request left its storage on the session")
+		t.Fatal("a JSON-decoded request left its storage on the session")
 	}
 }
 
@@ -485,7 +492,7 @@ func TestClientBufferWaitsForTheTransport(t *testing.T) {
 	if _, err := sc.Decide(ctx, elideWorld(2)); err != nil { // must encode into a buffer of its own
 		t.Fatal(err)
 	}
-	want, err := appendElidedState(nil, &req, staticDigest(req.Hosts, req.VMs))
+	want, err := appendBinaryState(nil, &req, staticDigest(req.Hosts, req.VMs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +530,7 @@ func TestFeedbackReusesTheViewsBuffer(t *testing.T) {
 
 // BenchmarkDecideHandler is the service's own share of a decide, handler in
 // to handler out, with no socket: the /v2 decide route over a recorder, fed
-// the canonical elided body of the 10 000 × 1 000 grid in steady state (base
+// the binary elided body of the 10 000 × 1 000 grid in steady state (base
 // established, snapshot and scratch retained). `make bench-alloc-gate` bounds
 // its B/op: before the session retained anything a decide allocated ≈ 455 KB
 // here (snapshot 364, body 50, VM entries 40).
@@ -541,19 +548,18 @@ func BenchmarkDecideHandler(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		elided, err := appendElidedState(nil, &grid, staticDigest(grid.Hosts, grid.VMs))
+		elided, err := appendBinaryState(nil, &grid, staticDigest(grid.Hosts, grid.VMs))
 		if err != nil {
 			b.Fatal(err)
 		}
 		handler := svc.Handler()
-		post := func(body []byte) { postOK(b, handler, "/v2/sessions/grid/decide", body) }
-		post(full)
-		post(elided)
+		postOK(b, handler, "/v2/sessions/grid/decide", "application/json", full)
+		postOK(b, handler, "/v2/sessions/grid/decide", elidedMediaType, elided)
 		b.SetBytes(int64(len(elided)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(elided)
+			postOK(b, handler, "/v2/sessions/grid/decide", elidedMediaType, elided)
 		}
 	})
 }

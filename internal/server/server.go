@@ -105,8 +105,8 @@ type Service struct {
 	// not hold the base they named.
 	elided        *obs.Counter
 	baseConflicts *obs.Counter
-	// decodeFallback counts decide and decide/batch bodies that were not the
-	// canonical elided form and went through encoding/json.
+	// decodeFallback counts decide and decide/batch bodies that were JSON,
+	// not binary, and went through encoding/json.
 	decodeFallback *obs.Counter
 
 	// cluster is the cluster-mode runtime (nil = single-node): ring
@@ -210,7 +210,7 @@ func New(cfg Config) (*Service, error) {
 	s.elided = reg.Counter("megh_snapshot_elided_requests_total",
 		"Decide and decide/batch requests that left static fields to the session's snapshot base.", nil)
 	s.decodeFallback = reg.Counter("megh_snapshot_decode_fallback_total",
-		"Decide and decide/batch requests whose body was not the canonical elided form and was decoded by encoding/json.", nil)
+		"Decide and decide/batch requests whose body was JSON, decoded by encoding/json rather than the binary elided codec.", nil)
 	s.baseConflicts = reg.Counter("megh_snapshot_base_conflicts_total",
 		"Elided decide requests refused with 409 because the session did not hold the base they named.", nil)
 	if cfg.SLODecideP99 >= 0 {
@@ -584,15 +584,15 @@ func readBody(body io.Reader, declared, limit int64, into []byte) ([]byte, error
 	}
 }
 
-// decodeBody reads one JSON request body of at most limit bytes and decodes
-// it into v by decodeRequest — a feedback post in its canonical form skips
-// encoding/json, and bytes after the first JSON value are ignored, as
+// decodeBody reads one request body of at most limit bytes and decodes it
+// into v by decodeRequest — a feedback post under elidedMediaType is binary,
+// every other body JSON, and bytes after the first JSON value are ignored, as
 // json.Decoder ignores them. On failure it has answered — see rejectBody —
 // and returns false.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
 	buf, err := readBody(r.Body, r.ContentLength, limit, nil)
 	if err == nil {
-		_, err = decodeRequest(buf, v, nil)
+		_, err = decodeRequest(r.Header.Get("Content-Type"), buf, v, nil)
 	}
 	if err != nil {
 		rejectBody(w, err, what)
@@ -601,17 +601,17 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64
 }
 
 // decodeSnapshots is decodeBody for the two bodies that carry snapshots, v a
-// *StateRequest or a *BatchDecideRequest (see decodeRequest). A body in the
-// canonical elided form is read and decoded into the session's scratch: the
-// caller recycles the returned scratch when it has answered, and v dies with
-// it. Any other body is counted as a decode fallback and owns its memory; the
-// scratch returned for it is nil.
+// *StateRequest or a *BatchDecideRequest (see decodeRequest). A binary body
+// is read and decoded into the session's scratch: the caller recycles the
+// returned scratch when it has answered, and v dies with it. A JSON body is
+// counted as a decode fallback and owns its memory; the scratch returned for
+// it is nil.
 func (s *Service) decodeSnapshots(w http.ResponseWriter, r *http.Request, sess *session, limit int64, v any, what string) (*requestScratch, bool) {
 	sc := sess.takeScratch()
 	buf, err := readBody(r.Body, r.ContentLength, limit, sc.body)
 	if err == nil {
-		var fallback bool
-		if fallback, err = decodeRequest(buf, v, sc); fallback {
+		var isBinary bool
+		if isBinary, err = decodeRequest(r.Header.Get("Content-Type"), buf, v, sc); !isBinary {
 			s.decodeFallback.Inc()
 		} else if err == nil {
 			sc.body = buf
