@@ -104,7 +104,8 @@ metriclint:
 # committed internal/server/routes.golden, the exported fields of
 # server.Config and server.ClusterConfig (name and type, in order)
 # internal/server/options.golden, the binary bodies SessionClient sends
-# (an elided decide, a two-item batch and a feedback post, in hex)
+# (an elided decide, a two-item batch and a feedback post, in hex) and the
+# binary answers it reads (a decide's and a two-item batch's)
 # internal/server/testdata/elided.golden, and the flags meghd -h lists
 # cmd/meghd/testdata/flags.golden. Regenerate deliberately (and review the
 # diff) with:
@@ -216,6 +217,7 @@ fuzz-short:
 	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzDecideRequestBinary -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=- -fuzz=FuzzDecideResponseBinary -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=- -fuzz=FuzzShermanMorrisonBasis -fuzztime=$(FUZZTIME) ./internal/sparse/
 	$(GO) test -run=- -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run=- -fuzz=FuzzRingOwners -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -130,7 +130,8 @@ func run() error {
 	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
-		tracer, err = trace.New(trace.Options{Path: *traceOut, Timings: *traceTimings})
+		// Only the file: nothing here reads a tail ring.
+		tracer, err = trace.New(trace.Options{Path: *traceOut, RingSize: -1, Timings: *traceTimings})
 		if err != nil {
 			return fmt.Errorf("opening trace sink: %w", err)
 		}

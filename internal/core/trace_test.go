@@ -197,4 +197,12 @@ func BenchmarkDecide(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { bench(b, nil, true) })
 	b.Run("enabled", func(b *testing.B) { bench(b, newTracer(b, false), true) })
 	b.Run("enabled-timings", func(b *testing.B) { bench(b, newTracer(b, true), true) })
+	// A ring and no stream, the tracer every meghd session has.
+	b.Run("enabled-ring", func(b *testing.B) {
+		tr, err := trace.New(trace.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, tr, true)
+	})
 }

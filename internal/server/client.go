@@ -157,6 +157,10 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		if body != nil {
 			req.Header.Set("Content-Type", contentType)
 		}
+		switch out.(type) {
+		case *DecideResponse, *BatchDecideResponse:
+			req.Header.Set("Accept", elidedMediaType) // finish reads either form
+		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			lastErr = fmt.Errorf("server: %s: %w", path, err)
@@ -235,7 +239,13 @@ func (c *Client) finish(path string, resp *http.Response, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// The largest batch body bounds every answer: a decide's spends a few
+	// bytes per migration, and a step moves at most 2 % of the VMs.
+	buf, err := readBody(resp.Body, resp.ContentLength, maxBatchBodyBytes, nil)
+	if err == nil {
+		_, err = decodeWire(resp.Header.Get("Content-Type"), buf, out, nil)
+	}
+	if err != nil {
 		return fmt.Errorf("server: decoding %s response: %w", path, err)
 	}
 	return nil
@@ -288,7 +298,8 @@ func (c *Client) Session(id string) *SessionClient {
 // to the base the service last accepted from this view goes out in the
 // elided form (see StateRequest), as a binary body (codec.go) unless a full
 // item shares its batch; anything else goes in full, as JSON. Feedback posts
-// are binary too. Safe for concurrent use.
+// are binary too, and so are the service's answers to decides and batches.
+// Safe for concurrent use.
 type SessionClient struct {
 	c      *Client
 	id     string

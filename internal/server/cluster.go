@@ -247,8 +247,10 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 	// A bare io.Reader body has no length NewRequest can infer; without the
 	// inbound one every proxied request would go out chunked.
 	req.ContentLength = r.ContentLength
-	if v := r.Header.Get("Content-Type"); v != "" {
-		req.Header.Set("Content-Type", v)
+	for _, hdr := range []string{"Content-Type", "Accept"} {
+		if v := r.Header.Get(hdr); v != "" {
+			req.Header.Set(hdr, v)
+		}
 	}
 	// The ID the envelope stamped on the response — the caller's, or the
 	// one minted here when the caller sent none — so the owner records the

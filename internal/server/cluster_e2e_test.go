@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -276,9 +277,9 @@ func TestClusterProxiesToOwner(t *testing.T) {
 
 	// Decides through any node reach the same learner; direct requests to
 	// the owner carry no proxy marker.
-	var out DecideResponse
+	var first, out DecideResponse
 	resp = doJSON(t, http.MethodPost, tc.urls["c"]+"/v2/sessions/"+id+"/decide",
-		sessionWorld(4, 3, 0), nil, &out)
+		sessionWorld(4, 3, 0), nil, &first)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Megh-Proxied") != "b" {
 		t.Fatalf("proxied decide: HTTP %d, proxied=%q", resp.StatusCode, resp.Header.Get("X-Megh-Proxied"))
 	}
@@ -293,6 +294,25 @@ func TestClusterProxiesToOwner(t *testing.T) {
 		if p, e := c.cProxied.Value(), c.cProxyErrs.Value(); p != want || e != 0 {
 			t.Fatalf("node %s proxied %d requests with %d errors, want %d and 0", n, p, e, want)
 		}
+	}
+
+	// The entry node forwards Accept: a like session's first decide, asked
+	// for in binary through the hop, comes back binary and means what the
+	// JSON answer above said.
+	twin := tc.idOwnedBy(t, "c", "a")
+	doJSON(t, http.MethodPut, tc.urls["a"]+"/v2/sessions/"+twin, clusterSpec, nil, nil)
+	resp = doJSON(t, http.MethodPost, tc.urls["c"]+"/v2/sessions/"+twin+"/decide",
+		sessionWorld(4, 3, 0), map[string]string{"Accept": elidedMediaType}, nil)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin DecideResponse
+	if ct := resp.Header.Get("Content-Type"); resp.Header.Get("X-Megh-Proxied") != "a" || ct != elidedMediaType {
+		t.Fatalf("proxied binary decide: HTTP %d under %q, proxied=%q", resp.StatusCode, ct, resp.Header.Get("X-Megh-Proxied"))
+	}
+	if err := decodeAnswer(raw, &bin); err != nil || !reflect.DeepEqual(bin, first) {
+		t.Fatalf("proxied binary answer %x decodes to %+v (%v), the JSON answer was %+v", raw, bin, err, first)
 	}
 }
 

@@ -6,42 +6,49 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"strconv"
 
 	"megh/internal/sim"
 )
 
 // This file holds the binary codec for the three requests a monitoring loop
-// repeats every interval: an elided decide, a decide/batch whose items are
-// all elided, and a feedback post. SessionClient sends them under
-// elidedMediaType; every other body, and these under any other Content-Type,
-// is JSON for encoding/json. All integers are varints as encoding/binary
-// writes them, signed ones zig-zag, and every float64 travels as its
-// IEEE-754 bits, little-endian, so a value arrives with the bits it left
-// with and nothing converts it to text and back:
+// repeats every interval — an elided decide, a decide/batch whose items are
+// all elided, and a feedback post — and for the answers to the first two.
+// SessionClient sends the requests under elidedMediaType and asks for the
+// answers with Accept: elidedMediaType; every other body, and these under
+// any other Content-Type, is JSON for encoding/json, as is every other
+// answer. All integers are varints as encoding/binary writes them, signed
+// ones zig-zag, and every float64 travels as its IEEE-754 bits,
+// little-endian, so a value arrives with the bits it left with and nothing
+// converts it to text and back:
 //
 //	state:    varint step | uvarint len, base digest bytes |
 //	          uvarint count, uvarint failed host index… |
 //	          uvarint count, (varint host, 8-byte utilization)…
 //	batch:    uvarint count, (flag byte 0|1, [feedback], state)…
 //	feedback: varint step | 8-byte step, energy, SLA and resource costs
+//	decide answer: varint step | uvarint count, (uvarint vm, uvarint dest)…
+//	batch answer:  uvarint count, decide answer…
 //
-// The decoder takes exactly these bytes and refuses, with a 400, trailing
-// bytes, a varint in more bytes than it needs (one value, one encoding), a
-// count the bytes left cannot hold — checked before anything is carved from
-// the scratch — and NaN or ±Inf, which JSON cannot spell. What it accepts
-// is the value encoding/json would decode from the same request in JSON, and
-// goes through the same checks after.
+// The decoder takes exactly these bytes and refuses — with a 400 on the
+// service, an error on the client — trailing bytes, a varint in more bytes
+// than it needs (one value, one encoding), a count the bytes left cannot
+// hold — checked before anything is carved from the scratch — and NaN or
+// ±Inf, which JSON cannot spell. What it accepts is the value encoding/json
+// would decode from the same body in JSON, and a request goes through the
+// same checks after.
 
 // elidedMediaType is the Content-Type of a binary body.
 const elidedMediaType = "application/x-megh-elided"
 
-// decodeRequest decodes one request body into v, which must be zero. A
-// snapshot, a batch of them or a feedback post under elidedMediaType is read
-// by binaryDecoder, its VM entries, items and feedback carved from sc — nil
-// will do for a feedback post — so v is good until sc is recycled; isBinary
-// reports it. Anything else goes to encoding/json and owns its memory.
-func decodeRequest(contentType string, buf []byte, v any, sc *requestScratch) (isBinary bool, err error) {
+// decodeWire decodes one body into v, which must be zero. A snapshot, a
+// batch of them or a feedback post under elidedMediaType is read by
+// binaryDecoder, its VM entries, items and feedback carved from sc — nil
+// will do for a feedback post — so v is good until sc is recycled, and so is
+// a decide or decide/batch answer, which carves nothing; isBinary reports
+// it. Anything else goes to encoding/json and owns its memory.
+func decodeWire(contentType string, buf []byte, v any, sc *requestScratch) (isBinary bool, err error) {
 	if contentType == elidedMediaType {
 		d := binaryDecoder{b: buf}
 		switch v := v.(type) {
@@ -51,6 +58,13 @@ func decodeRequest(contentType string, buf []byte, v any, sc *requestScratch) (i
 			d.batch(v, sc)
 		case *FeedbackRequest:
 			d.feedback(v)
+		case *DecideResponse:
+			d.decision(v)
+		case *BatchDecideResponse:
+			v.Results = make([]DecideResponse, d.count(minAnswerBytes, "results"))
+			for i := range v.Results {
+				d.decision(&v.Results[i])
+			}
 		default:
 			return false, json.NewDecoder(bytes.NewReader(buf)).Decode(v)
 		}
@@ -92,10 +106,12 @@ func carve[T any](s *[]T, n int) []T {
 
 // Smallest encodings, which bound what a count may claim: a VM is a one-byte
 // host and its utilization's bits; a batch item a flag byte and a state of
-// one-byte step, base length and counts.
+// one-byte step, base length and counts; an answer's decision and migration
+// two one-byte varints each.
 const (
-	minVMBytes   = 1 + 8
-	minItemBytes = 1 + 4
+	minVMBytes     = 1 + 8
+	minItemBytes   = 1 + 4
+	minAnswerBytes = 2
 )
 
 // binaryDecoder reads a binary body front to back. The first fault is kept in
@@ -234,6 +250,16 @@ func (d *binaryDecoder) batch(r *BatchDecideRequest, sc *requestScratch) {
 	r.Items = items
 }
 
+// decision reads one decide answer into r. Its Migrations is not nil, as
+// encoding/json leaves it for the JSON answer's [].
+func (d *binaryDecoder) decision(r *DecideResponse) {
+	r.Step = d.varint()
+	r.Migrations = make([]MigrationDecision, d.count(minAnswerBytes, "migrations"))
+	for k := range r.Migrations {
+		r.Migrations[k] = MigrationDecision{VM: int(d.uvarint()), Dest: int(d.uvarint())}
+	}
+}
+
 // --- encoder ------------------------------------------------------------
 
 // appendBits appends f's IEEE-754 bits. NaN and ±Inf, which the service
@@ -332,4 +358,41 @@ func appendDecideResponse(b []byte, step int, migs []sim.Migration) []byte {
 		b = append(b, '}')
 	}
 	return append(b, `]}`...)
+}
+
+// writeDecisions answers 200 with outs, the decisions for items, as a
+// decide's answer (items holds one) or, batched, a decide/batch's: binary if
+// the request accepts elidedMediaType, else JSON as writeJSON writes it.
+func writeDecisions(w http.ResponseWriter, r *http.Request, items []decideItem, outs [][]sim.Migration, batched bool) {
+	body := make([]byte, 0, 64*len(outs))
+	if r.Header.Get("Accept") == elidedMediaType {
+		if batched {
+			body = binary.AppendUvarint(body, uint64(len(outs)))
+		}
+		for i, migs := range outs {
+			body = binary.AppendVarint(body, int64(items[i].state.Step))
+			body = binary.AppendUvarint(body, uint64(len(migs)))
+			for _, m := range migs {
+				body = binary.AppendUvarint(binary.AppendUvarint(body, uint64(m.VM)), uint64(m.Dest))
+			}
+		}
+		w.Header().Set("Content-Type", elidedMediaType)
+	} else {
+		if batched {
+			body = append(body, `{"results":[`...)
+		}
+		for i, migs := range outs {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = appendDecideResponse(body, items[i].state.Step, migs)
+		}
+		if batched {
+			body = append(body, ']', '}')
+		}
+		body = append(body, '\n')
+		w.Header().Set("Content-Type", "application/json")
+	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }

@@ -146,10 +146,10 @@ var decodeScratch session
 func viaBinary[T any](t *testing.T, data []byte) bool {
 	t.Helper()
 	var fromJSON, want T
-	bin, err := decodeRequest("application/json", data, &fromJSON, nil)
+	bin, err := decodeWire("application/json", data, &fromJSON, nil)
 	wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
 	if bin || fmt.Sprint(err) != fmt.Sprint(wantErr) || !same(&fromJSON, &want) {
-		t.Fatalf("decodeRequest (binary %t): %+v, %v\nencoding/json: %+v, %v\ninput: %q", bin, fromJSON, err, want, wantErr, data)
+		t.Fatalf("decodeWire (binary %t): %+v, %v\nencoding/json: %+v, %v\ninput: %q", bin, fromJSON, err, want, wantErr, data)
 	}
 	if err != nil || !carried(&fromJSON) {
 		return false
@@ -158,7 +158,7 @@ func viaBinary[T any](t *testing.T, data []byte) bool {
 	sc := decodeScratch.takeScratch()
 	defer decodeScratch.recycle(sc)
 	var got T
-	if bin, err := decodeRequest(elidedMediaType, body, &got, sc); !bin || err != nil || !same(&got, &fromJSON) {
+	if bin, err := decodeWire(elidedMediaType, body, &got, sc); !bin || err != nil || !same(&got, &fromJSON) {
 		t.Fatalf("binary body %x (binary %t, %v): %+v\nJSON: %+v\ninput: %q", body, bin, err, got, fromJSON, data)
 	}
 	return true
@@ -397,7 +397,7 @@ func decodeKind(kind byte, body []byte, sc *requestScratch) (any, error) {
 	default:
 		v = new(FeedbackRequest)
 	}
-	_, err := decodeRequest(elidedMediaType, body, v, sc)
+	_, err := decodeWire(elidedMediaType, body, v, sc)
 	return v, err
 }
 
@@ -532,7 +532,8 @@ func hexDump(title string, b []byte) string {
 // elidable items elided; each under its Content-Type. The static half changes mid-run, and
 // between items only in the sign of a zero MIPS. An elided decide, a
 // two-item batch and a feedback post are pinned as hex in
-// testdata/elided.golden, so a layout change is a reviewed diff.
+// testdata/elided.golden, with the binary answers to a decide and to a
+// two-item batch, so a layout change is a reviewed diff.
 func TestSessionClientWireBytes(t *testing.T) {
 	spy := &wireSpy{}
 	ts := httptest.NewServer(spy)
@@ -679,6 +680,12 @@ func TestSessionClientWireBytes(t *testing.T) {
 		sent = expect("feedback", binWire(&fb))
 	}
 	golden.WriteString(hexDump("feedback, step 4: costs 1e21, -0, 1e-9 and 3", sent[0].body))
+
+	// The answers the view asks for, as the service writes them: answerSeeds'
+	// well-formed decide and batch.
+	seeds := answerSeeds(t)
+	golden.WriteString(hexDump("decide answer, step 4: VM 300 to host 2, VM 3 to host 7", seeds[0].body))
+	golden.WriteString(hexDump("batch answer, steps 35 and 36: VM 12 to host 0, then none", seeds[1].body))
 	checkGolden(t, "elided.golden", []byte(golden.String()))
 }
 
@@ -819,16 +826,52 @@ func TestBatchFromNoBaseFitsTheLimit(t *testing.T) {
 	}
 }
 
-// TestDecideResponseEncoder: the service's decide answer is json.Marshal of
-// the DecideResponse it used to build, with or without migrations.
+// TestDecideResponseEncoder: the service's decide and decide/batch answers,
+// with or without migrations, are json.Marshal of the response it used to
+// build, and the binary answer to the same decisions decodes to exactly what
+// encoding/json reads from the JSON one — an empty Migrations included — so
+// a client cannot tell which one it was sent.
 func TestDecideResponseEncoder(t *testing.T) {
-	for _, migs := range [][]sim.Migration{nil, {{VM: 0, Dest: 9999}}, {{VM: 12, Dest: 3}, {VM: 7, Dest: 0}, {VM: 999, Dest: 41}}} {
-		want := DecideResponse{Step: 287 * len(migs), Migrations: []MigrationDecision{}}
-		for _, m := range migs {
-			want.Migrations = append(want.Migrations, MigrationDecision{VM: m.VM, Dest: m.Dest})
-		}
-		if got := appendDecideResponse(nil, want.Step, migs); !bytes.Equal(got, mustMarshal(t, want)) {
-			t.Fatalf("appendDecideResponse wrote %s, json.Marshal %s", got, mustMarshal(t, want))
+	none, some := []sim.Migration{}, []sim.Migration{{VM: 12, Dest: 3}, {VM: 0, Dest: 0}, {VM: 300, Dest: 70000}}
+	for _, c := range []struct {
+		steps []int
+		outs  [][]sim.Migration
+	}{
+		{[]int{0}, [][]sim.Migration{nil}},
+		{[]int{4}, [][]sim.Migration{some}},
+		{[]int{-3}, [][]sim.Migration{none}},
+		{[]int{1 << 40, 7, 8}, [][]sim.Migration{some, nil, some[:1]}},
+	} {
+		for _, batched := range []bool{false, true} {
+			if !batched && len(c.steps) > 1 {
+				continue
+			}
+			var fromJSON, fromBinary, want any = new(DecideResponse), new(DecideResponse), nil
+			if batched {
+				fromJSON, fromBinary = new(BatchDecideResponse), new(BatchDecideResponse)
+			}
+			var results []DecideResponse
+			for i, migs := range c.outs {
+				r := DecideResponse{Step: c.steps[i], Migrations: []MigrationDecision{}}
+				for _, m := range migs {
+					r.Migrations = append(r.Migrations, MigrationDecision{VM: m.VM, Dest: m.Dest})
+				}
+				results = append(results, r)
+			}
+			if want = results[0]; batched {
+				want = BatchDecideResponse{Results: results}
+			}
+			js := answer(t, batched, false, c.steps, c.outs)
+			if wantJS := append(mustMarshal(t, want), '\n'); !bytes.Equal(js, wantJS) {
+				t.Fatalf("JSON answer %s, json.Marshal %s", js, wantJS)
+			}
+			bin := answer(t, batched, true, c.steps, c.outs)
+			if err := json.Unmarshal(js, fromJSON); err != nil {
+				t.Fatal(err)
+			}
+			if err := decodeAnswer(bin, fromBinary); err != nil || !reflect.DeepEqual(fromBinary, fromJSON) {
+				t.Fatalf("binary answer %x decodes to %+v, %v; the JSON one to %+v", bin, fromBinary, err, fromJSON)
+			}
 		}
 	}
 }
@@ -886,11 +929,11 @@ func TestEncoderFloats(t *testing.T) {
 		}
 		var st StateRequest
 		var bt BatchDecideRequest
-		if _, err := decodeRequest(elidedMediaType, got[0].body, &st, new(requestScratch)); err != nil ||
+		if _, err := decodeWire(elidedMediaType, got[0].body, &st, new(requestScratch)); err != nil ||
 			math.Float64bits(st.VMs[3].Utilization) != math.Float64bits(f) {
 			t.Fatalf("%g (bits %#x): decoded %v, %v", f, math.Float64bits(f), st.VMs[3].Utilization, err)
 		}
-		if _, err := decodeRequest(elidedMediaType, got[1].body, &bt, new(requestScratch)); err != nil ||
+		if _, err := decodeWire(elidedMediaType, got[1].body, &bt, new(requestScratch)); err != nil ||
 			!same(bt.Items[0].Feedback, breq.Items[0].Feedback) {
 			t.Fatalf("%g (bits %#x): decoded feedback %+v, %v", f, math.Float64bits(f), bt.Items[0].Feedback, err)
 		}
@@ -1145,7 +1188,7 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		var got StateRequest
-		if bin, err := decodeRequest(elidedMediaType, body, &got, new(requestScratch)); !bin || err != nil || len(got.VMs) != len(req.VMs) {
+		if bin, err := decodeWire(elidedMediaType, body, &got, new(requestScratch)); !bin || err != nil || len(got.VMs) != len(req.VMs) {
 			t.Fatalf("binary %t, err %v, %d VMs", bin, err, len(got.VMs))
 		}
 	}); n > 4 {
@@ -1163,7 +1206,7 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		sc := sess.takeScratch()
 		var got BatchDecideRequest
-		if bin, err := decodeRequest(elidedMediaType, batch, &got, sc); !bin || err != nil || len(got.Items) != 16 {
+		if bin, err := decodeWire(elidedMediaType, batch, &got, sc); !bin || err != nil || len(got.Items) != 16 {
 			t.Fatalf("binary %t, err %v, %d items", bin, err, len(got.Items))
 		}
 		sess.recycle(sc)
@@ -1193,7 +1236,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sc := sess.takeScratch()
-				if bin, err := decodeRequest(contentType, body, v(), sc); err != nil || bin != (contentType == elidedMediaType) {
+				if bin, err := decodeWire(contentType, body, v(), sc); err != nil || bin != (contentType == elidedMediaType) {
 					b.Fatalf("binary %t, err %v", bin, err)
 				}
 				sess.recycle(sc)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func fillFromWorld(r, world StateRequest) StateRequest {
 }
 
 // FuzzDecideRequestJSON drives the decide ingress path for JSON bodies —
-// decodeRequest, resolveBase (Validate for the full form, the base checks for the elided
+// decodeWire, resolveBase (Validate for the full form, the base checks for the elided
 // one), snapshot conversion — with arbitrary bytes, against a session that
 // already holds a 3×2 base. Nothing may panic, and any request the path
 // accepts must convert into a structurally sound snapshot: placement
@@ -67,7 +68,7 @@ func FuzzDecideRequestJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req StateRequest
-		if _, err := decodeRequest("application/json", data, &req, nil); err != nil {
+		if _, err := decodeWire("application/json", data, &req, nil); err != nil {
 			return
 		}
 		// Resource guard: JSON can declare arbitrarily many hosts/VMs;
@@ -211,6 +212,37 @@ func FuzzDecideRequestBinary(f *testing.F) {
 	})
 }
 
+// FuzzDecideResponseBinary drives the client's decoder for binary answers
+// with arbitrary bytes, the first of which picks what the rest is read as —
+// a decide/batch's answer ('b') or a decide's (anything else). Nothing may
+// panic. An answer the decoder accepts must be the one encoding of its
+// decisions — the service's encoder writes it back byte for byte — and
+// decode to exactly what encoding/json reads from the service's JSON answer
+// with the same decisions.
+//
+// The seeds are TestDecideAnswerRefusals' table, committed under
+// testdata/fuzz.
+func FuzzDecideResponseBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		kind, body := data[0], data[1:]
+		v := newAnswer(kind)
+		if decodeAnswer(body, v) != nil {
+			return
+		}
+		steps, outs := decisionsOf(v)
+		if again := answer(t, kind == 'b', true, steps, outs); !bytes.Equal(again, body) {
+			t.Fatalf("accepted %x, which re-encodes to %x", body, again)
+		}
+		fromJSON := newAnswer(kind)
+		if err := json.Unmarshal(answer(t, kind == 'b', false, steps, outs), fromJSON); err != nil || !reflect.DeepEqual(v, fromJSON) {
+			t.Fatalf("binary answer %x decodes to %+v; its JSON to %+v (%v)", body, v, fromJSON, err)
+		}
+	})
+}
+
 // positiveZeroCosts turns fb's −0 optional costs to +0, as a JSON round trip
 // does: json.Marshal leaves omitempty zeros of either sign out.
 func positiveZeroCosts(fb *FeedbackRequest) {
@@ -281,8 +313,8 @@ func FuzzAppendFloat(f *testing.F) {
 		}
 		var gotState StateRequest
 		var gotFeedback FeedbackRequest
-		_, stateErr = decodeRequest(elidedMediaType, state, &gotState, new(requestScratch))
-		_, feedbackErr = decodeRequest(elidedMediaType, feedback, &gotFeedback, nil)
+		_, stateErr = decodeWire(elidedMediaType, state, &gotState, new(requestScratch))
+		_, feedbackErr = decodeWire(elidedMediaType, feedback, &gotFeedback, nil)
 		if stateErr != nil || feedbackErr != nil ||
 			math.Float64bits(gotState.VMs[1].Utilization) != bits || !same(&gotFeedback, &fb) {
 			t.Fatalf("%g (bits %#x): decoded %v (%v) and %+v (%v)", x, bits,

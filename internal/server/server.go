@@ -525,14 +525,6 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// writeJSONBytes answers 200 with a body already encoded, newline included,
-// as writeJSON would have written it.
-func writeJSONBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
@@ -585,14 +577,14 @@ func readBody(body io.Reader, declared, limit int64, into []byte) ([]byte, error
 }
 
 // decodeBody reads one request body of at most limit bytes and decodes it
-// into v by decodeRequest — a feedback post under elidedMediaType is binary,
+// into v by decodeWire — a feedback post under elidedMediaType is binary,
 // every other body JSON, and bytes after the first JSON value are ignored, as
 // json.Decoder ignores them. On failure it has answered — see rejectBody —
 // and returns false.
 func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
 	buf, err := readBody(r.Body, r.ContentLength, limit, nil)
 	if err == nil {
-		_, err = decodeRequest(r.Header.Get("Content-Type"), buf, v, nil)
+		_, err = decodeWire(r.Header.Get("Content-Type"), buf, v, nil)
 	}
 	if err != nil {
 		rejectBody(w, err, what)
@@ -601,7 +593,7 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, limit int64
 }
 
 // decodeSnapshots is decodeBody for the two bodies that carry snapshots, v a
-// *StateRequest or a *BatchDecideRequest (see decodeRequest). A binary body
+// *StateRequest or a *BatchDecideRequest (see decodeWire). A binary body
 // is read and decoded into the session's scratch: the caller recycles the
 // returned scratch when it has answered, and v dies with it. A JSON body is
 // counted as a decode fallback and owns its memory; the scratch returned for
@@ -611,7 +603,7 @@ func (s *Service) decodeSnapshots(w http.ResponseWriter, r *http.Request, sess *
 	buf, err := readBody(r.Body, r.ContentLength, limit, sc.body)
 	if err == nil {
 		var isBinary bool
-		if isBinary, err = decodeRequest(r.Header.Get("Content-Type"), buf, v, sc); !isBinary {
+		if isBinary, err = decodeWire(r.Header.Get("Content-Type"), buf, v, sc); !isBinary {
 			s.decodeFallback.Inc()
 		} else if err == nil {
 			sc.body = buf
@@ -687,14 +679,14 @@ func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *se
 	// A single decide is a one-item batch. decideItems returns caller-owned
 	// slices, so nothing here races the lock release.
 	start := time.Now()
-	outs, err := s.decideItems(sess, []decideItem{{state: &req, base: base}})
+	items := []decideItem{{state: &req, base: base}}
+	outs, err := s.decideItems(sess, items)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	s.slo.Observe(time.Since(start).Seconds())
-	body := appendDecideResponse(make([]byte, 0, 64+32*len(outs[0])), req.Step, outs[0])
-	writeJSONBytes(w, append(body, '\n'))
+	writeDecisions(w, r, items, outs, false)
 }
 
 // decideBatchSession is the batched decide path: many observe→decide steps
@@ -769,14 +761,6 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		writeError(w, statusFor(err), err)
 		return
 	}
-	body := append(make([]byte, 0, 64*len(items)), `{"results":[`...)
-	for i, migs := range outs {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = appendDecideResponse(body, items[i].state.Step, migs)
-	}
-	body = append(body, "]}\n"...)
 	// The SLO sees the per-item amortized latency — the fair comparison
 	// against single decides, since one batch request answers N steps.
 	s.slo.ObserveN(time.Since(start).Seconds()/float64(len(items)), int64(len(items)))
@@ -793,7 +777,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		}
 		sess.tracer.Emit(&ev)
 	}
-	writeJSONBytes(w, body)
+	writeDecisions(w, r, items, outs, true)
 }
 
 func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *session) {

@@ -1,64 +1,56 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-)
-
-// ring is a bounded buffer of the most recent encoded events. It stores
-// private copies of the encoded lines, so Tracer.buf can be reused
-// across Emit calls. Callers hold the Tracer mutex.
+// ring is a bounded buffer of the most recent events, kept as values and
+// formatted only when read. It grows to size as events arrive, so a session
+// that never traces holds no slots. Callers hold the Tracer mutex.
 type ring struct {
-	lines [][]byte
-	next  int
-	full  bool
+	events []Event
+	size   int
+	next   int
 }
 
 func newRing(size int) *ring {
-	return &ring{lines: make([][]byte, size)}
+	return &ring{size: size}
 }
 
-// push stores a copy of one encoded line (trailing newline trimmed).
-func (r *ring) push(line []byte) {
-	line = bytes.TrimSuffix(line, []byte{'\n'})
-	slot := r.lines[r.next]
-	r.lines[r.next] = append(slot[:0], line...)
-	r.next++
-	if r.next == len(r.lines) {
-		r.next = 0
-		r.full = true
+// copyEvent makes *dst a deep copy of *src, reusing dst's slices, so a slot
+// stops allocating once it has held an event as large as the one it takes.
+func copyEvent(dst, src *Event) {
+	old := *dst
+	*dst = *src
+	dst.Candidates = append(old.Candidates[:0], src.Candidates...)
+	dst.Spans = append(old.Spans[:0], src.Spans...)
+	dst.Executed = append(old.Executed[:0], src.Executed...)
+	dst.Rejected = append(old.Rejected[:0], src.Rejected...)
+	dst.Woken = append(old.Woken[:0], src.Woken...)
+	dst.Slept = append(old.Slept[:0], src.Slept...)
+	dst.Arrived = append(old.Arrived[:0], src.Arrived...)
+	dst.Departed = append(old.Departed[:0], src.Departed...)
+}
+
+// push stores a copy of ev in the oldest slot.
+func (r *ring) push(ev *Event) {
+	if len(r.events) < r.size {
+		r.events = append(r.events, Event{})
 	}
+	copyEvent(&r.events[r.next], ev)
+	r.next = (r.next + 1) % r.size
 }
 
-// len reports how many events the ring currently holds.
-func (r *ring) len() int {
-	if r.full {
-		return len(r.lines)
-	}
-	return r.next
-}
-
-// tail returns up to n of the most recent events, oldest first. The
-// returned slices are copies, safe to retain after the lock is released.
-func (r *ring) tail(n int) []json.RawMessage {
-	have := r.len()
+// tail returns copies of up to n of the most recent events, oldest first
+// (n ≤ 0: all of them), safe to read after the lock is released.
+func (r *ring) tail(n int) []Event {
+	have := len(r.events)
 	if n <= 0 || n > have {
 		n = have
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]json.RawMessage, 0, n)
-	start := r.next - n
-	if r.full && start < 0 {
-		start += len(r.lines)
-	}
-	if start < 0 {
-		start = 0
-	}
-	for i := 0; i < n; i++ {
-		idx := (start + i) % len(r.lines)
-		out = append(out, append(json.RawMessage(nil), r.lines[idx]...))
+	out := make([]Event, n)
+	start := r.next - n + have
+	for i := range out {
+		copyEvent(&out[i], &r.events[(start+i)%have])
 	}
 	return out
 }

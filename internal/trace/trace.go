@@ -7,11 +7,11 @@
 //
 // A Tracer fans each Event out to two sinks: an optional JSONL stream
 // (buffered writer over a file or any io.Writer) and an optional bounded
-// in-memory ring for live inspection (meghd serves it at
-// GET /v2/sessions/{id}/trace/tail). Events are encoded with a hand-rolled append-based
-// JSON encoder so that (a) the enabled hot path stays cheap and (b) the
-// byte output is a pure function of the event values — two runs with the
-// same seed produce byte-identical traces, which is what makes
+// in-memory ring of event values, encoded only when read (meghd serves it
+// at GET /v2/sessions/{id}/trace/tail). Events are encoded with a hand-rolled
+// append-based JSON encoder so that (a) the enabled hot path stays cheap and
+// (b) the byte output is a pure function of the event values — two runs
+// with the same seed produce byte-identical traces, which is what makes
 // `meghtrace diff` meaningful.
 //
 // Wall-clock span timings are opt-in (Options.Timings) precisely because
@@ -188,8 +188,8 @@ type Tracer struct {
 }
 
 // New builds a Tracer. With neither Path, W, nor a ring it still works
-// (events are encoded and counted) but retains nothing; pass a nil
-// *Tracer instead to disable tracing outright.
+// (events are counted) but retains nothing; pass a nil *Tracer instead to
+// disable tracing outright.
 func New(o Options) (*Tracer, error) {
 	t := &Tracer{timings: o.Timings}
 	switch {
@@ -222,7 +222,7 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // Timings reports whether wall-clock spans should be recorded.
 func (t *Tracer) Timings() bool { return t != nil && t.timings }
 
-// Emit encodes the event and appends it to the configured sinks. The
+// Emit encodes the event to the stream and copies it into the ring. The
 // event may be reused by the caller as soon as Emit returns.
 func (t *Tracer) Emit(ev *Event) {
 	if t == nil || ev == nil {
@@ -230,14 +230,13 @@ func (t *Tracer) Emit(ev *Event) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf = appendEventJSON(t.buf[:0], ev)
-	t.buf = append(t.buf, '\n')
 	t.events++
 	if t.w != nil {
+		t.buf = append(appendEventJSON(t.buf[:0], ev), '\n')
 		_, _ = t.w.Write(t.buf)
 	}
 	if t.ring != nil {
-		t.ring.push(t.buf)
+		t.ring.push(ev)
 	}
 }
 
@@ -252,18 +251,24 @@ func (t *Tracer) Events() uint64 {
 }
 
 // Tail returns up to n of the most recent events, oldest first, as raw
-// JSON objects (ready to embed in a JSON array response). A nil tracer
-// or disabled ring yields nil.
+// JSON objects (the stream's bytes, ready to embed in a JSON array). It
+// encodes them after releasing the lock, so a tail read never stalls an
+// Emit. A nil tracer or disabled ring yields nil.
 func (t *Tracer) Tail(n int) []json.RawMessage {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ring == nil {
-		return nil
+	var evs []Event
+	if t.ring != nil {
+		evs = t.ring.tail(n)
 	}
-	return t.ring.tail(n)
+	t.mu.Unlock()
+	var out []json.RawMessage
+	for i := range evs {
+		out = append(out, appendEventJSON(make([]byte, 0, 256), &evs[i]))
+	}
+	return out
 }
 
 // Flush forces buffered bytes to the underlying writer.
