@@ -108,8 +108,12 @@ metriclint:
 # binary answers it reads (a decide's and a two-item batch's)
 # internal/server/testdata/elided.golden, and the flags meghd -h lists
 # cmd/meghd/testdata/flags.golden. Regenerate deliberately (and review the
-# diff) with:
-#   $(GO) test ./internal/server/ -run 'TestRoutesGolden|TestOptionsGolden|TestSessionClientWireBytes' -update
+# diff) with the lines below. The first also rewrites every file that spells
+# a snapshot digest, so a change to the digest or the wire layout regenerates
+# them all at once: elided.golden (TestSessionClientWireBytes) and the
+# FuzzDecideRequestJSON and FuzzDecideRequestBinary seeds under
+# internal/server/testdata/fuzz (TestDecodeFastPath, TestBinaryBodyRefusals).
+#   $(GO) test ./internal/server/ -run 'TestRoutesGolden|TestOptionsGolden|TestSessionClientWireBytes|TestDecodeFastPath|TestBinaryBodyRefusals' -update
 #   $(GO) test ./cmd/meghd/ -run TestFlagsGolden -update
 routes-golden:
 	$(GO) test -run='TestRoutesGolden|TestOptionsGolden|TestSessionClientWireBytes|TestEncoderFloats' ./internal/server/
@@ -137,7 +141,9 @@ bench-trace:
 # allocate under a tenth of the 471 652 B/op it took before the session
 # retained its snapshot and request storage, the elided-snapshot codec
 # must allocate per request, not per VM or batch item (decode ≤ 4, encode
-# ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), and a checkpoint image must cost what it is: encoding one allocates
+# ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), the client's static digest of the
+# 10 000 × 1 000 grid must allocate only its hex string (≤ 1), and a
+# checkpoint image must cost what it is: encoding one allocates
 # the image and little else (≤ 1.05 × the image-bytes it reports — gob took
 # 4.7 ×), verifying one where it lies under 1 KB. Short iteration counts so
 # `make check` stays fast; benchjson fails the build on any regression.
@@ -149,6 +155,8 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecideHandler/elided-grid10k' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkDecideHandler/elided-grid10k=47000
 	$(GO) test -run='TestSnapshotCodecAllocs' -count=1 ./internal/server/
+	$(GO) test -run=- -bench='BenchmarkSnapshotCodec/digest-grid10k' -benchtime=300x -benchmem ./internal/server/ \
+		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkSnapshotCodec/digest-grid10k=1
 	$(GO) test -run=- -bench='BenchmarkCheckpoint/(save|verify)$$' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes 'BenchmarkCheckpoint/save=1.05*image-bytes,BenchmarkCheckpoint/verify=1024'
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"megh/internal/sim"
@@ -205,4 +206,83 @@ func BenchmarkDecide(b *testing.B) {
 		}
 		bench(b, tr, true)
 	})
+}
+
+// nilWhenNoneFailed hands its learner each snapshot with HostFailed nil
+// whenever no host failed, as the service's retained snapshot does.
+type nilWhenNoneFailed struct{ *Megh }
+
+func (p nilWhenNoneFailed) Decide(s *sim.Snapshot) []sim.Migration {
+	if slices.Contains(s.HostFailed, true) {
+		return p.Megh.Decide(s)
+	}
+	c := *s
+	c.HostFailed = nil
+	return p.Megh.Decide(&c)
+}
+
+// A nil HostFailed means no host failed: one stream, with outages on some
+// steps, run once with HostFailed nil on the steps without one and once
+// all-false, gives the same decisions, the same trace bytes and the same
+// final image.
+func TestNilHostFailedMeansNoneFailed(t *testing.T) {
+	cfg := tinyConfig(t, 12, 6, 0.5)
+	cfg.Steps = 60
+	for i := range cfg.Traces {
+		tr := make([]float64, cfg.Steps)
+		for s := range tr {
+			tr[s] = 0.2 + 0.6*float64((i+s)%5)/4
+		}
+		cfg.Traces[i] = tr
+	}
+	cfg.Failures = []sim.Failure{{Host: 2, From: 20, Until: 26}, {Host: 4, From: 41, Until: 43}}
+
+	run := func(nilFailed bool) (*sim.Result, []byte, []byte) {
+		var buf bytes.Buffer
+		tracer, err := trace.New(trace.Options{W: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Tracer = tracer
+		s, err := sim.New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(DefaultConfig(12, 6, 99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Trace(tracer)
+		var p sim.Policy = m
+		if nilFailed {
+			p = nilWhenNoneFailed{m}
+		}
+		res, err := s.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		image, err := m.AppendImage(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Steps {
+			res.Steps[i].DecideSeconds = 0
+		}
+		return res, buf.Bytes(), image
+	}
+	falseRes, falseTrace, falseImage := run(false)
+	nilRes, nilTrace, nilImage := run(true)
+	if !reflect.DeepEqual(falseRes.Steps, nilRes.Steps) {
+		t.Error("a nil HostFailed changed the run's step metrics")
+	}
+	if len(falseTrace) == 0 || !bytes.Equal(falseTrace, nilTrace) {
+		t.Error("a nil HostFailed changed the trace bytes")
+	}
+	if !bytes.Equal(falseImage, nilImage) {
+		t.Error("a nil HostFailed changed the final learner image")
+	}
 }

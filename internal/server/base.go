@@ -38,38 +38,55 @@ type snapshotBase struct {
 }
 
 // staticDigest is the 64-bit content digest of a full snapshot's static
-// fields, as the hex string the wire carries. Client and server both call
-// it, so a digest names the same content on either side. It identifies
-// content among the few bases one session sees; it is not a defence against
-// a caller forging collisions, who could only confuse its own session.
-func staticDigest(hosts []HostState, vms []VMState) string {
-	h := uint64(len(hosts))<<32 ^ uint64(len(vms))
-	mix := func(w uint64) {
-		h ^= w
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 29
-	}
+// fields, as the hex string the wire carries, and the number of its failed
+// hosts, counted in the same pass. Client and server both call it, so a
+// digest names the same content on either side. It identifies content among
+// the few bases one session sees; it is not a defence against a caller
+// forging collisions, who could only confuse its own session.
+//
+// MIPS, RAM and bandwidth each feed a lane of their own, so the three
+// multiplies of one entry overlap instead of waiting on each other; a host's
+// power-model name, when it has one, goes with the host's index into a
+// fourth. Every step is a bijection of its lane for a fixed word and of its
+// word for a fixed lane, so one changed static word always changes the digest.
+func staticDigest(hosts []HostState, vms []VMState) (string, int) {
+	seed := uint64(len(hosts))<<32 ^ uint64(len(vms))
+	mips, ram, bw, names := seed, seed+1, seed+2, seed+3
+	failed := 0
 	for i := range hosts {
 		hs := &hosts[i]
-		mix(math.Float64bits(hs.MIPS))
-		mix(math.Float64bits(hs.RAMMB))
-		mix(math.Float64bits(hs.BandwidthMbps))
-		mix(uint64(len(hs.PowerModel)))
-		for k := 0; k < len(hs.PowerModel); k++ {
-			mix(uint64(hs.PowerModel[k]))
+		mips = mixWord(mips, math.Float64bits(hs.MIPS))
+		ram = mixWord(ram, math.Float64bits(hs.RAMMB))
+		bw = mixWord(bw, math.Float64bits(hs.BandwidthMbps))
+		if name := hs.PowerModel; name != "" {
+			names = mixWord(names, uint64(i)<<32|uint64(len(name)))
+			for k := 0; k < len(name); k++ {
+				names = mixWord(names, uint64(name[k]))
+			}
+		}
+		if hs.Failed {
+			failed++
 		}
 	}
 	for j := range vms {
 		v := &vms[j]
-		mix(math.Float64bits(v.MIPS))
-		mix(math.Float64bits(v.RAMMB))
-		mix(math.Float64bits(v.BandwidthMbps))
+		mips = mixWord(mips, math.Float64bits(v.MIPS))
+		ram = mixWord(ram, math.Float64bits(v.RAMMB))
+		bw = mixWord(bw, math.Float64bits(v.BandwidthMbps))
 	}
+	h := mixWord(mixWord(mixWord(mips, ram), bw), names)
 	// splitmix64 finalizer: avalanche the last word's low bits.
 	h ^= h >> 30
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return strconv.FormatUint(h, 16)
+	return strconv.FormatUint(h, 16), failed
+}
+
+// mixWord is one step of a staticDigest lane.
+func mixWord(h, w uint64) uint64 {
+	h ^= w
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>29
 }
 
 // sameStatic reports whether b's static fields — everything staticDigest
@@ -142,7 +159,7 @@ func resolveBase(cur *snapshotBase, r *StateRequest, id string, spec SessionSpec
 			return nil, fmt.Errorf("snapshot is %d×%d, session %q configured for %d×%d",
 				len(r.VMs), len(r.Hosts), id, spec.NumVMs, spec.NumHosts)
 		}
-		digest := staticDigest(r.Hosts, r.VMs)
+		digest, _ := staticDigest(r.Hosts, r.VMs)
 		if cur != nil && cur.digest == digest {
 			return cur, nil
 		}
@@ -193,9 +210,12 @@ func resolveBase(cur *snapshotBase, r *StateRequest, id string, spec SessionSpec
 // session whatever the traffic, and a fill allocates nothing.
 type retainedSnapshot struct {
 	snap sim.Snapshot
+	// failed is HostFailed's storage. snap.HostFailed is failed when some
+	// host failed and nil otherwise, so no reader scans N false entries.
+	failed []bool
 	// touched lists the hosts the last fill occupied or failed — the only
-	// hosts whose HostVMs, HostUtil and HostFailed entries are not zero, so
-	// the only ones the next fill resets.
+	// hosts whose HostVMs, HostUtil and failed entries are not zero, so the
+	// only ones the next fill resets.
 	touched []int
 	// arena is the N slots the per-host lists are carved from: a list's
 	// length is known before its first append, so a host's list never regrows
@@ -209,28 +229,28 @@ type retainedSnapshot struct {
 // or failed, now or at the last fill), not O(M). VMs are appended in
 // ascending order and each host's demand is summed in list order, so every
 // field, trace.Digest64 and therefore every decision are what a fresh build
-// (the snapshot oracle in base_test.go) gives; HostFailed is never nil. The
-// result is valid until the next fill.
+// (the snapshot oracle in base_test.go) gives. The result is valid until the
+// next fill.
 func (rs *retainedSnapshot) fill(r *StateRequest, b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
 	s := &rs.snap
 	nH, nV := len(b.hostSpecs), len(b.vmSpecs)
 	if len(s.HostUtil) != nH || len(s.VMHost) != nV {
 		*rs = retainedSnapshot{
 			snap: sim.Snapshot{
-				VMHost:     make([]int, nV),
-				VMUtil:     make([]float64, nV),
-				VMMIPS:     make([]float64, nV),
-				HostUtil:   make([]float64, nH),
-				HostVMs:    make([][]int, nH),
-				HostFailed: make([]bool, nH),
+				VMHost:   make([]int, nV),
+				VMUtil:   make([]float64, nV),
+				VMMIPS:   make([]float64, nV),
+				HostUtil: make([]float64, nH),
+				HostVMs:  make([][]int, nH),
 			},
-			arena: make([]int, nV),
+			failed: make([]bool, nH),
+			arena:  make([]int, nV),
 		}
 	}
 	// A host joins touched before anything of its is written, so a fill that
 	// panicked half way still leaves the next one a complete reset list.
 	for _, i := range rs.touched {
-		s.HostVMs[i], s.HostUtil[i], s.HostFailed[i] = nil, 0, false
+		s.HostVMs[i], s.HostUtil[i], rs.failed[i] = nil, 0, false
 	}
 	rs.touched = rs.touched[:0]
 	s.Step, s.StepSeconds, s.OverloadThreshold = r.Step, stepSeconds, overload
@@ -239,14 +259,18 @@ func (rs *retainedSnapshot) fill(r *StateRequest, b *snapshotBase, overload, ste
 	for i := range r.Hosts {
 		if r.Hosts[i].Failed {
 			rs.touched = append(rs.touched, i)
-			s.HostFailed[i] = true
+			rs.failed[i] = true
 		}
 	}
 	for _, i := range r.FailedHosts {
-		if !s.HostFailed[i] {
+		if !rs.failed[i] {
 			rs.touched = append(rs.touched, i)
-			s.HostFailed[i] = true
+			rs.failed[i] = true
 		}
+	}
+	s.HostFailed = nil // touched holds the failed hosts and nothing else yet
+	if len(rs.touched) > 0 {
+		s.HostFailed = rs.failed
 	}
 	// First pass: the per-VM fields, and each host's VM count — kept, until
 	// the lists are carved, as the length of the host's own list header: a
@@ -257,7 +281,7 @@ func (rs *retainedSnapshot) fill(r *StateRequest, b *snapshotBase, overload, ste
 		s.VMUtil[j] = v.Utilization
 		s.VMMIPS[j] = v.Utilization * b.vmSpecs[j].MIPS
 		n := len(s.HostVMs[v.Host])
-		if n == 0 && !s.HostFailed[v.Host] {
+		if n == 0 && !rs.failed[v.Host] {
 			rs.touched = append(rs.touched, v.Host)
 		}
 		s.HostVMs[v.Host] = rs.arena[:n+1]

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +59,7 @@ func TestElidedSnapshotsPreserveDecisions(t *testing.T) {
 			}
 			if held == "" {
 				// The first snapshot travels in full and establishes the base.
-				held = staticDigest(req.Hosts, req.VMs)
+				held = digestOf(&req)
 				return req
 			}
 			return elideSnapshot(&req, held)
@@ -122,6 +124,68 @@ func TestElidedSnapshotsPreserveDecisions(t *testing.T) {
 	}
 }
 
+// TestStaticDigestSeesEveryStaticField: one flipped bit of any host's or
+// VM's MIPS, RAM or bandwidth, a renamed or moved power model and either
+// count each change the digest; a failed host, a VM's placement and its
+// utilization do not. The failed hosts it counts are the failed hosts.
+func TestStaticDigestSeesEveryStaticField(t *testing.T) {
+	world := func() StateRequest {
+		w := testWorld(5, 4, true)
+		w.Hosts[1].PowerModel = "g5"
+		w.Hosts[3].PowerModel = ""
+		w.Hosts[2].Failed = true
+		return w
+	}
+	w := world()
+	digest, failed := staticDigest(w.Hosts, w.VMs)
+	if failed != 1 {
+		t.Fatalf("counted %d failed hosts, want 1", failed)
+	}
+	check := func(what string, moves bool, edit func(*StateRequest)) {
+		t.Helper()
+		w := world()
+		edit(&w)
+		if d, _ := staticDigest(w.Hosts, w.VMs); (d != digest) != moves {
+			t.Errorf("%s: digest %s, unchanged %s", what, d, digest)
+		}
+	}
+	flip := func(f *float64, bit int) { *f = math.Float64frombits(math.Float64bits(*f) ^ 1<<bit) }
+	for bit := 0; bit < 64; bit++ {
+		for i := range w.Hosts {
+			check(fmt.Sprintf("host %d MIPS bit %d", i, bit), true, func(w *StateRequest) { flip(&w.Hosts[i].MIPS, bit) })
+			check(fmt.Sprintf("host %d RAM bit %d", i, bit), true, func(w *StateRequest) { flip(&w.Hosts[i].RAMMB, bit) })
+			check(fmt.Sprintf("host %d bandwidth bit %d", i, bit), true, func(w *StateRequest) { flip(&w.Hosts[i].BandwidthMbps, bit) })
+		}
+		for j := range w.VMs {
+			check(fmt.Sprintf("VM %d MIPS bit %d", j, bit), true, func(w *StateRequest) { flip(&w.VMs[j].MIPS, bit) })
+			check(fmt.Sprintf("VM %d RAM bit %d", j, bit), true, func(w *StateRequest) { flip(&w.VMs[j].RAMMB, bit) })
+			check(fmt.Sprintf("VM %d bandwidth bit %d", j, bit), true, func(w *StateRequest) { flip(&w.VMs[j].BandwidthMbps, bit) })
+		}
+	}
+	check("g5 renamed g4", true, func(w *StateRequest) { w.Hosts[1].PowerModel = "g4" })
+	check("g5 moved from host 1 to host 3", true, func(w *StateRequest) { w.Hosts[1].PowerModel, w.Hosts[3].PowerModel = "", "g5" })
+	check("host 0's name dropped", true, func(w *StateRequest) { w.Hosts[0].PowerModel = "" })
+	check("a host more", true, func(w *StateRequest) { w.Hosts = append(w.Hosts, w.Hosts[0]) })
+	check("a VM fewer", true, func(w *StateRequest) { w.VMs = w.VMs[:4] })
+	check("host 0 failed", false, func(w *StateRequest) { w.Hosts[0].Failed = true })
+	check("host 2 recovered", false, func(w *StateRequest) { w.Hosts[2].Failed = false })
+	check("VM 0 moved", false, func(w *StateRequest) { w.VMs[0].Host = 3 })
+	check("VM 4 at another utilization", false, func(w *StateRequest) { w.VMs[4].Utilization = 0.9 })
+
+	for mask := 0; mask < 1<<len(w.Hosts); mask++ {
+		want := 0
+		for i := range w.Hosts {
+			w.Hosts[i].Failed = mask&(1<<i) != 0
+			if w.Hosts[i].Failed {
+				want++
+			}
+		}
+		if d, got := staticDigest(w.Hosts, w.VMs); got != want || d != digest {
+			t.Errorf("failed-host mask %04b: counted %d (want %d), digest %s (want %s)", mask, got, want, d, digest)
+		}
+	}
+}
+
 // TestBaseConflictTouchesNothing: an elided request naming a base the
 // session does not hold — none yet, an unknown digest, a digest a later
 // full snapshot replaced — answers 409 in the JSON envelope and leaves
@@ -156,7 +220,7 @@ func TestBaseConflictTouchesNothing(t *testing.T) {
 	}
 
 	first := sessionWorld(4, 3, 0)
-	x := staticDigest(first.Hosts, first.VMs)
+	x := digestOf(&first)
 	refuse("elided before any base", "/decide", elideSnapshot(&first, x))
 
 	if status, raw := rawPost(t, url+"/decide", first); status != http.StatusOK {
@@ -173,7 +237,7 @@ func TestBaseConflictTouchesNothing(t *testing.T) {
 	// now stale.
 	second := sessionWorld(4, 3, 1)
 	second.Hosts[0].MIPS = 5000
-	y := staticDigest(second.Hosts, second.VMs)
+	y := digestOf(&second)
 	if status, raw := rawPost(t, url+"/decide", second); status != http.StatusOK {
 		t.Fatalf("second full decide: %d %s", status, raw)
 	}
@@ -212,7 +276,7 @@ func TestThrottledRequestLeavesBase(t *testing.T) {
 	url := ts.URL + "/v2/sessions/" + DefaultSessionID
 
 	first := sessionWorld(4, 3, 0)
-	x := staticDigest(first.Hosts, first.VMs)
+	x := digestOf(&first)
 	if status, raw := rawPost(t, url+"/decide", first); status != http.StatusOK {
 		t.Fatalf("full decide: %d %s", status, raw)
 	}
@@ -229,7 +293,7 @@ func TestThrottledRequestLeavesBase(t *testing.T) {
 		"batch replacing the base": func() (int, []byte) {
 			return rawPost(t, url+"/decide/batch", BatchDecideRequest{Items: []BatchDecideItem{
 				{State: other},
-				{State: elideSnapshot(&other, staticDigest(other.Hosts, other.VMs))},
+				{State: elideSnapshot(&other, digestOf(&other))},
 			}})
 		},
 	} {
@@ -256,7 +320,7 @@ func TestElidedSnapshotRejections(t *testing.T) {
 	_, ts := newSessionService(t, 0)
 	url := ts.URL + "/v2/sessions/" + DefaultSessionID + "/decide"
 	world := sessionWorld(4, 3, 0)
-	digest := staticDigest(world.Hosts, world.VMs)
+	digest := digestOf(&world)
 	if status, raw := rawPost(t, url, world); status != http.StatusOK {
 		t.Fatalf("full decide: %d %s", status, raw)
 	}
@@ -649,8 +713,9 @@ func TestRequestBodyLimits(t *testing.T) {
 
 // snapshot is the conversion the service ran per request before it retained
 // one snapshot per session: everything built fresh, O(N + M). Kept verbatim
-// (minus the all-nil history tables, which went with snapshotBase's) as the
-// oracle retainedSnapshot.fill is compared with.
+// (minus the all-nil history tables, which went with snapshotBase's, and with
+// HostFailed nil when no host failed, as sim.Snapshot allows) as the oracle
+// retainedSnapshot.fill is compared with.
 func (r *StateRequest) snapshot(b *snapshotBase, overload, stepSeconds float64) *sim.Snapshot {
 	nH, nV := len(b.hostSpecs), len(b.vmSpecs)
 	s := &sim.Snapshot{
@@ -671,6 +736,9 @@ func (r *StateRequest) snapshot(b *snapshotBase, overload, stepSeconds float64) 
 	}
 	for _, i := range r.FailedHosts {
 		s.HostFailed[i] = true
+	}
+	if !slices.Contains(s.HostFailed, true) {
+		s.HostFailed = nil
 	}
 	for j := range r.VMs {
 		v := &r.VMs[j]

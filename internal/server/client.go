@@ -422,12 +422,12 @@ func (s *SessionClient) Decide(ctx context.Context, req StateRequest) (DecideRes
 	if req.Base != "" || !elidable(&req) {
 		return out, s.c.send(ctx, http.MethodPost, path, req, &out)
 	}
-	digest := staticDigest(req.Hosts, req.VMs)
+	digest, failed := staticDigest(req.Hosts, req.VMs)
 	if held := s.base.Load(); held != nil && *held == digest {
 		body := s.takeBody(elidedSizeHint(&req))
 		defer body.release()
 		var err error
-		if body.buf, err = appendBinaryState(body.buf, &req, digest); err != nil {
+		if body.buf, err = appendBinaryState(body.buf, &req, digest, failed); err != nil {
 			return out, encodingError(path, err)
 		}
 		if err = s.c.do(ctx, http.MethodPost, path, elidedMediaType, body.buf, body, &out); !isBaseConflict(err) {
@@ -512,7 +512,7 @@ func elideItems(items []BatchDecideItem, base string) ([]BatchDecideItem, string
 		// Consecutive items mostly share their static half: hash it only
 		// when it differs from the previous item's.
 		if i == 0 || !sameStatic(&items[i-1].State, st) {
-			digest = staticDigest(st.Hosts, st.VMs)
+			digest, _ = staticDigest(st.Hosts, st.VMs)
 		}
 		if digest == base && elidable(st) {
 			if wire != nil {

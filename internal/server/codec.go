@@ -280,18 +280,13 @@ func elidedSizeHint(r *StateRequest) int {
 }
 
 // appendBinaryState appends full snapshot r's elided form: r's step, digest
-// as its base — staticDigest of r's static fields — the indices of r's failed
-// hosts, and r's VMs stripped to host and utilization.
-func appendBinaryState(b []byte, r *StateRequest, digest string) ([]byte, error) {
+// as its base, the indices of r's failed hosts, and r's VMs stripped to host
+// and utilization. digest and failed are what staticDigest returns for r, so
+// the hosts are read again only when some host failed.
+func appendBinaryState(b []byte, r *StateRequest, digest string, failed int) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(r.Step))
 	b = binary.AppendUvarint(b, uint64(len(digest)))
 	b = append(b, digest...)
-	failed := 0
-	for i := range r.Hosts {
-		if r.Hosts[i].Failed {
-			failed++
-		}
-	}
 	b = binary.AppendUvarint(b, uint64(failed))
 	for i := 0; failed > 0; i++ {
 		if r.Hosts[i].Failed {
@@ -334,7 +329,13 @@ func appendBinaryBatch(b []byte, items []BatchDecideItem, digest string) ([]byte
 		} else if b, err = appendBinaryFeedback(append(b, 1), it.Feedback); err != nil {
 			return b, err
 		}
-		if b, err = appendBinaryState(b, &it.State, digest); err != nil {
+		failed := 0
+		for h := range it.State.Hosts {
+			if it.State.Hosts[h].Failed {
+				failed++
+			}
+		}
+		if b, err = appendBinaryState(b, &it.State, digest, failed); err != nil {
 			return b, err
 		}
 	}

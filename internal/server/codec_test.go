@@ -186,7 +186,7 @@ type codecSeed struct {
 // TestDecodeFastPath keeps in step.
 func codecSeeds() []codecSeed {
 	world := testWorld(3, 2, true)
-	head := fmt.Sprintf(`{"step":4,"base":"%s",`, staticDigest(world.Hosts, world.VMs))
+	head := fmt.Sprintf(`{"step":4,"base":"%s",`, digestOf(&world))
 	vms := func(first string) string {
 		return `"vms":[` + first + `,{"host":0,"utilization":0.3},{"host":1,"utilization":0.3}]}`
 	}
@@ -330,7 +330,7 @@ type binarySeed struct {
 // same bodies, committed under testdata/fuzz.
 func binarySeeds() []binarySeed {
 	world := testWorld(3, 2, true)
-	digest := staticDigest(world.Hosts, world.VMs)
+	digest := digestOf(&world)
 	elided := elideSnapshot(&world, digest)
 	elided.Step, elided.FailedHosts = 4, []int{1}
 	state := wireBody(&elided)
@@ -502,7 +502,7 @@ func batchWire(t *testing.T, held string, req BatchDecideRequest) wireReq {
 	wire, all := BatchDecideRequest{Items: slices.Clone(req.Items)}, true
 	for i := range wire.Items {
 		st := &wire.Items[i].State
-		if d := staticDigest(st.Hosts, st.VMs); d != held || !elidable(st) {
+		if d := digestOf(st); d != held || !elidable(st) {
 			held, all = d, false
 			continue
 		}
@@ -576,7 +576,7 @@ func TestSessionClientWireBytes(t *testing.T) {
 		if _, err := sc.Decide(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-		if d := staticDigest(req.Hosts, req.VMs); d != digest {
+		if d := digestOf(&req); d != digest {
 			digest = d
 			expect(fmt.Sprintf("step %d, full", step), jsonWire(t, req))
 			continue
@@ -889,7 +889,7 @@ func TestEncoderFloats(t *testing.T) {
 	ctx := context.Background()
 	sc := NewClient(ts.URL, nil).Session("floats")
 	req := elideWorld(0)
-	digest := staticDigest(req.Hosts, req.VMs)
+	digest := digestOf(&req)
 	if _, err := sc.Decide(ctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -1140,6 +1140,18 @@ func grid10k() StateRequest {
 	return req
 }
 
+// digestOf is staticDigest of r's static fields.
+func digestOf(r *StateRequest) string {
+	digest, _ := staticDigest(r.Hosts, r.VMs)
+	return digest
+}
+
+// encodeElided is full snapshot r's binary elided body under its own digest.
+func encodeElided(r *StateRequest) ([]byte, error) {
+	digest, failed := staticDigest(r.Hosts, r.VMs)
+	return appendBinaryState(nil, r, digest, failed)
+}
+
 // paperBatchRequest is a 16-item decide/batch request at the paper's
 // 100 × 150 grid, every item carrying feedback, in full — what the
 // batch-replay workload's client encodes — with the digest all its items'
@@ -1152,7 +1164,7 @@ func paperBatchRequest() (req BatchDecideRequest, digest string) {
 		for j := range world.VMs {
 			world.VMs[j].Utilization = r.Float64()
 		}
-		digest = staticDigest(world.Hosts, world.VMs)
+		digest = digestOf(&world)
 		req.Items = append(req.Items, BatchDecideItem{
 			State:    world,
 			Feedback: &FeedbackRequest{Step: k - 1, StepCost: r.Float64(), EnergyCost: r.Float64(), SLACost: r.Float64()},
@@ -1181,8 +1193,8 @@ func paperBatch(tb testing.TB) []byte {
 func TestSnapshotCodecAllocs(t *testing.T) {
 	req := grid10k()
 	req.Hosts[17].Failed = true
-	digest := staticDigest(req.Hosts, req.VMs)
-	body, err := appendBinaryState(nil, &req, digest)
+	digest, failed := staticDigest(req.Hosts, req.VMs)
+	body, err := appendBinaryState(nil, &req, digest, failed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1195,7 +1207,7 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 		t.Errorf("decoding a 1000-VM elided snapshot took %.0f allocations, want at most 4", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := appendBinaryState(make([]byte, 0, elidedSizeHint(&req)), &req, digest); err != nil {
+		if _, err := appendBinaryState(make([]byte, 0, elidedSizeHint(&req)), &req, digest, failed); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
@@ -1222,11 +1234,21 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 // what it always did.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	grid := grid10k()
-	digest := staticDigest(grid.Hosts, grid.VMs)
-	elided, err := appendBinaryState(nil, &grid, digest)
+	digest, failed := staticDigest(grid.Hosts, grid.VMs)
+	elided, err := appendBinaryState(nil, &grid, digest, failed)
 	if err != nil {
 		b.Fatal(err)
 	}
+	// What SessionClient.Decide computes per call to learn whether it may
+	// elide: one allocation, the hex string.
+	b.Run("digest-grid10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if d, _ := staticDigest(grid.Hosts, grid.VMs); d != digest {
+				b.Fatalf("digest %s, want %s", d, digest)
+			}
+		}
+	})
 	// Decodes run as a session's do in steady state: into the scratch the
 	// request before left behind.
 	decode := func(contentType string, body []byte, v func() any) func(*testing.B) {
@@ -1248,7 +1270,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.SetBytes(int64(len(elided)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := appendBinaryState(make([]byte, 0, elidedSizeHint(&grid)), &grid, digest); err != nil {
+			if _, err := appendBinaryState(make([]byte, 0, elidedSizeHint(&grid)), &grid, digest, failed); err != nil {
 				b.Fatal(err)
 			}
 		}

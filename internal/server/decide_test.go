@@ -49,7 +49,7 @@ func (tw twinLearner) observe(fb *FeedbackRequest) {
 }
 
 func (tw twinLearner) decide(req StateRequest) DecideResponse {
-	base := newSnapshotBase(&req, staticDigest(req.Hosts, req.VMs))
+	base := newSnapshotBase(&req, digestOf(&req))
 	migs := tw.Decide(req.snapshot(base, tw.spec.OverloadThreshold, tw.spec.StepSeconds))
 	resp := DecideResponse{Step: req.Step, Migrations: make([]MigrationDecision, 0, len(migs))}
 	for _, m := range migs {
@@ -345,7 +345,7 @@ func BenchmarkCoalescedDecide(b *testing.B) {
 			b.Fatal(err)
 		}
 		req := sessionWorld(4, 3, 0)
-		base := newSnapshotBase(&req, staticDigest(req.Hosts, req.VMs))
+		base := newSnapshotBase(&req, digestOf(&req))
 		return svc, []decideItem{{state: &req, base: base}}
 	}
 	b.Run("serial", func(b *testing.B) {

@@ -41,7 +41,7 @@ func fillFromWorld(r, world StateRequest) StateRequest {
 // buggy VMM client hits.
 func FuzzDecideRequestJSON(f *testing.F) {
 	world := testWorld(3, 2, true)
-	held := newSnapshotBase(&world, staticDigest(world.Hosts, world.VMs))
+	held := newSnapshotBase(&world, digestOf(&world))
 
 	valid, err := json.Marshal(world)
 	if err != nil {
@@ -302,7 +302,7 @@ func FuzzAppendFloat(f *testing.F) {
 		req := testWorld(3, 2, false)
 		req.VMs[1].Utilization = x
 		fb := FeedbackRequest{Step: 1, StepCost: x, EnergyCost: x, SLACost: x, ResourceCost: x}
-		state, stateErr := appendBinaryState(nil, &req, "d")
+		state, stateErr := appendBinaryState(nil, &req, "d", 0)
 		feedback, feedbackErr := appendBinaryFeedback(nil, &fb)
 		_, jsonErr := json.Marshal(x)
 		if fmt.Sprint(stateErr) != fmt.Sprint(jsonErr) || fmt.Sprint(feedbackErr) != fmt.Sprint(jsonErr) {

@@ -20,8 +20,9 @@ import (
 
 // sameSnapshot fails unless got, a retained snapshot just filled, is field
 // for field what the fresh build want is: floats equal on their bits, spec
-// slices the same backing arrays, and an empty host list equal to a nil one
-// (the one thing a reader of HostVMs cannot tell apart).
+// slices the same backing arrays, HostFailed nil exactly when no host failed,
+// and an empty host list equal to a nil one (the one thing a reader of HostVMs
+// cannot tell apart).
 func sameSnapshot(t *testing.T, what string, got, want *sim.Snapshot) {
 	t.Helper()
 	bits := func(name string, g, w []float64) {
@@ -46,7 +47,7 @@ func sameSnapshot(t *testing.T, what string, got, want *sim.Snapshot) {
 	bits("VMUtil", got.VMUtil, want.VMUtil)
 	bits("VMMIPS", got.VMMIPS, want.VMMIPS)
 	bits("HostUtil", got.HostUtil, want.HostUtil)
-	if got.HostFailed == nil || !reflect.DeepEqual(got.HostFailed, want.HostFailed) {
+	if !reflect.DeepEqual(got.HostFailed, want.HostFailed) { // nil only equals nil
 		t.Fatalf("%s: HostFailed %v, fresh build %v", what, got.HostFailed, want.HostFailed)
 	}
 	if len(got.HostVMs) != len(want.HostVMs) {
@@ -119,7 +120,7 @@ func TestRetainedSnapshotMatchesFreshBuild(t *testing.T) {
 			req.Hosts[i].Failed = true
 		}
 		if elided {
-			req = elideSnapshot(&req, staticDigest(w.Hosts, w.VMs))
+			req = elideSnapshot(&req, digestOf(w))
 		}
 		before := d.fills
 		d.step(t, &req)
@@ -148,7 +149,7 @@ func TestRetainedSnapshotMatchesFreshBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	for i := 0; i < 300; i++ {
 		w := &world
-		if d.held.digest != staticDigest(world.Hosts, world.VMs) {
+		if d.held.digest != digestOf(&world) {
 			w = &other
 		}
 		full := r.Intn(8) == 0
@@ -198,7 +199,7 @@ func FuzzRetainedSnapshot(f *testing.F) {
 			if data[0]&1 == 1 {
 				// Elided against this world's digest, held or not: a request
 				// naming the other base is a 409 and must leave no trace.
-				req = elideSnapshot(&req, staticDigest(w.Hosts, w.VMs))
+				req = elideSnapshot(&req, digestOf(w))
 			}
 			d.step(t, &req)
 		}
@@ -370,7 +371,7 @@ func TestBatchHoldsOneSnapshot(t *testing.T) {
 			req.Items = append(req.Items, BatchDecideItem{State: w, Feedback: &FeedbackRequest{Step: from + k - 1, StepCost: 0.3}})
 		}
 		w := &req.Items[0].State
-		body, err := appendBinaryBatch(nil, req.Items, staticDigest(w.Hosts, w.VMs))
+		body, err := appendBinaryBatch(nil, req.Items, digestOf(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +386,7 @@ func TestBatchHoldsOneSnapshot(t *testing.T) {
 	body := mkBody(1 + batch)
 
 	world := churnWorld(nVMs, nHosts, 0)
-	base := newSnapshotBase(&world, staticDigest(world.Hosts, world.VMs))
+	base := newSnapshotBase(&world, digestOf(&world))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	snap := world.snapshot(base, 0.7, 300)
@@ -421,8 +422,7 @@ func TestOnlyCanonicalBodiesLeaveScratch(t *testing.T) {
 	if sess.scratch.Load() != nil {
 		t.Fatal("a full-form request left its storage on the session")
 	}
-	digest := staticDigest(full.Hosts, full.VMs)
-	elided, err := appendBinaryState(nil, &full, digest)
+	elided, err := encodeElided(&full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestOnlyCanonicalBodiesLeaveScratch(t *testing.T) {
 	if sess.scratch.Load() != sc {
 		t.Fatal("the next binary request did not reuse the scratch")
 	}
-	post("application/json", mustMarshal(t, elideSnapshot(&full, digest)))
+	post("application/json", mustMarshal(t, elideSnapshot(&full, digestOf(&full))))
 	if sess.scratch.Load() != nil {
 		t.Fatal("a JSON-decoded request left its storage on the session")
 	}
@@ -492,7 +492,7 @@ func TestClientBufferWaitsForTheTransport(t *testing.T) {
 	if _, err := sc.Decide(ctx, elideWorld(2)); err != nil { // must encode into a buffer of its own
 		t.Fatal(err)
 	}
-	want, err := appendBinaryState(nil, &req, staticDigest(req.Hosts, req.VMs))
+	want, err := encodeElided(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func BenchmarkDecideHandler(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		elided, err := appendBinaryState(nil, &grid, staticDigest(grid.Hosts, grid.VMs))
+		elided, err := encodeElided(&grid)
 		if err != nil {
 			b.Fatal(err)
 		}

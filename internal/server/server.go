@@ -842,11 +842,23 @@ func (s *Service) traceTailSession(w http.ResponseWriter, r *http.Request, sess 
 		}
 		n = v
 	}
-	resp := TraceTailResponse{Enabled: sess.tracer.Enabled()}
-	if resp.Enabled {
-		resp.Events = sess.tracer.Tail(n)
+	// The body is what writeJSON makes of a TraceTailResponse, written by
+	// hand: Tail's events are compact JSON already, and encoding/json would
+	// re-validate and compact every one of them.
+	b := strconv.AppendBool([]byte(`{"enabled":`), sess.tracer.Enabled())
+	if events := sess.tracer.Tail(n); len(events) > 0 {
+		b = append(b, `,"events":[`...)
+		for i, ev := range events {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, ev...)
+		}
+		b = append(b, ']')
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, "}\n"...))
 }
 
 // sessionStats builds the stats body, restoring the learner if evicted

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -548,6 +549,64 @@ func TestTraceTailDisabled(t *testing.T) {
 	if tail.Enabled || len(tail.Events) != 0 {
 		t.Fatalf("untraced service must report disabled: %+v", tail)
 	}
+}
+
+// TestTraceTailBody pins the tail route's hand-written body to what
+// writeJSON makes of the same TraceTailResponse, byte for byte: with decide
+// and step events, with n=0, from an empty ring and from a service without a
+// tracer (the last three leave events out, as omitempty does).
+func TestTraceTailBody(t *testing.T) {
+	tracer, err := trace.New(trace.Options{RingSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untraced, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, svc *Service, n int, want TraceTailResponse) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, want)
+		got := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodGet,
+			"/v2/sessions/default/trace/tail?n="+strconv.Itoa(n), nil))
+		if got.Code != http.StatusOK || got.Body.String() != rec.Body.String() {
+			t.Errorf("%s: HTTP %d\n%s\nwriteJSON writes\n%s", what, got.Code, got.Body, rec.Body)
+		}
+		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", what, ct)
+		}
+	}
+	check("empty ring", traced, 10, TraceTailResponse{Enabled: true})
+	check("no tracer", untraced, 10, TraceTailResponse{})
+
+	h := traced.Handler()
+	for step := 0; step < 3; step++ {
+		world := testWorld(4, 3, true)
+		world.Step = step
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/sessions/default/decide",
+			bytes.NewReader(mustMarshal(t, world))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("decide: HTTP %d %s", rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/sessions/default/feedback",
+			bytes.NewReader(mustMarshal(t, FeedbackRequest{Step: step, StepCost: 0.25 * float64(step+1), SLACost: 1e-9}))))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("feedback: HTTP %d %s", rec.Code, rec.Body)
+		}
+	}
+	if events := tracer.Tail(5); len(events) != 5 {
+		t.Fatalf("ring holds %d of the 5 events asked for", len(events))
+	}
+	check("decide and step events", traced, 5, TraceTailResponse{Enabled: true, Events: tracer.Tail(5)})
+	check("n=0", traced, 0, TraceTailResponse{Enabled: true, Events: tracer.Tail(0)})
 }
 
 func TestPprofMounted(t *testing.T) {

@@ -38,7 +38,8 @@ type Snapshot struct {
 	// VMHistory[j] is VM j's recent utilization window, oldest first,
 	// same length policy as HostHistory.
 	VMHistory [][]float64
-	// HostFailed[i] reports an injected outage on host i this step.
+	// HostFailed[i] reports an injected outage on host i this step. Nil
+	// means no host failed, so a reader indexes it only when it is non-empty.
 	HostFailed []bool
 	// VMAlive[j] reports whether VM slot j currently exists. Nil means
 	// the run has no lifecycle: every slot is alive, the historical
