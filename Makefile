@@ -15,9 +15,9 @@ verify:
 # allocation-regression gate on the untraced decide path, and a short
 # fuzz pass over the fuzz targets, the scenario-matrix smoke run, vet +
 # tests of the nested benchmark module, the package-size gate, the
-# reachability gate, a re-run of every committed results/ file, and a run of
-# the end-to-end examples.
-check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check reach-check experiments-check examples-smoke
+# reachability gate, the per-package coverage floors, a re-run of every
+# committed results/ file, and a run of the end-to-end examples.
+check: fmt-check vet routes-golden metriclint race scenario-smoke bench-trace bench-alloc-gate fuzz-short bench-module size-check reach-check cover experiments-check examples-smoke
 
 # A path stays only if a binary or the public API reaches it: every non-test
 # function under internal/ must be linked by a cmd/*, examples/* or bench

@@ -57,41 +57,38 @@ func (m *Megh) SaveState(w io.Writer) error {
 	return nil
 }
 
-// SaveStateFile persists the learner atomically to path: the image is
-// written to a uniquely named temp file in the destination directory and
-// renamed over path. Unique temp names make concurrent writers safe —
-// each completes its own file and the last rename wins with a fully
-// written image, never an interleaved one. Callers that need a consistent
-// snapshot must serialise learner mutation themselves (SaveStateFile only
-// reads).
+// SaveStateFile persists the learner atomically to path (WriteFileAtomic).
+// Callers that need a consistent snapshot must serialise learner mutation
+// themselves (SaveStateFile only reads).
 func (m *Megh) SaveStateFile(path string) error {
 	img, err := m.AppendImage(nil)
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
+	return WriteFileAtomic(path, img)
+}
+
+// WriteFileAtomic is the one writer of checkpoint images on disk: data goes
+// to a uniquely named temp file in path's directory, which is renamed over
+// path. Readers never see a torn image, and concurrent writers each complete
+// their own file — the last rename wins with a whole image, never an
+// interleaved one. A failed write leaves no temp file behind.
+func WriteFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("core: checkpoint temp file: %w", err)
 	}
-	tmp := f.Name()
-	if _, err = f.Write(img); err != nil {
-		err = fmt.Errorf("core: encoding learner state: %w", err)
-	}
+	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		_ = os.Remove(tmp)
-		return err
+		_ = os.Remove(f.Name())
 	}
-	return nil
+	return err
 }
 
 // LoadStateFile reconstructs a learner from a file written by

@@ -94,18 +94,26 @@ func (s *Service) handleClusterInfo(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// clusterScoped runs h for one of the /v2/cluster/.../{id} routes: it
+// answers 412 on an unclustered service and 400 to an invalid session id
+// before h sees the cluster runtime and the id.
+func (s *Service) clusterScoped(h func(http.ResponseWriter, *http.Request, *clusterRuntime, string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cluster == nil {
+			writeError(w, http.StatusPreconditionFailed, errClusterDisabled)
+			return
+		}
+		id := r.PathValue("id")
+		if !validSessionID(id) {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
+			return
+		}
+		h(w, r, s.cluster, id)
+	}
+}
+
 // handleClusterRoute serves GET /v2/cluster/route/{id}.
-func (s *Service) handleClusterRoute(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster
-	if c == nil {
-		writeError(w, http.StatusPreconditionFailed, errClusterDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	if !validSessionID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
-		return
-	}
+func handleClusterRoute(w http.ResponseWriter, _ *http.Request, c *clusterRuntime, id string) {
 	owners := c.node.Owners(id)
 	resp := ClusterRouteResponse{
 		ID:    id,
@@ -128,17 +136,7 @@ func (s *Service) handleClusterRoute(w http.ResponseWriter, r *http.Request) {
 // lies, without building the learner the image describes — before it lands,
 // so an image that would not restore can never shadow a good replica; it
 // lands atomically.
-func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster
-	if c == nil {
-		writeError(w, http.StatusPreconditionFailed, errClusterDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	if !validSessionID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
-		return
-	}
+func handleReplicaPut(w http.ResponseWriter, r *http.Request, c *clusterRuntime, id string) {
 	img, err := readBody(r.Body, r.ContentLength, maxReplicaBytes, nil)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -153,7 +151,7 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replica image is not a valid checkpoint: %w", err))
 		return
 	}
-	if err := writeFileAtomic(c.replicaPath(id), img); err != nil {
+	if err := core.WriteFileAtomic(c.replicaPath(id), img); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("storing replica: %w", err))
 		return
 	}
@@ -163,17 +161,7 @@ func (s *Service) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 // handleReplicaGet serves GET /v2/cluster/replicas/{id}: the stored
 // replica image, so an owner (or an operator) can pull a copy instead of
 // waiting for a push.
-func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster
-	if c == nil {
-		writeError(w, http.StatusPreconditionFailed, errClusterDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	if !validSessionID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
-		return
-	}
+func handleReplicaGet(w http.ResponseWriter, _ *http.Request, c *clusterRuntime, id string) {
 	img, err := os.ReadFile(c.replicaPath(id))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -192,17 +180,7 @@ func (s *Service) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 // stored replica image (204 whether or not one existed — deletes are
 // idempotent). Session deletion broadcasts this to every peer so a
 // deleted tenant's learning cannot resurrect through a stale replica.
-func (s *Service) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster
-	if c == nil {
-		writeError(w, http.StatusPreconditionFailed, errClusterDisabled)
-		return
-	}
-	id := r.PathValue("id")
-	if !validSessionID(id) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %q", errInvalidSessionID, id))
-		return
-	}
+func handleReplicaDelete(w http.ResponseWriter, _ *http.Request, c *clusterRuntime, id string) {
 	if err := os.Remove(c.replicaPath(id)); err != nil && !os.IsNotExist(err) {
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -153,9 +153,10 @@ func TestBatchedFeedbackTracesLikePerStep(t *testing.T) {
 	}
 }
 
-// TestDecideBatchChunked pins the chunking client helper: a stream split
-// into small chunks decides exactly like the same stream posted as one
-// batch, because one session's chunks run serially.
+// TestDecideBatchChunked: a stream posted as consecutive small batches
+// decides exactly like the same stream posted as one batch, because one
+// session's batches run serially — how a caller sends more than
+// MaxBatchItems items.
 func TestDecideBatchChunked(t *testing.T) {
 	const nVMs, nHosts, steps = 6, 7, 25
 	_, ts := newSessionService(t, 0)
@@ -177,14 +178,18 @@ func TestDecideBatchChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chunk size 4 does not divide 25, so the tail chunk is ragged.
-	chunkedOut, err := chunked.DecideBatchChunkedCtx(ctx, BatchDecideRequest{Items: items}, 4)
-	if err != nil {
-		t.Fatal(err)
+	// Chunks of 4 do not divide 25, so the tail chunk is ragged.
+	var chunkedOut []DecideResponse
+	for off := 0; off < len(items); off += 4 {
+		resp, err := chunked.DecideBatchCtx(ctx, BatchDecideRequest{Items: items[off:min(off+4, len(items))]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkedOut = append(chunkedOut, resp.Results...)
 	}
-	if !reflect.DeepEqual(chunkedOut.Results, oneOut.Results) {
+	if !reflect.DeepEqual(chunkedOut, oneOut.Results) {
 		t.Fatalf("chunked decisions diverged from the single batch:\nchunked %+v\nbatch   %+v",
-			chunkedOut.Results, oneOut.Results)
+			chunkedOut, oneOut.Results)
 	}
 }
 

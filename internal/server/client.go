@@ -548,32 +548,6 @@ func elideSnapshot(r *StateRequest, digest string) StateRequest {
 	return out
 }
 
-// DecideBatchChunkedCtx splits an arbitrarily large batch into
-// server-acceptable chunks of at most chunk items (clamped to
-// [1, MaxBatchItems]), posts them in order, and returns the concatenated
-// results — decision-identical to one giant batch, since the server runs
-// chunks of one session serially. A mid-sequence error returns the results
-// of the chunks that completed alongside the error, so the caller knows how
-// far the learner advanced.
-func (s *SessionClient) DecideBatchChunkedCtx(ctx context.Context, req BatchDecideRequest, chunk int) (BatchDecideResponse, error) {
-	if chunk < 1 || chunk > MaxBatchItems {
-		chunk = MaxBatchItems
-	}
-	var out BatchDecideResponse
-	for off := 0; off < len(req.Items); off += chunk {
-		end := off + chunk
-		if end > len(req.Items) {
-			end = len(req.Items)
-		}
-		resp, err := s.DecideBatchCtx(ctx, BatchDecideRequest{Items: req.Items[off:end]})
-		out.Results = append(out.Results, resp.Results...)
-		if err != nil {
-			return out, fmt.Errorf("batch chunk [%d:%d): %w", off, end, err)
-		}
-	}
-	return out, nil
-}
-
 // Feedback reports the realised cost of an interval to the session.
 func (s *SessionClient) Feedback(ctx context.Context, fb FeedbackRequest) error {
 	path := s.prefix + "/feedback"

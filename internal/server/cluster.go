@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"megh/internal/cluster"
+	"megh/internal/core"
 	"megh/internal/obs"
 )
 
@@ -414,30 +415,11 @@ func (c *clusterRuntime) promoteReplica(id, primaryPath string) bool {
 	if err != nil {
 		return false
 	}
-	if err := writeFileAtomic(primaryPath, img); err != nil {
+	if err := core.WriteFileAtomic(primaryPath, img); err != nil {
 		return false
 	}
 	c.cPromoted.Inc()
 	return true
-}
-
-// writeFileAtomic lands data at path via a private temp file + rename, so
-// readers never observe a torn image.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // --- rebalancing --------------------------------------------------------
@@ -495,11 +477,9 @@ func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 		// left in an earlier sweep just had its image re-pushed above —
 		// healing for a replica set that moved again, not a new handoff.
 		if sess.learner != nil {
-			sess.learner = nil
-			sess.health.Detach()
+			c.svc.mgr.release(sess)
 			sess.evictions++
 			c.svc.mgr.cEvict.Inc()
-			c.svc.mgr.noteResident(-1)
 			c.cRebalanced.Inc()
 			resp.Moved++
 		}

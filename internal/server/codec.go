@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"megh/internal/sim"
 )
@@ -342,58 +341,37 @@ func appendBinaryBatch(b []byte, items []BatchDecideItem, digest string) ([]byte
 	return b, nil
 }
 
-// appendDecideResponse appends the decide response for one step as
-// json.Marshal writes a DecideResponse whose Migrations is not nil.
-func appendDecideResponse(b []byte, step int, migs []sim.Migration) []byte {
-	b = append(b, `{"step":`...)
-	b = strconv.AppendInt(b, int64(step), 10)
-	b = append(b, `,"migrations":[`...)
-	for i, m := range migs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"vm":`...)
-		b = strconv.AppendInt(b, int64(m.VM), 10)
-		b = append(b, `,"dest":`...)
-		b = strconv.AppendInt(b, int64(m.Dest), 10)
-		b = append(b, '}')
-	}
-	return append(b, `]}`...)
-}
-
 // writeDecisions answers 200 with outs, the decisions for items, as a
 // decide's answer (items holds one) or, batched, a decide/batch's: binary if
-// the request accepts elidedMediaType, else JSON as writeJSON writes it.
+// the request accepts elidedMediaType, else JSON through writeJSON.
 func writeDecisions(w http.ResponseWriter, r *http.Request, items []decideItem, outs [][]sim.Migration, batched bool) {
-	body := make([]byte, 0, 64*len(outs))
-	if r.Header.Get("Accept") == elidedMediaType {
-		if batched {
-			body = binary.AppendUvarint(body, uint64(len(outs)))
-		}
+	if r.Header.Get("Accept") != elidedMediaType {
+		results := make([]DecideResponse, len(outs))
 		for i, migs := range outs {
-			body = binary.AppendVarint(body, int64(items[i].state.Step))
-			body = binary.AppendUvarint(body, uint64(len(migs)))
-			for _, m := range migs {
-				body = binary.AppendUvarint(binary.AppendUvarint(body, uint64(m.VM)), uint64(m.Dest))
+			results[i] = DecideResponse{Step: items[i].state.Step, Migrations: make([]MigrationDecision, len(migs))}
+			for j, m := range migs {
+				results[i].Migrations[j] = MigrationDecision{VM: m.VM, Dest: m.Dest}
 			}
 		}
-		w.Header().Set("Content-Type", elidedMediaType)
-	} else {
 		if batched {
-			body = append(body, `{"results":[`...)
+			writeJSON(w, http.StatusOK, BatchDecideResponse{Results: results})
+		} else {
+			writeJSON(w, http.StatusOK, results[0])
 		}
-		for i, migs := range outs {
-			if i > 0 {
-				body = append(body, ',')
-			}
-			body = appendDecideResponse(body, items[i].state.Step, migs)
-		}
-		if batched {
-			body = append(body, ']', '}')
-		}
-		body = append(body, '\n')
-		w.Header().Set("Content-Type", "application/json")
+		return
 	}
+	body := make([]byte, 0, 64*len(outs))
+	if batched {
+		body = binary.AppendUvarint(body, uint64(len(outs)))
+	}
+	for i, migs := range outs {
+		body = binary.AppendVarint(body, int64(items[i].state.Step))
+		body = binary.AppendUvarint(body, uint64(len(migs)))
+		for _, m := range migs {
+			body = binary.AppendUvarint(binary.AppendUvarint(body, uint64(m.VM)), uint64(m.Dest))
+		}
+	}
+	w.Header().Set("Content-Type", elidedMediaType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -330,6 +330,55 @@ func TestRetainedSnapshotDiesWithTheLearner(t *testing.T) {
 	if sess.snap != nil || sess.scratch.Load() != nil {
 		t.Fatal("a deleted session keeps its snapshot or its scratch")
 	}
+
+	// Handing the session to its ring owner drops it too: node a holds a
+	// session that b owns, as in TestClusterRebalanceMovesMisplacedSession,
+	// and a rebalance moves it.
+	tc := newTestCluster(t, 2, "a", "b")
+	id := tc.idOwnedBy(t, "a", "b")
+	url := tc.urls["a"] + "/v2/sessions/" + id
+	fwd := map[string]string{forwardedHeader: "test"}
+	if resp := doJSON(t, http.MethodPut, url, clusterSpec, fwd, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	if resp := doJSON(t, http.MethodPost, url+"/decide", sessionWorld(4, 3, 0), fwd, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("full decide: HTTP %d", resp.StatusCode)
+	}
+	// A binary elided decide leaves its request storage on the session.
+	elidedWorld := sessionWorld(4, 3, 1)
+	elided, err := encodeElided(&elidedWorld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url+"/decide", bytes.NewReader(elided))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", elidedMediaType)
+	req.Header.Set(forwardedHeader, "test")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("elided decide: HTTP %d", resp.StatusCode)
+	}
+	if sess, err = tc.svcs["a"].mgr.get(id); err != nil {
+		t.Fatal(err)
+	}
+	if sess.snap == nil || sess.scratch.Load() == nil {
+		t.Fatal("a session that just decided an elided snapshot holds no snapshot or no scratch")
+	}
+	if moved, err := tc.svcs["a"].Rebalance(); err != nil || moved.Moved != 1 {
+		t.Fatalf("rebalance = %+v, %v; want one session moved", moved, err)
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.learner != nil || sess.snap != nil || sess.scratch.Load() != nil {
+		t.Fatalf("a session handed to its owner keeps learner %t, snapshot %t, scratch %t",
+			sess.learner != nil, sess.snap != nil, sess.scratch.Load() != nil)
+	}
 }
 
 // postOK posts body as contentType to path on h, with no socket, and fails

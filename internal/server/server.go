@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -160,33 +161,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 
-	var learner *core.Megh
-	if cfg.CheckpointPath != "" {
-		restored, err := core.LoadStateFile(cfg.CheckpointPath)
-		switch {
-		case err == nil:
-			if lc := restored.Config(); lc.NumVMs != cfg.NumVMs || lc.NumHosts != cfg.NumHosts {
-				return nil, fmt.Errorf(
-					"server: checkpoint %s holds a %d×%d learner but the service is configured for %d×%d; move or delete the stale checkpoint",
-					cfg.CheckpointPath, lc.NumVMs, lc.NumHosts, cfg.NumVMs, cfg.NumHosts)
-			}
-			learner = restored
-		case os.IsNotExist(err):
-		default:
-			return nil, fmt.Errorf("server: restoring %s: %w", cfg.CheckpointPath, err)
-		}
-	}
-	if learner == nil {
-		var err error
-		learner, err = core.New(core.DefaultConfig(cfg.NumVMs, cfg.NumHosts, cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-	}
 	reg := obs.NewRegistry()
-	learner.Instrument(reg)
-	learner.Trace(cfg.Tracer)
-
 	s := &Service{cfg: cfg, reg: reg, reqEpoch: time.Now().UnixNano()}
 	s.mgr = newSessionManager(cfg, reg)
 	if cfg.Cluster != nil {
@@ -223,12 +198,9 @@ func New(cfg Config) (*Service, error) {
 
 	// The default session is the Config's own: pinned (never evicted),
 	// instrumented on the service registry, traced by the shared tracer,
-	// and checkpointing to CheckpointPath (falling back to the session
-	// directory when only that is configured).
-	ckptPath := cfg.CheckpointPath
-	if ckptPath == "" {
-		ckptPath = s.mgr.checkpointPath(DefaultSessionID)
-	}
+	// restored from CheckpointPath when an image is there, and checkpointing
+	// to CheckpointPath (falling back to the session directory when only that
+	// is configured).
 	def := &session{
 		id: DefaultSessionID,
 		spec: SessionSpec{
@@ -238,11 +210,20 @@ func New(cfg Config) (*Service, error) {
 			Seed:              cfg.Seed,
 		},
 		pinned:   true,
-		learner:  learner,
-		health:   newTracker(learner, cfg.Seed, reg),
 		tracer:   cfg.Tracer,
 		reg:      reg,
-		ckptPath: ckptPath,
+		ckptPath: cfg.CheckpointPath,
+	}
+	err := s.mgr.revive(def, cfg.CheckpointPath != "")
+	if errors.Is(err, fs.ErrNotExist) {
+		err = s.mgr.revive(def, false)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	def.health = newTracker(def.learner, cfg.Seed, reg)
+	if def.ckptPath == "" {
+		def.ckptPath = s.mgr.checkpointPath(DefaultSessionID)
 	}
 	sh := s.mgr.shardFor(def.id)
 	sh.mu.Lock()
@@ -305,10 +286,10 @@ func (s *Service) Handler() http.Handler {
 	// /v2/cluster: cluster mode. GET /v2/cluster answers on unclustered
 	// services too (enabled=false); the rest answer 412 there.
 	handle("GET /v2/cluster", s.handleClusterInfo)
-	handle("GET /v2/cluster/route/{id}", s.handleClusterRoute)
-	handle("PUT /v2/cluster/replicas/{id}", s.handleReplicaPut)
-	handle("GET /v2/cluster/replicas/{id}", s.handleReplicaGet)
-	handle("DELETE /v2/cluster/replicas/{id}", s.handleReplicaDelete)
+	handle("GET /v2/cluster/route/{id}", s.clusterScoped(handleClusterRoute))
+	handle("PUT /v2/cluster/replicas/{id}", s.clusterScoped(handleReplicaPut))
+	handle("GET /v2/cluster/replicas/{id}", s.clusterScoped(handleReplicaGet))
+	handle("DELETE /v2/cluster/replicas/{id}", s.clusterScoped(handleReplicaDelete))
 	handle("POST /v2/cluster/rebalance", s.handleRebalance)
 
 	// The global scrape endpoint stays outside the instrument middleware so
@@ -976,12 +957,9 @@ func (s *Service) checkpointSession(sess *session) (CheckpointResponse, error) {
 
 func (s *Service) checkpointHandler(w http.ResponseWriter, sess *session) {
 	resp, err := s.checkpointSession(sess)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case errors.Is(err, errNoCheckpointPath):
-		writeError(w, http.StatusPreconditionFailed, err)
-	default:
+	if err != nil {
 		writeError(w, statusFor(err), err)
+		return
 	}
+	writeJSON(w, http.StatusOK, resp)
 }

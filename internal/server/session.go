@@ -37,6 +37,7 @@ var (
 	errSessionDeleted   = errors.New("session was deleted")
 	errInvalidSessionID = errors.New("invalid session id")
 	errBadSpec          = errors.New("invalid session spec")
+	errCheckpointWorld  = errors.New("checkpoint holds another world")
 )
 
 // session is one tenant: an independent data center with its own learner
@@ -60,7 +61,7 @@ type session struct {
 	// requestScratch), nil while a request holds it or none has left one.
 	// One slot, not a pool: a session is one monitoring pipeline, and a
 	// request that finds the slot empty allocates, as every request used to.
-	// Dropped with snap by evict and delete.
+	// Dropped with snap by release.
 	scratch atomic.Pointer[requestScratch]
 
 	mu sync.Mutex
@@ -69,8 +70,8 @@ type session struct {
 	learner *core.Megh
 	// snap is the one snapshot every decide of this session is filled into
 	// and decided from (see retainedSnapshot). It lives and dies with the
-	// resident learner: nil until the first decide, dropped by evict and
-	// delete, rebuilt by the first decide after a restore.
+	// resident learner: nil until the first decide, dropped by release,
+	// rebuilt by the first decide after a restore.
 	snap *retainedSnapshot
 	// health rides alongside the learner for the session's whole lifetime:
 	// it detaches (keeping its accumulated telemetry) when the learner is
@@ -110,13 +111,6 @@ func (s *session) recycle(sc *requestScratch) {
 	clear(sc.items) // drop the items' own pointers: base strings, feedback
 	sc.body, sc.vms, sc.items, sc.feedbacks = sc.body[:0], sc.vms[:0], sc.items[:0], sc.feedbacks[:0]
 	s.scratch.Store(sc)
-}
-
-// dropRetained releases what a resident session keeps between decides.
-// Callers hold mu.
-func (s *session) dropRetained() {
-	s.snap = nil
-	s.scratch.Store(nil)
 }
 
 // info snapshots the session for GET/list responses. It never restores an
@@ -248,7 +242,7 @@ func (m *sessionManager) writeImage(s *session) ([]byte, error) {
 	start := time.Now()
 	img, err := s.learner.AppendImage(nil)
 	if err == nil {
-		err = writeFileAtomic(s.ckptPath, img)
+		err = core.WriteFileAtomic(s.ckptPath, img)
 	}
 	if err != nil {
 		m.cCkptErrs.Inc()
@@ -270,15 +264,53 @@ func (m *sessionManager) checkpoint(s *session) ([]byte, error) {
 	return img, err
 }
 
-// loadCheckpoint restores a learner from path; when the primary image is
-// missing and the cluster promotion hook lands a replicated copy there,
-// the load is retried once — the failover path after ownership moved.
-func (m *sessionManager) loadCheckpoint(id, path string) (*core.Megh, error) {
-	l, err := core.LoadStateFile(path)
-	if errors.Is(err, fs.ErrNotExist) && m.promoteReplica != nil && m.promoteReplica(id, path) {
-		return core.LoadStateFile(path)
+// revive gives s its learner; it is the one way a session's learner comes
+// to life. With restore set it loads the image at s.ckptPath — when that is
+// missing and the cluster promotion hook lands a replicated copy there, the
+// load is retried once: the failover path after ownership moved — and
+// refuses one whose world is not the session's; a missing image is an error
+// wrapping fs.ErrNotExist, so a caller that may start fresh can tell.
+// Without restore it builds a fresh learner.
+// Either way the learner is instrumented on the session's registry and traced
+// by its tracer; the caller holds s.mu (or owns s before it is registered)
+// and attaches health itself.
+func (m *sessionManager) revive(s *session, restore bool) error {
+	var l *core.Megh
+	var err error
+	if restore {
+		l, err = core.LoadStateFile(s.ckptPath)
+		if errors.Is(err, fs.ErrNotExist) && m.promoteReplica != nil && m.promoteReplica(s.id, s.ckptPath) {
+			l, err = core.LoadStateFile(s.ckptPath)
+		}
+		if err != nil {
+			return fmt.Errorf("restoring session %q from %s: %w", s.id, s.ckptPath, err)
+		}
+		if lc := l.Config(); lc.NumVMs != s.spec.NumVMs || lc.NumHosts != s.spec.NumHosts {
+			return fmt.Errorf("%w: %s holds a %d×%d learner, session %q is %d×%d", errCheckpointWorld,
+				s.ckptPath, lc.NumVMs, lc.NumHosts, s.id, s.spec.NumVMs, s.spec.NumHosts)
+		}
+		s.restores++
+		m.cRestore.Inc()
+	} else if l, err = core.New(core.DefaultConfig(s.spec.NumVMs, s.spec.NumHosts, s.spec.Seed)); err != nil {
+		return err
 	}
-	return l, err
+	l.Instrument(s.reg)
+	l.Trace(s.tracer)
+	s.learner = l
+	return nil
+}
+
+// release drops s's resident learner and everything that lives with it: the
+// retained snapshot and request scratch, the health tracker's hold on it
+// (its telemetry stays) and its share of residency. It is the one way a
+// learner leaves memory — eviction, deletion and a rebalance handoff. The
+// caller holds s.mu and has checked that the learner is resident.
+func (m *sessionManager) release(s *session) {
+	s.learner = nil
+	s.snap = nil
+	s.scratch.Store(nil)
+	s.health.Detach()
+	m.noteResident(-1)
 }
 
 // newTracker attaches a health tracker to a session's learner and publishes
@@ -330,55 +362,25 @@ func (m *sessionManager) put(id string, spec SessionSpec) (*session, bool, error
 		return existing, false, nil
 	}
 
-	ckptPath := m.checkpointPath(id)
 	tracer, err := trace.New(trace.Options{}) // a ring of trace.DefaultRingSize
 	if err != nil {
 		sh.mu.Unlock()
 		return nil, false, err
 	}
-
-	var learner *core.Megh
-	restores := 0
-	if ckptPath != "" {
-		l, err := m.loadCheckpoint(id, ckptPath)
-		switch {
-		case err == nil:
-			if lc := l.Config(); lc.NumVMs != spec.NumVMs || lc.NumHosts != spec.NumHosts {
-				sh.mu.Unlock()
-				return nil, false, fmt.Errorf("%w: checkpoint %s holds a %d×%d learner, request wants %d×%d",
-					errSessionExists, ckptPath, lc.NumVMs, lc.NumHosts, spec.NumVMs, spec.NumHosts)
-			}
-			learner = l
-			restores = 1
-			m.cRestore.Inc()
-		case errors.Is(err, fs.ErrNotExist):
-			// First life of this session: build below.
-		default:
-			sh.mu.Unlock()
-			return nil, false, fmt.Errorf("restoring session %q: %w", id, err)
+	s := &session{id: id, spec: spec, tracer: tracer, reg: obs.NewRegistry(), ckptPath: m.checkpointPath(id)}
+	err = m.revive(s, s.ckptPath != "")
+	if errors.Is(err, fs.ErrNotExist) {
+		err = m.revive(s, false)
+	}
+	if err != nil {
+		sh.mu.Unlock()
+		if errors.Is(err, errCheckpointWorld) {
+			// The request's spec contradicts the image on disk.
+			err = fmt.Errorf("%w: %w", errSessionExists, err)
 		}
+		return nil, false, err
 	}
-	if learner == nil {
-		l, err := core.New(core.DefaultConfig(spec.NumVMs, spec.NumHosts, spec.Seed))
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, false, err
-		}
-		learner = l
-	}
-	reg := obs.NewRegistry()
-	learner.Instrument(reg)
-	learner.Trace(tracer)
-	s := &session{
-		id:       id,
-		spec:     spec,
-		learner:  learner,
-		health:   newTracker(learner, spec.Seed, reg),
-		tracer:   tracer,
-		reg:      reg,
-		restores: restores,
-		ckptPath: ckptPath,
-	}
+	s.health = newTracker(s.learner, spec.Seed, s.reg)
 	sh.m[id] = s
 	sh.mu.Unlock()
 
@@ -408,16 +410,13 @@ func (m *sessionManager) delete(id string) error {
 
 	s.mu.Lock()
 	s.deleted = true
-	wasLive := s.learner != nil
-	s.learner = nil
-	s.dropRetained()
+	if s.learner != nil {
+		m.release(s)
+	}
 	path := s.ckptPath
 	s.mu.Unlock()
 
 	m.gDefined.Add(-1)
-	if wasLive {
-		m.noteResident(-1)
-	}
 	if path != "" {
 		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
@@ -435,26 +434,21 @@ func (m *sessionManager) delete(id string) error {
 // list snapshots every session, sorted by id.
 func (m *sessionManager) list() []SessionInfo {
 	var out []SessionInfo
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			out = append(out, s.info())
-		}
-		sh.mu.RUnlock()
-	}
+	m.forEachSession(func(s *session) { out = append(out, s.info()) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // forEachSession calls fn for every registered session. The shard locks
 // are released before fn runs, so fn may take session locks freely (but
-// sees a snapshot of the membership, not a consistent cut).
+// sees a snapshot of the membership, not a consistent cut). It is the one
+// walk of the registry.
 func (m *sessionManager) forEachSession(fn func(*session)) {
+	var sessions []*session
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
-		sessions := make([]*session, 0, len(sh.m))
+		sessions = sessions[:0]
 		for _, s := range sh.m {
 			sessions = append(sessions, s)
 		}
@@ -555,23 +549,12 @@ func (m *sessionManager) withLearner(s *session, fn func(l *core.Megh) error) er
 	}
 	restored := false
 	if s.learner == nil {
-		l, err := m.loadCheckpoint(s.id, s.ckptPath)
-		if err != nil {
+		if err := m.revive(s, true); err != nil {
 			s.mu.Unlock()
-			return fmt.Errorf("restoring session %q: %w", s.id, err)
+			return err
 		}
-		if lc := l.Config(); lc.NumVMs != s.spec.NumVMs || lc.NumHosts != s.spec.NumHosts {
-			s.mu.Unlock()
-			return fmt.Errorf("session %q checkpoint holds a %d×%d learner, spec says %d×%d",
-				s.id, lc.NumVMs, lc.NumHosts, s.spec.NumVMs, s.spec.NumHosts)
-		}
-		l.Instrument(s.reg)
-		l.Trace(s.tracer)
-		s.learner = l
-		s.health.Reattach(l)
-		s.restores++
+		s.health.Reattach(s.learner)
 		restored = true
-		m.cRestore.Inc()
 		m.noteResident(1)
 	}
 	// The closure's deferred unlock releases the session even if fn panics
@@ -618,25 +601,17 @@ func (m *sessionManager) enforceCap(keep *session) {
 func (m *sessionManager) lruVictim(keep *session) *session {
 	var victim *session
 	var oldest int64
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			if s == keep || s.pinned || s.ckptPath == "" {
-				continue
-			}
-			s.mu.Lock()
-			live := s.learner != nil && !s.deleted
-			s.mu.Unlock()
-			if !live {
-				continue
-			}
-			if t := s.lastTouch.Load(); victim == nil || t < oldest {
-				victim, oldest = s, t
-			}
+	m.forEachSession(func(s *session) {
+		if s == keep || s.pinned || s.ckptPath == "" {
+			return
 		}
-		sh.mu.RUnlock()
-	}
+		s.mu.Lock()
+		live := s.learner != nil && !s.deleted
+		s.mu.Unlock()
+		if t := s.lastTouch.Load(); live && (victim == nil || t < oldest) {
+			victim, oldest = s, t
+		}
+	})
 	return victim
 }
 
@@ -654,12 +629,9 @@ func (m *sessionManager) evict(s *session) bool {
 	if _, err := m.checkpoint(s); err != nil {
 		return false
 	}
-	s.learner = nil
-	s.dropRetained()
-	s.health.Detach()
+	m.release(s)
 	s.evictions++
 	m.cEvict.Inc()
-	m.noteResident(-1)
 	return true
 }
 
@@ -670,27 +642,19 @@ func (m *sessionManager) evict(s *session) bool {
 func (m *sessionManager) checkpointAll() (int, error) {
 	var n int
 	var firstErr error
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		sessions := make([]*session, 0, len(sh.m))
-		for _, s := range sh.m {
-			sessions = append(sessions, s)
+	m.forEachSession(func(s *session) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.learner == nil || s.deleted || s.ckptPath == "" {
+			return
 		}
-		sh.mu.RUnlock()
-		for _, s := range sessions {
-			s.mu.Lock()
-			if s.learner != nil && !s.deleted && s.ckptPath != "" {
-				if _, err := m.checkpoint(s); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					n++
-				}
+		if _, err := m.checkpoint(s); err != nil {
+			if firstErr == nil {
+				firstErr = err
 			}
-			s.mu.Unlock()
+		} else {
+			n++
 		}
-	}
+	})
 	return n, firstErr
 }

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"megh/internal/core"
 )
 
 // sessionWorld varies the per-step utilization deterministically so every
@@ -309,6 +311,47 @@ func TestSessionRestoreAcrossRestart(t *testing.T) {
 	if _, err := NewClient(ts3.URL, nil).Session("persist-me").
 		Create(ctx, SessionSpec{NumVMs: 9, NumHosts: 3, Seed: 5}); err == nil {
 		t.Fatal("PUT over a mismatched on-disk checkpoint must fail")
+	}
+}
+
+// TestLazyRestoreRefusesAnotherWorld: an evicted session whose checkpoint
+// file now holds another world's learner refuses it on the next decide —
+// naming both worlds — and stays evicted, with no restore counted.
+func TestLazyRestoreRefusesAnotherWorld(t *testing.T) {
+	svc, ts := newSessionService(t, 1)
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil)
+	a := c.Session("a")
+	if _, err := a.Create(ctx, SessionSpec{NumVMs: 4, NumHosts: 3, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Decide(ctx, sessionWorld(4, 3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Under a cap of one resident learner, creating b evicts a.
+	if _, err := c.Session("b").Create(ctx, SessionSpec{NumVMs: 4, NumHosts: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := a.Info(ctx); err != nil || info.Live || info.Evictions != 1 {
+		t.Fatalf("a after creating b: %+v, %v; want evicted once", info, err)
+	}
+	other, err := core.New(core.DefaultConfig(5, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SaveStateFile(svc.mgr.checkpointPath("a")); err != nil {
+		t.Fatal(err)
+	}
+	restores := svc.mgr.cRestore.Value()
+
+	status, body := rawPost(t, ts.URL+"/v2/sessions/a/decide", sessionWorld(4, 3, 1))
+	if status != http.StatusInternalServerError || !bytes.Contains(body, []byte("holds a 5×4 learner")) ||
+		!bytes.Contains(body, []byte(`session \"a\" is 4×3`)) {
+		t.Fatalf("decide over another world's checkpoint: %d %s", status, body)
+	}
+	if info, err := a.Info(ctx); err != nil || info.Live || info.Restores != 0 || svc.mgr.cRestore.Value() != restores {
+		t.Fatalf("a after the refused restore: %+v, %v, %d restores counted; want evicted, none", info, err,
+			svc.mgr.cRestore.Value()-restores)
 	}
 }
 
