@@ -139,8 +139,10 @@ bench-trace:
 # (one session-lock hold per request) must allocate only its one result
 # slice, the decide handler on the 10 000 × 1 000 grid must
 # allocate under a tenth of the 471 652 B/op it took before the session
-# retained its snapshot and request storage, the elided-snapshot codec
-# must allocate per request, not per VM or batch item (decode ≤ 4, encode
+# retained its snapshot and request storage, in at most 40 allocations (a
+# decide is a one-item batch, and its item must not escape to the heap), the
+# elided-snapshot codec must allocate per request, not per VM or batch item
+# (decode ≤ 4, encode
 # ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), the client's static digest of the
 # 10 000 × 1 000 grid must allocate only its hex string (≤ 1), and a
 # checkpoint image must cost what it is: encoding one allocates
@@ -153,7 +155,8 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkCoalescedDecide/serial' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkCoalescedDecide/serial=1
 	$(GO) test -run=- -bench='BenchmarkDecideHandler/elided-grid10k' -benchtime=300x -benchmem ./internal/server/ \
-		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkDecideHandler/elided-grid10k=47000
+		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkDecideHandler/elided-grid10k=47000 \
+			-assert-max-allocs BenchmarkDecideHandler/elided-grid10k=40
 	$(GO) test -run='TestSnapshotCodecAllocs' -count=1 ./internal/server/
 	$(GO) test -run=- -bench='BenchmarkSnapshotCodec/digest-grid10k' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkSnapshotCodec/digest-grid10k=1

@@ -54,7 +54,9 @@
 //	POST   /v2/cluster/rebalance        hand misplaced sessions to their ring owners
 //
 // -vms and -hosts size the reserved "default" session, served at
-// /v2/sessions/default and checkpointed to -checkpoint.
+// /v2/sessions/default, checkpointed to -checkpoint (else
+// <-checkpoint-dir>/default.ckpt) and restored from that file at startup;
+// an image of another world size there is a startup error.
 //
 // Observability: -trace FILE appends one JSONL event per decision and per
 // feedback post (analyse with meghtrace); -log-level picks the stderr log

@@ -128,11 +128,8 @@ func NewSLO(cfg SLOConfig) *SLO {
 	return s
 }
 
-// Observe records one request latency (seconds) against the objective.
-func (s *SLO) Observe(latencySeconds float64) { s.ObserveN(latencySeconds, 1) }
-
-// ObserveN records n requests that each took latencySeconds — the batch
-// decide path reports per-item amortized latency this way.
+// ObserveN records n requests that each took latencySeconds against the
+// objective: a decide is one, a batch reports its per-item amortized latency.
 func (s *SLO) ObserveN(latencySeconds float64, n int64) {
 	if s == nil || n <= 0 {
 		return

@@ -25,8 +25,8 @@
 //	GET    /v2/sessions/{id}/metrics      → per-session Prometheus text
 //
 // The reserved "default" session is sized by the service Config rather
-// than a PUT, is pinned (never evicted), and checkpoints to
-// Config.CheckpointPath (else <CheckpointDir>/default.ckpt).
+// than a PUT, is pinned (never evicted), and checkpoints to — and restores
+// from — Config.CheckpointPath (else <CheckpointDir>/default.ckpt).
 //
 // Operational routes:
 //

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -205,44 +206,80 @@ func TestSessionDecideBatchValidation(t *testing.T) {
 	if _, err := sc.Create(ctx, SessionSpec{NumVMs: nVMs, NumHosts: nHosts, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	url := ts.URL + "/v2/sessions/tenant-v/decide/batch"
+	url := ts.URL + "/v2/sessions/tenant-v"
 
 	badState := batchSteps(nVMs, nHosts, 2)
 	badState[1].State.Hosts = badState[1].State.Hosts[:nHosts-1] // wrong world size
 
+	staleBase := batchSteps(nVMs, nHosts, 2)
+	staleBase[1].State = elideSnapshot(&staleBase[1].State, "feedfacefeedface")
+
 	badCost := batchSteps(nVMs, nHosts, 2)
 	badCost[1].Feedback.StepCost = -1
 
+	// A refused item is refused alone too — its state posted to /decide, its
+	// feedback to /feedback — with the same status and the batch's message
+	// without the item prefix.
 	cases := []struct {
-		name    string
-		req     BatchDecideRequest
-		errLike string
+		name      string
+		req       BatchDecideRequest
+		status    int
+		errLike   string
+		alonePath string
+		alone     any
 	}{
-		{"empty", BatchDecideRequest{}, "no items"},
-		{"oversized", BatchDecideRequest{Items: make([]BatchDecideItem, MaxBatchItems+1)},
-			fmt.Sprintf("limit %d", MaxBatchItems)},
-		{"wrong-world-size", BatchDecideRequest{Items: badState}, "batch item 1"},
-		{"negative-cost", BatchDecideRequest{Items: badCost}, "batch item 1: negative step cost"},
+		{"empty", BatchDecideRequest{}, 400, "no items", "", nil},
+		{"oversized", BatchDecideRequest{Items: make([]BatchDecideItem, MaxBatchItems+1)}, 400,
+			fmt.Sprintf("limit %d", MaxBatchItems), "", nil},
+		{"wrong-world-size", BatchDecideRequest{Items: badState}, 400, "batch item 1",
+			"/decide", badState[1].State},
+		{"stale-base", BatchDecideRequest{Items: staleBase}, 409, "batch item 1: ",
+			"/decide", staleBase[1].State},
+		{"negative-cost", BatchDecideRequest{Items: badCost}, 400, "batch item 1: negative step cost",
+			"/feedback", badCost[1].Feedback},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body := rawPost(t, url, tc.req)
-			if status != 400 {
-				t.Fatalf("status %d, want 400; body %s", status, body)
+			status, body := rawPost(t, url+"/decide/batch", tc.req)
+			if status != tc.status {
+				t.Fatalf("status %d, want %d; body %s", status, tc.status, body)
 			}
 			if !strings.Contains(string(body), tc.errLike) {
 				t.Fatalf("body %s missing %q", body, tc.errLike)
 			}
+			if tc.alone == nil {
+				return
+			}
+			var batchErr, aloneErr errorResponse
+			if err := json.Unmarshal(body, &batchErr); err != nil {
+				t.Fatal(err)
+			}
+			status, body = rawPost(t, url+tc.alonePath, tc.alone)
+			if status != tc.status {
+				t.Fatalf("alone to %s: status %d, want %d; body %s", tc.alonePath, status, tc.status, body)
+			}
+			if err := json.Unmarshal(body, &aloneErr); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(aloneErr.Error, "batch item") || "batch item 1: "+aloneErr.Error != batchErr.Error {
+				t.Fatalf("alone to %s: error %q, batch error %q", tc.alonePath, aloneErr.Error, batchErr.Error)
+			}
 		})
 	}
 
-	// None of the rejected batches reached the learner.
+	// None of the rejected requests reached the learner or gave the session
+	// a base.
 	stats, err := sc.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Decisions != 0 {
-		t.Fatalf("rejected batches consumed %d decisions", stats.Decisions)
+		t.Fatalf("rejected requests consumed %d decisions", stats.Decisions)
+	}
+	if info, err := sc.Info(ctx); err != nil {
+		t.Fatal(err)
+	} else if info.SnapshotBase != "" {
+		t.Fatalf("rejected requests left base %q", info.SnapshotBase)
 	}
 
 	// Unknown session ids 404 like every other session route.

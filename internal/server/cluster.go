@@ -283,9 +283,9 @@ func (c *clusterRuntime) proxy(w http.ResponseWriter, r *http.Request, id string
 	relayBufs.Put(buf)
 }
 
-// relayBufs holds proxy's copy buffers. The writers a response is relayed
-// through (statusWriter, envelopeWriter) hide the connection's ReadFrom, so
-// io.Copy would allocate a fresh 32 KB buffer for every proxied request.
+// relayBufs holds proxy's copy buffers. The one writer a response is relayed
+// through, envelopeWriter, hides the connection's ReadFrom, so io.Copy would
+// allocate a fresh 32 KB buffer for every proxied request.
 var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // --- checkpoint replication ---------------------------------------------

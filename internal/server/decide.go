@@ -9,23 +9,25 @@ import (
 	"megh/internal/sim"
 )
 
-// This file holds what the decide and decide/batch handlers share once a
-// request is decoded and validated: the items they hand over, the one
-// session-lock hold that runs them, and the admission gate in front of it.
+// This file holds what Service.decide — the one path behind the decide and
+// decide/batch handlers — runs once a request is decoded and validated: the
+// items it hands over, the round that runs them under one session-lock hold,
+// and the admission gate in front of it.
 // Requests to one session run one at a time on its lock, in the order they
 // take it; a caller that wants many decisions per lock hold sends one
 // decide/batch.
 
-// decideItem is one decision query as the handlers hand it to decideRound:
-// the request resolveBase accepted, the base it resolved to, and the
-// feedback observed since the previous query, if any. The server's
-// counterpart of core.BatchItem, one step earlier: there is no snapshot yet,
-// because the session has a single one (session.snap) and only the holder of
-// the session lock may fill it.
+// decideItem is one decision query as Service.decide hands it to
+// decideRound: the request resolveBase accepted, the base it resolved to,
+// and, when observe is set, the feedback observed since the previous query.
+// The server's counterpart of core.BatchItem, one step earlier: there is no
+// snapshot yet, because the session has a single one (session.snap) and
+// only the holder of the session lock may fill it.
 type decideItem struct {
 	state    *StateRequest
 	base     *snapshotBase
-	feedback *sim.Feedback
+	feedback sim.Feedback
+	observe  bool
 }
 
 // decideRound runs items against the learner in order — per item, Observe
@@ -41,9 +43,9 @@ func (s *session) decideRound(l *core.Megh, items []decideItem) [][]sim.Migratio
 	outs := make([][]sim.Migration, len(items))
 	for i := range items {
 		it := &items[i]
-		if it.feedback != nil {
-			l.Observe(it.feedback)
-			s.traceStep(it.feedback)
+		if it.observe {
+			l.Observe(&it.feedback)
+			s.traceStep(&it.feedback)
 		}
 		snap := s.snap.fill(it.state, it.base, s.spec.OverloadThreshold, s.spec.StepSeconds)
 		outs[i] = l.DecideAppend(nil, snap)
@@ -54,15 +56,6 @@ func (s *session) decideRound(l *core.Megh, items []decideItem) [][]sim.Migratio
 	// cumulative stats, so deltas stay exact.
 	s.health.AfterDecide()
 	return outs
-}
-
-// decideItems runs one request's items under a single hold of sess's lock.
-func (s *Service) decideItems(sess *session, items []decideItem) (outs [][]sim.Migration, err error) {
-	err = s.mgr.withLearner(sess, func(l *core.Megh) error {
-		outs = sess.decideRound(l, items)
-		return nil
-	})
-	return outs, err
 }
 
 // admitGate bounds concurrent decide/feedback work, weighted by batch item

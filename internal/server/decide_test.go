@@ -334,32 +334,37 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 }
 
 // BenchmarkCoalescedDecide measures the server decide path at the service
-// layer (no HTTP stack): one decideItems call, the session lock held once
-// per call. "serial" is one caller; "parallel" is eight goroutines
-// contending for the one session lock. `make check` gates the serial
-// path's allocs/op.
+// layer (no HTTP stack): one decideRound per call, under one hold of the
+// session lock, as Service.decide runs it. "serial" is one caller;
+// "parallel" is eight goroutines contending for the one session lock.
+// `make check` gates the serial path's allocs/op.
 func BenchmarkCoalescedDecide(b *testing.B) {
-	mk := func(b *testing.B) (*Service, []decideItem) {
+	mk := func(b *testing.B) func() error {
 		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
 		req := sessionWorld(4, 3, 0)
-		base := newSnapshotBase(&req, digestOf(&req))
-		return svc, []decideItem{{state: &req, base: base}}
+		items := []decideItem{{state: &req, base: newSnapshotBase(&req, digestOf(&req))}}
+		return func() error {
+			return svc.mgr.withLearner(svc.def, func(l *core.Megh) error {
+				svc.def.decideRound(l, items)
+				return nil
+			})
+		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		svc, items := mk(b)
+		decide := mk(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.decideItems(svc.def, items); err != nil {
+			if err := decide(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		svc, items := mk(b)
+		decide := mk(b)
 		// Force real goroutine concurrency even on GOMAXPROCS=1 machines,
 		// so callers actually contend for the session lock.
 		b.SetParallelism(8)
@@ -367,7 +372,7 @@ func BenchmarkCoalescedDecide(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := svc.decideItems(svc.def, items); err != nil {
+				if err := decide(); err != nil {
 					b.Fatal(err)
 				}
 			}

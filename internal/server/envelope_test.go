@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"megh/internal/obs"
 )
 
 // TestErrorEnvelopeEverywhere is the API-consistency table: every failure
@@ -147,5 +149,41 @@ func TestSuccessBodiesUntouched(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if string(buf[:n]) != "ok" {
 		t.Fatalf("healthz body %q", buf[:n])
+	}
+}
+
+// TestPanicGuardKeepsAnInterceptedStatus: a handler that answers a
+// plain-text error and then panics leaves with the status it chose, in the
+// JSON envelope, and counts as one error; a handler that panics before
+// answering leaves with a JSON 500.
+func TestPanicGuardKeepsAnInterceptedStatus(t *testing.T) {
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		route string
+		h     http.HandlerFunc
+		want  int
+		msg   string
+	}{
+		{"/answered", func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "nope", http.StatusNotFound)
+			panic("after the answer")
+		}, http.StatusNotFound, "nope"},
+		{"/silent", func(http.ResponseWriter, *http.Request) { panic("before any answer") },
+			http.StatusInternalServerError, "internal error: before any answer"},
+	} {
+		rec := httptest.NewRecorder()
+		svc.envelope(svc.instrument(tc.route, tc.h)).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.route, nil))
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != tc.want || e.Error != tc.msg {
+			t.Errorf("%s: HTTP %d %s (%v), want %d %q", tc.route, rec.Code, rec.Body, err, tc.want, tc.msg)
+		}
+		errs := svc.reg.Counter("megh_http_errors_total", "HTTP responses with status >= 400, by route.",
+			obs.Labels{"route": tc.route})
+		if got := errs.Value(); got != 1 {
+			t.Errorf("%s: megh_http_errors_total = %d, want 1", tc.route, got)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"megh/internal/health"
 	"megh/internal/obs"
@@ -30,14 +28,9 @@ func (s *Service) healthSession(w http.ResponseWriter, _ *http.Request, sess *se
 // bounds the worst-N list (default 5). Like the per-session endpoint it
 // never restores evicted learners.
 func (s *Service) handleFleetHealth(w http.ResponseWriter, r *http.Request) {
-	n := 5
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
-			return
-		}
-		n = v
+	n, ok := queryN(w, r, 5)
+	if !ok {
+		return
 	}
 
 	type row struct {

@@ -33,9 +33,9 @@ type Config struct {
 	// StepSeconds is the monitoring interval τ; 0 means 300. Inherited by
 	// sessions the same way.
 	StepSeconds float64
-	// CheckpointPath is where the default session checkpoints (and where a
-	// fresh server restores it from if the file exists). Empty with
-	// CheckpointDir set, the default session uses <dir>/default.ckpt.
+	// CheckpointPath is where the default session checkpoints, and where a
+	// fresh server restores it from if the file exists; empty with
+	// CheckpointDir set, it is <dir>/default.ckpt.
 	CheckpointPath string
 	// CheckpointDir holds the per-session checkpoint files
 	// (<dir>/<id>.ckpt). Empty disables session persistence — and with it
@@ -128,11 +128,11 @@ type Service struct {
 	routes atomic.Pointer[[]string]
 }
 
-// New builds the service, restoring the default session's learner from
-// CheckpointPath when a checkpoint exists there. A checkpoint whose world
-// size differs from the configuration is refused with an error rather
-// than restored (a stale file would otherwise panic the decide path on
-// the first snapshot).
+// New builds the service, restoring the default session's learner from its
+// checkpoint — CheckpointPath, else <CheckpointDir>/default.ckpt — when an
+// image exists there. A checkpoint whose world size differs from the
+// configuration is refused with an error rather than restored (a stale file
+// would otherwise panic the decide path on the first snapshot).
 func New(cfg Config) (*Service, error) {
 	if cfg.NumVMs <= 0 || cfg.NumHosts <= 0 {
 		return nil, fmt.Errorf("server: world size %d×%d must be positive", cfg.NumVMs, cfg.NumHosts)
@@ -197,10 +197,13 @@ func New(cfg Config) (*Service, error) {
 	}
 
 	// The default session is the Config's own: pinned (never evicted),
-	// instrumented on the service registry, traced by the shared tracer,
-	// restored from CheckpointPath when an image is there, and checkpointing
-	// to CheckpointPath (falling back to the session directory when only that
-	// is configured).
+	// instrumented on the service registry, traced by the shared tracer, and
+	// checkpointing to CheckpointPath, else <CheckpointDir>/default.ckpt —
+	// restored from that same file when an image is there.
+	ckptPath := cfg.CheckpointPath
+	if ckptPath == "" {
+		ckptPath = s.mgr.checkpointPath(DefaultSessionID)
+	}
 	def := &session{
 		id: DefaultSessionID,
 		spec: SessionSpec{
@@ -212,9 +215,9 @@ func New(cfg Config) (*Service, error) {
 		pinned:   true,
 		tracer:   cfg.Tracer,
 		reg:      reg,
-		ckptPath: cfg.CheckpointPath,
+		ckptPath: ckptPath,
 	}
-	err := s.mgr.revive(def, cfg.CheckpointPath != "")
+	err := s.mgr.revive(def, ckptPath != "")
 	if errors.Is(err, fs.ErrNotExist) {
 		err = s.mgr.revive(def, false)
 	}
@@ -222,9 +225,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	def.health = newTracker(def.learner, cfg.Seed, reg)
-	if def.ckptPath == "" {
-		def.ckptPath = s.mgr.checkpointPath(DefaultSessionID)
-	}
 	sh := s.mgr.shardFor(def.id)
 	sh.mu.Lock()
 	sh.m[def.id] = def
@@ -369,29 +369,11 @@ func (s *Service) withSession(h func(http.ResponseWriter, *http.Request, *sessio
 
 // --- middleware ---------------------------------------------------------
 
-// statusWriter captures the response status for the metrics middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
 // instrument wraps one route with the standard HTTP metrics and a panic
 // guard. A panicking handler (e.g. a learner fed a state it cannot accept)
-// answers 500 with a JSON error instead of killing the connection.
+// answers 500 with a JSON error instead of killing the connection, unless a
+// header already went out. The status it counts is the one the route's
+// envelopeWriter (Handler serves every route through one) recorded.
 func (s *Service) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := s.reg.Counter("megh_http_requests_total",
 		"HTTP requests served, by route.", obs.Labels{"route": route})
@@ -405,35 +387,29 @@ func (s *Service) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 		start := time.Now()
 		reqs.Inc()
 		inFlight.Add(1)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		ew := w.(*envelopeWriter)
 		defer func() {
-			if p := recover(); p != nil {
-				sw.status = http.StatusInternalServerError
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError,
-						fmt.Errorf("internal error: %v", p))
-				}
+			p := recover()
+			if p != nil && !ew.wroteHeader {
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
 			}
 			inFlight.Add(-1)
 			// The envelope middleware stamped X-Request-ID before this
 			// handler ran; recording it as an exemplar links each latency
 			// bucket back to a concrete request.
-			if rid := w.Header().Get("X-Request-ID"); rid != "" {
-				lat.ObserveExemplar(time.Since(start).Seconds(), rid)
-			} else {
-				lat.Observe(time.Since(start).Seconds())
-			}
-			if sw.status >= 400 {
+			lat.ObserveExemplar(time.Since(start).Seconds(), w.Header().Get("X-Request-ID"))
+			if p != nil || ew.status >= 400 {
 				errs.Inc()
 			}
 		}()
-		h(sw, r)
+		h(w, r)
 	}
 }
 
 // envelopeWriter intercepts error responses whose body is not already the
 // JSON envelope (the mux's plain-text 404/405, stray http.Error calls)
-// and buffers them so envelope() can rewrite the body.
+// and buffers them so envelope() can rewrite the body. It is the one writer
+// a response passes through: instrument reads the status it recorded.
 type envelopeWriter struct {
 	http.ResponseWriter
 	status      int
@@ -608,74 +584,22 @@ func rejectBody(w http.ResponseWriter, err error, what string) {
 	writeError(w, status, fmt.Errorf("decoding %s: %w", what, err))
 }
 
-// rejectSnapshot answers a snapshot resolveBase refused: 409 when the
-// session does not hold the base an elided request named (the caller's cue
-// to resend the full form), 400 for everything else.
-func (s *Service) rejectSnapshot(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, errBaseConflict) {
-		status = http.StatusConflict
-		s.baseConflicts.Inc()
-	}
-	writeError(w, status, err)
-}
-
-// adoptBase publishes the base an admitted request resolved to — held is
-// what the session had when the request arrived — and counts the request if
-// it was elided. Refused requests (400, 409, 429) never get here, so they
-// can neither replace another client's base nor move the counter.
-func (s *Service) adoptBase(sess *session, held, base *snapshotBase, elided bool) {
-	if base != held {
-		sess.base.Store(base)
-	}
-	if elided {
-		s.elided.Inc()
-	}
-}
-
 // --- session handlers ---------------------------------------------------
 
+// decideSession answers a decide: a one-item batch without feedback, answered
+// as one DecideResponse.
 func (s *Service) decideSession(w http.ResponseWriter, r *http.Request, sess *session) {
-	// Decode and validate before admission: the gate weighs requests by item
-	// count, which is only known after the decode.
-	var req StateRequest
-	sc, ok := s.decodeSnapshots(w, r, sess, sess.spec.maxSnapshotBytes(), &req, "snapshot")
+	var req [1]BatchDecideItem
+	sc, ok := s.decodeSnapshots(w, r, sess, sess.spec.maxSnapshotBytes(), &req[0].State, "snapshot")
 	if !ok {
 		return
 	}
 	defer sess.recycle(sc)
-	held := sess.base.Load()
-	base, err := resolveBase(held, &req, sess.id, sess.spec)
-	if err != nil {
-		s.rejectSnapshot(w, err)
-		return
-	}
-	release := s.admitN(w, 1)
-	if release == nil {
-		return
-	}
-	defer release()
-	s.adoptBase(sess, held, base, req.Base != "")
-
-	// A single decide is a one-item batch. decideItems returns caller-owned
-	// slices, so nothing here races the lock release.
-	start := time.Now()
-	items := []decideItem{{state: &req, base: base}}
-	outs, err := s.decideItems(sess, items)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	s.slo.Observe(time.Since(start).Seconds())
-	writeDecisions(w, r, items, outs, false)
+	s.decide(w, r, sess, req[:], false)
 }
 
-// decideBatchSession is the batched decide path: many observe→decide steps
-// validated up front, then run back-to-back against the session's learner
-// under a single lock acquisition.
-// The whole batch is validated before the learner is touched, so a 400
-// never leaves the learner having consumed half a batch, and before
-// admission, so the gate can weigh the request by its item count.
+// decideBatchSession answers a decide/batch: many observe→decide steps run
+// back-to-back against the session's learner under one lock hold.
 func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req BatchDecideRequest
 	sc, ok := s.decodeSnapshots(w, r, sess, sess.spec.maxBatchBytes(), &req, "batch")
@@ -692,52 +616,73 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 			fmt.Errorf("batch has %d items, limit %d", len(req.Items), MaxBatchItems))
 		return
 	}
-	items := make([]decideItem, len(req.Items))
-	feedbacks := make([]sim.Feedback, len(req.Items))
-	// Items resolve in order against the base in force, which a full item
-	// replaces for the items after it; the session adopts the last one only
-	// once the whole batch stands and is admitted, so a refused batch
-	// changes nothing.
+	s.decide(w, r, sess, req.Items, true)
+}
+
+// decide runs a decoded decide (batched false, one item) or decide/batch.
+// Items resolve in order against the base in force, which a full item
+// replaces for the items after it, and their feedback is checked; only then
+// is the request admitted, by its item count, so the gate can weigh it. The
+// session adopts the last base once the whole request stands and is
+// admitted, so a refused request (400, 409, 429) changes nothing: it neither
+// leaves the learner having consumed half a batch nor replaces another
+// client's base. Only a batch's errors name the item.
+func (s *Service) decide(w http.ResponseWriter, r *http.Request, sess *session, reqs []BatchDecideItem, batched bool) {
+	var one [1]decideItem
+	items := one[:]
+	if batched {
+		items = make([]decideItem, len(reqs))
+	}
 	held := sess.base.Load()
 	base, elided := held, false
-	for i := range req.Items {
-		it := &req.Items[i]
+	for i := range reqs {
+		it := &reqs[i]
 		var err error
-		if base, err = resolveBase(base, &it.State, sess.id, sess.spec); err != nil {
-			s.rejectSnapshot(w, fmt.Errorf("batch item %d: %w", i, err))
+		if base, err = resolveBase(base, &it.State, sess.id, sess.spec); err == nil && it.Feedback != nil {
+			items[i].feedback, err = it.Feedback.simFeedback()
+			items[i].observe = true
+		}
+		if err != nil {
+			// 409 when the session does not hold the base an elided item
+			// named (the caller's cue to resend the full form), else 400.
+			status := http.StatusBadRequest
+			if errors.Is(err, errBaseConflict) {
+				status = http.StatusConflict
+				s.baseConflicts.Inc()
+			}
+			if batched {
+				err = fmt.Errorf("batch item %d: %w", i, err)
+			}
+			writeError(w, status, err)
 			return
 		}
 		elided = elided || it.State.Base != ""
 		// An item carries the request as decoded and the base it resolved to,
-		// not a snapshot: decideRound fills the session's one snapshot
-		// from it under the session lock, when the item's turn comes, so a
-		// batch holds one snapshot however many items it has.
-		items[i] = decideItem{state: &it.State, base: base}
-		if fb := it.Feedback; fb != nil {
-			if fb.StepCost < 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("batch item %d: negative step cost %g", i, fb.StepCost))
-				return
-			}
-			feedbacks[i] = sim.Feedback{
-				Step:         fb.Step,
-				StepCost:     fb.StepCost,
-				EnergyCost:   fb.EnergyCost,
-				SLACost:      fb.SLACost,
-				ResourceCost: fb.ResourceCost,
-			}
-			items[i].feedback = &feedbacks[i]
-		}
+		// not a snapshot: decideRound fills the session's one snapshot from it
+		// under the session lock, when the item's turn comes, so a batch holds
+		// one snapshot however many items it has.
+		items[i].state, items[i].base = &it.State, base
 	}
 	release := s.admitN(w, len(items))
 	if release == nil {
 		return
 	}
 	defer release()
-	s.adoptBase(sess, held, base, elided)
+	if base != held {
+		sess.base.Store(base)
+	}
+	if elided {
+		s.elided.Inc()
+	}
 
+	// decideRound returns caller-owned slices, so nothing here races the
+	// lock release.
 	start := time.Now()
-	outs, err := s.decideItems(sess, items)
+	var outs [][]sim.Migration
+	err := s.mgr.withLearner(sess, func(l *core.Megh) error {
+		outs = sess.decideRound(l, items)
+		return nil
+	})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -745,7 +690,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 	// The SLO sees the per-item amortized latency — the fair comparison
 	// against single decides, since one batch request answers N steps.
 	s.slo.ObserveN(time.Since(start).Seconds()/float64(len(items)), int64(len(items)))
-	if sess.tracer.Enabled() {
+	if batched && sess.tracer.Enabled() {
 		// The batch marker follows the per-item decide events so meghtrace
 		// can amortize the request's wall time across its items.
 		ev := trace.Event{
@@ -758,7 +703,7 @@ func (s *Service) decideBatchSession(w http.ResponseWriter, r *http.Request, ses
 		}
 		sess.tracer.Emit(&ev)
 	}
-	writeDecisions(w, r, items, outs, true)
+	writeDecisions(w, r, items, outs, batched)
 }
 
 func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *session) {
@@ -766,8 +711,9 @@ func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *
 	if !s.decodeBody(w, r, maxSmallBodyBytes, &req, "feedback") {
 		return
 	}
-	if req.StepCost < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative step cost %g", req.StepCost))
+	fb, err := req.simFeedback()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	release := s.admitN(w, 1)
@@ -775,14 +721,7 @@ func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *
 		return
 	}
 	defer release()
-	fb := sim.Feedback{
-		Step:         req.Step,
-		StepCost:     req.StepCost,
-		EnergyCost:   req.EnergyCost,
-		SLACost:      req.SLACost,
-		ResourceCost: req.ResourceCost,
-	}
-	err := s.mgr.withLearner(sess, func(l *core.Megh) error {
+	err = s.mgr.withLearner(sess, func(l *core.Megh) error {
 		l.Observe(&fb)
 		return nil
 	})
@@ -792,6 +731,21 @@ func (s *Service) feedbackSession(w http.ResponseWriter, r *http.Request, sess *
 	}
 	sess.traceStep(&fb)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// simFeedback is the feedback f reports, as the learner observes it; a
+// negative step cost is refused.
+func (f *FeedbackRequest) simFeedback() (sim.Feedback, error) {
+	if f.StepCost < 0 {
+		return sim.Feedback{}, fmt.Errorf("negative step cost %g", f.StepCost)
+	}
+	return sim.Feedback{
+		Step:         f.Step,
+		StepCost:     f.StepCost,
+		EnergyCost:   f.EnergyCost,
+		SLACost:      f.SLACost,
+		ResourceCost: f.ResourceCost,
+	}, nil
 }
 
 // traceStep emits the step event for feedback the learner just observed.
@@ -814,32 +768,38 @@ func (s *session) traceStep(fb *sim.Feedback) {
 // ?n= bounds the count (default 100); the ring size caps what is
 // retained regardless.
 func (s *Service) traceTailSession(w http.ResponseWriter, r *http.Request, sess *session) {
-	n := 100
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
-			return
-		}
-		n = v
+	n, ok := queryN(w, r, 100)
+	if !ok {
+		return
 	}
-	// The body is what writeJSON makes of a TraceTailResponse, written by
-	// hand: Tail's events are compact JSON already, and encoding/json would
-	// re-validate and compact every one of them.
+	// The body is what writeJSON makes of a TraceTailResponse, written from
+	// one buffer: the ring's events are encoded straight into it, and
+	// encoding/json would re-validate and compact every one of them.
+	const events = `,"events":[`
 	b := strconv.AppendBool([]byte(`{"enabled":`), sess.tracer.Enabled())
-	if events := sess.tracer.Tail(n); len(events) > 0 {
-		b = append(b, `,"events":[`...)
-		for i, ev := range events {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, ev...)
-		}
+	if b = sess.tracer.AppendTail(append(b, events...), n); b[len(b)-1] == '[' {
+		b = b[:len(b)-len(events)] // no events: the field is omitted
+	} else {
 		b = append(b, ']')
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(append(b, "}\n"...))
+}
+
+// queryN reads the ?n= count, def when absent. A malformed or negative n
+// has been answered 400, and ok is false.
+func queryN(w http.ResponseWriter, r *http.Request, def int) (n int, ok bool) {
+	q := r.URL.Query().Get("n")
+	if q == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
+		return 0, false
+	}
+	return n, true
 }
 
 // sessionStats builds the stats body, restoring the learner if evicted

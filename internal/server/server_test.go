@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -292,6 +293,61 @@ func TestStaleCheckpointRefusedAtStartup(t *testing.T) {
 	}
 }
 
+// TestDefaultSessionRestoresFromCheckpointDir: with a checkpoint directory
+// and no checkpoint path, the default session restores from the file it
+// checkpoints to, <dir>/default.ckpt — the learner a restart finds is the one
+// it left — and refuses that file when the world size changed.
+func TestDefaultSessionRestoresFromCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	for step := 0; step < 4; step++ {
+		world := testWorld(4, 3, step%2 == 0)
+		world.Step = step
+		for _, post := range []struct {
+			path string
+			body any
+		}{
+			{"/decide", world},
+			{"/feedback", FeedbackRequest{Step: step, StepCost: 0.5 + 0.1*float64(step)}},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/sessions/default"+post.path,
+				bytes.NewReader(mustMarshal(t, post.body))))
+			if rec.Code >= 300 {
+				t.Fatalf("%s: HTTP %d %s", post.path, rec.Code, rec.Body)
+			}
+		}
+	}
+	if _, err := svc.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	image := func(svc *Service) []byte {
+		img, err := svc.def.learner.AppendImage(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	restarted, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restarted.def.restores != 1 {
+		t.Fatalf("restarted default session reports restores %d, want 1", restarted.def.restores)
+	}
+	if !bytes.Equal(image(restarted), image(svc)) {
+		t.Fatal("restarted default session's learner differs from the one checkpointed")
+	}
+	if _, err := New(Config{NumVMs: 5, NumHosts: 4, CheckpointDir: dir}); err == nil ||
+		!strings.Contains(err.Error(), errCheckpointWorld.Error()) {
+		t.Fatalf("5×4 service over a 4×3 default.ckpt: err %v, want %q", err, errCheckpointWorld)
+	}
+}
+
 // TestLearnerPanicBecomesHTTP500 is the regression test for the panic
 // guard: a learner panic inside either decide handler must answer 500 with a
 // JSON error body instead of killing the connection, and must leave the
@@ -535,6 +591,26 @@ func TestTraceTailEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryNRefusals: the two routes that take a ?n= count refuse a
+// negative or non-numeric one alike, with 400 and the same message.
+func TestQueryNRefusals(t *testing.T) {
+	svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	for _, path := range []string{"/v2/sessions/default/trace/tail", "/v2/health"} {
+		for _, n := range []string{"-1", "x"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+"?n="+n, nil))
+			want := string(mustMarshal(t, errorResponse{Error: fmt.Sprintf("invalid n %q", n)}))
+			if got := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusBadRequest || got != want {
+				t.Errorf("%s?n=%s: HTTP %d %s, want 400 %s", path, n, rec.Code, got, want)
+			}
+		}
+	}
+}
+
 func TestTraceTailDisabled(t *testing.T) {
 	_, ts := newTestService(t, 4, 3, "")
 	get, err := http.Get(ts.URL + "/v2/sessions/default/trace/tail")
@@ -602,11 +678,18 @@ func TestTraceTailBody(t *testing.T) {
 			t.Fatalf("feedback: HTTP %d %s", rec.Code, rec.Body)
 		}
 	}
-	if events := tracer.Tail(5); len(events) != 5 {
+	tail := func(n int) []json.RawMessage {
+		var events []json.RawMessage
+		if err := json.Unmarshal(append(append([]byte{'['}, tracer.AppendTail(nil, n)...), ']'), &events); err != nil {
+			t.Fatal(err)
+		}
+		return events
+	}
+	if events := tail(5); len(events) != 5 {
 		t.Fatalf("ring holds %d of the 5 events asked for", len(events))
 	}
-	check("decide and step events", traced, 5, TraceTailResponse{Enabled: true, Events: tracer.Tail(5)})
-	check("n=0", traced, 0, TraceTailResponse{Enabled: true, Events: tracer.Tail(0)})
+	check("decide and step events", traced, 5, TraceTailResponse{Enabled: true, Events: tail(5)})
+	check("n=0", traced, 0, TraceTailResponse{Enabled: true, Events: tail(0)})
 }
 
 func TestPprofMounted(t *testing.T) {

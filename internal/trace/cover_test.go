@@ -72,7 +72,7 @@ func TestReadRejectsKindlessEvent(t *testing.T) {
 }
 
 // TestTracerWithoutRing: RingSize < 0 disables the tail buffer entirely;
-// Tail and Flush must degrade to no-ops, not nil-dereference.
+// AppendTail and Flush must degrade to no-ops, not nil-dereference.
 func TestTracerWithoutRing(t *testing.T) {
 	tr, err := New(Options{RingSize: -1})
 	if err != nil {
@@ -80,8 +80,8 @@ func TestTracerWithoutRing(t *testing.T) {
 	}
 	ev := sampleDecideEvent()
 	tr.Emit(&ev)
-	if got := tr.Tail(4); got != nil {
-		t.Fatalf("Tail on ring-less tracer = %v", got)
+	if got := tr.AppendTail(nil, 4); got != nil {
+		t.Fatalf("AppendTail on ring-less tracer = %q", got)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush on writer-less tracer: %v", err)

@@ -48,7 +48,7 @@ func sliceFields(ev *Event) []reflect.Value {
 	return out
 }
 
-// The ring keeps events and formats them only when read: what Tail returns
+// The ring keeps events and formats them only when read: what AppendTail writes
 // is, byte for byte, what the stream wrote for the same events, even though
 // the caller overwrote every slice of the event after each Emit.
 func TestRingTailMatchesStream(t *testing.T) {
@@ -75,13 +75,13 @@ func TestRingTailMatchesStream(t *testing.T) {
 	}
 	lines := bytes.Split(bytes.TrimSuffix(stream.Bytes(), []byte{'\n'}), []byte{'\n'})
 	for n, want := range map[int]int{0: 4, 1: 1, 3: 3, 4: 4, 9: 4} {
-		tail := tr.Tail(n)
+		tail := tailEvents(t, tr, n)
 		if len(tail) != want {
-			t.Fatalf("Tail(%d) returned %d events, want %d", n, len(tail), want)
+			t.Fatalf("AppendTail(%d) returned %d events, want %d", n, len(tail), want)
 		}
 		for k, got := range tail {
 			if line := lines[len(lines)-want+k]; !bytes.Equal(got, line) {
-				t.Fatalf("Tail(%d)[%d]:\n got %s\nwant %s", n, k, got, line)
+				t.Fatalf("AppendTail(%d)[%d]:\n got %s\nwant %s", n, k, got, line)
 			}
 		}
 	}

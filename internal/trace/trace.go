@@ -25,7 +25,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -178,11 +177,11 @@ const DefaultRingSize = 256
 // simulator and lock-uncontended in meghd).
 type Tracer struct {
 	timings bool
+	ring    *ring // fixed by New; what it holds is guarded by mu
 
 	mu     sync.Mutex
 	w      *bufio.Writer
 	closer io.Closer
-	ring   *ring
 	buf    []byte
 	events uint64
 }
@@ -250,25 +249,24 @@ func (t *Tracer) Events() uint64 {
 	return t.events
 }
 
-// Tail returns up to n of the most recent events, oldest first, as raw
-// JSON objects (the stream's bytes, ready to embed in a JSON array). It
-// encodes them after releasing the lock, so a tail read never stalls an
-// Emit. A nil tracer or disabled ring yields nil.
-func (t *Tracer) Tail(n int) []json.RawMessage {
-	if t == nil {
-		return nil
+// AppendTail appends up to n of the most recent events (n ≤ 0: all), oldest
+// first, to b as comma-separated JSON objects: the stream's bytes, ready to
+// sit in a JSON array. It encodes them after releasing the lock, so a tail
+// read never stalls an Emit. A nil tracer or disabled ring appends nothing.
+func (t *Tracer) AppendTail(b []byte, n int) []byte {
+	if t == nil || t.ring == nil {
+		return b
 	}
 	t.mu.Lock()
-	var evs []Event
-	if t.ring != nil {
-		evs = t.ring.tail(n)
-	}
+	evs := t.ring.tail(n)
 	t.mu.Unlock()
-	var out []json.RawMessage
 	for i := range evs {
-		out = append(out, appendEventJSON(make([]byte, 0, 256), &evs[i]))
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendEventJSON(b, &evs[i])
 	}
-	return out
+	return b
 }
 
 // Flush forces buffered bytes to the underlying writer.

@@ -120,8 +120,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 	ev := sampleStepEvent()
 	tr.Emit(&ev) // must not panic
-	if got := tr.Tail(10); got != nil {
-		t.Fatalf("nil tracer Tail = %v", got)
+	if got := tr.AppendTail(nil, 10); got != nil {
+		t.Fatalf("nil tracer AppendTail = %q", got)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -134,6 +134,17 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
+// tailEvents splits what AppendTail appends into its events, each the raw
+// JSON object AppendTail wrote.
+func tailEvents(t *testing.T, tr *Tracer, n int) []json.RawMessage {
+	t.Helper()
+	var evs []json.RawMessage
+	if err := json.Unmarshal(append(append([]byte{'['}, tr.AppendTail(nil, n)...), ']'), &evs); err != nil {
+		t.Fatalf("AppendTail(%d) is not a JSON array body: %v", n, err)
+	}
+	return evs
+}
+
 func TestRingWrapAndTail(t *testing.T) {
 	tr, err := New(Options{RingSize: 4})
 	if err != nil {
@@ -142,7 +153,7 @@ func TestRingWrapAndTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(&Event{Kind: KindStep, Step: i})
 	}
-	tail := tr.Tail(0) // all retained
+	tail := tailEvents(t, tr, 0) // all retained
 	if len(tail) != 4 {
 		t.Fatalf("ring retained %d, want 4", len(tail))
 	}
@@ -155,13 +166,13 @@ func TestRingWrapAndTail(t *testing.T) {
 			t.Errorf("tail[%d].Step = %d, want %d", i, ev.Step, want)
 		}
 	}
-	if got := tr.Tail(2); len(got) != 2 {
-		t.Fatalf("Tail(2) returned %d", len(got))
+	if got := tailEvents(t, tr, 2); len(got) != 2 {
+		t.Fatalf("AppendTail(2) returned %d", len(got))
 	} else {
 		var ev Event
 		_ = json.Unmarshal(got[1], &ev)
 		if ev.Step != 9 {
-			t.Errorf("Tail(2) newest step = %d, want 9", ev.Step)
+			t.Errorf("AppendTail(2) newest step = %d, want 9", ev.Step)
 		}
 	}
 }
@@ -170,7 +181,7 @@ func TestRingPartialFill(t *testing.T) {
 	tr, _ := New(Options{RingSize: 8})
 	tr.Emit(&Event{Kind: KindStep, Step: 1})
 	tr.Emit(&Event{Kind: KindStep, Step: 2})
-	tail := tr.Tail(100)
+	tail := tailEvents(t, tr, 100)
 	if len(tail) != 2 {
 		t.Fatalf("got %d events, want 2", len(tail))
 	}
