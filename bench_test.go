@@ -329,12 +329,12 @@ func BenchmarkSoak(b *testing.B) {
 // gob matches fields by name, so the image decodes into a struct naming Z
 // alone, whose packed value list holds one 8-byte word per entry.
 func imageZNNZ(b *testing.B, learner *megh.Learner) int {
-	img, err := learner.AppendImage(nil)
-	if err != nil {
+	var img bytes.Buffer
+	if err := learner.SaveState(&img); err != nil {
 		b.Fatal(err)
 	}
 	var st struct{ Z sparse.VectorState }
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(&img).Decode(&st); err != nil {
 		b.Fatal(err)
 	}
 	return len(st.Z.PackedValue) / 8

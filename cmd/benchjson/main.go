@@ -14,9 +14,8 @@
 // generalises the gate to bounded-allocation paths: repeated NAME=N pairs
 // each fail the run when the named benchmark exceeds N allocs/op (`make
 // check` bounds the server's service-layer decide path this way), and
-// -assert-max-bytes does the same for B/op (the decide handler's bound; a
-// limit may also be F*UNIT, a multiple of the benchmark's own UNIT metric,
-// as for a checkpoint encode against the image-bytes it reports).
+// -assert-max-bytes does the same for B/op (the decide handler's and the
+// checkpoint writer's bounds).
 //
 // With -check FILE, benchjson compares the freshly parsed results against
 // the committed baseline document instead of writing one: any benchmark
@@ -184,10 +183,7 @@ func assertMaxBytes(results []Result, specs []string) error {
 }
 
 // assertMax fails unless every "NAME=N" entry of the named flag names a
-// present benchmark whose metric, in unit, is at most N. N may also be
-// "F*UNIT": F times a custom metric the benchmark itself reports, for a
-// bound that follows what was measured (BenchmarkCheckpoint/save's B/op
-// against the image-bytes it encoded).
+// present benchmark whose metric, in unit, is at most N.
 func assertMax(results []Result, specs []string, flagName, unit string, metric func(Result) float64) error {
 	byName := make(map[string]Result, len(results))
 	for _, r := range results {
@@ -198,21 +194,13 @@ func assertMax(results []Result, specs []string, flagName, unit string, metric f
 		if !ok {
 			return fmt.Errorf("benchjson: %s entry %q is not NAME=N", flagName, spec)
 		}
-		factorStr, of, relative := strings.Cut(limitStr, "*")
-		limit, err := strconv.ParseFloat(factorStr, 64)
+		limit, err := strconv.ParseFloat(limitStr, 64)
 		if err != nil || limit < 0 {
 			return fmt.Errorf("benchjson: %s entry %q has a bad limit", flagName, spec)
 		}
 		r, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("benchjson: benchmark %q not found in input (have %d results)", name, len(results))
-		}
-		if relative {
-			base, ok := r.Extra[of]
-			if !ok {
-				return fmt.Errorf("benchjson: %s entry %q: %s reports no %q", flagName, spec, name, of)
-			}
-			limit *= base
 		}
 		if got := metric(r); got > limit {
 			return fmt.Errorf("benchjson: %s reports %.0f %s (%.0f allocs/op, %.0f B/op), limit %.0f — the bounded-allocation path regressed",
@@ -373,7 +361,7 @@ func main() {
 	maxAllocs := flag.String("assert-max-allocs", "",
 		"comma-separated NAME=N pairs; exit 1 when NAME reports more than N allocs/op")
 	maxBytes := flag.String("assert-max-bytes", "",
-		"comma-separated NAME=N pairs; exit 1 when NAME reports more than N B/op (N may be F*UNIT: F times NAME's own UNIT metric)")
+		"comma-separated NAME=N pairs; exit 1 when NAME reports more than N B/op")
 	checkPath := flag.String("check", "",
 		"baseline BENCH JSON file to compare against; exit 1 when any shared benchmark's ns/op regresses beyond -check-tolerance")
 	checkTol := flag.Float64("check-tolerance", 0.20,

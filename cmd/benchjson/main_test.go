@@ -119,24 +119,6 @@ func TestAssertMaxBytes(t *testing.T) {
 	}
 }
 
-// A limit may be a multiple of a metric the benchmark reports itself.
-func TestAssertMaxBytesRelative(t *testing.T) {
-	results, _, err := parse(strings.NewReader(
-		"BenchmarkCheckpoint/save-2\t1000\t420000 ns/op\t213011 image-bytes\t215040 B/op\t1 allocs/op\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := assertMaxBytes(results, []string{"BenchmarkCheckpoint/save=1.05*image-bytes"}); err != nil {
-		t.Fatalf("gate failed within 1.05× the image: %v", err)
-	}
-	if err := assertMaxBytes(results, []string{"BenchmarkCheckpoint/save=1.0*image-bytes"}); err == nil {
-		t.Fatal("gate passed a benchmark over 1.0× the image")
-	}
-	if err := assertMaxBytes(results, []string{"BenchmarkCheckpoint/save=1.05*nnz"}); err == nil {
-		t.Fatal("gate passed against a metric the benchmark does not report")
-	}
-}
-
 func TestRunWritesJSON(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader(sample), &out, "abc1234", "-", "", "", "", "", "", 0.20); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"megh/internal/sim"
@@ -26,7 +27,7 @@ func checkpointLearner(tb testing.TB) *Megh {
 }
 
 // BenchmarkCheckpoint prices the three things done with a learner image —
-// encode it (what a checkpoint hands the file and the replica push), verify
+// stream it out (what a checkpoint writes into its temp file), verify
 // it where it lies (what a replica PUT does with the body), restore it — on
 // checkpointLearner's learner (NNZ is reported), so ns/op and B/op are
 // comparable across revisions. load-grid10k restores the other kind of
@@ -35,10 +36,7 @@ func checkpointLearner(tb testing.TB) *Megh {
 // the tables it builds, not the entries it reads.
 func BenchmarkCheckpoint(b *testing.B) {
 	m := checkpointLearner(b)
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	img := imageOf(b, m)
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(m.QTableNNZ()), "nnz")
 		b.ReportMetric(float64(len(img)), "image-bytes")
@@ -47,7 +45,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.Run("save", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.AppendImage(nil); err != nil {
+			if _, err := m.WriteImage(io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}

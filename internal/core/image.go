@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
-	"slices"
 
 	"megh/internal/sparse"
 )
@@ -76,62 +76,63 @@ func vectorFields(v *sparse.VectorState) fieldList {
 	return fieldList{5, [15]any{&v.Dim, &v.PackedIndex, &v.PackedValue, "VectorState.Index", "VectorState.Value"}}
 }
 
-// AppendImage appends the learner's checkpoint image — the bytes SaveState
-// writes — to dst and returns the extended slice. The image is laid out
-// twice, counting and then writing, so with dst nil it costs one
-// allocation of its own size (and a chronological copy of the NNZ history
-// once that ring has wrapped); B, z and θ are packed straight from their
-// pages into the space reserved for them.
-func (m *Megh) AppendImage(dst []byte) ([]byte, error) {
+// WriteImage writes the learner's checkpoint image — the bytes SaveState
+// writes — to w and returns its length. The image is counted, which
+// allocates nothing, then written in order through one buffer of at most
+// 32 KiB: the packed lists straight from B's, z's and θ's pages, the NNZ
+// history ring oldest first where it lies. A failed write leaves a prefix.
+func (m *Megh) WriteImage(w io.Writer) (int64, error) {
 	var rng [2]uint64
 	rng[0], rng[1] = m.rng.state()
 	st := persistedState{
 		Version: stateVersion, Config: m.cfg, Temp: m.temp,
 		B: sparse.MatrixState{Dim: m.b.Dim(), Diag: m.b.Diag(), DropTol: m.b.DropTolerance()},
 		Z: sparse.VectorState{Dim: m.z.Dim()}, Theta: sparse.VectorState{Dim: m.theta.Dim()},
-		Pending: m.pending, PendingTotal: m.pendingTotal, StepCost: m.stepCost, HaveCost: m.haveCost,
-		NNZHistory: m.NNZHistory(), RngState: rng[:],
+		PendingTotal: m.pendingTotal, StepCost: m.stepCost, HaveCost: m.haveCost, RngState: rng[:],
 	}
 	fl := stateFields(&st)
-	w := imageWriter{sizing: true}
-	for i := range w.lists {
-		w.lists[i].Counting = true
+	pending, history := [2][]int{m.pending}, [2][]int{m.nnzHistory[m.nnzStart:], m.nnzHistory[:m.nnzStart]}
+	fl.f[6], fl.f[10] = &pending, &history
+	c := sparse.Packed{Counting: true}
+	iw := imageWriter{m: m, out: c, lens: [8]sparse.Packed{c, c, c, c, c, c, c, c}}
+	l := &iw.lens
+	m.pack(&[8]*sparse.Packed{&l[0], &l[1], &l[2], &l[3], &l[4], &l[5], &l[6], &l[7]})
+	iw.message(fl)
+	n := iw.out.Len
+	size := len(imagePrefix) + gobUintLen(uint64(n)) + n
+	iw.out = sparse.Packed{Buf: append(make([]byte, 0, min(size, 32<<10)), imagePrefix...), W: w}
+	iw.uint(uint64(n))
+	iw.next = 0
+	iw.message(fl)
+	iw.out.Flush()
+	switch {
+	case iw.out.Err != nil:
+		return 0, fmt.Errorf("core: encoding learner state: %w", iw.out.Err)
+	case iw.out.Len != size:
+		return 0, errors.New("core: encoding learner state: a packed list changed size while being packed")
 	}
-	m.pack(&w.lists)
-	w.message(fl)
-	n := w.n
-	dst = slices.Grow(dst, len(imagePrefix)+gobUintLen(uint64(n))+n)
-	w.buf, w.sizing, w.next = appendGobUint(append(dst, imagePrefix...), uint64(n)), false, 0
-	w.message(fl)
-	m.pack(&w.lists)
-	for _, l := range w.lists {
-		if len(l.Buf) != l.Len {
-			return dst, errors.New("core: encoding learner state: a packed list changed size while being packed")
-		}
-	}
-	return w.buf, nil
+	return int64(size), nil
 }
 
-// pack emits B's, z's and θ's packed lists — the image's only []byte
-// fields — into lists, in field order.
-func (m *Megh) pack(lists *[8]sparse.Packed) {
-	m.b.Pack(&lists[0], &lists[1], &lists[2], &lists[3])
-	m.z.Pack(&lists[4], &lists[5])
-	m.theta.Pack(&lists[6], &lists[7])
+// pack emits the image's []byte fields — B's rows, cols, vals and diag,
+// then z's and θ's index and value lists — into the lists l holds. A nil
+// list is skipped, and θ's dense pages are not scanned for nothing.
+func (m *Megh) pack(l *[8]*sparse.Packed) {
+	m.b.Pack(l[0], l[1], l[2], l[3])
+	m.z.Pack(l[4], l[5])
+	if l[6] != nil || l[7] != nil {
+		m.theta.Pack(l[6], l[7])
+	}
 }
 
-// imageWriter lays out a value message as gob's encoder does. While sizing
-// it only counts the bytes, so one walk sizes the image and the next writes
-// it into a buffer that already has room for all of it.
+// imageWriter lays out a value message as gob's encoder does into out,
+// which one walk only counts and the next streams.
 type imageWriter struct {
-	buf    []byte
-	sizing bool
-	n      int // bytes counted while sizing
-	last   int // the current struct's last field written; -1 before its first
-	// lists are the packed lists (see pack): counted before the sizing
-	// pass, and pointed by the writing pass at the space it reserves.
-	lists [8]sparse.Packed
-	next  int // the list the next []byte field holds
+	m    *Megh
+	out  sparse.Packed
+	last int              // the current struct's last field written; -1 before its first
+	lens [8]sparse.Packed // the packed lists (see pack), counted before sizing
+	next int              // the list the next []byte field holds
 }
 
 func (w *imageWriter) message(fl fieldList) {
@@ -154,10 +155,12 @@ func (w *imageWriter) fields(fl fieldList) {
 			w.scalar(f, *v != 0, bits.ReverseBytes64(math.Float64bits(*v)))
 		case *bool:
 			w.scalar(f, *v, 1)
-		case *[]int:
-			w.list(f, len(*v))
-			for _, x := range *v {
-				w.uint(zigzag(int64(x)))
+		case *[2][]int: // the writer's []int fields, each in two parts
+			w.list(f, len(v[0])+len(v[1]))
+			for _, part := range v {
+				for _, x := range part {
+					w.uint(zigzag(int64(x)))
+				}
 			}
 		case *[]uint64:
 			w.list(f, len(*v))
@@ -165,15 +168,15 @@ func (w *imageWriter) fields(fl fieldList) {
 				w.uint(x)
 			}
 		case *[]byte:
-			l := &w.lists[w.next]
+			j := w.next
 			w.next++
-			w.list(f, l.Len)
-			if w.sizing {
-				w.n += l.Len
+			w.list(f, w.lens[j].Len)
+			if w.out.Counting {
+				w.out.Len += w.lens[j].Len
 			} else {
-				at := len(w.buf)
-				w.buf = w.buf[:at+l.Len]
-				l.Buf, l.Counting = w.buf[at:at:at+l.Len], false
+				var one [8]*sparse.Packed
+				one[j] = &w.out
+				w.m.pack(&one)
 			}
 		case *Config:
 			w.field(f)
@@ -191,11 +194,13 @@ func (w *imageWriter) fields(fl fieldList) {
 }
 
 func (w *imageWriter) uint(x uint64) {
-	if w.sizing {
-		w.n += gobUintLen(x)
+	n := gobUintLen(x)
+	if w.out.Counting {
+		w.out.Len += n
 		return
 	}
-	w.buf = appendGobUint(w.buf, x)
+	w.out.Room(n)
+	w.out.Buf = appendGobUint(w.out.Buf, x)
 }
 
 // field writes the delta from the previous field number to f.

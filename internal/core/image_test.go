@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,16 +78,22 @@ func TestImageIsWhatGobWrites(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := mirrorImage(t, mirrorOf(m))
-			img, err := m.AppendImage(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			img := imageOf(t, m)
 			if !bytes.Equal(img, want) {
 				t.Fatalf("the image (%d bytes) is not what gob writes (%d bytes)", len(img), len(want))
 			}
 			var saved bytes.Buffer
 			if err := m.SaveState(&saved); err != nil || !bytes.Equal(saved.Bytes(), want) {
 				t.Fatalf("SaveState writes another image (err %v)", err)
+			}
+			// Counting allocates nothing, the ring is not copied: the one
+			// allocation is the write buffer.
+			if n := testing.AllocsPerRun(3, func() {
+				if _, err := m.WriteImage(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 1 {
+				t.Fatalf("writing the image took %.0f allocations", n)
 			}
 
 			var gobs persistedState
@@ -165,11 +172,7 @@ func TestImageCodecKnowsEveryField(t *testing.T) {
 // A replica PUT verifies the image where it lies: no copy of it, and no
 // NNZHistory, which only a restore reads.
 func TestVerifyImageAllocatesNoCopy(t *testing.T) {
-	m := checkpointLearner(t)
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := imageOf(t, checkpointLearner(t))
 	if got := allocatedBy(func() {
 		if err := VerifyImage(img); err != nil {
 			t.Fatal(err)

@@ -47,38 +47,31 @@ type persistedState struct {
 // side-effect-free and a checkpoint-restore-resumed run makes decisions
 // byte-identical to the uninterrupted run it forked from.
 func (m *Megh) SaveState(w io.Writer) error {
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(img); err != nil {
-		return fmt.Errorf("core: encoding learner state: %w", err)
-	}
-	return nil
+	_, err := m.WriteImage(w)
+	return err
 }
 
 // SaveStateFile persists the learner atomically to path (WriteFileAtomic).
 // Callers that need a consistent snapshot must serialise learner mutation
 // themselves (SaveStateFile only reads).
 func (m *Megh) SaveStateFile(path string) error {
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, img)
+	_, err := WriteFileAtomic(path, m.WriteImage)
+	return err
 }
 
-// WriteFileAtomic is the one writer of checkpoint images on disk: data goes
-// to a uniquely named temp file in path's directory, which is renamed over
-// path. Readers never see a torn image, and concurrent writers each complete
-// their own file — the last rename wins with a whole image, never an
-// interleaved one. A failed write leaves no temp file behind.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteFileAtomic is the one writer of checkpoint images on disk: write
+// (an encoder such as (*Megh).WriteImage, or a copy) fills a uniquely named
+// temp file in path's directory, which is renamed over path; it returns
+// what write wrote, and any error. Readers never see a torn image, and
+// concurrent writers each complete their own file — the last rename wins
+// with a whole image, never an interleaved one. A failed write leaves no
+// temp file behind.
+func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
+		return 0, fmt.Errorf("core: checkpoint temp file: %w", err)
 	}
-	_, err = f.Write(data)
+	n, err := write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -88,7 +81,7 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err != nil {
 		_ = os.Remove(f.Name())
 	}
-	return err
+	return n, err
 }
 
 // LoadStateFile reconstructs a learner from a file written by

@@ -131,14 +131,21 @@ func mirrorOf(m *Megh) imageV2 {
 	}
 }
 
+// imageOf is m's checkpoint image, as WriteImage writes it.
+func imageOf(tb testing.TB, m *Megh) []byte {
+	tb.Helper()
+	var img bytes.Buffer
+	n, err := m.WriteImage(&img)
+	if err != nil || n != int64(img.Len()) {
+		tb.Fatalf("WriteImage reports %d bytes of a %d-byte image (err %v)", n, img.Len(), err)
+	}
+	return img.Bytes()
+}
+
 // savedMirror is the mirror of m's saved image.
 func savedMirror(t testing.TB, m *Megh) imageV2 {
 	t.Helper()
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return readMirror(t, img)
+	return readMirror(t, imageOf(t, m))
 }
 
 // ageOneDay applies to a fresh learner what a simulated day leaves behind at

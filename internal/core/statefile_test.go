@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -119,10 +121,7 @@ func TestLoadStateFileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := m.AppendImage(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := imageOf(t, m)
 	padded := filepath.Join(t.TempDir(), "padded.ckpt")
 	if err := os.WriteFile(padded, append(img, 0, 0, 0), 0o644); err != nil {
 		t.Fatal(err)
@@ -143,5 +142,73 @@ func TestSaveStatePropagatesWriteError(t *testing.T) {
 	}
 	if err := m.SaveState(failWriter{}); err == nil {
 		t.Fatal("encode onto a failing writer succeeded")
+	}
+}
+
+// failAt passes writes through to w until byte k, and fails the write that
+// reaches it.
+type failAt struct {
+	w       io.Writer
+	k, done int
+}
+
+var errFailAt = errors.New("disk full")
+
+func (f *failAt) Write(p []byte) (int, error) {
+	if f.done+len(p) <= f.k {
+		f.done += len(p)
+		return f.w.Write(p)
+	}
+	n, _ := f.w.Write(p[:f.k-f.done])
+	f.done += n
+	return n, errFailAt
+}
+
+// TestWriteImageFailsPartWay: a write that fails at byte k — in the
+// framing, inside each packed list, in the tail — is WriteImage's error
+// after exactly the image's first k bytes, and WriteFileAtomic then leaves
+// the previous image byte-identical and no temp file.
+func TestWriteImageFailsPartWay(t *testing.T) {
+	m := checkpointLearner(t)
+	img := imageOf(t, m)
+	im := readMirror(t, img)
+	ks := []int{0, len(imagePrefix)}
+	at := len(imagePrefix)
+	for _, l := range [][]byte{im.B.PackedRows, im.B.PackedCols, im.B.PackedVals, im.B.PackedDiag,
+		im.Z.PackedIndex, im.Z.PackedValue, im.Theta.PackedIndex, im.Theta.PackedValue} {
+		head := appendGobUint(nil, uint64(len(l)))
+		i := bytes.Index(img[at:], append(head, l...))
+		if len(l) == 0 || i < 0 {
+			t.Fatalf("a packed list of %d bytes is not in the image after byte %d", len(l), at)
+		}
+		at += i + len(head)
+		ks = append(ks, at+len(l)/2)
+		at += len(l)
+	}
+	ks = append(ks, len(img)-1)
+
+	path := filepath.Join(t.TempDir(), "learner.ckpt")
+	if err := m.SaveStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		var got bytes.Buffer
+		if _, err := m.WriteImage(&failAt{w: &got, k: k}); !errors.Is(err, errFailAt) {
+			t.Fatalf("k=%d: WriteImage returned %v", k, err)
+		}
+		if !bytes.Equal(got.Bytes(), img[:k]) {
+			t.Fatalf("k=%d: %d bytes went out before the failure, not the image's first %d", k, got.Len(), k)
+		}
+		if _, err := WriteFileAtomic(path, func(w io.Writer) (int64, error) {
+			return m.WriteImage(&failAt{w: w, k: k})
+		}); !errors.Is(err, errFailAt) {
+			t.Fatalf("k=%d: WriteFileAtomic returned %v", k, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, img) {
+			t.Fatalf("k=%d: the failed write disturbed the previous image (err=%v)", k, err)
+		}
+		if leftovers, _ := filepath.Glob(path + ".tmp-*"); len(leftovers) != 0 {
+			t.Fatalf("k=%d: stray temp files: %v", k, leftovers)
+		}
 	}
 }

@@ -265,10 +265,7 @@ func TestNilHostFailedMeansNoneFailed(t *testing.T) {
 		if err := tracer.Close(); err != nil {
 			t.Fatal(err)
 		}
-		image, err := m.AppendImage(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		image := imageOf(t, m)
 		for i := range res.Steps {
 			res.Steps[i].DecideSeconds = 0
 		}

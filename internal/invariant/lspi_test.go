@@ -113,12 +113,12 @@ type lspiImage struct {
 
 // denseState reads B, z and θ out of m's checkpoint image, dense.
 func denseState(m *core.Megh) (b [][]float64, z, theta []float64, err error) {
-	img, err := m.AppendImage(nil)
-	if err != nil {
+	var img bytes.Buffer
+	if err := m.SaveState(&img); err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: checkpoint image: %w", err)
 	}
 	var st lspiImage
-	if err := gob.NewDecoder(bytes.NewReader(img)).Decode(&st); err != nil {
+	if err := gob.NewDecoder(&img).Decode(&st); err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: decoding checkpoint image: %w", err)
 	}
 	bm, err := sparse.MatrixFromState(st.B)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 
@@ -151,7 +153,7 @@ func handleReplicaPut(w http.ResponseWriter, r *http.Request, c *clusterRuntime,
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replica image is not a valid checkpoint: %w", err))
 		return
 	}
-	if err := core.WriteFileAtomic(c.replicaPath(id), img); err != nil {
+	if _, err := core.WriteFileAtomic(c.replicaPath(id), bytes.NewReader(img).WriteTo); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("storing replica: %w", err))
 		return
 	}
@@ -159,10 +161,10 @@ func handleReplicaPut(w http.ResponseWriter, r *http.Request, c *clusterRuntime,
 }
 
 // handleReplicaGet serves GET /v2/cluster/replicas/{id}: the stored
-// replica image, so an owner (or an operator) can pull a copy instead of
-// waiting for a push.
+// replica image, streamed, so an owner (or an operator) can pull a copy
+// instead of waiting for a push.
 func handleReplicaGet(w http.ResponseWriter, _ *http.Request, c *clusterRuntime, id string) {
-	img, err := os.ReadFile(c.replicaPath(id))
+	img, err := os.Open(c.replicaPath(id))
 	if err != nil {
 		if os.IsNotExist(err) {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no replica for session %q", id))
@@ -171,9 +173,13 @@ func handleReplicaGet(w http.ResponseWriter, _ *http.Request, c *clusterRuntime,
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	defer img.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(img)
+	buf := relayBufs.Get().(*[32 << 10]byte)
+	// Hide the file's WriteTo, which would copy through a fresh buffer.
+	_, _ = io.CopyBuffer(w, struct{ io.Reader }{img}, buf[:])
+	relayBufs.Put(buf)
 }
 
 // handleReplicaDelete serves DELETE /v2/cluster/replicas/{id}: drops the

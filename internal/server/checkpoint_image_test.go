@@ -47,16 +47,16 @@ func TestCheckpointImageIdentity(t *testing.T) {
 	var wrote, pushed [][sha256.Size]byte
 	var wroteLens []int
 	replicate := owner.mgr.onCheckpoint
-	owner.mgr.onCheckpoint = func(sid string, img []byte) {
-		onDisk, err := os.ReadFile(owner.mgr.checkpointPath(sid))
-		if err != nil || !bytes.Equal(onDisk, img) {
-			t.Errorf("image handed to replication differs from the file its checkpoint wrote (err=%v)", err)
+	owner.mgr.onCheckpoint = func(sid, path string) {
+		img, err := os.ReadFile(path)
+		if err != nil || path != owner.mgr.checkpointPath(sid) {
+			t.Errorf("the hook was handed %s, not the session's checkpoint (err=%v)", path, err)
 		}
 		mu.Lock()
 		wrote = append(wrote, sha256.Sum256(img))
 		wroteLens = append(wroteLens, len(img))
 		mu.Unlock()
-		replicate(sid, img)
+		replicate(sid, path)
 	}
 	// Record what the successor is sent.
 	inner := tc.svcs["b"].Handler()
@@ -135,6 +135,177 @@ func TestCheckpointImageIdentity(t *testing.T) {
 	}
 	if got := owner.Metrics().Gauge("megh_checkpoint_bytes", "", nil).Value(); int(got) != len(final) {
 		t.Fatalf("megh_checkpoint_bytes = %v, the last image is %d bytes", got, len(final))
+	}
+}
+
+// holdFirstReplicaPut holds the first replica PUT sent through it, before
+// the transport has read a byte of its body, until release is closed.
+type holdFirstReplicaPut struct {
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *holdFirstReplicaPut) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v2/cluster/replicas/") {
+		first := false
+		h.once.Do(func() { first = true })
+		if first {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestCheckpointHeldPushShipsItsOwnImage: an asynchronous replica push held
+// until a newer checkpoint has renamed its image over the path still ships
+// the image of the checkpoint that started it — the push reads the file it
+// opened under the session lock, never the path.
+func TestCheckpointHeldPushShipsItsOwnImage(t *testing.T) {
+	hold := &holdFirstReplicaPut{held: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold.release) }) }
+	t.Cleanup(release)
+	tc := newTestClusterTuned(t, 2, func(cc *ClusterConfig) {
+		cc.SyncReplicate = false
+		cc.HTTPClient = &http.Client{Transport: hold}
+	}, "a", "b")
+	id := tc.idOwnedBy(t, "a", "a")
+	owner := tc.svcs["a"]
+	if resp := doJSON(t, http.MethodPut, tc.urls["a"]+"/v2/sessions/"+id, clusterSpec, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	landed := make(chan []byte, 2) // one per checkpoint below
+	inner := tc.svcs["b"].Handler()
+	tc.servers["b"].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasPrefix(r.URL.Path, "/v2/cluster/replicas/") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading pushed replica: %v", err)
+			}
+			landed <- body
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	})
+
+	sc := NewClient(tc.urls["a"], nil).Session(id)
+	checkpoint := func(step int) []byte {
+		t.Helper()
+		ctx := context.Background()
+		if _, err := sc.Decide(ctx, sessionWorld(4, 3, step)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Feedback(ctx, FeedbackRequest{Step: step, StepCost: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := sc.Checkpoint(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(resp.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	older := checkpoint(0)
+	<-hold.held
+	newer := checkpoint(1)
+	if bytes.Equal(older, newer) {
+		t.Fatal("both checkpoints wrote the same image; the test distinguishes nothing")
+	}
+	if got := <-landed; !bytes.Equal(got, newer) {
+		t.Fatal("the newer checkpoint's push did not ship the newer image")
+	}
+	release()
+	if got := <-landed; !bytes.Equal(got, older) {
+		t.Fatal("the push held past a newer checkpoint shipped another image than its own")
+	}
+	owner.WaitReplication()
+}
+
+// failAt passes writes through to w until byte k, and fails the write that
+// reaches it.
+type failAt struct {
+	w       io.Writer
+	k, done int
+}
+
+var errFailAt = errors.New("write failed")
+
+func (f *failAt) Write(p []byte) (int, error) {
+	if f.done+len(p) <= f.k {
+		f.done += len(p)
+		return f.w.Write(p)
+	}
+	n, _ := f.w.Write(p[:f.k-f.done])
+	f.done += n
+	return n, errFailAt
+}
+
+// TestCheckpointWriteFailsPartWay: a checkpoint whose write fails at byte k
+// — in the image's framing, in a packed list, in its tail — returns the
+// error, leaves the previous image byte-identical with no temp file beside
+// it, is counted in megh_checkpoint_errors_total, and starts no replica
+// push.
+func TestCheckpointWriteFailsPartWay(t *testing.T) {
+	tc := newTestClusterTuned(t, 2, func(cc *ClusterConfig) { cc.SyncReplicate = false }, "a", "b")
+	id := tc.idOwnedBy(t, "a", "a")
+	owner := tc.svcs["a"]
+	if resp := doJSON(t, http.MethodPut, tc.urls["a"]+"/v2/sessions/"+id, clusterSpec, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", resp.StatusCode)
+	}
+	c := NewClient(tc.urls["a"], nil)
+	c.SetRetryPolicy(1, 0) // a retried failure would count twice
+	sc := c.Session(id)
+	ctx := context.Background()
+	for step := 0; step < 6; step++ {
+		if _, err := sc.Decide(ctx, sessionWorld(4, 3, step)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Feedback(ctx, FeedbackRequest{Step: step, StepCost: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := sc.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.WaitReplication()
+	good, err := os.ReadFile(resp.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := owner.Metrics()
+	errs := reg.Counter("megh_checkpoint_errors_total", "", nil)
+	pushes := func() int64 {
+		return reg.Counter("megh_cluster_replications_total", "", nil).Value() +
+			reg.Counter("megh_cluster_replication_errors_total", "", nil).Value()
+	}
+	before, pushedBefore := errs.Value(), pushes()
+	// The learner has not moved, so each failed write was of good's bytes:
+	// whatever it renamed over good would be a prefix of it.
+	for _, k := range []int{0, len(good) / 4, len(good) / 2, len(good) - 1} {
+		owner.mgr.writeFile = func(path string, write func(io.Writer) (int64, error)) (int64, error) {
+			return core.WriteFileAtomic(path, func(w io.Writer) (int64, error) { return write(&failAt{w: w, k: k}) })
+		}
+		if _, err := sc.Checkpoint(ctx); err == nil || !strings.Contains(err.Error(), errFailAt.Error()) {
+			t.Fatalf("k=%d: a checkpoint whose write failed answered err %v", k, err)
+		}
+		owner.WaitReplication()
+		if after, err := os.ReadFile(resp.Path); err != nil || !bytes.Equal(after, good) {
+			t.Fatalf("k=%d: the failed write disturbed the previous image (err=%v)", k, err)
+		}
+		if leftovers, _ := filepath.Glob(resp.Path + ".tmp-*"); len(leftovers) != 0 {
+			t.Fatalf("k=%d: stray temp files: %v", k, leftovers)
+		}
+	}
+	if got := errs.Value() - before; got != 4 {
+		t.Fatalf("megh_checkpoint_errors_total moved by %d over four failed writes", got)
+	}
+	if got := pushes() - pushedBefore; got != 0 {
+		t.Fatalf("%d replica pushes started after failed checkpoints", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -290,12 +289,11 @@ var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // --- checkpoint replication ---------------------------------------------
 
-// replicate pushes a checkpoint image to every node of the session's
-// replica set except this one. Asynchronous unless SyncReplicate; failures
-// count but never fail the checkpoint itself (a missed push is repaired by
-// the next checkpoint or a rebalance sweep). img is the image the
-// checkpoint wrote and is not modified.
-func (c *clusterRuntime) replicate(id string, img []byte) {
+// replicate pushes the image just landed at path to every node of the
+// session's replica set except this one. Asynchronous unless
+// SyncReplicate; failures count but never fail the checkpoint itself (a
+// missed push is repaired by the next checkpoint or a rebalance sweep).
+func (c *clusterRuntime) replicate(id, path string) {
 	if id == DefaultSessionID {
 		return
 	}
@@ -303,14 +301,15 @@ func (c *clusterRuntime) replicate(id string, img []byte) {
 	if len(targets) == 0 {
 		return
 	}
+	push := c.pushReplicas(id, path, targets)
 	if c.syncReplicate {
-		c.pushReplicas(id, img, targets)
+		push()
 		return
 	}
 	c.pushWG.Add(1)
 	go func() {
 		defer c.pushWG.Done()
-		c.pushReplicas(id, img, targets)
+		push()
 	}()
 }
 
@@ -327,27 +326,41 @@ func (c *clusterRuntime) replicaTargets(id string) []cluster.Peer {
 	return out
 }
 
-// pushReplicas PUTs the image to each target and returns how many took it.
-func (c *clusterRuntime) pushReplicas(id string, img []byte, targets []cluster.Peer) int {
-	pushed := 0
-	for _, p := range targets {
-		if err := c.putReplica(p, id, img); err != nil {
-			c.cReplErrs.Inc()
-		} else {
-			c.cReplPush.Inc()
-			pushed++
-		}
+// pushReplicas opens the image at path once per target while the caller
+// holds the session's lock, so no later rename changes what is sent, and
+// returns the push: it PUTs each and reports how many peers took it.
+func (c *clusterRuntime) pushReplicas(id, path string, targets []cluster.Peer) func() int {
+	images := make([]*os.File, len(targets))
+	for i := range targets {
+		images[i], _ = os.Open(path) // a nil descriptor fails its push
 	}
-	return pushed
+	return func() int {
+		pushed := 0
+		for i, p := range targets {
+			if images[i] == nil || c.putReplica(p, id, images[i]) != nil {
+				c.cReplErrs.Inc()
+			} else {
+				c.cReplPush.Inc()
+				pushed++
+			}
+		}
+		return pushed
+	}
 }
 
-// putReplica ships one checkpoint image to one peer.
-func (c *clusterRuntime) putReplica(p cluster.Peer, id string, img []byte) error {
-	req, err := http.NewRequest(http.MethodPut,
-		p.URL+"/v2/cluster/replicas/"+id, bytes.NewReader(img))
+// putReplica ships one checkpoint image to one peer and closes it. With
+// its length set, the transport can send the file with sendfile.
+func (c *clusterRuntime) putReplica(p cluster.Peer, id string, img *os.File) error {
+	defer img.Close()
+	info, err := img.Stat()
 	if err != nil {
 		return err
 	}
+	req, err := http.NewRequest(http.MethodPut, p.URL+"/v2/cluster/replicas/"+id, img)
+	if err != nil {
+		return err
+	}
+	req.ContentLength = info.Size()
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(forwardedHeader, c.node.Self().Name)
 	resp, err := c.httpc.Do(req)
@@ -411,11 +424,12 @@ func (c *clusterRuntime) dropReplicas(id string) {
 // owned the session), the replica becomes the primary. The copy preserves
 // the replica file, so a flapping owner can fail over repeatedly.
 func (c *clusterRuntime) promoteReplica(id, primaryPath string) bool {
-	img, err := os.ReadFile(c.replicaPath(id))
+	replica, err := os.Open(c.replicaPath(id))
 	if err != nil {
 		return false
 	}
-	if err := core.WriteFileAtomic(primaryPath, img); err != nil {
+	defer replica.Close()
+	if _, err := core.WriteFileAtomic(primaryPath, replica.WriteTo); err != nil {
 		return false
 	}
 	c.cPromoted.Inc()
@@ -451,23 +465,18 @@ func (c *clusterRuntime) rebalance() ClusterRebalanceResponse {
 			return
 		}
 		// Fresh image: checkpoint a resident learner; an evicted session's
-		// image is already on disk.
-		var img []byte
-		var err error
+		// image is already on disk. Either way the file is what is pushed.
 		if sess.learner != nil {
-			img, err = c.svc.mgr.writeImage(sess)
-		} else {
-			img, err = os.ReadFile(sess.ckptPath)
-		}
-		if err != nil {
-			sess.mu.Unlock()
-			resp.Errors++
-			return
+			if _, err := c.svc.mgr.writeImage(sess); err != nil {
+				sess.mu.Unlock()
+				resp.Errors++
+				return
+			}
 		}
 		// Push to the whole replica set, owner first, synchronously — the
 		// handoff must land before this node forgets the learner.
 		owners := c.replicaTargets(sess.id)
-		if c.pushReplicas(sess.id, img, owners) == 0 && len(owners) > 0 {
+		if c.pushReplicas(sess.id, sess.ckptPath, owners)() == 0 && len(owners) > 0 {
 			// No copy landed anywhere: keep the learner, try next sweep.
 			sess.mu.Unlock()
 			resp.Errors++

@@ -333,12 +333,12 @@ func TestDecideBatchEdgeCasesUnderCoalescing(t *testing.T) {
 	})
 }
 
-// BenchmarkCoalescedDecide measures the server decide path at the service
+// BenchmarkDecideRound measures the server decide path at the service
 // layer (no HTTP stack): one decideRound per call, under one hold of the
 // session lock, as Service.decide runs it. "serial" is one caller;
 // "parallel" is eight goroutines contending for the one session lock.
 // `make check` gates the serial path's allocs/op.
-func BenchmarkCoalescedDecide(b *testing.B) {
+func BenchmarkDecideRound(b *testing.B) {
 	mk := func(b *testing.B) func() error {
 		svc, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7})
 		if err != nil {

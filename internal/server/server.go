@@ -905,8 +905,8 @@ func (s *Service) checkpointSession(sess *session) (CheckpointResponse, error) {
 	}
 	var resp CheckpointResponse
 	err := s.mgr.withLearner(sess, func(*core.Megh) error {
-		img, err := s.mgr.checkpoint(sess)
-		resp = CheckpointResponse{Path: sess.ckptPath, Bytes: len(img)}
+		n, err := s.mgr.checkpoint(sess)
+		resp = CheckpointResponse{Path: sess.ckptPath, Bytes: int(n)}
 		return err
 	})
 	if err != nil {

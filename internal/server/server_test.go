@@ -326,11 +326,11 @@ func TestDefaultSessionRestoresFromCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	image := func(svc *Service) []byte {
-		img, err := svc.def.learner.AppendImage(nil)
-		if err != nil {
+		var img bytes.Buffer
+		if err := svc.def.learner.SaveState(&img); err != nil {
 			t.Fatal(err)
 		}
-		return img
+		return img.Bytes()
 	}
 	restarted, err := New(Config{NumVMs: 4, NumHosts: 3, Seed: 7, CheckpointDir: dir})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -152,15 +153,18 @@ type sessionManager struct {
 	stepSeconds float64
 
 	// Cluster-mode hooks (all nil when single-node). onCheckpoint runs
-	// after every successful checkpoint write, with the image that write
-	// landed, so exactly those bytes replicate to ring peers; onDelete
+	// after every successful checkpoint write, under the session lock, with
+	// the path that write landed at, so exactly those bytes replicate to
+	// ring peers; onDelete
 	// purges a deleted session's replicas;
 	// promoteReplica is the restore fallback — it lands a replicated
 	// image at the primary checkpoint path and reports whether it did,
 	// which is how a session fails over to a new owner.
-	onCheckpoint   func(id string, img []byte)
+	onCheckpoint   func(id, path string)
 	onDelete       func(id string)
 	promoteReplica func(id, primaryPath string) bool
+	// writeFile is core.WriteFileAtomic; tests wrap it to fail part-way.
+	writeFile func(path string, write func(io.Writer) (int64, error)) (int64, error)
 
 	gLive      *obs.Gauge
 	gDefined   *obs.Gauge
@@ -177,6 +181,7 @@ func newSessionManager(cfg Config, reg *obs.Registry) *sessionManager {
 		ckptDir:     cfg.CheckpointDir,
 		overload:    cfg.OverloadThreshold,
 		stepSeconds: cfg.StepSeconds,
+		writeFile:   core.WriteFileAtomic,
 		gLive: reg.Gauge("megh_sessions_live",
 			"Sessions whose learner is resident in memory.", nil),
 		gDefined: reg.Gauge("megh_sessions_defined",
@@ -233,35 +238,31 @@ func (m *sessionManager) checkpointPath(id string) string {
 	return filepath.Join(m.ckptDir, id+".ckpt")
 }
 
-// writeImage is the one writer of session checkpoints: it encodes the
-// resident learner once, lands the image atomically at the session's
-// checkpoint path and returns the bytes it wrote. The caller holds s.mu and
-// has checked that the session is resident and has a checkpoint path. A
+// writeImage is the one writer of session checkpoints: it streams the
+// resident learner's image into place atomically at the session's
+// checkpoint path and returns its length. The caller holds s.mu and has
+// checked that the session is resident and has a checkpoint path. A
 // failure leaves the previous image in place and is counted.
-func (m *sessionManager) writeImage(s *session) ([]byte, error) {
+func (m *sessionManager) writeImage(s *session) (int64, error) {
 	start := time.Now()
-	img, err := s.learner.AppendImage(nil)
-	if err == nil {
-		err = core.WriteFileAtomic(s.ckptPath, img)
-	}
+	n, err := m.writeFile(s.ckptPath, s.learner.WriteImage)
 	if err != nil {
 		m.cCkptErrs.Inc()
-		return nil, fmt.Errorf("checkpointing session %q: %w", s.id, err)
+		return 0, fmt.Errorf("checkpointing session %q: %w", s.id, err)
 	}
 	m.hCkpt.Observe(time.Since(start).Seconds())
-	m.gCkptBytes.Set(float64(len(img)))
-	return img, nil
+	m.gCkptBytes.Set(float64(n))
+	return n, nil
 }
 
-// checkpoint is writeImage followed by the cluster replication hook, which
-// receives the bytes this checkpoint wrote — never a later image re-read
-// from the path.
-func (m *sessionManager) checkpoint(s *session) ([]byte, error) {
-	img, err := m.writeImage(s)
+// checkpoint is writeImage, then the replication hook, run under s.mu with
+// the path: what it opens there is this checkpoint's image.
+func (m *sessionManager) checkpoint(s *session) (int64, error) {
+	n, err := m.writeImage(s)
 	if err == nil && m.onCheckpoint != nil {
-		m.onCheckpoint(s.id, img)
+		m.onCheckpoint(s.id, s.ckptPath)
 	}
-	return img, err
+	return n, err
 }
 
 // revive gives s its learner; it is the one way a session's learner comes

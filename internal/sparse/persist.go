@@ -3,6 +3,7 @@ package sparse
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 )
@@ -36,15 +37,32 @@ func (v *Vector) State() VectorState {
 }
 
 // Packed receives one packed list from a packer (Matrix.Pack,
-// RowVector.Pack, PagedVector.Pack): appended to Buf, or — with Counting
-// set — only measured in Len. Counting first and packing second lets a
-// caller that frames the lists itself (internal/core's image encoder) size
-// one buffer exactly and pack into it in place; State packs into fresh
-// slices.
+// RowVector.Pack, PagedVector.Pack; a nil list is skipped): appended to
+// Buf, or — with Counting set — only measured in Len, or — with W set —
+// streamed to W through Buf's capacity, Len counting the bytes written.
 type Packed struct {
 	Buf      []byte
 	Len      int
 	Counting bool
+	W        io.Writer
+	Err      error // the first error W returned; nothing is written after it
+}
+
+// Room makes room in a streamed Buf for n more bytes, writing Buf to W if
+// they would not fit (p may be nil). uvarint, gap and word do not look.
+func (p *Packed) Room(n int) {
+	if p != nil && p.W != nil && cap(p.Buf)-len(p.Buf) < n {
+		p.Flush()
+	}
+}
+
+// Flush writes a streamed Buf to W and empties it.
+func (p *Packed) Flush() {
+	if p.Err == nil && len(p.Buf) > 0 {
+		_, p.Err = p.W.Write(p.Buf)
+	}
+	p.Len += len(p.Buf)
+	p.Buf = p.Buf[:0]
 }
 
 // gap emits index i of an ascending list whose previous entry was prev (-1
@@ -64,11 +82,46 @@ func (p *Packed) uvarint(x uint64) {
 	}
 }
 
+func (p *Packed) word(x float64) {
+	if p.Counting {
+		p.Len += 8
+	} else {
+		p.Buf = binary.LittleEndian.AppendUint64(p.Buf, math.Float64bits(x))
+	}
+}
+
+// run makes room for some of n entries of width bytes and says how many.
+func (p *Packed) run(n, width int) int {
+	if p.W == nil {
+		return n
+	}
+	p.Room(width)
+	return min(n, max(1, (cap(p.Buf)-len(p.Buf))/width))
+}
+
+// gaps emits ascending indices after prev (-1 at a list's start) and
+// returns the last.
+func (p *Packed) gaps(prev int, idx []int) int {
+	for len(idx) > 0 {
+		k := p.run(len(idx), binary.MaxVarintLen64)
+		for _, i := range idx[:k] {
+			p.gap(prev, i)
+			prev = i
+		}
+		idx = idx[k:]
+	}
+	return prev
+}
+
 func (p *Packed) words(val []float64) {
 	if p.Counting {
 		p.Len += 8 * len(val)
-	} else {
-		p.Buf = appendWords(p.Buf, val)
+		return
+	}
+	for len(val) > 0 {
+		k := p.run(len(val), 8)
+		p.Buf = appendWords(p.Buf, val[:k])
+		val = val[k:]
 	}
 }
 
@@ -85,11 +138,12 @@ func (v *RowVector) State() VectorState {
 func (v *RowVector) Pack(index, value *Packed) {
 	prev := -1
 	v.each(func(r *span) {
-		for _, i := range r.idx {
-			index.gap(prev, i)
-			prev = i
+		if index != nil {
+			prev = index.gaps(prev, r.idx)
 		}
-		value.words(r.val)
+		if value != nil {
+			value.words(r.val)
+		}
 	})
 }
 
@@ -98,12 +152,15 @@ func (v *RowVector) Pack(index, value *Packed) {
 func (v *PagedVector) Pack(index, value *Packed) {
 	prev := -1
 	v.pages.each(func(p int, pg *[pageSize]float64) {
-		for k := range pg {
-			if pg[k] != 0 {
-				i := p<<pageShift + k
-				index.gap(prev, i)
-				value.words(pg[k : k+1])
-				prev = i
+		index.Room(pageSize * binary.MaxVarintLen64)
+		value.Room(pageSize * 8)
+		for k, x := range pg {
+			if x != 0 && index != nil {
+				index.gap(prev, p<<pageShift+k)
+				prev = p<<pageShift + k
+			}
+			if x != 0 && value != nil {
+				value.word(x)
 			}
 		}
 	})
@@ -184,29 +241,40 @@ func (m *Matrix) State() MatrixState {
 		PackedRows: l[0].Buf, PackedCols: l[1].Buf, PackedVals: l[2].Buf, PackedDiag: l[3].Buf}
 }
 
-// Pack emits the matrix's four packed lists in one walk over its pages.
+// Pack emits the matrix's packed lists: the diagonal list off each page's
+// override bits, the others in one walk over its records.
 func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
 	prevRow, prevDiag := -1, -1
+	if diag != nil {
+		m.pages.each(func(p int, pg *page) {
+			diag.Room(pageSize * binary.MaxVarintLen64)
+			for d := pg.diag; d != 0; d &= d - 1 {
+				diag.gap(prevDiag, p<<pageShift+bits.TrailingZeros64(d))
+				prevDiag = p<<pageShift + bits.TrailingZeros64(d)
+			}
+		})
+	}
+	if rows == nil && cols == nil && vals == nil {
+		return
+	}
 	m.pages.each(func(p int, pg *page) {
 		for k := range pg.recs {
-			i := p<<pageShift + k
-			if pg.overridden(k) {
-				diag.gap(prevDiag, i)
-				prevDiag = i
-			}
 			r := &pg.recs[k].row
 			if len(r.idx) == 0 {
 				continue
 			}
-			rows.gap(prevRow, i)
-			rows.uvarint(uint64(len(r.idx)))
-			prevRow = i
-			prevCol := -1
-			for _, j := range r.idx {
-				cols.gap(prevCol, j)
-				prevCol = j
+			if rows != nil {
+				rows.Room(2 * binary.MaxVarintLen64)
+				rows.gap(prevRow, p<<pageShift+k)
+				rows.uvarint(uint64(len(r.idx)))
+				prevRow = p<<pageShift + k
 			}
-			vals.words(r.val)
+			if cols != nil {
+				cols.gaps(-1, r.idx)
+			}
+			if vals != nil {
+				vals.words(r.val)
+			}
 		}
 	})
 }
@@ -342,11 +410,8 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // appendGaps appends a whole ascending index list.
 func appendGaps(dst []byte, idx []int) []byte {
-	p, prev := Packed{Buf: dst}, -1
-	for _, i := range idx {
-		p.gap(prev, i)
-		prev = i
-	}
+	p := Packed{Buf: dst}
+	p.gaps(-1, idx)
 	return p.Buf
 }
 

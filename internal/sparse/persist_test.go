@@ -131,6 +131,56 @@ func TestStateWritesPackedFormOnly(t *testing.T) {
 	}
 }
 
+// Each list streamed alone through a window smaller than a row, a page or
+// a value run — or than one entry — is, byte for byte, the list State
+// packs.
+func TestPackStreamsWhatStateHolds(t *testing.T) {
+	const dim = 5*pageSize + 3
+	m := NewMatrix(dim, 0.25)
+	v := NewVector(dim)
+	for j := 0; j < dim; j += 2 {
+		m.Set(7, j, float64(j)+0.5) // one row far wider than the window
+		v.Set(j, -float64(j)-1)
+	}
+	m.Set(dim-1, 3, 2)
+	m.Set(40, 40, 0) // an overridden diagonal that stores nothing
+	m.Set(90, 90, 1.5)
+	for _, window := range []int{4, 24} {
+		testPackStreams(t, window, m, v)
+	}
+}
+
+func testPackStreams(t *testing.T, window int, m *Matrix, v *Vector) {
+	stream := func(pack func(*Packed)) []byte {
+		var out bytes.Buffer
+		p := Packed{Buf: make([]byte, 0, window), W: &out}
+		pack(&p)
+		p.Flush()
+		if p.Err != nil || p.Len != out.Len() {
+			t.Fatalf("window %d: streamed %d bytes, counted %d (err %v)", window, out.Len(), p.Len, p.Err)
+		}
+		return out.Bytes()
+	}
+	st := m.State()
+	for i, want := range [][]byte{st.PackedRows, st.PackedCols, st.PackedVals, st.PackedDiag} {
+		var l [4]*Packed
+		if got := stream(func(p *Packed) { l[i] = p; m.Pack(l[0], l[1], l[2], l[3]) }); !bytes.Equal(got, want) {
+			t.Fatalf("window %d: matrix list %d streamed alone: %d bytes, State holds %d", window, i, len(got), len(want))
+		}
+	}
+	vs := v.State()
+	rows, paged := v.Rows(pageSize), v.Paged()
+	for i, want := range [][]byte{vs.PackedIndex, vs.PackedValue} {
+		var l [2]*Packed
+		if got := stream(func(p *Packed) { l[i] = p; rows.Pack(l[0], l[1]) }); !bytes.Equal(got, want) {
+			t.Fatalf("window %d: row vector list %d streamed alone differs from State's", window, i)
+		}
+		if got := stream(func(p *Packed) { l[i] = p; paged.Pack(l[0], l[1]) }); !bytes.Equal(got, want) {
+			t.Fatalf("window %d: paged vector list %d streamed alone differs from State's", window, i)
+		}
+	}
+}
+
 // A restored matrix is the matrix: same column index, and the same bits
 // after the same further updates — rows carved out of one array must
 // reallocate when they grow, never write into their neighbour.
