@@ -46,19 +46,21 @@ examples-smoke:
 experiments-check:
 	$(GO) run ./cmd/experiments -run all -check
 
-# Package sizes: the non-test Go lines (go list's GoFiles, counted by wc -l)
-# of every package in the root module, one "import-path lines" pair per
-# package, sorted. SIZE.json commits them; size-check fails when a package
-# differs from its entry or has none, so every size change is a reviewed
-# diff line of SIZE.json, the way a benchmark regression is one of
-# BENCH_megh.json — and a shrink cannot leave a stale entry behind for a
-# later change to grow back into. After a change that shrinks or
-# (deliberately) grows a package, rewrite the file with make size-json and
-# commit it with the change.
-SIZE_COUNTS = $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... \
+# Package and document sizes: the non-test Go lines (go list's GoFiles,
+# counted by wc -l) of every package in the root module, and the lines of
+# DESIGN.md and README.md, one "name lines" pair each, sorted. SIZE.json
+# commits them; size-check fails when an entry differs or is missing, so
+# every size change is a reviewed diff line of SIZE.json, the way a
+# benchmark regression is one of BENCH_megh.json — and a shrink cannot
+# leave a stale entry behind for a later change to grow back into. After a
+# change that shrinks or (deliberately) grows a package or one of the two
+# documents, rewrite the file with make size-json and commit it with the
+# change.
+SIZE_COUNTS = { $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... \
 	| while read -r pkg files; do \
 		if [ -n "$$files" ]; then echo "$$pkg $$(cat $$files | wc -l)"; else echo "$$pkg 0"; fi; \
-	done | LC_ALL=C sort
+	done; \
+	for doc in DESIGN.md README.md; do echo "$$doc $$(wc -l < $$doc)"; done; } | LC_ALL=C sort
 
 size-json:
 	@$(SIZE_COUNTS) | awk 'BEGIN { print "{" } \

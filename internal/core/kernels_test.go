@@ -38,20 +38,17 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 	return m, snaps[len(snaps)-1]
 }
 
-// TestScanKernelsBitwiseIdentical compares both production kernels with the
-// scalar oracle directly: same feasible set, bit-identical Q gather,
-// bit-identical row minimum — including with failed (blocked) hosts in play.
-// Each kernel's feasible set must also keep the destination rules on its
-// own (assertFeasible); the two TestFits tests pin them on a 2×3 world.
+// TestScanKernelsBitwiseIdentical compares the scan over both of its lists
+// with the scalar oracle directly — activeList against the active-only
+// sweep, allHosts against the full one: same feasible set, bit-identical Q
+// gather, bit-identical row minimum, including with failed hosts in play.
+// Each feasible set must also keep the destination rules on its own
+// (assertFeasible); the two TestFits tests pin them on a 2×3 world.
 func TestScanKernelsBitwiseIdentical(t *testing.T) {
-	// Odd host counts exercise the unroll tail.
 	scanKernelsBitwiseIdentical(t, 24, 23, 0, 7, 22)
 	// Past the eager budget θ's pages are allocated on write, and the
 	// unwritten third of its rows is swept through pages that do not exist.
 	t.Run("past-eager-budget", func(t *testing.T) { scanKernelsBitwiseIdentical(t, 33, 32003, 0, 7, 32002) })
-	// Rows shorter than, equal to and just past one and four unroll blocks:
-	// the sizes the scalar loop served in production until the kernels'
-	// tails took them over.
 	for _, nHosts := range []int{1, 2, 3, 4, 5, 7, 15, 16, 17} {
 		t.Run(fmt.Sprintf("short-row-%d", nHosts), func(t *testing.T) {
 			scanKernelsBitwiseIdentical(t, 6, nHosts, nHosts/2)
@@ -59,9 +56,9 @@ func TestScanKernelsBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// feasibleSets sweeps VM 0 of a 2×3 world with host 1 failed through every
-// kernel and mode, keyed "kernel/activeOnly". Round-robin placement puts
-// VM 0 on host 0 and VM 1 on host 1, and leaves host 2 empty.
+// feasibleSets scans VM 0 of a 2×3 world with host 1 failed over both
+// lists, keyed "active" and "all". Round-robin placement puts VM 0 on host
+// 0 and VM 1 on host 1, and leaves host 2 empty.
 func feasibleSets(t *testing.T) map[string][]int {
 	t.Helper()
 	m, err := New(DefaultConfig(2, 3, 1))
@@ -70,27 +67,23 @@ func feasibleSets(t *testing.T) map[string][]int {
 	}
 	s := tinySnapshot(t, 2, 3)
 	s.HostFailed = []bool{false, true, false}
-	m.rebuildHostAggregates(s)
+	m.refreshHostAggregates(s)
 	sets := make(map[string][]int)
-	for _, activeOnly := range []bool{false, true} {
-		f, _, _ := m.scanRowUnrolled(s, 0, 0, 0, activeOnly)
-		assertFeasible(t, "unrolled", m, s, 0, 0, activeOnly, f)
-		sets[fmt.Sprintf("unrolled/%v", activeOnly)] = append([]int(nil), f...)
+	for key, hosts := range map[string][]int{"active": m.activeList, "all": m.allHosts} {
+		f, _, _ := m.scanRow(s, 0, 0, 0, hosts)
+		assertFeasible(t, key, m, s, 0, 0, key == "active", f)
+		sets[key] = append([]int(nil), f...)
 	}
-	f, _, _ := m.scanRowActive(s, 0, 0, 0)
-	assertFeasible(t, "active", m, s, 0, 0, true, f)
-	sets["active/true"] = append([]int(nil), f...)
 	return sets
 }
 
 // TestFitsExcludesBlockedAndInactiveHosts exercises the destination filter
-// of both scan kernels: a failed host is never a destination, and an empty
-// host is excluded only from active-only sweeps.
+// on both lists: a failed host is never a destination, and an empty host is
+// one only in the all-hosts walk.
 func TestFitsExcludesBlockedAndInactiveHosts(t *testing.T) {
 	want := map[string][]int{
-		"unrolled/false": {0, 2},
-		"unrolled/true":  {0},
-		"active/true":    {0},
+		"all":    {0, 2},
+		"active": {0},
 	}
 	if got := feasibleSets(t); !reflect.DeepEqual(got, want) {
 		t.Fatalf("feasible sets %v, want %v", got, want)
@@ -98,8 +91,8 @@ func TestFitsExcludesBlockedAndInactiveHosts(t *testing.T) {
 }
 
 // TestFitsExcludesFailedHosts is the regression test for the failed-host
-// destination bug: no kernel may admit a failed host, in any mode, while a
-// healthy active host stays admissible under the same aggregates.
+// destination bug: the scan may not admit a failed host over either list,
+// while a healthy active host stays admissible under the same aggregates.
 func TestFitsExcludesFailedHosts(t *testing.T) {
 	for key, f := range feasibleSets(t) {
 		for _, k := range f {
@@ -124,7 +117,7 @@ func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int, failed ...int) 
 
 	check := func(t *testing.T, s *sim.Snapshot) {
 		t.Helper()
-		m.rebuildHostAggregates(s)
+		m.refreshHostAggregates(s)
 		for j := 0; j < nVMs; j++ {
 			cur := s.VMHost[j]
 			base := j * nHosts
@@ -134,15 +127,13 @@ func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int, failed ...int) 
 				wantQ := append([]float64(nil), q...)
 				wantMin := min
 
-				f, q, min = m.scanRowUnrolled(s, j, cur, base, activeOnly)
-				assertFeasible(t, "unrolled", m, s, j, cur, activeOnly, f)
-				compareScan(t, "unrolled", j, activeOnly, f, q, min, wantF, wantQ, wantMin)
-
-				if activeOnly && m.hostActive[cur] {
-					f, q, min = m.scanRowActive(s, j, cur, base)
-					assertFeasible(t, "active", m, s, j, cur, activeOnly, f)
-					compareScan(t, "active", j, activeOnly, f, q, min, wantF, wantQ, wantMin)
+				list, name := m.allHosts, "all"
+				if activeOnly {
+					list, name = m.activeList, "active"
 				}
+				f, q, min = m.scanRow(s, j, cur, base, list)
+				assertFeasible(t, name, m, s, j, cur, activeOnly, f)
+				compareScan(t, name, j, activeOnly, f, q, min, wantF, wantQ, wantMin)
 			}
 		}
 	}
@@ -158,9 +149,9 @@ func scanKernelsBitwiseIdentical(t *testing.T, nVMs, nHosts int, failed ...int) 
 	})
 }
 
-// scanRowScalar is the one-host-at-a-time sweep the production kernels
-// replaced, kept verbatim as their oracle: explicit blocked/active branches,
-// inline gather, strict-less minimum.
+// scanRowScalar is the one-host-at-a-time sweep over all M hosts the scan
+// replaced, kept as its oracle: explicit failed/active branches (failures
+// read from the snapshot itself), inline gather, strict-less minimum.
 func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool) (feasible []int, qs []float64, minQ float64) {
 	n := m.cfg.NumHosts
 	ramJ := s.VMSpecs[j].RAMMB
@@ -170,14 +161,13 @@ func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool)
 	hostMIPS := m.hostMIPS[:n]
 	ramCap := m.hostRAMCap[:n]
 	mipsCap := m.hostMIPSCap[:n]
-	blocked := m.hostBlocked[:n]
 	active := m.hostActive[:n]
 	feasible = m.feasibleScratch[:0]
 	qs = m.qScratch[:0]
 	minQ = math.Inf(1)
 	for k := 0; k < n; k++ {
 		if k != cur {
-			if blocked[k] || (activeOnly && !active[k]) ||
+			if (len(s.HostFailed) > 0 && s.HostFailed[k]) || (activeOnly && !active[k]) ||
 				hostRAM[k]+ramJ > ramCap[k] ||
 				(hostMIPS[k]+mipsJ)/mipsCap[k] > beta {
 				continue
@@ -195,7 +185,7 @@ func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool)
 	return feasible, qs, minQ
 }
 
-// assertFeasible checks a kernel's feasible list against the destination
+// assertFeasible checks a scan's feasible list against the destination
 // rules directly, not through the oracle: a failed host is never a
 // destination, nor an inactive one in an activeOnly sweep; the VM's current
 // host (the stay action) is exempt from both.
@@ -231,26 +221,53 @@ func compareScan(t *testing.T, kernel string, j int, activeOnly bool,
 	}
 }
 
-// TestAggregateReuseMatchesRebuild is the end-to-end reuse differential:
-// a default learner (sweep tier active) against a same-seed learner whose
-// aggValid is cleared before every decide (every refresh a full rebuild),
-// over a stream that exercises distinct snapshots, repeated pointers,
-// in-place mutation of one snapshot, and the failed-host fallback.
-func TestAggregateReuseMatchesRebuild(t *testing.T) {
-	const nVMs, nHosts, steps = 18, 20, 40
-	snaps := snapshotStream(t, nVMs, nHosts, steps)
-
-	// Append adversarial shapes to the stream: the same pointer twice in a
-	// row, an in-place placement mutation (moving a VM between hosts), and
-	// a failed host appearing and clearing again.
-	stream := append([]*sim.Snapshot(nil), snaps...)
+// reuseStream is a snapshot stream of distinct steps followed by
+// adversarial shapes: the same pointer twice in a row, a clone (mut) that
+// its consumer mutates in place with mutateReuse just before the learner
+// sees it, and a failed host appearing and clearing again.
+func reuseStream(t *testing.T, nVMs, nHosts int) (stream []*sim.Snapshot, mut *sim.Snapshot) {
+	snaps := snapshotStream(t, nVMs, nHosts, 40)
+	stream = append(stream, snaps...)
 	stream = append(stream, snaps[len(snaps)-1], snaps[len(snaps)-1])
-	mut := snaps[len(snaps)-1].Clone()
+	mut = snaps[len(snaps)-1].Clone()
 	stream = append(stream, mut)
 	failed := snaps[0].Clone()
 	failed.HostFailed = make([]bool, nHosts)
 	failed.HostFailed[3] = true
-	stream = append(stream, failed, snaps[1], snaps[2])
+	return append(stream, failed, snaps[1], snaps[2]), mut
+}
+
+// mutateReuse moves reuseStream's mut's first VM to the next host in place.
+// The learner must pick the move up from the contents — the two preceding
+// items were the unmutated original.
+func mutateReuse(mut *sim.Snapshot) {
+	moveVM(mut, 0, (mut.VMHost[0]+1)%mut.NumHosts())
+}
+
+// resetHostTables returns m's per-host tables to a new learner's, so the
+// next refresh starts from zero as a learner's first one does.
+func resetHostTables(m *Megh) {
+	clear(m.hostRAM)
+	clear(m.hostMIPS)
+	clear(m.hostRAMCap)
+	clear(m.hostMIPSCap)
+	clear(m.hostActive)
+	clear(m.hostVMCount)
+	clear(m.penAll)
+	m.penFailed = false
+	m.prevHostSpecs = nil
+	m.activeList = m.activeList[:0]
+	m.undoLog = m.undoLog[:0]
+}
+
+// TestAggregateReuseMatchesRebuild is the end-to-end reuse differential:
+// a default learner, whose refresh reuses what the last one left, against a
+// same-seed learner whose tables are reset to a new learner's before every
+// decide, over reuseStream.
+func TestAggregateReuseMatchesRebuild(t *testing.T) {
+	const nVMs, nHosts = 18, 20
+	stream, mut := reuseStream(t, nVMs, nHosts)
+	orig := mut.VMHost[0]
 
 	run := func(reuse bool) ([][]sim.Migration, []byte) {
 		m, err := New(DefaultConfig(nVMs, nHosts, 777))
@@ -268,15 +285,11 @@ func TestAggregateReuseMatchesRebuild(t *testing.T) {
 			if i > 0 {
 				m.Observe(&sim.Feedback{Step: i - 1, StepCost: 0.3 + 0.05*float64(i%7)})
 			}
-			if s == mut && i > 0 {
-				// Mutate the clone in place before the learner sees it: move
-				// the first VM to the next host. The reuse learner must pick
-				// the move up from the contents — the two preceding items
-				// were the unmutated original.
-				moveVM(mut, 0, (mut.VMHost[0]+1)%nHosts)
+			if s == mut {
+				mutateReuse(mut)
 			}
 			if !reuse {
-				m.aggValid = false
+				resetHostTables(m)
 			}
 			out[i] = m.DecideAppend(nil, s)
 		}
@@ -286,13 +299,168 @@ func TestAggregateReuseMatchesRebuild(t *testing.T) {
 	rebuildOut, rebuildTrace := run(false)
 	// The first run mutated `mut`; restore it so the second run applies the
 	// same mutation from the same starting placement.
-	moveVM(mut, 0, snaps[len(snaps)-1].VMHost[0])
+	moveVM(mut, 0, orig)
 	reuseOut, reuseTrace := run(true)
 	if !reflect.DeepEqual(rebuildOut, reuseOut) {
-		t.Fatal("aggregate reuse diverged from the full-rebuild reference")
+		t.Fatal("aggregate reuse diverged from the reset-every-step reference")
 	}
 	if !bytes.Equal(rebuildTrace, reuseTrace) {
-		t.Fatal("reuse and rebuild trace streams differ byte-for-byte")
+		t.Fatal("reuse and reset trace streams differ byte-for-byte")
+	}
+}
+
+// checkHostTables compares m's per-host tables, straight after a refresh
+// from s, with values computed from s alone: sums in ascending VM order,
+// active exactly where a live VM's VMHost points, an ascending activeList,
+// +Inf exactly on failed hosts, capacities from HostSpecs, and no
+// speculative charge left outstanding.
+func checkHostTables(t *testing.T, what string, m *Megh, s *sim.Snapshot) {
+	t.Helper()
+	n := s.NumHosts()
+	ram, mips, count := make([]float64, n), make([]float64, n), make([]int, n)
+	for j, h := range s.VMHost {
+		if h >= 0 {
+			ram[h] += s.VMSpecs[j].RAMMB
+			mips[h] += s.VMMIPS[j]
+			count[h]++
+		}
+	}
+	var active []int
+	for i := 0; i < n; i++ {
+		if math.Float64bits(m.hostRAM[i]) != math.Float64bits(ram[i]) ||
+			math.Float64bits(m.hostMIPS[i]) != math.Float64bits(mips[i]) {
+			t.Fatalf("%s: host %d sums RAM %v MIPS %v, want %v %v", what, i, m.hostRAM[i], m.hostMIPS[i], ram[i], mips[i])
+		}
+		if m.hostVMCount[i] != count[i] || m.hostActive[i] != (count[i] > 0) {
+			t.Fatalf("%s: host %d count %d active %v, want %d live VMs", what, i, m.hostVMCount[i], m.hostActive[i], count[i])
+		}
+		if count[i] > 0 {
+			active = append(active, i)
+		}
+		pen := 0.0
+		if len(s.HostFailed) > 0 && s.HostFailed[i] {
+			pen = math.Inf(1)
+		}
+		if math.Float64bits(m.penAll[i]) != math.Float64bits(pen) {
+			t.Fatalf("%s: host %d penalty %v, want %v", what, i, m.penAll[i], pen)
+		}
+		if m.hostRAMCap[i] != s.HostSpecs[i].RAMMB || m.hostMIPSCap[i] != s.HostSpecs[i].MIPS {
+			t.Fatalf("%s: host %d capacities %v/%v, want %v/%v", what, i,
+				m.hostRAMCap[i], m.hostMIPSCap[i], s.HostSpecs[i].RAMMB, s.HostSpecs[i].MIPS)
+		}
+	}
+	if !reflect.DeepEqual(m.activeList, active) && !(len(m.activeList) == 0 && len(active) == 0) {
+		t.Fatalf("%s: activeList %v, want %v", what, m.activeList, active)
+	}
+	if len(m.undoLog) != 0 {
+		t.Fatalf("%s: %d speculative charges outstanding", what, len(m.undoLog))
+	}
+}
+
+// TestRefreshMatchesSnapshot is the reference for the one refresh: each
+// case steps a new learner through its stream, and after every refresh —
+// entered with whatever the last decide left, speculative charges included
+// — checkHostTables holds the tables to values computed from the snapshot.
+func TestRefreshMatchesSnapshot(t *testing.T) {
+	const nHosts = 40
+	// base places 24 100-MIPS VMs: eight each on hosts 3 and 30
+	// (overloaded), two each on 7 and 21 (underloaded), the rest spread.
+	base := func() ([]int, []float64) {
+		h, u := make([]int, 24), make([]float64, 24)
+		for j := range h {
+			switch {
+			case j < 8:
+				h[j], u[j] = 3, 0.9
+			case j < 16:
+				h[j], u[j] = 30, 0.9
+			case j < 18:
+				h[j], u[j] = 7, 0.25
+			case j < 20:
+				h[j], u[j] = 21, 0.25
+			default:
+				h[j], u[j] = 10+j, 0.6
+			}
+		}
+		return h, u
+	}
+	world := func(step int, edit func(h []int)) *sim.Snapshot {
+		h, u := base()
+		if edit != nil {
+			edit(h)
+		}
+		return candidateWorld(step, nHosts, h, u)
+	}
+	reuse, mut := reuseStream(t, 18, 20)
+
+	// The failure case repeats one snapshot pointer so that only HostFailed
+	// moves between its steps: none, two hosts, one, an all-false slice,
+	// none.
+	failing := world(0, nil)
+	failedAt := func(hosts ...int) []bool {
+		f := make([]bool, nHosts)
+		for _, h := range hosts {
+			f[h] = true
+		}
+		return f
+	}
+	failures := [][]bool{nil, failedAt(3, 5), failedAt(5), failedAt(), nil}
+	fresh := world(2, nil).Clone()
+	for i := range fresh.HostSpecs {
+		fresh.HostSpecs[i].RAMMB /= 2
+		fresh.HostSpecs[i].MIPS *= 2
+	}
+	disagree := world(0, nil)
+	disagree.VMHost[20] = 5 // HostVMs still lists VM 20 on host 30
+
+	cases := []struct {
+		name     string
+		stream   []*sim.Snapshot
+		edit     func(step int, s *sim.Snapshot)
+		wantUndo bool // some refresh must be entered with speculative charges
+	}{
+		{name: "reuse-stream", stream: reuse, edit: func(_ int, s *sim.Snapshot) {
+			if s == mut {
+				mutateReuse(mut)
+			}
+		}},
+		{name: "failure-appears-and-clears", stream: []*sim.Snapshot{failing, failing, failing, failing, failing},
+			edit: func(step int, s *sim.Snapshot) { s.HostFailed = failures[step] }},
+		{name: "dead-slots", stream: []*sim.Snapshot{
+			world(0, nil),
+			world(1, func(h []int) { h[5], h[18], h[23] = -1, -1, -1 }),
+			world(2, func(h []int) { h[18], h[19] = -1, -1 }),
+			world(3, nil),
+		}},
+		{name: "speculative", wantUndo: true, stream: []*sim.Snapshot{
+			world(0, nil), world(1, nil), world(2, nil), world(3, func(h []int) { h[16], h[17] = 39, 0 }),
+		}},
+		{name: "fresh-host-specs", stream: []*sim.Snapshot{world(0, nil), world(1, nil), fresh, fresh, world(3, nil)}},
+		{name: "disagreeing-lists", stream: []*sim.Snapshot{disagree, disagree}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nVMs, nH := len(c.stream[0].VMHost), c.stream[0].NumHosts()
+			m, err := New(DefaultConfig(nVMs, nH, 9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sawUndo := false
+			for step, s := range c.stream {
+				if c.edit != nil {
+					c.edit(step, s)
+				}
+				if step > 0 {
+					m.Observe(&sim.Feedback{Step: step - 1, StepCost: 0.4})
+				}
+				sawUndo = sawUndo || len(m.undoLog) > 0
+				m.refreshHostAggregates(s)
+				checkHostTables(t, fmt.Sprintf("step %d", step), m, s)
+				m.Decide(s)
+			}
+			if c.wantUndo && !sawUndo {
+				t.Fatal("no refresh was entered with speculative charges")
+			}
+		})
 	}
 }
 
@@ -393,7 +561,7 @@ func candidateWorld(step, nHosts int, vmHost []int, vmUtil []float64, failed ...
 
 // TestCandidatesOverActiveListMatchesFullScan steps one learner through
 // worlds built to separate the two walks if anything could — failed hosts
-// with and without VMs (the rebuild tier), dead lifecycle slots, hosts
+// with and without VMs, dead lifecycle slots, hosts
 // emptying and waking, steps entered with speculative charges still in the
 // undo log, ties on the minimum utilization — and at every step, for caps
 // that bite mid-scan and caps that do not, compares the candidate list (VM,
@@ -441,7 +609,7 @@ func TestCandidatesOverActiveListMatchesFullScan(t *testing.T) {
 	add(func(h []int, u []float64) { h[5], h[18], h[23] = -1, -1, -1 }) // dead slots
 	add(nil, 3, 5)                                                      // a failed host with VMs, one without
 	add(func(h []int, u []float64) { h[16], h[17] = 5, 5 }, 5, 30)
-	add(nil) // failures cleared: rebuild tier once more, then sweep
+	add(nil) // failures cleared
 	add(func(h []int, u []float64) {
 		for j := range h {
 			h[j] = 12 // every VM on one host

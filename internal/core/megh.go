@@ -216,10 +216,9 @@ type Megh struct {
 	// per destination.
 	hostRAM         []float64
 	hostMIPS        []float64
-	hostRAMCap      []float64 // static host RAM capacities, refreshed per step
-	hostMIPSCap     []float64 // static host MIPS capacities, refreshed per step
+	hostRAMCap      []float64 // host RAM capacities, refreshed when HostSpecs changes
+	hostMIPSCap     []float64 // host MIPS capacities, refreshed when HostSpecs changes
 	hostActive      []bool
-	hostBlocked     []bool // failed hosts, refreshed per step
 	feasibleScratch []int
 	qScratch        []float64
 	seenScratch     []bool          // candidate dedup, one flag per VM
@@ -229,17 +228,15 @@ type Megh struct {
 	pendingBuf      []int           // backing array for pending
 	rejectedScratch map[int]bool    // Observe's rejected-action set
 
-	// Aggregate-reuse state (aggregates.go). All of it is runtime-only —
-	// never persisted — and none of it can change a decision: the sweep is
-	// pinned bitwise identical to the rebuild reference, so this block only
-	// changes what a decision costs.
-	aggValid      bool           // aggregates describe the last refreshed snapshot
-	aggAnyBlocked bool           // last rebuild saw a failed host
+	// Per-host table upkeep (aggregates.go). All of it is runtime-only —
+	// never persisted — and none of it can change a decision: the tables
+	// after a refresh are a function of the snapshot alone.
 	prevHostSpecs []sim.HostSpec // backing identity of the last-seen HostSpecs
 	hostVMCount   []int
-	penAll        []float64 // +Inf iff blocked, else 0 (scan feasibility mask)
-	penActive     []float64 // +Inf iff blocked or inactive, else 0
-	activeList    []int     // ascending active hosts (scanRowActive's walk)
+	penAll        []float64 // +Inf iff failed, else 0 (scan feasibility mask)
+	penFailed     bool      // penAll holds a +Inf (a host failed last refresh)
+	activeList    []int     // ascending active hosts (the scan's walk)
+	allHosts      []int     // 0..M-1 (the overload fallback's walk)
 	wokenHosts    []int     // sweep scratch: hosts that gained their first VM
 	undoLog       []aggUndo // speculative charges to roll back next refresh
 }
@@ -267,6 +264,10 @@ func New(cfg Config) (*Megh, error) {
 // θ mirror, all of dimension N·M) — a fresh one from New, a persisted one
 // from LoadState. cfg must already be validated.
 func assemble(cfg Config, b *sparse.Matrix, z *sparse.RowVector, theta *sparse.PagedVector) *Megh {
+	allHosts := make([]int, cfg.NumHosts)
+	for i := range allHosts {
+		allHosts[i] = i
+	}
 	return &Megh{
 		cfg:         cfg,
 		d:           mdp.SpaceSize(cfg.NumVMs, cfg.NumHosts),
@@ -280,11 +281,10 @@ func assemble(cfg Config, b *sparse.Matrix, z *sparse.RowVector, theta *sparse.P
 		hostRAMCap:  make([]float64, cfg.NumHosts),
 		hostMIPSCap: make([]float64, cfg.NumHosts),
 		hostActive:  make([]bool, cfg.NumHosts),
-		hostBlocked: make([]bool, cfg.NumHosts),
 		seenScratch: make([]bool, cfg.NumVMs),
 		hostVMCount: make([]int, cfg.NumHosts),
 		penAll:      make([]float64, cfg.NumHosts),
-		penActive:   make([]float64, cfg.NumHosts),
+		allHosts:    allHosts,
 	}
 }
 
@@ -778,19 +778,10 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 	// Collect feasible destinations and their Q values. Active hosts are
 	// preferred; an overload shed may wake a sleeping machine, but only
 	// when no active host can absorb the VM.
-	var feasible []int
-	var qs []float64
-	var minQ float64
-	if m.hostActive[cur] {
-		feasible, qs, minQ = m.scanRowActive(s, j, cur, base)
-	} else {
-		feasible, qs, minQ = m.scanRowUnrolled(s, j, cur, base, true)
-	}
+	feasible, qs, minQ := m.scanRow(s, j, cur, base, m.activeList)
 	if c.overload() && len(feasible) <= 1 { // only the stay option found
-		feasible, qs, minQ = m.scanRowUnrolled(s, j, cur, base, false)
+		feasible, qs, minQ = m.scanRow(s, j, cur, base, m.allHosts)
 	}
-	m.feasibleScratch = feasible
-	m.qScratch = qs
 	chosen := cur
 	if len(feasible) > 0 {
 		// Boltzmann weights; the minimum-Q action always has weight 1, so

@@ -133,7 +133,7 @@ func TestSnapshotTreatsFailureAsOverload(t *testing.T) {
 		if s.HostOverloaded(0) {
 			sawOverloaded = true
 		}
-		if s.HostFailed[0] {
+		if len(s.HostFailed) > 0 && s.HostFailed[0] {
 			sawFailed = true
 		}
 		if s.FitsOn(1, 0) {
@@ -152,6 +152,22 @@ func TestSnapshotTreatsFailureAsOverload(t *testing.T) {
 	}
 	if fitsFailed {
 		t.Error("FitsOn accepted a failed destination")
+	}
+}
+
+// TestSnapshotHostFailedNilWithoutOutage pins Snapshot.HostFailed's nil
+// form: a step with no outage hands the policy nil, a step with one the
+// flags.
+func TestSnapshotHostFailedNilWithoutOutage(t *testing.T) {
+	cfg := failureConfig(t, []Failure{{Host: 0, From: 1, Until: 3}})
+	p := &probePolicy{onDecide: func(s *Snapshot) {
+		if outage := s.Step >= 1 && s.Step < 3; outage != (s.HostFailed != nil) {
+			t.Errorf("step %d: HostFailed %v", s.Step, s.HostFailed)
+		}
+	}}
+	s, _ := New(cfg)
+	if _, err := s.Run(p); err != nil {
+		t.Fatal(err)
 	}
 }
 

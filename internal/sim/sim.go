@@ -208,7 +208,6 @@ func newRunState(cfg Config) (*runState, error) {
 		HostUtil:          st.hostUtil,
 		HostVMs:           st.hostVMs,
 		HostSpecs:         cfg.Hosts,
-		HostFailed:        st.hostFailed,
 		VMAlive:           st.vmAlive,
 		migModel:          cfg.Migration,
 	}
@@ -359,12 +358,15 @@ func (st *runState) step(t int, p Policy) (StepMetrics, *Feedback, error) {
 	// then read utilization samples. Failures come first so an arrival
 	// never places onto a host that is down this interval; departures
 	// come before arrivals so the capacity they free is usable at once.
+	// HostFailed stays nil on a step with no outage: no reader scans M flags.
 	for i := range st.hostFailed {
 		st.hostFailed[i] = false
 	}
+	st.snap.HostFailed = nil
 	for _, f := range cfg.Failures {
 		if t >= f.From && t < f.Until {
 			st.hostFailed[f.Host] = true
+			st.snap.HostFailed = st.hostFailed
 		}
 	}
 	st.arrived = st.arrived[:0]
