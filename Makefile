@@ -145,7 +145,9 @@ bench-trace:
 # decide is a one-item batch, and its item must not escape to the heap), the
 # elided-snapshot codec must allocate per request, not per VM or batch item
 # (decode ≤ 4, encode
-# ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), the client's static digest of the
+# ≤ 2 at 1 000 VMs, a 16-item batch ≤ 4), a replica PUT must allocate the
+# same 256 KiB at most for a 4.7 MB image as for a 2 KB one (it lands in its
+# temp file and is verified there), the client's static digest of the
 # 10 000 × 1 000 grid must allocate only its hex string (≤ 1), and a
 # checkpoint image must cost no copy of itself: writing one allocates its
 # write buffer and nothing else (≤ 64 KiB, whatever the image's size; the
@@ -160,7 +162,7 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecideHandler/elided-grid10k' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkDecideHandler/elided-grid10k=47000 \
 			-assert-max-allocs BenchmarkDecideHandler/elided-grid10k=40
-	$(GO) test -run='TestSnapshotCodecAllocs' -count=1 ./internal/server/
+	$(GO) test -run='TestSnapshotCodecAllocs|TestReplicaPutAllocsFlat' -count=1 ./internal/server/
 	$(GO) test -run=- -bench='BenchmarkSnapshotCodec/digest-grid10k' -benchtime=300x -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkSnapshotCodec/digest-grid10k=1
 	$(GO) test -run=- -bench='BenchmarkCheckpoint/(save|verify)$$' -benchtime=300x -benchmem ./internal/core/ \

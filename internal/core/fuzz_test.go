@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"megh/internal/sim"
@@ -76,10 +79,34 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Add(mirrorImage(f, st))
 	}
 	// Padding inside the value message, after the state's closing 0.
-	r := imageReader{b: seed.Bytes()[len(imagePrefix):]}
+	img := seed.Bytes()
+	r := imageReader{c: sparse.NewCursor(bytes.NewReader(img), sparse.Section{Off: int64(len(imagePrefix)), Len: int64(len(img) - len(imagePrefix))})}
 	r.uint()
-	f.Add(append(appendGobUint([]byte(imagePrefix), uint64(len(r.b)+1)), append(bytes.Clone(r.b), 0)...))
+	msg := img[int64(len(img))-r.c.Left():]
+	r.c.Close()
+	f.Add(append(appendGobUint([]byte(imagePrefix), uint64(len(msg)+1)), append(bytes.Clone(msg), 0)...))
+	// An image many of the readers' windows long; the same image cut short
+	// where PackedCols and PackedVals cross a window's edge, which the
+	// message's framing refuses; and the same lists cut there inside
+	// consistent framing, which the list checks refuse.
+	img = imageOf(f, windowsLongLearner(f))
+	f.Add(img)
+	lists := mustDecode(f, img).lists
+	const window = 8 << 10 // sparse's Cursor window
+	for _, at := range []int64{lists[1].Off + window, lists[2].Off + window, lists[2].Off + 2*window + 3} {
+		f.Add(img[:at])
+	}
+	for _, cut := range []func(*imageV2){
+		func(st *imageV2) { st.B.PackedCols = st.B.PackedCols[:window+1] },
+		func(st *imageV2) { st.B.PackedVals = st.B.PackedVals[:2*window] },
+		func(st *imageV2) { st.B.PackedVals = st.B.PackedVals[:window+4] },
+	} {
+		st := readMirror(f, img)
+		cut(&st)
+		f.Add(mirrorImage(f, st))
+	}
 
+	path := filepath.Join(f.TempDir(), "image")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Resource guard, not an oracle: a restored learner costs what its
 		// image holds plus a page table and per-VM and per-host scratch
@@ -89,7 +116,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// don't care.
 		var st persistedState
 		gobErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&st)
-		if in, err := decodeImage(data, false); err == nil {
+		if in, err := decodeBytes(data, false); err == nil {
 			if gobErr != nil {
 				t.Fatalf("read in place, but gob refuses it: %v", gobErr)
 			}
@@ -102,13 +129,29 @@ func FuzzCheckpointLoad(f *testing.F) {
 				return
 			}
 		}
+		// Every source reads alike: the bytes, and a file that holds them.
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ferr := VerifyImageAt(file, int64(len(data)))
+		file.Close()
 		verr := VerifyImage(data)
 		back, err := LoadState(bytes.NewReader(data))
-		if (verr == nil) != (err == nil) || (err != nil && verr.Error() != err.Error()) {
-			t.Fatalf("VerifyImage says %v, LoadState says %v", verr, err)
+		fromFile, lerr := LoadStateFile(path)
+		for _, other := range []error{ferr, err, lerr} {
+			if (verr == nil) != (other == nil) || (other != nil && verr.Error() != other.Error()) {
+				t.Fatalf("VerifyImage says %v, the file's verify %v, LoadState %v, LoadStateFile %v", verr, ferr, err, lerr)
+			}
 		}
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		if !bytes.Equal(imageOf(t, back), imageOf(t, fromFile)) {
+			t.Fatal("LoadState and LoadStateFile restore different learners")
 		}
 		var first, second bytes.Buffer
 		if err := back.SaveState(&first); err != nil {
@@ -125,4 +168,67 @@ func FuzzCheckpointLoad(f *testing.F) {
 			t.Fatal("save → load → save is not byte-stable for accepted input")
 		}
 	})
+}
+
+// windowsLongLearner's image is many of the readers' windows long: 2 000
+// transitions on a 60 × 40 world leave B 5 640 entries, a 99 KB image in
+// which PackedCols and PackedVals are each longer than a window.
+func windowsLongLearner(tb testing.TB) *Megh {
+	m, err := New(DefaultConfig(60, 40, 5))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		a := (i * 7919) % m.d
+		m.update(a, (a*7+i)%m.d, 0.5+float64(i%5))
+	}
+	return m
+}
+
+// mustDecode is decodeImage on img's bytes, which must decode.
+func mustDecode(tb testing.TB, img []byte) *persistedState {
+	tb.Helper()
+	st, err := decodeImage(bytes.NewReader(img), int64(len(img)), false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// A source that fails part-way — a disk error under the file — is reported
+// as that failure, whichever reader meets it: the framing's or a packed
+// list's.
+func TestImageReadFailuresAreReported(t *testing.T) {
+	img := imageOf(t, windowsLongLearner(t))
+	lists := mustDecode(t, img).lists
+	broken := errors.New("disk on fire")
+	for name, at := range map[string]int64{
+		"framing": int64(len(img)) - 3, "PackedCols": lists[1].Off + 9000, "PackedVals": lists[2].Off + 20000,
+	} {
+		src := failingSource{bytes.NewReader(img), at, broken}
+		if err := VerifyImageAt(src, int64(len(img))); !errors.Is(err, broken) {
+			t.Errorf("%s: a read failing at byte %d gave %v", name, at, err)
+		}
+		if _, err := loadImage(src, int64(len(img))); !errors.Is(err, broken) {
+			t.Errorf("%s: a restore reading past byte %d gave %v", name, at, err)
+		}
+	}
+	if err := VerifyImageAt(bytes.NewReader(img[:len(img)/2]), int64(len(img))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("an image shorter than its size gave %v", err)
+	}
+}
+
+// failingSource reads r, but a read reaching byte at fails with err.
+type failingSource struct {
+	r   io.ReaderAt
+	at  int64
+	err error
+}
+
+func (s failingSource) ReadAt(p []byte, off int64) (int, error) {
+	if off <= s.at && s.at < off+int64(len(p)) {
+		n, _ := s.r.ReadAt(p[:s.at-off], off)
+		return n, s.err
+	}
+	return s.r.ReadAt(p, off)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 
 	"megh/internal/sparse"
 )
@@ -254,31 +255,38 @@ func gobUintLen(x uint64) int {
 	return 9 - bits.LeadingZeros64(x)>>3
 }
 
-// decodeImage reads img in place: imagePrefix, then one message that
-// parses exactly to the end of img with no retired field set. The byte
-// lists of the result alias img. With verify set NNZHistory is stepped
+// decodeImage reads the image of size bytes src holds, front to back
+// through one window: imagePrefix, then one message that parses exactly to
+// the end with no retired field set. It steps over the packed lists,
+// recording where each lies in src. With verify set NNZHistory is stepped
 // over, not built: no check reads it.
-func decodeImage(img []byte, verify bool) (*persistedState, error) {
-	if len(img) < len(imagePrefix) || string(img[:len(imagePrefix)]) != imagePrefix {
+func decodeImage(src io.ReaderAt, size int64, verify bool) (st *persistedState, err error) {
+	r := imageReader{c: sparse.NewCursor(src, sparse.Section{Len: size}), size: size, st: &persistedState{src: src}}
+	defer func() {
+		if cerr := r.c.Close(); cerr != nil {
+			st, err = nil, fmt.Errorf("core: reading learner state: %w", cerr)
+		}
+	}()
+	if b := r.c.Next(len(imagePrefix)); len(b) < len(imagePrefix) || string(b[:len(imagePrefix)]) != imagePrefix {
 		return nil, errors.New("core: decoding learner state: not a version-2 image")
 	}
-	r := imageReader{b: img[len(imagePrefix):], size: len(img)}
+	r.c.Skip(int64(len(imagePrefix)))
 	switch n := r.uint(); {
-	case n < uint64(len(r.b)):
-		return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", uint64(len(r.b))-n)
-	case n > uint64(len(r.b)):
-		r.fail("a message of %d bytes, %d left", n, len(r.b))
+	case n < uint64(r.c.Left()):
+		return nil, fmt.Errorf("core: decoding learner state: %d bytes after the image", uint64(r.c.Left())-n)
+	case n > uint64(r.c.Left()):
+		r.fail("a message of %d bytes, %d left", n, r.c.Left())
 	case r.int() != imageTypeID && r.err == nil:
 		return nil, errors.New("core: decoding learner state: not a version-2 image")
 	}
-	st := new(persistedState)
+	st = r.st
 	fl := stateFields(st)
 	if verify {
 		fl.f[10] = stepOver{}
 	}
 	r.fields(fl)
-	if len(r.b) != 0 {
-		r.fail("%d bytes after the state", len(r.b))
+	if r.c.Left() != 0 {
+		r.fail("%d bytes after the state", r.c.Left())
 	}
 	switch {
 	case r.err != nil && !r.retired:
@@ -294,11 +302,12 @@ func decodeImage(img []byte, verify bool) (*persistedState, error) {
 // stepOver stands for an []int field read and dropped.
 type stepOver struct{}
 
-// imageReader parses a value message in place. The first thing it does not
-// expect sets err, and from then on it reads nothing.
+// imageReader parses a value message. The first thing it does not expect
+// sets err, and from then on it reads nothing.
 type imageReader struct {
-	b       []byte
-	size    int // the image's length, to give offsets
+	c       sparse.Cursor
+	size    int64 // the image's length, to give offsets
+	st      *persistedState
 	err     error
 	retired bool // err names a retired field
 }
@@ -306,9 +315,9 @@ type imageReader struct {
 // fail records the first error, with its offset, and stops the reader.
 func (r *imageReader) fail(format string, a ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("core: decoding learner state: byte %d: "+format, append([]any{r.size - len(r.b)}, a...)...)
+		r.err = fmt.Errorf("core: decoding learner state: byte %d: "+format, append([]any{r.size - r.c.Left()}, a...)...)
 	}
-	r.b = nil
+	r.c.Skip(r.c.Left())
 }
 
 // fields reads a struct into the fields fl points at, up to and including
@@ -340,7 +349,9 @@ func (r *imageReader) fields(fl fieldList) {
 			}
 		case *[]byte:
 			if n := r.len(); n > 0 {
-				*v, r.b = r.b[:n:n], r.b[n:]
+				p := r.st.packed()
+				r.st.lists[slices.Index(p[:], v)] = sparse.Section{Off: r.size - r.c.Left(), Len: int64(n)}
+				r.c.Skip(int64(n))
 			}
 		case *Config:
 			r.fields(configFields(v))
@@ -364,25 +375,26 @@ func nilOrMake[T any](n int) []T {
 }
 
 func (r *imageReader) uint() uint64 {
-	if len(r.b) == 0 {
+	b := r.c.Next(9)
+	if len(b) == 0 {
 		r.fail("the message ends early")
 		return 0
 	}
-	c := r.b[0]
+	c := b[0]
 	if c <= 0x7f {
-		r.b = r.b[1:]
+		r.c.Skip(1)
 		return uint64(c)
 	}
 	n := -int(int8(c))
-	if n > 8 || n >= len(r.b) {
+	if n > 8 || n >= len(b) {
 		r.fail("a truncated or overlong integer")
 		return 0
 	}
 	var x uint64
-	for _, c := range r.b[1 : 1+n] {
+	for _, c := range b[1 : 1+n] {
 		x = x<<8 | uint64(c)
 	}
-	r.b = r.b[1+n:]
+	r.c.Skip(int64(1 + n))
 	return x
 }
 
@@ -413,8 +425,8 @@ func (r *imageReader) next(f *int, n int) bool {
 // message: every element takes a byte at least.
 func (r *imageReader) len() int {
 	n := r.uint()
-	if n > uint64(len(r.b)) {
-		r.fail("a list of %d elements, %d bytes left", n, len(r.b))
+	if n > uint64(r.c.Left()) {
+		r.fail("a list of %d elements, %d bytes left", n, r.c.Left())
 		return 0
 	}
 	return int(n)

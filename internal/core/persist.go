@@ -24,7 +24,8 @@ const stateVersion = 2
 // a save/load pair continues the identical random stream (the differential
 // suite in internal/invariant depends on this). RngState holds the two
 // xoroshiro128+ words. The layout's retired fields have no Go field here:
-// image.go's field lists name them.
+// image.go's field lists name them. The packed lists of B, z and θ are left
+// where they lie in the image: lists records where.
 type persistedState struct {
 	Version      int
 	Config       Config
@@ -38,6 +39,15 @@ type persistedState struct {
 	HaveCost     bool
 	NNZHistory   []int
 	RngState     []uint64
+
+	src   io.ReaderAt       // the image decodeImage read
+	lists [8]sparse.Section // where each packed list lies in src, in packed's order
+}
+
+// packed points at the packed lists of B, z and θ, in pack's order.
+func (st *persistedState) packed() [8]*[]byte {
+	return [8]*[]byte{&st.B.PackedRows, &st.B.PackedCols, &st.B.PackedVals, &st.B.PackedDiag,
+		&st.Z.PackedIndex, &st.Z.PackedValue, &st.Theta.PackedIndex, &st.Theta.PackedValue}
 }
 
 // SaveState serialises the learner so it can resume in a later process —
@@ -61,11 +71,11 @@ func (m *Megh) SaveStateFile(path string) error {
 
 // WriteFileAtomic is the one writer of checkpoint images on disk: write
 // (an encoder such as (*Megh).WriteImage, or a copy) fills a uniquely named
-// temp file in path's directory, which is renamed over path; it returns
-// what write wrote, and any error. Readers never see a torn image, and
-// concurrent writers each complete their own file — the last rename wins
-// with a whole image, never an interleaved one. A failed write leaves no
-// temp file behind.
+// temp file in path's directory — an *os.File, which write may read back —
+// which is renamed over path; it returns what write wrote, and any error.
+// Readers never see a torn image, and concurrent writers each complete
+// their own file — the last rename wins with a whole image, never an
+// interleaved one. A failed write leaves no temp file behind.
 func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -85,24 +95,34 @@ func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, 
 }
 
 // LoadStateFile reconstructs a learner from a file written by
-// SaveStateFile. A missing file is reported with os.IsNotExist semantics
-// (errors.Is(err, fs.ErrNotExist)), so callers can distinguish
-// "no checkpoint yet" from a corrupt one.
+// SaveStateFile, read where it lies. A missing file is reported with
+// os.IsNotExist semantics (errors.Is(err, fs.ErrNotExist)), so callers can
+// distinguish "no checkpoint yet" from a corrupt one.
 func LoadStateFile(path string) (*Megh, error) {
-	img, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return loadImage(img)
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return loadImage(f, info.Size())
 }
 
-// VerifyImage reports whether LoadState would accept the image img,
-// without building the learner: it decodes the image and makes every check
+// VerifyImage is VerifyImageAt on img's bytes.
+func VerifyImage(img []byte) error {
+	return VerifyImageAt(bytes.NewReader(img), int64(len(img)))
+}
+
+// VerifyImageAt reports whether LoadState would accept the image of size
+// bytes src holds, without building the learner: it makes every check
 // LoadState makes — it is the function LoadState calls first — at a cost
 // proportional to the image, however large a world the image declares,
-// where the image lies, without a copy.
-func VerifyImage(img []byte) error {
-	_, err := readState(img, true)
+// reading src where it lies (a file or bytes) through pooled windows.
+func VerifyImageAt(src io.ReaderAt, size int64) error {
+	_, err := readState(src, size, true)
 	return err
 }
 
@@ -112,7 +132,7 @@ func LoadState(r io.Reader) (*Megh, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadImage(img)
+	return loadImage(bytes.NewReader(img), int64(len(img)))
 }
 
 // readAll reads an image from r to its end, into one buffer sized at once
@@ -129,20 +149,20 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func loadImage(img []byte) (*Megh, error) {
-	st, err := readState(img, false)
+func loadImage(src io.ReaderAt, size int64) (*Megh, error) {
+	st, err := readState(src, size, false)
 	if err != nil {
 		return nil, err
 	}
 	return st.build()
 }
 
-// readState decodes a persisted image in place (decodeImage) and validates
-// it. Everything that can make an image unrestorable is rejected here, so
-// build cannot fail on what this returns. verify leaves out what only build
-// reads.
-func readState(img []byte, verify bool) (*persistedState, error) {
-	st, err := decodeImage(img, verify)
+// readState decodes a persisted image where it lies (decodeImage) and
+// validates it. Everything that can make an image unrestorable is rejected
+// here, so build cannot fail on what this returns. verify leaves out what
+// only build reads.
+func readState(src io.ReaderAt, size int64, verify bool) (*persistedState, error) {
+	st, err := decodeImage(src, size, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +175,13 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 	if len(st.RngState) != 2 {
 		return nil, fmt.Errorf("core: persisted RNG state has %d words, want 2", len(st.RngState))
 	}
-	if err := st.B.Validate(); err != nil {
+	if err := st.B.Validate(st.src, st.lists[:4]); err != nil {
 		return nil, fmt.Errorf("core: restoring B: %w", err)
 	}
-	if err := st.Z.Validate(); err != nil {
+	if err := st.Z.Validate(st.src, st.lists[4:6]); err != nil {
 		return nil, fmt.Errorf("core: restoring z: %w", err)
 	}
-	if err := st.Theta.Validate(); err != nil {
+	if err := st.Theta.Validate(st.src, st.lists[6:]); err != nil {
 		return nil, fmt.Errorf("core: restoring θ: %w", err)
 	}
 	d := mdp.SpaceSize(st.Config.NumVMs, st.Config.NumHosts)
@@ -182,15 +202,15 @@ func readState(img []byte, verify bool) (*persistedState, error) {
 
 // build assembles the learner a validated image describes.
 func (st *persistedState) build() (*Megh, error) {
-	b, err := sparse.MatrixFromState(st.B)
+	b, err := sparse.MatrixFromState(st.B, st.src, st.lists[:4])
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring B: %w", err)
 	}
-	z, err := sparse.VectorFromState(st.Z)
+	z, err := sparse.VectorFromState(st.Z, st.src, st.lists[4:6])
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring z: %w", err)
 	}
-	theta, err := sparse.VectorFromState(st.Theta)
+	theta, err := sparse.VectorFromState(st.Theta, st.src, st.lists[6:])
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring θ: %w", err)
 	}

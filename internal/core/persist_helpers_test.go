@@ -92,15 +92,17 @@ func frameMirror(t testing.TB, im imageV2) []byte {
 	}
 	// Step over gob's type definitions to the last message, the value, and
 	// over its type id, which is this process's.
-	r := imageReader{b: stream.Bytes()}
-	for n := r.uint(); n < uint64(len(r.b)); n = r.uint() {
-		r.b = r.b[n:]
+	b := stream.Bytes()
+	r := imageReader{c: sparse.NewCursor(bytes.NewReader(b), sparse.Section{Len: int64(len(b))})}
+	defer r.c.Close()
+	for n := r.uint(); n < uint64(r.c.Left()); n = r.uint() {
+		r.c.Skip(int64(n))
 	}
 	r.int()
 	if r.err != nil {
 		t.Fatalf("gob wrote an unexpected stream: %v", r.err)
 	}
-	msg := append(appendGobUint(nil, zigzag(imageTypeID)), r.b...)
+	msg := append(appendGobUint(nil, zigzag(imageTypeID)), b[int64(len(b))-r.c.Left():]...)
 	return append(appendGobUint([]byte(imagePrefix), uint64(len(msg))), msg...)
 }
 

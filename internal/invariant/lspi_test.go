@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 
 	"megh/internal/core"
@@ -121,19 +122,34 @@ func denseState(m *core.Megh) (b [][]float64, z, theta []float64, err error) {
 	if err := gob.NewDecoder(&img).Decode(&st); err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: decoding checkpoint image: %w", err)
 	}
-	bm, err := sparse.MatrixFromState(st.B)
+	src, at := inImage(st.B.PackedRows, st.B.PackedCols, st.B.PackedVals, st.B.PackedDiag)
+	bm, err := sparse.MatrixFromState(st.B, src, at)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: image B: %w", err)
 	}
-	zv, err := sparse.VectorFromState(st.Z)
+	src, at = inImage(st.Z.PackedIndex, st.Z.PackedValue)
+	zv, err := sparse.VectorFromState(st.Z, src, at)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: image z: %w", err)
 	}
-	tv, err := sparse.VectorFromState(st.Theta)
+	src, at = inImage(st.Theta.PackedIndex, st.Theta.PackedValue)
+	tv, err := sparse.VectorFromState(st.Theta, src, at)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: image θ: %w", err)
 	}
 	return bm.Dense(), zv.Dense(), tv.Dense(), nil
+}
+
+// inImage lays packed lists end to end, as an image holds them: the source
+// and the sections MatrixFromState and VectorFromState read them from.
+func inImage(lists ...[]byte) (io.ReaderAt, []sparse.Section) {
+	var img []byte
+	at := make([]sparse.Section, len(lists))
+	for i, l := range lists {
+		at[i] = sparse.Section{Off: int64(len(img)), Len: int64(len(l))}
+		img = append(img, l...)
+	}
+	return bytes.NewReader(img), at
 }
 
 func (h *LSPIHealth) tol() float64 {

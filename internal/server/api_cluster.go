@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 
@@ -133,31 +133,53 @@ func handleClusterRoute(w http.ResponseWriter, _ *http.Request, c *clusterRuntim
 }
 
 // handleReplicaPut serves PUT /v2/cluster/replicas/{id}: a peer pushing a
-// session's checkpoint image here for safekeeping. The image must pass
-// core.VerifyImage — every check a restore would make, on the body where it
-// lies, without building the learner the image describes — before it lands,
-// so an image that would not restore can never shadow a good replica; it
-// lands atomically.
+// session's checkpoint image here for safekeeping. The body goes through a
+// pooled buffer into the temp file WriteFileAtomic lands, which must pass
+// core.VerifyImageAt — every check a restore would make, nothing built —
+// before it is renamed into place, so an image that would not restore can
+// never shadow a good replica, and no image is ever held in memory.
 func handleReplicaPut(w http.ResponseWriter, r *http.Request, c *clusterRuntime, id string) {
-	img, err := readBody(r.Body, r.ContentLength, maxReplicaBytes, nil)
-	var tooLarge *http.MaxBytesError
+	tooLarge := fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes)
+	if r.ContentLength > maxReplicaBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, tooLarge)
+		return
+	}
+	status := http.StatusInternalServerError // the disk's failures, the rename's too
+	n, err := core.WriteFileAtomic(c.replicaPath(id), func(f io.Writer) (int64, error) {
+		buf := relayBufs.Get().(*[32 << 10]byte)
+		defer relayBufs.Put(buf)
+		var n int64
+		for rerr := error(nil); rerr != io.EOF; {
+			var k int
+			k, rerr = r.Body.Read(buf[:])
+			if _, err := f.Write(buf[:k]); err != nil {
+				return n, err
+			}
+			switch n += int64(k); {
+			case n > maxReplicaBytes:
+				status = http.StatusRequestEntityTooLarge
+				return n, tooLarge
+			case rerr != nil && rerr != io.EOF:
+				status = http.StatusBadRequest
+				return n, fmt.Errorf("reading replica image: %w", rerr)
+			}
+		}
+		err := core.VerifyImageAt(f.(io.ReaderAt), n)
+		var diskErr *fs.PathError // reading the file back failed: the disk's fault
+		if err != nil && !errors.As(err, &diskErr) {
+			status = http.StatusBadRequest
+			return n, fmt.Errorf("replica image is not a valid checkpoint: %w", err)
+		}
+		return n, err
+	})
 	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("replica image exceeds %d bytes", maxReplicaBytes))
-		return
+	case err != nil && status == http.StatusInternalServerError:
+		writeError(w, status, fmt.Errorf("storing replica: %w", err))
 	case err != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica image: %w", err))
-		return
+		writeError(w, status, err)
+	default:
+		writeJSON(w, http.StatusOK, ClusterReplicaResponse{ID: id, Bytes: int(n)})
 	}
-	if err := core.VerifyImage(img); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("replica image is not a valid checkpoint: %w", err))
-		return
-	}
-	if _, err := core.WriteFileAtomic(c.replicaPath(id), bytes.NewReader(img).WriteTo); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("storing replica: %w", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, ClusterReplicaResponse{ID: id, Bytes: len(img)})
 }
 
 // handleReplicaGet serves GET /v2/cluster/replicas/{id}: the stored

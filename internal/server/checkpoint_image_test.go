@@ -613,9 +613,14 @@ func putGobUint(b []byte, x uint64) []byte {
 	return append(append(b, byte(skip-8)), be[skip:]...)
 }
 
+// replicaPutAllocs bounds what one replica PUT makes the whole process
+// allocate — client, transport, handler and the file write together —
+// whatever the image's size or the world it declares.
+const replicaPutAllocs = 256 << 10
+
 // TestReplicaPutHostileSizes: what a PUT makes the successor allocate
-// follows the bytes the sender really sent — not the world the image
-// declares, and not the length the header declares.
+// follows neither the world the image declares nor the length the header
+// declares (TestReplicaPutAllocsFlat: nor the bytes the sender really sent).
 func TestReplicaPutHostileSizes(t *testing.T) {
 	tc := newTestCluster(t, 2, "a", "b")
 	// Warm the listener and the handler's lazily built state, so the
@@ -643,10 +648,9 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("image of a fresh huge learner: HTTP %d: %s", status, body)
 	}
-	// Client, transport, handler and the file write together
-	// stay within a few hundred KB; one page table alone would be 32 MiB.
-	if limit := uint64(1<<20 + 8*len(huge)); got > limit {
-		t.Fatalf("a %d-byte image made the process allocate %d bytes (limit %d)", len(huge), got, limit)
+	// One page table alone would be 32 MiB.
+	if got > replicaPutAllocs {
+		t.Fatalf("a %d-byte image made the process allocate %d bytes (limit %d)", len(huge), got, replicaPutAllocs)
 	}
 
 	// The same image declaring a 10⁵ × 10⁵ world — d = 10¹⁰, past the
@@ -657,8 +661,8 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(body, "exceed the ceiling") {
 		t.Fatalf("image of a 10⁵ × 10⁵ learner: HTTP %d: %s", status, body)
 	}
-	if limit := uint64(1<<20 + 8*len(hostile)); got > limit {
-		t.Fatalf("refusing a %d-byte image made the process allocate %d bytes (limit %d)", len(hostile), got, limit)
+	if got > replicaPutAllocs {
+		t.Fatalf("refusing a %d-byte image made the process allocate %d bytes (limit %d)", len(hostile), got, replicaPutAllocs)
 	}
 	if _, err := os.Stat(tc.svcs["a"].cluster.replicaPath("hostile")); !os.IsNotExist(err) {
 		t.Fatal("an image past the world-size ceiling landed in the replica store")
@@ -675,9 +679,9 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
 		t.Fatalf("short body under a 1 GiB header answered %q, want 400", firstLine(reply))
 	}
-	if limit := uint64(bodyReadStep + 2*sent + 1<<20); got > limit {
+	if got > replicaPutAllocs {
 		t.Fatalf("%d bytes under a %d-byte header made the process allocate %d bytes (limit %d)",
-			sent, maxReplicaBytes, got, limit)
+			sent, maxReplicaBytes, got, replicaPutAllocs)
 	}
 	if _, err := os.Stat(tc.svcs["a"].cluster.replicaPath("liar")); !os.IsNotExist(err) {
 		t.Fatal("a truncated body landed in the replica store")
@@ -687,6 +691,71 @@ func TestReplicaPutHostileSizes(t *testing.T) {
 	if reply := rawSend(t, u.Host, http.MethodPut, "/v2/cluster/replicas/big", maxReplicaBytes+1, 16); !bytes.HasPrefix(reply, []byte("HTTP/1.1 413")) {
 		t.Fatalf("oversize declaration answered %q, want 413", firstLine(reply))
 	}
+}
+
+// TestReplicaPutFailureMatrix: a PUT that cannot land is answered as what
+// failed — a body cut short under its declared length, a malformed image
+// and a valid one with bytes after it 400, a replica path the rename cannot
+// take 500 — and leaves no temp file in the replica directory and the good
+// replica already stored there byte for byte.
+func TestReplicaPutFailureMatrix(t *testing.T) {
+	tc := newTestCluster(t, 2, "a", "b")
+	good := doctoredImage(t, nil)
+	if status, body := putReplicaRaw(t, tc.urls["a"], "victim", good); status != http.StatusOK {
+		t.Fatalf("good replica PUT: HTTP %d: %s", status, body)
+	}
+	c := tc.svcs["a"].cluster
+	path, blocked := c.replicaPath("victim"), c.replicaPath("blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	u, err := url.Parse(tc.urls["a"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := doctoredImage(t, func(im *imageMirror) { im.B.PackedCols[1] = 0 })
+	verr := core.VerifyImage(malformed)
+	if verr == nil {
+		t.Fatal("the doctored image verifies")
+	}
+	for name, c := range map[string]struct {
+		put    func() string // the reply's status line and body
+		status string
+		body   string
+	}{
+		"short body": {func() string {
+			return string(rawSend(t, u.Host, http.MethodPut, "/v2/cluster/replicas/victim", int64(len(good)), len(good)/2))
+		}, "400", "reading replica image: unexpected EOF"},
+		"malformed image": {func() string { return putReply(t, tc.urls["a"], "victim", malformed) },
+			"400", fmt.Sprintf("{%q:%q}\n", "error", "replica image is not a valid checkpoint: "+verr.Error())},
+		"trailing bytes": {func() string { return putReply(t, tc.urls["a"], "victim", append(bytes.Clone(good), 0, 0)) },
+			"400", "decoding learner state: 2 bytes after the image"},
+		"rename fails": {func() string { return putReply(t, tc.urls["a"], "blocked", good) }, "500", "storing replica"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reply := c.put()
+			if !strings.HasPrefix(reply, "HTTP/1.1 "+c.status) || !strings.Contains(reply, c.body) {
+				t.Fatalf("answered %q, want %s naming %q", reply, c.status, c.body)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+				t.Fatalf("the good replica was disturbed (err=%v)", err)
+			}
+			if leftovers, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*.tmp-*")); len(leftovers) != 0 {
+				t.Fatalf("stray temp files: %v", leftovers)
+			}
+		})
+	}
+	if _, err := os.Stat(filepath.Join(blocked, "inside")); err != nil {
+		t.Fatalf("the directory in the replica's way was disturbed: %v", err)
+	}
+}
+
+// putReply PUTs img as the replica id and returns the reply's status line
+// and body.
+func putReply(t *testing.T, base, id string, img []byte) string {
+	t.Helper()
+	status, body := putReplicaRaw(t, base, id, img)
+	return fmt.Sprintf("HTTP/1.1 %d %s\r\n\r\n%s", status, http.StatusText(status), body)
 }
 
 // TestSessionPutHostileSizes: a session PUT is sixty bytes that size every

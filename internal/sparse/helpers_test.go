@@ -1,5 +1,10 @@
 package sparse
 
+import (
+	"bytes"
+	"io"
+)
+
 // Test-only ways to build and read vectors and matrices: no production
 // path needs them, the tests use them to set up and inspect state.
 
@@ -75,4 +80,39 @@ func (m *Matrix) Col(j int) *Vector {
 	v := &Vector{dim: m.dim}
 	v.idx, v.val = m.AppendCol(j, v.idx, v.val)
 	return v
+}
+
+// inImage lays lists end to end, as a checkpoint image holds them: the
+// source and the sections Validate, MatrixFromState and VectorFromState read.
+func inImage(lists ...[]byte) (io.ReaderAt, []Section) {
+	var img []byte
+	at := make([]Section, len(lists))
+	for i, l := range lists {
+		at[i] = Section{Off: int64(len(img)), Len: int64(len(l))}
+		img = append(img, l...)
+	}
+	return bytes.NewReader(img), at
+}
+
+// Validate, MatrixFromState and VectorFromState on a state that holds its
+// own lists.
+
+func (st MatrixState) validate() error {
+	src, at := inImage(st.PackedRows, st.PackedCols, st.PackedVals, st.PackedDiag)
+	return st.Validate(src, at)
+}
+
+func (st VectorState) validate() error {
+	src, at := inImage(st.PackedIndex, st.PackedValue)
+	return st.Validate(src, at)
+}
+
+func matrixFromState(st MatrixState) (*Matrix, error) {
+	src, at := inImage(st.PackedRows, st.PackedCols, st.PackedVals, st.PackedDiag)
+	return MatrixFromState(st, src, at)
+}
+
+func vectorFromState(st VectorState) (*Vector, error) {
+	src, at := inImage(st.PackedIndex, st.PackedValue)
+	return VectorFromState(st, src, at)
 }

@@ -71,7 +71,8 @@ func TestEagerAndLazyPagesAreOneMatrix(t *testing.T) {
 		t.Fatal("eager and lazy matrices serialise differently")
 	}
 	for _, restoreEager := range []bool{true, false} {
-		back, err := img.unpack(true, restoreEager)
+		src, at := inImage(img.PackedRows, img.PackedCols, img.PackedVals, img.PackedDiag)
+		back, err := img.unpack(src, at, true, restoreEager)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // The packed forms below carry each array as one byte string, so the
@@ -29,11 +30,9 @@ type VectorState struct {
 
 // State exports the vector for persistence in packed form.
 func (v *Vector) State() VectorState {
-	return VectorState{
-		Dim:         v.dim,
-		PackedIndex: appendGaps(nil, v.idx),
-		PackedValue: appendWords(make([]byte, 0, 8*len(v.val)), v.val),
-	}
+	var index Packed
+	index.gaps(-1, v.idx)
+	return VectorState{Dim: v.dim, PackedIndex: index.Buf, PackedValue: appendWords(make([]byte, 0, 8*len(v.val)), v.val)}
 }
 
 // Packed receives one packed list from a packer (Matrix.Pack,
@@ -166,46 +165,51 @@ func (v *PagedVector) Pack(index, value *Packed) {
 	})
 }
 
-// Validate reports the first malformed field of st. It costs O(len of the
+// Validate reports the first malformed field of st, whose packed lists lie
+// in src at the sections at gives, in field order. It costs O(len of the
 // image) and allocates nothing, whatever Dim claims.
-func (st VectorState) Validate() error {
-	_, err := st.unpack(false)
+func (st VectorState) Validate(src io.ReaderAt, at []Section) error {
+	_, err := st.unpack(src, at, false)
 	return err
 }
 
-// VectorFromState reconstructs a Vector. It rejects malformed states.
-func VectorFromState(st VectorState) (*Vector, error) {
-	return st.unpack(true)
+// VectorFromState reconstructs a Vector, reading its lists as Validate
+// does. It rejects malformed states.
+func VectorFromState(st VectorState, src io.ReaderAt, at []Section) (*Vector, error) {
+	return st.unpack(src, at, true)
 }
 
 // unpack makes every check a VectorState must pass, building the vector
 // alongside when build is set.
-func (st VectorState) unpack(build bool) (*Vector, error) {
+func (st VectorState) unpack(src io.ReaderAt, at []Section, build bool) (v *Vector, err error) {
+	index, value := NewCursor(src, at[0]), NewCursor(src, at[1])
+	defer closeAll(&err, &index, &value)
 	if st.Dim < 0 {
 		return nil, fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
 	}
-	n, err := wordCount(st.PackedValue, "vector PackedValue")
+	n, err := wordCount(value.Left(), "vector PackedValue")
 	if err != nil {
 		return nil, err
 	}
-	var v *Vector
 	if build {
 		v = &Vector{dim: st.Dim, idx: make([]int, n), val: make([]float64, n)}
 	}
-	gaps, prev := st.PackedIndex, -1
-	for k := 0; k < n; k++ {
-		if prev, gaps, err = nextIndex(gaps, prev, st.Dim, "vector PackedIndex"); err != nil {
-			return nil, err
-		}
-		x := word(st.PackedValue, k)
-		if x == 0 {
-			return nil, fmt.Errorf("sparse: vector PackedValue stores a zero at index %d", prev)
-		}
-		if build {
-			v.idx[k], v.val[k] = prev, x
+	prev := -1
+	for k := 0; k < n; {
+		for w := value.words(n - k); len(w) > 0; w, k = w[8:], k+1 {
+			if prev, err = index.index(prev, st.Dim, "vector PackedIndex"); err != nil {
+				return nil, err
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(w))
+			if x == 0 {
+				return nil, fmt.Errorf("sparse: vector PackedValue stores a zero at index %d", prev)
+			}
+			if build {
+				v.idx[k], v.val[k] = prev, x
+			}
 		}
 	}
-	if len(gaps) != 0 {
+	if index.Left() != 0 {
 		return nil, fmt.Errorf("sparse: vector PackedIndex holds more indices than the %d values of PackedValue", n)
 	}
 	return v, nil
@@ -279,38 +283,42 @@ func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
 	})
 }
 
-// Validate reports the first malformed field of st. It costs O(len of the
+// Validate reports the first malformed field of st, whose packed lists lie
+// in src at the sections at gives, in field order. It costs O(len of the
 // image) and allocates nothing, whatever Dim claims.
-func (st MatrixState) Validate() error {
-	_, err := st.unpack(false, false)
+func (st MatrixState) Validate(src io.ReaderAt, at []Section) error {
+	_, err := st.unpack(src, at, false, false)
 	return err
 }
 
-// MatrixFromState reconstructs a Matrix. It rejects malformed states.
-func MatrixFromState(st MatrixState) (*Matrix, error) {
-	return st.unpack(true, st.Dim <= eagerIndices)
+// MatrixFromState reconstructs a Matrix, reading its lists as Validate
+// does. It rejects malformed states.
+func MatrixFromState(st MatrixState, src io.ReaderAt, at []Section) (*Matrix, error) {
+	return st.unpack(src, at, true, st.Dim <= eagerIndices)
 }
 
 // unpack makes every check a MatrixState must pass, building the matrix
 // alongside when build is set. The packed form is checked in one pass over
-// its entries: rows strictly ascending, columns strictly ascending within a
-// row, both inside [0,Dim), counts consistent across the four lists, no
-// stored zero. Its rows are then slices of two shared arrays and the column
-// index is filled by counting — no per-entry search or shift, and nothing
-// but the page table sized by Dim.
-func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
+// its entries, rows, columns and values read in lockstep: rows strictly
+// ascending, columns strictly ascending within a row, both inside [0,Dim),
+// counts consistent across the four lists, no stored zero. Its rows are
+// then slices of two shared arrays and the column index is filled by
+// counting — no per-entry search or shift, and nothing but the page table
+// sized by Dim.
+func (st MatrixState) unpack(src io.ReaderAt, at []Section, build, eager bool) (m *Matrix, err error) {
+	rows, cols, vals, diag := NewCursor(src, at[0]), NewCursor(src, at[1]), NewCursor(src, at[2]), NewCursor(src, at[3])
+	defer closeAll(&err, &rows, &cols, &vals, &diag)
 	switch {
 	case st.Dim < 0:
 		return nil, fmt.Errorf("sparse: negative dimension %d in matrix state", st.Dim)
 	case st.DropTol < 0:
 		return nil, fmt.Errorf("sparse: negative drop tolerance %g in matrix state", st.DropTol)
 	}
-	nnz, err := wordCount(st.PackedVals, "matrix PackedVals")
+	nnz, err := wordCount(vals.Left(), "matrix PackedVals")
 	if err != nil {
 		return nil, err
 	}
 	var (
-		m       *Matrix
 		idx     []int
 		val     []float64
 		members []int
@@ -320,8 +328,8 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 		idx, val, members = make([]int, nnz), make([]float64, nnz), make([]int, nnz)
 	}
 
-	for gaps, i := st.PackedDiag, -1; len(gaps) > 0; {
-		if i, gaps, err = nextIndex(gaps, i, st.Dim, "matrix PackedDiag"); err != nil {
+	for i := -1; diag.Left() > 0; {
+		if i, err = diag.index(i, st.Dim, "matrix PackedDiag"); err != nil {
 			return nil, err
 		}
 		if build {
@@ -329,36 +337,41 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 		}
 	}
 
-	rows, cols, row, k := st.PackedRows, st.PackedCols, -1, 0
-	for len(rows) > 0 {
-		if row, rows, err = nextIndex(rows, row, st.Dim, "matrix PackedRows"); err != nil {
+	row, k := -1, 0
+	for rows.Left() > 0 {
+		if row, err = rows.index(row, st.Dim, "matrix PackedRows"); err != nil {
 			return nil, err
 		}
-		n, w := binary.Uvarint(rows)
+		n, w := binary.Uvarint(rows.Next(binary.MaxVarintLen64))
 		if w <= 0 {
 			return nil, fmt.Errorf("sparse: matrix PackedRows is truncated after row %d", row)
 		}
-		rows = rows[w:]
+		rows.b = rows.b[w:]
 		if n == 0 || n > uint64(nnz-k) {
 			return nil, fmt.Errorf("sparse: matrix PackedRows gives row %d %d entries, PackedVals has %d left",
 				row, n, nnz-k)
 		}
 		start, col := k, -1
-		for end := k + int(n); k < end; k++ {
-			if col, cols, err = nextIndex(cols, col, st.Dim, "matrix PackedCols"); err != nil {
-				return nil, fmt.Errorf("%w (row %d)", err, row)
-			}
-			x := word(st.PackedVals, k)
-			if x == 0 {
-				return nil, fmt.Errorf("sparse: matrix PackedVals stores a zero at (%d,%d)", row, col)
-			}
-			if build {
-				idx[k], val[k] = col, x
-				// Count the column's members in the length of its list: until
-				// the lists are carved below, each is a prefix of members
-				// that nothing reads.
-				c := &m.touch(col).col
-				*c = members[:len(*c)+1]
+		for end := k + int(n); k < end; {
+			for w := vals.words(end - k); len(w) > 0; w, k = w[8:], k+1 {
+				// index's fast path, inlined for the one list as long as B.
+				if b := cols.b; len(b) > 0 && col >= 0 && b[0]-1 < 0x7f && int(b[0]) < st.Dim-col {
+					col, cols.b = col+int(b[0]), b[1:]
+				} else if col, err = cols.index(col, st.Dim, "matrix PackedCols"); err != nil {
+					return nil, fmt.Errorf("%w (row %d)", err, row)
+				}
+				x := math.Float64frombits(binary.LittleEndian.Uint64(w))
+				if x == 0 {
+					return nil, fmt.Errorf("sparse: matrix PackedVals stores a zero at (%d,%d)", row, col)
+				}
+				if build {
+					idx[k], val[k] = col, x
+					// Count the column's members in the length of its list:
+					// until the lists are carved below, each is a prefix of
+					// members that nothing reads.
+					c := &m.touch(col).col
+					*c = members[:len(*c)+1]
+				}
 			}
 		}
 		if build {
@@ -370,7 +383,7 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 	if k != nnz {
 		return nil, fmt.Errorf("sparse: matrix PackedRows accounts for %d entries, PackedVals has %d", k, nnz)
 	}
-	if len(cols) != 0 {
+	if cols.Left() != 0 {
 		return nil, fmt.Errorf("sparse: matrix PackedCols holds more indices than the %d values of PackedVals", nnz)
 	}
 	if !build {
@@ -408,36 +421,31 @@ func (st MatrixState) unpack(build, eager bool) (*Matrix, error) {
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// appendGaps appends a whole ascending index list.
-func appendGaps(dst []byte, idx []int) []byte {
-	p := Packed{Buf: dst}
-	p.gaps(-1, idx)
-	return p.Buf
-}
-
-// nextIndex decodes the entry after prev (-1 at the start of a list) from
-// an ascending index list and checks it against [0,dim). field names the
-// list in errors.
-func nextIndex(gaps []byte, prev, dim int, field string) (int, []byte, error) {
+// index reads the entry after prev (-1 at the start of a list) from an
+// ascending index list and checks it against [0,dim). field names the list
+// in errors.
+func (c *Cursor) index(prev, dim int, field string) (int, error) {
 	// Most entries are a one-byte gap; skip the general decoder for those.
-	if len(gaps) > 0 && prev >= 0 && gaps[0]-1 < 0x7f && int(gaps[0]) < dim-prev {
-		return prev + int(gaps[0]), gaps[1:], nil
+	if b := c.b; len(b) > 0 && prev >= 0 && b[0]-1 < 0x7f && int(b[0]) < dim-prev {
+		c.b = b[1:]
+		return prev + int(b[0]), nil
 	}
-	g, w := binary.Uvarint(gaps)
+	g, w := binary.Uvarint(c.Next(binary.MaxVarintLen64))
 	if w <= 0 {
-		return 0, nil, fmt.Errorf("sparse: %s is truncated or overlong after %d", field, prev)
+		return 0, fmt.Errorf("sparse: %s is truncated or overlong after %d", field, prev)
 	}
+	c.b = c.b[w:]
 	base := 0
 	if prev >= 0 {
 		if g == 0 {
-			return 0, nil, fmt.Errorf("sparse: %s repeats index %d", field, prev)
+			return 0, fmt.Errorf("sparse: %s repeats index %d", field, prev)
 		}
 		base = prev
 	}
 	if g >= uint64(dim-base) {
-		return 0, nil, fmt.Errorf("sparse: %s steps %d past %d, out of range [0,%d)", field, g, prev, dim)
+		return 0, fmt.Errorf("sparse: %s steps %d past %d, out of range [0,%d)", field, g, prev, dim)
 	}
-	return base + int(g), gaps[w:], nil
+	return base + int(g), nil
 }
 
 // appendWords appends each value's IEEE-754 bits, little-endian.
@@ -448,15 +456,101 @@ func appendWords(dst []byte, val []float64) []byte {
 	return dst
 }
 
-// wordCount is the number of 8-byte words in a packed value list.
-func wordCount(words []byte, field string) (int, error) {
-	if len(words)%8 != 0 {
-		return 0, fmt.Errorf("sparse: %s is %d bytes, not a whole number of 8-byte words", field, len(words))
+// wordCount is the number of 8-byte words in a packed value list of size
+// bytes.
+func wordCount(size int64, field string) (int, error) {
+	if size%8 != 0 {
+		return 0, fmt.Errorf("sparse: %s is %d bytes, not a whole number of 8-byte words", field, size)
 	}
-	return len(words) / 8, nil
+	return int(size / 8), nil
 }
 
-// word returns the k-th value of a packed value list.
-func word(words []byte, k int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(words[8*k:]))
+// A Section is where one packed list lies in an image: Len bytes from Off.
+type Section struct{ Off, Len int64 }
+
+// window is the size of the buffers Cursors read through, which windows
+// pools: a few pages of a file, and room for the longest run one read looks
+// at (the checkpoint image's 890-byte type definitions).
+const window = 8 << 10
+
+var windows = sync.Pool{New: func() any { return new([window]byte) }}
+
+// A Cursor reads a section of an image front to back through a window,
+// taken from the pool on its first read and given back by Close, so what
+// it holds does not follow the section's length.
+type Cursor struct {
+	src      io.ReaderAt
+	b        []byte // the unread bytes in the window
+	off, end int64  // the section's unread part past b
+	buf      *[window]byte
+	err      error // the first failed read
+}
+
+// NewCursor reads the section s of src.
+func NewCursor(src io.ReaderAt, s Section) Cursor {
+	return Cursor{src: src, off: s.Off, end: s.Off + s.Len}
+}
+
+// Next returns the unread bytes in front: n of them at least (n ≤ the
+// window), or all that are left.
+func (c *Cursor) Next(n int) []byte {
+	if len(c.b) < n && c.off < c.end {
+		c.fill()
+	}
+	return c.b
+}
+
+// fill moves the unread bytes to the front of the window and reads after
+// them as much of the section as fits. Zeros stand for what a failed read
+// missed: every list reads them as malformed, and Close reports the failure.
+func (c *Cursor) fill() {
+	if c.buf == nil {
+		c.buf = windows.Get().(*[window]byte)
+	}
+	k := copy(c.buf[:], c.b)
+	want := int(min(int64(window-k), c.end-c.off))
+	if got, err := c.src.ReadAt(c.buf[k:k+want], c.off); got < want {
+		clear(c.buf[k+got : k+want])
+		if c.err = err; err == nil || err == io.EOF {
+			c.err = io.ErrUnexpectedEOF
+		}
+	}
+	c.off += int64(want)
+	c.b = c.buf[:k+want]
+}
+
+// Skip steps over n of the bytes left, reading none of them.
+func (c *Cursor) Skip(n int64) {
+	k := min(n, int64(len(c.b)))
+	c.b, c.off = c.b[k:], c.off+n-k
+}
+
+// Left is the count of the section's bytes not yet read or skipped.
+func (c *Cursor) Left() int64 { return int64(len(c.b)) + c.end - c.off }
+
+// Close gives the window back and reports the first failed read.
+func (c *Cursor) Close() error {
+	if c.buf != nil {
+		windows.Put(c.buf)
+		c.buf, c.b = nil, nil
+	}
+	return c.err
+}
+
+// closeAll closes l; a failed read replaces *err.
+func closeAll(err *error, l ...*Cursor) {
+	for _, c := range l {
+		if cerr := c.Close(); cerr != nil {
+			*err = cerr
+		}
+	}
+}
+
+// words takes the next values of a packed value list: whole 8-byte words,
+// at most m and at least one, which the list holds (see wordCount and fill).
+func (c *Cursor) words(m int) []byte {
+	b := c.Next(8)
+	n := 8 * min(len(b)/8, m)
+	c.b = b[n:]
+	return b[:n]
 }

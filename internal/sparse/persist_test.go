@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,12 +11,19 @@ import (
 	"testing/quick"
 )
 
+// appendGaps appends a whole ascending index list.
+func appendGaps(dst []byte, idx []int) []byte {
+	p := Packed{Buf: dst}
+	p.gaps(-1, idx)
+	return p.Buf
+}
+
 func TestVectorStateRoundTrip(t *testing.T) {
 	v := NewVector(10)
 	v.Set(3, 1.5)
 	v.Set(7, -2)
 	st := v.State()
-	back, err := VectorFromState(st)
+	back, err := vectorFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,7 @@ func TestVectorFromStateRejectsMalformed(t *testing.T) {
 		{Dim: 3, PackedIndex: []byte{1, 0}, PackedValue: appendWords(nil, []float64{1, 2})},
 	}
 	for i, st := range cases {
-		if _, err := VectorFromState(st); err == nil {
+		if _, err := vectorFromState(st); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -44,7 +52,7 @@ func TestMatrixStateRoundTripPreservesImplicitDiag(t *testing.T) {
 	m.Set(4, 4, 0) // override implicit diagonal with zero
 	m.Set(2, 2, 9) // override with a value
 	st := m.State()
-	back, err := MatrixFromState(st)
+	back, err := matrixFromState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +81,7 @@ func TestMatrixFromStateRejectsMalformed(t *testing.T) {
 		{Dim: 2, PackedDiag: appendGaps(nil, []int{5})},
 	}
 	for i, st := range cases {
-		if _, err := MatrixFromState(st); err == nil {
+		if _, err := matrixFromState(st); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -96,7 +104,7 @@ func TestQuickMatrixStateRoundTrip(t *testing.T) {
 				continue
 			}
 		}
-		back, err := MatrixFromState(m.State())
+		back, err := matrixFromState(m.State())
 		if err != nil {
 			return false
 		}
@@ -194,7 +202,7 @@ func TestQuickRestoredMatrixContinuesIdentically(t *testing.T) {
 		for i := 0; i < 25; i++ {
 			step(m, r.Intn(dim), r.Intn(dim))
 		}
-		back, err := MatrixFromState(m.State())
+		back, err := matrixFromState(m.State())
 		if err != nil {
 			return false
 		}
@@ -231,7 +239,7 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 	good := MatrixState{Dim: 4, Diag: 0.25,
 		PackedRows: rows(1, 2, 2, 1), PackedCols: append(gaps(0, 3), gaps(2)...),
 		PackedVals: words(1, 2, 3), PackedDiag: gaps(1, 3)}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("well-formed state refused: %v", err)
 	}
 	with := func(edit func(*MatrixState)) MatrixState {
@@ -262,8 +270,8 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		"dim smaller than data": {with(func(st *MatrixState) { st.Dim = 3 }), "out of range [0,3)"},
 	} {
 		t.Run("matrix/"+name, func(t *testing.T) {
-			verr := tc.st.Validate()
-			_, berr := MatrixFromState(tc.st)
+			verr := tc.st.validate()
+			_, berr := matrixFromState(tc.st)
 			if verr == nil || berr == nil || verr.Error() != berr.Error() {
 				t.Fatalf("Validate says %v, MatrixFromState says %v", verr, berr)
 			}
@@ -274,7 +282,7 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 	}
 
 	goodVec := VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, -1)}
-	if err := goodVec.Validate(); err != nil {
+	if err := goodVec.validate(); err != nil {
 		t.Fatalf("well-formed vector state refused: %v", err)
 	}
 	for name, tc := range map[string]struct {
@@ -289,8 +297,8 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 		"stored zero":      {VectorState{Dim: 5, PackedIndex: gaps(1, 4), PackedValue: words(2, 0)}, "PackedValue stores a zero at index 4"},
 	} {
 		t.Run("vector/"+name, func(t *testing.T) {
-			verr := tc.st.Validate()
-			_, berr := VectorFromState(tc.st)
+			verr := tc.st.validate()
+			_, berr := vectorFromState(tc.st)
 			if verr == nil || berr == nil || verr.Error() != berr.Error() {
 				t.Fatalf("Validate says %v, VectorFromState says %v", verr, berr)
 			}
@@ -301,13 +309,24 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 	}
 }
 
+// A list that cannot be read whole — its section runs past the end of the
+// source — is refused as the failed read, not as a malformed list.
+func TestValidateReportsFailedReads(t *testing.T) {
+	src, at := inImage(appendGaps(nil, []int{1, 4}), appendWords(nil, []float64{2, -1}))
+	at[1].Len += 8
+	if err := (VectorState{Dim: 5}).Validate(src, at); err != io.ErrUnexpectedEOF {
+		t.Fatalf("a value list past the source's end: err %v", err)
+	}
+}
+
 // Validate's cost follows the image, not the dimension it declares: an
 // empty state of an absurd Dim is checked without a single allocation.
 func TestValidateAllocatesNothingForHugeDim(t *testing.T) {
 	ms := MatrixState{Dim: 1 << 40, Diag: 1}
 	vs := VectorState{Dim: 1 << 40}
+	empty := make([]Section, 4)
 	if n := testing.AllocsPerRun(10, func() {
-		if ms.Validate() != nil || vs.Validate() != nil {
+		if ms.Validate(nil, empty) != nil || vs.Validate(nil, empty) != nil {
 			t.Fatal("empty huge state refused")
 		}
 	}); n != 0 {

@@ -103,7 +103,7 @@ func TestRowVectorMatchesVector(t *testing.T) {
 
 			// Round trip: the restored rows share one backing array until they
 			// grow, so keep adding on the restored side too.
-			flat, err := VectorFromState(rv.State())
+			flat, err := vectorFromState(rv.State())
 			if err != nil {
 				t.Fatal(err)
 			}
