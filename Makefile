@@ -152,8 +152,11 @@ bench-trace:
 # checkpoint image must cost no copy of itself: writing one allocates its
 # write buffer and nothing else (≤ 64 KiB, whatever the image's size; the
 # image-sized buffer it replaced took 1.05 × the image-bytes, gob 4.7 ×),
-# verifying one where it lies under 1 KB. Short iteration counts so
-# `make check` stays fast; benchjson fails the build on any regression.
+# verifying one where it lies under 1 KB, and an empty learner of the
+# paper's 800 × 1 052 world must take at most 16 MiB (its pages hold record
+# numbers, and a record appears only for an index that is written; a record
+# in every page slot took 67.8 MB). Short iteration counts so `make check`
+# stays fast; benchjson fails the build on any regression.
 bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecide/no-tracer-nocost' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-zero-alloc BenchmarkDecide/no-tracer-nocost
@@ -167,6 +170,8 @@ bench-alloc-gate:
 		| $(GO) run ./cmd/benchjson -assert-max-allocs BenchmarkSnapshotCodec/digest-grid10k=1
 	$(GO) test -run=- -bench='BenchmarkCheckpoint/(save|verify)$$' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes 'BenchmarkCheckpoint/save=65536,BenchmarkCheckpoint/verify=1024'
+	$(GO) test -run=- -bench='BenchmarkNewLearner/paper800' -benchtime=20x -benchmem ./internal/core/ \
+		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkNewLearner/paper800=16777216
 
 # The tracked benchmarks: the one pipeline bench-json records and
 # bench-check compares against. Decide benchmarks run a fixed iteration

@@ -15,9 +15,18 @@ import (
 
 // sameState compares two decoded images field by field — nil against empty
 // and NaN's bits included, which reflect.DeepEqual gets wrong one way or
-// the other.
+// the other. The packed lists, which hold nearly all of an image's bytes,
+// are compared as bytes; only the rest is formatted.
 func sameState(a, b *persistedState) bool {
-	return fmt.Sprintf("%#v", *a) == fmt.Sprintf("%#v", *b)
+	x, y := *a, *b
+	for i, l := range x.packed() {
+		r := y.packed()[i]
+		if (*l == nil) != (*r == nil) || !bytes.Equal(*l, *r) {
+			return false
+		}
+		*l, *r = nil, nil
+	}
+	return fmt.Sprintf("%#v", x) == fmt.Sprintf("%#v", y)
 }
 
 // decodeBytes is decodeImage on img's bytes, with each packed list the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"megh/internal/sim"
 	"megh/internal/sparse"
+	"megh/internal/trace"
 	"megh/internal/workload"
 )
 
@@ -445,4 +447,51 @@ func allocatedBy(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A learner restored mid-run has rows and member lists carved out of shared
+// arrays at their exact lengths, which move out — onto the arrays the
+// matrix keeps for reuse — as the run goes on and they grow. Thousands of
+// steps later it still writes the trace and the image, byte for byte, of
+// its twin that was never restored.
+func TestRestoredMidRunMatchesTwin(t *testing.T) {
+	const nVMs, nHosts, steps, at = 30, 24, 4000, 800
+	items := batchItems(snapshotStream(t, nVMs, nHosts, steps))
+	twin, err := New(DefaultConfig(nVMs, nHosts, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(m *Megh, items []BatchItem, w io.Writer) {
+		if w != nil {
+			tr, err := trace.New(trace.Options{W: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Trace(tr)
+		}
+		for _, it := range items {
+			if it.Feedback != nil {
+				m.Observe(it.Feedback)
+			}
+			m.DecideAppend(nil, it.Snap)
+		}
+	}
+	run(twin, items[:at], nil)
+	back, err := LoadState(bytes.NewReader(imageOf(t, twin)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredNNZ := back.QTableNNZ()
+	var twinTrace, backTrace bytes.Buffer
+	run(twin, items[at:], &twinTrace)
+	run(back, items[at:], &backTrace)
+	if back.QTableNNZ() <= restoredNNZ {
+		t.Fatalf("B held %d entries at the restore and %d after it: nothing grew", restoredNNZ, back.QTableNNZ())
+	}
+	if !bytes.Equal(twinTrace.Bytes(), backTrace.Bytes()) {
+		t.Fatal("the restored learner's trace differs from its twin's")
+	}
+	if !bytes.Equal(imageOf(t, twin), imageOf(t, back)) {
+		t.Fatal("the restored learner's image differs from its twin's")
+	}
 }

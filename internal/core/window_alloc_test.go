@@ -9,12 +9,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // A replica PUT verifies the image where it lies: no copy of it, and no
 // NNZHistory, which only a restore reads. The reader's windows come from a
-// pool, which the first call fills.
+// pool, which the first call fills. A pool keeps what is put back with the
+// processor that put it, so the test runs on one processor, as
+// testing.AllocsPerRun does: the warm-up and the measured call then share
+// that processor's pool.
 func TestVerifyImageAllocatesNoCopy(t *testing.T) {
 	img := imageOf(t, checkpointLearner(t))
 	verify := func() {
@@ -22,6 +26,7 @@ func TestVerifyImageAllocatesNoCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	verify()
 	if got := allocatedBy(verify); got > 1024 {
 		t.Fatalf("verifying a %d-byte image allocated %d bytes", len(img), got)

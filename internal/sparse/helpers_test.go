@@ -49,7 +49,8 @@ func (m *Matrix) Set(i, j int, x float64) {
 		x = 0
 	}
 	// A found entry means the page exists, so the peeked row is the row.
-	r := &m.peek(i).row
+	rec, _ := m.peek(i)
+	r := &rec.row
 	p, ok := r.find(j)
 	if x == 0 {
 		if ok {
@@ -63,7 +64,7 @@ func (m *Matrix) Set(i, j int, x float64) {
 		r.val[p] = x
 		return
 	}
-	m.touch(i).row.insertAt(p, j, x)
+	m.touch(i).row.insertAt(p, j, x, &m.sh)
 	m.colInsert(j, i)
 	m.nnz++
 }

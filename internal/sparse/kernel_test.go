@@ -1,26 +1,44 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // checkMatrixInvariants verifies the structural contract between the two
 // indexes: every column-membership entry points at a materialised row entry,
 // every row entry is mirrored in the column index, rows are strictly sorted,
-// and the incremental NNZ counter matches a full count.
+// and the incremental NNZ counter matches a full count. Every record handed
+// out belongs to exactly one index inside the dimension, and no two lists —
+// rows, member lists, or the arrays kept on the shelves — share memory.
 func checkMatrixInvariants(t *testing.T, m *Matrix) {
 	t.Helper()
 	counted, colCount, resident := 0, 0, 0
+	owner := map[uint32]int{} // record number → its index
+	var arrays []extent
 	m.pages.each(func(p int, pg *page) {
 		resident++
-		for k := range pg.recs {
+		for k, n := range pg.rec {
 			i := p<<pageShift + k
-			r := &pg.recs[k].row
+			if i >= m.dim && (n != 0 || pg.overridden(k)) {
+				t.Fatalf("index %d past the dimension %d holds data", i, m.dim)
+			}
+			if n == 0 {
+				continue
+			}
+			if prev, ok := owner[n]; ok {
+				t.Fatalf("indices %d and %d share record %d", prev, i, n)
+			}
+			owner[n] = i
+			rec := m.recs.at(n)
+			r := &rec.row
+			arrays = append(arrays, extentOf(r.idx, i, "row"), extentOf(r.val, i, "row"), extentOf(rec.col, i, "member list"))
 			if len(r.idx) != len(r.val) {
 				t.Fatalf("row %d: %d indices vs %d values", i, len(r.idx), len(r.val))
 			}
@@ -31,23 +49,21 @@ func checkMatrixInvariants(t *testing.T, m *Matrix) {
 				if r.val[q] == 0 {
 					t.Fatalf("row %d stores exact zero at col %d", i, j)
 				}
-				if !slices.Contains(m.peek(j).col, i) {
+				if col, _ := m.peek(j); !slices.Contains(col.col, int32(i)) {
 					t.Fatalf("entry (%d,%d) missing from column index", i, j)
 				}
 				counted++
 			}
 			// Here i is a column: its member rows must hold the entry.
-			for q, row := range pg.recs[k].col {
-				if q > 0 && pg.recs[k].col[q-1] >= row {
+			for q, row := range rec.col {
+				if q > 0 && rec.col[q-1] >= row {
 					t.Fatalf("col %d not strictly sorted at %d", i, q)
 				}
-				if _, ok := m.peek(row).row.find(i); !ok {
+				r, _ := m.peek(int(row))
+				if _, ok := r.row.find(i); !ok {
 					t.Fatalf("column index lists (%d,%d) but the row has no entry", row, i)
 				}
 				colCount++
-			}
-			if i >= m.dim && (len(r.idx) > 0 || len(pg.recs[k].col) > 0 || pg.overridden(k)) {
-				t.Fatalf("record %d past the dimension %d holds data", i, m.dim)
 			}
 		}
 	})
@@ -57,8 +73,57 @@ func checkMatrixInvariants(t *testing.T, m *Matrix) {
 	if resident != m.pages.used {
 		t.Fatalf("page table handed out %d pages, %d are reachable", m.pages.used, resident)
 	}
+	if len(owner) != m.recs.used {
+		t.Fatalf("record pool handed out %d records, %d are reachable", m.recs.used, len(owner))
+	}
+	arrays = appendShelved(t, arrays, &m.sh.idx)
+	arrays = appendShelved(t, arrays, &m.sh.val)
+	arrays = appendShelved(t, arrays, &m.members)
+	checkDisjoint(t, arrays)
 	if emptyRecord.row.idx != nil || emptyRecord.row.val != nil || emptyRecord.col != nil {
 		t.Fatal("the shared empty record was written")
+	}
+}
+
+// extent is the memory [lo, hi) a list's backing array spans from the
+// list's first element to its capacity; owner and what name the list.
+type extent struct {
+	lo, hi uintptr
+	owner  int
+	what   string
+}
+
+func extentOf[E any](s []E, owner int, what string) extent {
+	var e E
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return extent{lo: lo, hi: lo + uintptr(cap(s))*unsafe.Sizeof(e), owner: owner, what: what}
+}
+
+// appendShelved appends the extents of the arrays kept on sh, each of
+// which must be at least as long as its class.
+func appendShelved[E any](t *testing.T, l []extent, sh *shelf[E]) []extent {
+	t.Helper()
+	for c := range sh.kept {
+		for _, s := range sh.kept[c] {
+			if cap(s) < 1<<c {
+				t.Fatalf("shelf class %d keeps an array of capacity %d", c, cap(s))
+			}
+			l = append(l, extentOf(s, -1, "shelved array"))
+		}
+	}
+	return l
+}
+
+// checkDisjoint fails when two of the extents overlap: two lists, or a list
+// and a shelved array, writing through one array.
+func checkDisjoint(t *testing.T, l []extent) {
+	t.Helper()
+	l = slices.DeleteFunc(l, func(e extent) bool { return e.lo == e.hi })
+	slices.SortFunc(l, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
+	for k := 1; k < len(l); k++ {
+		if l[k].lo < l[k-1].hi {
+			t.Fatalf("%s %d and %s %d share memory", l[k-1].what, l[k-1].owner, l[k].what, l[k].owner)
+		}
 	}
 }
 

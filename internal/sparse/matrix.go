@@ -3,7 +3,10 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"unsafe"
 )
 
 // span is one sorted sparse row: parallel index/value slices kept in
@@ -19,13 +22,9 @@ func (l *span) find(i int) (int, bool) {
 	return p, p < len(l.idx) && l.idx[p] == i
 }
 
-func (l *span) insertAt(p, i int, x float64) {
-	l.idx = append(l.idx, 0)
-	copy(l.idx[p+1:], l.idx[p:])
-	l.idx[p] = i
-	l.val = append(l.val, 0)
-	copy(l.val[p+1:], l.val[p:])
-	l.val[p] = x
+func (l *span) insertAt(p, i int, x float64, sh *shelves) {
+	l.idx = insert(&sh.idx, l.idx, p, i)
+	l.val = insert(&sh.val, l.val, p, x)
 }
 
 func (l *span) removeAt(p int) {
@@ -43,6 +42,49 @@ func (l *span) push(i int, x float64) {
 	l.val = append(l.val, x)
 }
 
+// shelf keeps the arrays a container's lists outgrew, by capacity class
+// (class c: capacity ≥ 1<<c; no list outgrows a Dim, capped at 2²⁷), for
+// the next list that grows into that class. No array is ever dropped, so
+// held — every array the lists were given, and the shelf's headers — is
+// what they and the shelf hold.
+type shelf[E any] struct {
+	kept [32][][]E
+	held int
+}
+
+// shelves are a container's shelves for sorted rows.
+type shelves struct {
+	idx shelf[int]
+	val shelf[float64]
+}
+
+// insert returns s with x inserted at p. A full s moves to an array of the
+// next power-of-two capacity, taken from the shelf when one is kept there,
+// and its own array is shelved in the class its capacity reaches.
+func insert[E any](sh *shelf[E], s []E, p int, x E) []E {
+	if len(s) == cap(s) {
+		c := bits.Len(uint(cap(s)))
+		var next []E
+		if k := len(sh.kept[c]); k > 0 {
+			next, sh.kept[c] = sh.kept[c][k-1][:len(s)], sh.kept[c][:k-1]
+		} else {
+			next = make([]E, len(s), 1<<c)
+			sh.held += int(unsafe.Sizeof(x)) << c
+		}
+		copy(next, s)
+		if cap(s) > 0 {
+			n := cap(sh.kept[c-1])
+			sh.kept[c-1] = append(sh.kept[c-1], s[:0])
+			sh.held += int(unsafe.Sizeof(s)) * (cap(sh.kept[c-1]) - n)
+		}
+		s = next
+	}
+	s = s[:len(s)+1]
+	copy(s[p+1:], s[p:])
+	s[p] = x
+	return s
+}
+
 // Matrix is a square sparse matrix stored as index-sorted slice-backed rows
 // plus a membership-only column index, with an *implicit* scaled identity: a
 // fresh Matrix of dimension d with initial diagonal value c behaves exactly
@@ -52,9 +94,10 @@ func (l *span) push(i int, x float64) {
 // rows that have a materialised entry in column j. A rank-1 update therefore
 // rewrites each touched row in place and adjusts the column index only for
 // the few entries that materialise or vanish, instead of mirroring every
-// value write. Rows, member lists and diagonal flags sit in a page table
-// whose pages appear on first write, so the matrix costs what it stores, not
-// what it spans.
+// value write. An index's row and member list make up its record, which
+// appears when the index is first written; diagonal flags and record
+// numbers sit in a page table, so the matrix costs what it stores, not what
+// it spans.
 //
 // This mirrors the B = (1/δ)·I initialisation of Megh (Algorithm 1, line 2):
 // the matrix starts as a huge scaled identity of which only the entries
@@ -76,10 +119,16 @@ type Matrix struct {
 	// paper reports in Figure 7.
 	dropTol float64
 
-	// pages holds one record per index — row i's entries, column i's
-	// member rows, row i's diagonal flag — in fixed-size pages; an unwritten
-	// page reads as "empty row, empty column, implicit diagonal". See page.
+	// pages holds, in fixed-size pages, each index's diagonal flag and the
+	// number of its record in recs — row i's entries, column i's member
+	// rows — which appears when the index is first written; an index with
+	// no record reads as "empty row, empty column", and an unwritten page
+	// as that plus "implicit diagonal". See page.
 	pages pageTable[page]
+	recs  pool[record]
+	// Arrays B's rows and member lists outgrew, for the next to grow.
+	sh      shelves
+	members shelf[int32]
 	// nnz counts materialised entries incrementally so NNZ() is O(1); it
 	// is read on every Megh.Decide (nnzHistory, metrics, trace).
 	nnz int
@@ -87,43 +136,50 @@ type Matrix struct {
 	// Scratch buffers reused across ShermanMorrisonBasis calls so the hot
 	// update path allocates only when a buffer grows past its high-water
 	// mark.
-	colA      span // snapshot of column a, pre-scaled by 1/den
-	colARaw   span // snapshot of column a as stored (unscaled)
-	colANew   span // column a after the update (see LastUpdateNewCol)
-	rowA      span // snapshot of row a (implicit diagonal included)
-	rowB      span // snapshot of row b (implicit diagonal included)
-	vmRow     span // vᵀM = row_a − γ·row_b
-	colIns    []ij // entries materialised by the in-flight update
-	colDel    []ij // entries vanished during the in-flight update
-	diagFlips []int
+	colA       span // snapshot of column a, pre-scaled by 1/den
+	colARaw    span // snapshot of column a as stored (unscaled)
+	colANew    span // column a after the update (see LastUpdateNewCol)
+	rowA       span // snapshot of row a (implicit diagonal included)
+	rowB       span // snapshot of row b (implicit diagonal included)
+	vmRow      span // vᵀM = row_a − γ·row_b
+	colIns     []ij // entries materialised by the in-flight update
+	colDel     []ij // entries vanished during the in-flight update
+	diagFlips  []int
+	memberRecs []*record // the records of the column AppendCol reads
 }
 
 // ij addresses one matrix cell.
 type ij struct{ i, j int }
 
 // record is what the matrix stores about one index i: row i's entries, and
-// the sorted rows that have a materialised entry in column i.
+// the sorted rows that have a materialised entry in column i (Config caps a
+// Dim at 2²⁷, so a row number fits an int32).
 type record struct {
 	row span
-	col []int
+	col []int32
 }
 
-// page is pageSize consecutive records. Bit k of diag marks row base+k as
-// having its implicit diagonal materialised (even if to the same value, or
-// to zero — which stores nothing but still overrides the implicit entry);
-// a row whose bit is clear still has the implicit entry (i,i) = diag.
+// recordChunkShift sizes the chunks records are kept in: 256 records, 18 KiB,
+// an allocation size class of its own, so none of it is padding.
+const recordChunkShift = 8
+
+// page covers pageSize consecutive indices. rec[k] numbers index base+k's
+// record in Matrix.recs, 0 while it has none. Bit k of diag marks row base+k
+// as having its implicit diagonal materialised (even if to the same value,
+// or to zero — which stores nothing but still overrides the implicit
+// entry); a row whose bit is clear still has the implicit entry (i,i) = diag.
 type page struct {
-	recs [pageSize]record
+	rec  [pageSize]uint32
 	diag uint64
 }
 
-const _ = uint(64 - pageSize) // diag has a bit per record
+const _ = uint(64 - pageSize) // diag has a bit per index
 
 // overridden reports whether the page's k-th row has its diagonal bit set.
 func (pg *page) overridden(k int) bool { return pg.diag>>uint(k)&1 != 0 }
 
-// emptyRecord is what every index of an unwritten page reads as. It is
-// never written: writers go through touch.
+// emptyRecord is what every index without a record reads as. It is never
+// written: writers go through touch.
 var emptyRecord record
 
 // NewMatrix returns a d × d matrix equal to diag·I, storing nothing yet.
@@ -137,27 +193,43 @@ func newMatrix(dim int, diag float64, eager bool) *Matrix {
 	if dim < 0 {
 		panic(fmt.Sprintf("sparse: negative matrix dimension %d", dim))
 	}
-	return &Matrix{dim: dim, diag: diag, pages: newPageTable[page]((dim+pageMask)>>pageShift, eager)}
+	return &Matrix{dim: dim, diag: diag, pages: newPageTable[page]((dim+pageMask)>>pageShift, eager),
+		recs: pool[record]{shift: recordChunkShift}}
 }
 
-// peek returns index i's record for reading.
-func (m *Matrix) peek(i int) *record {
-	if pg := m.pages.peek(i >> pageShift); pg != nil {
-		return &pg.recs[i&pageMask]
+// peek returns index i's record for reading, and whether row i's implicit
+// diagonal is still in effect.
+func (m *Matrix) peek(i int) (*record, bool) {
+	return m.onPage(m.pages.peek(i>>pageShift), i)
+}
+
+// onPage is peek for an index whose page is pg, nil while unwritten.
+func (m *Matrix) onPage(pg *page, i int) (*record, bool) {
+	if pg == nil || pg.rec[i&pageMask] == 0 {
+		return &emptyRecord, pg == nil || !pg.overridden(i&pageMask)
 	}
-	return &emptyRecord
+	return m.recs.at(pg.rec[i&pageMask]), !pg.overridden(i & pageMask)
 }
 
-// touch returns index i's record for writing, allocating its page on first
-// use.
+// touch returns index i's record for writing, numbering it (and allocating
+// its page) on first use.
 func (m *Matrix) touch(i int) *record {
-	return &m.pages.touch(i >> pageShift).recs[i&pageMask]
+	n := &m.pages.touch(i >> pageShift).rec[i&pageMask]
+	if *n == 0 {
+		*n = m.recs.add()
+	}
+	return m.recs.at(*n)
 }
 
-// diagSet reports whether row i's implicit diagonal has been overridden.
-func (m *Matrix) diagSet(i int) bool {
-	pg := m.pages.peek(i >> pageShift)
-	return pg != nil && pg.overridden(i&pageMask)
+// eachRecord calls f for every index that has a record, in index order.
+func (m *Matrix) eachRecord(f func(i int, r *record)) {
+	m.pages.each(func(p int, pg *page) {
+		for k, n := range pg.rec {
+			if n != 0 {
+				f(p<<pageShift+k, m.recs.at(n))
+			}
+		}
+	})
 }
 
 // setDiag marks row i's implicit diagonal as overridden.
@@ -166,10 +238,11 @@ func (m *Matrix) setDiag(i int) {
 }
 
 // ResidentBytes is what the matrix holds in memory: the page table, the
-// pages allocated so far and three words per stored entry (its column
-// index, its value, its slot in the column's member list).
+// pages and record chunks allocated so far, and the arrays of its rows and
+// member lists — the capacity they grew into, and the outgrown arrays kept
+// for reuse.
 func (m *Matrix) ResidentBytes() int {
-	return m.pages.residentBytes() + 24*m.nnz
+	return m.pages.residentBytes() + m.recs.residentBytes() + m.sh.idx.held + m.sh.val.held + m.members.held
 }
 
 // Dim returns the matrix dimension.
@@ -190,11 +263,11 @@ func (m *Matrix) NNZ() int { return m.nnz }
 // Get returns entry (i,j), including the implicit diagonal.
 func (m *Matrix) Get(i, j int) float64 {
 	m.check(i, j)
-	r := &m.peek(i).row
-	if p, ok := r.find(j); ok {
-		return r.val[p]
+	rec, implicit := m.peek(i)
+	if p, ok := rec.row.find(j); ok {
+		return rec.row.val[p]
 	}
-	if i == j && !m.diagSet(i) {
+	if i == j && implicit {
 		return m.diag
 	}
 	return 0
@@ -212,19 +285,15 @@ func (m *Matrix) SetDropTolerance(tol float64) {
 // colInsert records row i as a member of column j.
 func (m *Matrix) colInsert(j, i int) {
 	r := m.touch(j)
-	c := r.col
-	p := sort.SearchInts(c, i)
-	c = append(c, 0)
-	copy(c[p+1:], c[p:])
-	c[p] = i
-	r.col = c
+	p, _ := slices.BinarySearch(r.col, int32(i))
+	r.col = insert(&m.members, r.col, p, int32(i))
 }
 
 // colRemove drops row i from column j's membership.
 func (m *Matrix) colRemove(j, i int) {
 	r := m.touch(j)
-	p := sort.SearchInts(r.col, i)
-	r.col = append(r.col[:p], r.col[p+1:]...)
+	p, _ := slices.BinarySearch(r.col, int32(i))
+	r.col = slices.Delete(r.col, p, p+1)
 }
 
 // Row returns row i as a sparse vector (a copy, including the implicit
@@ -239,8 +308,9 @@ func (m *Matrix) Row(i int) *Vector {
 // appendRow appends row i's entries — ascending column order, implicit
 // diagonal spliced in when still in effect — onto idx/val.
 func (m *Matrix) appendRow(i int, idx []int, val []float64) ([]int, []float64) {
-	r := &m.peek(i).row
-	if m.diagSet(i) {
+	rec, implicit := m.peek(i)
+	r := &rec.row
+	if !implicit {
 		return append(idx, r.idx...), append(val, r.val...)
 	}
 	p := sort.SearchInts(r.idx, i)
@@ -258,23 +328,32 @@ func (m *Matrix) appendRow(i int, idx []int, val []float64) ([]int, []float64) {
 // returns the extended slices. Values are fetched from the owning rows
 // (binary search each), so the cost is O(nnz(col)·log nnz(row)). It lets
 // callers snapshot a column into reusable scratch buffers without allocating
-// a Vector (the Megh θ-update path does this twice per transition).
+// a Vector (the Megh θ-update path does this twice per transition). It
+// resolves the member rows' records into the matrix's scratch, so it must
+// not run concurrently with itself either.
 func (m *Matrix) AppendCol(j int, idx []int, val []float64) ([]int, []float64) {
 	m.check(0, j)
-	implicit := !m.diagSet(j)
+	rec, implicit := m.peek(j)
 	// The member rows ascend, so each page is looked up once per run of
-	// rows on it; a member row holds an entry, so its page exists.
+	// rows on it; a member row holds an entry, so its page and its record
+	// exist. The records are resolved before any row is read, so the
+	// loads of one row do not wait for those of the row before.
 	cur, pg := -1, (*page)(nil)
-	for _, i := range m.peek(j).col {
+	m.memberRecs = m.memberRecs[:0]
+	for _, i := range rec.col {
+		if p := int(i) >> pageShift; p != cur {
+			cur, pg = p, m.pages.peek(p)
+		}
+		m.memberRecs = append(m.memberRecs, m.recs.at(pg.rec[i&pageMask]))
+	}
+	for k, i32 := range rec.col {
+		i := int(i32)
 		if implicit && i > j {
 			idx = append(idx, j)
 			val = append(val, m.diag)
 			implicit = false
 		}
-		if p := i >> pageShift; p != cur {
-			cur, pg = p, m.pages.peek(p)
-		}
-		r := &pg.recs[i&pageMask].row
+		r := &m.memberRecs[k].row
 		p, _ := r.find(j)
 		idx = append(idx, i)
 		val = append(val, r.val[p])
@@ -295,12 +374,13 @@ func (m *Matrix) MulVec(x *Vector) *Vector {
 	}
 	out := NewVector(m.dim)
 	x.Range(func(j int, xj float64) bool {
-		for _, i := range m.peek(j).col {
-			r := &m.peek(i).row
-			p, _ := r.find(j)
-			out.Add(i, r.val[p]*xj)
+		rec, implicit := m.peek(j)
+		for _, i := range rec.col {
+			r, _ := m.peek(int(i))
+			p, _ := r.row.find(j)
+			out.Add(int(i), r.row.val[p]*xj)
 		}
-		if !m.diagSet(j) {
+		if implicit {
 			out.Add(j, m.diag*xj)
 		}
 		return true
@@ -392,8 +472,16 @@ func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (flo
 	m.colIns = m.colIns[:0]
 	m.colDel = m.colDel[:0]
 	m.diagFlips = m.diagFlips[:0]
+	// The rows ascend, so each page is looked up once per run of rows on
+	// it. A page the pass hands out stays nil here for the rest of its run:
+	// it held no record before, and the pass numbers only the record of the
+	// row it is rewriting.
+	cur, pg := -1, (*page)(nil)
 	for k, i := range m.colA.idx {
-		m.updateRowInPlace(i, m.colA.val[k], vm)
+		if p := i >> pageShift; p != cur {
+			cur, pg = p, m.pages.peek(p)
+		}
+		m.updateRowInPlace(i, pg, m.colA.val[k], vm)
 	}
 	for _, e := range m.colDel {
 		m.colRemove(e.j, e.i)
@@ -516,14 +604,14 @@ func (m *Matrix) buildVMRow(a, b int, gamma, scale float64) {
 // entry untouched (exactly like the generic path); entries whose new value
 // is zero or below tolerance vanish; deltas landing on unmaterialised slots
 // (or the still-implicit diagonal) materialise new entries. Structural
-// changes are queued on m.colIns/m.colDel/m.diagFlips for the caller.
-func (m *Matrix) updateRowInPlace(i int, ai float64, delta *span) {
-	pg := m.pages.touch(i >> pageShift)
-	r := &pg.recs[i&pageMask].row
+// changes are queued on m.colIns/m.colDel/m.diagFlips for the caller. pg
+// is row i's page, nil while unwritten.
+func (m *Matrix) updateRowInPlace(i int, pg *page, ai float64, delta *span) {
+	rec, implicitDiag := m.onPage(pg, i) // numbered when its first entry materialises
+	r := &rec.row
 	tol := m.dropTol
 	ridx, rval := r.idx, r.val
 	didx, dval := delta.idx, delta.val
-	implicitDiag := !pg.overridden(i & pageMask)
 	p := 0
 	for q := 0; q < len(didx); q++ {
 		d := ai * dval[q]
@@ -558,7 +646,11 @@ func (m *Matrix) updateRowInPlace(i int, ai float64, delta *span) {
 		if nv == 0 || (nv < tol && nv > -tol) {
 			continue // result dropped: nothing materialises
 		}
-		r.insertAt(p, j, nv)
+		if rec == &emptyRecord {
+			rec = m.touch(i)
+			r = &rec.row
+		}
+		r.insertAt(p, j, nv, &m.sh)
 		ridx, rval = r.idx, r.val
 		m.nnz++
 		m.colIns = append(m.colIns, ij{i, j})
@@ -577,12 +669,9 @@ type Triplet struct {
 // natural storage order, so no sorting pass is needed.
 func (m *Matrix) Triplets() []Triplet {
 	ts := make([]Triplet, 0, m.nnz)
-	m.pages.each(func(p int, pg *page) {
-		for k := range pg.recs {
-			r := &pg.recs[k].row
-			for q, j := range r.idx {
-				ts = append(ts, Triplet{Row: p<<pageShift + k, Col: j, Val: r.val[q]})
-			}
+	m.eachRecord(func(i int, r *record) {
+		for q, j := range r.row.idx {
+			ts = append(ts, Triplet{Row: i, Col: j, Val: r.row.val[q]})
 		}
 	})
 	return ts
@@ -594,10 +683,11 @@ func (m *Matrix) Dense() [][]float64 {
 	d := make([][]float64, m.dim)
 	for i := range d {
 		d[i] = make([]float64, m.dim)
-		if !m.diagSet(i) {
+		rec, implicit := m.peek(i)
+		if implicit {
 			d[i][i] = m.diag
 		}
-		r := &m.peek(i).row
+		r := &rec.row
 		for p, j := range r.idx {
 			d[i][j] = r.val[p]
 		}

@@ -16,11 +16,11 @@ func (m *Matrix) VecMul(x *Vector) *Vector {
 	}
 	out := NewVector(m.dim)
 	x.Range(func(i int, xi float64) bool {
-		r := &m.peek(i).row
-		for p, j := range r.idx {
-			out.Add(j, xi*r.val[p])
+		rec, implicit := m.peek(i)
+		for p, j := range rec.row.idx {
+			out.Add(j, xi*rec.row.val[p])
 		}
-		if !m.diagSet(i) {
+		if implicit {
 			out.Add(i, xi*m.diag)
 		}
 		return true

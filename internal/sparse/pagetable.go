@@ -3,12 +3,12 @@ package sparse
 import "unsafe"
 
 // Page geometry shared by Matrix and PagedVector: a page covers pageSize
-// consecutive indices. Touched indices are scattered — one action of one VM
-// among thousands of hosts — so nearly every touched index pays a page of
-// its own, and the size balances the table (one slot per page of the
-// declared dimension d) against the pages (pageSize records per touched
-// index): for Matrix, whose records are 72 bytes, √(d/18·touched) is 26 for a
-// day at 10 000 × 1 000 (d = 10⁷, ≈800 indices touched).
+// consecutive indices. Touched indices are scattered, so nearly every one
+// pays a page of its own, and the size trades B's and θ's slot tables
+// (8d/pageSize bytes for dimension d) against their pages (12·pageSize
+// bytes per touched index: a 4-byte record number and an 8-byte cell):
+// √(2d/3·touched) is 91 for a day at 10 000 × 1 000 (d = 10⁷, ≈800 indices
+// touched), above the 64 that a Matrix page's one-word diagonal flags allow.
 const (
 	pageShift = 5
 	pageSize  = 1 << pageShift
@@ -28,22 +28,56 @@ const eagerIndices = 1 << 20
 // sixteen first writes share one allocation.
 const lazyChunkShift = 4
 
-// pageTable holds the pages of a paged container. Page p of the index space
-// is number slot[p]−1 in a sequence of pages kept in equal chunks, and is
-// unwritten — reading as the zero T — while slot[p] is 0. Slots are numbers,
-// not pointers: the table is the one part sized by the declared dimension,
-// and this way the garbage collector never scans it.
-type pageTable[T any] struct {
-	slot   []uint32
+// pool hands out numbered items kept in equal chunks that never move: item
+// n, counting from 1, is chunks[(n-1)>>shift][(n-1)&(1<<shift-1)], and 0
+// numbers none. Numbers, not pointers: what holds them — a page table's
+// slots, a Matrix page's records — holds no pointer for the garbage
+// collector to scan.
+type pool[T any] struct {
 	chunks [][]T
-	shift  uint // a chunk holds 1<<shift pages
-	used   int  // pages handed out
+	shift  uint // a chunk holds 1<<shift items
+	used   int  // items handed out
+}
+
+// at returns item n, which must have been handed out.
+func (p *pool[T]) at(n uint32) *T {
+	n--
+	return &p.chunks[n>>p.shift][n&(1<<p.shift-1)]
+}
+
+// add hands out the next item, zero, and returns its number.
+func (p *pool[T]) add() uint32 {
+	if p.used>>p.shift == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]T, 1<<p.shift))
+	}
+	p.used++
+	return uint32(p.used)
+}
+
+// residentBytes is what the pool holds: its chunks, which are all one
+// length, and their headers.
+func (p *pool[T]) residentBytes() int {
+	var x T
+	n := int(unsafe.Sizeof(p.chunks)) * cap(p.chunks)
+	if len(p.chunks) > 0 {
+		n += len(p.chunks) * len(p.chunks[0]) * int(unsafe.Sizeof(x))
+	}
+	return n
+}
+
+// pageTable holds the pages of a paged container. Page p of the index space
+// is item slot[p] of a pool, and is unwritten — reading as the zero T —
+// while slot[p] is 0. The slots are the one part sized by the declared
+// dimension.
+type pageTable[T any] struct {
+	slot []uint32
+	pool[T]
 }
 
 // newPageTable returns a table of n unwritten pages; eager hands every page
 // out now, from one chunk.
 func newPageTable[T any](n int, eager bool) pageTable[T] {
-	t := pageTable[T]{slot: make([]uint32, n), shift: lazyChunkShift}
+	t := pageTable[T]{slot: make([]uint32, n), pool: pool[T]{shift: lazyChunkShift}}
 	if eager {
 		for t.shift = 0; 1<<t.shift < n; t.shift++ {
 		}
@@ -58,24 +92,18 @@ func newPageTable[T any](n int, eager bool) pageTable[T] {
 
 // peek returns page p, or nil while it is unwritten.
 func (t *pageTable[T]) peek(p int) *T {
-	s := t.slot[p]
-	if s == 0 {
-		return nil
+	if s := t.slot[p]; s != 0 {
+		return t.at(s)
 	}
-	s--
-	return &t.chunks[s>>t.shift][s&(1<<t.shift-1)]
+	return nil
 }
 
 // touch returns page p for writing, handing it out on first use.
 func (t *pageTable[T]) touch(p int) *T {
 	if t.slot[p] == 0 {
-		if t.used>>t.shift == len(t.chunks) {
-			t.chunks = append(t.chunks, make([]T, 1<<t.shift))
-		}
-		t.used++
-		t.slot[p] = uint32(t.used)
+		t.slot[p] = t.add()
 	}
-	return t.peek(p)
+	return t.at(t.slot[p])
 }
 
 // each calls f for every written page, in index order.
@@ -87,13 +115,7 @@ func (t *pageTable[T]) each(f func(p int, pg *T)) {
 	}
 }
 
-// residentBytes is what the table holds: its slots and its chunks, which
-// are all one length.
+// residentBytes is what the table holds: its slots and its pool.
 func (t *pageTable[T]) residentBytes() int {
-	var pg T
-	n := 4 * len(t.slot)
-	if len(t.chunks) > 0 {
-		n += len(t.chunks) * len(t.chunks[0]) * int(unsafe.Sizeof(pg))
-	}
-	return n
+	return 4*len(t.slot) + t.pool.residentBytes()
 }

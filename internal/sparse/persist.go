@@ -261,24 +261,22 @@ func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
 	if rows == nil && cols == nil && vals == nil {
 		return
 	}
-	m.pages.each(func(p int, pg *page) {
-		for k := range pg.recs {
-			r := &pg.recs[k].row
-			if len(r.idx) == 0 {
-				continue
-			}
-			if rows != nil {
-				rows.Room(2 * binary.MaxVarintLen64)
-				rows.gap(prevRow, p<<pageShift+k)
-				rows.uvarint(uint64(len(r.idx)))
-				prevRow = p<<pageShift + k
-			}
-			if cols != nil {
-				cols.gaps(-1, r.idx)
-			}
-			if vals != nil {
-				vals.words(r.val)
-			}
+	m.eachRecord(func(i int, rec *record) {
+		r := &rec.row
+		if len(r.idx) == 0 {
+			return
+		}
+		if rows != nil {
+			rows.Room(2 * binary.MaxVarintLen64)
+			rows.gap(prevRow, i)
+			rows.uvarint(uint64(len(r.idx)))
+			prevRow = i
+		}
+		if cols != nil {
+			cols.gaps(-1, r.idx)
+		}
+		if vals != nil {
+			vals.words(r.val)
 		}
 	})
 }
@@ -321,11 +319,11 @@ func (st MatrixState) unpack(src io.ReaderAt, at []Section, build, eager bool) (
 	var (
 		idx     []int
 		val     []float64
-		members []int
+		members []int32
 	)
 	if build {
 		m = newMatrix(st.Dim, st.Diag, eager)
-		idx, val, members = make([]int, nnz), make([]float64, nnz), make([]int, nnz)
+		idx, val, members = make([]int, nnz), make([]float64, nnz), make([]int32, nnz)
 	}
 
 	for i := -1; diag.Left() > 0; {
@@ -391,24 +389,21 @@ func (st MatrixState) unpack(src io.ReaderAt, at []Section, build, eager bool) (
 	}
 	if nnz > 0 {
 		m.nnz = nnz
+		// Every row and member list is carved from idx, val and members.
+		m.sh.idx.held, m.sh.val.held, m.members.held = 8*nnz, 8*nnz, 4*nnz
 		// Column index by counting: carve each column's member list out of
 		// members at its counted length, then append row numbers in row
 		// order, which leaves every list ascending.
 		off := 0
-		m.pages.each(func(_ int, pg *page) {
-			for k := range pg.recs {
-				if c := len(pg.recs[k].col); c > 0 {
-					pg.recs[k].col = members[off : off : off+c]
-					off += c
-				}
+		m.eachRecord(func(_ int, r *record) {
+			if len(r.col) > 0 {
+				r.col, off = members[off:off:off+len(r.col)], off+len(r.col)
 			}
 		})
-		m.pages.each(func(p int, pg *page) {
-			for k := range pg.recs {
-				for _, j := range pg.recs[k].row.idx {
-					c := &m.peek(j).col
-					*c = append(*c, p<<pageShift+k)
-				}
+		m.eachRecord(func(i int, r *record) {
+			for _, j := range r.row.idx {
+				rec, _ := m.peek(j)
+				rec.col = append(rec.col, int32(i))
 			}
 		})
 	}

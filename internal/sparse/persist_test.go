@@ -190,8 +190,9 @@ func testPackStreams(t *testing.T, window int, m *Matrix, v *Vector) {
 }
 
 // A restored matrix is the matrix: same column index, and the same bits
-// after the same further updates — rows carved out of one array must
-// reallocate when they grow, never write into their neighbour.
+// after the same further updates — rows and member lists carved out of one
+// array at their exact lengths move out when they grow, and their arrays,
+// shelved for other lists to take, are never written through twice.
 func TestQuickRestoredMatrixContinuesIdentically(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -211,11 +212,12 @@ func TestQuickRestoredMatrixContinuesIdentically(t *testing.T) {
 				return false
 			}
 		}
-		for i := 0; i < 25; i++ {
+		for i := 0; i < 100; i++ {
 			a, b := r.Intn(dim), r.Intn(dim)
 			step(m, a, b)
 			step(back, a, b)
 		}
+		checkMatrixInvariants(t, back)
 		return reflect.DeepEqual(m.State(), back.State()) && reflect.DeepEqual(m.Dense(), back.Dense())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -25,6 +25,7 @@ type RowVector struct {
 	// headers share one growing array.
 	slot []uint32
 	runs []span
+	sh   shelves // arrays the runs outgrew, for the next to grow
 	// nnz counts the stored entries, so NNZ and ResidentBytes — read after
 	// every Megh.Decide of an instrumented learner — are O(1).
 	nnz int
@@ -69,7 +70,7 @@ func (v *RowVector) Add(i int, x float64) {
 	p, ok := r.find(i)
 	if !ok {
 		if x != 0 {
-			r.insertAt(p, i, x)
+			r.insertAt(p, i, x, &v.sh)
 			v.nnz++
 		}
 		return
@@ -108,8 +109,8 @@ func (v *RowVector) Vector() *Vector {
 }
 
 // Rows returns the vector cut into rows of the given width, the inverse of
-// RowVector.Vector. The rows are slices of v's own storage until they grow,
-// so v must not be written afterwards.
+// RowVector.Vector. The rows are slices of v's own storage, which the
+// returned vector reuses as they grow, so v must not be used afterwards.
 func (v *Vector) Rows(width int) *RowVector {
 	out := NewRowVector(v.dim, width)
 	for lo := 0; lo < len(v.idx); {
@@ -122,13 +123,15 @@ func (v *Vector) Rows(width int) *RowVector {
 		lo = hi
 	}
 	out.nnz = len(v.idx)
+	out.sh.idx.held, out.sh.val.held = 8*cap(v.idx), 8*cap(v.val)
 	return out
 }
 
 // ResidentBytes is what the vector holds in memory: one slot per row, a
-// header per run and two words per stored entry (its index, its value).
+// header per run, and the arrays of its runs — the capacity they grew
+// into, and the outgrown arrays kept for reuse.
 func (v *RowVector) ResidentBytes() int {
-	return 4*len(v.slot) + int(unsafe.Sizeof(span{}))*cap(v.runs) + 16*v.nnz
+	return 4*len(v.slot) + int(unsafe.Sizeof(span{}))*cap(v.runs) + v.sh.idx.held + v.sh.val.held
 }
 
 func (v *RowVector) check(i int) {

@@ -87,6 +87,15 @@ func TestRowVectorMatchesVector(t *testing.T) {
 				if v := rv.Vector(); !sameVectorState(v.State(), oracle.State()) {
 					t.Fatal("assembled Vector differs from the oracle")
 				}
+				// No two runs, and no run and kept array, share memory.
+				arrays := appendShelved(t, appendShelved(t, nil, &rv.sh.idx), &rv.sh.val)
+				for row, s := range rv.slot {
+					if s != 0 {
+						r := &rv.runs[s-1]
+						arrays = append(arrays, extentOf(r.idx, row, "run"), extentOf(r.val, row, "run"))
+					}
+				}
+				checkDisjoint(t, arrays)
 			}
 
 			for k := 0; k < w.adds; k++ {
@@ -101,8 +110,9 @@ func TestRowVectorMatchesVector(t *testing.T) {
 					rv.ResidentBytes(), rv.NNZ(), dim)
 			}
 
-			// Round trip: the restored rows share one backing array until they
-			// grow, so keep adding on the restored side too.
+			// Round trip: the restored rows are carved from one backing array
+			// and move out as they grow, so keep adding on the restored side
+			// too.
 			flat, err := vectorFromState(rv.State())
 			if err != nil {
 				t.Fatal(err)
