@@ -153,10 +153,12 @@ bench-trace:
 # write buffer and nothing else (≤ 64 KiB, whatever the image's size; the
 # image-sized buffer it replaced took 1.05 × the image-bytes, gob 4.7 ×),
 # verifying one where it lies under 1 KB, and an empty learner of the
-# paper's 800 × 1 052 world must take at most 16 MiB (its pages hold record
-# numbers, and a record appears only for an index that is written; a record
-# in every page slot took 67.8 MB). Short iteration counts so `make check`
-# stays fast; benchjson fails the build on any regression.
+# paper's 800 × 1 052 world must take at most 6 MiB (its one page table holds
+# record numbers, a record — B's row and column, z's and θ's cells — appears
+# only for an action that is taken, and the empty learner is 3.7 MB; a record
+# in every page slot took 67.8 MB, a separate eager θ 10.6 MB). Short
+# iteration counts so `make check` stays fast; benchjson fails the build on
+# any regression.
 bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkDecide/no-tracer-nocost' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-zero-alloc BenchmarkDecide/no-tracer-nocost
@@ -171,7 +173,7 @@ bench-alloc-gate:
 	$(GO) test -run=- -bench='BenchmarkCheckpoint/(save|verify)$$' -benchtime=300x -benchmem ./internal/core/ \
 		| $(GO) run ./cmd/benchjson -assert-max-bytes 'BenchmarkCheckpoint/save=65536,BenchmarkCheckpoint/verify=1024'
 	$(GO) test -run=- -bench='BenchmarkNewLearner/paper800' -benchtime=20x -benchmem ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkNewLearner/paper800=16777216
+		| $(GO) run ./cmd/benchjson -assert-max-bytes BenchmarkNewLearner/paper800=6291456
 
 # The tracked benchmarks: the one pipeline bench-json records and
 # bench-check compares against. Decide benchmarks run a fixed iteration
@@ -231,17 +233,21 @@ bench-check:
 # Short fuzz pass: each target gets FUZZTIME of coverage-guided input
 # generation on top of its committed seed corpus (testdata/fuzz/). Any
 # crasher is written back into testdata/fuzz/ and fails the run. Go runs
-# one fuzz target per invocation, hence one line per target.
+# one fuzz target per invocation, hence one line per target. Minimizing an
+# input that added coverage is bounded to 1 s: at its 60 s default the
+# workers spent a 10 s run minimizing FuzzCheckpointLoad's ≈ 100 KB seeds
+# and counted no execs after the first few seconds.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -run=- -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 fuzz-short:
-	$(GO) test -run=- -fuzz=FuzzCheckpointLoad -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=- -fuzz=FuzzDecideRequestJSON -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzRetainedSnapshot -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzDecideRequestBinary -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzDecideResponseBinary -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=- -fuzz=FuzzShermanMorrisonBasis -fuzztime=$(FUZZTIME) ./internal/sparse/
-	$(GO) test -run=- -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenario/
-	$(GO) test -run=- -fuzz=FuzzRingOwners -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(FUZZ) -fuzz=FuzzCheckpointLoad ./internal/core/
+	$(FUZZ) -fuzz=FuzzDecideRequestJSON ./internal/server/
+	$(FUZZ) -fuzz=FuzzRetainedSnapshot ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecideRequestBinary ./internal/server/
+	$(FUZZ) -fuzz=FuzzDecideResponseBinary ./internal/server/
+	$(FUZZ) -fuzz=FuzzShermanMorrisonBasis ./internal/sparse/
+	$(FUZZ) -fuzz=FuzzScenarioConfig ./internal/scenario/
+	$(FUZZ) -fuzz=FuzzRingOwners ./internal/cluster/
 
 # Per-package coverage floors. Raise a floor when a package's coverage
 # improves for good; never lower one to make a regression pass.

@@ -59,6 +59,10 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lazySeed.Bytes())
+	// z and θ entries at an action with no B entry, which restore numbers a
+	// record for.
+	orphan, _ := orphanCells(f, lazy)
+	f.Add(mirrorImage(f, orphan))
 	// The committed fixture; a packed image gone wrong in the packed lists
 	// themselves (a repeated column, a stored zero); and the same image
 	// carrying version-1 forms, which are refused.

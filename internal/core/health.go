@@ -75,14 +75,14 @@ func (m *Megh) DebugBZRow(i int) float64 {
 	var sum float64
 	row := m.b.Row(i)
 	row.Range(func(j int, x float64) bool {
-		sum += x * m.z.Get(j)
+		sum += x * m.b.Z(j)
 		return true
 	})
 	return sum
 }
 
-// Theta returns θ[i] from the dense mirror.
-func (m *Megh) Theta(i int) float64 { return m.theta.At(i) }
+// Theta returns θ[i], the cell B's record of action i keeps.
+func (m *Megh) Theta(i int) float64 { return m.b.Theta(i) }
 
 func isBad(v float64) bool {
 	// NaN or ±Inf without calling math (keeps this inlineable): NaN is the

@@ -32,7 +32,7 @@ func TestLateUpdatesCostWhatEarlyOnesDo(t *testing.T) {
 	}
 	fresh, old := build(), build()
 	for k := 0; k < aged; k++ {
-		old.z.Add(k*old.d/aged, 1) // distinct: d/aged > 2
+		old.b.AddZ(k*old.d/aged, 1) // distinct: d/aged > 2
 	}
 
 	// The same transitions on both sides, in alternating rounds; the best
@@ -55,7 +55,7 @@ func TestLateUpdatesCostWhatEarlyOnesDo(t *testing.T) {
 	}
 	if best[1] > 5*best[0] {
 		t.Fatalf("%d updates took %v on a learner holding %d z entries, %v on a fresh one: history is in the hot path",
-			updates, best[1], old.z.NNZ(), best[0])
+			updates, best[1], aged, best[0])
 	}
-	t.Logf("%d updates: fresh %v, aged (%d z entries) %v", updates, best[0], old.z.NNZ(), best[1])
+	t.Logf("%d updates: fresh %v, aged (%d z entries) %v", updates, best[0], aged, best[1])
 }

@@ -80,15 +80,15 @@ func vectorFields(v *sparse.VectorState) fieldList {
 // WriteImage writes the learner's checkpoint image — the bytes SaveState
 // writes — to w and returns its length. The image is counted, which
 // allocates nothing, then written in order through one buffer of at most
-// 32 KiB: the packed lists straight from B's, z's and θ's pages, the NNZ
-// history ring oldest first where it lies. A failed write leaves a prefix.
+// 32 KiB: the packed lists straight from B's records, the NNZ history ring
+// oldest first where it lies. A failed write leaves a prefix.
 func (m *Megh) WriteImage(w io.Writer) (int64, error) {
 	var rng [2]uint64
 	rng[0], rng[1] = m.rng.state()
 	st := persistedState{
 		Version: stateVersion, Config: m.cfg, Temp: m.temp,
 		B: sparse.MatrixState{Dim: m.b.Dim(), Diag: m.b.Diag(), DropTol: m.b.DropTolerance()},
-		Z: sparse.VectorState{Dim: m.z.Dim()}, Theta: sparse.VectorState{Dim: m.theta.Dim()},
+		Z: sparse.VectorState{Dim: m.b.Dim()}, Theta: sparse.VectorState{Dim: m.b.Dim()},
 		PendingTotal: m.pendingTotal, StepCost: m.stepCost, HaveCost: m.haveCost, RngState: rng[:],
 	}
 	fl := stateFields(&st)
@@ -97,7 +97,7 @@ func (m *Megh) WriteImage(w io.Writer) (int64, error) {
 	c := sparse.Packed{Counting: true}
 	iw := imageWriter{m: m, out: c, lens: [8]sparse.Packed{c, c, c, c, c, c, c, c}}
 	l := &iw.lens
-	m.pack(&[8]*sparse.Packed{&l[0], &l[1], &l[2], &l[3], &l[4], &l[5], &l[6], &l[7]})
+	m.b.Pack(&[8]*sparse.Packed{&l[0], &l[1], &l[2], &l[3], &l[4], &l[5], &l[6], &l[7]})
 	iw.message(fl)
 	n := iw.out.Len
 	size := len(imagePrefix) + gobUintLen(uint64(n)) + n
@@ -115,24 +115,13 @@ func (m *Megh) WriteImage(w io.Writer) (int64, error) {
 	return int64(size), nil
 }
 
-// pack emits the image's []byte fields — B's rows, cols, vals and diag,
-// then z's and θ's index and value lists — into the lists l holds. A nil
-// list is skipped, and θ's dense pages are not scanned for nothing.
-func (m *Megh) pack(l *[8]*sparse.Packed) {
-	m.b.Pack(l[0], l[1], l[2], l[3])
-	m.z.Pack(l[4], l[5])
-	if l[6] != nil || l[7] != nil {
-		m.theta.Pack(l[6], l[7])
-	}
-}
-
 // imageWriter lays out a value message as gob's encoder does into out,
 // which one walk only counts and the next streams.
 type imageWriter struct {
 	m    *Megh
 	out  sparse.Packed
 	last int              // the current struct's last field written; -1 before its first
-	lens [8]sparse.Packed // the packed lists (see pack), counted before sizing
+	lens [8]sparse.Packed // the packed lists (see sparse.Matrix.Pack), counted before sizing
 	next int              // the list the next []byte field holds
 }
 
@@ -177,7 +166,7 @@ func (w *imageWriter) fields(fl fieldList) {
 			} else {
 				var one [8]*sparse.Packed
 				one[j] = &w.out
-				w.m.pack(&one)
+				w.m.b.Pack(&one)
 			}
 		case *Config:
 			w.field(f)

@@ -30,7 +30,7 @@ import "megh/internal/sim"
 //   - The MIPS test keeps its division form, (hostMIPS[k]+mipsJ)/mipsCap[k],
 //     never the multiplied-out one: a/b > c and a > c*b round differently.
 //   - The row minimum uses the same strict-less, sequential comparison
-//     order, via sparse.PagedVector.GatherMin.
+//     order, via sparse.Matrix.GatherMin.
 
 // scanRow scans VM j, on host cur with θ row offset base, over hosts.
 func (m *Megh) scanRow(s *sim.Snapshot, j, cur, base int, hosts []int) (feasible []int, qs []float64, minQ float64) {
@@ -56,5 +56,5 @@ func (m *Megh) scanRow(s *sim.Snapshot, j, cur, base int, hosts []int) (feasible
 	}
 	qs = m.qScratch[:len(feasible)]
 	m.qScratch = qs
-	return feasible, qs, m.theta.GatherMin(qs, base, feasible)
+	return feasible, qs, m.b.GatherMin(qs, base, feasible)
 }

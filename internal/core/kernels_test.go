@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"megh/internal/sim"
+	"megh/internal/sparse"
 	"megh/internal/trace"
 )
 
@@ -21,6 +22,7 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 		t.Fatal(err)
 	}
 	x := uint64(0x9e3779b97f4a7c15)
+	theta := sparse.NewVector(m.d)
 	for i := 0; i < m.d; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		if (i/nHosts)%3 == 2 {
@@ -30,11 +32,12 @@ func kernelWorld(t *testing.T, nVMs, nHosts int) (*Megh, *sim.Snapshot) {
 		// deliberate ties sprinkled in.
 		switch x % 5 {
 		case 0:
-			m.theta.Set(i, math.Ldexp(float64(int64(x>>12)%1000)-500, -20))
+			theta.Add(i, math.Ldexp(float64(int64(x>>12)%1000)-500, -20))
 		case 1:
-			m.theta.Set(i, -0.25)
+			theta.Add(i, -0.25)
 		}
 	}
+	setThetas(t, m, theta)
 	return m, snaps[len(snaps)-1]
 }
 
@@ -173,7 +176,7 @@ func (m *Megh) scanRowScalar(s *sim.Snapshot, j, cur, base int, activeOnly bool)
 				continue
 			}
 		}
-		q := m.theta.At(base + k)
+		q := m.b.Theta(base + k)
 		feasible = append(feasible, k)
 		qs = append(qs, q)
 		if q < minQ {

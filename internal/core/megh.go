@@ -148,18 +148,16 @@ type Megh struct {
 	d   int
 
 	// b is B = T⁻¹, initialised to (1/δ)·I with δ = d (Algorithm 1 line 2).
-	b *sparse.Matrix
-	// z accumulates Σ φ_{a_t}·C_{t+1} (Algorithm 1 line 10), one sorted run
-	// per VM: it gains an entry for every new action as long as the learner
-	// runs, and an insert must cost one VM's row, not the run's history.
-	z *sparse.RowVector
-	// theta is θ = B·z (Algorithm 1 line 11), maintained incrementally as
-	// a dense mirror: the Boltzmann inner loop in sampleDestination reads
+	// Each action's record in it also holds the action's cell of z, which
+	// accumulates Σ φ_{a_t}·C_{t+1} (Algorithm 1 line 10), and of θ = B·z
+	// (line 11), maintained incrementally: all three have the actions taken
+	// as their support. The Boltzmann inner loop in sampleDestination reads
 	// one Q value per (candidate, host) pair, so θ lookups are the single
-	// hottest read in the system — an array index instead of a sparse
-	// search. VM j's Q row is cells [j·M, (j+1)·M); pages no update has
-	// reached are not allocated and read as zero.
-	theta *sparse.PagedVector
+	// hottest read in the system — a page's record number, and the record's
+	// cell where there is one, instead of a sparse search. VM j's Q row is
+	// cells [j·M, (j+1)·M); an action never taken has no record and reads
+	// zero.
+	b *sparse.Matrix
 
 	temp float64
 	rng  *xrand
@@ -257,13 +255,13 @@ func New(cfg Config) (*Megh, error) {
 	// Q comparison; dropping them keeps the Q-table growth linear in the
 	// migration count (§5.2, Figure 7).
 	b.SetDropTolerance(1e-9 / float64(d))
-	return assemble(cfg, b, sparse.NewRowVector(d, cfg.NumHosts), sparse.NewPagedVector(d)), nil
+	return assemble(cfg, b), nil
 }
 
-// assemble builds a learner around the given LSPI state (B, z and the dense
-// θ mirror, all of dimension N·M) — a fresh one from New, a persisted one
-// from LoadState. cfg must already be validated.
-func assemble(cfg Config, b *sparse.Matrix, z *sparse.RowVector, theta *sparse.PagedVector) *Megh {
+// assemble builds a learner around the given LSPI state (B with its z and θ
+// cells, of dimension N·M) — a fresh one from New, a persisted one from
+// LoadState. cfg must already be validated.
+func assemble(cfg Config, b *sparse.Matrix) *Megh {
 	allHosts := make([]int, cfg.NumHosts)
 	for i := range allHosts {
 		allHosts[i] = i
@@ -272,8 +270,6 @@ func assemble(cfg Config, b *sparse.Matrix, z *sparse.RowVector, theta *sparse.P
 		cfg:         cfg,
 		d:           mdp.SpaceSize(cfg.NumVMs, cfg.NumHosts),
 		b:           b,
-		z:           z,
-		theta:       theta,
 		temp:        cfg.Temp0,
 		rng:         newXrand(cfg.Seed),
 		hostRAM:     make([]float64, cfg.NumHosts),
@@ -320,7 +316,7 @@ func (m *Megh) Instrument(reg *obs.Registry) {
 		qtableNNZ: reg.Gauge("megh_qtable_nnz",
 			"Materialised entries in the Q-table operator B (Figure 7).", nil),
 		qtableBytes: reg.Gauge("megh_qtable_resident_bytes",
-			"Bytes the Q-table holds in memory: the page tables, allocated pages and stored entries of B and theta, and the rows and stored entries of z.", nil),
+			"Bytes the Q-table holds in memory: B's page table and allocated pages, and the records of the actions taken, with their rows, member lists and z and theta cells.", nil),
 		temperature: reg.Gauge("megh_temperature",
 			"Current Boltzmann exploration temperature.", nil),
 		rejected: reg.Counter("megh_actions_rejected_total",
@@ -375,12 +371,12 @@ func (m *Megh) Temperature() float64 { return m.temp }
 // "non-zero elements in the Q-table" metric (Figure 7).
 func (m *Megh) QTableNNZ() int { return m.b.NNZ() }
 
-// QTableResidentBytes returns what the Q-table holds in memory: the page
-// tables and allocated pages of B and θ, B's stored entries, and z's rows
-// and stored entries. Past the eager budget it follows what migrations have
-// touched, not N·M.
+// QTableResidentBytes returns what the Q-table holds in memory: B's page
+// table and allocated pages, and the records of the actions taken — their
+// rows, member lists and z and θ cells. Past the eager budget it follows
+// what migrations have touched, not N·M.
 func (m *Megh) QTableResidentBytes() int {
-	return m.b.ResidentBytes() + m.theta.ResidentBytes() + m.z.ResidentBytes()
+	return m.b.ResidentBytes()
 }
 
 // NNZHistory returns the per-step Q-table sizes recorded so far, oldest
@@ -427,7 +423,7 @@ func (m *Megh) recordNNZ(v int) {
 
 // Q returns the learned cost-to-go estimate θᵀφ_a for an action.
 func (m *Megh) Q(a mdp.Action) float64 {
-	return m.theta.At(a.Index(m.cfg.NumHosts))
+	return m.b.Theta(a.Index(m.cfg.NumHosts))
 }
 
 // Observe implements sim.FeedbackReceiver: it records the realised
@@ -580,15 +576,15 @@ func (m *Megh) DecideAppend(dst []sim.Migration, s *sim.Snapshot) []sim.Migratio
 //
 // B·u is column a of B and v has two non-zeros, so the whole transition
 // runs through the structure-exploiting ShermanMorrisonBasis kernel, and θ
-// is maintained from the column snapshots the kernel already took
-// (LastUpdateScaledCol / LastUpdateNewCol) — no vector allocations and no
+// is maintained along the column snapshots the kernel already took
+// (AddThetaScaledCol / AddThetaNewCol) — no vector allocations and no
 // extra column walks. A numerically singular update is skipped (the
 // operator would lose invertibility), matching the guarded inverse of §5.2.
 //
 // The update hook observes the update once, so the invariant layer's dense
 // T/z shadow stays in lockstep.
 func (m *Megh) update(a, b int, c float64) {
-	vTheta := m.theta.At(a) - m.cfg.Gamma*m.theta.At(b)
+	vTheta := m.b.Theta(a) - m.cfg.Gamma*m.b.Theta(b)
 	if _, err := m.b.ShermanMorrisonBasis(a, b, m.cfg.Gamma); err != nil {
 		if m.learnStats != nil {
 			m.learnStats.Skipped++
@@ -619,13 +615,11 @@ func (m *Megh) update(a, b int, c float64) {
 		// subtraction is a scatter-add with a negated scale: x += (−a)·v is
 		// bitwise x −= a·v, and (−d)² == d², pinned by sparse's
 		// TestScatterNegatedScaleMatchesSubtraction.
-		idx, val := m.b.LastUpdateScaledCol()
-		ls.addDrift(m.theta.AddScaled(idx, val, -vTheta))
+		ls.addDrift(m.b.AddThetaScaledCol(-vTheta))
 	}
-	m.z.Add(a, c)
+	m.b.AddZ(a, c)
 	if c != 0 {
-		idx, val := m.b.LastUpdateNewCol()
-		ls.addDrift(m.theta.AddScaled(idx, val, c))
+		ls.addDrift(m.b.AddThetaNewCol(c))
 	}
 	if m.updateHook != nil {
 		m.updateHook(a, b, 1, m.cfg.Gamma, c, true)
@@ -811,7 +805,7 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 		}
 	}
 	if m.tracer != nil {
-		stayQ := m.theta.At(base + cur)
+		stayQ := m.b.Theta(base + cur)
 		bestQ := minQ
 		if len(feasible) == 0 {
 			bestQ = stayQ
@@ -822,7 +816,7 @@ func (m *Megh) sampleDestination(s *sim.Snapshot, c candidate) (dest, actionIdx 
 			From:     cur,
 			Dest:     chosen,
 			Feasible: len(feasible),
-			QChosen:  m.theta.At(base + chosen),
+			QChosen:  m.b.Theta(base + chosen),
 			QBest:    bestQ,
 			QStay:    stayQ,
 		})

@@ -70,11 +70,11 @@ func TestUpdateMaintainsThetaInvariant(t *testing.T) {
 		b := r.Intn(m.d)
 		c := r.Float64() * 5
 		m.update(a, b, c)
-		want := m.b.MulVec(m.z.Vector())
+		want := m.b.MulVec(cellVector(m, m.b.Z))
 		for i := 0; i < m.d; i++ {
-			if diff := math.Abs(m.theta.At(i) - want.Get(i)); diff > 1e-6 {
+			if diff := math.Abs(m.b.Theta(i) - want.Get(i)); diff > 1e-6 {
 				t.Fatalf("step %d: θ[%d] = %g, B·z = %g (|Δ| = %g)",
-					step, i, m.theta.At(i), want.Get(i), diff)
+					step, i, m.b.Theta(i), want.Get(i), diff)
 			}
 		}
 	}
@@ -110,8 +110,8 @@ func TestUpdateMatchesDenseLSTD(t *testing.T) {
 	}
 	wantTheta := inv.MulVec(zd)
 	for i := 0; i < d; i++ {
-		if diff := math.Abs(m.theta.At(i) - wantTheta[i]); diff > 1e-6 {
-			t.Fatalf("θ[%d] = %g, dense LSTD = %g", i, m.theta.At(i), wantTheta[i])
+		if diff := math.Abs(m.b.Theta(i) - wantTheta[i]); diff > 1e-6 {
+			t.Fatalf("θ[%d] = %g, dense LSTD = %g", i, m.b.Theta(i), wantTheta[i])
 		}
 		for j := 0; j < d; j++ {
 			if diff := math.Abs(m.b.Get(i, j) - inv.Get(i, j)); diff > 1e-6 {
@@ -132,9 +132,9 @@ func TestQuickThetaInvariant(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			m.update(r.Intn(m.d), r.Intn(m.d), r.Float64()*3)
 		}
-		want := m.b.MulVec(m.z.Vector())
+		want := m.b.MulVec(cellVector(m, m.b.Z))
 		for i := 0; i < m.d; i++ {
-			if math.Abs(m.theta.At(i)-want.Get(i)) > 1e-6 {
+			if math.Abs(m.b.Theta(i)-want.Get(i)) > 1e-6 {
 				return false
 			}
 		}
@@ -384,9 +384,9 @@ func TestSampleDestinationGreedyAtLowTemperature(t *testing.T) {
 	}
 	m.temp = 1e-9
 	// VM 0's row: host 0 cost 5, host 1 cost 1 (min), host 2 cost 9.
-	m.theta.Set(mdp.Action{VM: 0, Host: 0}.Index(3), 5)
-	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), 1)
-	m.theta.Set(mdp.Action{VM: 0, Host: 2}.Index(3), 9)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 0}.Index(3), 5)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 1}.Index(3), 1)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 2}.Index(3), 9)
 	snap := tinySnapshot(t, 2, 3)
 	m.refreshHostAggregates(snap)
 	for trial := 0; trial < 20; trial++ {
@@ -403,7 +403,7 @@ func TestSampleDestinationExploresAtHighTemperature(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.temp = 1e6
-	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), 50)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 1}.Index(3), 50)
 	snap := tinySnapshot(t, 2, 3)
 	seen := make(map[int]bool)
 	m.refreshHostAggregates(snap)
@@ -495,9 +495,9 @@ func TestSampleDestinationAvoidsFailedHost(t *testing.T) {
 	}
 	m.temp = 1e-9 // exploitation limit: always take the min-Q destination
 	// VM 0 lives on host 0; host 1 (failed) gets the lowest cost.
-	m.theta.Set(mdp.Action{VM: 0, Host: 0}.Index(3), 5)
-	m.theta.Set(mdp.Action{VM: 0, Host: 1}.Index(3), -10)
-	m.theta.Set(mdp.Action{VM: 0, Host: 2}.Index(3), 1)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 0}.Index(3), 5)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 1}.Index(3), -10)
+	setTheta(t, m, mdp.Action{VM: 0, Host: 2}.Index(3), 1)
 	snap := tinySnapshot(t, 2, 3)
 	snap.HostFailed = []bool{false, true, false}
 	m.refreshHostAggregates(snap)
@@ -574,10 +574,10 @@ func TestObserveReconcilesRejectedActions(t *testing.T) {
 	// stepCost/2, not the whole interval (the cost-share skew bug gave it
 	// all 5).
 	m.Decide(tinySnapshot(t, 2, 2))
-	if got := m.z.Get(aRejected); got != 0 {
+	if got := m.b.Z(aRejected); got != 0 {
 		t.Fatalf("rejected action accrued cost z=%g, want 0", got)
 	}
-	if got := m.z.Get(aKept); got != 2.5 {
+	if got := m.b.Z(aKept); got != 2.5 {
 		t.Fatalf("executed action accrued z=%g, want the pre-reconcile share 2.5", got)
 	}
 }
@@ -607,11 +607,11 @@ func TestInstrumentMirrorsLearnerInternals(t *testing.T) {
 	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= 0 || got != float64(m.QTableResidentBytes()) {
 		t.Fatalf("resident-bytes gauge = %g, want %d", got, m.QTableResidentBytes())
 	}
-	// z is part of what the learner holds: growth in z alone — B and θ
-	// untouched — must show (it used to be left out, and holds MBs on a
-	// months-old session).
+	// z is part of what the learner holds: a z cell alone — B and θ
+	// untouched — numbers the first record, which must show (z used to be
+	// left out, and held MBs on a months-old session).
 	before := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value()
-	m.z.Add(mdp.Action{VM: 1, Host: 1}.Index(2), 1.5)
+	m.b.AddZ(mdp.Action{VM: 1, Host: 1}.Index(2), 1.5)
 	m.metrics.publish(m)
 	if got := reg.Gauge("megh_qtable_resident_bytes", "", nil).Value(); got <= before {
 		t.Fatalf("resident-bytes gauge = %g after z alone grew, was %g", got, before)

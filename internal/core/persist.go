@@ -44,7 +44,7 @@ type persistedState struct {
 	lists [8]sparse.Section // where each packed list lies in src, in packed's order
 }
 
-// packed points at the packed lists of B, z and θ, in pack's order.
+// packed points at the packed lists of B, z and θ, in sparse.Matrix.Pack's order.
 func (st *persistedState) packed() [8]*[]byte {
 	return [8]*[]byte{&st.B.PackedRows, &st.B.PackedCols, &st.B.PackedVals, &st.B.PackedDiag,
 		&st.Z.PackedIndex, &st.Z.PackedValue, &st.Theta.PackedIndex, &st.Theta.PackedValue}
@@ -206,15 +206,10 @@ func (st *persistedState) build() (*Megh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring B: %w", err)
 	}
-	z, err := sparse.VectorFromState(st.Z, st.src, st.lists[4:6])
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring z: %w", err)
+	if err := b.RestoreCells(st.Z, st.Theta, st.src, st.lists[4:]); err != nil {
+		return nil, fmt.Errorf("core: restoring %w", err)
 	}
-	theta, err := sparse.VectorFromState(st.Theta, st.src, st.lists[6:])
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring θ: %w", err)
-	}
-	m := assemble(st.Config, b, z.Rows(st.Config.NumHosts), theta.Paged())
+	m := assemble(st.Config, b)
 	m.temp = st.Temp
 	m.pending = st.Pending
 	m.pendingTotal = st.PendingTotal

@@ -103,8 +103,8 @@ func assertSavesStablyAsPacked(t *testing.T, m *Megh) {
 		t.Fatal("B changed across round-trip")
 	}
 	for i := 0; i < m.d; i++ {
-		if m.theta.At(i) != m2.theta.At(i) {
-			t.Fatalf("θ[%d] changed across round-trip: %v vs %v", i, m.theta.At(i), m2.theta.At(i))
+		if m.b.Theta(i) != m2.b.Theta(i) {
+			t.Fatalf("θ[%d] changed across round-trip: %v vs %v", i, m.b.Theta(i), m2.b.Theta(i))
 		}
 	}
 }

@@ -106,8 +106,9 @@ func frameMirror(t testing.TB, im imageV2) []byte {
 	return append(appendGobUint([]byte(imagePrefix), uint64(len(msg))), msg...)
 }
 
-// mirrorOf assembles the mirror of m's image from the sparse tables' own
-// State calls, independently of the image writer.
+// mirrorOf assembles the mirror of m's image independently of the image
+// writer: B from its own State call, z and θ read cell by cell into
+// Vectors, which pack themselves.
 func mirrorOf(m *Megh) imageV2 {
 	s0, s1 := m.rng.state()
 	c, b := m.cfg, m.b.State()
@@ -122,14 +123,47 @@ func mirrorOf(m *Megh) imageV2 {
 		Temp: m.temp,
 		B: matrixV2{Dim: b.Dim, Diag: b.Diag, DropTol: b.DropTol,
 			PackedRows: b.PackedRows, PackedCols: b.PackedCols, PackedVals: b.PackedVals, PackedDiag: b.PackedDiag},
-		Z:            vector(m.z.State()),
-		Theta:        vector(m.theta.Vector().State()),
+		Z:            vector(cellVector(m, m.b.Z).State()),
+		Theta:        vector(cellVector(m, m.b.Theta).State()),
 		Pending:      append([]int(nil), m.pending...),
 		PendingTotal: m.pendingTotal,
 		StepCost:     m.stepCost,
 		HaveCost:     m.haveCost,
 		NNZHistory:   append([]int(nil), m.NNZHistory()...),
 		RngState:     []uint64{s0, s1},
+	}
+}
+
+// cellVector reads the learner's z (cell m.b.Z) or θ (m.b.Theta) one cell
+// at a time into a Vector.
+func cellVector(m *Megh, cell func(int) float64) *sparse.Vector {
+	v := sparse.NewVector(m.b.Dim())
+	for i := 0; i < m.b.Dim(); i++ {
+		if x := cell(i); x != 0 {
+			v.Add(i, x)
+		}
+	}
+	return v
+}
+
+// setTheta assigns θ's cell i.
+func setTheta(tb testing.TB, m *Megh, i int, x float64) {
+	tb.Helper()
+	v := sparse.NewVector(m.b.Dim())
+	v.Add(i, x)
+	setThetas(tb, m, v)
+}
+
+// setThetas assigns θ's cells at v's entries, as restoring an image that
+// holds v for θ does.
+func setThetas(tb testing.TB, m *Megh, v *sparse.Vector) {
+	tb.Helper()
+	st := v.State()
+	n := int64(len(st.PackedIndex))
+	src := bytes.NewReader(append(bytes.Clone(st.PackedIndex), st.PackedValue...))
+	at := []sparse.Section{{}, {}, {Len: n}, {Off: n, Len: int64(len(st.PackedValue))}}
+	if err := m.b.RestoreCells(sparse.VectorState{Dim: st.Dim}, st, src, at); err != nil {
+		tb.Fatal(err)
 	}
 }
 

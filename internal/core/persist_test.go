@@ -7,10 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"megh/internal/mdp"
 	"megh/internal/sim"
 	"megh/internal/sparse"
 	"megh/internal/trace"
@@ -67,7 +69,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// θ must be identical entry-wise.
 	for i := 0; i < m.d; i++ {
-		if back.theta.At(i) != m.theta.At(i) {
+		if back.b.Theta(i) != m.b.Theta(i) {
 			t.Fatalf("θ[%d] differs after round-trip", i)
 		}
 	}
@@ -493,5 +495,89 @@ func TestRestoredMidRunMatchesTwin(t *testing.T) {
 	}
 	if !bytes.Equal(imageOf(t, twin), imageOf(t, back)) {
 		t.Fatal("the restored learner's image differs from its twin's")
+	}
+}
+
+// orphanCells returns the mirror of m's image with one more z and θ entry,
+// at an action whose B row and column are empty, and that action.
+func orphanCells(tb testing.TB, m *Megh) (imageV2, int) {
+	tb.Helper()
+	used := map[int]bool{}
+	for _, tr := range m.b.Triplets() {
+		used[tr.Row], used[tr.Col] = true, true
+	}
+	a := 0
+	for used[a] || m.b.Z(a) != 0 || m.b.Theta(a) != 0 {
+		if a++; a == m.d {
+			tb.Fatal("every action has a B entry or a cell")
+		}
+	}
+	z, theta := cellVector(m, m.b.Z), cellVector(m, m.b.Theta)
+	z.Add(a, 0.75)
+	theta.Add(a, -1.25)
+	st := readMirror(tb, imageOf(tb, m))
+	zs, ts := z.State(), theta.State()
+	st.Z = vectorV2{Dim: zs.Dim, PackedIndex: zs.PackedIndex, PackedValue: zs.PackedValue}
+	st.Theta = vectorV2{Dim: ts.Dim, PackedIndex: ts.PackedIndex, PackedValue: ts.PackedValue}
+	return st, a
+}
+
+// An image whose z and θ lists name an action B holds nothing for — which
+// this build never writes, but which has always been accepted — restores,
+// with a record numbered for the action, and re-saves byte for byte.
+func TestCellsWithoutBEntryRestore(t *testing.T) {
+	m, _ := trainLearner(t)
+	st, a := orphanCells(t, m)
+	img := mirrorImage(t, st)
+	if err := VerifyImage(img); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadState(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.b.Z(a) != 0.75 || back.b.Theta(a) != -1.25 || back.Q(mdp.Action{VM: a / m.cfg.NumHosts, Host: a % m.cfg.NumHosts}) != -1.25 {
+		t.Fatalf("action %d restored with z %g, θ %g", a, back.b.Z(a), back.b.Theta(a))
+	}
+	if !bytes.Equal(imageOf(t, back), img) {
+		t.Fatal("the restored learner re-saves other bytes")
+	}
+}
+
+// Restored again and again as it runs, on a world past the eager budget, a
+// learner numbers its records in another order than its twin that never
+// left memory — restore walks the image's lists, not the history of the
+// run — and cancelled z cells leave no record behind; neither shows: at
+// every restore and after the last one both decide alike and write the
+// same image, byte for byte.
+func TestRestoredLearnerKeepsDecidingAsItsTwin(t *testing.T) {
+	const nVMs, nHosts, steps, every = 1100, 1000, 160, 40
+	items := batchItems(snapshotStream(t, nVMs, nHosts, steps))
+	twin, err := New(DefaultConfig(nVMs, nHosts, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := twin
+	for at := 0; at < steps; at += every {
+		img := imageOf(t, twin)
+		if !bytes.Equal(imageOf(t, back), img) {
+			t.Fatalf("step %d: the restored learner's image differs from its twin's", at)
+		}
+		if back, err = LoadState(bytes.NewReader(img)); err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items[at : at+every] {
+			for _, m := range []*Megh{twin, back} {
+				if it.Feedback != nil {
+					m.Observe(it.Feedback)
+				}
+			}
+			if got, want := back.DecideAppend(nil, it.Snap), twin.DecideAppend(nil, it.Snap); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: the restored learner migrates %v, its twin %v", it.Snap.Step, got, want)
+			}
+		}
+	}
+	if twin.QTableNNZ() == 0 || !bytes.Equal(imageOf(t, back), imageOf(t, twin)) {
+		t.Fatalf("after %d steps (NNZ %d) the restored learner's image differs from its twin's", steps, twin.QTableNNZ())
 	}
 }

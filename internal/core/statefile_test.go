@@ -47,10 +47,10 @@ func TestSaveStateFileRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.b.Triplets(), m.b.Triplets()) {
 		t.Fatal("restored B differs from the saved learner")
 	}
-	if !reflect.DeepEqual(got.theta.Vector().Dense(), m.theta.Vector().Dense()) {
+	if !reflect.DeepEqual(cellVector(got, got.b.Theta), cellVector(m, m.b.Theta)) {
 		t.Fatal("restored θ differs from the saved learner")
 	}
-	if !reflect.DeepEqual(got.z.Vector().Dense(), m.z.Vector().Dense()) {
+	if !reflect.DeepEqual(cellVector(got, got.b.Z), cellVector(m, m.b.Z)) {
 		t.Fatal("restored z differs from the saved learner")
 	}
 	// The atomic write must not leave its temp file behind.

@@ -127,21 +127,19 @@ func denseState(m *core.Megh) (b [][]float64, z, theta []float64, err error) {
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("invariant: image B: %w", err)
 	}
-	src, at = inImage(st.Z.PackedIndex, st.Z.PackedValue)
-	zv, err := sparse.VectorFromState(st.Z, src, at)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("invariant: image z: %w", err)
+	src, at = inImage(st.Z.PackedIndex, st.Z.PackedValue, st.Theta.PackedIndex, st.Theta.PackedValue)
+	if err := bm.RestoreCells(st.Z, st.Theta, src, at); err != nil {
+		return nil, nil, nil, fmt.Errorf("invariant: image %w", err)
 	}
-	src, at = inImage(st.Theta.PackedIndex, st.Theta.PackedValue)
-	tv, err := sparse.VectorFromState(st.Theta, src, at)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("invariant: image θ: %w", err)
+	z, theta = make([]float64, bm.Dim()), make([]float64, bm.Dim())
+	for i := range z {
+		z[i], theta[i] = bm.Z(i), bm.Theta(i)
 	}
-	return bm.Dense(), zv.Dense(), tv.Dense(), nil
+	return bm.Dense(), z, theta, nil
 }
 
 // inImage lays packed lists end to end, as an image holds them: the source
-// and the sections MatrixFromState and VectorFromState read them from.
+// and the sections MatrixFromState and RestoreCells read them from.
 func inImage(lists ...[]byte) (io.ReaderAt, []sparse.Section) {
 	var img []byte
 	at := make([]sparse.Section, len(lists))

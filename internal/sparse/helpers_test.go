@@ -84,7 +84,7 @@ func (m *Matrix) Col(j int) *Vector {
 }
 
 // inImage lays lists end to end, as a checkpoint image holds them: the
-// source and the sections Validate, MatrixFromState and VectorFromState read.
+// source and the sections Validate, MatrixFromState and RestoreCells read.
 func inImage(lists ...[]byte) (io.ReaderAt, []Section) {
 	var img []byte
 	at := make([]Section, len(lists))
@@ -95,7 +95,7 @@ func inImage(lists ...[]byte) (io.ReaderAt, []Section) {
 	return bytes.NewReader(img), at
 }
 
-// Validate, MatrixFromState and VectorFromState on a state that holds its
+// Validate, MatrixFromState and a vector's unpack on a state that holds its
 // own lists.
 
 func (st MatrixState) validate() error {
@@ -115,5 +115,47 @@ func matrixFromState(st MatrixState) (*Matrix, error) {
 
 func vectorFromState(st VectorState) (*Vector, error) {
 	src, at := inImage(st.PackedIndex, st.PackedValue)
-	return VectorFromState(st, src, at)
+	v := &Vector{dim: st.Dim}
+	if err := st.unpack(src, at, v.push); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// push appends entry i, above every stored index, to the vector.
+func (v *Vector) push(i int, x float64) {
+	v.idx = append(v.idx, i)
+	v.val = append(v.val, x)
+}
+
+// LastUpdateScaledCol returns what AddThetaScaledCol adds a multiple of:
+// column a as it was before the last successful update, pre-scaled by
+// 1/den, exact zeros omitted. The slices are the matrix's scratch.
+func (m *Matrix) LastUpdateScaledCol() ([]int, []float64) {
+	return m.colA.idx, m.colA.val
+}
+
+// LastUpdateNewCol returns what AddThetaNewCol adds a multiple of: column
+// a as it is after the last successful update.
+func (m *Matrix) LastUpdateNewCol() ([]int, []float64) {
+	return m.colANew.idx, m.colANew.val
+}
+
+// setTheta assigns θ's cell i.
+func (m *Matrix) setTheta(i int, x float64) {
+	m.check(i, i)
+	m.touch(i).theta = x
+}
+
+// cellsState is z's (theta false) or θ's image: what a checkpoint holds.
+func (m *Matrix) cellsState(theta bool) VectorState {
+	var index, value Packed
+	var l [8]*Packed
+	k := 4
+	if theta {
+		k = 6
+	}
+	l[k], l[k+1] = &index, &value
+	m.Pack(&l)
+	return VectorState{Dim: m.dim, PackedIndex: index.Buf, PackedValue: value.Buf}
 }

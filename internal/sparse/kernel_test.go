@@ -80,7 +80,7 @@ func checkMatrixInvariants(t *testing.T, m *Matrix) {
 	arrays = appendShelved(t, arrays, &m.sh.val)
 	arrays = appendShelved(t, arrays, &m.members)
 	checkDisjoint(t, arrays)
-	if emptyRecord.row.idx != nil || emptyRecord.row.val != nil || emptyRecord.col != nil {
+	if emptyRecord.row.idx != nil || emptyRecord.row.val != nil || emptyRecord.col != nil || emptyRecord.z != 0 || emptyRecord.theta != 0 {
 		t.Fatal("the shared empty record was written")
 	}
 }

@@ -97,7 +97,9 @@ func insert[E any](sh *shelf[E], s []E, p int, x E) []E {
 // value write. An index's row and member list make up its record, which
 // appears when the index is first written; diagonal flags and record
 // numbers sit in a page table, so the matrix costs what it stores, not what
-// it spans.
+// it spans. A record also holds the index's cells of the learner's two
+// vectors z and θ = B·z (see Z and Theta): all three have the actions
+// taken as their support (paper §5.2, Figure 7), so one record serves each.
 //
 // This mirrors the B = (1/δ)·I initialisation of Megh (Algorithm 1, line 2):
 // the matrix starts as a huge scaled identity of which only the entries
@@ -121,9 +123,10 @@ type Matrix struct {
 
 	// pages holds, in fixed-size pages, each index's diagonal flag and the
 	// number of its record in recs — row i's entries, column i's member
-	// rows — which appears when the index is first written; an index with
-	// no record reads as "empty row, empty column", and an unwritten page
-	// as that plus "implicit diagonal". See page.
+	// rows, z's and θ's cells — which appears when the index is first
+	// written; an index with no record reads as "empty row, empty column,
+	// zero cells", and an unwritten page as that plus "implicit diagonal".
+	// See page.
 	pages pageTable[page]
 	recs  pool[record]
 	// Arrays B's rows and member lists outgrew, for the next to grow.
@@ -136,32 +139,38 @@ type Matrix struct {
 	// Scratch buffers reused across ShermanMorrisonBasis calls so the hot
 	// update path allocates only when a buffer grows past its high-water
 	// mark.
-	colA       span // snapshot of column a, pre-scaled by 1/den
-	colARaw    span // snapshot of column a as stored (unscaled)
-	colANew    span // column a after the update (see LastUpdateNewCol)
-	rowA       span // snapshot of row a (implicit diagonal included)
-	rowB       span // snapshot of row b (implicit diagonal included)
-	vmRow      span // vᵀM = row_a − γ·row_b
-	colIns     []ij // entries materialised by the in-flight update
-	colDel     []ij // entries vanished during the in-flight update
-	diagFlips  []int
-	memberRecs []*record // the records of the column AppendCol reads
+	colA      span // snapshot of column a, pre-scaled by 1/den
+	colARaw   span // snapshot of column a as stored (unscaled)
+	colANew   span // column a after the update (see AddThetaNewCol)
+	rowA      span // snapshot of row a (implicit diagonal included)
+	rowB      span // snapshot of row b (implicit diagonal included)
+	vmRow     span // vᵀM = row_a − γ·row_b
+	colIns    []ij // entries materialised by the in-flight update
+	colDel    []ij // entries vanished during the in-flight update
+	diagFlips []int
+	// The records of the entries AppendCol last appended, nil for a
+	// spliced-in implicit diagonal, and of colA's and colANew's entries:
+	// the θ scatters write through them, with no lookup.
+	colRecs, colARecs, colANewRecs []*record
 }
 
 // ij addresses one matrix cell.
 type ij struct{ i, j int }
 
-// record is what the matrix stores about one index i: row i's entries, and
-// the sorted rows that have a materialised entry in column i (Config caps a
-// Dim at 2²⁷, so a row number fits an int32).
+// record is what the matrix stores about one index i: row i's entries, the
+// sorted rows that have a materialised entry in column i (Config caps a Dim
+// at 2²⁷, so a row number fits an int32), and cell i of z and of θ.
 type record struct {
-	row span
-	col []int32
+	row      span
+	col      []int32
+	z, theta float64
 }
 
-// recordChunkShift sizes the chunks records are kept in: 256 records, 18 KiB,
-// an allocation size class of its own, so none of it is padding.
-const recordChunkShift = 8
+// recordChunkShift sizes the chunks records are kept in: 1 024 records of
+// 88 bytes, 88 KiB, which is eleven whole 8 KiB pages, so none of an
+// allocation is padding (256 would take 22 KiB, rounded up to a 24 KiB size
+// class).
+const recordChunkShift = 10
 
 // page covers pageSize consecutive indices. rec[k] numbers index base+k's
 // record in Matrix.recs, 0 while it has none. Bit k of diag marks row base+k
@@ -179,8 +188,12 @@ const _ = uint(64 - pageSize) // diag has a bit per index
 func (pg *page) overridden(k int) bool { return pg.diag>>uint(k)&1 != 0 }
 
 // emptyRecord is what every index without a record reads as. It is never
-// written: writers go through touch.
-var emptyRecord record
+// written: writers go through touch. noRecords is the chunk list of a
+// record pool that has handed none out: its record 0, all zero, too.
+var (
+	emptyRecord record
+	noRecords   = [][]record{{{}}}
+)
 
 // NewMatrix returns a d × d matrix equal to diag·I, storing nothing yet.
 func NewMatrix(dim int, diag float64) *Matrix {
@@ -238,9 +251,9 @@ func (m *Matrix) setDiag(i int) {
 }
 
 // ResidentBytes is what the matrix holds in memory: the page table, the
-// pages and record chunks allocated so far, and the arrays of its rows and
-// member lists — the capacity they grew into, and the outgrown arrays kept
-// for reuse.
+// pages and record chunks allocated so far (z's and θ's cells among them),
+// and the arrays of its rows and member lists — the capacity they grew
+// into, and the outgrown arrays kept for reuse.
 func (m *Matrix) ResidentBytes() int {
 	return m.pages.residentBytes() + m.recs.residentBytes() + m.sh.idx.held + m.sh.val.held + m.members.held
 }
@@ -329,8 +342,8 @@ func (m *Matrix) appendRow(i int, idx []int, val []float64) ([]int, []float64) {
 // (binary search each), so the cost is O(nnz(col)·log nnz(row)). It lets
 // callers snapshot a column into reusable scratch buffers without allocating
 // a Vector (the Megh θ-update path does this twice per transition). It
-// resolves the member rows' records into the matrix's scratch, so it must
-// not run concurrently with itself either.
+// resolves the entries' records into the matrix's scratch (colRecs), so it
+// must not run concurrently with itself either.
 func (m *Matrix) AppendCol(j int, idx []int, val []float64) ([]int, []float64) {
 	m.check(0, j)
 	rec, implicit := m.peek(j)
@@ -339,21 +352,22 @@ func (m *Matrix) AppendCol(j int, idx []int, val []float64) ([]int, []float64) {
 	// exist. The records are resolved before any row is read, so the
 	// loads of one row do not wait for those of the row before.
 	cur, pg := -1, (*page)(nil)
-	m.memberRecs = m.memberRecs[:0]
+	m.colRecs = m.colRecs[:0]
 	for _, i := range rec.col {
 		if p := int(i) >> pageShift; p != cur {
 			cur, pg = p, m.pages.peek(p)
 		}
-		m.memberRecs = append(m.memberRecs, m.recs.at(pg.rec[i&pageMask]))
+		m.colRecs = append(m.colRecs, m.recs.at(pg.rec[i&pageMask]))
 	}
+	splice := len(rec.col) // where the implicit diagonal goes, if it does
 	for k, i32 := range rec.col {
 		i := int(i32)
 		if implicit && i > j {
 			idx = append(idx, j)
 			val = append(val, m.diag)
-			implicit = false
+			implicit, splice = false, k
 		}
-		r := &m.memberRecs[k].row
+		r := &m.colRecs[k].row
 		p, _ := r.find(j)
 		idx = append(idx, i)
 		val = append(val, r.val[p])
@@ -361,6 +375,9 @@ func (m *Matrix) AppendCol(j int, idx []int, val []float64) ([]int, []float64) {
 	if implicit {
 		idx = append(idx, j)
 		val = append(val, m.diag)
+	}
+	if implicit || splice < len(rec.col) {
+		m.colRecs = slices.Insert(m.colRecs, splice, nil)
 	}
 	return idx, val
 }
@@ -386,6 +403,63 @@ func (m *Matrix) MulVec(x *Vector) *Vector {
 		return true
 	})
 	return out
+}
+
+// Z returns z's cell i: 0 where i has no record.
+func (m *Matrix) Z(i int) float64 {
+	m.check(i, i)
+	rec, _ := m.peek(i)
+	return rec.z
+}
+
+// AddZ adds x to z's cell i, numbering i's record if it has none. A cell
+// that reaches exactly zero reads, and packs, as absent.
+func (m *Matrix) AddZ(i int, x float64) {
+	m.check(i, i)
+	m.touch(i).z += x
+}
+
+// Theta returns θ's cell i: 0 where i has no record.
+func (m *Matrix) Theta(i int) float64 {
+	m.check(i, i)
+	rec, _ := m.peek(i)
+	return rec.theta
+}
+
+// GatherMin copies θ[base+idx[k]] into dst[k] for every k and returns the
+// minimum gathered value: the Q values of one VM's feasible hosts. dst must
+// have length len(idx). An index with no record — an action never taken,
+// 91–99 % of a trained row — has record number 0, and record 0 is never
+// handed out: it is loaded as the zero it holds, so the loop does not
+// branch on which actions were taken. The minimum uses the strict-less,
+// first-wins comparison sequence of the scalar `if q < min` loop, which the
+// scan's bitwise identity rests on. idx is ascending, so a page is looked
+// up once per run of hosts on it.
+func (m *Matrix) GatherMin(dst []float64, base int, idx []int) float64 {
+	dst = dst[:len(idx)]
+	min := math.Inf(1)
+	var pg *page // nil while the current page is unwritten
+	cur := -1
+	recs := m.recs.chunks // held here: the stores to dst could alias m
+	if len(recs) == 0 {
+		recs = noRecords
+	}
+	for k, i := range idx {
+		a := base + i
+		if p := a >> pageShift; p != cur {
+			pg, cur = m.pages.peek(p), p
+		}
+		var q float64
+		if pg != nil {
+			n := pg.rec[a&pageMask]
+			q = recs[n>>recordChunkShift][n&(1<<recordChunkShift-1)].theta
+		}
+		dst[k] = q
+		if q < min {
+			min = q
+		}
+	}
+	return min
 }
 
 // ErrSingularUpdate is returned by the Sherman–Morrison kernels when the
@@ -455,14 +529,16 @@ func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (flo
 	// Pre-scaling by 1/den makes every delta a single multiply. Exact
 	// zeros (an implicit diagonal of 0) are dropped, matching what the
 	// generic path's Vector accumulation stores. The unscaled snapshot is
-	// kept too: LastUpdateScaledCol/LastUpdateNewCol serve it back to the
-	// θ-maintenance path without re-walking the column index.
+	// kept too: AddThetaScaledCol/AddThetaNewCol read it back, through the
+	// records AppendCol resolved, without re-walking the column index.
 	m.colARaw.reset()
 	m.colARaw.idx, m.colARaw.val = m.AppendCol(a, m.colARaw.idx, m.colARaw.val)
 	m.colA.reset()
+	m.colARecs = m.colARecs[:0]
 	for k, i := range m.colARaw.idx {
 		if x := m.colARaw.val[k] * inv; x != 0 {
 			m.colA.push(i, x)
+			m.colARecs = append(m.colARecs, m.colRecs[k])
 		}
 	}
 
@@ -501,6 +577,7 @@ func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (flo
 	// same skip/drop rules) yields bitwise-identical results without
 	// re-walking the column index.
 	m.colANew.reset()
+	m.colANewRecs = m.colANewRecs[:0]
 	for k, i := range m.colARaw.idx {
 		x := m.colARaw.val[k]
 		nv := x
@@ -516,26 +593,45 @@ func (m *Matrix) ShermanMorrisonBasisScaled(a, b int, gamma, scale float64) (flo
 		}
 		if nv != 0 {
 			m.colANew.push(i, nv)
+			m.colANewRecs = append(m.colANewRecs, m.colRecs[k])
 		}
 	}
 	return den, nil
 }
 
-// LastUpdateScaledCol returns column a of the matrix as it was immediately
-// before the last successful ShermanMorrisonBasis call, pre-scaled by
-// 1/den — i.e. the vector (M·u)/den the update subtracted a multiple of.
-// Exact zeros are omitted. The slices are scratch owned by the matrix,
-// valid only until the next update.
-func (m *Matrix) LastUpdateScaledCol() ([]int, []float64) {
-	return m.colA.idx, m.colA.val
+// AddThetaScaledCol performs θ[i] += s·x for every entry (i, x) of column
+// a as it was immediately before the last successful ShermanMorrisonBasis
+// call, pre-scaled by 1/den — the vector (M·u)/den the update subtracted a
+// multiple of, exact zeros omitted — in ascending i, and returns Σ (s·x)²
+// accumulated one term at a time in the same order: the squared-delta sum
+// the learning-health layer feeds its θ-drift EWMA.
+func (m *Matrix) AddThetaScaledCol(s float64) float64 {
+	return m.addTheta(&m.colA, m.colARecs, s)
 }
 
-// LastUpdateNewCol returns column a of the matrix as it is immediately
-// after the last successful ShermanMorrisonBasis call, bitwise identical to
-// the stored entries (exact zeros omitted). The slices are scratch owned by
-// the matrix, valid only until the next update.
-func (m *Matrix) LastUpdateNewCol() ([]int, []float64) {
-	return m.colANew.idx, m.colANew.val
+// AddThetaNewCol is AddThetaScaledCol along column a as it is immediately
+// after the last successful update, bitwise identical to the stored
+// entries (exact zeros omitted).
+func (m *Matrix) AddThetaNewCol(s float64) float64 {
+	return m.addTheta(&m.colANew, m.colANewRecs, s)
+}
+
+// addTheta adds s·col to θ through the column's records, numbering a's —
+// the one entry that may have none, a spliced-in implicit diagonal — when
+// it is written. Records never move, so those the update resolved are
+// still where it found them.
+func (m *Matrix) addTheta(col *span, recs []*record, s float64) float64 {
+	var dsq float64
+	for k, x := range col.val {
+		r := recs[k]
+		if r == nil {
+			r = m.touch(col.idx[k])
+		}
+		d := s * x
+		r.theta += d
+		dsq += d * d
+	}
+	return dsq
 }
 
 // buildVMRow assembles vᵀM = scale·(row_a − γ·row_b) (implicit diagonals

@@ -2,13 +2,13 @@ package sparse
 
 import "unsafe"
 
-// Page geometry shared by Matrix and PagedVector: a page covers pageSize
-// consecutive indices. Touched indices are scattered, so nearly every one
-// pays a page of its own, and the size trades B's and θ's slot tables
-// (8d/pageSize bytes for dimension d) against their pages (12·pageSize
-// bytes per touched index: a 4-byte record number and an 8-byte cell):
-// √(2d/3·touched) is 91 for a day at 10 000 × 1 000 (d = 10⁷, ≈800 indices
-// touched), above the 64 that a Matrix page's one-word diagonal flags allow.
+// Page geometry of a Matrix: a page covers pageSize consecutive indices.
+// Touched indices are scattered, so nearly every one pays a page of its
+// own, and the size trades the slot table (4d/pageSize bytes for dimension
+// d) against the pages (4·pageSize bytes of record numbers per touched
+// index): √(d/touched) is 112 for a day at 10 000 × 1 000 (d = 10⁷, ≈800
+// indices touched), above the 64 that a page's one-word diagonal flags
+// allow.
 const (
 	pageShift = 5
 	pageSize  = 1 << pageShift
@@ -16,12 +16,12 @@ const (
 )
 
 // eagerIndices is the budget below which a table is allocated whole: a
-// Matrix or PagedVector of at most this many indices carves all its pages
-// from one allocation at construction, so nothing on its update path
-// allocates a page later — the paper's 800 × 1 052 world is under it. A
-// larger one allocates pages as they are first written, so it costs what it
-// holds, not what it spans — 10 000 × 1 000 is over it. Either way the
-// layout, the code that walks it and every stored bit are the same.
+// Matrix of at most this many indices carves all its pages from one
+// allocation at construction, so nothing on its update path allocates a
+// page later — the paper's 800 × 1 052 world is under it. A larger one
+// allocates pages as they are first written, so it costs what it holds, not
+// what it spans — 10 000 × 1 000 is over it. Either way the layout, the code
+// that walks it and every stored bit are the same.
 const eagerIndices = 1 << 20
 
 // lazyChunkShift sizes the chunks an on-demand table grows by: 16 pages, so
@@ -29,10 +29,11 @@ const eagerIndices = 1 << 20
 const lazyChunkShift = 4
 
 // pool hands out numbered items kept in equal chunks that never move: item
-// n, counting from 1, is chunks[(n-1)>>shift][(n-1)&(1<<shift-1)], and 0
-// numbers none. Numbers, not pointers: what holds them — a page table's
-// slots, a Matrix page's records — holds no pointer for the garbage
-// collector to scan.
+// n is chunks[n>>shift][n&(1<<shift-1)], counting from 1. Item 0 is never
+// handed out and stays the zero T, so 0 numbers none, and a reader may load
+// it instead of testing for it. Numbers, not pointers: what holds them — a
+// page table's slots, a Matrix page's records — holds no pointer for the
+// garbage collector to scan.
 type pool[T any] struct {
 	chunks [][]T
 	shift  uint // a chunk holds 1<<shift items
@@ -41,16 +42,14 @@ type pool[T any] struct {
 
 // at returns item n, which must have been handed out.
 func (p *pool[T]) at(n uint32) *T {
-	n--
 	return &p.chunks[n>>p.shift][n&(1<<p.shift-1)]
 }
 
 // add hands out the next item, zero, and returns its number.
 func (p *pool[T]) add() uint32 {
-	if p.used>>p.shift == len(p.chunks) {
+	if p.used++; p.used>>p.shift == len(p.chunks) {
 		p.chunks = append(p.chunks, make([]T, 1<<p.shift))
 	}
-	p.used++
 	return uint32(p.used)
 }
 
@@ -79,9 +78,9 @@ type pageTable[T any] struct {
 func newPageTable[T any](n int, eager bool) pageTable[T] {
 	t := pageTable[T]{slot: make([]uint32, n), pool: pool[T]{shift: lazyChunkShift}}
 	if eager {
-		for t.shift = 0; 1<<t.shift < n; t.shift++ {
+		for t.shift = 0; 1<<t.shift <= n; t.shift++ {
 		}
-		t.chunks = [][]T{make([]T, n)}
+		t.chunks = [][]T{make([]T, n+1)}
 		for p := range t.slot {
 			t.slot[p] = uint32(p + 1)
 		}

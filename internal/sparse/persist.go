@@ -35,8 +35,8 @@ func (v *Vector) State() VectorState {
 	return VectorState{Dim: v.dim, PackedIndex: index.Buf, PackedValue: appendWords(make([]byte, 0, 8*len(v.val)), v.val)}
 }
 
-// Packed receives one packed list from a packer (Matrix.Pack,
-// RowVector.Pack, PagedVector.Pack; a nil list is skipped): appended to
+// Packed receives one packed list from a packer (Matrix.Pack, Vector.State;
+// a nil list is skipped): appended to
 // Buf, or — with Counting set — only measured in Len, or — with W set —
 // streamed to W through Buf's capacity, Len counting the bytes written.
 type Packed struct {
@@ -124,95 +124,61 @@ func (p *Packed) words(val []float64) {
 	}
 }
 
-// State exports the vector for persistence: the image Vector.State gives
-// for the same entries, byte for byte, packed row after row with no
-// assembled vector in between.
-func (v *RowVector) State() VectorState {
-	var index, value Packed
-	v.Pack(&index, &value)
-	return VectorState{Dim: v.dim, PackedIndex: index.Buf, PackedValue: value.Buf}
-}
-
-// Pack emits the vector's PackedIndex and PackedValue lists.
-func (v *RowVector) Pack(index, value *Packed) {
-	prev := -1
-	v.each(func(r *span) {
-		if index != nil {
-			prev = index.gaps(prev, r.idx)
-		}
-		if value != nil {
-			value.words(r.val)
-		}
-	})
-}
-
-// Pack emits the PackedIndex and PackedValue lists of the vector's non-zero
-// cells: what Vector().State() holds.
-func (v *PagedVector) Pack(index, value *Packed) {
-	prev := -1
-	v.pages.each(func(p int, pg *[pageSize]float64) {
-		index.Room(pageSize * binary.MaxVarintLen64)
-		value.Room(pageSize * 8)
-		for k, x := range pg {
-			if x != 0 && index != nil {
-				index.gap(prev, p<<pageShift+k)
-				prev = p<<pageShift + k
-			}
-			if x != 0 && value != nil {
-				value.word(x)
-			}
-		}
-	})
-}
-
 // Validate reports the first malformed field of st, whose packed lists lie
 // in src at the sections at gives, in field order. It costs O(len of the
 // image) and allocates nothing, whatever Dim claims.
 func (st VectorState) Validate(src io.ReaderAt, at []Section) error {
-	_, err := st.unpack(src, at, false)
-	return err
+	return st.unpack(src, at, nil)
 }
 
-// VectorFromState reconstructs a Vector, reading its lists as Validate
-// does. It rejects malformed states.
-func VectorFromState(st VectorState, src io.ReaderAt, at []Section) (*Vector, error) {
-	return st.unpack(src, at, true)
+// RestoreCells writes the entries of z's and θ's images — z's two lists
+// then θ's, in src at the sections at gives — into the cells of their
+// indices, numbering a record for an index that has none. It makes every
+// check Validate makes, and refuses an image of another dimension.
+func (m *Matrix) RestoreCells(z, theta VectorState, src io.ReaderAt, at []Section) error {
+	if z.Dim != m.dim || theta.Dim != m.dim {
+		return fmt.Errorf("sparse: vectors of dimension %d and %d for a %d×%d matrix", z.Dim, theta.Dim, m.dim, m.dim)
+	}
+	if err := z.unpack(src, at[:2], func(i int, x float64) { m.touch(i).z = x }); err != nil {
+		return fmt.Errorf("z: %w", err)
+	}
+	if err := theta.unpack(src, at[2:], func(i int, x float64) { m.touch(i).theta = x }); err != nil {
+		return fmt.Errorf("θ: %w", err)
+	}
+	return nil
 }
 
-// unpack makes every check a VectorState must pass, building the vector
-// alongside when build is set.
-func (st VectorState) unpack(src io.ReaderAt, at []Section, build bool) (v *Vector, err error) {
+// unpack makes every check a VectorState must pass, handing each entry to
+// put, when it is set, in index order.
+func (st VectorState) unpack(src io.ReaderAt, at []Section, put func(i int, x float64)) (err error) {
 	index, value := NewCursor(src, at[0]), NewCursor(src, at[1])
 	defer closeAll(&err, &index, &value)
 	if st.Dim < 0 {
-		return nil, fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
+		return fmt.Errorf("sparse: negative dimension %d in vector state", st.Dim)
 	}
 	n, err := wordCount(value.Left(), "vector PackedValue")
 	if err != nil {
-		return nil, err
-	}
-	if build {
-		v = &Vector{dim: st.Dim, idx: make([]int, n), val: make([]float64, n)}
+		return err
 	}
 	prev := -1
 	for k := 0; k < n; {
 		for w := value.words(n - k); len(w) > 0; w, k = w[8:], k+1 {
 			if prev, err = index.index(prev, st.Dim, "vector PackedIndex"); err != nil {
-				return nil, err
+				return err
 			}
 			x := math.Float64frombits(binary.LittleEndian.Uint64(w))
 			if x == 0 {
-				return nil, fmt.Errorf("sparse: vector PackedValue stores a zero at index %d", prev)
+				return fmt.Errorf("sparse: vector PackedValue stores a zero at index %d", prev)
 			}
-			if build {
-				v.idx[k], v.val[k] = prev, x
+			if put != nil {
+				put(prev, x)
 			}
 		}
 	}
 	if index.Left() != 0 {
-		return nil, fmt.Errorf("sparse: vector PackedIndex holds more indices than the %d values of PackedValue", n)
+		return fmt.Errorf("sparse: vector PackedIndex holds more indices than the %d values of PackedValue", n)
 	}
-	return v, nil
+	return nil
 }
 
 // MatrixState is the serializable image of a Matrix: the materialised
@@ -240,15 +206,19 @@ type MatrixState struct {
 // byte-identically.
 func (m *Matrix) State() MatrixState {
 	var l [4]Packed
-	m.Pack(&l[0], &l[1], &l[2], &l[3])
+	m.Pack(&[8]*Packed{&l[0], &l[1], &l[2], &l[3]})
 	return MatrixState{Dim: m.dim, Diag: m.diag, DropTol: m.dropTol,
 		PackedRows: l[0].Buf, PackedCols: l[1].Buf, PackedVals: l[2].Buf, PackedDiag: l[3].Buf}
 }
 
-// Pack emits the matrix's packed lists: the diagonal list off each page's
-// override bits, the others in one walk over its records.
-func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
-	prevRow, prevDiag := -1, -1
+// Pack emits the packed lists l holds, a nil one skipped: the matrix's
+// rows, cols, vals and diag, then the PackedIndex and PackedValue lists of
+// z and of θ, which hold their non-zero cells, as a VectorState does. The
+// diagonal list comes off each page's override bits, the others from one
+// walk over the records.
+func (m *Matrix) Pack(l *[8]*Packed) {
+	rows, cols, vals, diag := l[0], l[1], l[2], l[3]
+	prevRow, prevDiag, prevZ, prevTheta := -1, -1, -1, -1
 	if diag != nil {
 		m.pages.each(func(p int, pg *page) {
 			diag.Room(pageSize * binary.MaxVarintLen64)
@@ -258,27 +228,45 @@ func (m *Matrix) Pack(rows, cols, vals, diag *Packed) {
 			}
 		})
 	}
-	if rows == nil && cols == nil && vals == nil {
+	if *l == [8]*Packed{3: diag} {
 		return
 	}
 	m.eachRecord(func(i int, rec *record) {
-		r := &rec.row
-		if len(r.idx) == 0 {
-			return
+		if r := &rec.row; len(r.idx) > 0 {
+			if rows != nil {
+				rows.Room(2 * binary.MaxVarintLen64)
+				rows.gap(prevRow, i)
+				rows.uvarint(uint64(len(r.idx)))
+				prevRow = i
+			}
+			if cols != nil {
+				cols.gaps(-1, r.idx)
+			}
+			if vals != nil {
+				vals.words(r.val)
+			}
 		}
-		if rows != nil {
-			rows.Room(2 * binary.MaxVarintLen64)
-			rows.gap(prevRow, i)
-			rows.uvarint(uint64(len(r.idx)))
-			prevRow = i
-		}
-		if cols != nil {
-			cols.gaps(-1, r.idx)
-		}
-		if vals != nil {
-			vals.words(r.val)
-		}
+		prevZ = packCell(l[4], l[5], prevZ, i, rec.z)
+		prevTheta = packCell(l[6], l[7], prevTheta, i, rec.theta)
 	})
+}
+
+// packCell emits cell i of a vector, holding x, into its index and value
+// lists after the index prev, and returns the list's last index: i, or prev
+// when x is zero and nothing is emitted.
+func packCell(index, value *Packed, prev, i int, x float64) int {
+	if x == 0 {
+		return prev
+	}
+	if index != nil {
+		index.Room(binary.MaxVarintLen64)
+		index.gap(prev, i)
+	}
+	if value != nil {
+		value.Room(8)
+		value.word(x)
+	}
+	return i
 }
 
 // Validate reports the first malformed field of st, whose packed lists lie

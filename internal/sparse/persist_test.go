@@ -141,7 +141,7 @@ func TestStateWritesPackedFormOnly(t *testing.T) {
 
 // Each list streamed alone through a window smaller than a row, a page or
 // a value run — or than one entry — is, byte for byte, the list State
-// packs.
+// packs, and z's and θ's lists are those of the Vector holding their cells.
 func TestPackStreamsWhatStateHolds(t *testing.T) {
 	const dim = 5*pageSize + 3
 	m := NewMatrix(dim, 0.25)
@@ -149,6 +149,8 @@ func TestPackStreamsWhatStateHolds(t *testing.T) {
 	for j := 0; j < dim; j += 2 {
 		m.Set(7, j, float64(j)+0.5) // one row far wider than the window
 		v.Set(j, -float64(j)-1)
+		m.AddZ(j, -float64(j)-1)
+		m.setTheta(j, -float64(j)-1)
 	}
 	m.Set(dim-1, 3, 2)
 	m.Set(40, 40, 0) // an overridden diagonal that stores nothing
@@ -169,22 +171,12 @@ func testPackStreams(t *testing.T, window int, m *Matrix, v *Vector) {
 		}
 		return out.Bytes()
 	}
-	st := m.State()
-	for i, want := range [][]byte{st.PackedRows, st.PackedCols, st.PackedVals, st.PackedDiag} {
-		var l [4]*Packed
-		if got := stream(func(p *Packed) { l[i] = p; m.Pack(l[0], l[1], l[2], l[3]) }); !bytes.Equal(got, want) {
-			t.Fatalf("window %d: matrix list %d streamed alone: %d bytes, State holds %d", window, i, len(got), len(want))
-		}
-	}
-	vs := v.State()
-	rows, paged := v.Rows(pageSize), v.Paged()
-	for i, want := range [][]byte{vs.PackedIndex, vs.PackedValue} {
-		var l [2]*Packed
-		if got := stream(func(p *Packed) { l[i] = p; rows.Pack(l[0], l[1]) }); !bytes.Equal(got, want) {
-			t.Fatalf("window %d: row vector list %d streamed alone differs from State's", window, i)
-		}
-		if got := stream(func(p *Packed) { l[i] = p; paged.Pack(l[0], l[1]) }); !bytes.Equal(got, want) {
-			t.Fatalf("window %d: paged vector list %d streamed alone differs from State's", window, i)
+	st, vs := m.State(), v.State()
+	for i, want := range [][]byte{st.PackedRows, st.PackedCols, st.PackedVals, st.PackedDiag,
+		vs.PackedIndex, vs.PackedValue, vs.PackedIndex, vs.PackedValue} {
+		var l [8]*Packed
+		if got := stream(func(p *Packed) { l[i] = p; m.Pack(&l) }); !bytes.Equal(got, want) {
+			t.Fatalf("window %d: list %d streamed alone: %d bytes, State holds %d", window, i, len(got), len(want))
 		}
 	}
 }
@@ -302,7 +294,11 @@ func TestPackedStateRejectsMalformed(t *testing.T) {
 			verr := tc.st.validate()
 			_, berr := vectorFromState(tc.st)
 			if verr == nil || berr == nil || verr.Error() != berr.Error() {
-				t.Fatalf("Validate says %v, VectorFromState says %v", verr, berr)
+				t.Fatalf("Validate says %v, unpack says %v", verr, berr)
+			}
+			src, at := inImage(nil, nil, tc.st.PackedIndex, tc.st.PackedValue)
+			if rerr := NewMatrix(tc.st.Dim, 1).RestoreCells(VectorState{Dim: tc.st.Dim}, tc.st, src, at); rerr == nil || rerr.Error() != "θ: "+verr.Error() {
+				t.Fatalf("Validate says %v, RestoreCells says %v", verr, rerr)
 			}
 			if !strings.Contains(verr.Error(), tc.field) {
 				t.Fatalf("error %q does not name %q", verr, tc.field)
@@ -333,31 +329,5 @@ func TestValidateAllocatesNothingForHugeDim(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Validate allocated %.0f times for an empty state", n)
-	}
-}
-
-// PagedVector.Vector and Vector.Paged are inverses, whichever way the pages
-// were allocated, and Vector walks allocated pages only.
-func TestPagedVectorRoundTrip(t *testing.T) {
-	const dim = 3*pageSize + 2
-	for _, eager := range []bool{true, false} {
-		pv := newPagedVector(dim, eager)
-		pv.Set(1, 1.5)
-		pv.Set(dim-1, -2)
-		pv.Set(5, 3)
-		pv.Set(5, 0) // written back to zero: the page stays, the cell is not stored
-		v := pv.Vector()
-		if v.Dim() != dim || v.NNZ() != 2 || v.Get(1) != 1.5 || v.Get(dim-1) != -2 {
-			t.Fatalf("eager=%v: Vector() = %v (dim %d)", eager, v, v.Dim())
-		}
-		back := v.Paged()
-		for k := 0; k < dim; k++ {
-			if back.At(k) != pv.At(k) {
-				t.Fatalf("eager=%v: cell %d = %g after the round trip, want %g", eager, k, back.At(k), pv.At(k))
-			}
-		}
-		if !eager && pv.pages.used != 2 {
-			t.Fatalf("writes to the first and the last of four pages handed out %d", pv.pages.used)
-		}
 	}
 }
